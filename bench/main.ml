@@ -271,7 +271,7 @@ let batch_bench ~json () =
       ];
     Printf.printf "  speedup vs jobs=1: %.2fx parallel, %.2fx warm cache\n" speedup
       (if warm_s > 0.0 then seq_s /. warm_s else 0.0);
-    Printf.printf "  %s\n" (Summary_cache.counters_line cache);
+    Printf.printf "  %s\n" (Summary_cache.counters_line (Summary_cache.counters cache));
     Printf.printf "  supervision (30s deadline, 1 retry): %d deadline hit(s), %d retry(ies)\n"
       sup_counters.Supervisor.deadline_hits sup_counters.Supervisor.retry_count;
     Printf.printf "  all variants rendered byte-identically to jobs=1\n%!"

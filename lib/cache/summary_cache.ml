@@ -158,44 +158,36 @@ let counters t =
         quarantined = t.c.quarantined;
       })
 
-(* Registry mirrors of the cache counters: same increment sites as the
-   per-cache record, so the Prometheus exposition and [counters_line] can
-   never disagree. *)
-let obs_hits =
-  Vrp_obs.Metrics.counter ~help:"Summary cache hits (memory or disk)"
-    "vrp_cache_hits_total"
-
-let obs_disk_hits =
-  Vrp_obs.Metrics.counter ~help:"Summary cache hits served from the disk tier"
-    "vrp_cache_disk_hits_total"
-
-let obs_misses =
-  Vrp_obs.Metrics.counter ~help:"Summary cache misses" "vrp_cache_misses_total"
-
-let obs_stores =
-  Vrp_obs.Metrics.counter ~help:"Summary cache stores" "vrp_cache_stores_total"
-
-let obs_invalidations =
-  Vrp_obs.Metrics.counter ~help:"Summary cache invalidations (stamp changes, stale or corrupt entries)"
-    "vrp_cache_invalidations_total"
-
-let obs_quarantined =
-  Vrp_obs.Metrics.counter ~help:"Corrupt summary files quarantined"
-    "vrp_cache_quarantined_total"
-
 let obs_evictions =
   Vrp_obs.Metrics.counter ~help:"Summary cache memory-tier evictions"
     "vrp_cache_evictions_total"
 
-let delta ~before (after : counters) =
+let map2 f a b =
   {
-    hits = after.hits - before.hits;
-    disk_hits = after.disk_hits - before.disk_hits;
-    misses = after.misses - before.misses;
-    stores = after.stores - before.stores;
-    invalidations = after.invalidations - before.invalidations;
-    quarantined = after.quarantined - before.quarantined;
+    hits = f a.hits b.hits;
+    disk_hits = f a.disk_hits b.disk_hits;
+    misses = f a.misses b.misses;
+    stores = f a.stores b.stores;
+    invalidations = f a.invalidations b.invalidations;
+    quarantined = f a.quarantined b.quarantined;
   }
+
+let delta ~before after = map2 ( - ) after before
+let sum = map2 ( + )
+
+let samples c =
+  let counter = Vrp_obs.Metrics.counter_sample in
+  [
+    counter ~help:"Summary cache hits (memory or disk)" "vrp_cache_hits_total" c.hits;
+    counter ~help:"Summary cache hits served from the disk tier" "vrp_cache_disk_hits_total"
+      c.disk_hits;
+    counter ~help:"Summary cache misses" "vrp_cache_misses_total" c.misses;
+    counter ~help:"Summary cache stores" "vrp_cache_stores_total" c.stores;
+    counter ~help:"Summary cache invalidations (stamp changes, stale or corrupt entries)"
+      "vrp_cache_invalidations_total" c.invalidations;
+    counter ~help:"Corrupt summary files quarantined" "vrp_cache_quarantined_total"
+      c.quarantined;
+  ]
 
 let evict_memory t =
   locked t (fun () ->
@@ -222,14 +214,13 @@ let close t =
       t.lock_fd <- None;
       t.maintenance <- false)
 
-let counters_line t =
-  let c = counters t in
+let counters_line c =
   Printf.sprintf
     "summary cache: %d hits (%d from disk), %d misses, %d invalidations, %d quarantined"
     c.hits c.disk_hits c.misses c.invalidations c.quarantined
 
 let report_into t report =
-  Diag.add report Diag.Info Diag.Cache_event (counters_line t)
+  Diag.add report Diag.Info Diag.Cache_event (counters_line (counters t))
 
 (* --- Memory tier --- *)
 
@@ -239,7 +230,6 @@ let insert_locked t key res =
   t.tick <- t.tick + 1;
   Hashtbl.replace t.mem key { res; last_use = t.tick };
   t.c.stores <- t.c.stores + 1;
-  Vrp_obs.Metrics.inc obs_stores;
   if Hashtbl.length t.mem > t.capacity then begin
     let entries = Hashtbl.fold (fun k e acc -> (e.last_use, k) :: acc) t.mem [] in
     let by_age = List.sort compare entries in
@@ -360,8 +350,7 @@ let find_or_compute t ~slot ~stamp ~key compute =
     locked t (fun () ->
         (match Hashtbl.find_opt t.seen slot with
         | Some old when not (String.equal old stamp) ->
-          t.c.invalidations <- t.c.invalidations + 1;
-          Vrp_obs.Metrics.inc obs_invalidations
+          t.c.invalidations <- t.c.invalidations + 1
         | _ -> ());
         Hashtbl.replace t.seen slot stamp;
         match Hashtbl.find_opt t.mem key with
@@ -369,7 +358,6 @@ let find_or_compute t ~slot ~stamp ~key compute =
           t.tick <- t.tick + 1;
           e.last_use <- t.tick;
           t.c.hits <- t.c.hits + 1;
-          Vrp_obs.Metrics.inc obs_hits;
           Some e.res
         | None -> None)
   in
@@ -381,23 +369,16 @@ let find_or_compute t ~slot ~stamp ~key compute =
       locked t (fun () ->
           t.c.hits <- t.c.hits + 1;
           t.c.disk_hits <- t.c.disk_hits + 1;
-          Vrp_obs.Metrics.inc obs_hits;
-          Vrp_obs.Metrics.inc obs_disk_hits;
           insert_locked t key res);
       res
     | (Stale | Corrupt | Absent) as verdict ->
       locked t (fun () ->
           t.c.misses <- t.c.misses + 1;
-          Vrp_obs.Metrics.inc obs_misses;
           match verdict with
-          | Stale ->
-            t.c.invalidations <- t.c.invalidations + 1;
-            Vrp_obs.Metrics.inc obs_invalidations
+          | Stale -> t.c.invalidations <- t.c.invalidations + 1
           | Corrupt ->
             t.c.invalidations <- t.c.invalidations + 1;
-            t.c.quarantined <- t.c.quarantined + 1;
-            Vrp_obs.Metrics.inc obs_invalidations;
-            Vrp_obs.Metrics.inc obs_quarantined
+            t.c.quarantined <- t.c.quarantined + 1
           | Served _ | Absent -> ());
       let res = compute () in
       locked t (fun () -> insert_locked t key res);

@@ -79,6 +79,14 @@ val counters : t -> counters
     (the server serializes per-session analyses). *)
 val delta : before:counters -> counters -> counters
 
+val zero_counters : unit -> counters
+
+(** Componentwise sum: one total over several stores. *)
+val sum : counters -> counters -> counters
+
+(** The counters as the [vrp_cache_*_total] series, read at scrape time. *)
+val samples : counters -> Vrp_obs.Metrics.sample list
+
 (** Drop every memory-tier entry and the slot-stamp table, returning how
     many entries were evicted. The disk tier (if any) is untouched, so the
     next lookup round-trips through it; counters keep accumulating. This is
@@ -86,8 +94,8 @@ val delta : before:counters -> counters -> counters
     tier must be reclaimable without a restart. *)
 val evict_memory : t -> int
 
-(** Render the counters as a one-line summary, e.g. for a batch report. *)
-val counters_line : t -> string
+(** Render counters as a one-line summary, e.g. for a batch report. *)
+val counters_line : counters -> string
 
 (** Append a [Cache_event] diagnostic with the current counters. *)
 val report_into : t -> Diag.report -> unit

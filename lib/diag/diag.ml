@@ -30,7 +30,6 @@ type kind =
   | Deadline_exceeded  (** a supervised task overran its wall-clock deadline *)
   | Task_retry  (** a supervised task failed and was retried *)
   | Journal_event  (** batch journal traffic: checkpoints, resumes *)
-  | Server_event  (** vrpd request lifecycle: served, contained, cancelled *)
   | Model_error  (** a learned-predictor model failed to load or verify *)
   | Note  (** free-form informational event *)
 
@@ -94,7 +93,6 @@ let kind_to_string = function
   | Deadline_exceeded -> "deadline-exceeded"
   | Task_retry -> "task-retry"
   | Journal_event -> "journal-event"
-  | Server_event -> "server-event"
   | Model_error -> "model-error"
   | Note -> "note"
 

@@ -20,7 +20,6 @@ type kind =
   | Deadline_exceeded  (** a supervised task overran its wall-clock deadline *)
   | Task_retry  (** a supervised task failed and was retried *)
   | Journal_event  (** batch journal traffic: checkpoints, resumes *)
-  | Server_event  (** vrpd request lifecycle: served, contained, cancelled *)
   | Model_error  (** a learned-predictor model failed to load or verify *)
   | Note  (** free-form informational event *)
 

@@ -34,7 +34,13 @@ type histogram = {
   h_sum : float Atomic.t;
 }
 
-type cell = Counter of counter | Gauge of gauge | Histogram of histogram
+(* [Sample] is a series read from its owner's record at scrape time; it
+   never enters a registry. *)
+type cell =
+  | Counter of counter
+  | Gauge of gauge
+  | Histogram of histogram
+  | Sample of string * string  (* kind, rendered value *)
 
 type entry = {
   name : string;
@@ -91,6 +97,7 @@ let kind_name = function
   | Counter _ -> "counter"
   | Gauge _ -> "gauge"
   | Histogram _ -> "histogram"
+  | Sample (kind, _) -> kind
 
 let find_or_create registry ~name ~help ~labels make check =
   let labels = List.sort (fun (a, _) (b, _) -> compare a b) labels in
@@ -144,9 +151,6 @@ let rec atomic_add_float a v =
   let cur = Atomic.get a in
   if not (Atomic.compare_and_set a cur (cur +. v)) then atomic_add_float a v
 
-let add g v = atomic_add_float g.g_value v
-let gauge_value g = Atomic.get g.g_value
-
 let observe h v =
   let n = Array.length h.h_bounds in
   let rec bucket i = if i >= n || v <= h.h_bounds.(i) then i else bucket (i + 1) in
@@ -173,31 +177,21 @@ let reset ?(registry = default) () =
       | Gauge g -> Atomic.set g.g_value 0.0
       | Histogram h ->
           Array.iter (fun a -> Atomic.set a 0) h.h_counts;
-          Atomic.set h.h_sum 0.0)
+          Atomic.set h.h_sum 0.0
+      | Sample _ -> ())
     entries
 
 (* --- Prometheus text exposition --- *)
 
 (* Label values escape backslash, double-quote and newline; HELP text
    escapes backslash and newline (Prometheus text format v0.0.4). *)
-let escape_label_value s =
+let escape ~quote s =
   let b = Buffer.create (String.length s) in
   String.iter
     (fun ch ->
       match ch with
       | '\\' -> Buffer.add_string b "\\\\"
-      | '"' -> Buffer.add_string b "\\\""
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let escape_help s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '\\' -> Buffer.add_string b "\\\\"
+      | '"' when quote -> Buffer.add_string b "\\\""
       | '\n' -> Buffer.add_string b "\\n"
       | c -> Buffer.add_char b c)
     s;
@@ -214,7 +208,7 @@ let render_labels = function
       "{"
       ^ String.concat ","
           (List.map
-             (fun (k, v) -> Printf.sprintf "%s=\"%s\"" k (escape_label_value v))
+             (fun (k, v) -> Printf.sprintf "%s=\"%s\"" k (escape ~quote:true v))
              labels)
       ^ "}"
 
@@ -222,13 +216,22 @@ let render_labels = function
 let render_labels_le labels le =
   render_labels (labels @ [ ("le", le) ])
 
-let render ?(registry = default) () =
+type sample = entry
+
+let sample kind ?(help = "") ?(labels = []) name value =
+  { name; help; labels = List.sort (fun (a, _) (b, _) -> compare a b) labels;
+    cell = Sample (kind, value) }
+
+let counter_sample ?help ?labels name n = sample "counter" ?help ?labels name (string_of_int n)
+let gauge_sample ?help ?labels name v = sample "gauge" ?help ?labels name (format_float v)
+
+let render ?(registry = default) ?(samples = []) () =
   let entries = locked registry.lock (fun () -> registry.entries) in
   let entries =
     List.sort
       (fun a b ->
         match compare a.name b.name with 0 -> compare a.labels b.labels | c -> c)
-      entries
+      (samples @ entries)
   in
   let buf = Buffer.create 4096 in
   let last_name = ref "" in
@@ -238,11 +241,14 @@ let render ?(registry = default) () =
         last_name := e.name;
         if e.help <> "" then
           Buffer.add_string buf
-            (Printf.sprintf "# HELP %s %s\n" e.name (escape_help e.help));
+            (Printf.sprintf "# HELP %s %s\n" e.name (escape ~quote:false e.help));
         Buffer.add_string buf
           (Printf.sprintf "# TYPE %s %s\n" e.name (kind_name e.cell))
       end;
       match e.cell with
+      | Sample (_, v) ->
+          Buffer.add_string buf
+            (Printf.sprintf "%s%s %s\n" e.name (render_labels e.labels) v)
       | Counter c ->
           Buffer.add_string buf
             (Printf.sprintf "%s%s %d\n" e.name (render_labels e.labels)

@@ -25,7 +25,8 @@ type registry
 val create : unit -> registry
 
 (** The process-wide registry every [?registry]-defaulted call targets —
-    what [vrpd]'s [metrics] op renders. *)
+    what [vrpd]'s [metrics] op renders, next to the daemon's own
+    {!sample}s. *)
 val default : registry
 
 (** Find-or-create: the same (name, label set) always yields the same
@@ -54,8 +55,6 @@ val inc : ?by:int -> counter -> unit
 val value : counter -> int
 
 val set : gauge -> float -> unit
-val add : gauge -> float -> unit
-val gauge_value : gauge -> float
 val observe : histogram -> float -> unit
 
 (** [time h f] runs [f], records its wall-clock duration (seconds) in [h]
@@ -71,9 +70,20 @@ val reset_counter : counter -> unit
 (** Zero every cell in the registry, keeping the registrations. *)
 val reset : ?registry:registry -> unit -> unit
 
-(** Prometheus text exposition: one [# HELP]/[# TYPE] block per metric
-    name, series sorted by (name, labels), label values escaped,
-    histograms rendered as cumulative [_bucket{le=...}] lines plus
-    [+Inf], [_sum] and [_count]. Pure read — rendering twice with no
-    writes in between yields identical text. *)
-val render : ?registry:registry -> unit -> string
+(** A series whose value its owner reads from its own record at scrape
+    time, so the exposition and that record cannot differ. Samples are
+    never stored in a registry. *)
+type sample
+
+val counter_sample :
+  ?help:string -> ?labels:(string * string) list -> string -> int -> sample
+
+val gauge_sample :
+  ?help:string -> ?labels:(string * string) list -> string -> float -> sample
+
+(** Prometheus text exposition of the registry plus [samples]: one
+    [# HELP]/[# TYPE] block per metric name, series sorted by (name,
+    labels), label values escaped, histograms rendered as cumulative
+    [_bucket{le=...}] lines plus [+Inf], [_sum] and [_count]. Pure read —
+    rendering twice with no writes in between yields identical text. *)
+val render : ?registry:registry -> ?samples:sample list -> unit -> string

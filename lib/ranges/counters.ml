@@ -11,10 +11,9 @@
     interleaved analyses (interprocedural rounds re-entering the engine, an
     evaluation harness wrapping a pipeline run) smeared each other's
     figures. They are now {e scoped frames} returned by value: every
-    {!with_counters} call opens a fresh frame, events tick all open frames,
-    and the caller gets its own frame's totals back. Nested scopes therefore
-    see their own work included in the enclosing scope's totals (as they
-    should) while sibling scopes stay fully isolated. *)
+    {!with_counters} call opens a fresh frame, an event is recorded once in
+    the innermost open frame, and a closing frame hands its totals down to
+    the frame below it, or to the registry when it is the outermost. *)
 
 type t = {
   mutable evaluations : int;  (** engine expression evaluations (Figure 5) *)
@@ -23,22 +22,10 @@ type t = {
   mutable fuel_exhaustions : int;  (** engine runs that ran out of fuel *)
 }
 
-let zero () = { evaluations = 0; sub_ops = 0; widenings = 0; fuel_exhaustions = 0 }
-
-let copy c =
-  {
-    evaluations = c.evaluations;
-    sub_ops = c.sub_ops;
-    widenings = c.widenings;
-    fuel_exhaustions = c.fuel_exhaustions;
-  }
-
 (* Process-wide totals live in the metrics registry as per-domain-sharded
-   counters: every domain increments its own atomic shard and reads sum the
-   shards, so — unlike the plain-mutable root frame these replaced — no
-   increment is ever lost when worker domains tick concurrently. The same
-   cells back the Prometheus exposition, so there is exactly one
-   bookkeeping path. *)
+   counters, so no increment is lost when worker domains record
+   concurrently. They receive the events no frame is open for, and the
+   totals of every outermost frame when it closes. *)
 let evaluations_total =
   Vrp_obs.Metrics.counter
     ~help:"Engine expression evaluations (paper Figure 5)"
@@ -58,43 +45,51 @@ let fuel_exhaustions_total =
     "vrp_engine_fuel_exhaustions_total"
 
 (* Scoped frames are domain-local, innermost first: analyses running on
-   scheduler worker domains each tick their own stack, so concurrent
+   scheduler worker domains each record into their own stack, so concurrent
    per-function runs cannot corrupt each other's frames. A frame opened on
    one domain therefore does not observe work done on another — per-run
    totals for parallel batch work are aggregated from the per-function
    [Engine.t] fields instead (and from the registry totals above). *)
 let frames : t list Domain.DLS.key = Domain.DLS.new_key (fun () -> [])
 
+let flush c ~into =
+  match into with
+  | p :: _ ->
+    p.evaluations <- p.evaluations + c.evaluations;
+    p.sub_ops <- p.sub_ops + c.sub_ops;
+    p.widenings <- p.widenings + c.widenings;
+    p.fuel_exhaustions <- p.fuel_exhaustions + c.fuel_exhaustions
+  | [] ->
+    Vrp_obs.Metrics.inc ~by:c.evaluations evaluations_total;
+    Vrp_obs.Metrics.inc ~by:c.sub_ops sub_ops_total;
+    Vrp_obs.Metrics.inc ~by:c.widenings widenings_total;
+    Vrp_obs.Metrics.inc ~by:c.fuel_exhaustions fuel_exhaustions_total
+
+(* Closing removes the frame by identity rather than popping the head:
+   system threads share their domain's stack, so frames of two threads may
+   close out of order. Either way the totals go to a frame still open (or
+   the registry), never to one already closed. *)
+let rec close frame = function
+  | [] -> []
+  | c :: below when c == frame ->
+    flush frame ~into:below;
+    below
+  | c :: rest -> c :: close frame rest
+
 let with_counters f =
-  let frame = zero () in
+  let frame = { evaluations = 0; sub_ops = 0; widenings = 0; fuel_exhaustions = 0 } in
   Domain.DLS.set frames (frame :: Domain.DLS.get frames);
   let result =
-    Fun.protect ~finally:(fun () -> Domain.DLS.set frames (List.tl (Domain.DLS.get frames))) f
+    Fun.protect ~finally:(fun () -> Domain.DLS.set frames (close frame (Domain.DLS.get frames))) f
   in
   (result, frame)
 
-let each g = List.iter g (Domain.DLS.get frames)
+let record bump cell =
+  match Domain.DLS.get frames with c :: _ -> bump c | [] -> Vrp_obs.Metrics.inc cell
 
-let tick () =
-  Vrp_obs.Metrics.inc sub_ops_total;
-  each (fun c -> c.sub_ops <- c.sub_ops + 1)
-
-let record_evaluation () =
-  Vrp_obs.Metrics.inc evaluations_total;
-  each (fun c -> c.evaluations <- c.evaluations + 1)
-
-let record_widening () =
-  Vrp_obs.Metrics.inc widenings_total;
-  each (fun c -> c.widenings <- c.widenings + 1)
+let tick () = record (fun c -> c.sub_ops <- c.sub_ops + 1) sub_ops_total
+let record_evaluation () = record (fun c -> c.evaluations <- c.evaluations + 1) evaluations_total
+let record_widening () = record (fun c -> c.widenings <- c.widenings + 1) widenings_total
 
 let record_fuel_exhaustion () =
-  Vrp_obs.Metrics.inc fuel_exhaustions_total;
-  each (fun c -> c.fuel_exhaustions <- c.fuel_exhaustions + 1)
-
-(* --- Legacy root-frame interface (pre-frame callers) --- *)
-
-let reset () =
-  List.iter Vrp_obs.Metrics.reset_counter
-    [ evaluations_total; sub_ops_total; widenings_total; fuel_exhaustions_total ]
-
-let read () = Vrp_obs.Metrics.value sub_ops_total
+  record (fun c -> c.fuel_exhaustions <- c.fuel_exhaustions + 1) fuel_exhaustions_total

@@ -80,8 +80,8 @@ let cmp a b : int option =
    The oracle is ambient, domain-local state rather than a parameter because
    these comparisons happen deep inside [Value]/[Srange] arithmetic whose
    signatures should not know about fact environments; the same pattern as
-   [Counters.frames]. With no oracle installed every answer below is exactly
-   the v1 behaviour. *)
+   the domain-local frame stack behind [Counters.with_counters]. With no
+   oracle installed every answer below is exactly the v1 behaviour. *)
 
 type oracle = {
   o_le : t -> t -> bool option;  (** decides [a <= b] *)

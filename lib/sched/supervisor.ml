@@ -39,22 +39,6 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-(* Registry mirrors of the per-supervisor counters: process-wide totals the
-   metrics exposition scrapes. The per-[t] record stays authoritative for
-   [counters_line]; both are bumped at the same sites. *)
-let deadline_hits_total =
-  Vrp_obs.Metrics.counter ~help:"Supervised tasks cancelled by deadline"
-    "vrp_sched_deadline_hits_total"
-
-let retries_total =
-  Vrp_obs.Metrics.counter ~help:"Supervised task retries"
-    "vrp_sched_retries_total"
-
-let gave_up_total =
-  Vrp_obs.Metrics.counter
-    ~help:"Supervised tasks that exhausted their retry budget"
-    "vrp_sched_gave_up_total"
-
 (* The monitor never touches reports or results: it only flips cancellation
    flags and bumps counters, so all observable diagnostics are emitted from
    the worker that owns the task — no cross-domain races on reports. *)
@@ -66,8 +50,7 @@ let monitor_loop t () =
           (fun _ r ->
             if now > r.deadline && not (Diag.Cancel.cancelled r.token) then begin
               Diag.Cancel.cancel r.token;
-              t.c.deadline_hits <- t.c.deadline_hits + 1;
-              Vrp_obs.Metrics.inc deadline_hits_total
+              t.c.deadline_hits <- t.c.deadline_hits + 1
             end)
           t.registry);
     Unix.sleepf 0.002
@@ -126,6 +109,16 @@ let counters_line t =
     "supervision: %d deadline hit(s), %d retry(ies), %d task(s) gave up"
     c.deadline_hits c.retry_count c.gave_up
 
+let samples t =
+  let c = counters t and counter = Vrp_obs.Metrics.counter_sample in
+  [
+    counter ~help:"Supervised tasks cancelled by deadline" "vrp_sched_deadline_hits_total"
+      c.deadline_hits;
+    counter ~help:"Supervised task retries" "vrp_sched_retries_total" c.retry_count;
+    counter ~help:"Supervised tasks that exhausted their retry budget"
+      "vrp_sched_gave_up_total" c.gave_up;
+  ]
+
 let register t ?deadline_ms token =
   (* A per-call deadline overrides the policy's; callers that want the
      tighter of the two (e.g. a propagated request budget under a server
@@ -167,7 +160,6 @@ let supervise t ~name ?deadline_ms ?report f =
       | _ -> ());
       if n < t.policy.retries then begin
         locked t (fun () -> t.c.retry_count <- t.c.retry_count + 1);
-        Vrp_obs.Metrics.inc retries_total;
         emit Diag.Info Diag.Task_retry
           (Printf.sprintf "retrying %s (attempt %d of %d)" name (n + 2)
              (t.policy.retries + 1));
@@ -177,7 +169,6 @@ let supervise t ~name ?deadline_ms ?report f =
       end
       else begin
         locked t (fun () -> t.c.gave_up <- t.c.gave_up + 1);
-        Vrp_obs.Metrics.inc gave_up_total;
         raise e
       end
   in

@@ -63,6 +63,9 @@ val counters : t -> counters
 (** Render the counters as one line, e.g. for [--diagnostics] output. *)
 val counters_line : t -> string
 
+(** The counters as the [vrp_sched_*_total] series, read at scrape time. *)
+val samples : t -> Vrp_obs.Metrics.sample list
+
 (** [supervise t ~name f] runs [f token] under the policy: the token is
     registered with the monitor for deadline enforcement and carries the
     attempt number for fault injection. Failures are retried per policy;

@@ -36,36 +36,6 @@ type t = {
   c : counters;
 }
 
-(* Registry mirrors, bumped at the same sites as the in-record counters so
-   the Prometheus exposition and [counters_line] always agree. *)
-let obs_admitted =
-  Vrp_obs.Metrics.counter ~help:"Requests admitted through the gate"
-    "vrpd_admission_admitted_total"
-
-let obs_shed_conns =
-  Vrp_obs.Metrics.counter ~help:"Connections shed at the accept gate"
-    "vrpd_admission_shed_conns_total"
-
-let obs_shed_requests =
-  Vrp_obs.Metrics.counter ~help:"Requests shed with a busy response"
-    "vrpd_admission_shed_requests_total"
-
-let obs_expired =
-  Vrp_obs.Metrics.counter ~help:"Requests shed because their deadline expired before dispatch"
-    "vrpd_admission_expired_total"
-
-let obs_idle_closed =
-  Vrp_obs.Metrics.counter ~help:"Idle connections closed by the sweeper"
-    "vrpd_admission_idle_closed_total"
-
-let obs_inflight =
-  Vrp_obs.Metrics.gauge ~help:"Requests currently holding an in-flight slot"
-    "vrpd_inflight"
-
-let obs_peak_inflight =
-  Vrp_obs.Metrics.gauge ~help:"Peak concurrent in-flight requests"
-    "vrpd_peak_inflight"
-
 let create ?(limits = default_limits) () =
   {
     limits;
@@ -115,15 +85,11 @@ let try_conn t =
       end
       else begin
         t.c.shed_conns <- t.c.shed_conns + 1;
-        Vrp_obs.Metrics.inc obs_shed_conns;
         false
       end)
 
 let conn_closed t = locked t (fun () -> t.n_conns <- max 0 (t.n_conns - 1))
-let note_idle_closed t =
-  locked t (fun () ->
-      t.c.idle_closed <- t.c.idle_closed + 1;
-      Vrp_obs.Metrics.inc obs_idle_closed)
+let note_idle_closed t = locked t (fun () -> t.c.idle_closed <- t.c.idle_closed + 1)
 
 (* --- Request slots --- *)
 
@@ -138,12 +104,7 @@ type admission = Admitted | Shed of int | Expired
 let take_slot_locked t =
   t.n_inflight <- t.n_inflight + 1;
   t.c.admitted <- t.c.admitted + 1;
-  Vrp_obs.Metrics.inc obs_admitted;
-  Vrp_obs.Metrics.set obs_inflight (float_of_int t.n_inflight);
-  if t.n_inflight > t.c.peak_inflight then begin
-    t.c.peak_inflight <- t.n_inflight;
-    Vrp_obs.Metrics.set obs_peak_inflight (float_of_int t.c.peak_inflight)
-  end
+  t.c.peak_inflight <- max t.c.peak_inflight t.n_inflight
 
 (* OCaml's Condition has no timed wait, so queued requests poll for a slot
    at a 2ms period — coarse enough to cost nothing, fine enough that the
@@ -154,7 +115,6 @@ let admit t ?deadline () =
   if expired_at now then
     locked t (fun () ->
         t.c.expired <- t.c.expired + 1;
-        Vrp_obs.Metrics.inc obs_expired;
         Expired)
   else
     let verdict =
@@ -165,7 +125,6 @@ let admit t ?deadline () =
           end
           else if t.n_queued >= t.limits.max_queue then begin
             t.c.shed_requests <- t.c.shed_requests + 1;
-            Vrp_obs.Metrics.inc obs_shed_requests;
             `Shed (retry_after_locked t)
           end
           else begin
@@ -192,12 +151,10 @@ let admit t ?deadline () =
                 t.n_queued <- t.n_queued - 1;
                 if expired_at now then begin
                   t.c.expired <- t.c.expired + 1;
-                  Vrp_obs.Metrics.inc obs_expired;
                   Some Expired
                 end
                 else begin
                   t.c.shed_requests <- t.c.shed_requests + 1;
-                  Vrp_obs.Metrics.inc obs_shed_requests;
                   Some (Shed (retry_after_locked t))
                 end
               end
@@ -208,10 +165,7 @@ let admit t ?deadline () =
       in
       wait ()
 
-let release t =
-  locked t (fun () ->
-      t.n_inflight <- max 0 (t.n_inflight - 1);
-      Vrp_obs.Metrics.set obs_inflight (float_of_int t.n_inflight))
+let release t = locked t (fun () -> t.n_inflight <- max 0 (t.n_inflight - 1))
 
 let counters_line t =
   locked t (fun () ->
@@ -220,3 +174,24 @@ let counters_line t =
         t.n_inflight t.c.peak_inflight t.n_queued
         (t.c.shed_conns + t.c.shed_requests)
         t.c.shed_conns t.c.shed_requests t.c.expired t.c.idle_closed)
+
+let samples t =
+  let module M = Vrp_obs.Metrics in
+  locked t (fun () ->
+      [
+        M.counter_sample ~help:"Requests admitted through the gate"
+          "vrpd_admission_admitted_total" t.c.admitted;
+        M.counter_sample ~help:"Connections shed at the accept gate"
+          "vrpd_admission_shed_conns_total" t.c.shed_conns;
+        M.counter_sample ~help:"Requests shed with a busy response"
+          "vrpd_admission_shed_requests_total" t.c.shed_requests;
+        M.counter_sample
+          ~help:"Requests shed because their deadline expired before dispatch"
+          "vrpd_admission_expired_total" t.c.expired;
+        M.counter_sample ~help:"Idle connections closed by the sweeper"
+          "vrpd_admission_idle_closed_total" t.c.idle_closed;
+        M.gauge_sample ~help:"Requests currently holding an in-flight slot"
+          "vrpd_inflight" (float_of_int t.n_inflight);
+        M.gauge_sample ~help:"Peak concurrent in-flight requests"
+          "vrpd_peak_inflight" (float_of_int t.c.peak_inflight);
+      ])

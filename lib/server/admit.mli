@@ -93,3 +93,7 @@ val release : t -> unit
 (** One status line, e.g.
     [admission: 2 inflight (peak 4), 0 queued, 3 shed (2 conns, 1 requests), 1 expired, 2 idle-closed]. *)
 val counters_line : t -> string
+
+(** The counters and the inflight/peak gauges as [vrpd_admission_*_total],
+    [vrpd_inflight] and [vrpd_peak_inflight], read at scrape time. *)
+val samples : t -> Vrp_obs.Metrics.sample list

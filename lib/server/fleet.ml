@@ -47,61 +47,6 @@ type counters = {
   mutable replaced : int;
 }
 
-(* --- Front-door observability ---
-
-   Registry mirrors of the fleet counters plus per-worker health gauges;
-   the front door answers the [metrics] op from its own registry (its
-   admission gate, proxy ladder and slot states live here, not in any
-   worker), and [fleet-status] sources its uptime/per-op lines from the
-   same cells. *)
-
-let fleet_ops =
-  [ "predict"; "analyze"; "compare"; "batch"; "status"; "evict"; "ping";
-    "metrics"; "shutdown"; "fleet-status" ]
-
-let fleet_op_label op = if List.mem op fleet_ops then op else "unknown"
-
-let obs_requests op =
-  Vrp_obs.Metrics.counter ~help:"Fleet front-door requests, by operation"
-    ~labels:[ ("op", fleet_op_label op) ] "vrpd_fleet_requests_total"
-
-let obs_request_seconds op =
-  Vrp_obs.Metrics.histogram
-    ~help:"Fleet front-door request latency in seconds, by operation"
-    ~labels:[ ("op", fleet_op_label op) ] "vrpd_fleet_request_seconds"
-
-let obs_served =
-  Vrp_obs.Metrics.counter ~help:"Fleet requests served"
-    "vrpd_fleet_served_total"
-
-let obs_contained =
-  Vrp_obs.Metrics.counter ~help:"Fleet requests contained"
-    "vrpd_fleet_contained_total"
-
-let obs_failovers =
-  Vrp_obs.Metrics.counter ~help:"Proxy retries that re-routed to another worker"
-    "vrpd_fleet_failovers_total"
-
-let obs_replaced =
-  Vrp_obs.Metrics.counter ~help:"Workers crash-replaced"
-    "vrpd_fleet_replaced_total"
-
-let obs_workers_healthy =
-  Vrp_obs.Metrics.gauge ~help:"Fleet workers currently healthy"
-    "vrpd_fleet_workers_healthy"
-
-let obs_worker_up wid =
-  Vrp_obs.Metrics.gauge ~help:"Per-worker liveness (1 = healthy)"
-    ~labels:[ ("worker", string_of_int wid) ] "vrpd_fleet_worker_up"
-
-let obs_worker_inflight wid =
-  Vrp_obs.Metrics.gauge ~help:"Per-worker in-flight load from its last ping"
-    ~labels:[ ("worker", string_of_int wid) ] "vrpd_fleet_worker_inflight"
-
-let obs_fleet_uptime =
-  Vrp_obs.Metrics.gauge ~help:"Fleet front door uptime in seconds"
-    "vrpd_fleet_uptime_seconds"
-
 type slot_state = Healthy | Replacing | Degraded
 
 type slot = {
@@ -122,12 +67,11 @@ type t = {
   spawner : spawner;
   slots : slot array;
   sup : Supervisor.t;  (* proxy retry ladder (no deadline monitor) *)
-  counters : counters;
-  report : Diag.report;
-  lock : Mutex.t;  (* counters + report + slot states + proxied count *)
-  acc : Accept.t;
+  lock : Mutex.t;  (* failovers + replaced + slot states + proxied count *)
+  mutable failovers : int;
+  mutable replaced : int;
+  acc : t Accept.t;
   admit : Admit.t;  (* front-door connection bound + idle sweeper *)
-  started : float;  (* unix time of [create] *)
   monitor_stop : bool Atomic.t;
   mutable monitor : Thread.t option;
   mutable proxied : int;  (* Kill_worker fault trigger count *)
@@ -135,18 +79,17 @@ type t = {
 }
 
 let settings t = t.settings
-let counters t = t.counters
-let report t = t.report
 let admit t = t.admit
 
 let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let note t severity fmt =
-  Printf.ksprintf
-    (fun msg -> locked t (fun () -> Diag.add t.report severity Diag.Server_event msg))
-    fmt
+let counters t =
+  let c = Accept.counters t.acc in
+  locked t (fun () ->
+      { served = c.Accept.served; contained = c.Accept.contained; failovers = t.failovers;
+        replaced = t.replaced })
 
 (* --- Worker liveness probes --- *)
 
@@ -241,35 +184,21 @@ let spawn_slot t (s : slot) =
    old body, wait for its socket path to be reclaimable, respawn on the
    same path. Out of restart budget → degrade the slot; under --strict a
    degraded fleet stops serving (vrpd maps that to exit 3). *)
-let replace t (s : slot) ~why =
+let replace t (s : slot) =
   locked t (fun () -> s.state <- Replacing);
-  (match s.body with
-  | Some w ->
-    w.kill ();
-    if not (wait_dead w) then
-      note t Diag.Warning "worker-%d refused to die; replacing anyway" s.wid
-  | None -> ());
+  (* A body that refuses to die is replaced anyway. *)
+  Option.iter (fun w -> w.kill (); ignore (wait_dead w)) s.body;
   s.body <- None;
-  if s.incarnation > t.settings.restarts then begin
+  let respawned =
+    s.incarnation <= t.settings.restarts
+    && match spawn_slot t s with () -> true | exception _ -> false
+  in
+  if respawned then locked t (fun () -> t.replaced <- t.replaced + 1)
+  else begin
+    (* Out of restarts, or the replacement failed to start. *)
     locked t (fun () -> s.state <- Degraded);
-    note t Diag.Warning
-      "worker-%d %s and is out of restarts (%d used); slot degraded" s.wid why
-      t.settings.restarts;
     if t.settings.strict then Accept.stop t.acc
   end
-  else
-    match spawn_slot t s with
-    | () ->
-      locked t (fun () ->
-          t.counters.replaced <- t.counters.replaced + 1;
-          Vrp_obs.Metrics.inc obs_replaced);
-      note t Diag.Warning "worker-%d %s; replaced (incarnation %d)" s.wid why
-        (s.incarnation - 1)
-    | exception e ->
-      locked t (fun () -> s.state <- Degraded);
-      note t Diag.Warning "worker-%d replacement failed (%s); slot degraded" s.wid
-        (Printexc.to_string e);
-      if t.settings.strict then Accept.stop t.acc
 
 let monitor_loop t () =
   let interval = float_of_int t.settings.ping_interval_ms /. 1000. in
@@ -278,14 +207,14 @@ let monitor_loop t () =
       (fun s ->
         if (not (Atomic.get t.monitor_stop)) && s.state = Healthy then
           match s.body with
-          | Some w when not (w.alive ()) -> replace t s ~why:"died"
+          | Some w when not (w.alive ()) -> replace t s
           | Some _ -> (
             match ping_probe ~timeout_ms:t.settings.ping_timeout_ms s.sock with
             | Some resp -> note_load t s resp
             | None ->
               (* Unresponsive but running: a wedged daemon holds its socket,
                  so it must be killed before the slot can be rebound. *)
-              replace t s ~why:"stopped answering pings")
+              replace t s)
           | None -> ())
       t.slots;
     (* Sleep in small steps so shutdown does not wait a full interval. *)
@@ -297,66 +226,6 @@ let monitor_loop t () =
     in
     nap interval
   done
-
-let create ~settings ~spawner () =
-  if settings.size < 1 then invalid_arg "Fleet.create: size must be >= 1";
-  (try Unix.mkdir settings.dir 0o755
-   with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let slots =
-    Array.init settings.size (fun wid ->
-        {
-          wid;
-          sock = Filename.concat settings.dir (Printf.sprintf "worker-%d.sock" wid);
-          body = None;
-          incarnation = 0;
-          state = Replacing;
-          inflight = 0;
-          capacity = 0;
-          shed = 0;
-        })
-  in
-  let t =
-    {
-      settings;
-      spawner;
-      slots;
-      sup =
-        Supervisor.create
-          ~policy:
-            {
-              Supervisor.deadline_ms = None;
-              retries = settings.retries;
-              backoff_ms = settings.retry_backoff_ms;
-            }
-          ();
-      counters = { served = 0; contained = 0; failovers = 0; replaced = 0 };
-      report = Diag.create ();
-      lock = Mutex.create ();
-      acc = Accept.create ();
-      admit = Admit.create ~limits:settings.limits ();
-      started = Unix.gettimeofday ();
-      monitor_stop = Atomic.make false;
-      monitor = None;
-      proxied = 0;
-      shut = false;
-    }
-  in
-  (match Array.iter (spawn_slot t) slots with
-  | () -> ()
-  | exception e ->
-    (* A partial fleet is torn down, not served. *)
-    Array.iter
-      (fun s ->
-        match s.body with
-        | Some w ->
-          w.kill ();
-          ignore (wait_dead w)
-        | None -> ())
-      slots;
-    raise e);
-  note t Diag.Info "fleet up: %d worker(s) in %s" settings.size settings.dir;
-  t.monitor <- Some (Thread.create (monitor_loop t) ());
-  t
 
 (* --- Routing --- *)
 
@@ -416,32 +285,12 @@ let state_string = function
   | Replacing -> "replacing"
   | Degraded -> "degraded"
 
-(* Refresh the per-worker and aggregate health gauges from slot state.
-   Called on every scrape/status rather than on every transition so the
-   gauges cannot drift from the slots they summarize. *)
-let refresh_health_gauges t =
-  let healthy = ref 0 in
-  Array.iter
-    (fun s ->
-      if s.state = Healthy then incr healthy;
-      Vrp_obs.Metrics.set (obs_worker_up s.wid)
-        (if s.state = Healthy then 1.0 else 0.0);
-      Vrp_obs.Metrics.set (obs_worker_inflight s.wid) (float_of_int s.inflight))
-    t.slots;
-  Vrp_obs.Metrics.set obs_workers_healthy (float_of_int !healthy);
-  Vrp_obs.Metrics.set obs_fleet_uptime (Unix.gettimeofday () -. t.started)
-
-let handle_fleet_status t =
-  let c = t.counters in
+let handle_fleet_status t ~budget_ms:_ _ =
+  let c = counters t in
   let healthy =
     Array.fold_left (fun n s -> if s.state = Healthy then n + 1 else n) 0 t.slots
   in
-  refresh_health_gauges t;
-  let uptime = Unix.gettimeofday () -. t.started in
-  let op_counts =
-    List.map (fun op -> (op, Vrp_obs.Metrics.value (obs_requests op))) fleet_ops
-  in
-  let total_requests = List.fold_left (fun acc (_, n) -> acc + n) 0 op_counts in
+  let uptime_ops, uptime_ops_data = Accept.status_lines t.acc in
   let buf = Buffer.create 256 in
   Buffer.add_string buf
     (Printf.sprintf "fleet %s: %d worker(s), %d healthy\n" Version.version
@@ -449,11 +298,7 @@ let handle_fleet_status t =
   Buffer.add_string buf
     (Printf.sprintf "requests: %d served, %d contained, %d failover(s)\n" c.served
        c.contained c.failovers);
-  Buffer.add_string buf (Printf.sprintf "uptime: %.1fs\n" uptime);
-  Buffer.add_string buf
-    (Printf.sprintf "ops: %d total (%s)\n" total_requests
-       (String.concat ", "
-          (List.map (fun (op, n) -> Printf.sprintf "%s %d" op n) op_counts)));
+  Buffer.add_string buf uptime_ops;
   Buffer.add_string buf (Printf.sprintf "workers replaced: %d\n" c.replaced);
   Array.iter
     (fun s ->
@@ -483,42 +328,47 @@ let handle_fleet_status t =
              ])
          t.slots)
   in
-  ( { Ops.out = Buffer.contents buf; err = ""; code = 0 },
-    [
-      ("version", Json.String Version.version);
-      ("size", Json.Int (Array.length t.slots));
-      ("healthy", Json.Int healthy);
-      ("served", Json.Int c.served);
-      ("contained", Json.Int c.contained);
-      ("failovers", Json.Int c.failovers);
-      ("replaced", Json.Int c.replaced);
-      ("uptime_s", Json.Float uptime);
-      ("requests_total", Json.Int total_requests);
-      ("ops", Json.Obj (List.map (fun (op, n) -> (op, Json.Int n)) op_counts));
-      ("workers", Json.List workers);
-    ] )
+  Accept.reply
+    { Ops.out = Buffer.contents buf; err = ""; code = 0 }
+    ~data:
+      ([
+         ("version", Json.String Version.version);
+         ("size", Json.Int (Array.length t.slots));
+         ("healthy", Json.Int healthy);
+         ("served", Json.Int c.served);
+         ("contained", Json.Int c.contained);
+         ("failovers", Json.Int c.failovers);
+         ("replaced", Json.Int c.replaced);
+       ]
+      @ uptime_ops_data
+      @ [ ("workers", Json.List workers) ])
 
-let handle_ping t =
-  let a = Admit.counters t.admit in
-  ( { Ops.out = ""; err = ""; code = 0 },
-    [
-      ("pong", Json.Bool true);
-      ("pid", Json.Int (Unix.getpid ()));
-      ("inflight", Json.Int (Admit.inflight t.admit));
-      ("shed", Json.Int (a.Admit.shed_conns + a.Admit.shed_requests));
-    ] )
-
-let handle_shutdown t =
-  Accept.request_stop t.acc;
-  ({ Ops.out = ""; err = ""; code = 0 }, [ ("stopping", Json.Bool true) ])
-
-(* Front-door Prometheus scrape. Answered locally — the front door's own
-   registry holds its admission gate, proxy ladder, replacement counters
-   and per-worker health; workers are separate processes with their own
-   scrapeable registries. Control plane: never proxied, never queued. *)
-let handle_metrics t =
-  refresh_health_gauges t;
-  ({ Ops.out = Vrp_obs.Metrics.render (); err = ""; code = 0 }, [])
+(* The front door's records as scrape-time series: its own proxy ladder,
+   replacement counters and per-worker health, read from the slots. The
+   workers are separate daemons with their own scrapes. *)
+let samples t =
+  let c = counters t in
+  let counter = Vrp_obs.Metrics.counter_sample
+  and gauge = Vrp_obs.Metrics.gauge_sample in
+  let up s = if s.state = Healthy then 1.0 else 0.0 in
+  let per_worker f =
+    Array.to_list (Array.map (fun s -> f ~labels:[ ("worker", string_of_int s.wid) ] s) t.slots)
+  in
+  [
+    counter ~help:"Fleet requests served" "vrpd_fleet_served_total" c.served;
+    counter ~help:"Fleet requests contained" "vrpd_fleet_contained_total" c.contained;
+    counter ~help:"Proxy retries that re-routed to another worker" "vrpd_fleet_failovers_total"
+      c.failovers;
+    counter ~help:"Workers crash-replaced" "vrpd_fleet_replaced_total" c.replaced;
+    gauge ~help:"Fleet workers currently healthy" "vrpd_fleet_workers_healthy"
+      (Array.fold_left (fun n s -> n +. up s) 0. t.slots);
+  ]
+  @ per_worker (fun ~labels s ->
+        gauge ~help:"Per-worker liveness (1 = healthy)" ~labels "vrpd_fleet_worker_up" (up s))
+  @ per_worker (fun ~labels s ->
+        gauge ~help:"Per-worker in-flight load from its last ping" ~labels
+          "vrpd_fleet_worker_inflight" (float_of_int s.inflight))
+  @ Supervisor.samples t.sup
 
 (* The Kill_worker chaos fault: every Nth proxied request force-kills its
    routed worker just before forwarding — the proxy's retry ladder plus
@@ -531,11 +381,7 @@ let maybe_kill_routed t (s : slot) =
           t.proxied <- t.proxied + 1;
           t.proxied mod n = 0)
     in
-    if fire then begin
-      note t Diag.Warning "fault kill-worker: killing worker-%d before forwarding"
-        s.wid;
-      match s.body with Some w -> w.kill () | None -> ()
-    end
+    if fire then Option.iter (fun w -> w.kill ()) s.body
   | _ -> ()
 
 (* A busy response raised through the proxy's retry ladder: each retry
@@ -544,93 +390,107 @@ let maybe_kill_routed t (s : slot) =
    ladder still hands the client the busy + retry_after_ms contract. *)
 exception Worker_busy of Protocol.response
 
-let proxy t (req : Protocol.request) =
+let proxy t ~budget_ms:_ (req : Protocol.request) =
   let op = req.Protocol.op and params = req.Protocol.params in
-  let first = route t ~op ~params in
-  maybe_kill_routed t first;
-  let resp =
-    match
-      Supervisor.supervise t.sup
-        ~name:(Printf.sprintf "%s via worker-%d" op first.wid)
-        (fun token ->
-          if Diag.Cancel.attempt token > 0 then
-            locked t (fun () ->
-                t.counters.failovers <- t.counters.failovers + 1;
-                Vrp_obs.Metrics.inc obs_failovers);
-          (* Re-route each attempt: the slot may have degraded (or
-             saturated) mid-retry. *)
-          let s = route t ~op ~params in
-          let resp =
-            Client.with_connection s.sock (fun c -> Client.request c ~op ~params ())
-          in
-          match Protocol.retry_after_ms resp with
-          | Some _ ->
-            (* The worker shed this request: remember it as saturated until
-               its next ping so replays probe past it. *)
-            locked t (fun () ->
-                s.inflight <- max s.inflight (max s.capacity 1));
-            raise (Worker_busy resp)
-          | None -> resp)
-    with
-    | resp -> resp
-    | exception Worker_busy resp -> resp
+  let forward () =
+    let first = route t ~op ~params in
+    maybe_kill_routed t first;
+    Supervisor.supervise t.sup
+      ~name:(Printf.sprintf "%s via worker-%d" op first.wid)
+      (fun token ->
+        if Diag.Cancel.attempt token > 0 then
+          locked t (fun () -> t.failovers <- t.failovers + 1);
+        (* Re-route each attempt: the slot may have degraded (or
+           saturated) mid-retry. *)
+        let s = route t ~op ~params in
+        let resp =
+          Client.with_connection s.sock (fun c -> Client.request c ~op ~params ())
+        in
+        match Protocol.retry_after_ms resp with
+        | Some _ ->
+          (* The worker shed this request: remember it as saturated until
+             its next ping so replays probe past it. *)
+          locked t (fun () ->
+              s.inflight <- max s.inflight (max s.capacity 1));
+          raise (Worker_busy resp)
+        | None -> resp)
   in
-  (* The worker's response passes through byte-identical; only the rid is
-     rewritten to echo the client's request id instead of the proxy's. *)
-  { resp with Protocol.rid = req.Protocol.id }
+  (* The worker's response passes through byte-identical (the table
+     rewrites only the rid, to echo the client's request id), a busy one
+     too once the ladder is exhausted. Any other failure means no worker
+     could answer. *)
+  match forward () with
+  | resp -> resp
+  | exception Worker_busy resp -> resp
+  | exception e ->
+    raise (Accept.Unavailable (match e with Failure m -> m | e -> Printexc.to_string e))
 
-let handle t (req : Protocol.request) =
-  let local (o : Ops.outcome) data =
+let create ~settings ~spawner () =
+  if settings.size < 1 then invalid_arg "Fleet.create: size must be >= 1";
+  (try Unix.mkdir settings.dir 0o755
+   with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  let slots =
+    Array.init settings.size (fun wid ->
+        {
+          wid;
+          sock = Filename.concat settings.dir (Printf.sprintf "worker-%d.sock" wid);
+          body = None;
+          incarnation = 0;
+          state = Replacing;
+          inflight = 0;
+          capacity = 0;
+          shed = 0;
+        })
+  in
+  let admit = Admit.create ~limits:settings.limits () in
+  let t =
     {
-      Protocol.rid = req.Protocol.id;
-      ok = true;
-      code = o.Ops.code;
-      out = o.Ops.out;
-      err = o.Ops.err;
-      data;
+      settings;
+      spawner;
+      slots;
+      sup =
+        Supervisor.create
+          ~policy:
+            {
+              Supervisor.deadline_ms = None;
+              retries = settings.retries;
+              backoff_ms = settings.retry_backoff_ms;
+            }
+          ();
+      lock = Mutex.create ();
+      failovers = 0;
+      replaced = 0;
+      acc =
+        Accept.create ~family:"vrpd_fleet" ~samples ~fallback:proxy admit
+          ~ops:[ ("fleet-status", handle_fleet_status) ];
+      admit;
+      monitor_stop = Atomic.make false;
+      monitor = None;
+      proxied = 0;
+      shut = false;
     }
   in
-  let dispatch () =
-    match req.Protocol.op with
-    | "fleet-status" ->
-      let o, data = handle_fleet_status t in
-      local o data
-    | "ping" ->
-      let o, data = handle_ping t in
-      local o data
-    | "metrics" ->
-      let o, data = handle_metrics t in
-      local o data
-    | "shutdown" ->
-      let o, data = handle_shutdown t in
-      local o data
-    | _ -> proxy t req
-  in
-  Vrp_obs.Metrics.inc (obs_requests req.Protocol.op);
-  Vrp_obs.Metrics.time (obs_request_seconds req.Protocol.op) @@ fun () ->
-  match dispatch () with
-  | resp ->
-    locked t (fun () ->
-        t.counters.served <- t.counters.served + 1;
-        Vrp_obs.Metrics.inc obs_served);
-    resp
+  (match Array.iter (spawn_slot t) slots with
+  | () -> ()
   | exception e ->
-    let msg =
-      match e with Failure m -> m | e -> Printexc.to_string e
-    in
-    locked t (fun () ->
-        t.counters.contained <- t.counters.contained + 1;
-        Vrp_obs.Metrics.inc obs_contained);
-    note t Diag.Warning "%s id=%d contained: %s" req.Protocol.op req.Protocol.id msg;
-    Protocol.error_response ~rid:req.Protocol.id ~kind:"worker-unavailable" msg
+    (* A partial fleet is torn down, not served. *)
+    Array.iter
+      (fun s ->
+        match s.body with
+        | Some w ->
+          w.kill ();
+          ignore (wait_dead w)
+        | None -> ())
+      slots;
+    raise e);
+  t.monitor <- Some (Thread.create (monitor_loop t) ());
+  t
+
+let handle t req = Accept.handle t.acc t req
 
 (* --- Serving --- *)
 
-let serve t listen_fd =
-  Accept.serve t.acc ~handle:(handle t)
-    ~on_bad_request:(fun _msg ->
-      locked t (fun () -> t.counters.contained <- t.counters.contained + 1))
-    ~admit:t.admit listen_fd
+let serve t listen_fd = Accept.serve t.acc ~handle:(handle t) listen_fd
 
 let stop t = Accept.stop t.acc
 let stopping t = Accept.stopping t.acc

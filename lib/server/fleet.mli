@@ -35,10 +35,14 @@
     one on-disk summary-cache tier when given the same [cache_dir]
     (guarded by the cache's advisory locks).
 
+    The front door instantiates the same {!Accept} op table as a single
+    daemon, ungated, with the proxy as its fallback handler.
     Front-door-local operations: [fleet-status] (fleet counters and
     per-worker state), [ping], [metrics] (Prometheus exposition of the
-    front door's registry: admission, proxy ladder, replacement counters,
-    per-worker health gauges), [shutdown]. Everything else is proxied.
+    registry plus the front door's own records, read at scrape time:
+    admission, proxy ladder, replacement counters, per-worker health
+    gauges; in-process workers' records are not among them), [shutdown].
+    Everything else is proxied.
 
     Fault injection: [Kill_worker n] force-kills the routed worker on
     every [n]th proxied request just before forwarding — the request must
@@ -83,9 +87,12 @@ type settings = {
     {!Admit.default_limits}. *)
 val default_settings : dir:string -> settings
 
+(** A snapshot; [served] and [contained] come from the op table. *)
 type counters = {
   mutable served : int;  (** requests answered (local + proxied) *)
-  mutable contained : int;  (** requests answered by the containment wrapper *)
+  mutable contained : int;
+      (** requests answered by the containment wrapper, malformed frames
+          included *)
   mutable failovers : int;  (** proxy replays after a dropped/refused attempt *)
   mutable replaced : int;  (** workers crash-replaced by the monitor *)
 }
@@ -103,9 +110,6 @@ val counters : t -> counters
 (** The front door's admission state (connection shed / idle-close
     counters, also surfaced by [fleet-status]). *)
 val admit : t -> Admit.t
-
-(** Fleet-lifecycle diagnostics ([Server_event] entries). *)
-val report : t -> Diag.report
 
 (** The worker socket path a request with these [op]/[params] routes to
     right now. Exposed for the tests (routing determinism). *)

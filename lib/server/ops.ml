@@ -248,7 +248,8 @@ let batch ?cache ?supervisor ?journal ?journal_fault ~opts ~sources () =
     (fun s -> Buffer.add_string err (Supervisor.counters_line s ^ "\n"))
     supervisor;
   Option.iter
-    (fun c -> Buffer.add_string err (Summary_cache.counters_line c ^ "\n"))
+    (fun c ->
+      Buffer.add_string err (Summary_cache.counters_line (Summary_cache.counters c) ^ "\n"))
     cache;
   if opts.diagnostics then
     List.iter

@@ -27,44 +27,7 @@ let default_settings =
     limits = Admit.default_limits;
   }
 
-(* --- Registry-backed request telemetry ---
-
-   Per-op request counters and latency histograms, admission mirrors (see
-   {!Admit}), uptime, and session diff-size histograms. The [status] text
-   sources its uptime/per-op lines from these cells — one bookkeeping
-   path, scraped by the [metrics] op as Prometheus text. *)
-
-let known_ops =
-  [ "predict"; "analyze"; "compare"; "batch"; "status"; "evict"; "ping";
-    "metrics"; "shutdown" ]
-
-(* Bound label cardinality: unknown client-supplied op strings collapse to
-   one series instead of minting one per typo. *)
-let op_label op = if List.mem op known_ops then op else "unknown"
-
-let obs_requests op =
-  Vrp_obs.Metrics.counter ~help:"Requests handled, by operation"
-    ~labels:[ ("op", op_label op) ] "vrpd_requests_total"
-
-let obs_request_seconds op =
-  Vrp_obs.Metrics.histogram ~help:"Request latency in seconds, by operation"
-    ~labels:[ ("op", op_label op) ] "vrpd_request_seconds"
-
-let obs_contained =
-  Vrp_obs.Metrics.counter ~help:"Requests answered by the containment wrapper"
-    "vrpd_requests_contained_total"
-
-let obs_cancelled =
-  Vrp_obs.Metrics.counter ~help:"Requests contained by cancellation"
-    "vrpd_requests_cancelled_total"
-
-let obs_uptime =
-  Vrp_obs.Metrics.gauge ~help:"Daemon uptime in seconds" "vrpd_uptime_seconds"
-
-let obs_start_time =
-  Vrp_obs.Metrics.gauge ~help:"Daemon start time in unix seconds"
-    "vrpd_start_time_seconds"
-
+(* Session diff sizes: registry-only histograms. *)
 let session_size_buckets = [ 0.; 1.; 2.; 5.; 10.; 20.; 50.; 100. ]
 
 let obs_session_changed =
@@ -79,7 +42,7 @@ let obs_session_reused =
   Vrp_obs.Metrics.histogram ~help:"Reused summaries per session diff"
     ~buckets:session_size_buckets "vrpd_session_reused_functions"
 
-type counters = {
+type counters = Accept.counters = {
   mutable served : int;
   mutable contained : int;
   mutable cancelled : int;
@@ -93,61 +56,9 @@ type t = {
   cache : Summary_cache.t;  (* server-wide, shared by predict/batch *)
   sessions : Session.t;
   admit : Admit.t;  (* shared by the accept loop and the request gate *)
-  counters : counters;
-  report : Diag.report;
-  state_lock : Mutex.t;  (* counters + report *)
-  acc : Accept.t;
-  started : float;  (* unix time of [create]; uptime in status/metrics *)
+  acc : t Accept.t;
   mutable shut : bool;
 }
-
-let create ?(settings = default_settings) () =
-  (* Load the learned model once, before accepting: every request then
-     serves it warm, and a bad path fails the daemon fast at startup
-     instead of degrading every request. *)
-  let model =
-    match settings.model_path with
-    | None -> None
-    | Some path -> (
-      match Vrp_learn.Infer.load path with
-      | Ok m -> Some m
-      | Error d -> failwith d.Diag.message)
-  in
-  {
-    settings;
-    model;
-    pool = Pool.create ~jobs:settings.jobs ();
-    sup =
-      Supervisor.create
-        ~policy:
-          {
-            Supervisor.default_policy with
-            deadline_ms = settings.deadline_ms;
-            retries = 0;
-          }
-        ();
-    cache = Summary_cache.create ?disk_dir:settings.cache_dir ();
-    sessions = Session.create ();
-    admit = Admit.create ~limits:settings.limits ();
-    counters = { served = 0; contained = 0; cancelled = 0 };
-    report = Diag.create ();
-    state_lock = Mutex.create ();
-    acc = Accept.create ();
-    started =
-      (let now = Unix.gettimeofday () in
-       Vrp_obs.Metrics.set obs_start_time now;
-       now);
-    shut = false;
-  }
-
-let settings t = t.settings
-let counters t = t.counters
-let admit t = t.admit
-let report t = t.report
-
-let locked t f =
-  Mutex.lock t.state_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.state_lock) f
 
 (* --- Request parameter extraction --- *)
 
@@ -195,10 +106,8 @@ let opts_of t p =
 
 (* --- Handlers ---
 
-   Each returns (outcome, data); the dispatch wrapper turns it into a
-   response and anything raised into a contained error response. *)
-
-let outcome_ok (o : Ops.outcome) data = (o, data)
+   Each answers a response through {!Accept.reply}; the op table turns
+   anything raised into a contained error response. *)
 
 (* A crash-file fault matching this request's source name models a worker
    dying mid-request: it fires outside analysis containment so only the
@@ -225,7 +134,7 @@ let supervised t ~label ?budget_ms f =
   in
   Supervisor.supervise t.sup ~name:label ?deadline_ms (fun token -> f (Some token))
 
-let handle_predict t ?budget_ms p =
+let handle_predict t ~budget_ms { Protocol.params = p; _ } =
   let source = req_string p "source" in
   let name = Option.value ~default:"<request>" (opt_string p "name") in
   let opts = opts_of t p in
@@ -235,14 +144,14 @@ let handle_predict t ?budget_ms p =
       (* The warm server-wide cache serves repeat sources; skip it under
          fault injection so degradations replay exactly as one-shot. *)
       match Ops.compile_outcome source with
-      | Error o -> outcome_ok o []
+      | Error o -> Accept.reply o
       | Ok c ->
         let analyze_fn =
           if opts.Ops.fault = None then
             Some (Summary_cache.memoized ~slot_prefix:name t.cache c.Pipeline.ssa)
           else None
         in
-        outcome_ok (Ops.predict_compiled ~pool:t.pool ?analyze_fn ~opts c) [])
+        Accept.reply (Ops.predict_compiled ~pool:t.pool ?analyze_fn ~opts c))
 
 let plan_json (plan : Session.plan) =
   Json.Obj
@@ -265,7 +174,7 @@ let cache_counters_json (c : Summary_cache.counters) =
       ("quarantined", Json.Int c.Summary_cache.quarantined);
     ]
 
-let handle_analyze t ?budget_ms p =
+let handle_analyze t ~budget_ms { Protocol.params = p; _ } =
   let sid = req_string p "session" in
   let source = req_string p "source" in
   let name = Option.value ~default:"<source>" (opt_string p "name") in
@@ -276,7 +185,7 @@ let handle_analyze t ?budget_ms p =
      request-scoped accounting on the session's private cache. *)
   Session.with_lock s (fun () ->
       match Ops.compile_outcome source with
-      | Error o -> outcome_ok o []
+      | Error o -> Accept.reply o
       | Ok c ->
         let plan = Session.plan s ~name c.Pipeline.ssa in
         Vrp_obs.Metrics.observe obs_session_changed
@@ -297,9 +206,9 @@ let handle_analyze t ?budget_ms p =
               Ops.predict_compiled ~pool:t.pool ~analyze_fn ~opts c)
         in
         let delta = Summary_cache.delta ~before (Summary_cache.counters cache) in
-        outcome_ok o [ ("plan", plan_json plan); ("cache", cache_counters_json delta) ])
+        Accept.reply o ~data:[ ("plan", plan_json plan); ("cache", cache_counters_json delta) ])
 
-let handle_compare t ?budget_ms p =
+let handle_compare t ~budget_ms { Protocol.params = p; _ } =
   let source = req_string p "source" in
   let name = Option.value ~default:"<request>" (opt_string p "name") in
   let opts = opts_of t p in
@@ -308,9 +217,9 @@ let handle_compare t ?budget_ms p =
   let ref_args = Option.value ~default:[ 1000; 2 ] (int_list p "reference") in
   supervised t ~label:("compare " ^ name) ?budget_ms (fun cancel ->
       let opts = { opts with Ops.cancel } in
-      outcome_ok (Ops.compare_predictors ~opts ~train ~ref_args ~source ()) [])
+      Accept.reply (Ops.compare_predictors ~opts ~train ~ref_args ~source ()))
 
-let handle_batch t p =
+let handle_batch t ~budget_ms:_ { Protocol.params = p; _ } =
   let files =
     match Json.mem_list "files" p with
     | None -> failwith "missing required list param \"files\""
@@ -330,11 +239,18 @@ let handle_batch t p =
   in
   (* Batch runs on its own transient pool (pooled tasks must not submit to
      the pool they run on); the server-wide cache still serves it warm. *)
-  outcome_ok (Ops.batch ~cache:t.cache ~supervisor:t.sup ~opts ~sources:files ()) []
+  Accept.reply (Ops.batch ~cache:t.cache ~supervisor:t.sup ~opts ~sources:files ())
 
-let handle_status t =
-  let c = t.counters in
+(* The cache counters of the whole daemon: the server-wide cache plus
+   every session's, retired sessions included. *)
+let cache_totals t =
+  Summary_cache.sum (Summary_cache.counters t.cache) (Session.cache_totals t.sessions)
+
+let handle_status t ~budget_ms:_ _ =
+  let c = Accept.counters t.acc in
   let sessions = Session.ids t.sessions in
+  let cache = cache_totals t in
+  let uptime_ops, uptime_ops_data = Accept.status_lines t.acc in
   let buf = Buffer.create 256 in
   Buffer.add_string buf (Printf.sprintf "vrpd %s\n" Version.version);
   Buffer.add_string buf
@@ -353,17 +269,7 @@ let handle_status t =
   Buffer.add_string buf
     (Printf.sprintf "requests: %d served, %d contained, %d cancelled\n" c.served
        c.contained c.cancelled);
-  let uptime = Unix.gettimeofday () -. t.started in
-  Vrp_obs.Metrics.set obs_uptime uptime;
-  Buffer.add_string buf (Printf.sprintf "uptime: %.1fs\n" uptime);
-  let op_counts =
-    List.map (fun op -> (op, Vrp_obs.Metrics.value (obs_requests op))) known_ops
-  in
-  let total_requests = List.fold_left (fun acc (_, n) -> acc + n) 0 op_counts in
-  Buffer.add_string buf
-    (Printf.sprintf "ops: %d total (%s)\n" total_requests
-       (String.concat ", "
-          (List.map (fun (op, n) -> Printf.sprintf "%s %d" op n) op_counts)));
+  Buffer.add_string buf uptime_ops;
   Buffer.add_string buf
     (Printf.sprintf "limits: %d conns, %d inflight, %d queued, %dms idle timeout\n"
        t.settings.limits.Admit.max_conns t.settings.limits.Admit.max_inflight
@@ -372,164 +278,109 @@ let handle_status t =
   Buffer.add_string buf
     (Printf.sprintf "sessions: %d%s\n" (List.length sessions)
        (if sessions = [] then "" else " (" ^ String.concat ", " sessions ^ ")"));
-  Buffer.add_string buf (Summary_cache.counters_line t.cache ^ "\n");
+  Buffer.add_string buf (Summary_cache.counters_line cache ^ "\n");
   Buffer.add_string buf (Supervisor.counters_line t.sup ^ "\n");
   let a = Admit.counters t.admit in
-  ( { Ops.out = Buffer.contents buf; err = ""; code = 0 },
-    [
-      ("version", Json.String Version.version);
-      ("jobs", Json.Int t.settings.jobs);
-      ("sessions", Json.List (List.map (fun s -> Json.String s) sessions));
-      ("served", Json.Int c.served);
-      ("contained", Json.Int c.contained);
-      ("cancelled", Json.Int c.cancelled);
-      ("uptime_s", Json.Float uptime);
-      ("requests_total", Json.Int total_requests);
-      ( "ops",
-        Json.Obj (List.map (fun (op, n) -> (op, Json.Int n)) op_counts) );
-      ("inflight", Json.Int (Admit.inflight t.admit));
-      ("shed", Json.Int (a.Admit.shed_conns + a.Admit.shed_requests));
-      ("expired", Json.Int a.Admit.expired);
-      ("idle_closed", Json.Int a.Admit.idle_closed);
-      ("cache", cache_counters_json (Summary_cache.counters t.cache));
-    ]
-    @
-    match t.settings.model_path with
-    | Some path -> [ ("model", Json.String path) ]
-    | None -> [] )
+  Accept.reply
+    { Ops.out = Buffer.contents buf; err = ""; code = 0 }
+    ~data:
+      ([
+         ("version", Json.String Version.version);
+         ("jobs", Json.Int t.settings.jobs);
+         ("sessions", Json.List (List.map (fun s -> Json.String s) sessions));
+         ("served", Json.Int c.served);
+         ("contained", Json.Int c.contained);
+         ("cancelled", Json.Int c.cancelled);
+       ]
+      @ uptime_ops_data
+      @ [
+          ("inflight", Json.Int (Admit.inflight t.admit));
+          ("shed", Json.Int (a.Admit.shed_conns + a.Admit.shed_requests));
+          ("expired", Json.Int a.Admit.expired);
+          ("idle_closed", Json.Int a.Admit.idle_closed);
+          ("cache", cache_counters_json cache);
+        ]
+      @
+      match t.settings.model_path with
+      | Some path -> [ ("model", Json.String path) ]
+      | None -> [])
 
-let handle_evict t =
+let handle_evict t ~budget_ms:_ _ =
   let n = Summary_cache.evict_memory t.cache + Session.evict_all t.sessions in
-  ( { Ops.out = Printf.sprintf "evicted %d cached summaries\n" n; err = ""; code = 0 },
-    [ ("evicted", Json.Int n) ] )
+  Accept.reply
+    { Ops.out = Printf.sprintf "evicted %d cached summaries\n" n; err = ""; code = 0 }
+    ~data:[ ("evicted", Json.Int n) ]
 
-(* Ping doubles as the fleet's load probe: inflight/capacity/shed let the
-   front door route around saturated workers, not just dead ones. *)
-let handle_ping t =
-  let a = Admit.counters t.admit in
-  ( { Ops.out = ""; err = ""; code = 0 },
-    [
-      ("pong", Json.Bool true);
-      ("pid", Json.Int (Unix.getpid ()));
-      ("inflight", Json.Int (Admit.inflight t.admit));
-      ("capacity", Json.Int t.settings.limits.Admit.max_inflight);
-      ("shed", Json.Int (a.Admit.shed_conns + a.Admit.shed_requests));
-    ] )
+(* The daemon's records as scrape-time series; the table adds the per-op
+   series, uptime and admission. *)
+let samples t =
+  let c = Accept.counters t.acc in
+  let counter = Vrp_obs.Metrics.counter_sample in
+  [
+    counter ~help:"Requests answered by the containment wrapper"
+      "vrpd_requests_contained_total" c.contained;
+    counter ~help:"Requests contained by cancellation" "vrpd_requests_cancelled_total"
+      c.cancelled;
+    Vrp_obs.Metrics.gauge_sample ~help:"Daemon start time in unix seconds"
+      "vrpd_start_time_seconds" (Accept.started t.acc);
+  ]
+  @ Summary_cache.samples (cache_totals t)
+  @ Supervisor.samples t.sup
 
-let handle_shutdown t =
-  Accept.request_stop t.acc;
-  ({ Ops.out = ""; err = ""; code = 0 }, [ ("stopping", Json.Bool true) ])
+let create ?(settings = default_settings) () =
+  (* Load the learned model once, before accepting: every request then
+     serves it warm, and a bad path fails the daemon fast at startup
+     instead of degrading every request. *)
+  let model =
+    match settings.model_path with
+    | None -> None
+    | Some path -> (
+      match Vrp_learn.Infer.load path with
+      | Ok m -> Some m
+      | Error d -> failwith d.Diag.message)
+  in
+  let admit = Admit.create ~limits:settings.limits () in
+  {
+    settings;
+    model;
+    pool = Pool.create ~jobs:settings.jobs ();
+    sup =
+      Supervisor.create
+        ~policy:
+          {
+            Supervisor.default_policy with
+            deadline_ms = settings.deadline_ms;
+            retries = 0;
+          }
+        ();
+    cache = Summary_cache.create ?disk_dir:settings.cache_dir ();
+    sessions = Session.create ();
+    admit;
+    acc =
+      Accept.create ~family:"vrpd" ~samples ~gate:true admit
+        ~ops:
+          [
+            ("predict", handle_predict);
+            ("analyze", handle_analyze);
+            ("compare", handle_compare);
+            ("batch", handle_batch);
+            ("status", handle_status);
+            ("evict", handle_evict);
+          ];
+    shut = false;
+  }
 
-(* Prometheus scrape. Control plane like [ping]: bypasses admission so an
-   overloaded or shedding daemon stays scrapeable. *)
-let handle_metrics t =
-  Vrp_obs.Metrics.set obs_uptime (Unix.gettimeofday () -. t.started);
-  ({ Ops.out = Vrp_obs.Metrics.render (); err = ""; code = 0 }, [])
+let settings t = t.settings
+let counters t = Accept.counters t.acc
+let admit t = t.admit
 
-(* --- Dispatch + per-request containment --- *)
-
-let note t severity fmt =
-  Printf.ksprintf
-    (fun msg -> locked t (fun () -> Diag.add t.report severity Diag.Server_event msg))
-    fmt
-
-(* Ops that do analysis work take an in-flight slot; the control plane
-   (status, ping, metrics, shutdown, evict) always answers, precisely so
-   overload stays observable and stoppable while the daemon is shedding. *)
-let analysis_op = function
-  | "predict" | "analyze" | "compare" | "batch" -> true
-  | _ -> false
-
-let handle t (req : Protocol.request) =
+let handle t req =
   (* A slow-worker fault wedges every request this daemon handles — pings
      included — so a fleet's health check sees it as hung. *)
   (match t.settings.fault with
   | Some (Diag.Fault.Slow_worker ms) -> Thread.delay (float_of_int ms /. 1000.)
   | _ -> ());
-  let dispatch ?budget_ms () =
-    match req.Protocol.op with
-    | "predict" -> handle_predict t ?budget_ms req.Protocol.params
-    | "analyze" -> handle_analyze t ?budget_ms req.Protocol.params
-    | "compare" -> handle_compare t ?budget_ms req.Protocol.params
-    | "batch" -> handle_batch t req.Protocol.params
-    | "status" -> handle_status t
-    | "evict" -> handle_evict t
-    | "ping" -> handle_ping t
-    | "metrics" -> handle_metrics t
-    | "shutdown" -> handle_shutdown t
-    | op -> failwith (Printf.sprintf "unknown op %S" op)
-  in
-  let contained ?(cancelled = false) ~kind msg =
-    locked t (fun () ->
-        t.counters.contained <- t.counters.contained + 1;
-        if cancelled then t.counters.cancelled <- t.counters.cancelled + 1);
-    Vrp_obs.Metrics.inc obs_contained;
-    if cancelled then Vrp_obs.Metrics.inc obs_cancelled;
-    note t Diag.Warning "%s id=%d contained: %s" req.Protocol.op req.Protocol.id msg;
-    Protocol.error_response ~rid:req.Protocol.id ~kind msg
-  in
-  let run ?budget_ms () =
-    Vrp_obs.Metrics.inc (obs_requests req.Protocol.op);
-    Vrp_obs.Metrics.time (obs_request_seconds req.Protocol.op) @@ fun () ->
-    Vrp_obs.Trace.with_span ("op:" ^ op_label req.Protocol.op) @@ fun () ->
-    match dispatch ?budget_ms () with
-    | (o : Ops.outcome), data ->
-      locked t (fun () -> t.counters.served <- t.counters.served + 1);
-      note t Diag.Info "%s id=%d served code=%d" req.Protocol.op req.Protocol.id
-        o.Ops.code;
-      {
-        Protocol.rid = req.Protocol.id;
-        ok = true;
-        code = o.Ops.code;
-        out = o.Ops.out;
-        err = o.Ops.err;
-        data;
-      }
-    | exception Diag.Fault.Injected msg -> contained ~kind:"fault-injected" msg
-    | exception Diag.Cancel.Cancelled name ->
-      contained ~cancelled:true ~kind:"cancelled" ("request cancelled: " ^ name)
-    | exception Failure msg -> contained ~kind:"bad-request" msg
-    | exception e -> contained ~kind:"crashed" (Printexc.to_string e)
-  in
-  if not (analysis_op req.Protocol.op) then run ()
-  else begin
-    (* The client's deadline_ms param is a relative budget stamped at send
-       time; it becomes an absolute instant on arrival, so the wait for an
-       in-flight slot is charged against it — a request that would start
-       already-expired is shed, never dispatched. *)
-    let arrival = Unix.gettimeofday () in
-    let deadline =
-      match Json.mem_int "deadline_ms" req.Protocol.params with
-      | Some ms when ms >= 0 -> Some (arrival +. (float_of_int ms /. 1000.))
-      | _ -> None
-    in
-    let expired () =
-      note t Diag.Warning "%s id=%d shed: deadline expired before dispatch"
-        req.Protocol.op req.Protocol.id;
-      Protocol.error_response ~rid:req.Protocol.id ~kind:"deadline-expired"
-        "request deadline expired before dispatch"
-    in
-    match Admit.admit t.admit ?deadline () with
-    | Admit.Shed retry_after_ms ->
-      note t Diag.Warning "%s id=%d shed: over capacity, retry in %dms"
-        req.Protocol.op req.Protocol.id retry_after_ms;
-      Protocol.busy_response ~rid:req.Protocol.id ~retry_after_ms
-        (Printf.sprintf "server at capacity (%d in flight); retry later"
-           t.settings.limits.Admit.max_inflight)
-    | Admit.Expired -> expired ()
-    | Admit.Admitted ->
-      Fun.protect
-        ~finally:(fun () -> Admit.release t.admit)
-        (fun () ->
-          let budget_ms =
-            Option.map
-              (fun d -> int_of_float ((d -. Unix.gettimeofday ()) *. 1000.))
-              deadline
-          in
-          match budget_ms with
-          | Some b when b <= 0 -> expired ()
-          | _ -> run ?budget_ms ())
-  end
+  Accept.handle t.acc t req
 
 (* --- Listeners and the accept loop --- *)
 
@@ -575,11 +426,7 @@ let listen_tcp ~host ~port =
 let stop t = Accept.stop t.acc
 let stopping t = Accept.stopping t.acc
 
-let serve t listen_fd =
-  Accept.serve t.acc ~handle:(handle t)
-    ~on_bad_request:(fun _msg ->
-      locked t (fun () -> t.counters.contained <- t.counters.contained + 1))
-    ~admit:t.admit listen_fd
+let serve t listen_fd = Accept.serve t.acc ~handle:(handle t) listen_fd
 
 let shutdown t =
   if not t.shut then begin

@@ -18,9 +18,14 @@
     incremental predict), [compare], [batch], [status], [evict], [ping]
     (liveness-and-load probe answering [pong] plus the daemon's pid,
     inflight, capacity and shed count — the fleet's health check),
-    [metrics] (Prometheus text exposition of the process-wide registry),
+    [metrics] (Prometheus text exposition: the process-wide registry plus
+    this daemon's own records — admission, request, cache and supervision
+    counters — read at scrape time, the same records [status] prints),
     [shutdown]. The analysis operations answer the byte-identical stdout
     of the corresponding one-shot CLI command (same {!Ops} code path).
+    Dispatch, accounting, containment and admission are the {!Accept} op
+    table's; this module supplies the analysis, [status] and [evict]
+    handlers.
 
     Overload: analysis ops pass through the {!Admit} gate — over
     [limits.max_inflight] they queue briefly, then shed with a structured
@@ -55,9 +60,11 @@ type settings = {
     {!Admit.default_limits}. *)
 val default_settings : settings
 
-type counters = {
-  mutable served : int;  (** requests answered with [ok = true] *)
-  mutable contained : int;  (** requests answered by the containment wrapper *)
+type counters = Accept.counters = {
+  mutable served : int;  (** requests answered by their handler *)
+  mutable contained : int;
+      (** requests answered by the containment wrapper, malformed frames
+          included *)
   mutable cancelled : int;  (** contained specifically by cancellation *)
 }
 
@@ -70,9 +77,6 @@ val counters : t -> counters
 (** The daemon's admission state: live inflight/conns gauges and the shed /
     expired / idle-closed counters (also surfaced by [status] and [ping]). *)
 val admit : t -> Admit.t
-
-(** Request-lifecycle diagnostics ([Server_event] entries). *)
-val report : t -> Diag.report
 
 (** Handle one request synchronously — the full dispatch plus containment
     wrapper, independent of any socket. The seam the tests and the bench

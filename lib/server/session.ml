@@ -19,15 +19,23 @@ type t = {
   table : (string, session) Hashtbl.t;
   table_lock : Mutex.t;
   max_sessions : int;
+  mutable retired : Summary_cache.counters;  (* caches of sessions gone *)
 }
 
 let create ?(max_sessions = 512) () =
   if max_sessions < 1 then invalid_arg "Session.create: max_sessions must be >= 1";
-  { table = Hashtbl.create 8; table_lock = Mutex.create (); max_sessions }
+  { table = Hashtbl.create 8; table_lock = Mutex.create (); max_sessions;
+    retired = Summary_cache.zero_counters () }
 
 let locked m f =
   Mutex.lock m;
   Fun.protect ~finally:(fun () -> Mutex.unlock m) f
+
+(* Under the table lock. A removed session's cache counters move into
+   [retired], so the daemon-wide total never drops. *)
+let remove_locked t s =
+  Hashtbl.remove t.table s.sid;
+  t.retired <- Summary_cache.sum t.retired (Summary_cache.counters s.cache)
 
 (* The table is bounded so a client minting fresh session ids (or millions
    of clients each minting one) cannot grow daemon memory without bound:
@@ -44,7 +52,7 @@ let evict_lru_locked t =
         | _ -> Some s)
       t.table None
   in
-  match victim with None -> () | Some s -> Hashtbl.remove t.table s.sid
+  Option.iter (remove_locked t) victim
 
 let find_or_create t sid =
   locked t.table_lock (fun () ->
@@ -68,9 +76,11 @@ let find_or_create t sid =
 
 let drop t sid =
   locked t.table_lock (fun () ->
-      let existed = Hashtbl.mem t.table sid in
-      Hashtbl.remove t.table sid;
-      existed)
+      match Hashtbl.find_opt t.table sid with
+      | Some s ->
+        remove_locked t s;
+        true
+      | None -> false)
 
 let count t = locked t.table_lock (fun () -> Hashtbl.length t.table)
 
@@ -84,6 +94,12 @@ let evict_all t =
         Hashtbl.fold (fun _ s acc -> s :: acc) t.table [])
   in
   List.fold_left (fun n s -> n + Summary_cache.evict_memory s.cache) 0 sessions
+
+let cache_totals t =
+  locked t.table_lock (fun () ->
+      Hashtbl.fold
+        (fun _ s acc -> Summary_cache.sum acc (Summary_cache.counters s.cache))
+        t.table t.retired)
 
 let id s = s.sid
 let cache s = s.cache

@@ -52,6 +52,11 @@ val ids : t -> string list
 (** Evict every session's cache memory tier; total entries dropped. *)
 val evict_all : t -> int
 
+(** Cache counters summed over every session ever admitted: live sessions'
+    caches plus those of sessions dropped or evicted, so the total never
+    decreases. *)
+val cache_totals : t -> Summary_cache.counters
+
 val id : session -> string
 
 (** The session's private summary cache (memory tier only). *)

@@ -118,6 +118,48 @@ let counters_pop_on_exception () =
   Alcotest.(check bool) "fresh frame counts" true (a.Counters.sub_ops > 0);
   Alcotest.(check int) "empty frame is empty" 0 b.Counters.sub_ops
 
+(* Each event is recorded once: in the innermost frame, which hands its
+   totals down when it closes. Across an outermost frame the registry
+   therefore moves by exactly the frame's totals, also when its body
+   raises. *)
+let counters_conserved () =
+  let cells =
+    List.map Vrp_obs.Metrics.counter
+      [
+        "vrp_engine_evaluations_total";
+        "vrp_engine_sub_ops_total";
+        "vrp_engine_widenings_total";
+        "vrp_engine_fuel_exhaustions_total";
+      ]
+  in
+  let registry_delta f =
+    let before = List.map Vrp_obs.Metrics.value cells in
+    let r = f () in
+    (r, List.map2 (fun c b -> Vrp_obs.Metrics.value c - b) cells before)
+  in
+  let figures (c : Counters.t) =
+    [ c.Counters.evaluations; c.Counters.sub_ops; c.Counters.widenings; c.Counters.fuel_exhaustions ]
+  in
+  let ((), frame), delta =
+    registry_delta (fun () ->
+        Counters.with_counters (fun () ->
+            run_one ();
+            ignore (Counters.with_counters run_one)))
+  in
+  Alcotest.(check bool) "work counted" true (frame.Counters.sub_ops > 0);
+  Alcotest.(check (list int)) "registry delta = frame totals" (figures frame) delta;
+  let (), solo = Counters.with_counters run_one in
+  let (), raised =
+    registry_delta (fun () ->
+        try
+          Counters.with_counters (fun () ->
+              run_one ();
+              failwith "boom")
+          |> ignore
+        with Failure _ -> ())
+  in
+  Alcotest.(check (list int)) "raising frame flushed" (figures solo) raised
+
 let suite =
   ( "diag",
     [
@@ -129,4 +171,5 @@ let suite =
       tc "counters isolate sibling frames" `Quick counters_isolate_siblings;
       tc "counters nest" `Quick counters_nest;
       tc "counters pop on exception" `Quick counters_pop_on_exception;
+      tc "counters conserved into the registry" `Quick counters_conserved;
     ] )

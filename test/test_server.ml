@@ -1327,6 +1327,217 @@ let session_lru_bound () =
   let ids = List.sort compare (Session.ids t) in
   Alcotest.(check (list string)) "LRU evicted" [ "a"; "c" ] ids
 
+(* --- One bookkeeping path: status and scrape read the same records --- *)
+
+(* A scrape's samples by series, e.g. [vrp_cache_hits_total] or
+   [vrpd_fleet_worker_up{worker="0"}]. *)
+let scraped text series =
+  String.split_on_char '\n' text
+  |> List.find_map (fun line ->
+         match String.rindex_opt line ' ' with
+         | Some i when line <> "" && line.[0] <> '#' && String.sub line 0 i = series ->
+           float_of_string_opt (String.sub line (i + 1) (String.length line - i - 1))
+         | _ -> None)
+  |> function
+  | Some v -> v
+  | None -> Alcotest.failf "series %s not in scrape" series
+
+let local_op handle op = handle { Protocol.id = 1; op; params = Json.Null }
+let data_int (r : Protocol.response) k = Option.bind (List.assoc_opt k r.Protocol.data) Json.get_int
+
+let check_contained_frame sock =
+  let fd = Client.connect_fd sock in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with _ -> ())
+    (fun () ->
+      Protocol.write_frame fd "{ not a request";
+      match Option.map Protocol.decode_response (Protocol.read_frame fd) with
+      | Some (Ok r) -> Alcotest.(check bool) "malformed frame refused" false r.Protocol.ok
+      | _ -> Alcotest.fail "no answer to a malformed frame")
+
+(* A malformed frame is contained once, and the scrape counts it from the
+   same record as the status text — on a server and on a fleet front door. *)
+let malformed_frame_accounting () =
+  with_live_server ~tag:"malformed" (fun _server sock ->
+      check_contained_frame sock;
+      let st = Client.request_retry ~addr:sock ~op:"status" () in
+      let m = Client.request_retry ~addr:sock ~op:"metrics" () in
+      Alcotest.(check (option int)) "server status contained" (Some 1) (data_int st "contained");
+      Alcotest.(check (float 0.)) "server scrape = status" 1.
+        (scraped m.Protocol.out "vrpd_requests_contained_total"));
+  with_fleet ~tag:"malformed"
+    (fun s -> { s with Fleet.size = 1 })
+    (fun fleet ->
+      let front = Filename.concat (Fleet.settings fleet).Fleet.dir "front.sock" in
+      let listen_fd = Server.listen_unix front in
+      let th = Thread.create (fun () -> Fleet.serve fleet listen_fd) () in
+      Fun.protect
+        ~finally:(fun () ->
+          Fleet.stop fleet;
+          Thread.join th;
+          (try Unix.close listen_fd with _ -> ());
+          try Sys.remove front with _ -> ())
+        (fun () ->
+          check_contained_frame front;
+          let st = Client.request_retry ~addr:front ~op:"fleet-status" () in
+          let m = Client.request_retry ~addr:front ~op:"metrics" () in
+          Alcotest.(check (option int)) "fleet status contained" (Some 1)
+            (data_int st "contained");
+          Alcotest.(check (float 0.)) "fleet scrape = status" 1.
+            (scraped m.Protocol.out "vrpd_fleet_contained_total")))
+
+(* The status line, the status JSON and the scrape report one daemon-wide
+   cache total — the server-wide cache plus every session's — and evicting
+   never makes it drop. *)
+let cache_totals_agree () =
+  with_server (fun server ->
+      let handle = Server.handle server in
+      let sieve = bench_source "sieve" in
+      for id = 1 to 2 do
+        let r = handle (analyze_req ~id ~session:"dev" ~name:"sieve.mc" sieve) in
+        Alcotest.(check bool) "analyze ok" true r.Protocol.ok
+      done;
+      ignore (handle (predict_req ~name:"qsort.mc" (bench_source "qsort")));
+      let totals () =
+        let st = local_op handle "status" in
+        let line =
+          List.find
+            (fun l -> Astring.String.is_prefix ~affix:"summary cache:" l)
+            (String.split_on_char '\n' st.Protocol.out)
+        in
+        let hits, misses, inval =
+          Scanf.sscanf line "summary cache: %d hits (%d from disk), %d misses, %d invalidations"
+            (fun h _ m i -> (h, m, i))
+        in
+        let json = Option.get (List.assoc_opt "cache" st.Protocol.data) in
+        let scrape = (local_op handle "metrics").Protocol.out in
+        List.iter
+          (fun (key, series, v) ->
+            Alcotest.(check (option int)) ("json " ^ key) (Some v) (Json.mem_int key json);
+            Alcotest.(check (float 0.)) series (float_of_int v) (scraped scrape series))
+          [
+            ("hits", "vrp_cache_hits_total", hits);
+            ("misses", "vrp_cache_misses_total", misses);
+            ("invalidations", "vrp_cache_invalidations_total", inval);
+          ];
+        (hits, misses)
+      in
+      let before = totals () in
+      Alcotest.(check bool) "session hits counted" true (fst before > 0);
+      ignore (local_op handle "evict");
+      Alcotest.(check (pair int int)) "evict keeps the total" before (totals ()))
+
+(* Dropping or LRU-evicting a session retires its cache counters into the
+   table's total instead of losing them. *)
+let session_cache_totals_survive_eviction () =
+  let t = Session.create ~max_sessions:1 () in
+  let _, fn = Helpers.compile_main "int main(int n, int s) { if (n > 3) { return 1; } return 0; }" in
+  let touch sid key =
+    let cache = Session.cache (Session.find_or_create t sid) in
+    ignore
+      (Vrp_cache.Summary_cache.find_or_compute cache ~slot:"main" ~stamp:"s" ~key (fun () ->
+           Engine.analyze fn))
+  in
+  let misses () = (Session.cache_totals t).Vrp_cache.Summary_cache.misses in
+  touch "a" "k1";
+  touch "a" "k1";
+  Alcotest.(check int) "one miss" 1 (misses ());
+  touch "b" "k2";
+  Alcotest.(check (list string)) "a evicted" [ "b" ] (Session.ids t);
+  Alcotest.(check int) "LRU eviction keeps a's miss" 2 (misses ());
+  Alcotest.(check bool) "dropped" true (Session.drop t "b");
+  Alcotest.(check int) "drop keeps b's miss" 2 (misses ());
+  Alcotest.(check int) "hits kept" 1 (Session.cache_totals t).Vrp_cache.Summary_cache.hits
+
+(* An in-process fleet's workers share the front door's process but not
+   its records: the front door's admission line and its scrape agree. *)
+let fleet_admission_line_matches_scrape () =
+  with_fleet ~tag:"admission"
+    (fun s -> { s with Fleet.size = 2 })
+    (fun fleet ->
+      let handle = Fleet.handle fleet in
+      List.iteri
+        (fun id name ->
+          let r = handle (predict_req ~id ~name:(name ^ ".mc") (bench_source name)) in
+          Alcotest.(check bool) "proxied ok" true r.Protocol.ok)
+        [ "qsort"; "sieve"; "calc" ];
+      let st = local_op handle "fleet-status" in
+      let scrape = (local_op handle "metrics").Protocol.out in
+      let line =
+        List.find
+          (fun l -> Astring.String.is_prefix ~affix:"admission:" l)
+          (String.split_on_char '\n' st.Protocol.out)
+      in
+      Scanf.sscanf line
+        "admission: %d inflight (peak %d), %d queued, %d shed (%d conns, %d requests), %d expired, %d idle-closed"
+        (fun inflight peak _ _ conns requests expired idle ->
+          List.iter
+            (fun (series, v) ->
+              Alcotest.(check (float 0.)) series (float_of_int v) (scraped scrape series))
+            [
+              ("vrpd_inflight", inflight);
+              ("vrpd_peak_inflight", peak);
+              ("vrpd_admission_shed_conns_total", conns);
+              ("vrpd_admission_shed_requests_total", requests);
+              ("vrpd_admission_expired_total", expired);
+              ("vrpd_admission_idle_closed_total", idle);
+            ]);
+      Alcotest.(check (float 0.)) "admitted"
+        (float_of_int (Admit.counters (Fleet.admit fleet)).Admit.admitted)
+        (scraped scrape "vrpd_admission_admitted_total"))
+
+(* The families CI and the benchmark read, by name and type. *)
+let exposition_families_pinned () =
+  let check_types scrape families =
+    List.iter
+      (fun (name, kind) ->
+        let want = Printf.sprintf "# TYPE %s %s" name kind in
+        if not (List.mem want (String.split_on_char '\n' scrape)) then
+          Alcotest.failf "scrape lacks %S" want)
+      families
+  in
+  with_server (fun server ->
+      let handle = Server.handle server in
+      ignore (handle (predict_req ~name:"qsort.mc" (bench_source "qsort")));
+      ignore (handle (analyze_req ~session:"pin" ~name:"sieve.mc" (bench_source "sieve")));
+      check_types (local_op handle "metrics").Protocol.out
+        [
+          ("vrpd_requests_total", "counter");
+          ("vrpd_request_seconds", "histogram");
+          ("vrpd_requests_contained_total", "counter");
+          ("vrpd_admission_admitted_total", "counter");
+          ("vrpd_admission_shed_conns_total", "counter");
+          ("vrpd_admission_shed_requests_total", "counter");
+          ("vrpd_admission_idle_closed_total", "counter");
+          ("vrpd_inflight", "gauge");
+          ("vrpd_peak_inflight", "gauge");
+          ("vrp_cache_hits_total", "counter");
+          ("vrp_cache_misses_total", "counter");
+          ("vrp_cache_invalidations_total", "counter");
+          ("vrp_engine_runs_total", "counter");
+          ("vrp_engine_run_seconds", "histogram");
+          ("vrp_engine_evaluations_total", "counter");
+          ("vrp_engine_sub_ops_total", "counter");
+          ("vrp_engine_widenings_total", "counter");
+          ("vrp_interproc_rounds_total", "counter");
+          ("vrpd_session_dirty_functions", "histogram");
+          ("vrpd_session_reused_functions", "histogram");
+        ]);
+  with_fleet ~tag:"pin"
+    (fun s -> { s with Fleet.size = 1 })
+    (fun fleet ->
+      let handle = Fleet.handle fleet in
+      ignore (handle (predict_req ~name:"qsort.mc" (bench_source "qsort")));
+      check_types (local_op handle "metrics").Protocol.out
+        [
+          ("vrpd_fleet_requests_total", "counter");
+          ("vrpd_fleet_worker_up", "gauge");
+          ("vrpd_fleet_workers_healthy", "gauge");
+          ("vrpd_admission_admitted_total", "counter");
+          ("vrpd_admission_shed_conns_total", "counter");
+          ("vrpd_admission_idle_closed_total", "counter");
+        ])
+
 let suite =
   ( "server",
     [
@@ -1368,4 +1579,9 @@ let suite =
       tc "saturation: 16 clients, 2 in-flight" `Quick saturation_16_clients_byte_identical;
       tc "request_retry honors busy" `Quick request_retry_honors_busy;
       tc "session table LRU-bounded" `Quick session_lru_bound;
+      tc "malformed frame: status = scrape" `Quick malformed_frame_accounting;
+      tc "cache totals: status = scrape, across evict" `Quick cache_totals_agree;
+      tc "session cache totals survive eviction" `Quick session_cache_totals_survive_eviction;
+      tc "fleet admission line = scrape" `Quick fleet_admission_line_matches_scrape;
+      tc "exposition families pinned" `Quick exposition_families_pinned;
     ] )

@@ -388,8 +388,10 @@ let find_or_compute t ~slot ~stamp ~key compute =
 (* --- The memoizing analyze_fn --- *)
 
 (* A hit skips the engine run, so the diagnostics the engine would have
-   emitted are replayed from the summary's governor fields — warm runs keep
-   the same degradation verdict as cold ones. *)
+   emitted are replayed from the summary's governor fields, each at the
+   severity the engine emits it with — warm runs keep the same degradation
+   verdict as cold ones. Widenings are [Info] in the engine: a forced
+   widening is the termination safety valve, not a degradation. *)
 let replay_diags (res : Engine.t) report =
   match report with
   | None -> ()
@@ -405,7 +407,7 @@ let replay_diags (res : Engine.t) report =
                          partial"
            res.Engine.fuel_spent);
     if res.Engine.widenings > 0 then
-      Diag.add r ~fn Diag.Warning Diag.Widened
+      Diag.add r ~fn Diag.Info Diag.Widened
         (Printf.sprintf "%d value(s) widened to ⊥ (cached summary)" res.Engine.widenings)
 
 let memoized ?(slot_prefix = "") t (program : Ir.program) : Interproc.analyze_fn =

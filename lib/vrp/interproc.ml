@@ -25,7 +25,20 @@
     [Vrp_sched] execute them on a domain pool, and the [groups] plan
     co-locates the members of one SCC in a single task. Results, recorded
     call sites and diagnostics are merged in deterministic task order, so a
-    parallel run is byte-identical to the sequential default. *)
+    parallel run is byte-identical to the sequential default.
+
+    Reuse: like the SCCP/VRP propagation it extends, the driver re-evaluates
+    a function only when one of its inputs changed. Each round's result
+    records what it was computed from — the parameter values and the
+    [(callee, return value)] answers the run read through the call oracle
+    — and the diagnostics it emitted. In the next round a function whose
+    parameters and recorded answers are all [Value.equal] to the current
+    environments keeps its previous {!Engine.t} (physically the same
+    value), and its diagnostics are replayed, instead of going back through
+    [analyze_fn]. This is exact because the engine is a pure function of
+    (function, configuration, parameter values, oracle answers read). The
+    one exception is a run that hit the wall-clock governor ([timed_out]):
+    time is not an input, so such a result is never reused. *)
 
 module Ir = Vrp_ir.Ir
 module Value = Vrp_ranges.Value
@@ -46,10 +59,15 @@ type t = {
           end-to-end (the fuzzing oracles skip such programs) *)
 }
 
+(** What one function's result was computed from: its parameter values
+    and the [(callee, return value)] answers its run read through the call
+    oracle. *)
+type inputs = { params : Value.t list; answers : (string * Value.t) list }
+
 (** Per-function analysis outcome inside one wave. [Skipped] marks a
     function that was scheduled but not analysable (no parameter
     environment, or demoted in an earlier round). *)
-type outcome = Analyzed of Engine.t | Crashed of string | Skipped
+type outcome = Analyzed of Engine.t * inputs | Crashed of string | Skipped
 
 (** One schedulable unit: the functions of one call-graph SCC discovered in
     the same wave. [run] is pure with respect to shared driver state — it
@@ -103,6 +121,11 @@ let task_seconds =
   Vrp_obs.Metrics.histogram ~help:"Scheduler task duration in seconds"
     "vrp_sched_task_seconds"
 
+let reused_total =
+  Vrp_obs.Metrics.counter
+    ~help:"Function results reused from the previous round without an engine run"
+    "vrp_interproc_reused_total"
+
 let default_analyze_fn : analyze_fn =
  fun ~config ~report ~call_oracle ~param_values fn ->
   Engine.analyze ~config ?report ~call_oracle ~param_values fn
@@ -153,12 +176,19 @@ let analyze ?(config = Engine.default_config) ?report
     | None -> (* singleton: a unique synthetic id per name *) -1 - Hashtbl.hash name
   in
   let results = ref (Hashtbl.create 16) in
+  (* What each of [!results] was computed from, with the diagnostics its
+     run emitted: the previous round only. *)
+  let inputs : (string, inputs * Diag.report) Hashtbl.t ref = ref (Hashtbl.create 16) in
+  (* Most runs emit no diagnostics: they share this report, read-only,
+     instead of each keeping an empty one alive for a round. *)
+  let no_diags = Diag.create () in
   let rounds = ref 0 in
   let continue = ref true in
   while !continue && !rounds < max_rounds do
     incr rounds;
     Vrp_obs.Metrics.inc rounds_total;
     let round_results = Hashtbl.create 16 in
+    let round_inputs = Hashtbl.create 16 in
     (* Executable (callee, args) records of this round, in deterministic
        discovery order — the jump functions for the next round. *)
     let recorded : (string * Value.t list) list ref = ref [] in
@@ -171,21 +201,50 @@ let analyze ?(config = Engine.default_config) ?report
       | Some v -> v
       | None -> Value.bottom
     in
+    (* A scheduled function's IR and parameter values, when it is
+       analysable this round, with the previous round's result and its
+       record when nothing that run read has changed since. The record is
+       kept as it was, so a chain of reuses compares against the inputs the
+       result was actually computed from. *)
+    let plan name =
+      match (Ir.find_fn program name, Hashtbl.find_opt param_env name) with
+      | Some fn, Some param_values when not (Hashtbl.mem failed name) ->
+        let reuse =
+          match (Hashtbl.find_opt !inputs name, Hashtbl.find_opt !results name) with
+          | Some ((prev, _) as memo), Some (res : Engine.t)
+            when (not res.Engine.timed_out)
+                 && List.equal Value.equal prev.params param_values
+                 && List.for_all
+                      (fun (callee, v) -> Value.equal (call_oracle callee []) v)
+                      prev.answers ->
+            Some (res, memo)
+          | _ -> None
+        in
+        Some (fn, param_values, reuse)
+      | _ -> None
+    in
     let make_task members =
       {
         group = members;
         run =
           (fun () ->
             Vrp_obs.Metrics.inc tasks_total;
+            (* Reuse decisions read only the frozen tables, so they are taken
+               before the span opens and the span can carry their count. *)
+            let steps = List.map (fun name -> (name, plan name)) members in
+            let reused =
+              List.length
+                (List.filter (function _, Some (_, _, Some _) -> true | _ -> false) steps)
+            in
             Vrp_obs.Metrics.time task_seconds @@ fun () ->
             Vrp_obs.Trace.with_span "task"
-              ~args:[ ("group", String.concat "," members) ]
+              ~args:[ ("group", String.concat "," members); ("reused", string_of_int reused) ]
             @@ fun () ->
             List.map
-              (fun name ->
+              (fun (name, step) ->
                 let local = Diag.create () in
-                match (Ir.find_fn program name, Hashtbl.find_opt param_env name) with
-                | Some fn, Some param_values when not (Hashtbl.mem failed name) -> (
+                match step with
+                | Some (fn, param_values, reuse) -> (
                   match
                     (* Beat the cancellation token between functions too, so
                        a deadline can fire while a wave is between engine
@@ -199,9 +258,24 @@ let analyze ?(config = Engine.default_config) ?report
                           Diag.Cancel.check tok ~name)
                         config.Engine.cancel
                     in
-                    analyze_fn ~config ~report:(Some local) ~call_oracle ~param_values fn
+                    match reuse with
+                    | Some (res, (prev, diags)) ->
+                      Vrp_obs.Metrics.inc reused_total;
+                      Diag.merge ~into:local diags;
+                      (res, prev)
+                    | None ->
+                      let read = ref [] in
+                      let call_oracle callee args =
+                        let v = call_oracle callee args in
+                        if not (List.mem_assoc callee !read) then read := (callee, v) :: !read;
+                        v
+                      in
+                      let res =
+                        analyze_fn ~config ~report:(Some local) ~call_oracle ~param_values fn
+                      in
+                      (res, { params = param_values; answers = !read })
                   with
-                  | res -> (name, Analyzed res, local)
+                  | res, used -> (name, Analyzed (res, used), local)
                   | exception e ->
                     let why =
                       match e with
@@ -213,8 +287,8 @@ let analyze ?(config = Engine.default_config) ?report
                       | e -> Printexc.to_string e
                     in
                     (name, Crashed why, local))
-                | _ -> (name, Skipped, local))
-              members);
+                | None -> (name, Skipped, local))
+              steps);
       }
     in
     (* Wave 0 is main alone; each subsequent wave is the set of
@@ -258,8 +332,10 @@ let analyze ?(config = Engine.default_config) ?report
                     (Printf.sprintf
                        "analysis raised (%s); function demoted to heuristics" why)
                 | None -> ())
-              | Analyzed res ->
+              | Analyzed (res, used) ->
                 Hashtbl.replace round_results name res;
+                Hashtbl.replace round_inputs name
+                  (used, if Diag.count local = 0 then no_diags else local);
                 List.iter
                   (fun (_site, (callee, args)) ->
                     match Ir.find_fn program callee with
@@ -357,6 +433,7 @@ let analyze ?(config = Engine.default_config) ?report
     in
     let params_equal = env_equal new_param_env param_env in
     results := round_results;
+    inputs := round_inputs;
     Hashtbl.reset param_env;
     Hashtbl.iter (Hashtbl.replace param_env) new_param_env;
     Hashtbl.reset return_env;

@@ -4,7 +4,11 @@
     return ranges back. Within a round, functions are analysed in waves —
     the dynamic topological order of the executable call graph's SCC
     condensation — and every wave's tasks are independent, which is the
-    scheduling seam the [Vrp_sched] domain pool plugs into. *)
+    scheduling seam the [Vrp_sched] domain pool plugs into. A function
+    whose parameter values and the callee return values its last run read
+    are unchanged since the previous round keeps that round's result (and
+    replays its diagnostics) instead of being re-analysed; a run that hit
+    the wall-clock governor is never reused. *)
 
 module Ir = Vrp_ir.Ir
 module Value = Vrp_ranges.Value
@@ -31,8 +35,13 @@ val failure : t -> string -> string option
 
 val default_max_rounds : int
 
+(** What one function's result was computed from: its parameter values
+    and the [(callee, return value)] answers its run read through the call
+    oracle. *)
+type inputs = { params : Value.t list; answers : (string * Value.t) list }
+
 (** Per-function analysis outcome inside one wave. *)
-type outcome = Analyzed of Engine.t | Crashed of string | Skipped
+type outcome = Analyzed of Engine.t * inputs | Crashed of string | Skipped
 
 (** One schedulable unit: the functions of one call-graph SCC discovered in
     the same wave. [run] reads only the previous round's environments, so

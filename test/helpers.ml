@@ -93,6 +93,19 @@ let ret_int (r : Vrp_profile.Interp.result) =
   | Vrp_profile.Interp.Vint n -> n
   | Vrp_profile.Interp.Vfloat _ -> Alcotest.fail "expected int return"
 
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* The parallel width the determinism tests compare against jobs = 1. CI
+   additionally runs the whole suite with VRP_TEST_JOBS=4. *)
+let test_jobs =
+  match Sys.getenv_opt "VRP_TEST_JOBS" with
+  | Some s -> ( try max 2 (int_of_string s) with _ -> 3)
+  | None -> 3
+
 (* QCheck plumbing *)
 let qtest ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)

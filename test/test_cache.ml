@@ -9,6 +9,8 @@ module Pipeline = Vrp_core.Pipeline
 module Digest_key = Vrp_cache.Digest_key
 module Summary_cache = Vrp_cache.Summary_cache
 module Batch = Vrp_sched.Batch
+module Ops = Vrp_server.Ops
+module Suite = Vrp_suite.Suite
 
 let tc = Alcotest.test_case
 
@@ -198,12 +200,6 @@ let corruption_case what ~mangle ~quarantined_delta () =
     (what ^ ": repaired entry served from disk")
     1 (Summary_cache.counters again).Summary_cache.disk_hits
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let write_file path s =
   let oc = open_out_bin path in
   output_string oc s;
@@ -211,12 +207,12 @@ let write_file path s =
 
 let truncated_entry_is_quarantined =
   corruption_case "truncated entry" ~quarantined_delta:1 ~mangle:(fun path ->
-      let s = read_file path in
+      let s = Helpers.read_file path in
       write_file path (String.sub s 0 (String.length s / 2)))
 
 let bitflip_is_quarantined =
   corruption_case "bit-flipped payload" ~quarantined_delta:1 ~mangle:(fun path ->
-      let b = Bytes.of_string (read_file path) in
+      let b = Bytes.of_string (Helpers.read_file path) in
       let i = Bytes.length b - 3 in
       Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x40));
       write_file path (Bytes.to_string b))
@@ -372,6 +368,30 @@ let config_change_invalidates () =
   Alcotest.(check bool) "config flip invalidates every cached function" true
     ((Summary_cache.counters cache).Summary_cache.invalidations > 0)
 
+(* A cache hit replays the engine's diagnostics at the engine's own
+   severities, so [--strict] gives one verdict whether the summaries came
+   from the engine, a cold cache, a warm cache or the one-shot command. *)
+let strict_verdict_ignores_the_cache () =
+  List.iter
+    (fun (b : Suite.benchmark) ->
+      let sources = [ (b.Suite.name ^ ".mc", b.Suite.source) ] in
+      let strict ?cache () =
+        Batch.exit_code ~strict:true (Batch.analyze_sources ?cache ~jobs:1 sources)
+      in
+      let uncached = strict () in
+      let cache = Summary_cache.create () in
+      let cold = strict ~cache () in
+      let warm = strict ~cache () in
+      let one_shot =
+        (Ops.predict ~opts:{ Ops.default_opts with Ops.strict = true } ~source:b.Suite.source ())
+          .Ops.code
+      in
+      Alcotest.(check (list int))
+        (b.Suite.name ^ ": uncached, cold, warm, one-shot")
+        [ uncached; uncached; uncached; uncached ]
+        [ uncached; cold; warm; one_shot ])
+    Suite.benchmarks
+
 let cached_equals_fresh_prop =
   Helpers.qtest ~count:15 "synth programs: cached == fresh report"
     QCheck2.Gen.(pair (int_range 4 24) (int_range 0 1_000_000))
@@ -404,5 +424,6 @@ let suite =
       tc "disk: two stores share a directory" `Quick concurrent_stores_share_a_directory;
       tc "batch: warm run computes nothing" `Quick warm_run_computes_nothing;
       tc "batch: config change invalidates" `Quick config_change_invalidates;
+      tc "batch: strict verdict ignores the cache" `Quick strict_verdict_ignores_the_cache;
       cached_equals_fresh_prop;
     ] )

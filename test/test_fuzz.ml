@@ -15,17 +15,11 @@ module Runner = Vrp_fuzz.Runner
 
 let tc = Alcotest.test_case
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let corpus_files () =
   Sys.readdir "corpus" |> Array.to_list
   |> List.filter (fun f -> Filename.check_suffix f ".mc")
   |> List.sort String.compare
-  |> List.map (fun f -> (f, read_file (Filename.concat "corpus" f)))
+  |> List.map (fun f -> (f, Helpers.read_file (Filename.concat "corpus" f)))
 
 (* --- Corpus replay: every shrunk repro must stay clean forever. --- *)
 
@@ -51,7 +45,7 @@ let corpus_replays_clean () =
 let corpus_determinism_clean () =
   (* The full differential check is expensive; run it on the corpus entry
      dedicated to the property. *)
-  let source = read_file "corpus/determinism_calls.mc" in
+  let source = Helpers.read_file "corpus/determinism_calls.mc" in
   match Oracle.check_determinism ~name:"determinism_calls" source with
   | [] -> ()
   | vs ->

@@ -5,6 +5,8 @@ module Interproc = Vrp_core.Interproc
 module Engine = Vrp_core.Engine
 module Value = Vrp_ranges.Value
 module Ir = Vrp_ir.Ir
+module Diag = Vrp_diag.Diag
+module Supervisor = Vrp_sched.Supervisor
 
 let tc = Alcotest.test_case
 
@@ -194,6 +196,133 @@ let cloned_program_still_runs () =
     Alcotest.(check int) "cloning preserves semantics" a b
   | _ -> Alcotest.fail "int returns expected"
 
+(* --- Reuse across rounds ---
+
+   [leaf_source] settles in steps. Round 1 analyses [leaf] with ⊥
+   parameters; round 2 gives it x = 41 while [main] still reads leaf's ⊥
+   return; round 3 feeds main leaf's new return 42; round 4 changes
+   nothing and the environments converge. *)
+
+let leaf_source = {|
+int leaf(int x) { return x + 1; }
+int main(int n, int s) { return leaf(41); }
+|}
+
+(* A counting [analyze_fn]: per function, the number of real engine runs
+   and the result of the latest one. Domain-safe, for pooled waves. *)
+let counting inner =
+  let lock = Mutex.create () and runs = Hashtbl.create 16 in
+  let analyze_fn : Interproc.analyze_fn =
+   fun ~config ~report ~call_oracle ~param_values fn ->
+    let res = inner ~config ~report ~call_oracle ~param_values fn in
+    Mutex.protect lock (fun () ->
+        let n = Option.fold ~none:0 ~some:fst (Hashtbl.find_opt runs fn.Ir.fname) in
+        Hashtbl.replace runs fn.Ir.fname (n + 1, res));
+    res
+  in
+  (analyze_fn, runs)
+
+let runs_of runs name = Option.fold ~none:0 ~some:fst (Hashtbl.find_opt runs name)
+
+let counted_ipa ?config ?max_rounds src =
+  let analyze_fn, runs = counting Interproc.default_analyze_fn in
+  let t =
+    Interproc.analyze ?config ?max_rounds ~analyze_fn (Helpers.compile src).Vrp_core.Pipeline.ssa
+  in
+  (t, runs)
+
+let leaf_skips_round_three () =
+  let per_round name =
+    List.map (fun max_rounds -> runs_of (snd (counted_ipa ~max_rounds leaf_source)) name) [ 1; 2; 3 ]
+  in
+  Alcotest.(check (list int)) "leaf runs after rounds 1, 2, 3" [ 1; 2; 2 ] (per_round "leaf");
+  (* main's callee answer is still ⊥ in round 2, then becomes 42 *)
+  Alcotest.(check (list int)) "main runs after rounds 1, 2, 3" [ 1; 1; 2 ] (per_round "main")
+
+let reused_result_is_the_same_value () =
+  let t, runs = counted_ipa leaf_source in
+  Alcotest.(check int) "leaf ran twice in four rounds" 2 (runs_of runs "leaf");
+  Alcotest.(check bool) "final leaf result is its round-2 run" true
+    (Option.get (Interproc.result t "leaf") == snd (Hashtbl.find runs "leaf"))
+
+(* Rounds and convergence as measured before reuse existed: reuse never
+   changes what a round computes, only whether the engine recomputes it. *)
+let rounds_and_convergence_unchanged () =
+  let t = ipa leaf_source in
+  Alcotest.(check (pair int bool)) "leaf program" (4, true) (t.Interproc.rounds, t.Interproc.converged);
+  List.iter
+    (fun (b : Vrp_suite.Suite.benchmark) ->
+      let t = ipa b.Vrp_suite.Suite.source in
+      let rounds = if String.equal b.Vrp_suite.Suite.name "proto" then 3 else 2 in
+      Alcotest.(check (pair int bool)) b.Vrp_suite.Suite.name (rounds, true)
+        (t.Interproc.rounds, t.Interproc.converged))
+    Vrp_suite.Suite.benchmarks
+
+let timed_out_is_never_reused () =
+  let config = { Engine.default_config with Engine.fault = Some (Diag.Fault.Timeout_fn "leaf") } in
+  let t, runs = counted_ipa ~config leaf_source in
+  Alcotest.(check bool) "several rounds" true (t.Interproc.rounds > 2);
+  Alcotest.(check int) "leaf re-analysed every round" t.Interproc.rounds (runs_of runs "leaf")
+
+(* A reused result replays its run's whole report, supervisor notes
+   included: the retry note of a flaky function appears once per round
+   although the supervisor only retried the real runs. *)
+let reuse_replays_retry_notes () =
+  let policy = { Supervisor.default_policy with Supervisor.retries = 1; backoff_ms = 0 } in
+  Supervisor.with_supervisor ~policy (fun sup ->
+      let analyze_fn, runs = counting Interproc.default_analyze_fn in
+      let config = { Engine.default_config with Engine.fault = Some (Diag.Fault.Flaky_fn ("leaf", 1)) } in
+      let report = Diag.create () in
+      let t =
+        Interproc.analyze ~config ~report
+          ~analyze_fn:(Supervisor.wrap_analyze_fn sup analyze_fn)
+          (Helpers.compile leaf_source).Vrp_core.Pipeline.ssa
+      in
+      Alcotest.(check int) "two real leaf runs" 2 (runs_of runs "leaf");
+      Alcotest.(check int) "retried only the real runs" 2
+        (Supervisor.counters sup).Supervisor.retry_count;
+      Alcotest.(check int) "one retry note per round" t.Interproc.rounds
+        (Diag.count_kind report Diag.Task_retry))
+
+let reuse_counts_independent_of_jobs () =
+  let sources =
+    Vrp_suite.Synth.generate ~units:24 ~seed:7 ()
+    :: List.map (fun (b : Vrp_suite.Suite.benchmark) -> b.Vrp_suite.Suite.source)
+         Vrp_suite.Suite.benchmarks
+  in
+  List.iter
+    (fun src ->
+      let ssa = (Helpers.compile src).Vrp_core.Pipeline.ssa in
+      let counts jobs =
+        let analyze_fn, runs = counting Interproc.default_analyze_fn in
+        ignore (Vrp_sched.Wavefront.analyze ~analyze_fn ~jobs ssa);
+        List.sort compare (Hashtbl.fold (fun name (n, _) acc -> (name, n) :: acc) runs [])
+      in
+      Alcotest.(check (list (pair string int)))
+        (Printf.sprintf "jobs 1 vs %d" Helpers.test_jobs)
+        (counts 1) (counts Helpers.test_jobs))
+    sources
+
+(* [vrpc predict -b B --diagnostics --strict] — stdout, stderr and exit
+   code — pinned byte for byte. The diagnostics count every round's
+   report, so a reuse that dropped or doubled a replayed diagnostic shows
+   here. *)
+let diagnostics_golden () =
+  List.iter
+    (fun name ->
+      let b = Option.get (Vrp_suite.Suite.find name) in
+      let o =
+        Vrp_server.Ops.predict
+          ~opts:{ Vrp_server.Ops.default_opts with diagnostics = true; strict = true }
+          ~source:b.Vrp_suite.Suite.source ()
+      in
+      let golden ext = Helpers.read_file (Printf.sprintf "golden/predict-%s.%s" name ext) in
+      Alcotest.(check string) (name ^ " stdout") (golden "stdout") o.Vrp_server.Ops.out;
+      Alcotest.(check string) (name ^ " stderr") (golden "stderr") o.Vrp_server.Ops.err;
+      Alcotest.(check string) (name ^ " exit code") (golden "exit")
+        (Printf.sprintf "%d\n" o.Vrp_server.Ops.code))
+    [ "qsort"; "sieve"; "proto" ]
+
 let suite =
   ( "interproc",
     [
@@ -208,4 +337,11 @@ let suite =
       tc "no symbolic leakage across calls" `Quick symbolic_does_not_leak;
       tc "cloning specialises contexts" `Quick cloning_specialises;
       tc "cloning preserves semantics" `Quick cloned_program_still_runs;
+      tc "reuse: leaf skips round 3" `Quick leaf_skips_round_three;
+      tc "reuse: result physically shared" `Quick reused_result_is_the_same_value;
+      tc "reuse: rounds and convergence unchanged" `Quick rounds_and_convergence_unchanged;
+      tc "reuse: timed-out runs always re-run" `Quick timed_out_is_never_reused;
+      tc "reuse: retry notes replayed" `Quick reuse_replays_retry_notes;
+      tc "reuse: counts independent of jobs" `Quick reuse_counts_independent_of_jobs;
+      tc "predict --diagnostics --strict golden" `Quick diagnostics_golden;
     ] )

@@ -42,14 +42,8 @@ let roundtrip_byte_identical () =
       (Tree.to_string m');
     Alcotest.(check string) "digest stable" (Tree.digest m) (Tree.digest m')
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let committed_model_matches_embedded () =
-  let committed = read_file "../models/default.vrpmodel" in
+  let committed = Helpers.read_file "../models/default.vrpmodel" in
   Alcotest.(check string) "models/default.vrpmodel = embedded module bytes"
     Vrp_learn.Default_model.data committed;
   let m = Lazy.force Infer.default in

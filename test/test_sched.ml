@@ -16,13 +16,6 @@ module Suite = Vrp_suite.Suite
 
 let tc = Alcotest.test_case
 
-(* The parallel width the determinism tests compare against jobs = 1. CI
-   additionally runs the whole suite with VRP_TEST_JOBS=4. *)
-let test_jobs =
-  match Sys.getenv_opt "VRP_TEST_JOBS" with
-  | Some s -> ( try max 2 (int_of_string s) with _ -> 3)
-  | None -> 3
-
 let suite_sources =
   List.map
     (fun (b : Suite.benchmark) -> (b.Suite.name ^ ".mc", b.Suite.source))
@@ -42,7 +35,7 @@ let pool_preserves_task_order () =
               | Ok v -> Alcotest.(check int) (Printf.sprintf "slot %d" i) (i * i) v
               | Error e -> Alcotest.failf "slot %d raised %s" i (Printexc.to_string e))
             out))
-    [ 1; test_jobs ]
+    [ 1; Helpers.test_jobs ]
 
 let pool_contains_crashes () =
   List.iter
@@ -66,7 +59,7 @@ let pool_contains_crashes () =
           match Pool.map pool succ [| 41 |] with
           | [| Ok 42 |] -> ()
           | _ -> Alcotest.fail "pool unusable after a task crashed"))
-    [ 1; test_jobs ]
+    [ 1; Helpers.test_jobs ]
 
 let pool_clamps_jobs () =
   Pool.with_pool ~jobs:(-3) (fun pool -> Alcotest.(check int) "clamped" 1 (Pool.jobs pool))
@@ -140,7 +133,7 @@ let wavefront_matches_sequential () =
       let c = Helpers.compile b.Suite.source in
       let ssa = c.Vrp_core.Pipeline.ssa in
       let seq = Interproc.analyze ssa in
-      let par = Wavefront.analyze ~jobs:test_jobs ssa in
+      let par = Wavefront.analyze ~jobs:Helpers.test_jobs ssa in
       if ipa_signature par <> ipa_signature seq then
         Alcotest.failf "%s: parallel wavefront diverged from sequential" b.Suite.name)
     Suite.benchmarks
@@ -152,16 +145,16 @@ let batch_render ?config ~jobs sources = Batch.render (Batch.analyze_sources ?co
 let batch_is_deterministic () =
   let reference = batch_render ~jobs:1 suite_sources in
   Alcotest.(check string)
-    (Printf.sprintf "jobs=%d report identical to jobs=1" test_jobs)
+    (Printf.sprintf "jobs=%d report identical to jobs=1" Helpers.test_jobs)
     reference
-    (batch_render ~jobs:test_jobs suite_sources);
+    (batch_render ~jobs:Helpers.test_jobs suite_sources);
   Alcotest.(check bool) "report is non-trivial" true (String.length reference > 100)
 
 let batch_contains_bad_files () =
   let sources =
     [ ("bad.mc", "int main( {"); ("good.mc", chain_src) ]
   in
-  let results = Batch.analyze_sources ~jobs:test_jobs sources in
+  let results = Batch.analyze_sources ~jobs:Helpers.test_jobs sources in
   (match results with
   | [ bad; good ] ->
     Alcotest.(check bool) "bad file has an error" true (bad.Batch.error <> None);
@@ -179,8 +172,8 @@ let batch_deterministic_under_faults () =
   let sources = [ ("a.mc", chain_src); ("b.mc", chain_src) ] in
   let reference = batch_render ~config ~jobs:1 sources in
   Alcotest.(check string) "crash-injected run identical across jobs" reference
-    (batch_render ~config ~jobs:test_jobs sources);
-  let results = Batch.analyze_sources ~config ~jobs:test_jobs sources in
+    (batch_render ~config ~jobs:Helpers.test_jobs sources);
+  let results = Batch.analyze_sources ~config ~jobs:Helpers.test_jobs sources in
   List.iter
     (fun (r : Batch.file_result) ->
       Alcotest.(check bool)

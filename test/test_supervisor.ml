@@ -12,11 +12,6 @@ module Supervisor = Vrp_sched.Supervisor
 
 let tc = Alcotest.test_case
 
-let test_jobs =
-  match Sys.getenv_opt "VRP_TEST_JOBS" with
-  | Some s -> ( try max 2 (int_of_string s) with _ -> 3)
-  | None -> 3
-
 let srcs =
   [
     ( "one.mc",
@@ -80,7 +75,7 @@ let deadline_contains_hang () =
             Alcotest.(check (list (pair string string)))
               (r.Batch.name ^ ": untouched") [] r.Batch.demoted)
         results)
-    [ 1; test_jobs ]
+    [ 1; Helpers.test_jobs ]
 
 let hung_run_is_deterministic () =
   (* The demotion reason carries no wall-clock numbers, so the whole
@@ -94,7 +89,7 @@ let hung_run_is_deterministic () =
       (fun supervisor ->
         Batch.render (Batch.analyze_sources ~config ~supervisor ~jobs srcs))
   in
-  Alcotest.(check string) "hung run: jobs=N == jobs=1" (run 1) (run test_jobs)
+  Alcotest.(check string) "hung run: jobs=N == jobs=1" (run 1) (run Helpers.test_jobs)
 
 let deadline_counters_move () =
   let config =
@@ -114,7 +109,7 @@ let unsupervised_results_unaffected () =
     Supervisor.with_supervisor
       ~policy:{ Supervisor.default_policy with deadline_ms = Some 60_000; retries = 2 }
       (fun supervisor ->
-        Batch.render (Batch.analyze_sources ~supervisor ~jobs:test_jobs srcs))
+        Batch.render (Batch.analyze_sources ~supervisor ~jobs:Helpers.test_jobs srcs))
   in
   Alcotest.(check string) "supervised == plain" (Lazy.force reference) rendered
 
@@ -226,7 +221,7 @@ let resume_skips_completed_files () =
     checkpointed
     (Batch.aggregate resumed).Batch.resumed_files;
   (* a second resume now replays everything *)
-  let again = Batch.analyze_sources ~journal:path ~jobs:test_jobs srcs in
+  let again = Batch.analyze_sources ~journal:path ~jobs:Helpers.test_jobs srcs in
   Alcotest.(check string) "full resume still byte-identical"
     (Lazy.force reference) (Batch.render again);
   Alcotest.(check int) "every file came from the journal" (List.length srcs)

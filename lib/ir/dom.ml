@@ -12,19 +12,29 @@ type t = {
   root : int;
 }
 
-(** Reverse postorder of the reachable nodes from [root]. *)
+(** Reverse postorder of the reachable nodes from [root]: the order of a
+    depth-first search that visits successors in list order. *)
 let reverse_postorder ~nblocks ~succs ~root =
   let visited = Array.make nblocks false in
   let order = ref [] in
-  (* Explicit stack to survive deep CFGs. *)
-  let rec visit node =
-    if not visited.(node) then begin
-      visited.(node) <- true;
-      List.iter visit (succs node);
-      order := node :: !order
-    end
+  (* Explicit stack of (node, successors still to visit), so deep CFGs do
+     not grow the call stack. *)
+  let stack = ref [] in
+  let enter node =
+    visited.(node) <- true;
+    stack := (node, succs node) :: !stack
   in
-  visit root;
+  enter root;
+  while !stack <> [] do
+    match !stack with
+    | (node, []) :: rest ->
+      stack := rest;
+      order := node :: !order
+    | (node, succ :: later) :: rest ->
+      stack := (node, later) :: rest;
+      if not visited.(succ) then enter succ
+    | [] -> ()
+  done;
   Array.of_list !order
 
 let compute_generic ~nblocks ~succs ~preds ~root : t =

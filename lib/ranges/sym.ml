@@ -67,10 +67,9 @@ let sub a b =
 (* Offsets beyond [limit] belong to bounds the caller is about to widen to ⊥;
    refusing to order them keeps every decided comparison inside the window
    where the rest of the range arithmetic is exact. *)
-let cmp a b : int option =
-  if same_base a b && not (too_big a) && not (too_big b) then
-    Some (Int.compare a.off b.off)
-  else None
+let comparable a b = same_base a b && (not (too_big a)) && not (too_big b)
+
+let cmp a b : int option = if comparable a b then Some (Int.compare a.off b.off) else None
 
 (* --- Ambient relation oracle (symbolic algebra v2) ---
 

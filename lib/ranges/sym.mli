@@ -38,6 +38,9 @@ val sub : t -> t -> t option
     either offset beyond the [limit] cap. *)
 val cmp : t -> t -> int option
 
+(** [comparable a b] iff [cmp a b] is [Some _], without allocating. *)
+val comparable : t -> t -> bool
+
 (** Relation oracle consulted by [le]/[lt]/[ge]/[gt] when [cmp] is [None].
     Installed domain-locally (like [Counters] frames); [with_relation_oracle]
     restores the previous oracle on exit, exceptions included. *)

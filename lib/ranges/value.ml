@@ -78,12 +78,104 @@ let hull (a : Srange.t) (b : Srange.t) : Srange.t option =
     Srange.make ~p:(a.p +. b.p) ~lo ~hi ~stride
   | (None | Some _), _ -> None
 
-(* Cost of a merge: spurious values admitted by the hull (∞ for uncountable
-   merges, which are a last resort). *)
-let merge_cost (a : Srange.t) (b : Srange.t) (merged : Srange.t) =
-  match (Srange.count merged, Srange.count a, Srange.count b) with
-  | Some cm, Some ca, Some cb -> float_of_int (cm - ca - cb)
-  | _ -> infinity
+(* Member count of a range, or -1 when uncountable. *)
+let count_or_neg (r : Srange.t) = match Srange.count r with Some c -> c | None -> -1
+
+(* Cost of merging [a] and [b] — the spurious values [hull a b] admits —
+   computed without building the hull. [ca]/[cb] are the inputs'
+   {!count_or_neg}. [nan] where [hull] is [None] (unmergeable); ∞ when the
+   hull or an input is uncountable, which makes such a merge a last
+   resort. *)
+let hull_cost (a : Srange.t) ~ca (b : Srange.t) ~cb : float =
+  if not (Sym.comparable a.lo b.lo && Sym.comparable a.hi b.hi) then Float.nan
+  else begin
+    let lo = if a.lo.Sym.off <= b.lo.Sym.off then a.lo else b.lo in
+    let hi = if a.hi.Sym.off >= b.hi.Sym.off then a.hi else b.hi in
+    if not (Sym.same_base lo hi) then infinity (* a mixed hull is never countable *)
+    else if hi.Sym.off < lo.Sym.off then Float.nan (* [Srange.make] finds it empty *)
+    else if ca < 0 || cb < 0 then infinity
+    else begin
+      let cm =
+        if lo.Sym.off = hi.Sym.off then 1
+        else begin
+          let stride =
+            P.gcd_stride (P.gcd_stride a.stride b.stride) (abs (a.lo.Sym.off - b.lo.Sym.off))
+          in
+          ((hi.Sym.off - lo.Sym.off) / max stride 1) + 1
+        end
+      in
+      float_of_int (cm - ca - cb)
+    end
+  end
+
+(* Merge the cheapest mergeable pair of [rs] (sorted by [Srange.compare_sr])
+   until [budget] ranges remain; [None] when no pair is mergeable. A pair's
+   cost never changes while both survive, so the cost matrix is kept across
+   steps and only the merged range's row is recomputed. Two rules decide
+   each step, as a full rescan and re-sort would: the lexicographically
+   first (i, j) with the lowest cost wins, a first mergeable pair even at ∞;
+   and the merged range goes where a stable sort puts it, before any
+   survivor that compares equal to it. *)
+let compact budget (rs : Srange.t array) : Srange.t list option =
+  let n = Array.length rs in
+  let counts = Array.map count_or_neg rs in
+  let cost = Array.make (n * n) Float.nan in
+  let set_cost s t =
+    let c = hull_cost rs.(s) ~ca:counts.(s) rs.(t) ~cb:counts.(t) in
+    cost.((s * n) + t) <- c;
+    cost.((t * n) + s) <- c
+  in
+  for s = 0 to n - 1 do
+    for t = s + 1 to n - 1 do
+      set_cost s t
+    done
+  done;
+  (* [order.(0 .. m-1)]: the slots of the [m] ranges left, in sorted order *)
+  let order = Array.init n Fun.id in
+  let rec step m =
+    if m <= budget then Some (List.init m (fun k -> rs.(order.(k))))
+    else begin
+      let bi = ref (-1) and bj = ref (-1) and best = ref infinity in
+      for i = 0 to m - 1 do
+        let row = order.(i) * n in
+        for j = i + 1 to m - 1 do
+          let c = cost.(row + order.(j)) in
+          if (not (Float.is_nan c)) && (!bi < 0 || c < !best) then begin
+            bi := i;
+            bj := j;
+            best := c
+          end
+        done
+      done;
+      if !bi < 0 then None
+      else begin
+        let si = order.(!bi) in
+        (match hull rs.(si) rs.(order.(!bj)) with
+        | Some merged ->
+          rs.(si) <- merged;
+          counts.(si) <- count_or_neg merged
+        | None -> assert false (* [hull_cost] is not [nan] exactly when [hull] is [Some] *));
+        let survivors = ref 0 in
+        for k = 0 to m - 1 do
+          if k <> !bi && k <> !bj then begin
+            order.(!survivors) <- order.(k);
+            incr survivors
+          end
+        done;
+        let pos = ref 0 in
+        while !pos < !survivors && Srange.compare_sr rs.(si) rs.(order.(!pos)) > 0 do
+          incr pos
+        done;
+        Array.blit order !pos order (!pos + 1) (!survivors - !pos);
+        order.(!pos) <- si;
+        for k = 0 to !survivors do
+          if k <> !pos then set_cost si order.(k)
+        done;
+        step (!survivors + 1)
+      end
+    end
+  in
+  step n
 
 (** Normalise a weighted range list: drop empty mass, coalesce identical
     shapes, rescale mass to 1, and compact down to the range budget by
@@ -106,40 +198,20 @@ let normalize (rs : Srange.t list) : t =
       | a :: rest -> a :: coalesce rest
       | [] -> []
     in
-    let rs = ref (coalesce rs) in
+    let rs = coalesce rs in
     let budget = !Config.max_ranges in
-    let exception Give_up in
-    (try
-       while List.length !rs > budget do
-         let arr = Array.of_list !rs in
-         let best = ref None in
-         Array.iteri
-           (fun i a ->
-             Array.iteri
-               (fun j b ->
-                 if i < j then
-                   match hull a b with
-                   | None -> ()
-                   | Some merged ->
-                     let cost = merge_cost a b merged in
-                     (match !best with
-                     | Some (_, _, _, c) when c <= cost -> ()
-                     | _ -> best := Some (i, j, merged, cost)))
-               arr)
-           arr;
-         match !best with
-         | None -> raise Give_up
-         | Some (i, j, merged, _) ->
-           let rest = Array.to_list arr |> List.filteri (fun k _ -> k <> i && k <> j) in
-           rs := List.sort Srange.compare_sr (merged :: rest)
-       done;
-       let total = List.fold_left (fun acc (r : Srange.t) -> acc +. r.Srange.p) 0.0 !rs in
-       if total < Config.eps then Bottom
-       else if List.exists Srange.too_big !rs then Bottom
-       else
-         Ranges
-           (List.map (fun (r : Srange.t) -> { r with Srange.p = r.Srange.p /. total }) !rs)
-     with Give_up -> Bottom)
+    let compacted =
+      if List.compare_length_with rs budget <= 0 then Some rs
+      else compact budget (Array.of_list rs)
+    in
+    match compacted with
+    | None -> Bottom
+    | Some rs ->
+      let total = List.fold_left (fun acc (r : Srange.t) -> acc +. r.Srange.p) 0.0 rs in
+      if total < Config.eps then Bottom
+      else if List.exists Srange.too_big rs then Bottom
+      else
+        Ranges (List.map (fun (r : Srange.t) -> { r with Srange.p = r.Srange.p /. total }) rs)
   end
 
 (* --- Pairwise arithmetic --- *)

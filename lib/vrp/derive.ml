@@ -115,6 +115,9 @@ let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
 (* A usable loop bound: symbolic or numeric, plus dependencies. *)
 type bound = { bsym : Sym.t; bdeps : Var.t list }
 
+(* The latch paths of a φ, once traced. *)
+type traced = Untraced | Paths of path list | Unmatched
+
 (** Per-function context, built once and reused across derivation attempts
     (keeping each attempt O(chain length), which the linearity figures rely
     on). *)
@@ -123,6 +126,9 @@ type ctx = {
   cloops : Loops.t;
   cdefs : (int, Ir.rhs) Hashtbl.t;
   cdef_block : (int, int) Hashtbl.t;  (** var id -> defining block *)
+  cpaths : traced array;
+      (** φ var id -> its latch paths; they depend on SSA definitions
+          only, never on values, so one trace serves every attempt *)
 }
 
 let make_ctx (fn : Ir.fn) (loops : Loops.t) : ctx =
@@ -134,7 +140,13 @@ let make_ctx (fn : Ir.fn) (loops : Loops.t) : ctx =
           | Ir.Def (v, _) -> Hashtbl.replace cdef_block v.Var.id b.Ir.bid
           | Ir.Store _ -> ())
         b.Ir.instrs);
-  { cfn = fn; cloops = loops; cdefs = build_defs fn; cdef_block }
+  {
+    cfn = fn;
+    cloops = loops;
+    cdefs = build_defs fn;
+    cdef_block;
+    cpaths = Array.make fn.Ir.nvars Untraced;
+  }
 
 (** Attempt to derive the value range of the loop-carried φ [phi_var] with
     arguments [args] in block [phi_bid].
@@ -175,7 +187,18 @@ let attempt ~(ctx : ctx) ~(values : Var.t -> Value.t) ~(symbolic : bool)
       in
       (* Increment paths from every latch. *)
       let paths =
-        List.concat_map (fun (_, op) -> trace_paths defs ~phi_var op) back
+        let id = phi_var.Var.id in
+        match ctx.cpaths.(id) with
+        | Paths paths -> paths
+        | Unmatched -> raise No_match
+        | Untraced -> (
+          match List.concat_map (fun (_, op) -> trace_paths defs ~phi_var op) back with
+          | paths ->
+            ctx.cpaths.(id) <- Paths paths;
+            paths
+          | exception No_match ->
+            ctx.cpaths.(id) <- Unmatched;
+            raise No_match)
       in
       let pure_additive = List.for_all (fun p -> p.scale = 1) paths in
       let pure_multiplicative =

@@ -131,16 +131,25 @@ let used_fallback t bid = Option.value ~default:false (Hashtbl.find_opt t.branch
 type state = {
   cfg : config;
   sfn : Ir.fn;
-  loops : Loops.t;
   hctx : Heuristics.ctx;
   dctx : Derive.ctx;
   vals : Value.t array;
-  uses : (int, (int * site) list) Hashtbl.t;  (** var id -> use sites *)
-  extra_uses : (int, (int * site) list ref) Hashtbl.t;  (** derivation deps *)
-  def_site : (int, int * site) Hashtbl.t;  (** var id -> definition site *)
+  (* Static tables, built once per run from the function and its loops.
+     An edge [src -> dst] lives in {e slot} [k] of [src]: the first [k]
+     with [succs.(src).(k) = dst], so a [Br] whose targets coincide has
+     one edge. *)
+  instrs : Ir.instr array array;  (** block id -> its instructions *)
+  succs : int array array;  (** block id -> [Ir.successors] of its terminator *)
+  back : bool array array;  (** block id -> per successor: is it a back edge *)
+  rpo : int array;  (** reverse postorder of the reachable blocks *)
+  uses : (int * site) list array;  (** var id -> use sites *)
+  extra_uses : (int * site) list array;  (** var id -> derivation deps *)
+  def_block : int array;  (** var id -> defining block, or -1 *)
+  def_idx : int array;  (** var id -> index of its definition in the block *)
   svisited : bool array;
-  edge_prob : (int * int, float) Hashtbl.t;  (** conditional edge probability *)
-  edge_exec : (int * int, bool) Hashtbl.t;
+  edge_prob : float array array;
+      (** block id -> per slot: conditional edge probability, [nan] = never set *)
+  edge_exec : bool array array;  (** block id -> per slot: edge executed *)
   bprobs : (int, float) Hashtbl.t;
   bfallback : (int, bool) Hashtbl.t;
   freq : float array;  (** acyclic relative frequencies *)
@@ -149,13 +158,11 @@ type state = {
   ssa_list : (int * site) Queue.t;  (** target block and site to re-evaluate *)
   eval_counts : int array;  (** per-variable quota accounting *)
   mutable evals : int;
-  mutable derived : (int, Value.t) Hashtbl.t;  (** derived φ variables *)
-  uneven : (int, unit) Hashtbl.t;
-      (** φs whose derived range hull is sound but unevenly visited
-          (geometric inductions): branches on them use heuristics *)
+  uneven : bool array;
+      (** var id -> a φ whose derived range hull is sound but unevenly
+          visited (geometric inductions): branches on it use heuristics *)
   calls : (int * int, string * Value.t list) Hashtbl.t;
   call_oracle : string -> Value.t list -> Value.t;
-  assert_root : (int, Var.t) Hashtbl.t;  (** memoised assertion-chain roots *)
   report : Diag.report option;  (** structured diagnostics sink, if any *)
   mutable widenings : int;  (** forced widenings this run *)
 }
@@ -165,35 +172,48 @@ let diag st ?block severity kind message =
   | Some r -> Diag.add r ~fn:st.sfn.Ir.fname ?block severity kind message
   | None -> ()
 
-let edge_probability st e = Option.value ~default:0.0 (Hashtbl.find_opt st.edge_prob e)
+(* Slot of the edge [src -> dst], or -1 when there is no such edge. *)
+let slot st src dst =
+  let s = st.succs.(src) in
+  let k = ref 0 in
+  while !k < Array.length s && s.(!k) <> dst do
+    incr k
+  done;
+  if !k < Array.length s then !k else -1
 
-let edge_executable st e = Option.value ~default:false (Hashtbl.find_opt st.edge_exec e)
+let edge_probability st src dst =
+  let k = slot st src dst in
+  if k < 0 then 0.0
+  else begin
+    let p = st.edge_prob.(src).(k) in
+    if Float.is_nan p then 0.0 else p
+  end
+
+let edge_executable st src dst =
+  let k = slot st src dst in
+  k >= 0 && st.edge_exec.(src).(k)
+
+let is_back_edge st src dst =
+  let k = slot st src dst in
+  k >= 0 && st.back.(src).(k)
 
 (* Relative block frequencies ignoring back edges (one RPO pass). Loop back
    edges contribute no mass, so a join's in-edge weights are frequencies
    relative to the enclosing region — exactly what normalised φ merging
    needs (common outer factors cancel). *)
 let recompute_freq st =
-  let fn = st.sfn in
-  let order =
-    Vrp_ir.Dom.reverse_postorder ~nblocks:(Ir.num_blocks fn)
-      ~succs:(fun bid -> Ir.successors (Ir.block fn bid).Ir.term)
-      ~root:Ir.entry_bid
-  in
   Array.fill st.freq 0 (Array.length st.freq) 0.0;
   st.freq.(Ir.entry_bid) <- 1.0;
   Array.iter
     (fun bid ->
-      let b = Ir.block fn bid in
       let f = st.freq.(bid) in
       if f > 0.0 && st.svisited.(bid) then
-        List.iter
-          (fun succ ->
-            if not (Loops.is_back_edge st.loops ~src:bid ~dst:succ) then
-              st.freq.(succ) <-
-                st.freq.(succ) +. (f *. edge_probability st (bid, succ)))
-          (Ir.successors b.Ir.term))
-    order;
+        Array.iteri
+          (fun k succ ->
+            if not st.back.(bid).(k) then
+              st.freq.(succ) <- st.freq.(succ) +. (f *. edge_probability st bid succ))
+          st.succs.(bid))
+    st.rpo;
   st.freq_dirty <- false
 
 (* Assertion-parent chain of a variable, starting with itself: used for the
@@ -203,13 +223,12 @@ let assert_chain st (v : Var.t) : Var.t list =
   let rec go (v : Var.t) acc depth =
     if depth > 64 then List.rev acc
     else begin
-      match Hashtbl.find_opt st.def_site v.Var.id with
-      | Some (bid, Instr idx) -> (
-        match List.nth_opt (Ir.block st.sfn bid).Ir.instrs idx with
-        | Some (Ir.Def (_, Ir.Assertion { parent; _ })) ->
-          go parent (parent :: acc) (depth + 1)
-        | _ -> List.rev acc)
-      | Some (_, Term) | None -> List.rev acc
+      let bid = st.def_block.(v.Var.id) in
+      if bid < 0 then List.rev acc
+      else
+        match st.instrs.(bid).(st.def_idx.(v.Var.id)) with
+        | Ir.Def (_, Ir.Assertion { parent; _ }) -> go parent (parent :: acc) (depth + 1)
+        | Ir.Def _ | Ir.Store _ -> List.rev acc
     end
   in
   go v [ v ] 0
@@ -271,23 +290,12 @@ let resolve st (v : Value.t) : Value.t =
   Value.subst ~only_singleton:true v ~lookup:(lookup_value st)
 
 let enqueue_uses st (v : Var.t) =
-  List.iter
-    (fun site -> Queue.add site st.ssa_list)
-    (Option.value ~default:[] (Hashtbl.find_opt st.uses v.Var.id));
-  match Hashtbl.find_opt st.extra_uses v.Var.id with
-  | Some sites -> List.iter (fun site -> Queue.add site st.ssa_list) !sites
-  | None -> ()
+  List.iter (fun site -> Queue.add site st.ssa_list) st.uses.(v.Var.id);
+  List.iter (fun site -> Queue.add site st.ssa_list) st.extra_uses.(v.Var.id)
 
 let register_extra_use st (dep : Var.t) site =
-  let sites =
-    match Hashtbl.find_opt st.extra_uses dep.Var.id with
-    | Some r -> r
-    | None ->
-      let r = ref [] in
-      Hashtbl.replace st.extra_uses dep.Var.id r;
-      r
-  in
-  if not (List.mem site !sites) then sites := site :: !sites
+  let sites = st.extra_uses.(dep.Var.id) in
+  if not (List.mem site sites) then st.extra_uses.(dep.Var.id) <- site :: sites
 
 (* Record a new value for [v]; returns true when it changed. The quota
    counts *changes*: a value that keeps moving is a non-inductive
@@ -302,11 +310,7 @@ let set_value st (v : Var.t) (value : Value.t) : bool =
     let widen reason =
       st.widenings <- st.widenings + 1;
       Vrp_ranges.Counters.record_widening ();
-      let block =
-        match Hashtbl.find_opt st.def_site vid with
-        | Some (bid, _) -> Some bid
-        | None -> None
-      in
+      let block = if st.def_block.(vid) >= 0 then Some st.def_block.(vid) else None in
       diag st ?block Diag.Info Diag.Widened
         (Printf.sprintf "%s widened to ⊥: %s" (Var.to_string v) reason);
       Value.bottom
@@ -345,7 +349,7 @@ let eval_phi st ~bid (v : Var.t) (args : (int * Ir.operand) list) : Value.t =
   (* Paper §3.8 note: merging assertion-derived variables of one parent (or
      a parent with its own assertion children) yields the parent's range. *)
   let exec_args =
-    List.filter (fun (pred, _) -> edge_executable st (pred, bid)) args
+    List.filter (fun (pred, _) -> edge_executable st pred bid) args
   in
   if exec_args = [] then Value.top
   else begin
@@ -366,14 +370,14 @@ let eval_phi st ~bid (v : Var.t) (args : (int * Ir.operand) list) : Value.t =
       let parts =
         List.map
           (fun (pred, op) ->
-            let base = st.freq.(pred) *. edge_probability st (pred, bid) in
+            let base = st.freq.(pred) *. edge_probability st pred bid in
             let w =
-              if Loops.is_back_edge st.loops ~src:pred ~dst:bid then begin
+              if is_back_edge st pred bid then begin
                 (* the back edge fires once per iteration: weight it by the
                    trip-count prior relative to the loop-entry mass *)
                 let latch_mass =
                   if base > 0.0 then base
-                  else Float.max st.freq.(pred) (edge_probability st (pred, bid))
+                  else Float.max st.freq.(pred) (edge_probability st pred bid)
                 in
                 st.cfg.trip_prior *. latch_mass
               end
@@ -432,9 +436,7 @@ let eval_rhs st ~bid ~site (v : Var.t) (rhs : Ir.rhs) : Value.t =
 let try_derive st ~bid ~site (v : Var.t) (args : (int * Ir.operand) list) : bool =
   if not st.cfg.use_derivation then false
   else begin
-    let has_back =
-      List.exists (fun (pred, _) -> Loops.is_back_edge st.loops ~src:pred ~dst:bid) args
-    in
+    let has_back = List.exists (fun (pred, _) -> is_back_edge st pred bid) args in
     if not has_back then false
     else begin
       match
@@ -443,15 +445,11 @@ let try_derive st ~bid ~site (v : Var.t) (args : (int * Ir.operand) list) : bool
       with
       | Some { value; depends; even_distribution } ->
         List.iter (fun dep -> register_extra_use st dep (bid, site)) depends;
-        Hashtbl.replace st.derived v.Var.id value;
-        if even_distribution then Hashtbl.remove st.uneven v.Var.id
-        else Hashtbl.replace st.uneven v.Var.id ();
+        st.uneven.(v.Var.id) <- not even_distribution;
         record_eval st;
         ignore (set_value st v value);
         true
-      | None ->
-        Hashtbl.remove st.derived v.Var.id;
-        false
+      | None -> false
     end
   end
 
@@ -475,11 +473,11 @@ let eval_instr st ~bid ~idx (instr : Ir.instr) =
 let eval_term st ~bid (term : Ir.term) =
   match term with
   | Ir.Jump dst ->
-    if edge_probability st (bid, dst) <> 1.0 then begin
-      Hashtbl.replace st.edge_prob (bid, dst) 1.0;
+    if edge_probability st bid dst <> 1.0 then begin
+      st.edge_prob.(bid).(slot st bid dst) <- 1.0;
       st.freq_dirty <- true
     end;
-    if not (edge_executable st (bid, dst)) then Queue.add (bid, dst) st.flow_list
+    if not (edge_executable st bid dst) then Queue.add (bid, dst) st.flow_list
   | Ir.Ret _ -> ()
   | Ir.Br { rel; ba; bb; tdst; fdst } ->
     record_eval st;
@@ -491,7 +489,7 @@ let eval_term st ~bid (term : Ir.term) =
       match Ir.operand_var op with
       | Some v ->
         List.exists
-          (fun (a : Var.t) -> Hashtbl.mem st.uneven a.Var.id)
+          (fun (a : Var.t) -> st.uneven.(a.Var.id))
           (assert_chain st v)
       | None -> false
     in
@@ -510,10 +508,10 @@ let eval_term st ~bid (term : Ir.term) =
     Hashtbl.replace st.bprobs bid prob;
     Hashtbl.replace st.bfallback bid fallback;
     let update dst p =
-      let old = edge_probability st (bid, dst) in
-      let first = not (Hashtbl.mem st.edge_prob (bid, dst)) in
-      if first || Float.abs (old -. p) > Config.eps then begin
-        Hashtbl.replace st.edge_prob (bid, dst) p;
+      let k = slot st bid dst in
+      let old = st.edge_prob.(bid).(k) in
+      if Float.is_nan old || Float.abs (old -. p) > Config.eps then begin
+        st.edge_prob.(bid).(k) <- p;
         st.freq_dirty <- true;
         if p > 0.0 then Queue.add (bid, dst) st.flow_list
       end
@@ -522,26 +520,26 @@ let eval_term st ~bid (term : Ir.term) =
     update fdst (1.0 -. prob)
 
 let visit_block st bid =
-  let blk = Ir.block st.sfn bid in
   if not st.svisited.(bid) then begin
     st.svisited.(bid) <- true;
     st.freq_dirty <- true;
-    List.iteri (fun idx instr -> eval_instr st ~bid ~idx instr) blk.Ir.instrs;
-    eval_term st ~bid blk.Ir.term
+    Array.iteri (fun idx instr -> eval_instr st ~bid ~idx instr) st.instrs.(bid);
+    eval_term st ~bid (Ir.block st.sfn bid).Ir.term
   end
   else
     (* revisit: φ-functions only (step 3) *)
-    List.iteri
+    Array.iteri
       (fun idx instr ->
         match instr with
         | Ir.Def (_, Ir.Phi _) -> eval_instr st ~bid ~idx instr
         | Ir.Def _ | Ir.Store _ -> ())
-      blk.Ir.instrs
+      st.instrs.(bid)
 
 let process_flow_edge st (src, dst) =
-  if edge_probability st (src, dst) > 0.0 && st.svisited.(src) then begin
-    let first = not (edge_executable st (src, dst)) in
-    Hashtbl.replace st.edge_exec (src, dst) true;
+  if edge_probability st src dst > 0.0 && st.svisited.(src) then begin
+    let k = slot st src dst in
+    let first = not st.edge_exec.(src).(k) in
+    st.edge_exec.(src).(k) <- true;
     if first || st.svisited.(dst) then visit_block st dst
   end
 
@@ -549,31 +547,31 @@ let process_ssa_site st (bid, site) =
   if st.svisited.(bid) then begin
     match site with
     | Term -> eval_term st ~bid (Ir.block st.sfn bid).Ir.term
-    | Instr idx -> (
-      match List.nth_opt (Ir.block st.sfn bid).Ir.instrs idx with
-      | Some instr -> eval_instr st ~bid ~idx instr
-      | None -> ())
+    | Instr idx -> eval_instr st ~bid ~idx st.instrs.(bid).(idx)
   end
 
 (* --- Use lists --- *)
 
-let build_uses (fn : Ir.fn) =
-  let uses = Hashtbl.create 64 in
-  let def_site = Hashtbl.create 64 in
-  let add (v : Var.t) site =
-    let cur = Option.value ~default:[] (Hashtbl.find_opt uses v.Var.id) in
-    Hashtbl.replace uses v.Var.id (site :: cur)
-  in
-  Ir.iter_blocks fn (fun b ->
-      List.iteri
+(* Use sites, newest first, and definition sites of every variable. *)
+let build_uses (fn : Ir.fn) instrs =
+  let uses = Array.make fn.Ir.nvars [] in
+  let def_block = Array.make fn.Ir.nvars (-1) in
+  let def_idx = Array.make fn.Ir.nvars (-1) in
+  let add (v : Var.t) site = uses.(v.Var.id) <- site :: uses.(v.Var.id) in
+  Array.iteri
+    (fun bid block ->
+      Array.iteri
         (fun idx instr ->
           (match Ir.instr_def instr with
-          | Some v -> Hashtbl.replace def_site v.Var.id (b.Ir.bid, Instr idx)
+          | Some v ->
+            def_block.(v.Var.id) <- bid;
+            def_idx.(v.Var.id) <- idx
           | None -> ());
-          List.iter (fun v -> add v (b.Ir.bid, Instr idx)) (Ir.instr_uses instr))
-        b.Ir.instrs;
-      List.iter (fun v -> add v (b.Ir.bid, Term)) (Ir.term_uses b.Ir.term));
-  (uses, def_site)
+          List.iter (fun v -> add v (bid, Instr idx)) (Ir.instr_uses instr))
+        block;
+      List.iter (fun v -> add v (bid, Term)) (Ir.term_uses (Ir.block fn bid).Ir.term))
+    instrs;
+  (uses, def_block, def_idx)
 
 (* --- Top-level driver --- *)
 
@@ -643,34 +641,47 @@ let analyze_body ?(config = default_config) ?report
     match config.fault with Some (Diag.Fault.Trip_after n) -> Some n | _ -> None
   in
   let loops = Loops.compute fn in
-  let uses, def_site = build_uses fn in
+  let nblocks = Ir.num_blocks fn in
+  let instrs = Array.init nblocks (fun bid -> Array.of_list (Ir.block fn bid).Ir.instrs) in
+  let succs =
+    Array.init nblocks (fun bid -> Array.of_list (Ir.successors (Ir.block fn bid).Ir.term))
+  in
+  let uses, def_block, def_idx = build_uses fn instrs in
   let st =
     {
       cfg = config;
       sfn = fn;
-      loops;
       hctx = Heuristics.make_ctx fn;
       dctx = Derive.make_ctx fn loops;
       vals = Array.make fn.Ir.nvars Value.top;
+      instrs;
+      succs;
+      back =
+        Array.mapi
+          (fun src -> Array.map (fun dst -> Loops.is_back_edge loops ~src ~dst))
+          succs;
+      rpo =
+        Vrp_ir.Dom.reverse_postorder ~nblocks
+          ~succs:(fun bid -> Ir.successors (Ir.block fn bid).Ir.term)
+          ~root:Ir.entry_bid;
       uses;
-      extra_uses = Hashtbl.create 16;
-      uneven = Hashtbl.create 8;
-      def_site;
-      svisited = Array.make (Ir.num_blocks fn) false;
-      edge_prob = Hashtbl.create 64;
-      edge_exec = Hashtbl.create 64;
+      extra_uses = Array.make fn.Ir.nvars [];
+      uneven = Array.make fn.Ir.nvars false;
+      def_block;
+      def_idx;
+      svisited = Array.make nblocks false;
+      edge_prob = Array.map (fun s -> Array.make (Array.length s) Float.nan) succs;
+      edge_exec = Array.map (fun s -> Array.make (Array.length s) false) succs;
       bprobs = Hashtbl.create 16;
       bfallback = Hashtbl.create 16;
-      freq = Array.make (Ir.num_blocks fn) 0.0;
+      freq = Array.make nblocks 0.0;
       freq_dirty = true;
       flow_list = Queue.create ();
       ssa_list = Queue.create ();
       eval_counts = Array.make fn.Ir.nvars 0;
       evals = 0;
-      derived = Hashtbl.create 16;
       calls = Hashtbl.create 16;
       call_oracle;
-      assert_root = Hashtbl.create 64;
       report;
       widenings = 0;
     }

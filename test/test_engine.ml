@@ -4,7 +4,9 @@
 
 module Engine = Vrp_core.Engine
 module Value = Vrp_ranges.Value
+module Srange = Vrp_ranges.Srange
 module Ir = Vrp_ir.Ir
+module Var = Vrp_ir.Var
 
 let tc = Alcotest.test_case
 
@@ -320,6 +322,81 @@ let termination_on_suite () =
         c.Vrp_core.Pipeline.ssa.Ir.fns)
     Vrp_suite.Suite.benchmarks
 
+(* --- Edge slots, on hand-built IR ---
+
+   Two CFGs over one parameter [n] in [0:9], both ending in
+   [B3: m = φ(B1: 10, B2: 20); return m]. *)
+
+let hand_var id base : Var.t = { Var.id; base; version = 0; ty = Vrp_lang.Ast.Tint }
+let hand_n = hand_var 0 "n"
+let hand_m = hand_var 1 "m"
+
+let hand_fn b0_term b1_term =
+  let join = [ Ir.Def (hand_m, Ir.Phi [ (1, Ir.Cint 10); (2, Ir.Cint 20) ]) ] in
+  let blocks =
+    [ ([], b0_term); ([], b1_term); ([], Ir.Jump 3); (join, Ir.Ret (Some (Ir.Ovar hand_m))) ]
+  in
+  let fn =
+    {
+      Ir.fname = "main";
+      ret_ty = Vrp_lang.Ast.Tint;
+      params = [ hand_n ];
+      blocks =
+        Array.of_list
+          (List.mapi (fun bid (instrs, term) -> { Ir.bid; instrs; term; preds = [] }) blocks);
+      nvars = 2;
+      local_arrays = [];
+    }
+  in
+  Ir.recompute_preds fn;
+  let n_range = Srange.numeric ~p:1.0 (Vrp_ranges.Progression.make 0 9 1) in
+  Engine.analyze ~param_values:[ Value.of_ranges [ n_range ] ] fn
+
+let hand_br k tdst fdst =
+  Ir.Br { rel = Vrp_lang.Ast.Lt; ba = Ir.Ovar hand_n; bb = Ir.Cint k; tdst; fdst }
+
+(* Exact probabilities of a value's ranges, with their shapes. *)
+let exact_ranges (v : Value.t) =
+  match v with
+  | Value.Ranges rs ->
+    String.concat " "
+      (List.map
+         (fun (r : Srange.t) ->
+           Printf.sprintf "%.17g[%s:%s:%d]" r.Srange.p (Vrp_ranges.Sym.to_string r.Srange.lo)
+             (Vrp_ranges.Sym.to_string r.Srange.hi) r.Srange.stride)
+         rs)
+  | Value.Top | Value.Bottom -> Value.to_string v
+
+let check_branches res expected =
+  Alcotest.(check (list (pair int string)))
+    "branch probabilities" expected
+    (List.filter_map
+       (fun bid ->
+         Option.map (fun p -> (bid, Printf.sprintf "%.17g" p)) (Engine.branch_prob res bid))
+       [ 0; 1; 2; 3 ])
+
+let br_with_coinciding_targets () =
+  (* B0: n < 5 ? B1 : B2;  B1: n < 3 ? B3 : B3. Both of B1's edges share
+     one slot, so the later write (the false edge, 0.7) is the edge's
+     probability, and B1's in-edge to the φ weighs 0.5 * 0.7 against B2's
+     0.5. *)
+  let res = hand_fn (hand_br 5 1 2) (hand_br 3 3 3) in
+  check_branches res [ (0, "0.5"); (1, "0.29999999999999999") ];
+  Alcotest.(check string)
+    "m" "0.41176470588235292[10:10:0] 0.58823529411764708[20:20:0]"
+    (exact_ranges res.Engine.values.(hand_m.Var.id));
+  Alcotest.(check int) "evaluations" 5 res.Engine.evaluations;
+  Alcotest.(check (array bool)) "visited" [| true; true; true; true |] res.Engine.visited
+
+let phi_in_edge_never_executes () =
+  (* B0: n < 20 ? B1 : B2 is one-way, so B2 -> B3 never executes and the φ
+     sees only B1's argument. *)
+  let res = hand_fn (hand_br 20 1 2) (Ir.Jump 3) in
+  check_branches res [ (0, "1") ];
+  Alcotest.(check string) "m" "1[10:10:0]" (exact_ranges res.Engine.values.(hand_m.Var.id));
+  Alcotest.(check int) "evaluations" 2 res.Engine.evaluations;
+  Alcotest.(check (array bool)) "visited" [| true; true; false; true |] res.Engine.visited
+
 let suite =
   ( "engine",
     [
@@ -346,4 +423,6 @@ let suite =
       tc "ssa-first worklist agrees" `Quick ssa_first_worklist_agrees;
       tc "tiny quota still sound" `Quick tiny_quota_still_sound;
       tc "termination within budget on suite" `Quick termination_on_suite;
+      tc "edge slots: Br with coinciding targets" `Quick br_with_coinciding_targets;
+      tc "edge slots: phi in-edge never executes" `Quick phi_in_edge_never_executes;
     ] )

@@ -123,6 +123,45 @@ let dominators_match_reference () =
         p.Ir.fns)
     Vrp_suite.Suite.benchmarks
 
+(* Reference for [Dom.reverse_postorder]: the plain recursive depth-first
+   search, successors in list order. *)
+let recursive_rpo ~nblocks ~succs ~root =
+  let visited = Array.make nblocks false in
+  let order = ref [] in
+  let rec visit node =
+    if not visited.(node) then begin
+      visited.(node) <- true;
+      List.iter visit (succs node);
+      order := node :: !order
+    end
+  in
+  visit root;
+  Array.of_list !order
+
+let rpo_matches_recursive () =
+  let same name ~nblocks ~succs ~root =
+    Alcotest.(check (array int))
+      name
+      (recursive_rpo ~nblocks ~succs ~root)
+      (Dom.reverse_postorder ~nblocks ~succs ~root)
+  in
+  List.iter
+    (fun (b : Vrp_suite.Suite.benchmark) ->
+      List.iter
+        (fun (fn : Ir.fn) ->
+          let nblocks = Ir.num_blocks fn in
+          let name = b.name ^ "/" ^ fn.Ir.fname in
+          same name ~nblocks ~root:Ir.entry_bid ~succs:(fun bid ->
+              Ir.successors (Ir.block fn bid).Ir.term);
+          (* the reversed CFG, from the last block *)
+          same (name ^ " reversed") ~nblocks ~root:(nblocks - 1) ~succs:(fun bid ->
+              (Ir.block fn bid).Ir.preds))
+        (Helpers.compile b.source).Vrp_core.Pipeline.ssa.Ir.fns)
+    Vrp_suite.Suite.benchmarks;
+  let n = 100_000 in
+  same "100k-block chain" ~nblocks:n ~root:0 ~succs:(fun i ->
+      if i + 1 < n then [ i + 1 ] else [])
+
 let idom_is_strict_dominator () =
   let fn = build_main (Option.get (Vrp_suite.Suite.find "qsort")).source in
   let d = Dom.compute fn in
@@ -291,6 +330,7 @@ let suite =
       tc "dom: matches naive reference" `Quick dominators_match_reference;
       tc "dom: idom strictness" `Quick idom_is_strict_dominator;
       tc "dom: postdominators" `Quick postdominators_sane;
+      tc "dom: iterative rpo matches recursive" `Quick rpo_matches_recursive;
       tc "loops: detection and nesting" `Quick loop_detection;
       tc "loops: back edges vs headers" `Quick back_edges_vs_headers;
       tc "loops: exit edges" `Quick loop_exit_edges;

@@ -356,6 +356,161 @@ let prop_normalize_idempotent =
       | Value.Ranges rs as v -> Value.equal v (Value.normalize rs)
       | Value.Top | Value.Bottom -> true)
 
+(* --- Compaction oracle ---
+
+   [Value.normalize] keeps a pairwise cost matrix across merge steps. The
+   quadratic rescan it replaced stays here, verbatim, as the reference: on
+   every input and range budget the two must agree exactly. *)
+
+module Config = Vrp_ranges.Config
+
+let reference_hull (a : Srange.t) (b : Srange.t) : Srange.t option =
+  match (Sym.min_sym a.lo b.lo, Sym.max_sym a.hi b.hi) with
+  | Some lo, Some hi ->
+    let stride =
+      if Sym.same_base a.lo b.lo then
+        P.gcd_stride (P.gcd_stride a.stride b.stride) (abs (a.lo.Sym.off - b.lo.Sym.off))
+      else 1
+    in
+    let stride = if Sym.equal lo hi then 0 else max stride 1 in
+    Srange.make ~p:(a.p +. b.p) ~lo ~hi ~stride
+  | (None | Some _), _ -> None
+
+let reference_merge_cost (a : Srange.t) (b : Srange.t) (merged : Srange.t) =
+  match (Srange.count merged, Srange.count a, Srange.count b) with
+  | Some cm, Some ca, Some cb -> float_of_int (cm - ca - cb)
+  | _ -> infinity
+
+let reference_normalize (rs : Srange.t list) : Value.t =
+  let rs = List.filter (fun (r : Srange.t) -> r.Srange.p > 0.0) rs in
+  if rs = [] then Value.Bottom
+  else if List.exists Srange.too_big rs then Value.Bottom
+  else begin
+    let rs = List.sort Srange.compare_sr rs in
+    let rec coalesce = function
+      | a :: b :: rest when Srange.same_shape a b ->
+        coalesce ({ a with Srange.p = a.Srange.p +. b.Srange.p } :: rest)
+      | a :: rest -> a :: coalesce rest
+      | [] -> []
+    in
+    let rs = ref (coalesce rs) in
+    let budget = !Config.max_ranges in
+    let exception Give_up in
+    (try
+       while List.length !rs > budget do
+         let arr = Array.of_list !rs in
+         let best = ref None in
+         Array.iteri
+           (fun i a ->
+             Array.iteri
+               (fun j b ->
+                 if i < j then
+                   match reference_hull a b with
+                   | None -> ()
+                   | Some merged ->
+                     let cost = reference_merge_cost a b merged in
+                     (match !best with
+                     | Some (_, _, _, c) when c <= cost -> ()
+                     | _ -> best := Some (i, j, merged, cost)))
+               arr)
+           arr;
+         match !best with
+         | None -> raise Give_up
+         | Some (i, j, merged, _) ->
+           let rest = Array.to_list arr |> List.filteri (fun k _ -> k <> i && k <> j) in
+           rs := List.sort Srange.compare_sr (merged :: rest)
+       done;
+       let total = List.fold_left (fun acc (r : Srange.t) -> acc +. r.Srange.p) 0.0 !rs in
+       if total < Config.eps then Value.Bottom
+       else if List.exists Srange.too_big !rs then Value.Bottom
+       else
+         Value.Ranges
+           (List.map (fun (r : Srange.t) -> { r with Srange.p = r.Srange.p /. total }) !rs)
+     with Give_up -> Value.Bottom)
+  end
+
+let oracle_var id base : Vrp_ir.Var.t = { Vrp_ir.Var.id; base; version = 1; ty = Ast.Tint }
+let var_a = oracle_var 0 "a"
+let var_b = oracle_var 1 "b"
+
+(* Numeric, same-base, mixed-base and (rarely) too-big ranges. A quarter
+   are raw records that [Srange.make] never normalised, and so are the
+   inverted ones ([hi < lo]), which it refuses. *)
+let gen_compaction_range : Srange.t QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let* kind =
+    frequency
+      [ (40, return `Numeric); (30, return `Same); (20, return `Mixed); (1, return `Too_big) ]
+  in
+  let* base = oneofl [ var_a; var_b ] in
+  let* other = oneofl [ None; Some var_a; Some var_b ] in
+  let* lo = int_range (-30) 30 in
+  let* len = int_range (-5) 30 in
+  let* stride = int_range 0 6 in
+  let* p = oneof [ oneofl [ 0.0; 1e-12; 0.1; 0.25; 0.5; 1.0 ]; float_range 0.0 1.0 ] in
+  let* raw = frequency [ (1, return true); (3, return false) ] in
+  let lo_s, hi_s =
+    match kind with
+    | `Numeric -> (Sym.num lo, Sym.num (lo + len))
+    | `Same -> (Sym.of_var ~off:lo base, Sym.of_var ~off:(lo + len) base)
+    | `Mixed -> ({ Sym.base = other; off = lo }, Sym.of_var ~off:(lo + len) base)
+    | `Too_big -> (Sym.num lo, Sym.of_var ~off:(Sym.limit + len + 1) base)
+  in
+  let made = Srange.make ~p ~lo:lo_s ~hi:hi_s ~stride in
+  return
+    (match made with
+    | Some r when not raw -> r
+    | Some _ | None -> { Srange.p; lo = lo_s; hi = hi_s; stride })
+
+let prop_compaction_matches_rescan =
+  Helpers.qtest ~count:1000 "compaction matches the quadratic rescan (R = 1, 2, 4, 8)"
+    QCheck2.Gen.(list_size (int_range 0 20) gen_compaction_range)
+    (fun rs ->
+      List.for_all
+        (fun r ->
+          Config.with_max_ranges r (fun () -> Value.normalize rs = reference_normalize rs))
+        [ 1; 2; 4; 8 ])
+
+let check_compaction name ~budget rs expected =
+  Config.with_max_ranges budget (fun () ->
+      let got = Value.normalize rs in
+      Alcotest.(check bool)
+        (name ^ ": matches the rescan") true
+        (got = reference_normalize rs);
+      Alcotest.(check string) name expected (print_value got))
+
+let compaction_fixed_cases () =
+  let num ~p lo hi stride = Srange.numeric ~p (P.make lo hi stride) in
+  (* tied costs: every pair of singletons costs 0, so the first pair keeps
+     winning *)
+  check_compaction "all pairs tie" ~budget:2
+    (List.init 5 (fun i -> num ~p:0.2 (i * 10) (i * 10) 0))
+    "{ 0.8[0:30:10], 0.2[40:40:0] }";
+  (* (0,1), (1,2) and (2,3) tie at cost 1: the lexicographically first wins *)
+  check_compaction "adjacent pairs tie" ~budget:3
+    [ num ~p:0.25 0 1 1; num ~p:0.25 3 4 1; num ~p:0.25 6 7 1; num ~p:0.25 9 10 1 ]
+    "{ 0.5[0:4:1], 0.25[6:7:1], 0.25[9:10:1] }";
+  (* only ∞-cost (mixed) pairs are mergeable, and [0:a] merges with
+     nothing: the first mergeable pair wins *)
+  let mixed ~p lo (v : Vrp_ir.Var.t) off =
+    Option.get (Srange.make ~p ~lo:(Sym.num lo) ~hi:(Sym.of_var ~off v) ~stride:1)
+  in
+  check_compaction "first mergeable pair at infinite cost" ~budget:3
+    [ mixed ~p:0.25 0 var_a 0; mixed ~p:0.25 1 var_b 1; mixed ~p:0.25 3 var_b 2;
+      mixed ~p:0.25 5 var_b 4 ]
+    "{ 0.25[0:a.1:1], 0.5[1:b.1+2:1], 0.25[5:b.1+4:1] }";
+  (* [0:a+3:2] and the raw [0:a+5:0] hull to the shape of the survivor
+     [0:a+5:2]: the merged range goes before it, as a stable sort puts it *)
+  check_compaction "merged range before an equal survivor" ~budget:2
+    [ { (mixed ~p:0.1 0 var_a 3) with Srange.stride = 2 };
+      { Srange.p = 0.1; lo = Sym.num 0; hi = Sym.of_var ~off:5 var_a; stride = 0 };
+      { (mixed ~p:0.8 0 var_a 5) with Srange.stride = 2 } ]
+    "{ 0.2[0:a.1+5:2], 0.8[0:a.1+5:2] }";
+  (* no pair is mergeable: ⊥ *)
+  check_compaction "nothing mergeable" ~budget:1
+    [ Srange.singleton ~p:0.5 (Sym.of_var var_a); Srange.singleton ~p:0.5 (Sym.of_var var_b) ]
+    "_|_"
+
 let prop_narrow_never_gains_mass =
   Helpers.qtest ~count:400 "narrowing keeps unit mass"
     QCheck2.Gen.(triple gen_rel gen_value gen_prog)
@@ -744,6 +899,8 @@ let suite =
       prop_prob_rel_exact;
       prop_prob_lt_approximation;
       prop_normalize_idempotent;
+      prop_compaction_matches_rescan;
+      tc "compaction: ties, infinite costs, give-up" `Quick compaction_fixed_cases;
       prop_narrow_never_gains_mass;
       prop_cmp_value_consistent_with_cmp_prob;
       prop_binop_sound;

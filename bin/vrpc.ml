@@ -92,9 +92,9 @@ let jobs_arg =
     value & opt int 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Analyse with $(docv) concurrent domains (SCC waves for a single \
-           program, whole files in batch mode). Results are byte-identical \
-           to --jobs 1.")
+          "Analyse with $(docv) concurrent domains (the functions of one call \
+           wave for a single program, whole files in batch mode). Results \
+           are byte-identical to --jobs 1.")
 
 let cache_arg =
   Arg.(

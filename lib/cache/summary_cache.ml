@@ -219,9 +219,6 @@ let counters_line c =
     "summary cache: %d hits (%d from disk), %d misses, %d invalidations, %d quarantined"
     c.hits c.disk_hits c.misses c.invalidations c.quarantined
 
-let report_into t report =
-  Diag.add report Diag.Info Diag.Cache_event (counters_line (counters t))
-
 (* --- Memory tier --- *)
 
 (* Call under the lock. Evicts down to 3/4 capacity by last use, so

@@ -97,9 +97,6 @@ val evict_memory : t -> int
 (** Render counters as a one-line summary, e.g. for a batch report. *)
 val counters_line : counters -> string
 
-(** Append a [Cache_event] diagnostic with the current counters. *)
-val report_into : t -> Diag.report -> unit
-
 (** [find_or_compute t ~slot ~stamp ~key compute] returns the summary for
     [key], computing and storing it on a miss. [slot] names the cached
     entity (used only for invalidation accounting — pass a file-qualified

@@ -71,51 +71,10 @@ let comparable a b = same_base a b && (not (too_big a)) && not (too_big b)
 
 let cmp a b : int option = if comparable a b then Some (Int.compare a.off b.off) else None
 
-(* --- Ambient relation oracle (symbolic algebra v2) ---
-
-   When [cmp] gives up — different base variables, or a same-base pair beyond
-   the offset cap — the engine may have relational facts (from assertions and
-   SSA def equations, see [Vrp_core.Alg]) that still decide the comparison.
-   The oracle is ambient, domain-local state rather than a parameter because
-   these comparisons happen deep inside [Value]/[Srange] arithmetic whose
-   signatures should not know about fact environments; the same pattern as
-   the domain-local frame stack behind [Counters.with_counters]. With no
-   oracle installed every answer below is exactly the v1 behaviour. *)
-
-type oracle = {
-  o_le : t -> t -> bool option;  (** decides [a <= b] *)
-  o_lt : t -> t -> bool option;  (** decides [a < b] *)
-}
-
-let oracle_key : oracle option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
-let with_relation_oracle o f =
-  let saved = Domain.DLS.get oracle_key in
-  Domain.DLS.set oracle_key (Some o);
-  Fun.protect ~finally:(fun () -> Domain.DLS.set oracle_key saved) f
-
-let consult q =
-  match Domain.DLS.get oracle_key with None -> None | Some o -> q o
-
-let le a b =
-  match cmp a b with
-  | Some c -> Some (c <= 0)
-  | None -> consult (fun o -> o.o_le a b)
-
-let lt a b =
-  match cmp a b with
-  | Some c -> Some (c < 0)
-  | None -> consult (fun o -> o.o_lt a b)
-
-let ge a b =
-  match cmp a b with
-  | Some c -> Some (c >= 0)
-  | None -> consult (fun o -> o.o_le b a)
-
-let gt a b =
-  match cmp a b with
-  | Some c -> Some (c > 0)
-  | None -> consult (fun o -> o.o_lt b a)
+let le a b = match cmp a b with Some c -> Some (c <= 0) | None -> None
+let lt a b = match cmp a b with Some c -> Some (c < 0) | None -> None
+let ge a b = match cmp a b with Some c -> Some (c >= 0) | None -> None
+let gt a b = match cmp a b with Some c -> Some (c > 0) | None -> None
 
 let min_sym a b = Option.map (fun c -> if c <= 0 then a else b) (cmp a b)
 let max_sym a b = Option.map (fun c -> if c >= 0 then a else b) (cmp a b)

@@ -4,12 +4,9 @@
     that an offset lies beyond the [limit] magnitude cap — [cmp] refuses to
     order same-base bounds once either offset exceeds [limit], because such
     bounds are outside the window where range arithmetic is exact and the
-    caller is about to widen them to ⊥ anyway.
-
-    The [le]/[lt]/[ge]/[gt] wrappers additionally consult the ambient
-    {!oracle} (installed by the engine when symbolic algebra v2 is enabled)
-    before giving up, so relational facts like [i < n] can decide
-    comparisons between different base variables. *)
+    caller is about to widen them to ⊥ anyway. Relations between different
+    base variables ([i < n]) are the symbolic algebra's business
+    ([Vrp_core.Alg]), decided after the fixpoint, never here. *)
 
 module Var = Vrp_ir.Var
 
@@ -41,16 +38,7 @@ val cmp : t -> t -> int option
 (** [comparable a b] iff [cmp a b] is [Some _], without allocating. *)
 val comparable : t -> t -> bool
 
-(** Relation oracle consulted by [le]/[lt]/[ge]/[gt] when [cmp] is [None].
-    Installed domain-locally (like [Counters] frames); [with_relation_oracle]
-    restores the previous oracle on exit, exceptions included. *)
-type oracle = {
-  o_le : t -> t -> bool option;  (** decides [a <= b] *)
-  o_lt : t -> t -> bool option;  (** decides [a < b] *)
-}
-
-val with_relation_oracle : oracle -> (unit -> 'a) -> 'a
-
+(** Decided comparisons: [None] exactly when [cmp] is [None]. *)
 val le : t -> t -> bool option
 val lt : t -> t -> bool option
 val ge : t -> t -> bool option

@@ -546,9 +546,6 @@ let narrow_hi (r : Srange.t) (limit : Sym.t) : Srange.t option =
         else Some { nr with Srange.p = nr.Srange.p *. frac }
       | _ -> Some nr)
   in
-  (* [ge] rather than [cmp]: identical on same-base bounds, but the ambient
-     relation oracle (symbolic algebra v2) can additionally decide cross-base
-     pairs like [n-1 >= m], making the narrowing strictly tighter. *)
   match Sym.ge limit r.hi with
   | Some true -> Some r (* already within bound *)
   | Some false -> apply limit

@@ -29,21 +29,6 @@ type aggregate = {
   resumed_files : int;
 }
 
-(* Fallback markers, same legend as [vrpc predict]: (fn, block) -> was the
-   heuristic fallback caused by degradation. *)
-let fallback_markers report =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (d : Diag.diag) ->
-      match (d.Diag.kind, d.Diag.loc.Diag.fn, d.Diag.loc.Diag.block) with
-      | Diag.Fallback_heuristic, Some fn, Some bid ->
-        let degraded = d.Diag.severity <> Diag.Info in
-        let prev = Option.value ~default:false (Hashtbl.find_opt tbl (fn, bid)) in
-        Hashtbl.replace tbl (fn, bid) (degraded || prev)
-      | _ -> ())
-    (Diag.to_list report);
-  tbl
-
 let failed_result name msg report =
   {
     name;
@@ -71,7 +56,6 @@ let analyze_one ?cache ?supervisor ~config (name, source) =
     failed_result name d.Diag.message report
   | Ok compiled ->
     let ssa = compiled.Pipeline.ssa in
-    let groups = Callgraph.scc_groups ssa in
     let analyze_fn =
       match cache with
       | Some c -> Summary_cache.memoized ~slot_prefix:(name ^ ":") c ssa
@@ -84,18 +68,11 @@ let analyze_one ?cache ?supervisor ~config (name, source) =
       | Some s -> Supervisor.wrap_analyze_fn s analyze_fn
       | None -> analyze_fn
     in
-    let vrp, ipa = Pipeline.vrp_predictions ~config ~report ~groups ~analyze_fn ssa in
-    let markers = fallback_markers report in
+    let vrp, ipa = Pipeline.vrp_predictions ~config ~report ~analyze_fn ssa in
+    let markers = Pipeline.fallback_branches report in
     let predictions =
       Hashtbl.fold
-        (fun key p acc ->
-          let marker =
-            match Hashtbl.find_opt markers key with
-            | Some true -> "!"
-            | Some false -> "*"
-            | None -> ""
-          in
-          (key, p, marker) :: acc)
+        (fun key p acc -> (key, p, Pipeline.fallback_marker markers key) :: acc)
         vrp []
       |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
     in

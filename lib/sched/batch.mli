@@ -1,6 +1,6 @@
 (** High-throughput batch analysis: fan out over many MiniC sources on a
-    domain pool, analysing each file's call graph in SCC condensation order
-    with an optional content-addressed summary cache.
+    domain pool, analysing each file with the interprocedural driver and
+    an optional content-addressed summary cache.
 
     Determinism contract: for fixed inputs and configuration, the rendered
     report is byte-identical whatever [jobs] is — results are merged in

@@ -1,11 +1,8 @@
-(** Static call graph + Tarjan SCC condensation (see the interface). *)
+(** Static call graph (see the interface). *)
 
 module Ir = Vrp_ir.Ir
 
-type t = {
-  order : string list;  (** program order, the traversal tie-break *)
-  edges : (string, string list) Hashtbl.t;
-}
+type t = { edges : (string, string list) Hashtbl.t }
 
 let build (program : Ir.program) : t =
   let defined = Hashtbl.create 16 in
@@ -18,50 +15,6 @@ let build (program : Ir.program) : t =
       in
       Hashtbl.replace edges fn.Ir.fname callees)
     program.Ir.fns;
-  { order = List.map (fun (fn : Ir.fn) -> fn.Ir.fname) program.Ir.fns; edges }
+  { edges }
 
 let callees t name = Option.value ~default:[] (Hashtbl.find_opt t.edges name)
-
-(* Iterative Tarjan. The classical algorithm emits an SCC only once all
-   components it reaches have been emitted, i.e. in reverse topological
-   order of the condensation; we reverse at the end to get callers first. *)
-let sccs t =
-  let index = Hashtbl.create 16 (* name -> discovery index *) in
-  let lowlink = Hashtbl.create 16 in
-  let on_stack = Hashtbl.create 16 in
-  let stack = ref [] in
-  let next_index = ref 0 in
-  let components = ref [] in
-  let rec strongconnect v =
-    Hashtbl.replace index v !next_index;
-    Hashtbl.replace lowlink v !next_index;
-    incr next_index;
-    stack := v :: !stack;
-    Hashtbl.replace on_stack v ();
-    List.iter
-      (fun w ->
-        if not (Hashtbl.mem index w) then begin
-          strongconnect w;
-          Hashtbl.replace lowlink v
-            (min (Hashtbl.find lowlink v) (Hashtbl.find lowlink w))
-        end
-        else if Hashtbl.mem on_stack w then
-          Hashtbl.replace lowlink v (min (Hashtbl.find lowlink v) (Hashtbl.find index w)))
-      (callees t v);
-    if Hashtbl.find lowlink v = Hashtbl.find index v then begin
-      (* v is the root of an SCC: pop the stack down to it. *)
-      let rec pop acc =
-        match !stack with
-        | [] -> acc
-        | w :: rest ->
-          stack := rest;
-          Hashtbl.remove on_stack w;
-          if String.equal w v then w :: acc else pop (w :: acc)
-      in
-      components := List.sort String.compare (pop []) :: !components
-    end
-  in
-  List.iter (fun v -> if not (Hashtbl.mem index v) then strongconnect v) t.order;
-  !components
-
-let scc_groups program = sccs (build program)

@@ -1,9 +1,6 @@
-(** Static call graph of an SSA program and its SCC condensation.
-
-    The interprocedural driver analyses one function per task; mutually
-    recursive functions (one SCC) are co-located in a single task, and the
-    driver's waves visit SCCs in condensation topological order. This
-    module computes that plan once per program. *)
+(** Static call graph of an SSA program: which defined functions each
+    function may call. The daemon's session planner walks it to find the
+    functions downstream of an edit. *)
 
 module Ir = Vrp_ir.Ir
 
@@ -14,13 +11,3 @@ val build : Ir.program -> t
 (** Functions [name] may call, restricted to functions defined in the
     program, sorted and deduplicated. *)
 val callees : t -> string -> string list
-
-(** Strongly connected components of the call graph in topological order of
-    the condensation — callers before callees (recursion permitting), with
-    [main]'s component wherever the order puts it. Members of one SCC are
-    sorted by name. Every program function appears in exactly one SCC. *)
-val sccs : t -> string list list
-
-(** Convenience: [sccs (build program)]. The [groups] plan for
-    {!Vrp_core.Interproc.analyze}. *)
-val scc_groups : Ir.program -> string list list

@@ -13,7 +13,8 @@
 
     Tasks must not submit work to the pool they run on (the worker would
     wait on itself). The batch driver therefore parallelises at one level
-    at a time: across files, or across the SCC waves inside one file. *)
+    at a time: across files, or across the functions of one wave inside
+    one file. *)
 
 type t
 

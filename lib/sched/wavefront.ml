@@ -1,17 +1,8 @@
-(** SCC-wave parallel interprocedural analysis (see the interface). *)
+(** Wave-parallel interprocedural analysis (see the interface). *)
 
-module Ir = Vrp_ir.Ir
-module Diag = Vrp_diag.Diag
-module Engine = Vrp_core.Engine
 module Interproc = Vrp_core.Interproc
 
 let runner pool : Interproc.runner =
  fun tasks ->
   Pool.map pool (fun (task : Interproc.task) -> task.run ()) tasks
   |> Array.map (function Ok r -> r | Error e -> raise e)
-
-let analyze ?config ?report ?max_rounds ?analyze_fn ~jobs program =
-  let groups = Callgraph.scc_groups program in
-  Pool.with_pool ~jobs (fun pool ->
-      Interproc.analyze ?config ?report ?max_rounds ~groups ~run_tasks:(runner pool)
-        ?analyze_fn program)

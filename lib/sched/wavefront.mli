@@ -1,26 +1,11 @@
-(** SCC-wave parallelism for a single program: plugs the domain pool into
-    the interprocedural driver's scheduling seam, so the independent SCCs
-    of each wave run concurrently within every interprocedural round. *)
+(** Wave parallelism for a single program: plugs the domain pool into the
+    interprocedural driver's scheduling seam, so the independent
+    per-function tasks of each wave run concurrently within every
+    interprocedural round. *)
 
-module Ir = Vrp_ir.Ir
-module Diag = Vrp_diag.Diag
-module Engine = Vrp_core.Engine
-module Interproc = Vrp_core.Interproc
-
-(** An {!Interproc.runner} that executes a wave's tasks on the pool. A task
-    whose infrastructure raises (the per-function containment inside the
-    task never does) is re-raised at the merge point, exactly as it would
-    in sequential execution. *)
-val runner : Pool.t -> Interproc.runner
-
-(** {!Interproc.analyze} with the SCC condensation plan of [program] and a
-    pool of [jobs] domains. [jobs = 1] is the deterministic reference: any
-    other value produces byte-identical results, just faster. *)
-val analyze :
-  ?config:Engine.config ->
-  ?report:Diag.report ->
-  ?max_rounds:int ->
-  ?analyze_fn:Interproc.analyze_fn ->
-  jobs:int ->
-  Ir.program ->
-  Interproc.t
+(** An {!Vrp_core.Interproc.runner} that executes a wave's tasks on the
+    pool. A task whose infrastructure raises (the per-function containment
+    inside the task never does) is re-raised at the merge point, exactly as
+    it would in sequential execution. Results are merged in task order, so
+    any pool width is byte-identical to the sequential default. *)
+val runner : Pool.t -> Vrp_core.Interproc.runner

@@ -13,7 +13,6 @@ module Interproc = Vrp_core.Interproc
 module Interp = Vrp_profile.Interp
 module Pool = Vrp_sched.Pool
 module Wavefront = Vrp_sched.Wavefront
-module Callgraph = Vrp_sched.Callgraph
 module Batch = Vrp_sched.Batch
 module Supervisor = Vrp_sched.Supervisor
 module Summary_cache = Vrp_cache.Summary_cache
@@ -80,27 +79,6 @@ let finish ~opts ~report out =
   let code = if opts.strict && Diag.degraded report then 3 else 0 in
   { out; err; code }
 
-(* Branches the report attributes to heuristic fallback, for output
-   annotation: (fn, block) -> caused by degradation (vs ordinary ⊥). *)
-let fallback_branches report =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (d : Diag.diag) ->
-      match (d.Diag.kind, d.Diag.loc.Diag.fn, d.Diag.loc.Diag.block) with
-      | Diag.Fallback_heuristic, Some fn, Some bid ->
-        let degraded = d.Diag.severity <> Diag.Info in
-        let prev = Option.value ~default:false (Hashtbl.find_opt tbl (fn, bid)) in
-        Hashtbl.replace tbl (fn, bid) (degraded || prev)
-      | _ -> ())
-    (Diag.to_list report);
-  tbl
-
-let marker_of fb key =
-  match Hashtbl.find_opt fb key with
-  | Some true -> "!" (* degraded: crash / fuel / timeout *)
-  | Some false -> "*" (* ordinary ⊥-range heuristic fallback *)
-  | None -> ""
-
 (* --- predict --- *)
 
 let predict_compiled ?pool ?analyze_fn ~opts (c : Pipeline.compiled) =
@@ -108,12 +86,9 @@ let predict_compiled ?pool ?analyze_fn ~opts (c : Pipeline.compiled) =
   let config = config_of opts in
   let model = resolve_model ~report opts.model in
   let fallback = Option.map Infer.fallback model in
-  (* Always schedule through the SCC wavefront plan so any parallelism is
-     byte-identical to --jobs 1 (the sequential reference). *)
-  let groups = Callgraph.scc_groups c.Pipeline.ssa in
   let run pool =
-    Pipeline.vrp_predictions ~config ~report ~groups
-      ~run_tasks:(Wavefront.runner pool) ?analyze_fn ?fallback c.Pipeline.ssa
+    Pipeline.vrp_predictions ~config ~report ~run_tasks:(Wavefront.runner pool)
+      ?analyze_fn ?fallback c.Pipeline.ssa
   in
   let vrp, _ =
     match pool with
@@ -122,7 +97,7 @@ let predict_compiled ?pool ?analyze_fn ~opts (c : Pipeline.compiled) =
   in
   let bl = Vrp_predict.Predictor.ball_larus c.Pipeline.ssa in
   let nf = Vrp_predict.Predictor.ninety_fifty c.Pipeline.ssa in
-  let fb = fallback_branches report in
+  let fb = Pipeline.fallback_branches report in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
     (Printf.sprintf "%-28s %9s %12s %8s\n" "branch" "vrp" "ball-larus" "90/50");
@@ -134,7 +109,8 @@ let predict_compiled ?pool ?analyze_fn ~opts (c : Pipeline.compiled) =
            (Printf.sprintf "%s.B%d (%s %s %s)" fname bid (Ir.operand_to_string br.ba)
               (Vrp_lang.Ast.relop_to_string br.rel)
               (Ir.operand_to_string br.bb))
-           (100.0 *. get vrp) (marker_of fb key) (100.0 *. get bl) (100.0 *. get nf)))
+           (100.0 *. get vrp) (Pipeline.fallback_marker fb key) (100.0 *. get bl)
+           (100.0 *. get nf)))
     (Vrp_predict.Predictor.branches c.Pipeline.ssa);
   if Hashtbl.length fb > 0 then
     Buffer.add_string buf
@@ -175,7 +151,7 @@ let compare_predictors ~opts ~train ~ref_args ~source () =
     let predictors =
       Pipeline.all_predictors ~report ~config ?fallback ~train c.Pipeline.ssa
     in
-    let fb = fallback_branches report in
+    let fb = Pipeline.fallback_branches report in
     let buf = Buffer.create 1024 in
     Buffer.add_string buf (Printf.sprintf "%-24s %8s" "branch" "actual");
     List.iter (fun (name, _) -> Buffer.add_string buf (Printf.sprintf " %12s" name)) predictors;
@@ -192,7 +168,7 @@ let compare_predictors ~opts ~train ~ref_args ~source () =
         let actual = float_of_int st.Interp.taken /. float_of_int st.Interp.total in
         Buffer.add_string buf
           (Printf.sprintf "%-24s %7.1f%%"
-             (Printf.sprintf "%s.B%d%s" fname bid (marker_of fb key))
+             (Printf.sprintf "%s.B%d%s" fname bid (Pipeline.fallback_marker fb key))
              (100.0 *. actual));
         List.iter
           (fun (_, p) ->

@@ -114,7 +114,7 @@ type plan = {
 }
 
 (* Names reachable from [seeds] through the call graph — the functions
-   whose SCC waves run downstream of an edit. *)
+   downstream of an edit. *)
 let descendants cg seeds =
   let seen = Hashtbl.create 16 in
   let rec visit name =

@@ -8,16 +8,16 @@
 
     - {e changed}: its SSA digest differs (or it is new) — must re-analyze;
     - {e dirty}: changed, or reachable from a changed function in the call
-      graph — its SCC wave is downstream of an edit, so its analysis inputs
+      graph — it is downstream of an edit, so its analysis inputs
       (argument ranges from callers, return ranges from callees) may have
-      moved. Only these waves should re-run;
+      moved. Only these functions should re-run;
     - {e reused}: everything else — served from the session's warm cache.
 
     The plan is the {e predicted} invalidation; the content-addressed cache
     remains the ground truth (a dirty function whose inputs happen not to
     move still hits). The server reports both — the plan and the request's
     exact cache-counter delta — so tests can pin "a one-function edit
-    re-runs only affected SCC waves".
+    re-runs only affected functions".
 
     Each session serializes its own analyses under {!with_lock}, which is
     what makes the counter delta exact; different sessions run freely in

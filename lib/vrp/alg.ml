@@ -19,7 +19,6 @@ type t = {
   copy_of : (int, Var.t) Hashtbl.t;  (* var id -> the variable it copies *)
   expansion : (int, Sop.t) Hashtbl.t;  (* memoized polynomial per var *)
   mutable env : Alg_env.t;
-  mutable scope : int;  (* block the engine is currently evaluating *)
 }
 
 let max_expand_depth = 8
@@ -271,18 +270,17 @@ let phi_facts ctx =
           | _ -> ())
         b.Ir.instrs)
 
-let make fn =
+let make ~dom fn =
   let ctx =
     {
       fn;
-      dom = Dom.compute fn;
+      dom;
       defs = Hashtbl.create 64;
       def_block = Hashtbl.create 64;
       def_var = Hashtbl.create 64;
       copy_of = Hashtbl.create 32;
       expansion = Hashtbl.create 64;
       env = Alg_env.empty;
-      scope = Ir.entry_bid;
     }
   in
   List.iter
@@ -308,8 +306,6 @@ let make fn =
   ctx.env <- Alg_env.refine ctx.env;
   ctx
 
-let set_scope ctx bid = ctx.scope <- bid
-
 let admit_at ctx bid scope_bid = Dom.dominates ctx.dom scope_bid bid
 
 let decide_at ctx ~bid rel a b =
@@ -322,20 +318,9 @@ let sop_of_sym ctx (s : Sym.t) =
     if is_int v then Some (Sop.add (expand0 ctx v) (Sop.const s.Sym.off))
     else None
 
-let with_oracle ctx f =
-  let query rel a b =
-    match (sop_of_sym ctx a, sop_of_sym ctx b) with
-    | Some sa, Some sb -> decide_at ctx ~bid:ctx.scope rel sa sb
-    | _ -> None
-  in
-  Sym.with_relation_oracle
-    { Sym.o_le = query Ast.Le; Sym.o_lt = query Ast.Lt }
-    f
-
 (* Post-fixpoint harvesting: converged per-variable ranges become facts.
    Only bounds that hold for *every* range of the value are usable; fold
-   them with the plain (oracle-free) Sym min/max, which is what min_sym /
-   max_sym are. *)
+   them with Sym's min/max. *)
 let add_range_facts ctx ~values =
   let bound_fact v sop_v value =
     match value with

@@ -10,20 +10,13 @@
       contributes [parent arel abound] over expanded operands, scoped to the
       assertion's block — the fact only holds where that block dominates.
 
-    The context then answers relational queries three ways:
+    The context then answers relational queries two ways:
     - [decide_branch] decides a branch's relation at a given block —
       used by the engine's post-fixpoint pass to upgrade fallback branches
       to proved one-way predictions.
     - [prove_index_bounds] proves [0 <= index < size] for an array access —
       used by [Bounds_check] to eliminate checks whose index algebra
       ([a\[2*i+1\]], [a\[n-i-1\]]) is invisible to v1 [var + const] bounds.
-    - [with_oracle] installs a {!Vrp_ranges.Sym.oracle} so that [Value] /
-      [Srange] comparisons ([Sym.le]/[lt]/[ge]/[gt]) consult the facts when
-      plain offset comparison gives up. The engine's fixpoint deliberately
-      does {e not} install it: decided comparisons mid-run keep more
-      endpoints symbolic, which perturbs the iteration trajectory, trips
-      the widening caps more often, and measurably {e loses} precision
-      (DESIGN.md §15). It remains available to post-fixpoint consumers.
 
     [add_range_facts] harvests the engine's {e post-fixpoint} value ranges
     (numeric or single-base symbolic bounds per variable) into additional
@@ -35,15 +28,9 @@ module Value = Vrp_ranges.Value
 
 type t
 
-val make : Ir.fn -> t
-
-val set_scope : t -> int -> unit
-(** Tell the ambient oracle which block the engine is currently evaluating;
-    facts are admitted iff their home block dominates it. *)
-
-val with_oracle : t -> (unit -> 'a) -> 'a
-(** Run [f] with the context installed as the ambient [Sym] relation
-    oracle; always restores the previous oracle. *)
+val make : dom:Vrp_ir.Dom.t -> Ir.fn -> t
+(** [dom] is the function's dominator tree ({!Vrp_ir.Dom.compute}): a
+    scoped fact is admitted at a block iff its home block dominates it. *)
 
 val add_range_facts : t -> values:Value.t array -> unit
 (** Fold converged per-variable ranges into the fact set and re-refine. *)

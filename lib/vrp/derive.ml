@@ -51,22 +51,48 @@ exception No_match
 
 let max_trace_depth = 64
 
-(* Definition site of an SSA variable, if any (parameters have none). *)
-let def_of (defs : (int, Ir.rhs) Hashtbl.t) (v : Var.t) = Hashtbl.find_opt defs v.Var.id
+let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
 
-let build_defs (fn : Ir.fn) : (int, Ir.rhs) Hashtbl.t =
-  let defs = Hashtbl.create 64 in
-  Ir.iter_blocks fn (fun b ->
-      List.iter
-        (fun instr ->
-          match instr with
-          | Ir.Def (v, rhs) -> Hashtbl.replace defs v.Var.id rhs
-          | Ir.Store _ -> ())
-        b.Ir.instrs);
-  defs
+(* A usable loop bound: symbolic or numeric, plus dependencies. *)
+type bound = { bsym : Sym.t; bdeps : Var.t list }
+
+(* The latch paths of a φ, once traced. *)
+type traced = Untraced | Paths of path list | Unmatched
+
+(** Per-function context, built once per engine run and reused across
+    derivation attempts (keeping each attempt O(chain length), which the
+    linearity figures rely on). The definition sites are the engine's own
+    tables. *)
+type ctx = {
+  cloops : Loops.t;
+  instrs : Ir.instr array array;  (** block id -> its instructions *)
+  def_block : int array;  (** var id -> defining block, or -1 *)
+  def_idx : int array;  (** var id -> index of its definition in the block *)
+  cpaths : traced array;
+      (** φ var id -> its latch paths; they depend on SSA definitions
+          only, never on values, so one trace serves every attempt *)
+}
+
+let make_ctx ~loops ~instrs ~def_block ~def_idx : ctx =
+  {
+    cloops = loops;
+    instrs;
+    def_block;
+    def_idx;
+    cpaths = Array.make (Array.length def_block) Untraced;
+  }
+
+(* Definition of an SSA variable, if any (parameters have none). *)
+let def_of ctx (v : Var.t) =
+  let bid = ctx.def_block.(v.Var.id) in
+  if bid < 0 then None
+  else
+    match ctx.instrs.(bid).(ctx.def_idx.(v.Var.id)) with
+    | Ir.Def (_, rhs) -> Some rhs
+    | Ir.Store _ -> None
 
 (* Trace [u] back to [phi_var]; returns all paths. *)
-let trace_paths defs ~(phi_var : Var.t) (start : Ir.operand) : path list =
+let trace_paths ctx ~(phi_var : Var.t) (start : Ir.operand) : path list =
   let rec go op depth (seen : int list) : path list =
     if depth > max_trace_depth then raise No_match;
     match op with
@@ -76,7 +102,7 @@ let trace_paths defs ~(phi_var : Var.t) (start : Ir.operand) : path list =
       else if List.mem u.Var.id seen then raise No_match
       else begin
         let seen = u.Var.id :: seen in
-        match def_of defs u with
+        match def_of ctx u with
         | None -> raise No_match
         | Some rhs -> (
           match rhs with
@@ -110,44 +136,6 @@ let trace_paths defs ~(phi_var : Var.t) (start : Ir.operand) : path list =
   in
   go start 0 []
 
-let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
-
-(* A usable loop bound: symbolic or numeric, plus dependencies. *)
-type bound = { bsym : Sym.t; bdeps : Var.t list }
-
-(* The latch paths of a φ, once traced. *)
-type traced = Untraced | Paths of path list | Unmatched
-
-(** Per-function context, built once and reused across derivation attempts
-    (keeping each attempt O(chain length), which the linearity figures rely
-    on). *)
-type ctx = {
-  cfn : Ir.fn;
-  cloops : Loops.t;
-  cdefs : (int, Ir.rhs) Hashtbl.t;
-  cdef_block : (int, int) Hashtbl.t;  (** var id -> defining block *)
-  cpaths : traced array;
-      (** φ var id -> its latch paths; they depend on SSA definitions
-          only, never on values, so one trace serves every attempt *)
-}
-
-let make_ctx (fn : Ir.fn) (loops : Loops.t) : ctx =
-  let cdef_block = Hashtbl.create 64 in
-  Ir.iter_blocks fn (fun b ->
-      List.iter
-        (fun instr ->
-          match instr with
-          | Ir.Def (v, _) -> Hashtbl.replace cdef_block v.Var.id b.Ir.bid
-          | Ir.Store _ -> ())
-        b.Ir.instrs);
-  {
-    cfn = fn;
-    cloops = loops;
-    cdefs = build_defs fn;
-    cdef_block;
-    cpaths = Array.make fn.Ir.nvars Untraced;
-  }
-
 (** Attempt to derive the value range of the loop-carried φ [phi_var] with
     arguments [args] in block [phi_bid].
 
@@ -157,7 +145,6 @@ let attempt ~(ctx : ctx) ~(values : Var.t -> Value.t) ~(symbolic : bool)
     ~(phi_bid : int) ~(phi_var : Var.t) ~(args : (int * Ir.operand) list) :
     outcome option =
   let loops = ctx.cloops in
-  let defs = ctx.cdefs in
   let back, entry =
     List.partition (fun (pred, _) -> Loops.is_back_edge loops ~src:pred ~dst:phi_bid) args
   in
@@ -192,7 +179,7 @@ let attempt ~(ctx : ctx) ~(values : Var.t -> Value.t) ~(symbolic : bool)
         | Paths paths -> paths
         | Unmatched -> raise No_match
         | Untraced -> (
-          match List.concat_map (fun (_, op) -> trace_paths defs ~phi_var op) back with
+          match List.concat_map (fun (_, op) -> trace_paths ctx ~phi_var op) back with
           | paths ->
             ctx.cpaths.(id) <- Paths paths;
             paths
@@ -225,9 +212,8 @@ let attempt ~(ctx : ctx) ~(values : Var.t -> Value.t) ~(symbolic : bool)
         | None -> raise No_match
       in
       let invariant (v : Var.t) =
-        match Hashtbl.find_opt ctx.cdef_block v.Var.id with
-        | None -> true (* parameter *)
-        | Some bid -> not (Loops.IntSet.mem bid loop_body)
+        let bid = ctx.def_block.(v.Var.id) in
+        bid < 0 (* parameter *) || not (Loops.IntSet.mem bid loop_body)
       in
       (* Loop-variant bound variables are often just in-loop assertion
          copies of an invariant ancestor (the branch assertion renames both
@@ -236,7 +222,7 @@ let attempt ~(ctx : ctx) ~(values : Var.t -> Value.t) ~(symbolic : bool)
         if depth > max_trace_depth || invariant w || List.mem w.Var.id seen then w
         else begin
           let seen = w.Var.id :: seen in
-          match def_of defs w with
+          match def_of ctx w with
           | Some (Ir.Assertion { parent; _ }) -> invariant_ancestor parent (depth + 1) seen
           | Some (Ir.Op (Ir.Ovar u)) -> invariant_ancestor u (depth + 1) seen
           | Some (Ir.Phi args) -> (

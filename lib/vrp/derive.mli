@@ -19,11 +19,19 @@ type outcome = {
           are unreliable *)
 }
 
-(** Per-function context, built once and reused (keeps each attempt
-    O(chain length)). *)
+(** Per-function context, built once per engine run and reused (keeps each
+    attempt O(chain length)). *)
 type ctx
 
-val make_ctx : Ir.fn -> Vrp_ir.Loops.t -> ctx
+(** [instrs] are the function's instructions per block; [def_block] and
+    [def_idx] map a var id to its definition's block ([-1] for a
+    parameter) and index there — the engine's own static tables. *)
+val make_ctx :
+  loops:Vrp_ir.Loops.t ->
+  instrs:Ir.instr array array ->
+  def_block:int array ->
+  def_idx:int array ->
+  ctx
 
 (** Attempt derivation for φ [phi_var] with arguments [args] in block
     [phi_bid]; [None] when the chain does not match the template. *)

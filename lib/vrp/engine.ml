@@ -640,7 +640,11 @@ let analyze_body ?(config = default_config) ?report
   let trip_after =
     match config.fault with Some (Diag.Fault.Trip_after n) -> Some n | _ -> None
   in
-  let loops = Loops.compute fn in
+  (* The static passes run once: the heuristic context's loops (and their
+     dominator tree) serve the back-edge table, derivation and the algebra
+     post-pass; derivation reads the definition sites built here. *)
+  let hctx = Heuristics.make_ctx fn in
+  let loops = hctx.Heuristics.loops in
   let nblocks = Ir.num_blocks fn in
   let instrs = Array.init nblocks (fun bid -> Array.of_list (Ir.block fn bid).Ir.instrs) in
   let succs =
@@ -651,8 +655,8 @@ let analyze_body ?(config = default_config) ?report
     {
       cfg = config;
       sfn = fn;
-      hctx = Heuristics.make_ctx fn;
-      dctx = Derive.make_ctx fn loops;
+      hctx;
+      dctx = Derive.make_ctx ~loops ~instrs ~def_block ~def_idx;
       vals = Array.make fn.Ir.nvars Value.top;
       instrs;
       succs;
@@ -686,13 +690,6 @@ let analyze_body ?(config = default_config) ?report
       widenings = 0;
     }
   in
-  (* The fixpoint below deliberately runs WITHOUT the ambient [Sym] relation
-     oracle: installing it mid-run keeps more endpoints symbolic, which
-     perturbs the iteration trajectory, trips the growth/widening caps more
-     often, and can end with *wider* final ranges than v1 (measured on the
-     committed suite). All v2 gains are post-fixpoint passes over converged
-     v1-identical ranges — monotone by construction, and byte-identical
-     whenever the algebra discovers nothing new. *)
   (* Parameters: supplied ranges, or ⊥ (program input). *)
   let pvals =
     match param_values with
@@ -812,7 +809,7 @@ let analyze_body ?(config = default_config) ?report
        match !alg with
        | Some a -> a
        | None ->
-         let a = Alg.make fn in
+         let a = Alg.make ~dom:loops.Loops.dom fn in
          Alg.add_range_facts a ~values:st.vals;
          alg := Some a;
          a

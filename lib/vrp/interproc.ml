@@ -18,13 +18,11 @@
 
     Scheduling: within a round, functions are analysed in {e waves} — the
     levels of a breadth-first sweep of the executable call graph from
-    [main], i.e. the dynamic topological order of the call-graph SCC
-    condensation restricted to code the analysis can reach. Every function
-    in a wave reads only the {e previous} round's environments, so the
-    functions of one wave are independent: the [run_tasks] seam lets
-    [Vrp_sched] execute them on a domain pool, and the [groups] plan
-    co-locates the members of one SCC in a single task. Results, recorded
-    call sites and diagnostics are merged in deterministic task order, so a
+    [main], each level in first-discovery order. Every function in a wave
+    reads only the {e previous} round's environments, so the functions of
+    one wave are independent: each is one task, and the [run_tasks] seam
+    lets [Vrp_sched] execute a wave's tasks on a domain pool. Results,
+    recorded call sites and diagnostics are merged in task order, so a
     parallel run is byte-identical to the sequential default.
 
     Reuse: like the SCCP/VRP propagation it extends, the driver re-evaluates
@@ -69,20 +67,17 @@ type inputs = { params : Value.t list; answers : (string * Value.t) list }
     environment, or demoted in an earlier round). *)
 type outcome = Analyzed of Engine.t * inputs | Crashed of string | Skipped
 
-(** One schedulable unit: the functions of one call-graph SCC discovered in
-    the same wave. [run] is pure with respect to shared driver state — it
-    reads the previous round's environments only — so tasks of one wave may
-    execute concurrently. Each function comes back with a private
-    diagnostics report, merged by the driver in task order. *)
-type task = {
-  group : string list;
-  run : unit -> (string * outcome * Diag.report) list;
-}
+(** One schedulable unit: one function of a wave. [run] is pure with
+    respect to shared driver state — it reads the previous round's
+    environments only — so the tasks of one wave may execute concurrently.
+    The function comes back with a private diagnostics report, merged by
+    the driver in task order. *)
+type task = { fn : string; run : unit -> outcome * Diag.report }
 
 (** The scheduler seam: execute a wave of independent tasks and return
     their results {e in task order}. The default runs them sequentially in
-    the calling domain, which is the exact legacy behaviour. *)
-type runner = task array -> (string * outcome * Diag.report) list array
+    the calling domain. *)
+type runner = task array -> (outcome * Diag.report) array
 
 (** The per-function analysis seam: [Vrp_cache] interposes a memoizing
     wrapper here. The default is {!Engine.analyze}. *)
@@ -154,8 +149,8 @@ let sorted_keys tbl =
     that function to the heuristic predictor. Containment composes with the
     scheduler: a crash inside a pooled task demotes only that function. *)
 let analyze ?(config = Engine.default_config) ?report
-    ?(max_rounds = default_max_rounds) ?(groups : string list list = [])
-    ?(run_tasks = sequential_runner) ?(analyze_fn = default_analyze_fn)
+    ?(max_rounds = default_max_rounds) ?(run_tasks = sequential_runner)
+    ?(analyze_fn = default_analyze_fn)
     (program : Ir.program) : t =
   let param_env : (string, Value.t list) Hashtbl.t = Hashtbl.create 16 in
   let return_env : (string, Value.t) Hashtbl.t = Hashtbl.create 16 in
@@ -164,17 +159,6 @@ let analyze ?(config = Engine.default_config) ?report
   | Some main ->
     Hashtbl.replace param_env "main" (List.map (fun _ -> Value.bottom) main.Ir.params)
   | None -> invalid_arg "Interproc.analyze: program has no main");
-  (* Grouping plan: function name -> (group id, members in analysis order).
-     Ungrouped functions are singleton groups. *)
-  let group_of : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  List.iteri
-    (fun gid members -> List.iter (fun name -> Hashtbl.replace group_of name gid) members)
-    groups;
-  let gid_of name =
-    match Hashtbl.find_opt group_of name with
-    | Some gid -> gid
-    | None -> (* singleton: a unique synthetic id per name *) -1 - Hashtbl.hash name
-  in
   let results = ref (Hashtbl.create 16) in
   (* What each of [!results] was computed from, with the diagnostics its
      run emitted: the previous round only. *)
@@ -223,165 +207,130 @@ let analyze ?(config = Engine.default_config) ?report
         Some (fn, param_values, reuse)
       | _ -> None
     in
-    let make_task members =
+    let make_task name =
       {
-        group = members;
+        fn = name;
         run =
           (fun () ->
             Vrp_obs.Metrics.inc tasks_total;
-            (* Reuse decisions read only the frozen tables, so they are taken
-               before the span opens and the span can carry their count. *)
-            let steps = List.map (fun name -> (name, plan name)) members in
-            let reused =
-              List.length
-                (List.filter (function _, Some (_, _, Some _) -> true | _ -> false) steps)
-            in
+            (* The reuse decision reads only the frozen tables, so it is
+               taken before the span opens and the span can carry it. *)
+            let step = plan name in
+            let reused = match step with Some (_, _, Some _) -> 1 | _ -> 0 in
             Vrp_obs.Metrics.time task_seconds @@ fun () ->
             Vrp_obs.Trace.with_span "task"
-              ~args:[ ("group", String.concat "," members); ("reused", string_of_int reused) ]
+              ~args:[ ("fn", name); ("reused", string_of_int reused) ]
             @@ fun () ->
-            List.map
-              (fun (name, step) ->
-                let local = Diag.create () in
-                match step with
-                | Some (fn, param_values, reuse) -> (
-                  match
-                    (* Beat the cancellation token between functions too, so
-                       a deadline can fire while a wave is between engine
-                       runs — not only inside a worklist. A token cancelled
-                       here demotes this function exactly as an in-engine
-                       cancellation would. *)
-                    let () =
-                      Option.iter
-                        (fun tok ->
-                          Diag.Cancel.beat tok;
-                          Diag.Cancel.check tok ~name)
-                        config.Engine.cancel
-                    in
-                    match reuse with
-                    | Some (res, (prev, diags)) ->
-                      Vrp_obs.Metrics.inc reused_total;
-                      Diag.merge ~into:local diags;
-                      (res, prev)
-                    | None ->
-                      let read = ref [] in
-                      let call_oracle callee args =
-                        let v = call_oracle callee args in
-                        if not (List.mem_assoc callee !read) then read := (callee, v) :: !read;
-                        v
-                      in
-                      let res =
-                        analyze_fn ~config ~report:(Some local) ~call_oracle ~param_values fn
-                      in
-                      (res, { params = param_values; answers = !read })
-                  with
-                  | res, used -> (name, Analyzed (res, used), local)
-                  | exception e ->
-                    let why =
-                      match e with
-                      | Diag.Fault.Injected msg -> msg
-                      (* Deterministic reason — no wall-clock numbers — so
-                         a deadline demotion renders identically at any
-                         parallelism. *)
-                      | Diag.Cancel.Cancelled _ -> "deadline exceeded"
-                      | e -> Printexc.to_string e
-                    in
-                    (name, Crashed why, local))
-                | None -> (name, Skipped, local))
-              steps);
+            let local = Diag.create () in
+            match step with
+            | Some (fn, param_values, reuse) -> (
+              match
+                (* Beat the cancellation token between functions too, so a
+                   deadline can fire while a wave is between engine runs —
+                   not only inside a worklist. A token cancelled here
+                   demotes this function exactly as an in-engine
+                   cancellation would. *)
+                let () =
+                  Option.iter
+                    (fun tok ->
+                      Diag.Cancel.beat tok;
+                      Diag.Cancel.check tok ~name)
+                    config.Engine.cancel
+                in
+                match reuse with
+                | Some (res, (prev, diags)) ->
+                  Vrp_obs.Metrics.inc reused_total;
+                  Diag.merge ~into:local diags;
+                  (res, prev)
+                | None ->
+                  let read = ref [] in
+                  let call_oracle callee args =
+                    let v = call_oracle callee args in
+                    if not (List.mem_assoc callee !read) then read := (callee, v) :: !read;
+                    v
+                  in
+                  let res =
+                    analyze_fn ~config ~report:(Some local) ~call_oracle ~param_values fn
+                  in
+                  (res, { params = param_values; answers = !read })
+              with
+              | res, used -> (Analyzed (res, used), local)
+              | exception e ->
+                let why =
+                  match e with
+                  | Diag.Fault.Injected msg -> msg
+                  (* Deterministic reason — no wall-clock numbers — so a
+                     deadline demotion renders identically at any
+                     parallelism. *)
+                  | Diag.Cancel.Cancelled _ -> "deadline exceeded"
+                  | e -> Printexc.to_string e
+                in
+                (Crashed why, local))
+            | None -> (Skipped, local));
       }
     in
-    (* Wave 0 is main alone; each subsequent wave is the set of
-       not-yet-scheduled functions called by an executable call site of the
-       preceding waves, grouped by the SCC plan in first-discovery order. *)
-    let wave = ref [ [ "main" ] ] in
-    List.iter (fun members -> List.iter (fun n -> Hashtbl.replace done_fns n ()) members) !wave;
+    (* Wave 0 is main alone; each subsequent wave is the not-yet-scheduled
+       functions called by an executable call site of the preceding waves,
+       in first-discovery order. *)
+    let wave = ref [ "main" ] in
+    Hashtbl.replace done_fns "main" ();
     while !wave <> [] do
       Vrp_obs.Metrics.inc waves_total;
+      let tasks = Array.of_list (List.map make_task !wave) in
       let task_results =
         Vrp_obs.Trace.with_span "wave"
           ~args:
             [
               ("round", string_of_int !rounds);
-              ("tasks", string_of_int (List.length !wave));
+              ("tasks", string_of_int (Array.length tasks));
             ]
-          (fun () -> run_tasks (Array.of_list (List.map make_task !wave)))
+          (fun () -> run_tasks tasks)
       in
       (* Merge in task order: results, failures, diagnostics, call records
          and the next frontier are all deterministic. *)
       let frontier = ref [] (* reversed first-discovery order *) in
-      let in_frontier : (string, unit) Hashtbl.t = Hashtbl.create 8 in
-      Array.iter
-        (fun per_fn ->
-          List.iter
-            (fun (name, outcome, local) ->
-              (match report with
-              | Some r -> Diag.merge ~into:r local
-              | None -> ());
-              match outcome with
-              | Skipped -> ()
-              | Crashed why ->
-                (* Containment: demote this function, keep the run alive.
-                   The function stays demoted for the remaining rounds — a
-                   crash is deterministic for given inputs, and retrying
-                   would only duplicate the diagnostic. *)
-                Hashtbl.replace failed name why;
-                (match report with
-                | Some r ->
-                  Diag.add r ~fn:name Diag.Error Diag.Analysis_crashed
-                    (Printf.sprintf
-                       "analysis raised (%s); function demoted to heuristics" why)
-                | None -> ())
-              | Analyzed (res, used) ->
-                Hashtbl.replace round_results name res;
-                Hashtbl.replace round_inputs name
-                  (used, if Diag.count local = 0 then no_diags else local);
-                List.iter
-                  (fun (_site, (callee, args)) ->
-                    match Ir.find_fn program callee with
-                    | None -> () (* builtin *)
-                    | Some cfn ->
-                      if List.length args = List.length cfn.Ir.params then
-                        recorded := (callee, args) :: !recorded;
-                      if not (Hashtbl.mem param_env callee) then
-                        (* make the callee analysable this round if it only
-                           just became reachable *)
-                        Hashtbl.replace param_env callee
-                          (List.map (fun _ -> Value.bottom) cfn.Ir.params);
-                      if
-                        (not (Hashtbl.mem done_fns callee))
-                        && not (Hashtbl.mem in_frontier callee)
-                      then begin
-                        Hashtbl.replace in_frontier callee ();
-                        frontier := callee :: !frontier
-                      end)
-                  res.Engine.calls_seen)
-            per_fn)
+      Array.iteri
+        (fun i (outcome, local) ->
+          let name = tasks.(i).fn in
+          (match report with
+          | Some r -> Diag.merge ~into:r local
+          | None -> ());
+          match outcome with
+          | Skipped -> ()
+          | Crashed why ->
+            (* Containment: demote this function, keep the run alive. The
+               function stays demoted for the remaining rounds — a crash is
+               deterministic for given inputs, and retrying would only
+               duplicate the diagnostic. *)
+            Hashtbl.replace failed name why;
+            (match report with
+            | Some r ->
+              Diag.add r ~fn:name Diag.Error Diag.Analysis_crashed
+                (Printf.sprintf "analysis raised (%s); function demoted to heuristics" why)
+            | None -> ())
+          | Analyzed (res, used) ->
+            Hashtbl.replace round_results name res;
+            Hashtbl.replace round_inputs name
+              (used, if Diag.count local = 0 then no_diags else local);
+            List.iter
+              (fun (_site, (callee, args)) ->
+                match Ir.find_fn program callee with
+                | None -> () (* builtin *)
+                | Some cfn ->
+                  if List.length args = List.length cfn.Ir.params then
+                    recorded := (callee, args) :: !recorded;
+                  if not (Hashtbl.mem param_env callee) then
+                    (* make the callee analysable this round if it only
+                       just became reachable *)
+                    Hashtbl.replace param_env callee
+                      (List.map (fun _ -> Value.bottom) cfn.Ir.params);
+                  if not (Hashtbl.mem done_fns callee) then begin
+                    Hashtbl.replace done_fns callee ();
+                    frontier := callee :: !frontier
+                  end)
+              res.Engine.calls_seen)
         task_results;
-      (* Bucket the frontier by SCC group, buckets ordered by the group's
-         first appearance, members kept in discovery order. *)
-      let frontier = List.rev !frontier in
-      let buckets : (int, string list ref) Hashtbl.t = Hashtbl.create 8 in
-      let bucket_order = ref [] in
-      List.iter
-        (fun name ->
-          let gid = gid_of name in
-          match Hashtbl.find_opt buckets gid with
-          | Some members -> members := name :: !members
-          | None ->
-            let members = ref [ name ] in
-            Hashtbl.replace buckets gid members;
-            bucket_order := gid :: !bucket_order)
-        frontier;
-      let next_wave =
-        List.rev_map
-          (fun gid -> List.rev !(Hashtbl.find buckets gid))
-          !bucket_order
-      in
-      List.iter
-        (fun members -> List.iter (fun n -> Hashtbl.replace done_fns n ()) members)
-        next_wave;
-      wave := next_wave
+      wave := List.rev !frontier
     done;
     (* Build next round's environments from the recorded jump functions.
        Contributions are accumulated per parameter in record order (one

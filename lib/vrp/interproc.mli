@@ -2,9 +2,10 @@
     whole-program driver where jump functions are the argument ranges
     observed at executable call sites and return-jump functions flow callee
     return ranges back. Within a round, functions are analysed in waves —
-    the dynamic topological order of the executable call graph's SCC
-    condensation — and every wave's tasks are independent, which is the
-    scheduling seam the [Vrp_sched] domain pool plugs into. A function
+    the breadth-first levels of the executable call graph from [main], in
+    first-discovery order — one task per function; the tasks of a wave are
+    independent, which is the scheduling seam the [Vrp_sched] domain pool
+    plugs into. A function
     whose parameter values and the callee return values its last run read
     are unchanged since the previous round keeps that round's result (and
     replays its diagnostics) instead of being re-analysed; a run that hit
@@ -43,18 +44,14 @@ type inputs = { params : Value.t list; answers : (string * Value.t) list }
 (** Per-function analysis outcome inside one wave. *)
 type outcome = Analyzed of Engine.t * inputs | Crashed of string | Skipped
 
-(** One schedulable unit: the functions of one call-graph SCC discovered in
-    the same wave. [run] reads only the previous round's environments, so
-    the tasks of one wave may execute concurrently. *)
-type task = {
-  group : string list;
-  run : unit -> (string * outcome * Diag.report) list;
-}
+(** One schedulable unit: one function of a wave. [run] reads only the
+    previous round's environments, so the tasks of one wave may execute
+    concurrently. *)
+type task = { fn : string; run : unit -> outcome * Diag.report }
 
 (** The scheduler seam: execute a wave of independent tasks, returning
-    results in task order. The default is sequential in-domain execution —
-    the exact legacy behaviour. *)
-type runner = task array -> (string * outcome * Diag.report) list array
+    results in task order. The default is sequential in-domain execution. *)
+type runner = task array -> (outcome * Diag.report) array
 
 val sequential_runner : runner
 
@@ -74,17 +71,14 @@ val default_analyze_fn : analyze_fn
     containment: a function whose analysis raises is recorded in [failed]
     (and in [report] as [Analysis_crashed]) instead of aborting the run —
     also under a parallel [run_tasks], where a crash inside a pooled task
-    demotes only that function. [groups] is an SCC partition of the call
-    graph used to co-locate mutually recursive functions in one task;
-    ungrouped functions are singletons. Results and diagnostics are merged
-    in deterministic task order: for a fixed [groups] plan the output is
-    byte-identical whatever [run_tasks] parallelism executes the waves.
+    demotes only that function. Results and diagnostics are merged in task
+    order, so the output is byte-identical whatever [run_tasks]
+    parallelism executes the waves.
     @raise Invalid_argument if the program has no [main]. *)
 val analyze :
   ?config:Engine.config ->
   ?report:Diag.report ->
   ?max_rounds:int ->
-  ?groups:string list list ->
   ?run_tasks:runner ->
   ?analyze_fn:analyze_fn ->
   Ir.program ->

@@ -70,8 +70,8 @@ let compile_result (source : string) : (compiled, Diag.diag) result =
 type fallback_predictor =
   ctx:Heuristics.ctx -> res:Engine.t option -> src:int -> Ir.branch -> float
 
-let vrp_predictions ?(config = Engine.default_config) ?(interprocedural = true)
-    ?report ?groups ?run_tasks ?analyze_fn ?fallback (ssa : Ir.program) :
+let vrp_predictions ?(config = Engine.default_config) ?report ?run_tasks
+    ?analyze_fn ?fallback (ssa : Ir.program) :
     Predictor.prediction * Interproc.t option =
   let out = Hashtbl.create 64 in
   let record ?fn ?block severity kind message =
@@ -170,32 +170,45 @@ let vrp_predictions ?(config = Engine.default_config) ?(interprocedural = true)
           fill fn None ~demoted:(Some why))
       ssa.Ir.fns
   in
-  if interprocedural then begin
-    match
-      Vrp_obs.Trace.with_span "interproc" (fun () ->
-          Interproc.analyze ~config ?report ?groups ?run_tasks ?analyze_fn ssa)
-    with
-    | ipa ->
-      List.iter
-        (fun (fn : Ir.fn) ->
-          fill fn
-            (Interproc.result ipa fn.Ir.fname)
-            ~demoted:(Interproc.failure ipa fn.Ir.fname))
-        ssa.Ir.fns;
-      (out, Some ipa)
-    | exception e ->
-      record Diag.Error Diag.Analysis_crashed
-        (Printf.sprintf
-           "interprocedural driver raised (%s); falling back to \
-            per-function analysis"
-           (Printexc.to_string e));
-      intraprocedural_contained ();
-      (out, None)
-  end
-  else begin
+  match
+    Vrp_obs.Trace.with_span "interproc" (fun () ->
+        Interproc.analyze ~config ?report ?run_tasks ?analyze_fn ssa)
+  with
+  | ipa ->
+    List.iter
+      (fun (fn : Ir.fn) ->
+        fill fn
+          (Interproc.result ipa fn.Ir.fname)
+          ~demoted:(Interproc.failure ipa fn.Ir.fname))
+      ssa.Ir.fns;
+    (out, Some ipa)
+  | exception e ->
+    record Diag.Error Diag.Analysis_crashed
+      (Printf.sprintf
+         "interprocedural driver raised (%s); falling back to \
+          per-function analysis"
+         (Printexc.to_string e));
     intraprocedural_contained ();
     (out, None)
-  end
+
+let fallback_branches report =
+  let tbl = Hashtbl.create 16 in
+  List.iter
+    (fun (d : Diag.diag) ->
+      match (d.Diag.kind, d.Diag.loc.Diag.fn, d.Diag.loc.Diag.block) with
+      | Diag.Fallback_heuristic, Some fn, Some bid ->
+        let degraded = d.Diag.severity <> Diag.Info in
+        let prev = Option.value ~default:false (Hashtbl.find_opt tbl (fn, bid)) in
+        Hashtbl.replace tbl (fn, bid) (degraded || prev)
+      | _ -> ())
+    (Diag.to_list report);
+  tbl
+
+let fallback_marker fb key =
+  match Hashtbl.find_opt fb key with
+  | Some true -> "!" (* degraded: crash / fuel / timeout *)
+  | Some false -> "*" (* ordinary ⊥-range fallback *)
+  | None -> ""
 
 (** All the predictors of the paper's Figures 7/8, keyed by the legend names
     used in the harness output. [train] is the profiling predictor's

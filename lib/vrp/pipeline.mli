@@ -34,7 +34,7 @@ type fallback_predictor =
   Ir.branch ->
   float
 
-(** Branch predictions from (by default interprocedural) VRP.
+(** Branch predictions from interprocedural VRP.
 
     Totality guarantee: the map has an entry for every conditional branch of
     the program, whatever happens during analysis — unreachable or demoted
@@ -46,19 +46,32 @@ type fallback_predictor =
     [fallback] replaces the Ball–Larus fallback tier (default) on every
     gap VRP leaves — ordinary ⊥-range fallbacks included.
 
-    [groups], [run_tasks] and [analyze_fn] are the interprocedural driver's
+    If the interprocedural driver itself raises (e.g. the program has no
+    [main]), every function is analysed intraprocedurally instead, each
+    under the same per-function containment, and the second component is
+    [None].
+
+    [run_tasks] and [analyze_fn] are the interprocedural driver's
     scheduling and memoization seams (see {!Interproc.analyze}); the
     defaults are sequential, uncached analysis. *)
 val vrp_predictions :
   ?config:Engine.config ->
-  ?interprocedural:bool ->
   ?report:Diag.report ->
-  ?groups:string list list ->
   ?run_tasks:Interproc.runner ->
   ?analyze_fn:Interproc.analyze_fn ->
   ?fallback:fallback_predictor ->
   Ir.program ->
   Predictor.prediction * Interproc.t option
+
+(** The branches [report] attributes to the fallback tier (its
+    [Fallback_heuristic] diagnostics): [(fn, block)] -> whether the
+    fallback was caused by degradation (a warning or error: crash, fuel,
+    timeout) rather than an ordinary ⊥ range. *)
+val fallback_branches : Diag.report -> (string * int, bool) Hashtbl.t
+
+(** A branch's marker in rendered predictions: ["!"] degraded, ["*"]
+    ordinary ⊥-range fallback, [""] predicted by VRP. *)
+val fallback_marker : (string * int, bool) Hashtbl.t -> string * int -> string
 
 (** The predictors of the paper's Figures 7/8, keyed by legend name.
     [train] is the profiling predictor's training profile; [report] collects

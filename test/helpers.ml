@@ -106,6 +106,13 @@ let test_jobs =
   | Some s -> ( try max 2 (int_of_string s) with _ -> 3)
   | None -> 3
 
+(** Interprocedural analysis with every wave run on a pool of [jobs]
+    domains. *)
+let analyze_on_pool ?analyze_fn ~jobs program =
+  Vrp_sched.Pool.with_pool ~jobs (fun pool ->
+      Vrp_core.Interproc.analyze ?analyze_fn
+        ~run_tasks:(Vrp_sched.Wavefront.runner pool) program)
+
 (* QCheck plumbing *)
 let qtest ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)

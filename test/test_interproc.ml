@@ -295,7 +295,7 @@ let reuse_counts_independent_of_jobs () =
       let ssa = (Helpers.compile src).Vrp_core.Pipeline.ssa in
       let counts jobs =
         let analyze_fn, runs = counting Interproc.default_analyze_fn in
-        ignore (Vrp_sched.Wavefront.analyze ~analyze_fn ~jobs ssa);
+        ignore (Helpers.analyze_on_pool ~analyze_fn ~jobs ssa);
         List.sort compare (Hashtbl.fold (fun name (n, _) acc -> (name, n) :: acc) runs [])
       in
       Alcotest.(check (list (pair string int)))
@@ -321,7 +321,66 @@ let diagnostics_golden () =
       Alcotest.(check string) (name ^ " stderr") (golden "stderr") o.Vrp_server.Ops.err;
       Alcotest.(check string) (name ^ " exit code") (golden "exit")
         (Printf.sprintf "%d\n" o.Vrp_server.Ops.code))
-    [ "qsort"; "sieve"; "proto" ]
+    [ "qsort"; "sieve"; "proto"; "calc" ]
+
+(* [main] calls [a], [x] and [b]; [a] and [b] call each other. One wave
+   discovers all three, and each has a loop that widens, so the order of
+   the widening diagnostics is the order the wave merged its tasks in:
+   discovery order, at any pool width, in predict as in compare. *)
+let mutual_recursion_src =
+  {|
+int a(int n) {
+  int i = 0;
+  int s = 0;
+  while (i < 50) { s = s + i; i = i + 1; }
+  if (n > 5) { return b(n - 1) + s; }
+  return s;
+}
+int x(int n) {
+  int i = 0;
+  int s = 0;
+  while (i < 60) { s = s + i; i = i + 1; }
+  return s + n;
+}
+int b(int n) {
+  int i = 0;
+  int s = 0;
+  while (i < 70) { s = s + i; i = i + 1; }
+  if (n > 3) { return a(n - 2) + s; }
+  return s;
+}
+int main(int n, int s) { return a(n) + x(n) + b(n); }
+|}
+
+(* Functions named by [info[widened]] lines, in first-appearance order. *)
+let widened_fns err =
+  let prefix = "info[widened] " in
+  let start = String.length prefix in
+  List.fold_left
+    (fun acc line ->
+      match String.index_opt line '.' with
+      | Some dot when String.starts_with ~prefix line ->
+        let fn = String.sub line start (dot - start) in
+        if List.mem fn acc then acc else acc @ [ fn ]
+      | _ -> acc)
+    [] (String.split_on_char '\n' err)
+
+let diagnostics_in_discovery_order () =
+  let opts = { Vrp_server.Ops.default_opts with diagnostics = true } in
+  List.iter
+    (fun jobs ->
+      let o =
+        Vrp_server.Ops.predict ~opts:{ opts with jobs } ~source:mutual_recursion_src ()
+      in
+      Alcotest.(check (list string))
+        (Printf.sprintf "predict, jobs %d" jobs)
+        [ "a"; "x"; "b" ] (widened_fns o.Vrp_server.Ops.err))
+    [ 1; Helpers.test_jobs ];
+  let o =
+    Vrp_server.Ops.compare_predictors ~opts ~train:[ 5; 1 ] ~ref_args:[ 7; 3 ]
+      ~source:mutual_recursion_src ()
+  in
+  Alcotest.(check (list string)) "compare" [ "a"; "x"; "b" ] (widened_fns o.Vrp_server.Ops.err)
 
 let suite =
   ( "interproc",
@@ -344,4 +403,5 @@ let suite =
       tc "reuse: retry notes replayed" `Quick reuse_replays_retry_notes;
       tc "reuse: counts independent of jobs" `Quick reuse_counts_independent_of_jobs;
       tc "predict --diagnostics --strict golden" `Quick diagnostics_golden;
+      tc "diagnostics in wave discovery order" `Quick diagnostics_in_discovery_order;
     ] )

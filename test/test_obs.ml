@@ -10,7 +10,6 @@ module Metrics = Vrp_obs.Metrics
 module Trace = Vrp_obs.Trace
 module Json = Vrp_server.Json
 module Ops = Vrp_server.Ops
-module Wavefront = Vrp_sched.Wavefront
 module Pipeline = Vrp_core.Pipeline
 
 let tc = Alcotest.test_case
@@ -330,7 +329,7 @@ let four_job_counter_determinism () =
   let cells = List.map Metrics.counter names in
   let deltas jobs =
     let before = List.map Metrics.value cells in
-    ignore (Wavefront.analyze ~jobs program);
+    ignore (Helpers.analyze_on_pool ~jobs program);
     List.map2 (fun c b -> Metrics.value c - b) cells before
   in
   let seq = deltas 1 in

@@ -1,8 +1,8 @@
 (** Scheduler-subsystem tests: the domain pool (ordering, crash
-    containment), the call-graph SCC condensation plan, and the headline
-    determinism guarantee — wavefront-parallel and batch-parallel analysis
-    must be byte-identical to the sequential reference, including under
-    injected per-function faults and malformed input files. *)
+    containment), the static call graph, and the headline determinism
+    guarantee — wavefront-parallel and batch-parallel analysis must be
+    byte-identical to the sequential reference, including under injected
+    per-function faults and malformed input files. *)
 
 module Ir = Vrp_ir.Ir
 module Engine = Vrp_core.Engine
@@ -10,7 +10,6 @@ module Interproc = Vrp_core.Interproc
 module Diag = Vrp_diag.Diag
 module Pool = Vrp_sched.Pool
 module Callgraph = Vrp_sched.Callgraph
-module Wavefront = Vrp_sched.Wavefront
 module Batch = Vrp_sched.Batch
 module Suite = Vrp_suite.Suite
 
@@ -73,22 +72,7 @@ int mid(int n) { if (n > 1) { return leaf(n); } return leaf(n + 1); }
 int main(int n, int s) { if (n > 0) { return mid(n); } return mid(s); }
 |}
 
-let scc_plan_is_topological () =
-  let c = Helpers.compile chain_src in
-  let groups = Callgraph.scc_groups c.Vrp_core.Pipeline.ssa in
-  let flat = List.concat groups in
-  Alcotest.(check (list string))
-    "every function in exactly one SCC" [ "leaf"; "main"; "mid" ]
-    (List.sort compare flat);
-  let pos name =
-    match List.find_index (List.mem name) groups with
-    | Some i -> i
-    | None -> Alcotest.failf "%s not in any SCC" name
-  in
-  Alcotest.(check bool) "main before mid" true (pos "main" < pos "mid");
-  Alcotest.(check bool) "mid before leaf" true (pos "mid" < pos "leaf")
-
-let self_recursion_is_own_scc () =
+let self_recursion () =
   let src =
     {|
 int fact(int n) { if (n < 2) { return 1; } return n * fact(n - 1); }
@@ -97,9 +81,7 @@ int main(int n, int s) { return fact(n); }
   in
   let c = Helpers.compile src in
   let cg = Callgraph.build c.Vrp_core.Pipeline.ssa in
-  Alcotest.(check (list string)) "fact calls itself" [ "fact" ] (Callgraph.callees cg "fact");
-  let groups = Callgraph.sccs cg in
-  Alcotest.(check bool) "fact is a singleton SCC" true (List.mem [ "fact" ] groups)
+  Alcotest.(check (list string)) "fact calls itself" [ "fact" ] (Callgraph.callees cg "fact")
 
 (* --- Wavefront determinism --- *)
 
@@ -133,7 +115,7 @@ let wavefront_matches_sequential () =
       let c = Helpers.compile b.Suite.source in
       let ssa = c.Vrp_core.Pipeline.ssa in
       let seq = Interproc.analyze ssa in
-      let par = Wavefront.analyze ~jobs:Helpers.test_jobs ssa in
+      let par = Helpers.analyze_on_pool ~jobs:Helpers.test_jobs ssa in
       if ipa_signature par <> ipa_signature seq then
         Alcotest.failf "%s: parallel wavefront diverged from sequential" b.Suite.name)
     Suite.benchmarks
@@ -188,8 +170,7 @@ let suite =
       tc "pool: results in task order" `Quick pool_preserves_task_order;
       tc "pool: crash containment" `Quick pool_contains_crashes;
       tc "pool: jobs clamped to 1" `Quick pool_clamps_jobs;
-      tc "callgraph: SCC plan is topological" `Quick scc_plan_is_topological;
-      tc "callgraph: self-recursion" `Quick self_recursion_is_own_scc;
+      tc "callgraph: self-recursion" `Quick self_recursion;
       tc "wavefront: parallel == sequential on the suite" `Slow wavefront_matches_sequential;
       tc "batch: jobs=1 vs jobs=N byte-identical" `Slow batch_is_deterministic;
       tc "batch: malformed file contained" `Quick batch_contains_bad_files;

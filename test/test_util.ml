@@ -1,48 +1,10 @@
-(** Tests for the utility library: growable vectors, the deterministic PRNG,
+(** Tests for the utility library: the deterministic PRNG and the
     statistics helpers. *)
 
-module Vec = Vrp_util.Vec
 module Prng = Vrp_util.Prng
 module Stats = Vrp_util.Stats
 
 let tc = Alcotest.test_case
-
-let vec_push_get () =
-  let v = Vec.create ~dummy:0 in
-  Alcotest.(check bool) "empty" true (Vec.is_empty v);
-  for i = 0 to 99 do
-    Vec.push v (i * i)
-  done;
-  Alcotest.(check int) "length" 100 (Vec.length v);
-  Alcotest.(check int) "get 7" 49 (Vec.get v 7);
-  Vec.set v 7 (-1);
-  Alcotest.(check int) "set 7" (-1) (Vec.get v 7)
-
-let vec_pop_clear () =
-  let v = Vec.of_list ~dummy:0 [ 1; 2; 3 ] in
-  Alcotest.(check int) "pop" 3 (Vec.pop v);
-  Alcotest.(check (list int)) "to_list" [ 1; 2 ] (Vec.to_list v);
-  Vec.clear v;
-  Alcotest.(check int) "cleared" 0 (Vec.length v)
-
-let vec_bounds () =
-  let v = Vec.of_list ~dummy:0 [ 1 ] in
-  (match Vec.get v 1 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected bounds failure");
-  match Vec.pop (Vec.create ~dummy:0) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected pop failure"
-
-let vec_iterators () =
-  let v = Vec.of_list ~dummy:0 [ 1; 2; 3; 4 ] in
-  Alcotest.(check int) "fold" 10 (Vec.fold_left ( + ) 0 v);
-  Alcotest.(check bool) "exists" true (Vec.exists (fun x -> x = 3) v);
-  let doubled = Vec.map ~dummy:0 (fun x -> 2 * x) v in
-  Alcotest.(check (list int)) "map" [ 2; 4; 6; 8 ] (Vec.to_list doubled);
-  let sum = ref 0 in
-  Vec.iteri (fun i x -> sum := !sum + (i * x)) v;
-  Alcotest.(check int) "iteri" 20 !sum
 
 let prng_deterministic () =
   let a = Prng.create 42 and b = Prng.create 42 in
@@ -96,10 +58,6 @@ let stats_degenerate () =
 let suite =
   ( "util",
     [
-      tc "vec: push/get/set" `Quick vec_push_get;
-      tc "vec: pop/clear" `Quick vec_pop_clear;
-      tc "vec: bounds" `Quick vec_bounds;
-      tc "vec: iterators" `Quick vec_iterators;
       tc "prng: deterministic" `Quick prng_deterministic;
       tc "prng: ranges" `Quick prng_ranges;
       tc "prng: spreads" `Quick prng_spreads;

@@ -1,5 +1,5 @@
 (** Client side of the vrpd wire protocol — used by [vrpc remote ...], the
-    tests and the bench harness.
+    tests and perfbench's [serve_mixed] workload.
 
     An address is either a Unix-domain socket path (contains a [/] or no
     [:]) or [HOST:PORT] for a TCP daemon started with [vrpd --listen]. *)

@@ -514,7 +514,7 @@ let shutdown t =
     Accept.close t.acc
   end
 
-(* --- In-process workers (tests and bench) --- *)
+(* --- In-process workers (tests) --- *)
 
 let in_process_spawner ?(worker_settings = Server.default_settings) () : spawner =
  fun ~wid ~incarnation ~sock ->

@@ -29,9 +29,9 @@
     client, which backs off and retries. [fleet-status] shows the
     per-worker inflight/shed and the front door's own admission line.
 
-    Worker processes are abstracted behind a {!spawner} so the tests and
-    the bench can run in-process thread workers ({!in_process_spawner})
-    while [vrpd --fleet] spawns real [vrpd] child processes. Workers share
+    Worker processes are abstracted behind a {!spawner} so the tests can
+    run in-process thread workers ({!in_process_spawner}) while
+    [vrpd --fleet] spawns real [vrpd] child processes. Workers share
     one on-disk summary-cache tier when given the same [cache_dir]
     (guarded by the cache's advisory locks).
 
@@ -120,7 +120,7 @@ val route_sock : t -> op:string -> params:Json.t -> string
 val degraded : t -> bool
 
 (** Handle one request — route, proxy, contain — independent of any
-    socket. The seam the tests and the bench drive in-process. *)
+    socket. The seam the tests drive in-process. *)
 val handle : t -> Protocol.request -> Protocol.response
 
 (** Accept and serve connections until {!stop} (or a [shutdown] request).
@@ -135,7 +135,7 @@ val stopping : t -> bool
 val shutdown : t -> unit
 
 (** A spawner running each worker as a {!Server.t} on a thread inside this
-    process — the tests' and bench's stand-in for [vrpd] child processes.
+    process — the tests' stand-in for [vrpd] child processes.
     [worker_settings] configures each spawned server (e.g. a shared
     [cache_dir], or a [Slow_worker] fault). *)
 val in_process_spawner : ?worker_settings:Server.settings -> unit -> spawner

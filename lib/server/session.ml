@@ -8,14 +8,17 @@ module Callgraph = Vrp_sched.Callgraph
 
 type session = {
   sid : string;
+  owner : t;
   lock : Mutex.t;
   cache : Summary_cache.t;
   (* source name -> (function, SSA digest) of the last submission *)
   digests : (string, (string * string) list) Hashtbl.t;
   mutable last_used : float;  (* LRU clock for the table bound *)
+  mutable folded : Summary_cache.counters option;
+      (* once removed from the table: the counters already in [retired] *)
 }
 
-type t = {
+and t = {
   table : (string, session) Hashtbl.t;
   table_lock : Mutex.t;
   max_sessions : int;
@@ -32,10 +35,17 @@ let locked m f =
   Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
 (* Under the table lock. A removed session's cache counters move into
-   [retired], so the daemon-wide total never drops. *)
+   [retired], so the daemon-wide total never drops. A request still running
+   on the detached record adds its traffic when it ends (see [with_lock]). *)
+let fold_locked t s =
+  let now = Summary_cache.counters s.cache in
+  let before = Option.value s.folded ~default:(Summary_cache.zero_counters ()) in
+  t.retired <- Summary_cache.sum t.retired (Summary_cache.delta ~before now);
+  s.folded <- Some now
+
 let remove_locked t s =
   Hashtbl.remove t.table s.sid;
-  t.retired <- Summary_cache.sum t.retired (Summary_cache.counters s.cache)
+  fold_locked t s
 
 (* The table is bounded so a client minting fresh session ids (or millions
    of clients each minting one) cannot grow daemon memory without bound:
@@ -65,10 +75,12 @@ let find_or_create t sid =
         let s =
           {
             sid;
+            owner = t;
             lock = Mutex.create ();
             cache = Summary_cache.create ();
             digests = Hashtbl.create 4;
             last_used = Unix.gettimeofday ();
+            folded = None;
           }
         in
         Hashtbl.replace t.table sid s;
@@ -103,7 +115,11 @@ let cache_totals t =
 
 let id s = s.sid
 let cache s = s.cache
-let with_lock s f = locked s.lock f
+let with_lock s f =
+  locked s.lock (fun () ->
+      Fun.protect f ~finally:(fun () ->
+          locked s.owner.table_lock (fun () ->
+              if Option.is_some s.folded then fold_locked s.owner s)))
 
 type plan = {
   fresh : bool;

@@ -54,7 +54,8 @@ val evict_all : t -> int
 
 (** Cache counters summed over every session ever admitted: live sessions'
     caches plus those of sessions dropped or evicted, so the total never
-    decreases. *)
+    decreases. A request that runs under {!with_lock} on a session dropped
+    or evicted meanwhile adds its traffic when it ends. *)
 val cache_totals : t -> Summary_cache.counters
 
 val id : session -> string

@@ -9,11 +9,13 @@
     frequency."
 
     Within a function: freq(entry) = 1 and freq(b) = Σ freq(p)·prob(p→b),
-    solved by Gauss–Seidel relaxation in reverse postorder (loops converge
-    geometrically; a cyclic-probability cap bounds non-terminating loops, as
-    in Wu–Larus). Across functions: freq(main) = 1 and each callee receives
-    the sum over executable call sites of caller-frequency × site-frequency,
-    iterated with a recursion cap. *)
+    solved exactly by Gaussian elimination on (I − A), where A holds the
+    edge probabilities (a near-singular pivot, i.e. a nearly non-terminating
+    loop, is regularised, which caps the multiplier like Wu–Larus's
+    cyclic-probability cap). Across functions: freq(main) = 1 and each
+    callee receives the sum over executable call sites of caller-frequency ×
+    site-frequency, relaxed for at most [relaxation_passes] passes, which
+    caps recursion. *)
 
 module Ir = Vrp_ir.Ir
 

@@ -188,6 +188,13 @@ let tracer_disabled_no_events () =
   Trace.reset ();
   let v = Trace.with_span "ghost" (fun () -> 41 + 1) in
   Alcotest.(check int) "body ran" 42 v;
+  (* The disabled path is one atomic load: a thousand spans around a
+     static body allocate nothing. *)
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Trace.with_span "ghost" (fun () -> 41 + 1))
+  done;
+  Alcotest.(check (float 0.)) "no minor words" 0. (Gc.minor_words () -. before);
   Alcotest.(check int) "no events" 0 (List.length (Trace.events ()));
   Alcotest.(check bool) "disabled" false (Trace.enabled ())
 

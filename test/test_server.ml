@@ -438,6 +438,33 @@ let names plan key =
 
 let cint c key = Option.value ~default:(-1) (Json.mem_int key c)
 
+(* Thirteen functions: [f0 .. f11], each called once from [main]. An edit
+   to [f0]'s cutoff changes only [f0] and keeps its return range. *)
+let fan_src cutoff =
+  let fn i k =
+    Printf.sprintf
+      "int f%d(int x) {\n\
+      \  int acc = 0;\n\
+      \  for (int i = 0; i < 40; i++) {\n\
+      \    if (x > %d) acc = (acc + i * %d) %% 257; else acc = acc - 1;\n\
+      \  }\n\
+      \  return acc %% 16;\n\
+       }\n"
+      i k (i + 2)
+  in
+  String.concat ""
+    (List.init 12 (fun i -> fn i (if i = 0 then cutoff else 7))
+    @ [
+        "int main(int n, int seed) {\n  int s = 0;\n";
+        String.concat "" (List.init 12 (fun i -> Printf.sprintf "  s = s + f%d(n + %d);\n" i i));
+        "  return s;\n}\n";
+      ])
+
+let check_delta what (hits, misses, invalidations) d =
+  Alcotest.(check (list int)) (what ^ ": hits, misses, invalidations")
+    [ hits; misses; invalidations ]
+    [ cint d "hits"; cint d "misses"; cint d "invalidations" ]
+
 let session_incremental_edit () =
   with_server (fun server ->
       let call source = Server.handle server (analyze_req ~session:"edit" ~name:"inc.mc" source) in
@@ -448,38 +475,41 @@ let session_incremental_edit () =
       Alcotest.(check (option bool)) "fresh" (Some true) (Json.mem_bool "fresh" p1);
       Alcotest.(check (list string)) "all changed" [ "leaf"; "main"; "mid" ]
         (List.sort compare (names p1 "changed"));
+      check_delta "cold" (0, 4, 0) (get_cache_delta r1);
       (* Warm identical re-submit: nothing re-runs. *)
       let r2 = call inc_v1 in
       let p2 = get_plan r2 in
-      let d2 = get_cache_delta r2 in
       Alcotest.(check (list string)) "nothing changed" [] (names p2 "changed");
       Alcotest.(check (list string)) "all reused" [ "leaf"; "main"; "mid" ]
         (List.sort compare (names p2 "reused"));
-      Alcotest.(check int) "warm misses" 0 (cint d2 "misses");
-      Alcotest.(check int) "warm invalidations" 0 (cint d2 "invalidations");
-      Alcotest.(check bool) "warm hits" true (cint d2 "hits" > 0);
+      check_delta "warm" (4, 0, 0) (get_cache_delta r2);
       Alcotest.(check string) "warm bytes identical" r1.Protocol.out r2.Protocol.out;
       (* One-function edit: only leaf's wave is dirty; its callers are
          planned as reused and actually hit (the edit keeps leaf's return
-         range, so their memo keys are unchanged). *)
+         range, so their memo keys are unchanged). Only leaf's slot misses
+         and is invalidated. *)
       let r3 = call inc_v2 in
       let p3 = get_plan r3 in
-      let d3 = get_cache_delta r3 in
       Alcotest.(check (list string)) "edit changed" [ "leaf" ] (names p3 "changed");
       Alcotest.(check (list string)) "edit dirty" [ "leaf" ] (names p3 "dirty");
       Alcotest.(check (list string)) "edit reused" [ "main"; "mid" ]
         (List.sort compare (names p3 "reused"));
-      Alcotest.(check int) "edit invalidates one slot" 1 (cint d3 "invalidations");
-      Alcotest.(check bool) "edit re-runs leaf" true (cint d3 "misses" >= 1);
-      (* Only leaf's slot may miss: with 3 analysis rounds at most a few
-         keys, never the 10+ a cold run costs. *)
-      Alcotest.(check bool) "edit misses stay local" true
-        (cint d3 "misses" < cint (get_cache_delta r1) "misses");
-      Alcotest.(check bool) "edit callers hit" true (cint d3 "hits" > 0);
+      check_delta "edit" (3, 1, 1) (get_cache_delta r3);
       (* The incremental answer is byte-identical to a cold one-shot of
          the edited source. *)
       let want = Ops.predict ~opts:Ops.default_opts ~source:inc_v2 () in
-      Alcotest.(check string) "edit bytes identical" want.Ops.out r3.Protocol.out)
+      Alcotest.(check string) "edit bytes identical" want.Ops.out r3.Protocol.out;
+      (* Fan-out: editing f0 re-runs f0 alone; the other twelve hit. *)
+      let call_fan source = Server.handle server (analyze_req ~session:"fan" ~name:"fan.mc" source) in
+      ignore (call_fan (fan_src 7));
+      let r = call_fan (fan_src 9) in
+      let p = get_plan r in
+      Alcotest.(check (list string)) "fan changed" [ "f0" ] (names p "changed");
+      Alcotest.(check (list string)) "fan dirty" [ "f0" ] (names p "dirty");
+      Alcotest.(check int) "fan reused" 12 (List.length (names p "reused"));
+      check_delta "fan edit" (12, 1, 1) (get_cache_delta r);
+      let want = Ops.predict ~opts:Ops.default_opts ~source:(fan_src 9) () in
+      Alcotest.(check string) "fan bytes identical" want.Ops.out r.Protocol.out)
 
 (* --- Interprocedural cancellation beat (deadline between functions) --- *)
 
@@ -1428,16 +1458,17 @@ let cache_totals_agree () =
       Alcotest.(check (pair int int)) "evict keeps the total" before (totals ()))
 
 (* Dropping or LRU-evicting a session retires its cache counters into the
-   table's total instead of losing them. *)
+   table's total instead of losing them, including the traffic of a request
+   still running on the session when it was evicted. *)
 let session_cache_totals_survive_eviction () =
   let t = Session.create ~max_sessions:1 () in
   let _, fn = Helpers.compile_main "int main(int n, int s) { if (n > 3) { return 1; } return 0; }" in
-  let touch sid key =
-    let cache = Session.cache (Session.find_or_create t sid) in
+  let lookup s key =
     ignore
-      (Vrp_cache.Summary_cache.find_or_compute cache ~slot:"main" ~stamp:"s" ~key (fun () ->
-           Engine.analyze fn))
+      (Vrp_cache.Summary_cache.find_or_compute (Session.cache s) ~slot:"main" ~stamp:"s" ~key
+         (fun () -> Engine.analyze fn))
   in
+  let touch sid key = lookup (Session.find_or_create t sid) key in
   let misses () = (Session.cache_totals t).Vrp_cache.Summary_cache.misses in
   touch "a" "k1";
   touch "a" "k1";
@@ -1447,7 +1478,15 @@ let session_cache_totals_survive_eviction () =
   Alcotest.(check int) "LRU eviction keeps a's miss" 2 (misses ());
   Alcotest.(check bool) "dropped" true (Session.drop t "b");
   Alcotest.(check int) "drop keeps b's miss" 2 (misses ());
-  Alcotest.(check int) "hits kept" 1 (Session.cache_totals t).Vrp_cache.Summary_cache.hits
+  Alcotest.(check int) "hits kept" 1 (Session.cache_totals t).Vrp_cache.Summary_cache.hits;
+  let c = Session.find_or_create t "c" in
+  Session.with_lock c (fun () ->
+      ignore (Session.find_or_create t "d");
+      Alcotest.(check (list string)) "c evicted" [ "d" ] (Session.ids t);
+      lookup c "k3");
+  Alcotest.(check int) "c's lookup after eviction kept" 3 (misses ());
+  Alcotest.(check int) "c's store after eviction kept" 3
+    (Session.cache_totals t).Vrp_cache.Summary_cache.stores
 
 (* An in-process fleet's workers share the front door's process but not
    its records: the front door's admission line and its scrape agree. *)

@@ -143,7 +143,7 @@ let diag_args =
       & info [ "inject-fault" ] ~docv:"SPEC" ~docs:"TESTING (HIDDEN)"
           ~doc:
             "Inject a deterministic fault: $(b,crash:FN), $(b,fuel:FN), \
-             $(b,timeout:FN), $(b,steps:N), $(b,hang:FN), $(b,flaky:FN:K), \
+             $(b,steps:N), $(b,hang:FN), $(b,flaky:FN:K), \
              $(b,crash-file:NAME), $(b,corrupt-cache:N), \
              $(b,torn-journal:N) or $(b,skew:FN). Under $(b,remote), also \
              the client-side transport chaos $(b,flood-conns:N) and \

@@ -15,7 +15,7 @@ module Ast = Vrp_lang.Ast
 module Value = Vrp_ranges.Value
 module Engine = Vrp_core.Engine
 
-let format_version = 1
+let format_version = 2
 
 (* --- Primitive serializers --- *)
 
@@ -171,9 +171,6 @@ let config_digest (c : Engine.config) =
   add_int buf c.Engine.eval_quota;
   add_float buf c.Engine.trip_prior;
   add_tag buf (if c.Engine.flow_first then 't' else 'f');
-  add_tag buf (match c.Engine.fallback with Engine.Heuristic -> 'h' | Engine.Even -> 'e');
-  add_option buf add_int c.Engine.fuel;
-  add_option buf add_float c.Engine.time_limit_s;
   add_int buf c.Engine.max_growth;
   add_option buf (fun buf fault -> add_string buf (Vrp_diag.Diag.Fault.to_string fault))
     c.Engine.fault;

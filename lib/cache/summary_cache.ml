@@ -385,7 +385,7 @@ let find_or_compute t ~slot ~stamp ~key compute =
 (* --- The memoizing analyze_fn --- *)
 
 (* A hit skips the engine run, so the diagnostics the engine would have
-   emitted are replayed from the summary's governor fields, each at the
+   emitted are replayed from the summary's budget fields, each at the
    severity the engine emits it with — warm runs keep the same degradation
    verdict as cold ones. Widenings are [Info] in the engine: a forced
    widening is the termination safety valve, not a degradation. *)
@@ -397,11 +397,6 @@ let replay_diags (res : Engine.t) report =
     if res.Engine.fuel_exhausted then
       Diag.add r ~fn Diag.Warning Diag.Budget_exhausted
         (Printf.sprintf "fuel exhausted after %d steps (cached summary); results are partial"
-           res.Engine.fuel_spent);
-    if res.Engine.timed_out then
-      Diag.add r ~fn Diag.Warning Diag.Timeout
-        (Printf.sprintf "wall-clock limit hit after %d steps (cached summary); results are \
-                         partial"
            res.Engine.fuel_spent);
     if res.Engine.widenings > 0 then
       Diag.add r ~fn Diag.Info Diag.Widened

@@ -108,7 +108,7 @@ val find_or_compute :
 (** A memoizing {!Interproc.analyze_fn}: IR digests and static callee sets
     are precomputed for [program]'s functions, and each per-function task
     is served from the cache when its full key matches. On a hit the
-    engine's governor diagnostics (fuel exhaustion, timeout, widenings) are
+    engine's budget diagnostics (fuel exhaustion, widenings) are
     re-emitted from the stored summary so [--diagnostics]/[--strict] keep
     their meaning on warm runs. [slot_prefix] qualifies function names for
     invalidation accounting (pass the source path in batch mode). *)

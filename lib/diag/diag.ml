@@ -20,13 +20,11 @@ type severity = Info | Warning | Error
     the analysis could ideally deliver. *)
 type kind =
   | Budget_exhausted  (** the engine's fuel ran out before the fixed point *)
-  | Timeout  (** the wall-clock governor tripped *)
   | Widened  (** a value was forcibly widened to ⊥ (quota or growth cap) *)
   | Analysis_crashed  (** a per-function analysis raised; function demoted *)
   | Fallback_heuristic  (** a branch was predicted by Ball–Larus, not VRP *)
   | Front_end_error  (** parse / type / IR-check failure *)
   | Fault_injected  (** a deterministic test fault fired *)
-  | Cache_event  (** summary-cache traffic: hits / misses / invalidations *)
   | Deadline_exceeded  (** a supervised task overran its wall-clock deadline *)
   | Task_retry  (** a supervised task failed and was retried *)
   | Journal_event  (** batch journal traffic: checkpoints, resumes *)
@@ -83,13 +81,11 @@ let severity_to_string = function
 
 let kind_to_string = function
   | Budget_exhausted -> "budget-exhausted"
-  | Timeout -> "timeout"
   | Widened -> "widened"
   | Analysis_crashed -> "analysis-crashed"
   | Fallback_heuristic -> "fallback-heuristic"
   | Front_end_error -> "front-end-error"
   | Fault_injected -> "fault-injected"
-  | Cache_event -> "cache-event"
   | Deadline_exceeded -> "deadline-exceeded"
   | Task_retry -> "task-retry"
   | Journal_event -> "journal-event"
@@ -192,8 +188,6 @@ module Fault = struct
         (** raise {!Injected} while analysing this function *)
     | Starve_fuel of string
         (** give this function's analysis almost no fuel *)
-    | Timeout_fn of string
-        (** trip the wall-clock governor immediately in this function *)
     | Trip_after of int
         (** raise {!Injected} after N engine steps in any function *)
     | Hang_fn of string
@@ -240,7 +234,6 @@ module Fault = struct
   let to_string = function
     | Crash_fn fn -> "crash:" ^ fn
     | Starve_fuel fn -> "fuel:" ^ fn
-    | Timeout_fn fn -> "timeout:" ^ fn
     | Trip_after n -> "steps:" ^ string_of_int n
     | Hang_fn fn -> "hang:" ^ fn
     | Flaky_fn (fn, n) -> Printf.sprintf "flaky:%s:%d" fn n
@@ -254,7 +247,7 @@ module Fault = struct
     | Stall_frame ms -> "stall-frame:" ^ string_of_int ms
 
   let spec_help =
-    "crash:FN, fuel:FN, timeout:FN, steps:N, hang:FN, flaky:FN:K, \
+    "crash:FN, fuel:FN, steps:N, hang:FN, flaky:FN:K, \
      crash-file:NAME, corrupt-cache:N, torn-journal:N, skew:FN, \
      kill-worker:N, slow-worker:MS, flood-conns:N or stall-frame:MS"
 
@@ -278,7 +271,6 @@ module Fault = struct
       | _ when arg = "" -> Result.Error (Printf.sprintf "bad fault spec %S: empty argument" spec)
       | "crash" -> Result.Ok (Crash_fn arg)
       | "fuel" -> Result.Ok (Starve_fuel arg)
-      | "timeout" -> Result.Ok (Timeout_fn arg)
       | "steps" -> count ~min_:0 (fun n -> Trip_after n)
       | "hang" -> Result.Ok (Hang_fn arg)
       | "skew" -> Result.Ok (Skew_range arg)

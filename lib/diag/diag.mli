@@ -10,13 +10,11 @@ type severity = Info | Warning | Error
     result is less precise than the analysis could ideally deliver. *)
 type kind =
   | Budget_exhausted  (** the engine's fuel ran out before the fixed point *)
-  | Timeout  (** the wall-clock governor tripped *)
   | Widened  (** a value was forcibly widened to ⊥ (quota or growth cap) *)
   | Analysis_crashed  (** a per-function analysis raised; function demoted *)
   | Fallback_heuristic  (** a branch was predicted by Ball–Larus, not VRP *)
   | Front_end_error  (** parse / type / IR-check failure *)
   | Fault_injected  (** a deterministic test fault fired *)
-  | Cache_event  (** summary-cache traffic: hits / misses / invalidations *)
   | Deadline_exceeded  (** a supervised task overran its wall-clock deadline *)
   | Task_retry  (** a supervised task failed and was retried *)
   | Journal_event  (** batch journal traffic: checkpoints, resumes *)
@@ -93,8 +91,6 @@ module Fault : sig
         (** raise {!Injected} while analysing this function *)
     | Starve_fuel of string
         (** give this function's analysis almost no fuel *)
-    | Timeout_fn of string
-        (** trip the wall-clock governor immediately in this function *)
     | Trip_after of int
         (** raise {!Injected} after N engine steps in any function *)
     | Hang_fn of string
@@ -134,7 +130,7 @@ module Fault : sig
   (** Human-readable list of the accepted spec forms. *)
   val spec_help : string
 
-  (** Parse a CLI spec: [crash:FN], [fuel:FN], [timeout:FN], [steps:N],
+  (** Parse a CLI spec: [crash:FN], [fuel:FN], [steps:N],
       [hang:FN], [flaky:FN:K], [crash-file:NAME], [corrupt-cache:N],
       [torn-journal:N], [skew:FN], [kill-worker:N], [slow-worker:MS],
       [flood-conns:N] or [stall-frame:MS]. *)

@@ -79,14 +79,14 @@ let memo (f : string -> 'a) : string -> 'a =
       v
 
 (* Static results are trustworthy end to end: the driver converged, no
-   function was demoted, no analysis exhausted fuel or timed out. *)
+   function was demoted, no analysis exhausted fuel. *)
 let end_to_end_trusted (ssa : Ir.program) (ipa : Interproc.t) : bool =
   ipa.Interproc.converged
   && Hashtbl.length ipa.Interproc.failed = 0
   && List.for_all
        (fun (f : Ir.fn) ->
          match Interproc.result ipa f.Ir.fname with
-         | Some r -> not (r.Engine.fuel_exhausted || r.Engine.timed_out)
+         | Some r -> not r.Engine.fuel_exhausted
          | None -> true)
        ssa.Ir.fns
 
@@ -351,8 +351,8 @@ let check_algebra ?(config = Engine.default_config) (source : string) :
     let ssa = compiled.Pipeline.ssa in
     let ipa1 = Interproc.analyze ~config:{ config with Engine.algebra = false } ssa in
     let ipa2 = Interproc.analyze ~config:{ config with Engine.algebra = true } ssa in
-    (* Both sides must be trustworthy end to end, else governor timing —
-       not the algebra — explains any difference. *)
+    (* Both sides must be trustworthy end to end, else an exhausted budget
+       — not the algebra — explains any difference. *)
     if not (end_to_end_trusted ssa ipa1 && end_to_end_trusted ssa ipa2) then
       (false, [])
     else begin

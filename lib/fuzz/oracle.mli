@@ -24,7 +24,7 @@
     Membership-style oracles (range / bounds / prediction) are only armed
     when the static results are trustworthy end to end: the
     interprocedural driver converged, no function was demoted, and no
-    analysis exhausted fuel or timed out. Otherwise the documented
+    analysis exhausted fuel. Otherwise the documented
     contracts already waive the claims, so checking them would only
     produce false positives. The constant oracle is unconditional (SCCP is
     intraprocedural and treats parameters and loads as ⊥).
@@ -88,6 +88,6 @@ val check_determinism :
     proven one-way stay proven with the same direction, and per-site
     bounds-check eliminations only grow. Returns [(armed, violations)]:
     [armed] is false (and the list empty) when either side failed to
-    converge end to end, in which case governor timing — not the algebra —
-    would explain any difference. *)
+    converge end to end, in which case an exhausted budget — not the
+    algebra — would explain any difference. *)
 val check_algebra : ?config:Engine.config -> string -> bool * violation list

@@ -20,12 +20,6 @@
 
 open Vrp_lang.Ast
 
-type info = {
-  fn : Ir.fn;
-  dom : Dom.t;
-  orig_of : (int, Var.t) Hashtbl.t;  (** SSA variable id -> pre-SSA variable *)
-}
-
 (* --- Step 1: assertion insertion --- *)
 
 let insert_assertions (fn : Ir.fn) =
@@ -102,7 +96,9 @@ let place_phis (fn : Ir.fn) (dom : Dom.t) =
 
 (* --- Step 3: renaming --- *)
 
-let rename (fn : Ir.fn) (dom : Dom.t) (orig_of : (int, Var.t) Hashtbl.t) =
+let rename (fn : Ir.fn) (dom : Dom.t) =
+  (* SSA variable id -> pre-SSA variable *)
+  let orig_of : (int, Var.t) Hashtbl.t = Hashtbl.create 64 in
   let stacks : (int, Var.t list ref) Hashtbl.t = Hashtbl.create 64 in
   let versions : (int, int) Hashtbl.t = Hashtbl.create 64 in
   let stack_of (v : Var.t) =
@@ -216,27 +212,16 @@ let rename (fn : Ir.fn) (dom : Dom.t) (orig_of : (int, Var.t) Hashtbl.t) =
   walk Ir.entry_bid;
   new_params
 
-(** Convert [fn] to SSA in place (assertions + φs + renaming) and return the
-    analysis info. *)
-let transform (fn : Ir.fn) : info =
+(** Convert [fn] to SSA in place (assertions + φs + renaming); returns it
+    with its re-versioned parameter list. *)
+let transform (fn : Ir.fn) : Ir.fn =
   insert_assertions fn;
   let dom = Dom.compute fn in
   place_phis fn dom;
-  let orig_of = Hashtbl.create 64 in
-  let new_params = rename fn dom orig_of in
-  let fn = { fn with Ir.params = new_params } in
-  { fn; dom; orig_of }
+  (* Rename first: it mints fresh variables, bumping [fn.nvars]. *)
+  let params = rename fn dom in
+  { fn with Ir.params = params }
 
-(** Convert every function of [p]; returns the SSA program plus per-function
-    info, keyed by function name. *)
-let transform_program (p : Ir.program) : Ir.program * (string, info) Hashtbl.t =
-  let infos = Hashtbl.create 16 in
-  let fns =
-    List.map
-      (fun fn ->
-        let info = transform fn in
-        Hashtbl.replace infos fn.Ir.fname info;
-        info.fn)
-      p.fns
-  in
-  ({ p with Ir.fns }, infos)
+(** Convert every function of [p]. *)
+let transform_program (p : Ir.program) : Ir.program =
+  { p with Ir.fns = List.map transform p.fns }

@@ -5,15 +5,9 @@
     empty denotes a never-assigned path and becomes the constant 0 (MiniC's
     defined semantics). *)
 
-type info = {
-  fn : Ir.fn;
-  dom : Dom.t;
-  orig_of : (int, Var.t) Hashtbl.t;  (** SSA variable id -> pre-SSA variable *)
-}
+(** Convert one function in place; returns it with the re-versioned
+    parameter list. *)
+val transform : Ir.fn -> Ir.fn
 
-(** Convert one function in place; returns the analysis info (with the
-    re-versioned parameter list). *)
-val transform : Ir.fn -> info
-
-(** Convert every function; infos are keyed by function name. *)
-val transform_program : Ir.program -> Ir.program * (string, info) Hashtbl.t
+(** Convert every function. *)
+val transform_program : Ir.program -> Ir.program

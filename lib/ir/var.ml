@@ -14,8 +14,6 @@ let hash a = a.id
 let to_string v =
   if v.version < 0 then v.base else Printf.sprintf "%s.%d" v.base v.version
 
-let pp fmt v = Format.pp_print_string fmt (to_string v)
-
 module Tbl = Hashtbl.Make (struct
   type nonrec t = t
 

@@ -11,8 +11,6 @@ val hash : t -> int
 (** ["base.version"], or just ["base"] before SSA. *)
 val to_string : t -> string
 
-val pp : Format.formatter -> t -> unit
-
 module Tbl : Hashtbl.S with type key = t
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t

@@ -44,9 +44,6 @@ let observed_prob profile key =
   | Some { taken; total } when total > 0 -> Some (float_of_int taken /. float_of_int total)
   | Some _ | None -> None
 
-let exec_count profile key =
-  match Hashtbl.find_opt profile.branches key with Some { total; _ } -> total | None -> 0
-
 type event =
   | Ev_enter of { fn : string; args : value list }
   | Ev_def of { fn : string; var : Var.t; value : value }

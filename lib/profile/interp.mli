@@ -27,8 +27,6 @@ val branch_stats : profile -> string * int -> branch_stats option
 (** Observed P(taken), if the branch executed. *)
 val observed_prob : profile -> string * int -> float option
 
-val exec_count : profile -> string * int -> int
-
 type result = { ret : value; profile : profile; output : string }
 
 (** Observation events, streamed to the optional [?observe] hook of {!run}

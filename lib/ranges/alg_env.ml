@@ -18,8 +18,6 @@ let fact_cap = 128
 let derived_cap = 64
 let max_depth = 6
 
-let size env = List.length env.direct
-
 (* The prover only touches polynomials whose coefficients are small enough
    that every linear combination it can form stays far from native-int
    overflow: |coeff| <= 2^20 here, scaling factors are coefficient quotients

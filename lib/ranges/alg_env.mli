@@ -36,9 +36,6 @@ val fact_cap : int
 val derived_cap : int
 (** Maximum number of derived facts [refine] will accumulate. *)
 
-val size : t -> int
-(** Number of direct facts. *)
-
 val tame : Sop.t -> bool
 (** Inside the prover's window: every coefficient within [coeff_cap] and
     the constant within [Sym.limit]. Untame polynomials are ignored by the

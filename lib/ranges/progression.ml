@@ -10,10 +10,6 @@
 
 type t = { lo : int; hi : int; stride : int }
 
-let valid { lo; hi; stride } =
-  if lo = hi then stride = 0
-  else lo < hi && stride > 0 && (hi - lo) mod stride = 0
-
 (** Normalising constructor: clamps [hi] down onto the progression. *)
 let make lo hi stride =
   if hi < lo then invalid_arg "Progression.make: hi < lo"
@@ -192,6 +188,3 @@ let prob_rel (rel : Vrp_lang.Ast.relop) a b =
   | Gt -> Vrp_util.Stats.clamp ~lo:0.0 ~hi:1.0 (1.0 -. prob_lt a b -. prob_eq a b)
   | Ge -> 1.0 -. prob_lt a b
 
-let to_string t =
-  if t.stride = 0 then Printf.sprintf "[%d]" t.lo
-  else Printf.sprintf "[%d:%d:%d]" t.lo t.hi t.stride

@@ -7,9 +7,6 @@
 
 type t = { lo : int; hi : int; stride : int }
 
-(** Representation invariant. *)
-val valid : t -> bool
-
 (** Normalising constructor: clamps [hi] down onto the progression and
     canonicalises singletons to stride 0.
     @raise Invalid_argument if [hi < lo]. *)
@@ -49,5 +46,3 @@ val exact_cap : int
 
 (** P(u rel v) for any comparison operator. *)
 val prob_rel : Vrp_lang.Ast.relop -> t -> t -> float
-
-val to_string : t -> string

@@ -24,17 +24,6 @@ let one = { terms = []; const = 1 }
 let const c = { terms = []; const = c }
 let of_var v = { terms = [ ([ v ], 1) ]; const = 0 }
 
-let of_sym (s : Sym.t) =
-  match s.Sym.base with
-  | None -> const s.Sym.off
-  | Some v -> { terms = [ ([ v ], 1) ]; const = s.Sym.off }
-
-let to_sym t =
-  match t.terms with
-  | [] -> Some (Sym.num t.const)
-  | [ ([ v ], 1) ] -> Some { Sym.base = Some v; off = t.const }
-  | _ -> None
-
 let const_value t = match t.terms with [] -> Some t.const | _ -> None
 let const_part t = t.const
 let is_const t = t.terms = []

@@ -32,13 +32,6 @@ val one : t
 val const : int -> t
 val of_var : Var.t -> t
 
-val of_sym : Sym.t -> t
-(** Embed a v1 symbolic bound ([base + off]). *)
-
-val to_sym : t -> Sym.t option
-(** Back to v1 form when the term is [const] or [var + const] with unit
-    coefficient; [None] otherwise. *)
-
 val const_value : t -> int option
 (** [Some c] iff the term has no monomials. *)
 

@@ -21,7 +21,7 @@ type file_result = {
   predictions : ((string * int) * float * string) list;
       (** ((fn, block), P(true edge), marker) sorted by function then block;
           marker as in [vrpc predict]: ["*"] ordinary ⊥-range fallback,
-          ["!"] degraded (crash / fuel / timeout), [""] exact VRP *)
+          ["!"] degraded (crash / fuel / deadline), [""] exact VRP *)
   demoted : (string * string) list;  (** (fn, crash reason), sorted *)
   report : Diag.report;  (** full structured diagnostics of this file *)
   evaluations : int;  (** engine expression evaluations (cost proxy) *)

@@ -252,11 +252,6 @@ let member key = function
 let get_string = function String s -> Some s | _ -> None
 let get_int = function Int n -> Some n | _ -> None
 
-let get_float = function
-  | Float f -> Some f
-  | Int n -> Some (float_of_int n)
-  | _ -> None
-
 let get_bool = function Bool b -> Some b | _ -> None
 let get_list = function List xs -> Some xs | _ -> None
 

@@ -32,7 +32,6 @@ val member : string -> t -> t option
 
 val get_string : t -> string option
 val get_int : t -> int option
-val get_float : t -> float option
 val get_bool : t -> bool option
 val get_list : t -> t list option
 

@@ -386,5 +386,4 @@ let prove_index_bounds ctx ~bid ~size idx =
     in
     (lower, upper)
 
-let fact_count ctx = Alg_env.size ctx.env
 let to_string ctx = Alg_env.to_string ctx.env

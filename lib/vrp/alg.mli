@@ -41,8 +41,5 @@ val decide_branch :
 val prove_index_bounds : t -> bid:int -> size:int -> Ir.operand -> bool * bool
 (** [(lower_proved, upper_proved)] for [0 <= index] and [index <= size-1]. *)
 
-val fact_count : t -> int
-(** Direct facts currently held (diagnostics and tests). *)
-
 val to_string : t -> string
 (** Render the fact environment (diagnostics and tests). *)

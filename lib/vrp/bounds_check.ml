@@ -68,9 +68,9 @@ let analyze ?(algebra = true) (program : Ir.program) (res : Engine.t) : report =
     | Ir.Ovar v -> Value.subst (lookup v) ~lookup
   in
   (* The algebraic context is only sound on converged results: partial
-     (fuel-exhausted / timed-out) ranges are transient claims. Built lazily:
+     (fuel-exhausted) ranges are transient claims. Built lazily:
      most functions prove all their checks numerically. *)
-  let converged = not (res.Engine.fuel_exhausted || res.Engine.timed_out) in
+  let converged = not res.Engine.fuel_exhausted in
   let alg = ref None in
   let alg_ctx () =
     match !alg with

@@ -15,7 +15,7 @@
        with probability 0 stay unexecuted (unreachable-code detection, as in
        SCCP);
     5. branches whose range is ⊥ fall back to the Ball–Larus heuristics
-       (§5), or to 50/50 when heuristics are disabled.
+       (§5).
 
     Termination: the paper's argument is the finite range budget; because
     probabilities fluctuate non-monotonically we add a per-variable
@@ -34,8 +34,6 @@ module Config = Vrp_ranges.Config
 module Counters = Vrp_ranges.Counters
 module Heuristics = Vrp_predict.Heuristics
 module Diag = Vrp_diag.Diag
-
-type fallback = Heuristic | Even
 
 type config = {
   symbolic : bool;  (** track symbolic ranges (paper's full configuration) *)
@@ -60,14 +58,6 @@ type config = {
           prior. Without it the loop-exit value gets half the φ's mass and
           loop-variable distributions are badly biased *)
   flow_first : bool;  (** prefer the FlowWorkList (paper §3.3 step 2) *)
-  fallback : fallback;
-  fuel : int option;
-      (** explicit worklist-step budget; [None] derives one from function
-          size. Exhaustion is never silent: it is flagged in the result
-          record and surfaced as a {!Diag.Budget_exhausted} diagnostic *)
-  time_limit_s : float option;
-      (** wall-clock governor: stop draining (keeping partial results) once
-          the analysis of this function has run this many seconds *)
   max_growth : int;
       (** per-variable range-set growth cap: a value whose range set grows
           past this many ranges is widened to ⊥ (backstop behind
@@ -90,9 +80,6 @@ let default_config =
     eval_quota = 12;
     trip_prior = 10.0;
     flow_first = true;
-    fallback = Heuristic;
-    fuel = None;
-    time_limit_s = None;
     max_growth = 32;
     fault = None;
     cancel = None;
@@ -116,7 +103,6 @@ type t = {
   fuel_limit : int;  (** the step budget this run was given *)
   fuel_spent : int;  (** worklist steps actually taken *)
   fuel_exhausted : bool;  (** ran out of fuel before the fixed point *)
-  timed_out : bool;  (** the wall-clock governor tripped *)
   widenings : int;  (** values forcibly widened to ⊥ (quota / growth cap) *)
 }
 
@@ -499,11 +485,8 @@ let eval_term st ~bid (term : Ir.term) =
          else Value.cmp_prob rel va vb)
       with
       | Some p -> (p, false)
-      | None -> (
-        match st.cfg.fallback with
-        | Heuristic ->
-          (Heuristics.ball_larus st.hctx ~src:bid { rel; ba; bb; tdst; fdst }, true)
-        | Even -> (0.5, true))
+      | None ->
+        (Heuristics.ball_larus st.hctx ~src:bid { rel; ba; bb; tdst; fdst }, true)
     in
     Hashtbl.replace st.bprobs bid prob;
     Hashtbl.replace st.bfallback bid fallback;
@@ -583,8 +566,8 @@ let starvation_fuel = 4
     parameters (⊥ by default, i.e. unknown input); [call_oracle] supplies
     return-value ranges for calls (⊥ by default — the intraprocedural
     setting). [report] collects structured diagnostics; degradation
-    (fuel exhaustion, timeout, forced widening) is additionally flagged in
-    the result record.
+    (fuel exhaustion, forced widening) is additionally flagged in the
+    result record.
     @raise Diag.Fault.Injected under crash fault injection. *)
 let analyze_body ?(config = default_config) ?report
     ?(call_oracle = fun _ _ -> Value.bottom)
@@ -630,11 +613,6 @@ let analyze_body ?(config = default_config) ?report
   let starved =
     match config.fault with
     | Some (Diag.Fault.Starve_fuel f) -> String.equal f fname
-    | _ -> false
-  in
-  let forced_timeout =
-    match config.fault with
-    | Some (Diag.Fault.Timeout_fn f) -> String.equal f fname
     | _ -> false
   in
   let trip_after =
@@ -705,23 +683,10 @@ let analyze_body ?(config = default_config) ?report
   (* Drain the worklists under explicit fuel accounting: every worklist step
      costs one unit of fuel, and running out is flagged — never silent. *)
   let fuel_limit =
-    let base =
-      match config.fuel with
-      | Some n -> max 0 n
-      | None -> max 100_000 (200 * Ir.fn_size fn)
-    in
-    if starved then min base starvation_fuel else base
-  in
-  let deadline =
-    if forced_timeout then Some neg_infinity
-    else
-      match config.time_limit_s with
-      | Some limit -> Some (Sys.time () +. limit)
-      | None -> None
+    if starved then starvation_fuel else max 100_000 (200 * Ir.fn_size fn)
   in
   let fuel = ref fuel_limit in
   let exhausted = ref false in
-  let timed_out = ref false in
   let take_flow () =
     if Queue.is_empty st.flow_list then false
     else begin
@@ -736,21 +701,11 @@ let analyze_body ?(config = default_config) ?report
       true
     end
   in
-  let stop = ref false in
   while
-    (not !stop)
+    (not !exhausted)
     && not (Queue.is_empty st.flow_list && Queue.is_empty st.ssa_list)
   do
-    if !fuel <= 0 then begin
-      exhausted := true;
-      stop := true
-    end
-    else if
-      match deadline with Some d -> Sys.time () > d | None -> false
-    then begin
-      timed_out := true;
-      stop := true
-    end
+    if !fuel <= 0 then exhausted := true
     else begin
       (* Supervision: publish liveness and honour a deadline cancellation
          at every step — the cost is one atomic increment and one load. *)
@@ -766,11 +721,9 @@ let analyze_body ?(config = default_config) ?report
              (Printf.sprintf "injected trip after %d steps in %s" n fname))
       | _ -> ());
       decr fuel;
-      let progressed =
-        if config.flow_first then take_flow () || take_ssa ()
-        else take_ssa () || take_flow ()
-      in
-      ignore progressed
+      ignore
+        (if config.flow_first then take_flow () || take_ssa ()
+         else take_ssa () || take_flow ())
     end
   done;
   let fuel_spent = fuel_limit - !fuel in
@@ -786,13 +739,6 @@ let analyze_body ?(config = default_config) ?report
          (Queue.length st.flow_list)
          (Queue.length st.ssa_list))
   end;
-  if !timed_out then begin
-    if forced_timeout then
-      diag st Diag.Info Diag.Fault_injected "timeout tripped by injected fault";
-    diag st Diag.Warning Diag.Timeout
-      (Printf.sprintf
-         "wall-clock limit hit after %d steps; results are partial" fuel_spent)
-  end;
   (* Symbolic algebra v2, post-fixpoint pass: harvest the converged ranges
      into the fact environment, then try to prove fallback branches one-way.
      Only fallback branches are touched — a range-derived probability is
@@ -801,8 +747,7 @@ let analyze_body ?(config = default_config) ?report
      the expensive part, so it is deferred until the first candidate: a
      function whose branches all converged to range-derived probabilities
      pays nothing for having the algebra enabled. *)
-  (if config.symbolic && config.algebra && (not !exhausted) && not !timed_out
-   then
+  (if config.symbolic && config.algebra && not !exhausted then
      Vrp_obs.Trace.with_span "algebra" ~args:[ ("fn", fname) ] @@ fun () ->
      let alg = ref None in
      let the_alg () =
@@ -885,7 +830,6 @@ let analyze_body ?(config = default_config) ?report
     fuel_limit;
     fuel_spent;
     fuel_exhausted = !exhausted;
-    timed_out = !timed_out;
     widenings = st.widenings;
   }
 

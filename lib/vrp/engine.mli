@@ -9,8 +9,6 @@ module Var = Vrp_ir.Var
 module Value = Vrp_ranges.Value
 module Diag = Vrp_diag.Diag
 
-type fallback = Heuristic | Even
-
 type config = {
   symbolic : bool;  (** track symbolic ranges (paper's full configuration) *)
   use_assertions : bool;  (** narrow through branch assertions *)
@@ -25,11 +23,6 @@ type config = {
   eval_quota : int;  (** per-variable value changes before widening to ⊥ *)
   trip_prior : float;  (** assumed back-edge/entry frequency ratio at φs *)
   flow_first : bool;  (** prefer the FlowWorkList (paper §3.3 step 2) *)
-  fallback : fallback;
-  fuel : int option;
-      (** explicit worklist-step budget; [None] derives one from function
-          size. Exhaustion is flagged in the result and diagnosed *)
-  time_limit_s : float option;  (** wall-clock governor (partial results) *)
   max_growth : int;  (** per-variable range-set size cap before widening *)
   fault : Diag.Fault.t option;  (** deterministic fault injection *)
   cancel : Diag.Cancel.token option;
@@ -54,10 +47,11 @@ type t = {
   calls_seen : ((int * int) * (string * Value.t list)) list;
       (** executable call sites (block, index) with latest argument values *)
   return_value : Value.t;  (** merged over executable returns *)
-  fuel_limit : int;  (** the step budget this run was given *)
+  fuel_limit : int;
+      (** the step budget this run was given: [max 100_000 (200 × size)],
+          or a handful of steps under the [fuel:FN] fault *)
   fuel_spent : int;  (** worklist steps actually taken *)
   fuel_exhausted : bool;  (** ran out of fuel before the fixed point *)
-  timed_out : bool;  (** the wall-clock governor tripped *)
   widenings : int;  (** values forcibly widened to ⊥ (quota / growth cap) *)
 }
 

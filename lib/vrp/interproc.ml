@@ -34,9 +34,7 @@
     environments keeps its previous {!Engine.t} (physically the same
     value), and its diagnostics are replayed, instead of going back through
     [analyze_fn]. This is exact because the engine is a pure function of
-    (function, configuration, parameter values, oracle answers read). The
-    one exception is a run that hit the wall-clock governor ([timed_out]):
-    time is not an input, so such a result is never reused. *)
+    (function, configuration, parameter values, oracle answers read). *)
 
 module Ir = Vrp_ir.Ir
 module Value = Vrp_ranges.Value
@@ -196,8 +194,7 @@ let analyze ?(config = Engine.default_config) ?report
         let reuse =
           match (Hashtbl.find_opt !inputs name, Hashtbl.find_opt !results name) with
           | Some ((prev, _) as memo), Some (res : Engine.t)
-            when (not res.Engine.timed_out)
-                 && List.equal Value.equal prev.params param_values
+            when List.equal Value.equal prev.params param_values
                  && List.for_all
                       (fun (callee, v) -> Value.equal (call_oracle callee []) v)
                       prev.answers ->

@@ -8,8 +8,7 @@
     plugs into. A function
     whose parameter values and the callee return values its last run read
     are unchanged since the previous round keeps that round's result (and
-    replays its diagnostics) instead of being re-analysed; a run that hit
-    the wall-clock governor is never reused. *)
+    replays its diagnostics) instead of being re-analysed. *)
 
 module Ir = Vrp_ir.Ir
 module Value = Vrp_ranges.Value

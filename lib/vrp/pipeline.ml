@@ -12,7 +12,6 @@ type compiled = {
   source : string;
   ast : Vrp_lang.Ast.program;
   ssa : Ir.program;  (** the canonical SSA program all consumers share *)
-  ssa_infos : (string, Vrp_ir.Ssa.info) Hashtbl.t;
 }
 
 (** Parse, check, lower, clean, split, convert to SSA and validate.
@@ -26,13 +25,13 @@ let compile (source : string) : compiled =
       let cfg =
         Vrp_obs.Trace.with_span "build-cfg" (fun () -> Vrp_ir.Build.program ast)
       in
-      let ssa, ssa_infos =
+      let ssa =
         Vrp_obs.Trace.with_span "ssa" (fun () ->
             Vrp_ir.Ssa.transform_program cfg)
       in
       Vrp_obs.Trace.with_span "check-ssa" (fun () ->
           Vrp_ir.Check.check_ssa_program ssa);
-      { source; ast; ssa; ssa_infos })
+      { source; ast; ssa })
 
 (** Total variant of {!compile} for consumers that must not see exceptions:
     any front-end error, IR-check violation or internal crash becomes a
@@ -62,8 +61,8 @@ let compile_result (source : string) : (compiled, Diag.diag) result =
     Totality guarantee: the returned map has an entry for {e every}
     conditional branch of the program, whatever happens during analysis.
     Branches of unreachable or demoted functions fall back to the
-    Ball–Larus estimate; a per-function crash or governor trip demotes only
-    that function. With [report], every fallback is recorded as a
+    Ball–Larus estimate; a per-function crash or fuel exhaustion demotes
+    only that function. With [report], every fallback is recorded as a
     [Fallback_heuristic] diagnostic (warning severity when caused by
     infrastructure degradation, info when it is the paper's ordinary
     ⊥-range fallback). *)
@@ -117,7 +116,7 @@ let vrp_predictions ?(config = Engine.default_config) ?report ?run_tasks
                 end
                 else p
               | None ->
-                if eres.Engine.fuel_exhausted || eres.Engine.timed_out then
+                if eres.Engine.fuel_exhausted then
                   record ~fn:fn.Ir.fname ~block:b.Ir.bid Diag.Warning
                     Diag.Fallback_heuristic
                     (Printf.sprintf
@@ -206,7 +205,7 @@ let fallback_branches report =
 
 let fallback_marker fb key =
   match Hashtbl.find_opt fb key with
-  | Some true -> "!" (* degraded: crash / fuel / timeout *)
+  | Some true -> "!" (* degraded: crash / fuel / deadline *)
   | Some false -> "*" (* ordinary ⊥-range fallback *)
   | None -> ""
 

@@ -9,7 +9,6 @@ type compiled = {
   source : string;
   ast : Vrp_lang.Ast.program;
   ssa : Ir.program;  (** the canonical SSA program all consumers share *)
-  ssa_infos : (string, Vrp_ir.Ssa.info) Hashtbl.t;
 }
 
 (** Parse, check, lower, clean, split, convert to SSA and validate.
@@ -21,7 +20,7 @@ val compile : string -> compiled
     of an exception. *)
 val compile_result : string -> (compiled, Diag.diag) result
 
-(** What predicts the branches VRP cannot (⊥ ranges, governor-starved,
+(** What predicts the branches VRP cannot (⊥ ranges, fuel-starved,
     demoted or unreachable functions). [res] is the function's engine
     result when one exists — the hook may mine it for hints (e.g. "range
     known on one side"). The default tier is {!Vrp_predict.Heuristics}'
@@ -39,7 +38,7 @@ type fallback_predictor =
     Totality guarantee: the map has an entry for every conditional branch of
     the program, whatever happens during analysis — unreachable or demoted
     functions fall back to the fallback tier, and a per-function crash or
-    governor trip demotes only that function. With [report], every fallback
+    fuel exhaustion demotes only that function. With [report], every fallback
     is recorded as a [Fallback_heuristic] diagnostic (warning severity when
     caused by infrastructure degradation).
 
@@ -66,7 +65,7 @@ val vrp_predictions :
 (** The branches [report] attributes to the fallback tier (its
     [Fallback_heuristic] diagnostics): [(fn, block)] -> whether the
     fallback was caused by degradation (a warning or error: crash, fuel,
-    timeout) rather than an ordinary ⊥ range. *)
+    supervisor deadline) rather than an ordinary ⊥ range. *)
 val fallback_branches : Diag.report -> (string * int, bool) Hashtbl.t
 
 (** A branch's marker in rendered predictions: ["!"] degraded, ["*"]

@@ -58,9 +58,6 @@ let config_digest_covers_every_knob () =
       ("quota", { d with Engine.eval_quota = d.Engine.eval_quota + 1 });
       ("trip-prior", { d with Engine.trip_prior = d.Engine.trip_prior +. 1.0 });
       ("ssa-first", { d with Engine.flow_first = not d.Engine.flow_first });
-      ("fallback", { d with Engine.fallback = Engine.Even });
-      ("fuel", { d with Engine.fuel = Some 123456 });
-      ("time-limit", { d with Engine.time_limit_s = Some 9.5 });
       ("max-growth", { d with Engine.max_growth = d.Engine.max_growth + 1 });
       ("fault", { d with Engine.fault = Some (Vrp_diag.Diag.Fault.Crash_fn "x") });
     ]

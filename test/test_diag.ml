@@ -23,7 +23,7 @@ let degraded_tracks_severity () =
   Alcotest.(check bool) "empty not degraded" false (Diag.degraded r);
   Diag.add r Diag.Info Diag.Widened "quota widening";
   Alcotest.(check bool) "info not degraded" false (Diag.degraded r);
-  Diag.add r ~fn:"f" Diag.Warning Diag.Timeout "slow";
+  Diag.add r ~fn:"f" Diag.Warning Diag.Budget_exhausted "out of fuel";
   Alcotest.(check bool) "warning degrades" true (Diag.degraded r)
 
 let render_mentions_kinds_and_locations () =
@@ -47,7 +47,6 @@ let fault_parse_roundtrip () =
   in
   ok "crash:main" (Diag.Fault.Crash_fn "main");
   ok "fuel:helper" (Diag.Fault.Starve_fuel "helper");
-  ok "timeout:f" (Diag.Fault.Timeout_fn "f");
   ok "steps:120" (Diag.Fault.Trip_after 120);
   ok "hang:f" (Diag.Fault.Hang_fn "f");
   ok "flaky:f:3" (Diag.Fault.Flaky_fn ("f", 3));
@@ -66,6 +65,7 @@ let fault_parse_rejects_garbage () =
     [
       "bogus"; "crash:"; "steps:banana"; "steps:-4"; "explode:f"; "hang:";
       "flaky:f"; "flaky:f:0"; "flaky::2"; "corrupt-cache:0"; "torn-journal:-1";
+      "timeout:f";
     ]
 
 (* --- Scoped counter frames --- *)

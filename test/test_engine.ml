@@ -264,14 +264,6 @@ let derivation_dependency_retriggers () =
   let res = Helpers.analyze_main src in
   Helpers.check_prob "P(i<bound=10)" (10.0 /. 11.0) (Helpers.prob_of_branch_on res "i")
 
-let even_fallback_config () =
-  (* fallback = Even gives exactly 50% for unpredictable branches *)
-  let src = "int main(int n, int s) { if (n > 0) { return 1; } return 0; }" in
-  let res =
-    Helpers.analyze_main ~config:{ Engine.default_config with Engine.fallback = Engine.Even } src
-  in
-  Hashtbl.iter (fun _ p -> Helpers.check_prob "even fallback" 0.5 p) res.Engine.branch_probs
-
 let ssa_first_worklist_agrees () =
   (* both worklist disciplines must reach the same certain conclusions *)
   let src = Vrp_evaluation.Figures.figure2_source in
@@ -419,7 +411,6 @@ let suite =
       tc "ablation: assertions" `Quick no_assertions_ablation_loses_precision;
       tc "ablation: numeric only" `Quick numeric_only_drops_symbolic_facts;
       tc "derivation dependency retriggers" `Quick derivation_dependency_retriggers;
-      tc "even fallback" `Quick even_fallback_config;
       tc "ssa-first worklist agrees" `Quick ssa_first_worklist_agrees;
       tc "tiny quota still sound" `Quick tiny_quota_still_sound;
       tc "termination within budget on suite" `Quick termination_on_suite;

@@ -224,10 +224,10 @@ let counting inner =
 
 let runs_of runs name = Option.fold ~none:0 ~some:fst (Hashtbl.find_opt runs name)
 
-let counted_ipa ?config ?max_rounds src =
+let counted_ipa ?max_rounds src =
   let analyze_fn, runs = counting Interproc.default_analyze_fn in
   let t =
-    Interproc.analyze ?config ?max_rounds ~analyze_fn (Helpers.compile src).Vrp_core.Pipeline.ssa
+    Interproc.analyze ?max_rounds ~analyze_fn (Helpers.compile src).Vrp_core.Pipeline.ssa
   in
   (t, runs)
 
@@ -257,12 +257,6 @@ let rounds_and_convergence_unchanged () =
       Alcotest.(check (pair int bool)) b.Vrp_suite.Suite.name (rounds, true)
         (t.Interproc.rounds, t.Interproc.converged))
     Vrp_suite.Suite.benchmarks
-
-let timed_out_is_never_reused () =
-  let config = { Engine.default_config with Engine.fault = Some (Diag.Fault.Timeout_fn "leaf") } in
-  let t, runs = counted_ipa ~config leaf_source in
-  Alcotest.(check bool) "several rounds" true (t.Interproc.rounds > 2);
-  Alcotest.(check int) "leaf re-analysed every round" t.Interproc.rounds (runs_of runs "leaf")
 
 (* A reused result replays its run's whole report, supervisor notes
    included: the retry note of a flaky function appears once per round
@@ -399,7 +393,6 @@ let suite =
       tc "reuse: leaf skips round 3" `Quick leaf_skips_round_three;
       tc "reuse: result physically shared" `Quick reused_result_is_the_same_value;
       tc "reuse: rounds and convergence unchanged" `Quick rounds_and_convergence_unchanged;
-      tc "reuse: timed-out runs always re-run" `Quick timed_out_is_never_reused;
       tc "reuse: retry notes replayed" `Quick reuse_replays_retry_notes;
       tc "reuse: counts independent of jobs" `Quick reuse_counts_independent_of_jobs;
       tc "predict --diagnostics --strict golden" `Quick diagnostics_golden;

@@ -235,7 +235,7 @@ let loop_exit_edges () =
 
 let ssa_of src =
   let p = build src in
-  let ssa, _ = Vrp_ir.Ssa.transform_program p in
+  let ssa = Vrp_ir.Ssa.transform_program p in
   ssa
 
 let ssa_checker_passes_suite () =

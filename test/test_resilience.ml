@@ -71,10 +71,10 @@ let healthy_run_is_exact_and_clean () =
 
 (* Sibling isolation under each per-function fault: [main]'s predictions
    must equal the healthy run's. When [helper_is_bl] (crash: function fully
-   demoted; forced timeout: zero drain steps) [helper]'s predictions must
-   equal Ball–Larus and its branches must carry warning-severity fallback
-   diagnostics. Fuel starvation keeps partial results, so there we only
-   require containment + the governor diagnostic. *)
+   demoted) [helper]'s predictions must equal Ball–Larus and its branches
+   must carry warning-severity fallback diagnostics. Fuel starvation keeps
+   partial results, so there we only require containment + the budget
+   diagnostic. *)
 let check_containment ~fault ~expect_kind ~helper_is_bl () =
   let ssa0, healthy, _ = predictions_with two_fn_src in
   let ssa, preds, report = predictions_with ~config:(with_fault fault) two_fn_src in
@@ -119,10 +119,6 @@ let fuel_starvation_contained () =
   check_containment ~fault:(Diag.Fault.Starve_fuel "helper")
     ~expect_kind:Diag.Budget_exhausted ~helper_is_bl:false ()
 
-let timeout_contained () =
-  check_containment ~fault:(Diag.Fault.Timeout_fn "helper")
-    ~expect_kind:Diag.Timeout ~helper_is_bl:true ()
-
 let trip_after_still_total () =
   (* tripping after N steps crashes *every* function that gets that far:
      the map must still be total and the run degraded, never an escape *)
@@ -139,12 +135,10 @@ let trip_after_still_total () =
 let fuel_accounting_explicit () =
   let _, fn = Helpers.compile_main two_fn_src in
   let report = Diag.create () in
-  let res =
-    Engine.analyze ~config:{ Engine.default_config with Engine.fuel = Some 2 } ~report fn
-  in
+  let res = Engine.analyze ~config:(with_fault (Diag.Fault.Starve_fuel "main")) ~report fn in
   Alcotest.(check bool) "exhausted" true res.Engine.fuel_exhausted;
-  Alcotest.(check int) "limit recorded" 2 res.Engine.fuel_limit;
-  Alcotest.(check int) "spent everything" 2 res.Engine.fuel_spent;
+  Alcotest.(check int) "limit recorded" 4 res.Engine.fuel_limit;
+  Alcotest.(check int) "spent everything" 4 res.Engine.fuel_spent;
   Alcotest.(check bool) "diagnosed" true
     (Diag.count_kind report Diag.Budget_exhausted > 0)
 
@@ -152,21 +146,8 @@ let fuel_accounting_healthy () =
   let _, fn = Helpers.compile_main two_fn_src in
   let res = Engine.analyze fn in
   Alcotest.(check bool) "not exhausted" false res.Engine.fuel_exhausted;
-  Alcotest.(check bool) "not timed out" false res.Engine.timed_out;
   Alcotest.(check bool) "spent some fuel" true (res.Engine.fuel_spent > 0);
   Alcotest.(check bool) "within limit" true (res.Engine.fuel_spent < res.Engine.fuel_limit)
-
-let wall_clock_governor () =
-  let _, fn = Helpers.compile_main two_fn_src in
-  let report = Diag.create () in
-  (* a deadline in the past trips deterministically on the first check *)
-  let res =
-    Engine.analyze
-      ~config:{ Engine.default_config with Engine.time_limit_s = Some (-1.0) }
-      ~report fn
-  in
-  Alcotest.(check bool) "timed out" true res.Engine.timed_out;
-  Alcotest.(check bool) "diagnosed" true (Diag.count_kind report Diag.Timeout > 0)
 
 let quota_widening_diagnosed () =
   let _, fn = Helpers.compile_main two_fn_src in
@@ -255,11 +236,9 @@ let suite =
       tc "healthy run is exact and clean" `Quick healthy_run_is_exact_and_clean;
       tc "crash contained to one function" `Quick crash_contained;
       tc "fuel starvation contained" `Quick fuel_starvation_contained;
-      tc "timeout contained" `Quick timeout_contained;
       tc "trip-after still total" `Quick trip_after_still_total;
       tc "explicit fuel accounting" `Quick fuel_accounting_explicit;
       tc "healthy fuel accounting" `Quick fuel_accounting_healthy;
-      tc "wall-clock governor" `Quick wall_clock_governor;
       tc "quota widening diagnosed" `Quick quota_widening_diagnosed;
       tc "growth cap widening" `Quick growth_cap_widening;
       tc "no-main program degrades gracefully" `Quick no_main_program_degrades;

@@ -18,7 +18,7 @@ import statistics
 import subprocess
 import sys
 
-WORKLOADS = ["analyze_cold", "batch_warm"]
+WORKLOADS = ["analyze_cold", "batch_warm", "serve_mixed"]
 PAIRS = 6
 ARGS = ["--seed", "1", "--seconds", "3", "--trace", "0"]
 

@@ -209,3 +209,14 @@ let task_key ~fn_digest ~config_digest ~param_values ~callee_returns =
     callee_returns;
   Printf.sprintf "%s-%s-%s" fn_digest config_digest
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+(* --- Whole replies --- *)
+
+let reply_key ~source_md5 ~config_digest ~diagnostics ~strict ~model_digest =
+  let buf = Buffer.create 128 in
+  add_string buf source_md5;
+  add_string buf config_digest;
+  add_tag buf (if diagnostics then 't' else 'f');
+  add_tag buf (if strict then 't' else 'f');
+  add_option buf add_string model_digest;
+  "reply-" ^ Digest.to_hex (Digest.string (Buffer.contents buf))

@@ -41,3 +41,15 @@ val task_key :
   param_values:Value.t list ->
   callee_returns:(string * Value.t) list ->
   string
+
+(** Key of a whole [predict] reply in the file-level tier: the source's MD5
+    (hex), the engine configuration digest, the two flags that change the
+    rendering ([diagnostics], [strict]) and the learned fallback model's
+    digest, if one is loaded. Distinct from every {!task_key}. *)
+val reply_key :
+  source_md5:string ->
+  config_digest:string ->
+  diagnostics:bool ->
+  strict:bool ->
+  model_digest:string option ->
+  string

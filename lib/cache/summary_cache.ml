@@ -12,18 +12,28 @@ type counters = {
   mutable stores : int;
   mutable invalidations : int;
   mutable quarantined : int;
+  mutable file_hits : int;
 }
 
 let zero_counters () =
   { hits = 0; disk_hits = 0; misses = 0; stores = 0; invalidations = 0;
-    quarantined = 0 }
+    quarantined = 0; file_hits = 0 }
 
-type entry = { res : Engine.t; mutable last_use : int }
+type reply = { out : string; err : string; code : int }
+
+(* One memory-tier table holds both tiers, so they share one capacity and
+   one eviction path. *)
+type value = Summary of Engine.t | Reply of reply
+type entry = { value : value; mutable last_use : int }
+
+(* A slot's latest (IR, config) stamp and the memory-tier keys stored under
+   it: the keys a restamp drops. *)
+type slot = { stamp : string; mutable keys : string list }
 
 type t = {
   capacity : int;
   mem : (string, entry) Hashtbl.t;
-  seen : (string, string) Hashtbl.t;  (* slot -> last (IR, config) stamp *)
+  seen : (string, slot) Hashtbl.t;
   disk_dir : string option;
   lock : Mutex.t;
   c : counters;
@@ -156,6 +166,7 @@ let counters t =
         stores = t.c.stores;
         invalidations = t.c.invalidations;
         quarantined = t.c.quarantined;
+        file_hits = t.c.file_hits;
       })
 
 let obs_evictions =
@@ -170,6 +181,7 @@ let map2 f a b =
     stores = f a.stores b.stores;
     invalidations = f a.invalidations b.invalidations;
     quarantined = f a.quarantined b.quarantined;
+    file_hits = f a.file_hits b.file_hits;
   }
 
 let delta ~before after = map2 ( - ) after before
@@ -187,6 +199,8 @@ let samples c =
       "vrp_cache_invalidations_total" c.invalidations;
     counter ~help:"Corrupt summary files quarantined" "vrp_cache_quarantined_total"
       c.quarantined;
+    counter ~help:"Replies served whole from the file-level tier" "vrp_cache_file_hits_total"
+      c.file_hits;
   ]
 
 let evict_memory t =
@@ -216,16 +230,16 @@ let close t =
 
 let counters_line c =
   Printf.sprintf
-    "summary cache: %d hits (%d from disk), %d misses, %d invalidations, %d quarantined"
-    c.hits c.disk_hits c.misses c.invalidations c.quarantined
+    "summary cache: %d hits (%d from disk), %d misses, %d invalidations, %d quarantined, %d file hits"
+    c.hits c.disk_hits c.misses c.invalidations c.quarantined c.file_hits
 
 (* --- Memory tier --- *)
 
 (* Call under the lock. Evicts down to 3/4 capacity by last use, so
    eviction cost is amortized over at least capacity/4 insertions. *)
-let insert_locked t key res =
+let insert_locked t key value =
   t.tick <- t.tick + 1;
-  Hashtbl.replace t.mem key { res; last_use = t.tick };
+  Hashtbl.replace t.mem key { value; last_use = t.tick };
   t.c.stores <- t.c.stores + 1;
   if Hashtbl.length t.mem > t.capacity then begin
     let entries = Hashtbl.fold (fun k e acc -> (e.last_use, k) :: acc) t.mem [] in
@@ -342,21 +356,43 @@ let disk_store t key (res : Engine.t) =
 
 (* --- Lookup --- *)
 
+(* Under the lock: make [stamp] the slot's latest. A restamp counts as an
+   invalidation and drops the memory-tier entries stored under the old
+   stamp, so a slot holds only its latest stamp's summaries however often
+   it is edited. The disk tier keeps them. *)
+let restamp_locked t ~slot ~stamp =
+  match Hashtbl.find_opt t.seen slot with
+  | Some s when String.equal s.stamp stamp -> s
+  | prev ->
+    Option.iter
+      (fun old ->
+        t.c.invalidations <- t.c.invalidations + 1;
+        List.iter (Hashtbl.remove t.mem) old.keys)
+      prev;
+    let s = { stamp; keys = [] } in
+    Hashtbl.replace t.seen slot s;
+    s
+
+(* Under the lock: store a summary found or computed for [s]. A slot
+   restamped meanwhile by a concurrent lookup has superseded it. *)
+let store_summary_locked t (s : slot) ~slot key res =
+  match Hashtbl.find_opt t.seen slot with
+  | Some cur when cur == s ->
+    insert_locked t key (Summary res);
+    if not (List.mem key s.keys) then s.keys <- key :: s.keys
+  | _ -> ()
+
 let find_or_compute t ~slot ~stamp ~key compute =
-  let cached =
+  let s, cached =
     locked t (fun () ->
-        (match Hashtbl.find_opt t.seen slot with
-        | Some old when not (String.equal old stamp) ->
-          t.c.invalidations <- t.c.invalidations + 1
-        | _ -> ());
-        Hashtbl.replace t.seen slot stamp;
+        let s = restamp_locked t ~slot ~stamp in
         match Hashtbl.find_opt t.mem key with
-        | Some e ->
+        | Some ({ value = Summary res; _ } as e) ->
           t.tick <- t.tick + 1;
           e.last_use <- t.tick;
           t.c.hits <- t.c.hits + 1;
-          Some e.res
-        | None -> None)
+          (s, Some res)
+        | Some { value = Reply _; _ } | None -> (s, None))
   in
   match cached with
   | Some res -> res
@@ -366,7 +402,7 @@ let find_or_compute t ~slot ~stamp ~key compute =
       locked t (fun () ->
           t.c.hits <- t.c.hits + 1;
           t.c.disk_hits <- t.c.disk_hits + 1;
-          insert_locked t key res);
+          store_summary_locked t s ~slot key res);
       res
     | (Stale | Corrupt | Absent) as verdict ->
       locked t (fun () ->
@@ -378,9 +414,23 @@ let find_or_compute t ~slot ~stamp ~key compute =
             t.c.quarantined <- t.c.quarantined + 1
           | Served _ | Absent -> ());
       let res = compute () in
-      locked t (fun () -> insert_locked t key res);
+      locked t (fun () -> store_summary_locked t s ~slot key res);
       disk_store t key res;
       res)
+
+(* --- File-level tier --- *)
+
+let find_reply t ~key =
+  locked t (fun () ->
+      match Hashtbl.find_opt t.mem key with
+      | Some ({ value = Reply r; _ } as e) ->
+        t.tick <- t.tick + 1;
+        e.last_use <- t.tick;
+        t.c.file_hits <- t.c.file_hits + 1;
+        Some r
+      | Some { value = Summary _; _ } | None -> None)
+
+let store_reply t ~key r = locked t (fun () -> insert_locked t key (Reply r))
 
 (* --- The memoizing analyze_fn --- *)
 

@@ -5,6 +5,15 @@
     file per key under [disk_dir]) that survives across processes — a warm
     [vrpc batch --cache DIR] run re-analyzes zero unchanged functions.
 
+    The memory map also holds a file-level tier: whole rendered replies
+    under {!Digest_key.reply_key}, which the server serves without
+    compiling. Both kinds of entry share the one capacity and eviction.
+
+    Each slot (a file-qualified function) keeps in memory only the
+    summaries stored under its latest stamp: a lookup under a new stamp
+    drops the slot's older entries, so repeated edits of one function
+    cannot grow the memory tier.
+
     Disk-tier integrity: every entry is framed with a payload checksum that
     is verified on read. A torn, truncated, or bit-rotted entry is counted
     as a miss plus an invalidation, quarantined aside as [KEY.sum.bad], and
@@ -42,7 +51,11 @@ type counters = {
   mutable quarantined : int;
       (** disk entries that failed checksum or frame verification and were
           moved aside as [KEY.sum.bad]; always a subset of [invalidations] *)
+  mutable file_hits : int;  (** replies served from the file-level tier *)
 }
+
+(** A rendered reply: stdout bytes, stderr bytes and exit code. *)
+type reply = { out : string; err : string; code : int }
 
 type t
 
@@ -87,11 +100,12 @@ val sum : counters -> counters -> counters
 (** The counters as the [vrp_cache_*_total] series, read at scrape time. *)
 val samples : counters -> Vrp_obs.Metrics.sample list
 
-(** Drop every memory-tier entry and the slot-stamp table, returning how
-    many entries were evicted. The disk tier (if any) is untouched, so the
-    next lookup round-trips through it; counters keep accumulating. This is
-    the server's [evict] operation for a long-running daemon whose memory
-    tier must be reclaimable without a restart. *)
+(** Drop every memory-tier entry (summaries and replies) and the
+    slot-stamp table, returning how many entries were evicted. The disk
+    tier (if any) is untouched, so the next lookup round-trips through it;
+    counters keep accumulating. This is the server's [evict] operation for
+    a long-running daemon whose memory tier must be reclaimable without a
+    restart. *)
 val evict_memory : t -> int
 
 (** Render counters as a one-line summary, e.g. for a batch report. *)
@@ -99,11 +113,20 @@ val counters_line : counters -> string
 
 (** [find_or_compute t ~slot ~stamp ~key compute] returns the summary for
     [key], computing and storing it on a miss. [slot] names the cached
-    entity (used only for invalidation accounting — pass a file-qualified
-    function name) and [stamp] is its (IR digest, config digest) identity:
-    a lookup for a known slot under a new stamp counts as an invalidation. *)
+    entity (pass a file-qualified function name) and [stamp] is its
+    (IR digest, config digest) identity: a lookup for a known slot under a
+    new stamp counts as an invalidation and drops from the memory tier the
+    entries the slot stored under its older stamp. *)
 val find_or_compute :
   t -> slot:string -> stamp:string -> key:string -> (unit -> Engine.t) -> Engine.t
+
+(** The reply stored under [key] in the file-level tier, counted as a
+    [file_hits] when found. *)
+val find_reply : t -> key:string -> reply option
+
+(** Store a reply in the file-level tier (memory only). The caller keys it
+    by everything the reply depends on and stores only complete replies. *)
+val store_reply : t -> key:string -> reply -> unit
 
 (** A memoizing {!Interproc.analyze_fn}: IR digests and static callee sets
     are precomputed for [program]'s functions, and each per-function task

@@ -60,7 +60,7 @@ let resolve_model ~report = function
         (d.Diag.message ^ "; degrading to Ball–Larus");
       None)
 
-type outcome = { out : string; err : string; code : int }
+type outcome = Summary_cache.reply = { out : string; err : string; code : int }
 
 let config_of opts =
   let base = if opts.numeric then Engine.numeric_only_config else Engine.default_config in

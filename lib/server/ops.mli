@@ -46,7 +46,7 @@ type opts = {
 (** [jobs = 1], everything else off. *)
 val default_opts : opts
 
-type outcome = {
+type outcome = Vrp_cache.Summary_cache.reply = {
   out : string;  (** stdout bytes — the deterministic, pinned surface *)
   err : string;  (** stderr bytes — counters and timing, may vary *)
   code : int;  (** process exit code *)

@@ -6,6 +6,7 @@ module Pipeline = Vrp_core.Pipeline
 module Pool = Vrp_sched.Pool
 module Supervisor = Vrp_sched.Supervisor
 module Summary_cache = Vrp_cache.Summary_cache
+module Digest_key = Vrp_cache.Digest_key
 module Strutil = Vrp_util.Strutil
 
 type settings = {
@@ -51,6 +52,7 @@ type counters = Accept.counters = {
 type t = {
   settings : settings;
   model : Vrp_learn.Tree.t option;  (* warm-loaded once at startup *)
+  model_digest : string option;  (* its digest, for reply keys *)
   pool : Pool.t;
   sup : Supervisor.t;
   cache : Summary_cache.t;  (* server-wide, shared by predict/batch *)
@@ -134,24 +136,53 @@ let supervised t ~label ?budget_ms f =
   in
   Supervisor.supervise t.sup ~name:label ?deadline_ms (fun token -> f (Some token))
 
+(* The file-level tier's key for a predict of [source_md5] under [opts].
+   Requests carrying a fault bypass the tier, as they bypass the summary
+   cache: their degradations must replay exactly as one-shot. *)
+let reply_key t opts ~source_md5 =
+  if opts.Ops.fault <> None then None
+  else
+    Some
+      (Digest_key.reply_key ~source_md5
+         ~config_digest:(Digest_key.config_digest (Ops.config_of opts))
+         ~diagnostics:opts.Ops.diagnostics ~strict:opts.Ops.strict
+         ~model_digest:t.model_digest)
+
 let handle_predict t ~budget_ms { Protocol.params = p; _ } =
   let source = req_string p "source" in
-  let name = Option.value ~default:"<request>" (opt_string p "name") in
+  let source_md5 = Digest.to_hex (Digest.string source) in
+  (* A nameless source is its own file: unrelated nameless programs must
+     not supersede each other's summaries. *)
+  let name = Option.value ~default:source_md5 (opt_string p "name") in
   let opts = opts_of t p in
   check_crash_file ~fault:opts.Ops.fault name;
-  supervised t ~label:("predict " ^ name) ?budget_ms (fun cancel ->
-      let opts = { opts with Ops.cancel } in
-      (* The warm server-wide cache serves repeat sources; skip it under
-         fault injection so degradations replay exactly as one-shot. *)
-      match Ops.compile_outcome source with
-      | Error o -> Accept.reply o
-      | Ok c ->
-        let analyze_fn =
-          if opts.Ops.fault = None then
-            Some (Summary_cache.memoized ~slot_prefix:name t.cache c.Pipeline.ssa)
-          else None
+  let key = reply_key t opts ~source_md5 in
+  match Option.bind key (fun key -> Summary_cache.find_reply t.cache ~key) with
+  | Some o -> Accept.reply o
+  | None ->
+    supervised t ~label:("predict " ^ name) ?budget_ms (fun cancel ->
+        let opts = { opts with Ops.cancel } in
+        let o =
+          match Ops.compile_outcome source with
+          | Error o -> o
+          | Ok c ->
+            (* A summary hit replays only the engine's budget diagnostics,
+               so a predict that renders diagnostics runs the engine; the
+               tier then serves its repeats. *)
+            let analyze_fn =
+              if key <> None && not opts.Ops.diagnostics then
+                Some (Summary_cache.memoized ~slot_prefix:name t.cache c.Pipeline.ssa)
+              else None
+            in
+            Ops.predict_compiled ~pool:t.pool ?analyze_fn ~opts c
         in
-        Accept.reply (Ops.predict_compiled ~pool:t.pool ?analyze_fn ~opts c))
+        (* A fired token may have cut the reply short, and a deadline cut
+           is not a function of the key: never store it. *)
+        (match (key, cancel) with
+        | Some key, Some token when not (Diag.Cancel.cancelled token) ->
+          Summary_cache.store_reply t.cache ~key o
+        | _ -> ());
+        Accept.reply o)
 
 let plan_json (plan : Session.plan) =
   Json.Obj
@@ -172,6 +203,7 @@ let cache_counters_json (c : Summary_cache.counters) =
       ("stores", Json.Int c.Summary_cache.stores);
       ("invalidations", Json.Int c.Summary_cache.invalidations);
       ("quarantined", Json.Int c.Summary_cache.quarantined);
+      ("file_hits", Json.Int c.Summary_cache.file_hits);
     ]
 
 let handle_analyze t ~budget_ms { Protocol.params = p; _ } =
@@ -262,9 +294,7 @@ let handle_status t ~budget_ms:_ _ =
   | Some path ->
     Buffer.add_string buf
       (Printf.sprintf "model %s (digest %s)\n" path
-         (match t.model with
-         | Some m -> Vrp_learn.Tree.digest m
-         | None -> "unloaded"))
+         (Option.value ~default:"unloaded" t.model_digest))
   | None -> ());
   Buffer.add_string buf
     (Printf.sprintf "requests: %d served, %d contained, %d cancelled\n" c.served
@@ -308,7 +338,7 @@ let handle_status t ~budget_ms:_ _ =
 let handle_evict t ~budget_ms:_ _ =
   let n = Summary_cache.evict_memory t.cache + Session.evict_all t.sessions in
   Accept.reply
-    { Ops.out = Printf.sprintf "evicted %d cached summaries\n" n; err = ""; code = 0 }
+    { Ops.out = Printf.sprintf "evicted %d cached entries\n" n; err = ""; code = 0 }
     ~data:[ ("evicted", Json.Int n) ]
 
 (* The daemon's records as scrape-time series; the table adds the per-op
@@ -343,6 +373,7 @@ let create ?(settings = default_settings) () =
   {
     settings;
     model;
+    model_digest = Option.map Vrp_learn.Tree.digest model;
     pool = Pool.create ~jobs:settings.jobs ();
     sup =
       Supervisor.create

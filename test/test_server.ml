@@ -159,17 +159,16 @@ let with_server ?settings f =
   let server = Server.create ?settings () in
   Fun.protect ~finally:(fun () -> Server.shutdown server) (fun () -> f server)
 
-let predict_req ?(id = 1) ?fault ~name source =
+let predict_req ?(id = 1) ?fault ?name ?(params = []) source =
+  let opt k f = Option.fold ~none:[] ~some:(fun v -> [ (k, f v) ]) in
   {
     Protocol.id;
     op = "predict";
     params =
       Json.Obj
-        ([ ("source", Json.String source); ("name", Json.String name) ]
-        @
-        match fault with
-        | Some spec -> [ ("fault", Json.String spec) ]
-        | None -> []);
+        ((("source", Json.String source) :: opt "name" (fun n -> Json.String n) name)
+        @ opt "fault" (fun spec -> Json.String spec) fault
+        @ params);
   }
 
 let analyze_req ?(id = 1) ~session ~name source =
@@ -1427,7 +1426,9 @@ let cache_totals_agree () =
         let r = handle (analyze_req ~id ~session:"dev" ~name:"sieve.mc" sieve) in
         Alcotest.(check bool) "analyze ok" true r.Protocol.ok
       done;
-      ignore (handle (predict_req ~name:"qsort.mc" (bench_source "qsort")));
+      for _ = 1 to 2 do
+        ignore (handle (predict_req ~name:"qsort.mc" (bench_source "qsort")))
+      done;
       let totals () =
         let st = local_op handle "status" in
         let line =
@@ -1435,9 +1436,11 @@ let cache_totals_agree () =
             (fun l -> Astring.String.is_prefix ~affix:"summary cache:" l)
             (String.split_on_char '\n' st.Protocol.out)
         in
-        let hits, misses, inval =
-          Scanf.sscanf line "summary cache: %d hits (%d from disk), %d misses, %d invalidations"
-            (fun h _ m i -> (h, m, i))
+        let hits, misses, inval, file_hits =
+          Scanf.sscanf line
+            "summary cache: %d hits (%d from disk), %d misses, %d invalidations, %d \
+             quarantined, %d file hits"
+            (fun h _ m i _ f -> (h, m, i, f))
         in
         let json = Option.get (List.assoc_opt "cache" st.Protocol.data) in
         let scrape = (local_op handle "metrics").Protocol.out in
@@ -1449,13 +1452,15 @@ let cache_totals_agree () =
             ("hits", "vrp_cache_hits_total", hits);
             ("misses", "vrp_cache_misses_total", misses);
             ("invalidations", "vrp_cache_invalidations_total", inval);
+            ("file_hits", "vrp_cache_file_hits_total", file_hits);
           ];
-        (hits, misses)
+        (hits, misses, file_hits)
       in
-      let before = totals () in
-      Alcotest.(check bool) "session hits counted" true (fst before > 0);
+      let ((hits, _, file_hits) as before) = totals () in
+      Alcotest.(check bool) "session hits counted" true (hits > 0);
+      Alcotest.(check int) "the repeated predict is a file hit" 1 file_hits;
       ignore (local_op handle "evict");
-      Alcotest.(check (pair int int)) "evict keeps the total" before (totals ()))
+      Alcotest.(check (triple int int int)) "evict keeps the total" before (totals ()))
 
 (* Dropping or LRU-evicting a session retires its cache counters into the
    table's total instead of losing them, including the traffic of a request
@@ -1525,6 +1530,159 @@ let fleet_admission_line_matches_scrape () =
         (float_of_int (Admit.counters (Fleet.admit fleet)).Admit.admitted)
         (scraped scrape "vrpd_admission_admitted_total"))
 
+(* --- File-level reply tier --- *)
+
+let file_hits handle =
+  match
+    Option.bind (List.assoc_opt "cache" (local_op handle "status").Protocol.data)
+      (Json.mem_int "file_hits")
+  with
+  | Some n -> n
+  | None -> Alcotest.fail "status has no cache.file_hits"
+
+let check_outcome what (want : Ops.outcome) (r : Protocol.response) =
+  Alcotest.(check bool) (what ^ " ok") true r.Protocol.ok;
+  Alcotest.(check string) (what ^ " stdout") want.Ops.out r.Protocol.out;
+  Alcotest.(check string) (what ^ " stderr") want.Ops.err r.Protocol.err;
+  Alcotest.(check int) (what ^ " code") want.Ops.code r.Protocol.code
+
+(* Every suite program under every {numeric, diagnostics, strict}: the first
+   request compiles and fills the tier, the second is served from it, and
+   both carry the one-shot bytes. *)
+let reply_tier_byte_identical () =
+  let flags = [ false; true ] in
+  let combos =
+    List.concat_map
+      (fun numeric ->
+        List.concat_map
+          (fun diagnostics -> List.map (fun strict -> (numeric, diagnostics, strict)) flags)
+          flags)
+      flags
+  in
+  with_server (fun server ->
+      let handle = Server.handle server in
+      List.iter
+        (fun (b : Suite.benchmark) ->
+          List.iter
+            (fun (numeric, diagnostics, strict) ->
+              let opts = { Ops.default_opts with Ops.numeric; diagnostics; strict } in
+              let want = Ops.predict ~opts ~source:b.Suite.source () in
+              let params =
+                [
+                  ("numeric", Json.Bool numeric);
+                  ("diagnostics", Json.Bool diagnostics);
+                  ("strict", Json.Bool strict);
+                ]
+              in
+              let what =
+                Printf.sprintf "%s numeric=%b diagnostics=%b strict=%b" b.Suite.name numeric
+                  diagnostics strict
+              in
+              let before = file_hits handle in
+              List.iter
+                (fun round ->
+                  check_outcome (what ^ " " ^ round) want
+                    (handle (predict_req ~name:b.Suite.name ~params b.Suite.source)))
+                [ "first"; "second" ];
+              Alcotest.(check int) (what ^ ": second served by the tier") (before + 1)
+                (file_hits handle))
+            combos)
+        Suite.benchmarks)
+
+(* The key covers everything a reply depends on, the fallback model
+   included. *)
+let reply_key_covers_inputs () =
+  let key ?(source_md5 = "s") ?(config_digest = "c") ?(diagnostics = false) ?(strict = false)
+      ?model_digest () =
+    Vrp_cache.Digest_key.reply_key ~source_md5 ~config_digest ~diagnostics ~strict ~model_digest
+  in
+  let model = Vrp_learn.Tree.digest (Lazy.force Vrp_learn.Infer.default) in
+  let keys =
+    [
+      key ();
+      key ~source_md5:"t" ();
+      key ~config_digest:"d" ();
+      key ~diagnostics:true ();
+      key ~strict:true ();
+      key ~model_digest:model ();
+      key ~model_digest:(Digest.to_hex (Digest.string "another model")) ();
+    ]
+  in
+  Alcotest.(check int) "all distinct" (List.length keys)
+    (List.length (List.sort_uniq compare keys));
+  Alcotest.(check string) "deterministic" (key ~model_digest:model ()) (key ~model_digest:model ())
+
+let reply_tier_after_evict () =
+  with_server (fun server ->
+      let handle = Server.handle server in
+      let source = bench_source "qsort" in
+      let want = Ops.predict ~opts:Ops.default_opts ~source () in
+      let ask () = handle (predict_req ~name:"qsort.mc" source) in
+      check_outcome "cold" want (ask ());
+      check_outcome "warm" want (ask ());
+      Alcotest.(check int) "warm read served by the tier" 1 (file_hits handle);
+      ignore (local_op handle "evict");
+      check_outcome "after evict" want (ask ());
+      Alcotest.(check int) "evicted: the tier misses" 1 (file_hits handle);
+      check_outcome "refilled" want (ask ());
+      Alcotest.(check int) "refilled tier serves again" 2 (file_hits handle))
+
+(* A deadline cut is not a function of the reply key: the cut reply is not
+   stored, so the next unbudgeted predict gets the full table. *)
+let deadline_cut_reply_not_stored () =
+  let source = Vrp_suite.Synth.generate ~units:160 ~seed:1 () in
+  let want = Ops.predict ~opts:Ops.default_opts ~source () in
+  with_server (fun server ->
+      let handle = Server.handle server in
+      (* A 2 ms deadline reaches the handler as a 1 ms budget; on a stalled
+         box it can expire before dispatch, so ask until one is dispatched. *)
+      let rec cut tries =
+        let r = handle (predict_req ~name:"big.mc" ~params:[ ("deadline_ms", Json.Int 2) ] source) in
+        if r.Protocol.ok || tries = 0 then r else cut (tries - 1)
+      in
+      let r = cut 20 in
+      Alcotest.(check bool) "budgeted predict dispatched" true r.Protocol.ok;
+      Alcotest.(check bool) "budgeted predict was cut short" true (r.Protocol.out <> want.Ops.out);
+      check_outcome "unbudgeted" want (handle (predict_req ~name:"big.mc" source));
+      Alcotest.(check int) "no cut reply was served" 0 (file_hits handle))
+
+(* Each slot keeps only its latest stamp's summaries: a long editing
+   session holds one entry per function, not one per edit. *)
+let session_cache_bounded_under_edits () =
+  with_server (fun server ->
+      let handle = Server.handle server in
+      for k = 1 to 100 do
+        let r = handle (analyze_req ~id:k ~session:"long" ~name:"fan.mc" (fan_src (100 + k))) in
+        Alcotest.(check bool) "edit ok" true r.Protocol.ok
+      done;
+      match data_int (local_op handle "evict") "evicted" with
+      | Some n ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%d entries for 13 functions after 100 edits" n)
+          true (n <= 13 + 2)
+      | None -> Alcotest.fail "no evicted count")
+
+(* Nameless predicts are slotted by their source digest: alternating edits
+   of two nameless programs hit exactly as often as two named ones. *)
+let nameless_predicts_own_slots () =
+  let traffic ~named =
+    with_server (fun server ->
+        let handle = Server.handle server in
+        for k = 1 to 5 do
+          List.iter
+            (fun (name, source) ->
+              let name = if named then Some name else None in
+              let r = handle (predict_req ?name source) in
+              Alcotest.(check string) "bytes" (Ops.predict ~opts:Ops.default_opts ~source ()).Ops.out
+                r.Protocol.out)
+            [ ("fan.mc", fan_src (10 + k)); ("inc.mc", inc_src (10 + k)) ]
+        done;
+        let json = Option.get (List.assoc_opt "cache" (local_op handle "status").Protocol.data) in
+        (Json.mem_int "hits" json, Json.mem_int "misses" json))
+  in
+  let named = traffic ~named:true and nameless = traffic ~named:false in
+  Alcotest.(check (pair (option int) (option int))) "hits, misses" named nameless
+
 (* The families CI and the benchmark read, by name and type. *)
 let exposition_families_pinned () =
   let check_types scrape families =
@@ -1553,6 +1711,7 @@ let exposition_families_pinned () =
           ("vrp_cache_hits_total", "counter");
           ("vrp_cache_misses_total", "counter");
           ("vrp_cache_invalidations_total", "counter");
+          ("vrp_cache_file_hits_total", "counter");
           ("vrp_engine_runs_total", "counter");
           ("vrp_engine_run_seconds", "histogram");
           ("vrp_engine_evaluations_total", "counter");
@@ -1623,4 +1782,10 @@ let suite =
       tc "session cache totals survive eviction" `Quick session_cache_totals_survive_eviction;
       tc "fleet admission line = scrape" `Quick fleet_admission_line_matches_scrape;
       tc "exposition families pinned" `Quick exposition_families_pinned;
+      tc "reply tier byte-identical (suite x flags)" `Quick reply_tier_byte_identical;
+      tc "reply key covers its inputs" `Quick reply_key_covers_inputs;
+      tc "reply tier after evict" `Quick reply_tier_after_evict;
+      tc "deadline-cut reply not stored" `Quick deadline_cut_reply_not_stored;
+      tc "session cache bounded under edits" `Quick session_cache_bounded_under_edits;
+      tc "nameless predicts own slots" `Quick nameless_predicts_own_slots;
     ] )

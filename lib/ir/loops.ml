@@ -3,9 +3,9 @@
     Back edges are edges [latch -> header] where the header dominates the
     latch; the natural loop of a back edge is the set of nodes that reach the
     latch without passing through the header. Loop structure feeds the
-    Ball–Larus heuristics (loop branch / loop exit / loop header) and the
-    90/50 rule's notion of "backward branch", and VRP's derivation step uses
-    [is_back_edge] to spot loop-carried φ-functions (paper §3.3 step 4). *)
+    Ball–Larus heuristics (loop branch / loop exit / loop header), the
+    90/50 rule's notion of "backward branch" and VRP's derivation step
+    (paper §3.3 step 4). {!Static} builds it once per function. *)
 
 module IntSet = Set.Make (Int)
 
@@ -21,7 +21,6 @@ type t = {
   loops : loop array;
   loop_of_block : int option array;  (** innermost loop index per block *)
   back_edges : (int * int) list;  (** (latch, header) *)
-  dom : Dom.t;
 }
 
 let natural_loop fn ~header ~latch =
@@ -37,8 +36,7 @@ let natural_loop fn ~header ~latch =
   if latch <> header then pull latch;
   !body
 
-let compute (fn : Ir.fn) : t =
-  let dom = Dom.compute fn in
+let compute (fn : Ir.fn) (dom : Dom.t) : t =
   let back_edges = ref [] in
   Ir.iter_blocks fn (fun b ->
       List.iter
@@ -88,9 +86,7 @@ let compute (fn : Ir.fn) : t =
   for i = Array.length loops - 1 downto 0 do
     IntSet.iter (fun bid -> loop_of_block.(bid) <- Some i) loops.(i).body
   done;
-  { loops = Array.of_list (Array.to_list loops); loop_of_block; back_edges; dom }
-
-let is_back_edge t ~src ~dst = List.mem (src, dst) t.back_edges
+  { loops = Array.of_list (Array.to_list loops); loop_of_block; back_edges }
 
 let in_loop t bid = t.loop_of_block.(bid) <> None
 

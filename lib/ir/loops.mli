@@ -16,11 +16,11 @@ type t = {
   loops : loop array;
   loop_of_block : int option array;  (** innermost loop index per block *)
   back_edges : (int * int) list;  (** (latch, header) *)
-  dom : Dom.t;
 }
 
-val compute : Ir.fn -> t
-val is_back_edge : t -> src:int -> dst:int -> bool
+(** Natural loops of a function, given its dominator tree. *)
+val compute : Ir.fn -> Dom.t -> t
+
 val in_loop : t -> int -> bool
 val loop_depth : t -> int -> int
 val is_loop_header : t -> int -> bool

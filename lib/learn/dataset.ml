@@ -75,7 +75,7 @@ let samples_of_program ~seed ~(profile : Gen.profile) index : sample list =
           | Some ipa -> Interproc.result ipa fn.Ir.fname
           | None -> None
         in
-        let ctx = lazy (Heuristics.make_ctx fn) in
+        let static = lazy (Vrp_ir.Static.of_fn fn) in
         Array.iter
           (fun (b : Ir.block) ->
             match b.Ir.term with
@@ -91,9 +91,9 @@ let samples_of_program ~seed ~(profile : Gen.profile) index : sample list =
               if fallback then begin
                 match Hashtbl.find_opt counts (fn.Ir.fname, b.Ir.bid) with
                 | Some (taken, total) when total > 0 ->
-                  let ctx = Lazy.force ctx in
-                  let fv = Features.extract ~ctx ~res ~src:b.Ir.bid br in
-                  let bl = Heuristics.ball_larus ctx ~src:b.Ir.bid br in
+                  let static = Lazy.force static in
+                  let fv = Features.extract ~static ~res ~src:b.Ir.bid br in
+                  let bl = Heuristics.ball_larus static ~src:b.Ir.bid br in
                   let bl_pm =
                     max 0 (min 1000 (int_of_float (Float.round (bl *. 1000.0))))
                   in

@@ -16,6 +16,7 @@ module Ast = Vrp_lang.Ast
 module Ir = Vrp_ir.Ir
 module Var = Vrp_ir.Var
 module Loops = Vrp_ir.Loops
+module Static = Vrp_ir.Static
 module Heuristics = Vrp_predict.Heuristics
 module Engine = Vrp_core.Engine
 module Value = Vrp_ranges.Value
@@ -72,49 +73,40 @@ let operand_class = function
 
 let bool_ b = if b then 1 else 0
 
-let block_has_array_access (fn : Ir.fn) bid =
-  List.exists
+let block_has_array_access (st : Static.t) bid =
+  Array.exists
     (fun instr ->
       match instr with
       | Ir.Store _ -> true
       | Ir.Def (_, Ir.Load _) -> true
       | Ir.Def _ -> false)
-    (Ir.block fn bid).Ir.instrs
+    st.instrs.(bid)
 
-(* Is some compared operand the result of an array load? Walks the defs of
-   the whole function once — MiniC functions are small. *)
-let compares_loaded_value (fn : Ir.fn) (br : Ir.branch) =
+(* Is some compared operand the result of an array load? *)
+let compares_loaded_value st (br : Ir.branch) =
+  List.exists
+    (fun op ->
+      match Option.bind (Ir.operand_var op) (Static.def st) with
+      | Some (Ir.Load _) -> true
+      | Some _ | None -> false)
+    [ br.Ir.ba; br.Ir.bb ]
+
+(* A successor "uses" the branch's operands when some non-assertion
+   instruction reads one of the compared SSA variables — the Ball–Larus
+   guard-heuristic shape. *)
+let successor_uses_operand (st : Static.t) (br : Ir.branch) dst =
   let wanted =
     List.filter_map Ir.operand_var [ br.Ir.ba; br.Ir.bb ]
     |> List.map (fun (v : Var.t) -> v.Var.id)
   in
   wanted <> []
   && Array.exists
-       (fun (b : Ir.block) ->
-         List.exists
-           (fun instr ->
-             match instr with
-             | Ir.Def (v, Ir.Load _) -> List.mem v.Var.id wanted
-             | Ir.Def _ | Ir.Store _ -> false)
-           b.Ir.instrs)
-       fn.Ir.blocks
-
-(* A successor "uses" the branch's operands when some non-assertion
-   instruction reads one of the compared SSA variables — the Ball–Larus
-   guard-heuristic shape. *)
-let successor_uses_operand (fn : Ir.fn) (br : Ir.branch) dst =
-  let wanted =
-    List.filter_map Ir.operand_var [ br.Ir.ba; br.Ir.bb ]
-    |> List.map (fun (v : Var.t) -> v.Var.id)
-  in
-  wanted <> []
-  && List.exists
        (fun instr ->
          match instr with
          | Ir.Def (_, Ir.Assertion _) -> false
          | instr ->
            List.exists (fun (v : Var.t) -> List.mem v.Var.id wanted) (Ir.instr_uses instr))
-       (Ir.block fn dst).Ir.instrs
+       st.instrs.(dst)
 
 (* The engine knew a usable (non-⊤, non-⊥) range for this operand, even
    though the comparison as a whole was unpredictable. *)
@@ -128,18 +120,18 @@ let range_known (res : Engine.t option) = function
       | Value.Top | Value.Bottom -> false
       | Value.Ranges _ -> true))
 
-let extract ~(ctx : Heuristics.ctx) ~(res : Engine.t option) ~src (br : Ir.branch) :
+let extract ~(static : Static.t) ~(res : Engine.t option) ~src (br : Ir.branch) :
     int array =
-  let fn = ctx.Heuristics.fn and loops = ctx.Heuristics.loops in
+  let loops = static.loops in
   let depth = min 7 (Loops.loop_depth loops src) in
-  let back dst = Loops.is_back_edge loops ~src ~dst in
+  let back dst = Static.is_back_edge static ~src ~dst in
   let exits dst = Loops.is_loop_exit_edge loops ~src ~dst in
   let header dst = Loops.is_loop_header loops dst in
-  let pd dst = Heuristics.postdominates ctx dst src in
-  let call dst = Heuristics.block_has_call ctx dst in
-  let store dst = Heuristics.block_has_store ctx dst in
-  let returns dst = Heuristics.block_returns ctx dst in
-  let uses dst = successor_uses_operand fn br dst in
+  let pd dst = Heuristics.postdominates static dst src in
+  let call dst = Heuristics.block_has_call static dst in
+  let store dst = Heuristics.block_has_store static dst in
+  let returns dst = Heuristics.block_returns static dst in
+  let uses dst = successor_uses_operand static br dst in
   [|
     relop_code br.Ir.rel;
     operand_class br.Ir.ba;
@@ -162,8 +154,8 @@ let extract ~(ctx : Heuristics.ctx) ~(res : Engine.t option) ~src (br : Ir.branc
     bool_ (returns br.Ir.fdst);
     bool_ (uses br.Ir.tdst);
     bool_ (uses br.Ir.fdst);
-    bool_ (block_has_array_access fn src);
-    bool_ (compares_loaded_value fn br);
+    bool_ (block_has_array_access static src);
+    bool_ (compares_loaded_value static br);
     bool_ (range_known res br.Ir.ba);
     bool_ (range_known res br.Ir.bb);
   |]

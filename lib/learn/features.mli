@@ -5,7 +5,6 @@
     side"). All features are small non-negative integers. *)
 
 module Ir = Vrp_ir.Ir
-module Heuristics = Vrp_predict.Heuristics
 module Engine = Vrp_core.Engine
 
 (** Schema version, serialized into every model; bumped on any change to
@@ -23,4 +22,4 @@ val dim : int
     only the range-known hint features; pass [None] for a purely static
     vector (demoted or unreachable functions). *)
 val extract :
-  ctx:Heuristics.ctx -> res:Engine.t option -> src:int -> Ir.branch -> int array
+  static:Vrp_ir.Static.t -> res:Engine.t option -> src:int -> Ir.branch -> int array

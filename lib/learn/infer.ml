@@ -3,7 +3,6 @@
 module Ir = Vrp_ir.Ir
 module Diag = Vrp_diag.Diag
 module Pipeline = Vrp_core.Pipeline
-module Heuristics = Vrp_predict.Heuristics
 
 let model_error ~what msg =
   {
@@ -46,8 +45,8 @@ let default =
     | Ok m -> m
     | Error d -> failwith d.Diag.message)
 
-let prob model ~(ctx : Heuristics.ctx) ~res ~src (br : Ir.branch) : float =
-  Tree.predict model (Features.extract ~ctx ~res ~src br)
+let prob model ~static ~res ~src (br : Ir.branch) : float =
+  Tree.predict model (Features.extract ~static ~res ~src br)
 
 let fallback model : Pipeline.fallback_predictor =
- fun ~ctx ~res ~src br -> prob model ~ctx ~res ~src br
+ fun ~static ~res ~src br -> prob model ~static ~res ~src br

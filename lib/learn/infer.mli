@@ -24,7 +24,7 @@ val default : Tree.t Lazy.t
     range-known hints); [src] the branch's source block id. *)
 val prob :
   Tree.t ->
-  ctx:Vrp_predict.Heuristics.ctx ->
+  static:Vrp_ir.Static.t ->
   res:Vrp_core.Engine.t option ->
   src:int ->
   Vrp_ir.Ir.branch ->

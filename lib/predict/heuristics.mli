@@ -6,20 +6,17 @@
     heuristic is absent in MiniC. *)
 
 module Ir = Vrp_ir.Ir
-
-type ctx = { fn : Ir.fn; loops : Vrp_ir.Loops.t; postdom : Vrp_ir.Dom.t }
-
-val make_ctx : Ir.fn -> ctx
+module Static = Vrp_ir.Static
 
 (** Block-shape predicates shared with the learned predictor's feature
     extractor, so both tiers read the same structural signals. *)
-val block_has_call : ctx -> int -> bool
+val block_has_call : Static.t -> int -> bool
 
-val block_has_store : ctx -> int -> bool
-val block_returns : ctx -> int -> bool
+val block_has_store : Static.t -> int -> bool
+val block_returns : Static.t -> int -> bool
 
-(** [postdominates ctx a b]: does block [a] postdominate block [b]? *)
-val postdominates : ctx -> int -> int -> bool
+(** [postdominates st a b]: does block [a] postdominate block [b]? *)
+val postdominates : Static.t -> int -> int -> bool
 
 (** Wu–Larus hit rates. *)
 val lbh_prob : float
@@ -33,18 +30,18 @@ val sh_prob : float
 val rh_prob : float
 
 (** The individual heuristics (exposed for testing and ablation). *)
-val loop_branch : ctx -> src:int -> Ir.branch -> float option
+val loop_branch : Static.t -> src:int -> Ir.branch -> float option
 
-val loop_exit : ctx -> src:int -> Ir.branch -> float option
-val loop_header : ctx -> src:int -> Ir.branch -> float option
-val call : ctx -> src:int -> Ir.branch -> float option
-val opcode : ctx -> src:int -> Ir.branch -> float option
-val guard : ctx -> src:int -> Ir.branch -> float option
-val store : ctx -> src:int -> Ir.branch -> float option
-val return : ctx -> src:int -> Ir.branch -> float option
+val loop_exit : Static.t -> src:int -> Ir.branch -> float option
+val loop_header : Static.t -> src:int -> Ir.branch -> float option
+val call : Static.t -> src:int -> Ir.branch -> float option
+val opcode : Static.t -> src:int -> Ir.branch -> float option
+val guard : Static.t -> src:int -> Ir.branch -> float option
+val store : Static.t -> src:int -> Ir.branch -> float option
+val return : Static.t -> src:int -> Ir.branch -> float option
 
 (** Dempster–Shafer combination of every applicable heuristic. *)
-val ball_larus : ctx -> src:int -> Ir.branch -> float
+val ball_larus : Static.t -> src:int -> Ir.branch -> float
 
 (** The 90/50 rule: structurally-backward branches 90%, else 50/50. *)
-val ninety_fifty : ctx -> src:int -> Ir.branch -> float
+val ninety_fifty : Static.t -> src:int -> Ir.branch -> float

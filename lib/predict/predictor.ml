@@ -22,28 +22,27 @@ let branches (program : Ir.program) : (branch_key * Ir.branch) list =
              | Ir.Jump _ | Ir.Ret _ -> None))
     program.fns
 
-let of_fun (program : Ir.program) (f : ctx:Heuristics.ctx -> src:int -> Ir.branch -> float)
-    : prediction =
+let of_fun (program : Ir.program)
+    (f : Vrp_ir.Static.t -> src:int -> Ir.branch -> float) : prediction =
   let out = Hashtbl.create 64 in
   List.iter
     (fun (fn : Ir.fn) ->
-      let ctx = Heuristics.make_ctx fn in
+      let static = lazy (Vrp_ir.Static.of_fn fn) in
       Array.iter
         (fun (b : Ir.block) ->
           match b.term with
-          | Ir.Br br -> Hashtbl.replace out (fn.fname, b.bid) (f ~ctx ~src:b.bid br)
+          | Ir.Br br ->
+            Hashtbl.replace out (fn.fname, b.bid) (f (Lazy.force static) ~src:b.bid br)
           | Ir.Jump _ | Ir.Ret _ -> ())
         fn.blocks)
     program.fns;
   out
 
 (** The 90/50 rule. *)
-let ninety_fifty program : prediction =
-  of_fun program (fun ~ctx ~src br -> Heuristics.ninety_fifty ctx ~src br)
+let ninety_fifty program : prediction = of_fun program Heuristics.ninety_fifty
 
 (** Ball–Larus heuristics, Dempster–Shafer combined (Wu–Larus). *)
-let ball_larus program : prediction =
-  of_fun program (fun ~ctx ~src br -> Heuristics.ball_larus ctx ~src br)
+let ball_larus program : prediction = of_fun program Heuristics.ball_larus
 
 (** Random predictions — the floor of the paper's figures. Deterministic in
     the branch key so every run reproduces identical numbers. *)

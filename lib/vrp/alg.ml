@@ -4,6 +4,7 @@ module Ast = Vrp_lang.Ast
 module Ir = Vrp_ir.Ir
 module Var = Vrp_ir.Var
 module Dom = Vrp_ir.Dom
+module Static = Vrp_ir.Static
 module Sym = Vrp_ranges.Sym
 module Sop = Vrp_ranges.Sop
 module Value = Vrp_ranges.Value
@@ -11,11 +12,7 @@ module Srange = Vrp_ranges.Srange
 module Alg_env = Vrp_ranges.Alg_env
 
 type t = {
-  fn : Ir.fn;
-  dom : Dom.t;
-  defs : (int, Ir.rhs) Hashtbl.t;  (* var id -> defining rhs *)
-  def_block : (int, int) Hashtbl.t;  (* var id -> defining block *)
-  def_var : (int, Var.t) Hashtbl.t;  (* var id -> the variable itself *)
+  static : Static.t;
   copy_of : (int, Var.t) Hashtbl.t;  (* var id -> the variable it copies *)
   expansion : (int, Sop.t) Hashtbl.t;  (* memoized polynomial per var *)
   mutable env : Alg_env.t;
@@ -53,7 +50,7 @@ let rec expand ctx depth (v : Var.t) : Sop.t =
     let result =
       if depth >= max_expand_depth || not (is_int v) then atom ctx v
       else
-        match Hashtbl.find_opt ctx.defs v.Var.id with
+        match Static.def ctx.static v with
         | None -> atom ctx v
         | Some rhs -> expand_rhs ctx depth v rhs
     in
@@ -108,7 +105,7 @@ let operand_sop ctx = function
 
 (* Collect assertion facts, scoped to the assertion's block. *)
 let assertion_facts ctx =
-  Ir.iter_blocks ctx.fn (fun b ->
+  Ir.iter_blocks ctx.static.Static.fn (fun b ->
       List.iter
         (fun instr ->
           match instr with
@@ -155,19 +152,14 @@ let copy_links ctx =
     let u = rep ctx u in
     if not (Var.equal u v) then Hashtbl.replace ctx.copy_of v.Var.id u
   in
-  Hashtbl.iter
-    (fun id rhs ->
-      match (Hashtbl.find_opt ctx.def_var id, rhs) with
-      | Some v, Ir.Op (Ir.Ovar u) when is_int v && is_int u -> link v u
-      | Some v, Ir.Assertion { parent; _ } when is_int v && is_int parent ->
-        link v parent
-      | _ -> ())
-    ctx.defs;
   let phis = ref [] in
-  Ir.iter_blocks ctx.fn (fun b ->
+  Ir.iter_blocks ctx.static.Static.fn (fun b ->
       List.iter
         (fun instr ->
           match instr with
+          | Ir.Def (v, Ir.Op (Ir.Ovar u)) when is_int v && is_int u -> link v u
+          | Ir.Def (v, Ir.Assertion { parent; _ }) when is_int v && is_int parent ->
+            link v parent
           | Ir.Def (v, Ir.Phi args) when is_int v -> phis := (v, args) :: !phis
           | _ -> ())
         b.Ir.instrs);
@@ -216,7 +208,7 @@ let copy_links ctx =
 
    Facts are scoped to the φ's block. *)
 let phi_facts ctx =
-  Ir.iter_blocks ctx.fn (fun b ->
+  Ir.iter_blocks ctx.static.Static.fn (fun b ->
       List.iter
         (fun instr ->
           match instr with
@@ -270,43 +262,17 @@ let phi_facts ctx =
           | _ -> ())
         b.Ir.instrs)
 
-let make ~dom fn =
+let make static =
   let ctx =
-    {
-      fn;
-      dom;
-      defs = Hashtbl.create 64;
-      def_block = Hashtbl.create 64;
-      def_var = Hashtbl.create 64;
-      copy_of = Hashtbl.create 32;
-      expansion = Hashtbl.create 64;
-      env = Alg_env.empty;
-    }
+    { static; copy_of = Hashtbl.create 32; expansion = Hashtbl.create 64; env = Alg_env.empty }
   in
-  List.iter
-    (fun (p : Var.t) ->
-      Hashtbl.replace ctx.def_block p.Var.id Ir.entry_bid;
-      Hashtbl.replace ctx.def_var p.Var.id p)
-    fn.Ir.params;
-  Ir.iter_blocks fn (fun b ->
-      List.iter
-        (fun instr ->
-          match Ir.instr_def instr with
-          | Some v ->
-            (match instr with
-            | Ir.Def (_, rhs) -> Hashtbl.replace ctx.defs v.Var.id rhs
-            | Ir.Store _ -> ());
-            Hashtbl.replace ctx.def_block v.Var.id b.Ir.bid;
-            Hashtbl.replace ctx.def_var v.Var.id v
-          | None -> ())
-        b.Ir.instrs);
   copy_links ctx;
   phi_facts ctx;
   assertion_facts ctx;
   ctx.env <- Alg_env.refine ctx.env;
   ctx
 
-let admit_at ctx bid scope_bid = Dom.dominates ctx.dom scope_bid bid
+let admit_at ctx bid scope_bid = Dom.dominates ctx.static.Static.dom scope_bid bid
 
 let decide_at ctx ~bid rel a b =
   Alg_env.decide ~admit:(admit_at ctx bid) ctx.env rel a b
@@ -336,12 +302,12 @@ let add_range_facts ctx ~values =
           | [] -> None)
           (List.tl rs)
       in
-      let scope = Hashtbl.find_opt ctx.def_block v.Var.id in
+      (* A parameter's facts hold from the entry block on. *)
+      let scope = max Ir.entry_bid ctx.static.Static.def_block.(v.Var.id) in
       let add_one mk =
         match mk with
         | None -> ()
-        | Some fact_poly ->
-          ctx.env <- Alg_env.add_nonneg ?scope ctx.env fact_poly
+        | Some fact_poly -> ctx.env <- Alg_env.add_nonneg ~scope ctx.env fact_poly
       in
       let lo =
         match fold Sym.min_sym (fun r -> r.Srange.lo) with
@@ -363,11 +329,14 @@ let add_range_facts ctx ~values =
       add_one hi
     | Value.Ranges _ | Value.Top | Value.Bottom -> ()
   in
-  Hashtbl.fold (fun id v acc -> (id, v) :: acc) ctx.def_var []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  |> List.iter (fun (id, v) ->
-         if is_int v && id < Array.length values then
-           bound_fact v (expand0 ctx v) values.(id));
+  let { Static.fn; instrs; _ } = ctx.static in
+  fn.Ir.params
+  @ List.concat_map (fun is -> List.filter_map Ir.instr_def (Array.to_list is))
+      (Array.to_list instrs)
+  |> List.sort Var.compare
+  |> List.iter (fun (v : Var.t) ->
+         if is_int v && v.Var.id < Array.length values then
+           bound_fact v (expand0 ctx v) values.(v.Var.id));
   ctx.env <- Alg_env.refine ctx.env
 
 let decide_branch ctx ~bid rel ba bb =

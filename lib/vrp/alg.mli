@@ -1,7 +1,7 @@
 (** Per-function algebraic context: the bridge between the SSA IR and the
     {!Vrp_ranges.Alg_env} fact environment (symbolic algebra v2).
 
-    [make] walks a function once and collects
+    [make] walks a function's {!Vrp_ir.Static} record once and collects
     - {e equations}: for every integer SSA definition built from affine
       material (copies, add/sub, mul/shl by constants, negation, assertion
       identities), a memoized expansion of the variable into a {!Vrp_ranges.Sop}
@@ -28,9 +28,9 @@ module Value = Vrp_ranges.Value
 
 type t
 
-val make : dom:Vrp_ir.Dom.t -> Ir.fn -> t
-(** [dom] is the function's dominator tree ({!Vrp_ir.Dom.compute}): a
-    scoped fact is admitted at a block iff its home block dominates it. *)
+val make : Vrp_ir.Static.t -> t
+(** A scoped fact is admitted at a block iff its home block dominates it
+    in the function's dominator tree. *)
 
 val add_range_facts : t -> values:Value.t array -> unit
 (** Fold converged per-variable ranges into the fact set and re-refine. *)

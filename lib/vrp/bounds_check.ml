@@ -76,7 +76,7 @@ let analyze ?(algebra = true) (program : Ir.program) (res : Engine.t) : report =
     match !alg with
     | Some ctx -> ctx
     | None ->
-      let ctx = Alg.make ~dom:(Vrp_ir.Dom.compute fn) fn in
+      let ctx = Alg.make (Vrp_ir.Static.of_fn fn) in
       Alg.add_range_facts ctx ~values:res.Engine.values;
       alg := Some ctx;
       ctx

@@ -15,12 +15,14 @@
     [< 10] loop). Bounds may be numeric, loop-invariant variables (symbolic
     ranges) or variables with known numeric ranges; in the latter case the
     derivation records the dependency so the engine re-derives when the
-    bound's range changes. *)
+    bound's range changes. Back edges, loop bodies and definition sites
+    come from the function's {!Vrp_ir.Static} record. *)
 
 module Ast = Vrp_lang.Ast
 module Ir = Vrp_ir.Ir
 module Var = Vrp_ir.Var
 module Loops = Vrp_ir.Loops
+module Static = Vrp_ir.Static
 module Sym = Vrp_ranges.Sym
 module Value = Vrp_ranges.Value
 module Srange = Vrp_ranges.Srange
@@ -59,40 +61,18 @@ type bound = { bsym : Sym.t; bdeps : Var.t list }
 (* The latch paths of a φ, once traced. *)
 type traced = Untraced | Paths of path list | Unmatched
 
-(** Per-function context, built once per engine run and reused across
+(** Per-function memo, built once per engine run and reused across
     derivation attempts (keeping each attempt O(chain length), which the
-    linearity figures rely on). The definition sites are the engine's own
-    tables. *)
-type ctx = {
-  cloops : Loops.t;
-  instrs : Ir.instr array array;  (** block id -> its instructions *)
-  def_block : int array;  (** var id -> defining block, or -1 *)
-  def_idx : int array;  (** var id -> index of its definition in the block *)
-  cpaths : traced array;
-      (** φ var id -> its latch paths; they depend on SSA definitions
-          only, never on values, so one trace serves every attempt *)
-}
+    linearity figures rely on): φ var id -> its latch paths. They depend
+    on SSA definitions only, never on values, so one trace serves every
+    attempt. *)
+type ctx = traced array
 
-let make_ctx ~loops ~instrs ~def_block ~def_idx : ctx =
-  {
-    cloops = loops;
-    instrs;
-    def_block;
-    def_idx;
-    cpaths = Array.make (Array.length def_block) Untraced;
-  }
-
-(* Definition of an SSA variable, if any (parameters have none). *)
-let def_of ctx (v : Var.t) =
-  let bid = ctx.def_block.(v.Var.id) in
-  if bid < 0 then None
-  else
-    match ctx.instrs.(bid).(ctx.def_idx.(v.Var.id)) with
-    | Ir.Def (_, rhs) -> Some rhs
-    | Ir.Store _ -> None
+let make_ctx (static : Static.t) : ctx =
+  Array.make (Array.length static.Static.def_block) Untraced
 
 (* Trace [u] back to [phi_var]; returns all paths. *)
-let trace_paths ctx ~(phi_var : Var.t) (start : Ir.operand) : path list =
+let trace_paths static ~(phi_var : Var.t) (start : Ir.operand) : path list =
   let rec go op depth (seen : int list) : path list =
     if depth > max_trace_depth then raise No_match;
     match op with
@@ -102,7 +82,7 @@ let trace_paths ctx ~(phi_var : Var.t) (start : Ir.operand) : path list =
       else if List.mem u.Var.id seen then raise No_match
       else begin
         let seen = u.Var.id :: seen in
-        match def_of ctx u with
+        match Static.def static u with
         | None -> raise No_match
         | Some rhs -> (
           match rhs with
@@ -141,12 +121,11 @@ let trace_paths ctx ~(phi_var : Var.t) (start : Ir.operand) : path list =
 
     [values] supplies current variable values; [symbolic] enables symbolic
     bounds. Returns [None] when the chain does not match the template. *)
-let attempt ~(ctx : ctx) ~(values : Var.t -> Value.t) ~(symbolic : bool)
-    ~(phi_bid : int) ~(phi_var : Var.t) ~(args : (int * Ir.operand) list) :
-    outcome option =
-  let loops = ctx.cloops in
+let attempt ~(static : Static.t) ~(ctx : ctx) ~(values : Var.t -> Value.t)
+    ~(symbolic : bool) ~(phi_bid : int) ~(phi_var : Var.t)
+    ~(args : (int * Ir.operand) list) : outcome option =
   let back, entry =
-    List.partition (fun (pred, _) -> Loops.is_back_edge loops ~src:pred ~dst:phi_bid) args
+    List.partition (fun (pred, _) -> Static.is_back_edge static ~src:pred ~dst:phi_bid) args
   in
   if back = [] || entry = [] then None
   else begin
@@ -175,16 +154,16 @@ let attempt ~(ctx : ctx) ~(values : Var.t -> Value.t) ~(symbolic : bool)
       (* Increment paths from every latch. *)
       let paths =
         let id = phi_var.Var.id in
-        match ctx.cpaths.(id) with
+        match ctx.(id) with
         | Paths paths -> paths
         | Unmatched -> raise No_match
         | Untraced -> (
-          match List.concat_map (fun (_, op) -> trace_paths ctx ~phi_var op) back with
+          match List.concat_map (fun (_, op) -> trace_paths static ~phi_var op) back with
           | paths ->
-            ctx.cpaths.(id) <- Paths paths;
+            ctx.(id) <- Paths paths;
             paths
           | exception No_match ->
-            ctx.cpaths.(id) <- Unmatched;
+            ctx.(id) <- Unmatched;
             raise No_match)
       in
       let pure_additive = List.for_all (fun p -> p.scale = 1) paths in
@@ -207,12 +186,12 @@ let attempt ~(ctx : ctx) ~(values : Var.t -> Value.t) ~(symbolic : bool)
       in
       (* Loop-invariance: the bound's definition must lie outside the loop. *)
       let loop_body =
-        match Loops.innermost loops phi_bid with
+        match Loops.innermost static.Static.loops phi_bid with
         | Some l -> l.Loops.body
         | None -> raise No_match
       in
       let invariant (v : Var.t) =
-        let bid = ctx.def_block.(v.Var.id) in
+        let bid = static.Static.def_block.(v.Var.id) in
         bid < 0 (* parameter *) || not (Loops.IntSet.mem bid loop_body)
       in
       (* Loop-variant bound variables are often just in-loop assertion
@@ -222,7 +201,7 @@ let attempt ~(ctx : ctx) ~(values : Var.t -> Value.t) ~(symbolic : bool)
         if depth > max_trace_depth || invariant w || List.mem w.Var.id seen then w
         else begin
           let seen = w.Var.id :: seen in
-          match def_of ctx w with
+          match Static.def static w with
           | Some (Ir.Assertion { parent; _ }) -> invariant_ancestor parent (depth + 1) seen
           | Some (Ir.Op (Ir.Ovar u)) -> invariant_ancestor u (depth + 1) seen
           | Some (Ir.Phi args) -> (

@@ -19,23 +19,17 @@ type outcome = {
           are unreliable *)
 }
 
-(** Per-function context, built once per engine run and reused (keeps each
-    attempt O(chain length)). *)
+(** Per-function memo of traced φ chains, built once per engine run and
+    reused (keeps each attempt O(chain length)). *)
 type ctx
 
-(** [instrs] are the function's instructions per block; [def_block] and
-    [def_idx] map a var id to its definition's block ([-1] for a
-    parameter) and index there — the engine's own static tables. *)
-val make_ctx :
-  loops:Vrp_ir.Loops.t ->
-  instrs:Ir.instr array array ->
-  def_block:int array ->
-  def_idx:int array ->
-  ctx
+val make_ctx : Vrp_ir.Static.t -> ctx
 
 (** Attempt derivation for φ [phi_var] with arguments [args] in block
-    [phi_bid]; [None] when the chain does not match the template. *)
+    [phi_bid]; [None] when the chain does not match the template. Loops,
+    back edges and definition sites come from [static]. *)
 val attempt :
+  static:Vrp_ir.Static.t ->
   ctx:ctx ->
   values:(Var.t -> Value.t) ->
   symbolic:bool ->

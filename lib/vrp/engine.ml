@@ -23,12 +23,17 @@
     safety-valve; see DESIGN.md). φ merge weights follow footnote 1: the
     in-edge weight is the predecessor's relative frequency — computed
     acyclically by ignoring back edges — times the edge's conditional
-    probability. *)
+    probability.
+
+    The engine runs no static pass of its own: dominators, loops, back
+    edges, reverse postorder and definition sites come from one
+    {!Vrp_ir.Static} record per run, shared with derivation, the
+    Ball–Larus fallback and the algebra post-pass. *)
 
 module Ast = Vrp_lang.Ast
 module Ir = Vrp_ir.Ir
 module Var = Vrp_ir.Var
-module Loops = Vrp_ir.Loops
+module Static = Vrp_ir.Static
 module Value = Vrp_ranges.Value
 module Config = Vrp_ranges.Config
 module Counters = Vrp_ranges.Counters
@@ -116,22 +121,11 @@ let used_fallback t bid = Option.value ~default:false (Hashtbl.find_opt t.branch
 
 type state = {
   cfg : config;
-  sfn : Ir.fn;
-  hctx : Heuristics.ctx;
+  static : Static.t;  (** built once per run; edges are indexed by its slots *)
   dctx : Derive.ctx;
   vals : Value.t array;
-  (* Static tables, built once per run from the function and its loops.
-     An edge [src -> dst] lives in {e slot} [k] of [src]: the first [k]
-     with [succs.(src).(k) = dst], so a [Br] whose targets coincide has
-     one edge. *)
-  instrs : Ir.instr array array;  (** block id -> its instructions *)
-  succs : int array array;  (** block id -> [Ir.successors] of its terminator *)
-  back : bool array array;  (** block id -> per successor: is it a back edge *)
-  rpo : int array;  (** reverse postorder of the reachable blocks *)
   uses : (int * site) list array;  (** var id -> use sites *)
   extra_uses : (int * site) list array;  (** var id -> derivation deps *)
-  def_block : int array;  (** var id -> defining block, or -1 *)
-  def_idx : int array;  (** var id -> index of its definition in the block *)
   svisited : bool array;
   edge_prob : float array array;
       (** block id -> per slot: conditional edge probability, [nan] = never set *)
@@ -155,20 +149,11 @@ type state = {
 
 let diag st ?block severity kind message =
   match st.report with
-  | Some r -> Diag.add r ~fn:st.sfn.Ir.fname ?block severity kind message
+  | Some r -> Diag.add r ~fn:st.static.Static.fn.Ir.fname ?block severity kind message
   | None -> ()
 
-(* Slot of the edge [src -> dst], or -1 when there is no such edge. *)
-let slot st src dst =
-  let s = st.succs.(src) in
-  let k = ref 0 in
-  while !k < Array.length s && s.(!k) <> dst do
-    incr k
-  done;
-  if !k < Array.length s then !k else -1
-
 let edge_probability st src dst =
-  let k = slot st src dst in
+  let k = Static.slot st.static src dst in
   if k < 0 then 0.0
   else begin
     let p = st.edge_prob.(src).(k) in
@@ -176,18 +161,15 @@ let edge_probability st src dst =
   end
 
 let edge_executable st src dst =
-  let k = slot st src dst in
+  let k = Static.slot st.static src dst in
   k >= 0 && st.edge_exec.(src).(k)
-
-let is_back_edge st src dst =
-  let k = slot st src dst in
-  k >= 0 && st.back.(src).(k)
 
 (* Relative block frequencies ignoring back edges (one RPO pass). Loop back
    edges contribute no mass, so a join's in-edge weights are frequencies
    relative to the enclosing region — exactly what normalised φ merging
    needs (common outer factors cancel). *)
 let recompute_freq st =
+  let { Static.rpo; succs; back; _ } = st.static in
   Array.fill st.freq 0 (Array.length st.freq) 0.0;
   st.freq.(Ir.entry_bid) <- 1.0;
   Array.iter
@@ -196,10 +178,10 @@ let recompute_freq st =
       if f > 0.0 && st.svisited.(bid) then
         Array.iteri
           (fun k succ ->
-            if not st.back.(bid).(k) then
+            if not back.(bid).(k) then
               st.freq.(succ) <- st.freq.(succ) +. (f *. edge_probability st bid succ))
-          st.succs.(bid))
-    st.rpo;
+          succs.(bid))
+    rpo;
   st.freq_dirty <- false
 
 (* Assertion-parent chain of a variable, starting with itself: used for the
@@ -209,12 +191,9 @@ let assert_chain st (v : Var.t) : Var.t list =
   let rec go (v : Var.t) acc depth =
     if depth > 64 then List.rev acc
     else begin
-      let bid = st.def_block.(v.Var.id) in
-      if bid < 0 then List.rev acc
-      else
-        match st.instrs.(bid).(st.def_idx.(v.Var.id)) with
-        | Ir.Def (_, Ir.Assertion { parent; _ }) -> go parent (parent :: acc) (depth + 1)
-        | Ir.Def _ | Ir.Store _ -> List.rev acc
+      match Static.def st.static v with
+      | Some (Ir.Assertion { parent; _ }) -> go parent (parent :: acc) (depth + 1)
+      | Some _ | None -> List.rev acc
     end
   in
   go v [ v ] 0
@@ -296,7 +275,8 @@ let set_value st (v : Var.t) (value : Value.t) : bool =
     let widen reason =
       st.widenings <- st.widenings + 1;
       Vrp_ranges.Counters.record_widening ();
-      let block = if st.def_block.(vid) >= 0 then Some st.def_block.(vid) else None in
+      let bid = st.static.Static.def_block.(vid) in
+      let block = if bid >= 0 then Some bid else None in
       diag st ?block Diag.Info Diag.Widened
         (Printf.sprintf "%s widened to ⊥: %s" (Var.to_string v) reason);
       Value.bottom
@@ -358,7 +338,7 @@ let eval_phi st ~bid (v : Var.t) (args : (int * Ir.operand) list) : Value.t =
           (fun (pred, op) ->
             let base = st.freq.(pred) *. edge_probability st pred bid in
             let w =
-              if is_back_edge st pred bid then begin
+              if Static.is_back_edge st.static ~src:pred ~dst:bid then begin
                 (* the back edge fires once per iteration: weight it by the
                    trip-count prior relative to the loop-entry mass *)
                 let latch_mass =
@@ -422,12 +402,14 @@ let eval_rhs st ~bid ~site (v : Var.t) (rhs : Ir.rhs) : Value.t =
 let try_derive st ~bid ~site (v : Var.t) (args : (int * Ir.operand) list) : bool =
   if not st.cfg.use_derivation then false
   else begin
-    let has_back = List.exists (fun (pred, _) -> is_back_edge st pred bid) args in
+    let has_back =
+      List.exists (fun (pred, _) -> Static.is_back_edge st.static ~src:pred ~dst:bid) args
+    in
     if not has_back then false
     else begin
       match
-        Derive.attempt ~ctx:st.dctx ~values:(lookup_value st) ~symbolic:st.cfg.symbolic
-          ~phi_bid:bid ~phi_var:v ~args
+        Derive.attempt ~static:st.static ~ctx:st.dctx ~values:(lookup_value st)
+          ~symbolic:st.cfg.symbolic ~phi_bid:bid ~phi_var:v ~args
       with
       | Some { value; depends; even_distribution } ->
         List.iter (fun dep -> register_extra_use st dep (bid, site)) depends;
@@ -460,7 +442,7 @@ let eval_term st ~bid (term : Ir.term) =
   match term with
   | Ir.Jump dst ->
     if edge_probability st bid dst <> 1.0 then begin
-      st.edge_prob.(bid).(slot st bid dst) <- 1.0;
+      st.edge_prob.(bid).(Static.slot st.static bid dst) <- 1.0;
       st.freq_dirty <- true
     end;
     if not (edge_executable st bid dst) then Queue.add (bid, dst) st.flow_list
@@ -486,12 +468,12 @@ let eval_term st ~bid (term : Ir.term) =
       with
       | Some p -> (p, false)
       | None ->
-        (Heuristics.ball_larus st.hctx ~src:bid { rel; ba; bb; tdst; fdst }, true)
+        (Heuristics.ball_larus st.static ~src:bid { rel; ba; bb; tdst; fdst }, true)
     in
     Hashtbl.replace st.bprobs bid prob;
     Hashtbl.replace st.bfallback bid fallback;
     let update dst p =
-      let k = slot st bid dst in
+      let k = Static.slot st.static bid dst in
       let old = st.edge_prob.(bid).(k) in
       if Float.is_nan old || Float.abs (old -. p) > Config.eps then begin
         st.edge_prob.(bid).(k) <- p;
@@ -506,8 +488,10 @@ let visit_block st bid =
   if not st.svisited.(bid) then begin
     st.svisited.(bid) <- true;
     st.freq_dirty <- true;
-    Array.iteri (fun idx instr -> eval_instr st ~bid ~idx instr) st.instrs.(bid);
-    eval_term st ~bid (Ir.block st.sfn bid).Ir.term
+    Array.iteri
+      (fun idx instr -> eval_instr st ~bid ~idx instr)
+      st.static.Static.instrs.(bid);
+    eval_term st ~bid (Ir.block st.static.Static.fn bid).Ir.term
   end
   else
     (* revisit: φ-functions only (step 3) *)
@@ -516,11 +500,11 @@ let visit_block st bid =
         match instr with
         | Ir.Def (_, Ir.Phi _) -> eval_instr st ~bid ~idx instr
         | Ir.Def _ | Ir.Store _ -> ())
-      st.instrs.(bid)
+      st.static.Static.instrs.(bid)
 
 let process_flow_edge st (src, dst) =
   if edge_probability st src dst > 0.0 && st.svisited.(src) then begin
-    let k = slot st src dst in
+    let k = Static.slot st.static src dst in
     let first = not st.edge_exec.(src).(k) in
     st.edge_exec.(src).(k) <- true;
     if first || st.svisited.(dst) then visit_block st dst
@@ -529,32 +513,24 @@ let process_flow_edge st (src, dst) =
 let process_ssa_site st (bid, site) =
   if st.svisited.(bid) then begin
     match site with
-    | Term -> eval_term st ~bid (Ir.block st.sfn bid).Ir.term
-    | Instr idx -> eval_instr st ~bid ~idx st.instrs.(bid).(idx)
+    | Term -> eval_term st ~bid (Ir.block st.static.Static.fn bid).Ir.term
+    | Instr idx -> eval_instr st ~bid ~idx st.static.Static.instrs.(bid).(idx)
   end
 
 (* --- Use lists --- *)
 
-(* Use sites, newest first, and definition sites of every variable. *)
-let build_uses (fn : Ir.fn) instrs =
+(* Use sites of every variable, newest first. *)
+let build_uses ({ Static.fn; instrs; _ } : Static.t) =
   let uses = Array.make fn.Ir.nvars [] in
-  let def_block = Array.make fn.Ir.nvars (-1) in
-  let def_idx = Array.make fn.Ir.nvars (-1) in
   let add (v : Var.t) site = uses.(v.Var.id) <- site :: uses.(v.Var.id) in
   Array.iteri
     (fun bid block ->
       Array.iteri
-        (fun idx instr ->
-          (match Ir.instr_def instr with
-          | Some v ->
-            def_block.(v.Var.id) <- bid;
-            def_idx.(v.Var.id) <- idx
-          | None -> ());
-          List.iter (fun v -> add v (bid, Instr idx)) (Ir.instr_uses instr))
+        (fun idx instr -> List.iter (fun v -> add v (bid, Instr idx)) (Ir.instr_uses instr))
         block;
       List.iter (fun v -> add v (bid, Term)) (Ir.term_uses (Ir.block fn bid).Ir.term))
     instrs;
-  (uses, def_block, def_idx)
+  uses
 
 (* --- Top-level driver --- *)
 
@@ -618,39 +594,19 @@ let analyze_body ?(config = default_config) ?report
   let trip_after =
     match config.fault with Some (Diag.Fault.Trip_after n) -> Some n | _ -> None
   in
-  (* The static passes run once: the heuristic context's loops (and their
-     dominator tree) serve the back-edge table, derivation and the algebra
-     post-pass; derivation reads the definition sites built here. *)
-  let hctx = Heuristics.make_ctx fn in
-  let loops = hctx.Heuristics.loops in
+  (* The one static pass of the run. *)
+  let static = Static.of_fn fn in
   let nblocks = Ir.num_blocks fn in
-  let instrs = Array.init nblocks (fun bid -> Array.of_list (Ir.block fn bid).Ir.instrs) in
-  let succs =
-    Array.init nblocks (fun bid -> Array.of_list (Ir.successors (Ir.block fn bid).Ir.term))
-  in
-  let uses, def_block, def_idx = build_uses fn instrs in
+  let succs = static.Static.succs in
   let st =
     {
       cfg = config;
-      sfn = fn;
-      hctx;
-      dctx = Derive.make_ctx ~loops ~instrs ~def_block ~def_idx;
+      static;
+      dctx = Derive.make_ctx static;
       vals = Array.make fn.Ir.nvars Value.top;
-      instrs;
-      succs;
-      back =
-        Array.mapi
-          (fun src -> Array.map (fun dst -> Loops.is_back_edge loops ~src ~dst))
-          succs;
-      rpo =
-        Vrp_ir.Dom.reverse_postorder ~nblocks
-          ~succs:(fun bid -> Ir.successors (Ir.block fn bid).Ir.term)
-          ~root:Ir.entry_bid;
-      uses;
+      uses = build_uses static;
       extra_uses = Array.make fn.Ir.nvars [];
       uneven = Array.make fn.Ir.nvars false;
-      def_block;
-      def_idx;
       svisited = Array.make nblocks false;
       edge_prob = Array.map (fun s -> Array.make (Array.length s) Float.nan) succs;
       edge_exec = Array.map (fun s -> Array.make (Array.length s) false) succs;
@@ -754,7 +710,7 @@ let analyze_body ?(config = default_config) ?report
        match !alg with
        | Some a -> a
        | None ->
-         let a = Alg.make ~dom:loops.Loops.dom fn in
+         let a = Alg.make static in
          Alg.add_range_facts a ~values:st.vals;
          alg := Some a;
          a

@@ -67,7 +67,7 @@ let compile_result (source : string) : (compiled, Diag.diag) result =
     infrastructure degradation, info when it is the paper's ordinary
     ⊥-range fallback). *)
 type fallback_predictor =
-  ctx:Heuristics.ctx -> res:Engine.t option -> src:int -> Ir.branch -> float
+  static:Vrp_ir.Static.t -> res:Engine.t option -> src:int -> Ir.branch -> float
 
 let vrp_predictions ?(config = Engine.default_config) ?report ?run_tasks
     ?analyze_fn ?fallback (ssa : Ir.program) :
@@ -90,15 +90,15 @@ let vrp_predictions ?(config = Engine.default_config) ?report ?run_tasks
   (* [demoted] explains why a function has no engine result (crash text),
      [None] meaning it is simply unreachable from main. *)
   let fill (fn : Ir.fn) (res : Engine.t option) ~(demoted : string option) =
-    let hctx = lazy (Heuristics.make_ctx fn) in
+    let static = lazy (Vrp_ir.Static.of_fn fn) in
     Array.iter
       (fun (b : Ir.block) ->
         match b.Ir.term with
         | Ir.Br br ->
           let fb () =
             match fallback with
-            | Some f -> f ~ctx:(Lazy.force hctx) ~res ~src:b.Ir.bid br
-            | None -> Heuristics.ball_larus (Lazy.force hctx) ~src:b.Ir.bid br
+            | Some f -> f ~static:(Lazy.force static) ~res ~src:b.Ir.bid br
+            | None -> Heuristics.ball_larus (Lazy.force static) ~src:b.Ir.bid br
           in
           let p =
             match res with

@@ -27,7 +27,7 @@ val compile_result : string -> (compiled, Diag.diag) result
     Ball–Larus combination; {!Vrp_learn.Infer.fallback} builds the learned
     tier of the ladder VRP → learned → Ball–Larus. *)
 type fallback_predictor =
-  ctx:Vrp_predict.Heuristics.ctx ->
+  static:Vrp_ir.Static.t ->
   res:Engine.t option ->
   src:int ->
   Ir.branch ->

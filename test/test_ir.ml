@@ -4,6 +4,7 @@
 module Ir = Vrp_ir.Ir
 module Dom = Vrp_ir.Dom
 module Loops = Vrp_ir.Loops
+module Static = Vrp_ir.Static
 
 let tc = Alcotest.test_case
 
@@ -204,24 +205,24 @@ let loop_detection () =
        while (acc > 10) { acc = acc / 2; }\n\
        return acc; }"
   in
-  let l = Loops.compute fn in
+  let l = (Static.of_fn fn).Static.loops in
   Alcotest.(check int) "three natural loops" 3 (Array.length l.Loops.loops);
   let max_depth = Array.fold_left (fun acc lo -> max acc lo.Loops.depth) 0 l.Loops.loops in
   Alcotest.(check int) "nesting depth two" 2 max_depth
 
 let back_edges_vs_headers () =
   let fn = build_main (Option.get (Vrp_suite.Suite.find "kmp")).source in
-  let l = Loops.compute fn in
+  let st = Static.of_fn fn in
   List.iter
     (fun (latch, header) ->
-      if not (Loops.is_loop_header l header) then
+      if not (Loops.is_loop_header st.Static.loops header) then
         Alcotest.failf "back edge target B%d is not a loop header" header;
-      if not (Loops.is_back_edge l ~src:latch ~dst:header) then Alcotest.fail "inconsistent")
-    l.Loops.back_edges
+      if not (Static.is_back_edge st ~src:latch ~dst:header) then Alcotest.fail "inconsistent")
+    st.Static.loops.Loops.back_edges
 
 let loop_exit_edges () =
   let fn = build_main "int main(int n, int s) { int i = 0; while (i < n) { i++; } return i; }" in
-  let l = Loops.compute fn in
+  let l = (Static.of_fn fn).Static.loops in
   let header = (Array.get l.Loops.loops 0).Loops.header in
   match (Ir.block fn header).Ir.term with
   | Ir.Br { tdst; fdst; _ } ->
@@ -230,6 +231,62 @@ let loop_exit_edges () =
     Alcotest.(check (pair bool bool)) "true edge stays, false edge exits" (false, true)
       (t_exit, f_exit)
   | _ -> Alcotest.fail "loop header must end in a conditional branch"
+
+(* --- Static --- *)
+
+(* Every fact of [Static.of_fn] against the definition it replaces, on the
+   SSA functions of one fuzzer program per profile. *)
+let static_agrees_with_definitions seed =
+  let module Gen = Vrp_fuzz.Gen in
+  let module Var = Vrp_ir.Var in
+  let agrees (fn : Ir.fn) =
+    let st = Static.of_fn fn in
+    let dom = st.Static.dom in
+    let back_ok =
+      List.for_all
+        (fun src ->
+          List.for_all
+            (fun (k, dst) ->
+              let back = st.Static.back.(src).(k) in
+              back = Dom.dominates dom dst src
+              && back = List.mem (src, dst) st.Static.loops.Loops.back_edges)
+            (List.mapi (fun k dst -> (k, dst)) (Array.to_list st.Static.succs.(src))))
+        (List.init (Ir.num_blocks fn) Fun.id)
+    in
+    let def_block = Array.make fn.Ir.nvars (-1) in
+    let def_idx = Array.make fn.Ir.nvars (-1) in
+    Ir.iter_blocks fn (fun b ->
+        List.iteri
+          (fun idx instr ->
+            Option.iter
+              (fun (v : Var.t) ->
+                def_block.(v.Var.id) <- b.Ir.bid;
+                def_idx.(v.Var.id) <- idx)
+              (Ir.instr_def instr))
+          b.Ir.instrs);
+    let by_rpo =
+      List.init (Ir.num_blocks fn) Fun.id
+      |> List.filter (fun b -> dom.Dom.rpo_index.(b) >= 0)
+      |> List.sort (fun a b -> compare dom.Dom.rpo_index.(a) dom.Dom.rpo_index.(b))
+    in
+    back_ok
+    && st.Static.def_block = def_block
+    && st.Static.def_idx = def_idx
+    && List.for_all (fun (v : Var.t) -> st.Static.def_block.(v.Var.id) = -1) fn.Ir.params
+    && Array.to_list st.Static.rpo = by_rpo
+    && st.Static.postdom = Dom.compute_post fn
+  in
+  List.for_all
+    (fun (p : Gen.profile) ->
+      let rng = Vrp_util.Prng.create (Vrp_fuzz.Runner.mix_seed seed p.Gen.pname 0) in
+      let src = Vrp_lang.Pretty.program_to_string (Gen.program rng ~weights:p.Gen.weights) in
+      List.for_all agrees (Helpers.compile src).Vrp_core.Pipeline.ssa.Ir.fns)
+    Gen.profiles
+
+let static_property =
+  Helpers.qtest ~count:30 "static: agrees with the definitions it replaces"
+    QCheck2.Gen.(int_bound 1_000_000)
+    static_agrees_with_definitions
 
 (* --- SSA --- *)
 
@@ -334,6 +391,7 @@ let suite =
       tc "loops: detection and nesting" `Quick loop_detection;
       tc "loops: back edges vs headers" `Quick back_edges_vs_headers;
       tc "loops: exit edges" `Quick loop_exit_edges;
+      static_property;
       tc "ssa: checker passes on the suite" `Quick ssa_checker_passes_suite;
       tc "ssa: assertions on both edges" `Quick ssa_assertions_on_both_edges;
       tc "ssa: assertions on both operands" `Quick ssa_assertions_on_both_operands;

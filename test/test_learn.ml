@@ -169,7 +169,7 @@ let fallback_hook_reaches_bottom_branches () =
      ladder ends in the fallback tier — which the hook replaces. *)
   let src = "int main(int n, int s) { if (n > 5) { return 1; } return 0; }" in
   let c = Pipeline.compile src in
-  let hook ~ctx:_ ~res:_ ~src:_ _ = 0.123 in
+  let hook ~static:_ ~res:_ ~src:_ _ = 0.123 in
   let preds, _ = Pipeline.vrp_predictions ~fallback:hook c.Pipeline.ssa in
   let hit =
     Hashtbl.fold (fun _ p acc -> acc || Float.equal p 0.123) preds false

@@ -11,12 +11,12 @@ let tc = Alcotest.test_case
 (* Probability of the first conditional branch of main under a heuristic. *)
 let first_branch_prob src f =
   let _, fn = Helpers.compile_main src in
-  let ctx = H.make_ctx fn in
+  let st = Vrp_ir.Static.of_fn fn in
   let found = ref None in
   Ir.iter_blocks fn (fun b ->
       if !found = None then
         match b.Ir.term with
-        | Ir.Br br -> found := Some (f ctx ~src:b.Ir.bid br)
+        | Ir.Br br -> found := Some (f st ~src:b.Ir.bid br)
         | Ir.Jump _ | Ir.Ret _ -> ());
   match !found with Some p -> p | None -> Alcotest.fail "no branch"
 
@@ -25,35 +25,35 @@ let loop_branch_heuristic () =
   let p =
     first_branch_prob
       "int main(int n, int s) { int i = 0; while (i < n) { i++; } return i; }"
-      (fun ctx ~src br ->
-        match H.loop_branch ctx ~src br with Some p -> p | None -> Alcotest.fail "LBH silent")
+      (fun st ~src br ->
+        match H.loop_branch st ~src br with Some p -> p | None -> Alcotest.fail "LBH silent")
   in
   Helpers.check_prob "LBH predicts stay" 0.88 p
 
 let opcode_heuristic_eq () =
   let p =
     first_branch_prob "int main(int n, int s) { if (n == 3) { return 1; } return 0; }"
-      (fun ctx ~src br ->
-        match H.opcode ctx ~src br with Some p -> p | None -> Alcotest.fail "OH silent")
+      (fun st ~src br ->
+        match H.opcode st ~src br with Some p -> p | None -> Alcotest.fail "OH silent")
   in
   Helpers.check_prob "OH: == unlikely" (1.0 -. 0.84) p
 
 let opcode_heuristic_lt_zero () =
   let p =
     first_branch_prob "int main(int n, int s) { if (n < 0) { return 1; } return 0; }"
-      (fun ctx ~src br ->
-        match H.opcode ctx ~src br with Some p -> p | None -> Alcotest.fail "OH silent")
+      (fun st ~src br ->
+        match H.opcode st ~src br with Some p -> p | None -> Alcotest.fail "OH silent")
   in
   Helpers.check_prob "OH: < 0 unlikely" (1.0 -. 0.84) p
 
 let opcode_heuristic_silent_on_plain_lt () =
   let src = "int main(int n, int s) { if (n < s) { return 1; } return 0; }" in
   let _, fn = Helpers.compile_main src in
-  let ctx = H.make_ctx fn in
+  let st = Vrp_ir.Static.of_fn fn in
   Ir.iter_blocks fn (fun b ->
       match b.Ir.term with
       | Ir.Br br ->
-        if H.opcode ctx ~src:b.Ir.bid br <> None then
+        if H.opcode st ~src:b.Ir.bid br <> None then
           Alcotest.fail "OH must not fire on a plain < between variables"
       | Ir.Jump _ | Ir.Ret _ -> ())
 
@@ -62,8 +62,8 @@ let return_heuristic () =
     first_branch_prob
       "int main(int n, int s) { if (n > 0) { return 1; } n = n + s; if (n > 99) { n = 0; } \
        return n; }"
-      (fun ctx ~src br ->
-        match H.return ctx ~src br with Some p -> p | None -> Alcotest.fail "RH silent")
+      (fun st ~src br ->
+        match H.return st ~src br with Some p -> p | None -> Alcotest.fail "RH silent")
   in
   Helpers.check_prob "RH: returning arm not taken" (1.0 -. 0.72) p
 
@@ -79,8 +79,8 @@ int main(int n, int s) {
 |}
   in
   let p =
-    first_branch_prob src (fun ctx ~src br ->
-        match H.call ctx ~src br with Some p -> p | None -> Alcotest.fail "CH silent")
+    first_branch_prob src (fun st ~src br ->
+        match H.call st ~src br with Some p -> p | None -> Alcotest.fail "CH silent")
   in
   Helpers.check_prob "CH: calling arm not taken" (1.0 -. 0.78) p
 
@@ -90,8 +90,8 @@ let store_heuristic () =
      return n; }"
   in
   let p =
-    first_branch_prob src (fun ctx ~src br ->
-        match H.store ctx ~src br with Some p -> p | None -> Alcotest.fail "SH silent")
+    first_branch_prob src (fun st ~src br ->
+        match H.store st ~src br with Some p -> p | None -> Alcotest.fail "SH silent")
   in
   Helpers.check_prob "SH: storing arm not taken" (1.0 -. 0.55) p
 
@@ -105,8 +105,8 @@ let loop_header_heuristic () =
      return acc; }"
   in
   let p =
-    first_branch_prob src (fun ctx ~src br ->
-        match H.loop_header ctx ~src br with Some p -> p | None -> Alcotest.fail "LHH silent")
+    first_branch_prob src (fun st ~src br ->
+        match H.loop_header st ~src br with Some p -> p | None -> Alcotest.fail "LHH silent")
   in
   Helpers.check_prob "LHH: loop-heading arm taken" 0.75 p
 
@@ -124,12 +124,12 @@ let ninety_fifty_rule () =
   let loop_prob =
     first_branch_prob
       "int main(int n, int s) { int i = 0; while (i < n) { i++; } return i; }"
-      (fun ctx ~src br -> H.ninety_fifty ctx ~src br)
+      (fun st ~src br -> H.ninety_fifty st ~src br)
   in
   Helpers.check_prob "loop-continuing edge 90%" 0.9 loop_prob;
   let fwd_prob =
     first_branch_prob "int main(int n, int s) { if (n > s) { return 1; } return 0; }"
-      (fun ctx ~src br -> H.ninety_fifty ctx ~src br)
+      (fun st ~src br -> H.ninety_fifty st ~src br)
   in
   Helpers.check_prob "forward branch 50%" 0.5 fwd_prob
 

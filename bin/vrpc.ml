@@ -1006,7 +1006,7 @@ let remote_cmd =
       simple "fleet-status"
         "Fleet front-door counters and per-worker health (vrpd --fleet)."
         "fleet-status";
-      simple "evict" "Drop every cached summary and reply from daemon memory." "evict";
+      simple "evict" "Drop every summary and reply the daemon holds in memory." "evict";
       simple "shutdown" "Stop the daemon after acknowledging." "shutdown";
     ]
 

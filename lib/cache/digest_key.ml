@@ -15,7 +15,7 @@ module Ast = Vrp_lang.Ast
 module Value = Vrp_ranges.Value
 module Engine = Vrp_core.Engine
 
-let format_version = 2
+let format_version = 3
 
 (* --- Primitive serializers --- *)
 

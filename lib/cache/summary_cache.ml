@@ -252,11 +252,8 @@ let insert_locked t key value =
 (* --- Disk tier ---
 
    One file per key, written atomically (temp file + rename), framed for
-   end-to-end integrity verification:
-
-     magic (7 bytes) | payload length (8 hex) | MD5(payload) (32 hex) | payload
-
-   where payload = Marshal (format_version, summary). Reads classify every
+   end-to-end integrity verification as one {!Vrp_util.Frame} (magic
+   "vrpsum2", body Marshal (format_version, summary)). Reads classify every
    entry as served / stale (clean frame, old format version — deleted and
    recomputed) / corrupt (torn write, bit rot, foreign bytes — quarantined
    aside as KEY.sum.bad so it is kept as evidence but never retried). Both
@@ -275,22 +272,12 @@ let read_frame path =
     Fun.protect
       ~finally:(fun () -> close_in_noerr ic)
       (fun () ->
-        let magic = really_input_string ic (String.length disk_magic) in
-        if not (String.equal magic disk_magic) then Corrupt
-        else
-          match int_of_string_opt ("0x" ^ really_input_string ic 8) with
-          | None -> Corrupt
-          | Some len ->
-            let sum = really_input_string ic 32 in
-            let payload = really_input_string ic len in
-            if not (String.equal sum (Digest.to_hex (Digest.string payload))) then
-              Corrupt
-            else
-              let version, (res : Engine.t) = Marshal.from_string payload 0 in
-              if version <> Digest_key.format_version then Stale else Served res)
-  with
-  | End_of_file -> Corrupt  (* truncated frame *)
-  | _ -> Corrupt
+        match Vrp_util.Frame.read ~magic:disk_magic ic with
+        | None -> Corrupt (* torn, truncated, bit-rotted or foreign *)
+        | Some payload ->
+          let version, (res : Engine.t) = Marshal.from_string payload 0 in
+          if version <> Digest_key.format_version then Stale else Served res)
+  with _ -> Corrupt
 
 let disk_load t key =
   match t.disk_dir with
@@ -313,11 +300,6 @@ let disk_load t key =
       | Absent -> Absent
     end
 
-let frame_of payload =
-  Printf.sprintf "%s%08x%s%s" disk_magic (String.length payload)
-    (Digest.to_hex (Digest.string payload))
-    payload
-
 let disk_store t key (res : Engine.t) =
   match t.disk_dir with
   | None -> ()
@@ -328,7 +310,7 @@ let disk_store t key (res : Engine.t) =
         (Domain.self () :> int)
     in
     let payload = Marshal.to_string (Digest_key.format_version, res) [] in
-    let frame = frame_of payload in
+    let frame = Vrp_util.Frame.encode ~magic:disk_magic payload in
     let frame =
       (* Fault injection: flip a payload bit *after* framing, so the stored
          checksum still describes the original bytes — exactly what on-disk
@@ -434,24 +416,6 @@ let store_reply t ~key r = locked t (fun () -> insert_locked t key (Reply r))
 
 (* --- The memoizing analyze_fn --- *)
 
-(* A hit skips the engine run, so the diagnostics the engine would have
-   emitted are replayed from the summary's budget fields, each at the
-   severity the engine emits it with — warm runs keep the same degradation
-   verdict as cold ones. Widenings are [Info] in the engine: a forced
-   widening is the termination safety valve, not a degradation. *)
-let replay_diags (res : Engine.t) report =
-  match report with
-  | None -> ()
-  | Some r ->
-    let fn = res.Engine.fn.Ir.fname in
-    if res.Engine.fuel_exhausted then
-      Diag.add r ~fn Diag.Warning Diag.Budget_exhausted
-        (Printf.sprintf "fuel exhausted after %d steps (cached summary); results are partial"
-           res.Engine.fuel_spent);
-    if res.Engine.widenings > 0 then
-      Diag.add r ~fn Diag.Info Diag.Widened
-        (Printf.sprintf "%d value(s) widened to ⊥ (cached summary)" res.Engine.widenings)
-
 let memoized ?(slot_prefix = "") t (program : Ir.program) : Interproc.analyze_fn =
   let info : (string, string * string list) Hashtbl.t = Hashtbl.create 16 in
   List.iter
@@ -459,7 +423,7 @@ let memoized ?(slot_prefix = "") t (program : Ir.program) : Interproc.analyze_fn
       Hashtbl.replace info fn.Ir.fname
         (Digest_key.fn_digest fn, Digest_key.static_callees fn))
     program.Ir.fns;
-  fun ~config ~report ~call_oracle ~param_values fn ->
+  fun ~config ~report:_ ~call_oracle ~param_values fn ->
     let fname = fn.Ir.fname in
     let ir_digest, callees =
       match Hashtbl.find_opt info fname with
@@ -471,15 +435,8 @@ let memoized ?(slot_prefix = "") t (program : Ir.program) : Interproc.analyze_fn
       Digest_key.task_key ~fn_digest:ir_digest ~config_digest ~param_values
         ~callee_returns:(List.map (fun c -> (c, call_oracle c [])) callees)
     in
-    let computed = ref false in
-    let res =
-      find_or_compute t
-        ~slot:(slot_prefix ^ fname)
-        ~stamp:(ir_digest ^ config_digest)
-        ~key
-        (fun () ->
-          computed := true;
-          Engine.analyze ~config ?report ~call_oracle ~param_values fn)
-    in
-    if not !computed then replay_diags res report;
-    res
+    find_or_compute t
+      ~slot:(slot_prefix ^ fname)
+      ~stamp:(ir_digest ^ config_digest)
+      ~key
+      (fun () -> Engine.analyze ~config ~call_oracle ~param_values fn)

@@ -14,11 +14,12 @@
     drops the slot's older entries, so repeated edits of one function
     cannot grow the memory tier.
 
-    Disk-tier integrity: every entry is framed with a payload checksum that
-    is verified on read. A torn, truncated, or bit-rotted entry is counted
-    as a miss plus an invalidation, quarantined aside as [KEY.sum.bad], and
-    recomputed — corruption can degrade performance but never crashes a run
-    or poisons a result. An entry written by an older format version is
+    Disk-tier integrity: every entry is one {!Vrp_util.Frame} (magic
+    [vrpsum2]), whose payload checksum is verified on read. A torn,
+    truncated, or bit-rotted entry is counted as a miss plus an
+    invalidation, quarantined aside as [KEY.sum.bad], and recomputed —
+    corruption can degrade performance but never crashes a run or poisons
+    a result. An entry written by an older format version is
     silently dropped and rewritten. At open, the first process to take the
     advisory lock file ([DIR/.lock]) becomes the directory's maintenance
     process: it sweeps debris left by killed writers (stale [*.sum.tmp.*]
@@ -130,9 +131,9 @@ val store_reply : t -> key:string -> reply -> unit
 
 (** A memoizing {!Interproc.analyze_fn}: IR digests and static callee sets
     are precomputed for [program]'s functions, and each per-function task
-    is served from the cache when its full key matches. On a hit the
-    engine's budget diagnostics (fuel exhaustion, widenings) are
-    re-emitted from the stored summary so [--diagnostics]/[--strict] keep
-    their meaning on warm runs. [slot_prefix] qualifies function names for
+    is served from the cache when its full key matches. A summary carries
+    its run's diagnostics ([Engine.t.diags]), which {!Interproc} appends
+    whether it was computed or served, so a warm run's report equals the
+    cold run's. [slot_prefix] qualifies function names for
     invalidation accounting (pass the source path in batch mode). *)
 val memoized : ?slot_prefix:string -> t -> Ir.program -> Interproc.analyze_fn

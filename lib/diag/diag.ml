@@ -6,7 +6,8 @@
     instead of dropping degradation events (silent budget bailouts) or
     crashing the whole run (one diverging function), every layer appends
     machine-readable diagnostics to a {!report} threaded through
-    [Engine.analyze], [Interproc.analyze] and [Pipeline.vrp_predictions].
+    [Interproc.analyze] and [Pipeline.vrp_predictions] (an engine result
+    carries its own, which they append).
     A run's prediction map is always total; the report is the honest account
     of which parts of it are exact VRP and which are degraded, and why.
 
@@ -54,15 +55,18 @@ let add report ?fn ?block severity kind message =
 
 let to_list report = List.rev report.rev_diags
 
+let append report diags =
+  List.iter
+    (fun d ->
+      report.rev_diags <- d :: report.rev_diags;
+      report.ndiags <- report.ndiags + 1)
+    diags
+
 (* Append every diagnostic of [from] to [into], preserving [from]'s emission
    order. The parallel scheduler gives each task a private report and merges
    them in deterministic task order, so a parallel run renders byte-identical
    diagnostics to a sequential one. *)
-let merge ~into from =
-  List.iter
-    (fun d -> into.rev_diags <- d :: into.rev_diags)
-    (to_list from);
-  into.ndiags <- into.ndiags + from.ndiags
+let merge ~into from = append into (to_list from)
 
 let count report = report.ndiags
 

@@ -39,6 +39,9 @@ val create : unit -> report
 val add : report -> ?fn:string -> ?block:int -> severity -> kind -> string -> unit
 val to_list : report -> diag list
 
+(** [append report diags] adds [diags] to [report] in list order. *)
+val append : report -> diag list -> unit
+
 (** [merge ~into from] appends every diagnostic of [from] to [into] in
     [from]'s emission order. Used by the parallel scheduler to combine
     per-task reports deterministically. *)

@@ -10,36 +10,16 @@ type record = {
 
 (* --- Record framing ---
 
-   magic (5 bytes) | body length (8 hex) | MD5(body) (32 hex) | body
-
-   where body = Marshal record. A record is valid only if the whole frame
-   is present and the checksum matches, so a reader can tell "the writer
-   was killed mid-append" from "end of journal" without trusting anything
-   after the tear. *)
+   Each record is one {!Vrp_util.Frame} of its marshalled bytes, so a
+   reader can tell "the writer was killed mid-append" from "end of
+   journal" without trusting anything after the tear. *)
 
 let magic = "vrpj1"
 
-let frame_of body =
-  Printf.sprintf "%s%08x%s%s" magic (String.length body)
-    (Digest.to_hex (Digest.string body))
-    body
-
-(* --- Reading --- *)
-
 let read_record ic =
-  match really_input_string ic (String.length magic) with
-  | exception End_of_file -> None
-  | m when not (String.equal m magic) -> None
-  | _ -> (
-    try
-      match int_of_string_opt ("0x" ^ really_input_string ic 8) with
-      | None -> None
-      | Some len ->
-        let sum = really_input_string ic 32 in
-        let body = really_input_string ic len in
-        if not (String.equal sum (Digest.to_hex (Digest.string body))) then None
-        else Some (Marshal.from_string body 0 : record)
-    with End_of_file | Failure _ -> None)
+  match Vrp_util.Frame.read ~magic ic with
+  | None -> None
+  | Some body -> ( try Some (Marshal.from_string body 0 : record) with Failure _ -> None)
 
 (* Scan the whole journal once: the intact records plus the byte offset
    where the first bad frame (the tear) begins. *)
@@ -91,7 +71,7 @@ let append w r =
     ~finally:(fun () -> Mutex.unlock w.lock)
     (fun () ->
       if not w.dead then begin
-        let frame = frame_of (Marshal.to_string r []) in
+        let frame = Vrp_util.Frame.encode ~magic (Marshal.to_string r []) in
         (match w.fault with
         | Some (Diag.Fault.Torn_journal n) when w.written >= n ->
           (* Simulate a writer killed mid-append: half a frame hits the

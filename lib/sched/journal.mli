@@ -1,14 +1,14 @@
 (** Append-only checkpoint journal for batch runs.
 
-    Each completed file of a batch is appended as one framed record: magic,
-    body length, body checksum, body. Frames make the journal
-    crash-consistent without fsync discipline: a writer killed mid-append
-    leaves a torn final frame that fails verification, and {!load} stops at
-    the first bad frame — every record before the tear is trusted, nothing
-    after it is. Records carry an input digest (source bytes + analysis
-    configuration), so a resumed run re-analyzes any file that changed on
-    disk or is being run under different settings instead of replaying a
-    stale result.
+    Each completed file of a batch is appended as one framed record
+    ({!Vrp_util.Frame}, magic [vrpj1]): magic, body length, body checksum,
+    body. Frames make the journal crash-consistent without fsync
+    discipline: a writer killed mid-append leaves a torn final frame that
+    fails verification, and {!load} stops at the first bad frame — every
+    record before the tear is trusted, nothing after it is. Records carry
+    an input digest (source bytes + analysis configuration), so a resumed
+    run re-analyzes any file that changed on disk or is being run under
+    different settings instead of replaying a stale result.
 
     The payload is an opaque string chosen by the producer (the batch
     driver marshals its per-file result); the journal itself has no

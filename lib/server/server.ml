@@ -166,13 +166,10 @@ let handle_predict t ~budget_ms { Protocol.params = p; _ } =
           match Ops.compile_outcome source with
           | Error o -> o
           | Ok c ->
-            (* A summary hit replays only the engine's budget diagnostics,
-               so a predict that renders diagnostics runs the engine; the
-               tier then serves its repeats. *)
             let analyze_fn =
-              if key <> None && not opts.Ops.diagnostics then
-                Some (Summary_cache.memoized ~slot_prefix:name t.cache c.Pipeline.ssa)
-              else None
+              Option.map
+                (fun _ -> Summary_cache.memoized ~slot_prefix:name t.cache c.Pipeline.ssa)
+                key
             in
             Ops.predict_compiled ~pool:t.pool ?analyze_fn ~opts c
         in

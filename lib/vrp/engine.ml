@@ -28,7 +28,9 @@
     The engine runs no static pass of its own: dominators, loops, back
     edges, reverse postorder and definition sites come from one
     {!Vrp_ir.Static} record per run, shared with derivation, the
-    Ball–Larus fallback and the algebra post-pass. *)
+    Ball–Larus fallback and the algebra post-pass. Diagnostics are part of
+    the result ([t.diags]), never written into a caller's report, so a run
+    that raises leaves none behind. *)
 
 module Ast = Vrp_lang.Ast
 module Ir = Vrp_ir.Ir
@@ -108,7 +110,7 @@ type t = {
   fuel_limit : int;  (** the step budget this run was given *)
   fuel_spent : int;  (** worklist steps actually taken *)
   fuel_exhausted : bool;  (** ran out of fuel before the fixed point *)
-  widenings : int;  (** values forcibly widened to ⊥ (quota / growth cap) *)
+  diags : Diag.diag list;  (** this run's diagnostics, in emission order *)
 }
 
 let value t (v : Var.t) = t.values.(v.Var.id)
@@ -143,14 +145,12 @@ type state = {
           visited (geometric inductions): branches on it use heuristics *)
   calls : (int * int, string * Value.t list) Hashtbl.t;
   call_oracle : string -> Value.t list -> Value.t;
-  report : Diag.report option;  (** structured diagnostics sink, if any *)
-  mutable widenings : int;  (** forced widenings this run *)
+  mutable rev_diags : Diag.diag list;  (** this run's diagnostics, newest first *)
 }
 
 let diag st ?block severity kind message =
-  match st.report with
-  | Some r -> Diag.add r ~fn:st.static.Static.fn.Ir.fname ?block severity kind message
-  | None -> ()
+  let loc = { Diag.fn = Some st.static.Static.fn.Ir.fname; block } in
+  st.rev_diags <- { Diag.severity; kind; loc; message } :: st.rev_diags
 
 let edge_probability st src dst =
   let k = Static.slot st.static src dst in
@@ -273,7 +273,6 @@ let set_value st (v : Var.t) (value : Value.t) : bool =
   else begin
     st.eval_counts.(vid) <- st.eval_counts.(vid) + 1;
     let widen reason =
-      st.widenings <- st.widenings + 1;
       Vrp_ranges.Counters.record_widening ();
       let bid = st.static.Static.def_block.(vid) in
       let block = if bid >= 0 then Some bid else None in
@@ -541,11 +540,9 @@ let starvation_fuel = 4
 (** Analyse one function. [param_values] are the ranges of the formal
     parameters (⊥ by default, i.e. unknown input); [call_oracle] supplies
     return-value ranges for calls (⊥ by default — the intraprocedural
-    setting). [report] collects structured diagnostics; degradation
-    (fuel exhaustion, forced widening) is additionally flagged in the
-    result record.
+    setting). The result carries the run's diagnostics.
     @raise Diag.Fault.Injected under crash fault injection. *)
-let analyze_body ?(config = default_config) ?report
+let analyze_body ?(config = default_config)
     ?(call_oracle = fun _ _ -> Value.bottom)
     ?(param_values : Value.t list option) (fn : Ir.fn) : t =
   (* Resolve fault injection against this function. *)
@@ -620,8 +617,7 @@ let analyze_body ?(config = default_config) ?report
       evals = 0;
       calls = Hashtbl.create 16;
       call_oracle;
-      report;
-      widenings = 0;
+      rev_diags = [];
     }
   in
   (* Parameters: supplied ranges, or ⊥ (program input). *)
@@ -786,7 +782,7 @@ let analyze_body ?(config = default_config) ?report
     fuel_limit;
     fuel_spent;
     fuel_exhausted = !exhausted;
-    widenings = st.widenings;
+    diags = List.rev st.rev_diags;
   }
 
 (* Per-run observability around the core fixpoint: a counter + duration
@@ -801,8 +797,8 @@ let run_seconds =
   Vrp_obs.Metrics.histogram ~help:"Engine analyze duration in seconds"
     "vrp_engine_run_seconds"
 
-let analyze ?config ?report ?call_oracle ?param_values (fn : Ir.fn) : t =
+let analyze ?config ?call_oracle ?param_values (fn : Ir.fn) : t =
   Vrp_obs.Metrics.inc runs_total;
   Vrp_obs.Metrics.time run_seconds (fun () ->
       Vrp_obs.Trace.with_span "engine" ~args:[ ("fn", fn.Ir.fname) ] (fun () ->
-          analyze_body ?config ?report ?call_oracle ?param_values fn))
+          analyze_body ?config ?call_oracle ?param_values fn))

@@ -52,7 +52,12 @@ type t = {
           or a handful of steps under the [fuel:FN] fault *)
   fuel_spent : int;  (** worklist steps actually taken *)
   fuel_exhausted : bool;  (** ran out of fuel before the fixed point *)
-  widenings : int;  (** values forcibly widened to ⊥ (quota / growth cap) *)
+  diags : Diag.diag list;
+      (** the run's diagnostics in emission order: forced widenings to ⊥
+          (quota / growth cap), fuel exhaustion, algebraic one-way proofs,
+          injected faults. Callers append them to their own report, so an
+          engine run, a summary-cache hit and a reused round all replay
+          the same list *)
 }
 
 val value : t -> Var.t -> Value.t
@@ -61,12 +66,12 @@ val used_fallback : t -> int -> bool
 
 (** Analyse one function. [param_values] are the formal parameters' ranges
     (⊥ by default = unknown program input); [call_oracle] supplies return
-    ranges for calls (⊥ by default — the intraprocedural setting); [report]
-    collects structured diagnostics for the run.
+    ranges for calls (⊥ by default — the intraprocedural setting). The
+    run's diagnostics come back in the result's [diags]; a run that raises
+    emits none.
     @raise Diag.Fault.Injected under crash fault injection. *)
 val analyze :
   ?config:config ->
-  ?report:Diag.report ->
   ?call_oracle:(string -> Value.t list -> Value.t) ->
   ?param_values:Value.t list ->
   Ir.fn ->

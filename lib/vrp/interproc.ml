@@ -34,7 +34,10 @@
     environments keeps its previous {!Engine.t} (physically the same
     value), and its diagnostics are replayed, instead of going back through
     [analyze_fn]. This is exact because the engine is a pure function of
-    (function, configuration, parameter values, oracle answers read). *)
+    (function, configuration, parameter values, oracle answers read).
+    A task's diagnostics are the seam's notes (a supervisor's retries)
+    then the result's [Engine.t.diags], appended once [analyze_fn]
+    returns: an attempt that raises adds none of its partial ones. *)
 
 module Ir = Vrp_ir.Ir
 module Value = Vrp_ranges.Value
@@ -120,8 +123,8 @@ let reused_total =
     "vrp_interproc_reused_total"
 
 let default_analyze_fn : analyze_fn =
- fun ~config ~report ~call_oracle ~param_values fn ->
-  Engine.analyze ~config ?report ~call_oracle ~param_values fn
+ fun ~config ~report:_ ~call_oracle ~param_values fn ->
+  Engine.analyze ~config ~call_oracle ~param_values fn
 
 let env_equal (a : (string, Value.t list) Hashtbl.t) (b : (string, Value.t list) Hashtbl.t) =
   Hashtbl.length a = Hashtbl.length b
@@ -249,6 +252,7 @@ let analyze ?(config = Engine.default_config) ?report
                   let res =
                     analyze_fn ~config ~report:(Some local) ~call_oracle ~param_values fn
                   in
+                  Diag.append local res.Engine.diags;
                   (res, { params = param_values; answers = !read })
               with
               | res, used -> (Analyzed (res, used), local)

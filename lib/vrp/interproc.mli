@@ -55,7 +55,9 @@ type runner = task array -> (outcome * Diag.report) array
 val sequential_runner : runner
 
 (** The per-function analysis seam; [Vrp_cache] interposes a memoizing
-    wrapper here. The default is {!Engine.analyze}. *)
+    wrapper here. The default is {!Engine.analyze}. [report] takes the
+    seam's own notes (retries, deadlines); {!analyze} appends the result's
+    [diags] once the call returns, so a raising attempt adds none. *)
 type analyze_fn =
   config:Engine.config ->
   report:Diag.report option ->

@@ -155,8 +155,10 @@ let vrp_predictions ?(config = Engine.default_config) ?report ?run_tasks
   let intraprocedural_contained () =
     List.iter
       (fun fn ->
-        match Engine.analyze ~config ?report fn with
-        | res -> fill fn (Some res) ~demoted:None
+        match Engine.analyze ~config fn with
+        | res ->
+          Option.iter (fun r -> Diag.append r res.Engine.diags) report;
+          fill fn (Some res) ~demoted:None
         | exception e ->
           let why =
             match e with

@@ -19,6 +19,12 @@ let analyze_main ?config src =
   let _, fn = compile_main src in
   Vrp_core.Engine.analyze ?config fn
 
+(** How many [kind] diagnostics an engine run emitted. *)
+let count_diags (res : Vrp_core.Engine.t) kind =
+  List.length
+    (List.filter (fun (d : Vrp_diag.Diag.diag) -> d.Vrp_diag.Diag.kind = kind)
+       res.Vrp_core.Engine.diags)
+
 (** Value of the highest SSA version of source variable [base] in [res]
     (its final value at the end of straight-line code). *)
 let last_version (res : Vrp_core.Engine.t) (base : string) : Value.t =

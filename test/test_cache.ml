@@ -5,6 +5,7 @@
 
 module Ir = Vrp_ir.Ir
 module Engine = Vrp_core.Engine
+module Diag = Vrp_diag.Diag
 module Pipeline = Vrp_core.Pipeline
 module Digest_key = Vrp_cache.Digest_key
 module Summary_cache = Vrp_cache.Summary_cache
@@ -389,16 +390,23 @@ let strict_verdict_ignores_the_cache () =
         [ uncached; cold; warm; one_shot ])
     Suite.benchmarks
 
+(* A warm run repeats the cold run: the same batch report and, file by
+   file, the same rendered diagnostics — a hit replays the diagnostics the
+   summary's engine run emitted, not a digest of them. *)
 let cached_equals_fresh_prop =
   Helpers.qtest ~count:15 "synth programs: cached == fresh report"
     QCheck2.Gen.(pair (int_range 4 24) (int_range 0 1_000_000))
     (fun (units, seed) ->
       let sources = [ ("synth.mc", Vrp_suite.Synth.generate ~units ~seed ()) ] in
-      let fresh = Batch.render (Batch.analyze_sources ~jobs:1 sources) in
+      let diags results =
+        List.map (fun (r : Batch.file_result) -> Diag.render r.Batch.report) results
+      in
+      let fresh = Batch.analyze_sources ~jobs:1 sources in
       let cache = Summary_cache.create () in
       ignore (Batch.analyze_sources ~cache ~jobs:1 sources);
-      let warm = Batch.render (Batch.analyze_sources ~cache ~jobs:1 sources) in
-      String.equal fresh warm
+      let warm = Batch.analyze_sources ~cache ~jobs:1 sources in
+      String.equal (Batch.render fresh) (Batch.render warm)
+      && List.equal String.equal (diags fresh) (diags warm)
       && (Summary_cache.counters cache).Summary_cache.hits > 0)
 
 let suite =

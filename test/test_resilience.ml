@@ -11,6 +11,8 @@ module Engine = Vrp_core.Engine
 module Interproc = Vrp_core.Interproc
 module Pipeline = Vrp_core.Pipeline
 module Diag = Vrp_diag.Diag
+module Batch = Vrp_sched.Batch
+module Supervisor = Vrp_sched.Supervisor
 module Predictor = Vrp_predict.Predictor
 
 let tc = Alcotest.test_case
@@ -130,17 +132,37 @@ let trip_after_still_total () =
   Alcotest.(check bool) "crash diagnostics" true
     (Diag.count_kind report Diag.Analysis_crashed > 0)
 
+(* A retried attempt that raises leaves none of its partial diagnostics:
+   [steps:800] trips [main] mid-run on all three attempts, and the report
+   holds the two retry notes and the demotion, not the widenings each
+   failed attempt got to before it tripped. *)
+let retried_attempts_add_no_partial_diags () =
+  let source = In_channel.with_open_bin "corpus/algebra_affine.mc" In_channel.input_all in
+  let policy = { Supervisor.default_policy with Supervisor.retries = 2; backoff_ms = 0 } in
+  Supervisor.with_supervisor ~policy (fun supervisor ->
+      let config = with_fault (Diag.Fault.Trip_after 800) in
+      match
+        Batch.analyze_sources ~config ~supervisor ~jobs:1 [ ("algebra_affine.mc", source) ]
+      with
+      | [ r ] ->
+        let report = r.Batch.report in
+        Alcotest.(check (list (pair string string))) "main demoted"
+          [ ("main", "injected trip after 800 steps in main") ]
+          r.Batch.demoted;
+        Alcotest.(check int) "two retry notes" 2 (Diag.count_kind report Diag.Task_retry);
+        Alcotest.(check int) "no partial widenings" 0 (Diag.count_kind report Diag.Widened)
+      | _ -> Alcotest.fail "one file in, one result out")
+
 (* --- Resource governors on the engine itself --- *)
 
 let fuel_accounting_explicit () =
   let _, fn = Helpers.compile_main two_fn_src in
-  let report = Diag.create () in
-  let res = Engine.analyze ~config:(with_fault (Diag.Fault.Starve_fuel "main")) ~report fn in
+  let res = Engine.analyze ~config:(with_fault (Diag.Fault.Starve_fuel "main")) fn in
   Alcotest.(check bool) "exhausted" true res.Engine.fuel_exhausted;
   Alcotest.(check int) "limit recorded" 4 res.Engine.fuel_limit;
   Alcotest.(check int) "spent everything" 4 res.Engine.fuel_spent;
   Alcotest.(check bool) "diagnosed" true
-    (Diag.count_kind report Diag.Budget_exhausted > 0)
+    (Helpers.count_diags res Diag.Budget_exhausted > 0)
 
 let fuel_accounting_healthy () =
   let _, fn = Helpers.compile_main two_fn_src in
@@ -151,23 +173,19 @@ let fuel_accounting_healthy () =
 
 let quota_widening_diagnosed () =
   let _, fn = Helpers.compile_main two_fn_src in
-  let report = Diag.create () in
   (* derivation off so the loop φ is actually iterated into the quota *)
   let config =
     { Engine.default_config with Engine.eval_quota = 1; Engine.use_derivation = false }
   in
-  let res = Engine.analyze ~config ~report fn in
-  Alcotest.(check bool) "widenings counted" true (res.Engine.widenings > 0);
+  let res = Engine.analyze ~config fn in
   Alcotest.(check bool) "widening diagnosed" true
-    (Diag.count_kind report Diag.Widened > 0)
+    (Helpers.count_diags res Diag.Widened > 0)
 
 let growth_cap_widening () =
   let _, fn = Helpers.compile_main two_fn_src in
-  let report = Diag.create () in
-  let res =
-    Engine.analyze ~config:{ Engine.default_config with Engine.max_growth = 0 } ~report fn
-  in
-  Alcotest.(check bool) "cap forces widenings" true (res.Engine.widenings > 0);
+  let res = Engine.analyze ~config:{ Engine.default_config with Engine.max_growth = 0 } fn in
+  Alcotest.(check bool) "cap forces widenings" true
+    (Helpers.count_diags res Diag.Widened > 0);
   (* the engine still terminates and reports branch predictions *)
   Alcotest.(check bool) "still produced branch probabilities" true
     (Hashtbl.length res.Engine.branch_probs > 0)
@@ -237,6 +255,8 @@ let suite =
       tc "crash contained to one function" `Quick crash_contained;
       tc "fuel starvation contained" `Quick fuel_starvation_contained;
       tc "trip-after still total" `Quick trip_after_still_total;
+      tc "retried attempts add no partial diagnostics" `Quick
+        retried_attempts_add_no_partial_diags;
       tc "explicit fuel accounting" `Quick fuel_accounting_explicit;
       tc "healthy fuel accounting" `Quick fuel_accounting_healthy;
       tc "quota widening diagnosed" `Quick quota_widening_diagnosed;

@@ -171,17 +171,18 @@ let predict_req ?(id = 1) ?fault ?name ?(params = []) source =
         @ params);
   }
 
-let analyze_req ?(id = 1) ~session ~name source =
+let analyze_req ?(id = 1) ?(params = []) ~session ~name source =
   {
     Protocol.id;
     op = "analyze";
     params =
       Json.Obj
-        [
-          ("session", Json.String session);
-          ("name", Json.String name);
-          ("source", Json.String source);
-        ];
+        ([
+           ("session", Json.String session);
+           ("name", Json.String name);
+           ("source", Json.String source);
+         ]
+        @ params);
   }
 
 (* The daemon's correctness contract: its response carries the one-shot
@@ -1532,13 +1533,15 @@ let fleet_admission_line_matches_scrape () =
 
 (* --- File-level reply tier --- *)
 
-let file_hits handle =
+let cache_count handle key =
   match
     Option.bind (List.assoc_opt "cache" (local_op handle "status").Protocol.data)
-      (Json.mem_int "file_hits")
+      (Json.mem_int key)
   with
   | Some n -> n
-  | None -> Alcotest.fail "status has no cache.file_hits"
+  | None -> Alcotest.failf "status has no cache.%s" key
+
+let file_hits handle = cache_count handle "file_hits"
 
 let check_outcome what (want : Ops.outcome) (r : Protocol.response) =
   Alcotest.(check bool) (what ^ " ok") true r.Protocol.ok;
@@ -1588,6 +1591,36 @@ let reply_tier_byte_identical () =
                 (file_hits handle))
             combos)
         Suite.benchmarks)
+
+(* Diagnostics are part of a summary, so every request kind serves them
+   from the summary cache and renders what the one-shot command does —
+   every widening note and algebraic proof, not a count: a session's cold
+   and warm analyze, and a predict with diagnostics answered from the
+   summaries a plain predict stored. *)
+let warm_diagnostics_repeat_cold () =
+  let source = List.assoc "algebra_affine.mc" (corpus_sources ()) in
+  let diagnostics = [ ("diagnostics", Json.Bool true) ] in
+  let want = Ops.predict ~opts:{ Ops.default_opts with Ops.diagnostics = true } ~source () in
+  Alcotest.(check bool) "one-shot reports widenings" true
+    (Astring.String.is_infix ~affix:"widened to ⊥: exceeded" want.Ops.err);
+  with_server (fun server ->
+      let handle = Server.handle server in
+      let analyze () =
+        handle (analyze_req ~session:"diag" ~name:"affine.mc" ~params:diagnostics source)
+      in
+      let cold = analyze () in
+      let warm = analyze () in
+      check_outcome "cold analyze" want cold;
+      check_outcome "warm analyze" want warm;
+      Alcotest.(check int) "warm analyze misses nothing" 0
+        (cint (get_cache_delta warm) "misses");
+      ignore (handle (predict_req ~name:"affine.mc" source));
+      let hits = cache_count handle "hits" and misses = cache_count handle "misses" in
+      check_outcome "predict with diagnostics" want
+        (handle (predict_req ~name:"affine.mc" ~params:diagnostics source));
+      Alcotest.(check (pair bool int)) "predict with diagnostics served from summaries"
+        (true, misses)
+        (cache_count handle "hits" > hits, cache_count handle "misses"))
 
 (* The key covers everything a reply depends on, the fallback model
    included. *)
@@ -1783,6 +1816,7 @@ let suite =
       tc "fleet admission line = scrape" `Quick fleet_admission_line_matches_scrape;
       tc "exposition families pinned" `Quick exposition_families_pinned;
       tc "reply tier byte-identical (suite x flags)" `Quick reply_tier_byte_identical;
+      tc "warm diagnostics repeat the cold run" `Quick warm_diagnostics_repeat_cold;
       tc "reply key covers its inputs" `Quick reply_key_covers_inputs;
       tc "reply tier after evict" `Quick reply_tier_after_evict;
       tc "deadline-cut reply not stored" `Quick deadline_cut_reply_not_stored;

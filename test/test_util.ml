@@ -3,6 +3,7 @@
 
 module Prng = Vrp_util.Prng
 module Stats = Vrp_util.Stats
+module Frame = Vrp_util.Frame
 
 let tc = Alcotest.test_case
 
@@ -55,6 +56,35 @@ let stats_degenerate () =
   let _, slope, _ = Stats.least_squares [ (2.0, 1.0); (2.0, 5.0) ] in
   Helpers.check_prob "vertical" 0.0 slope
 
+(* Two frames back to back read back in order; a tear, a flipped body
+   byte, another magic and a length field past the end of the bytes each
+   end the read with [None]. *)
+let frame_codec () =
+  let path = Filename.temp_file "vrp-frame" ".bin" in
+  let read_all bytes =
+    Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
+    In_channel.with_open_bin path (fun ic ->
+        let rec go acc =
+          match Frame.read ~magic:"vrpt1" ic with
+          | Some body -> go (body :: acc)
+          | None -> List.rev acc
+        in
+        go [])
+  in
+  let a = Frame.encode ~magic:"vrpt1" "first" and b = Frame.encode ~magic:"vrpt1" "" in
+  Alcotest.(check string) "layout" ("vrpt100000005" ^ Digest.to_hex (Digest.string "first") ^ "first") a;
+  Alcotest.(check (list string)) "round trip" [ "first"; "" ] (read_all (a ^ b));
+  Alcotest.(check (list string)) "tear" [ "first" ]
+    (read_all (a ^ String.sub b 0 (String.length b - 1)));
+  let flipped = Bytes.of_string a in
+  Bytes.set flipped (Bytes.length flipped - 1) 'F';
+  Alcotest.(check (list string)) "bit flip" [] (read_all (Bytes.to_string flipped ^ b));
+  Alcotest.(check (list string)) "other magic" []
+    (read_all (Frame.encode ~magic:"vrpx1" "first"));
+  Alcotest.(check (list string)) "length past the end" []
+    (read_all ("vrpt1ffffffff" ^ String.make 32 '0' ^ "first"));
+  Sys.remove path
+
 let suite =
   ( "util",
     [
@@ -65,4 +95,5 @@ let suite =
       tc "stats: clamp" `Quick stats_clamp;
       tc "stats: least squares" `Quick stats_least_squares_noise;
       tc "stats: degenerate fits" `Quick stats_degenerate;
+      tc "frame: codec" `Quick frame_codec;
     ] )

@@ -1,21 +1,21 @@
 (** Content-addressed keys for function summaries (see the interface).
 
-    The serializer is hand-rolled rather than [Marshal]-based for the IR
-    and the configuration so the digest depends on structure alone: ints
-    are written in decimal, floats by IEEE-754 bit pattern, strings
-    length-prefixed, constructors as one-byte tags. Parameter and oracle
-    values are digested through [Marshal] with sharing disabled — their
-    representation is produced deterministically by the range algebra, and
-    a representation difference can only cause a spurious miss, never a
-    wrong hit. *)
+    A function's IR, the parameter values and the oracle answers are
+    digested through [Marshal] with sharing disabled: they are acyclic
+    trees, so the bytes are a function of structure alone. Marshal writes a
+    constructor as its position in the type, so reordering a
+    constructor of [Ir] or of [Ast.ty], [relop] or [binop] gives old bytes
+    a new meaning; the IR digest therefore folds in [format_version] and
+    [Sys.ocaml_version], and a cache test pins the digests of a program
+    that uses every such constructor. The configuration and reply keys
+    keep an explicit serializer: ints in decimal, floats by IEEE-754 bit
+    pattern, strings length-prefixed, one-byte tags. *)
 
 module Ir = Vrp_ir.Ir
-module Var = Vrp_ir.Var
-module Ast = Vrp_lang.Ast
 module Value = Vrp_ranges.Value
 module Engine = Vrp_core.Engine
 
-let format_version = 3
+let format_version = 4
 
 (* --- Primitive serializers --- *)
 
@@ -43,116 +43,44 @@ let add_option buf add = function
     add_tag buf 'S';
     add buf x
 
-(* --- IR serialization --- *)
+(* --- IR digest --- *)
 
-let add_ty buf (ty : Ast.ty) =
-  add_tag buf (match ty with Ast.Tint -> 'i' | Ast.Tfloat -> 'f' | Ast.Tvoid -> 'v')
+let static_callees (fn : Ir.fn) =
+  let names = ref [] in
+  Ir.iter_blocks fn (fun b ->
+      List.iter
+        (fun instr ->
+          match instr with
+          | Ir.Def (_, Ir.Call (callee, _)) -> names := callee :: !names
+          | Ir.Def _ | Ir.Store _ -> ())
+        b.Ir.instrs);
+  List.sort_uniq String.compare !names
 
-let add_var buf (v : Var.t) =
-  add_int buf v.Var.id;
-  add_string buf v.Var.base;
-  add_int buf v.Var.version;
-  add_ty buf v.Var.ty
-
-let add_operand buf = function
-  | Ir.Cint n ->
-    add_tag buf 'i';
-    add_int buf n
-  | Ir.Cfloat f ->
-    add_tag buf 'f';
-    add_float buf f
-  | Ir.Ovar v ->
-    add_tag buf 'v';
-    add_var buf v
-
-let add_relop buf (r : Ast.relop) = add_string buf (Ast.relop_to_string r)
-
-let add_rhs buf = function
-  | Ir.Op a ->
-    add_tag buf 'o';
-    add_operand buf a
-  | Ir.Binop (op, a, b) ->
-    add_tag buf 'b';
-    add_string buf (Ast.binop_to_string op);
-    add_operand buf a;
-    add_operand buf b
-  | Ir.Unop (u, a) ->
-    add_tag buf 'u';
-    add_tag buf (match u with Ir.Neg -> 'n' | Ir.Bnot -> 'b');
-    add_operand buf a
-  | Ir.Cmp (r, a, b) ->
-    add_tag buf 'c';
-    add_relop buf r;
-    add_operand buf a;
-    add_operand buf b
-  | Ir.Load (arr, idx) ->
-    add_tag buf 'l';
-    add_string buf arr;
-    add_operand buf idx
-  | Ir.Call (fn, args) ->
-    add_tag buf 'C';
-    add_string buf fn;
-    add_list buf add_operand args
-  | Ir.Phi args ->
-    add_tag buf 'p';
-    add_list buf
-      (fun buf (pred, op) ->
-        add_int buf pred;
-        add_operand buf op)
-      args
-  | Ir.Assertion { parent; arel; abound } ->
-    add_tag buf 'a';
-    add_var buf parent;
-    add_relop buf arel;
-    add_operand buf abound
-
-let add_instr buf = function
-  | Ir.Def (v, rhs) ->
-    add_tag buf 'd';
-    add_var buf v;
-    add_rhs buf rhs
-  | Ir.Store (arr, idx, v) ->
-    add_tag buf 's';
-    add_string buf arr;
-    add_operand buf idx;
-    add_operand buf v
-
-let add_term buf = function
-  | Ir.Jump d ->
-    add_tag buf 'j';
-    add_int buf d
-  | Ir.Br { rel; ba; bb; tdst; fdst } ->
-    add_tag buf 'B';
-    add_relop buf rel;
-    add_operand buf ba;
-    add_operand buf bb;
-    add_int buf tdst;
-    add_int buf fdst
-  | Ir.Ret op ->
-    add_tag buf 'r';
-    add_option buf add_operand op
-
-let add_array_info buf (a : Ir.array_info) =
-  add_string buf a.Ir.aname;
-  add_ty buf a.Ir.elem_ty;
-  add_int buf a.Ir.size
-
+(* Every field of the function and its blocks except the blocks' [preds]
+   cache, which the terminators determine. *)
 let fn_digest (fn : Ir.fn) =
-  let buf = Buffer.create 1024 in
-  add_int buf format_version;
-  add_string buf fn.Ir.fname;
-  add_ty buf fn.Ir.ret_ty;
-  add_list buf add_var fn.Ir.params;
-  add_list buf add_array_info fn.Ir.local_arrays;
-  add_int buf fn.Ir.nvars;
-  add_int buf (Array.length fn.Ir.blocks);
-  Array.iter
-    (fun (b : Ir.block) ->
-      add_int buf b.Ir.bid;
-      add_list buf add_instr b.Ir.instrs;
-      add_term buf b.Ir.term)
-    fn.Ir.blocks;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+  let blocks = Array.map (fun (b : Ir.block) -> (b.Ir.bid, b.Ir.instrs, b.Ir.term)) fn.Ir.blocks in
+  let projection =
+    ( format_version,
+      Sys.ocaml_version,
+      fn.Ir.fname,
+      fn.Ir.ret_ty,
+      fn.Ir.params,
+      fn.Ir.local_arrays,
+      fn.Ir.nvars,
+      blocks )
+  in
+  Digest.to_hex (Digest.string (Marshal.to_string projection [ Marshal.No_sharing ]))
+
+type fn_key = { digest : string; callees : string list }
+
+let fn_keys (program : Ir.program) =
+  let keys = Hashtbl.create 16 in
+  List.iter
+    (fun (fn : Ir.fn) ->
+      Hashtbl.replace keys fn.Ir.fname { digest = fn_digest fn; callees = static_callees fn })
+    program.Ir.fns;
+  keys
 
 (* --- Configuration serialization ---
 
@@ -182,17 +110,6 @@ let config_digest (c : Engine.config) =
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 (* --- Analysis inputs --- *)
-
-let static_callees (fn : Ir.fn) =
-  let names = ref [] in
-  Ir.iter_blocks fn (fun b ->
-      List.iter
-        (fun instr ->
-          match instr with
-          | Ir.Def (_, Ir.Call (callee, _)) -> names := callee :: !names
-          | Ir.Def _ | Ir.Store _ -> ())
-        b.Ir.instrs);
-  List.sort_uniq String.compare !names
 
 let add_value buf (v : Value.t) =
   (* Values are acyclic immutable trees built deterministically by the

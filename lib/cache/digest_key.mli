@@ -9,32 +9,45 @@
     - a digest of the analysis inputs: the parameter ranges and the return
       ranges the call oracle would answer for the function's static callees.
 
-    Digests are MD5 over an explicit byte serialization (ints exact, floats
-    by IEEE bit pattern), so equal keys mean structurally identical inputs
-    and the memoized summary can be reused soundly. *)
+    Digests are MD5 over byte encodings that are injective on structure:
+    the IR and the values through [Marshal] with sharing disabled, the
+    configuration through an explicit serialization (ints exact, floats by
+    IEEE bit pattern). Equal keys mean structurally identical inputs, so
+    the memoized summary can be reused soundly. *)
 
 module Ir = Vrp_ir.Ir
 module Value = Vrp_ranges.Value
 module Engine = Vrp_core.Engine
 
-(** Bump when the serialization or the summary format changes: invalidates
-    every existing on-disk cache entry. *)
+(** Bump when the serialization or the summary format changes, and when a
+    constructor of [Ir], [Ast.ty], [Ast.relop] or [Ast.binop] is added,
+    removed or reordered: Marshal encodes constructors by their position
+    in the type. Bumping invalidates every existing on-disk cache entry. *)
 val format_version : int
 
-(** Structural digest (hex) of one function's SSA IR. *)
+(** Structural digest (hex) of one function's SSA IR: MD5 over the
+    marshalled projection [(format_version, Sys.ocaml_version, fname,
+    ret_ty, params, local_arrays, nvars, [|(bid, instrs, term)|])]. A cache
+    written by another compiler, whose Marshal format may differ, misses. *)
 val fn_digest : Ir.fn -> string
+
+(** What the cache keys a function by before its inputs: its {!fn_digest}
+    and the function names its [Call] instructions can target, sorted and
+    deduplicated — the complete set of names the call oracle may be asked
+    about. *)
+type fn_key = { digest : string; callees : string list }
+
+(** Every function's {!fn_key}, by name. Build it once per compiled
+    program and share it: the summary cache and the session planner read
+    the same table. *)
+val fn_keys : Ir.program -> (string, fn_key) Hashtbl.t
 
 (** Digest (hex) of an engine configuration, including the global
     {!Vrp_ranges.Config.max_ranges} budget and {!format_version}. *)
 val config_digest : Engine.config -> string
 
-(** The function names a [Call] instruction of this function can target,
-    sorted and deduplicated — the complete set of names the call oracle may
-    be asked about. *)
-val static_callees : Ir.fn -> string list
-
-(** Full memo key for one analysis task. [callee_returns] must cover
-    {!static_callees} (in that order). *)
+(** Full memo key for one analysis task. [callee_returns] must cover the
+    function's {!fn_key} [callees] (in that order). *)
 val task_key :
   fn_digest:string ->
   config_digest:string ->

@@ -416,27 +416,31 @@ let store_reply t ~key r = locked t (fun () -> insert_locked t key (Reply r))
 
 (* --- The memoizing analyze_fn --- *)
 
-let memoized ?(slot_prefix = "") t (program : Ir.program) : Interproc.analyze_fn =
-  let info : (string, string * string list) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun (fn : Ir.fn) ->
-      Hashtbl.replace info fn.Ir.fname
-        (Digest_key.fn_digest fn, Digest_key.static_callees fn))
-    program.Ir.fns;
+let memoized ?(slot_prefix = "") t (keys : (string, Digest_key.fn_key) Hashtbl.t) :
+    Interproc.analyze_fn =
+  (* One configuration digest per distinct configuration: every task of a
+     run passes the same one, up to the cancel token a supervisor sets per
+     call, which the digest leaves out. *)
+  let last = Atomic.make None in
+  let config_digest config =
+    let c = { config with Engine.cancel = None } and budget = !Vrp_ranges.Config.max_ranges in
+    match Atomic.get last with
+    | Some (c', budget', d) when budget' = budget && c' = c -> d
+    | _ ->
+      let d = Digest_key.config_digest config in
+      Atomic.set last (Some (c, budget, d));
+      d
+  in
   fun ~config ~report:_ ~call_oracle ~param_values fn ->
     let fname = fn.Ir.fname in
-    let ir_digest, callees =
-      match Hashtbl.find_opt info fname with
-      | Some i -> i
-      | None -> (Digest_key.fn_digest fn, Digest_key.static_callees fn)
-    in
-    let config_digest = Digest_key.config_digest config in
+    let { Digest_key.digest; callees } = Hashtbl.find keys fname in
+    let config_digest = config_digest config in
     let key =
-      Digest_key.task_key ~fn_digest:ir_digest ~config_digest ~param_values
+      Digest_key.task_key ~fn_digest:digest ~config_digest ~param_values
         ~callee_returns:(List.map (fun c -> (c, call_oracle c [])) callees)
     in
     find_or_compute t
       ~slot:(slot_prefix ^ fname)
-      ~stamp:(ir_digest ^ config_digest)
+      ~stamp:(digest ^ config_digest)
       ~key
       (fun () -> Engine.analyze ~config ~call_oracle ~param_values fn)

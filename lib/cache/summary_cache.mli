@@ -129,11 +129,12 @@ val find_reply : t -> key:string -> reply option
     by everything the reply depends on and stores only complete replies. *)
 val store_reply : t -> key:string -> reply -> unit
 
-(** A memoizing {!Interproc.analyze_fn}: IR digests and static callee sets
-    are precomputed for [program]'s functions, and each per-function task
-    is served from the cache when its full key matches. A summary carries
+(** A memoizing {!Interproc.analyze_fn} for the functions of the program
+    whose {!Digest_key.fn_keys} table is [keys]. Each per-function task is
+    served from the cache when its full key matches. A summary carries
     its run's diagnostics ([Engine.t.diags]), which {!Interproc} appends
     whether it was computed or served, so a warm run's report equals the
-    cold run's. [slot_prefix] qualifies function names for
-    invalidation accounting (pass the source path in batch mode). *)
-val memoized : ?slot_prefix:string -> t -> Ir.program -> Interproc.analyze_fn
+    cold run's. [slot_prefix] qualifies function names for invalidation
+    accounting (pass the source path in batch mode). *)
+val memoized :
+  ?slot_prefix:string -> t -> (string, Digest_key.fn_key) Hashtbl.t -> Interproc.analyze_fn

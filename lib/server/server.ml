@@ -168,7 +168,9 @@ let handle_predict t ~budget_ms { Protocol.params = p; _ } =
           | Ok c ->
             let analyze_fn =
               Option.map
-                (fun _ -> Summary_cache.memoized ~slot_prefix:name t.cache c.Pipeline.ssa)
+                (fun _ ->
+                  Summary_cache.memoized ~slot_prefix:name t.cache
+                    (Digest_key.fn_keys c.Pipeline.ssa))
                 key
             in
             Ops.predict_compiled ~pool:t.pool ?analyze_fn ~opts c
@@ -216,7 +218,8 @@ let handle_analyze t ~budget_ms { Protocol.params = p; _ } =
       match Ops.compile_outcome source with
       | Error o -> Accept.reply o
       | Ok c ->
-        let plan = Session.plan s ~name c.Pipeline.ssa in
+        let keys = Digest_key.fn_keys c.Pipeline.ssa in
+        let plan = Session.plan s ~name keys in
         Vrp_obs.Metrics.observe obs_session_changed
           (float_of_int (List.length plan.Session.changed));
         Vrp_obs.Metrics.observe obs_session_dirty
@@ -229,9 +232,7 @@ let handle_analyze t ~budget_ms { Protocol.params = p; _ } =
           supervised t ~label:(Printf.sprintf "analyze %s %s" sid name) ?budget_ms
             (fun cancel ->
               let opts = { opts with Ops.cancel } in
-              let analyze_fn =
-                Summary_cache.memoized ~slot_prefix:name cache c.Pipeline.ssa
-              in
+              let analyze_fn = Summary_cache.memoized ~slot_prefix:name cache keys in
               Ops.predict_compiled ~pool:t.pool ~analyze_fn ~opts c)
         in
         let delta = Summary_cache.delta ~before (Summary_cache.counters cache) in

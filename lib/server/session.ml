@@ -1,10 +1,8 @@
 (** Per-client sessions and incremental invalidation planning (see the
     interface). *)
 
-module Ir = Vrp_ir.Ir
 module Summary_cache = Vrp_cache.Summary_cache
 module Digest_key = Vrp_cache.Digest_key
-module Callgraph = Vrp_sched.Callgraph
 
 type session = {
   sid : string;
@@ -129,22 +127,24 @@ type plan = {
   reused : string list;
 }
 
-(* Names reachable from [seeds] through the call graph — the functions
-   downstream of an edit. *)
-let descendants cg seeds =
+(* Names reachable from [seeds] through the static call graph — the
+   functions downstream of an edit. *)
+let descendants keys seeds =
   let seen = Hashtbl.create 16 in
   let rec visit name =
     if not (Hashtbl.mem seen name) then begin
       Hashtbl.replace seen name ();
-      List.iter visit (Callgraph.callees cg name)
+      Option.iter
+        (fun (k : Digest_key.fn_key) -> List.iter visit k.Digest_key.callees)
+        (Hashtbl.find_opt keys name)
     end
   in
   List.iter visit seeds;
   seen
 
-let plan s ~name (program : Ir.program) =
+let plan s ~name keys =
   let now =
-    List.map (fun (fn : Ir.fn) -> (fn.Ir.fname, Digest_key.fn_digest fn)) program.Ir.fns
+    Hashtbl.fold (fun f (k : Digest_key.fn_key) acc -> (f, k.Digest_key.digest) :: acc) keys []
     |> List.sort compare
   in
   let prev = Hashtbl.find_opt s.digests name in
@@ -167,8 +167,7 @@ let plan s ~name (program : Ir.program) =
           | _ -> Some fname)
         now
     in
-    let cg = Callgraph.build program in
-    let dirty_set = descendants cg changed in
+    let dirty_set = descendants keys changed in
     let dirty = List.filter (fun (f, _) -> Hashtbl.mem dirty_set f) now in
     let reused = List.filter (fun (f, _) -> not (Hashtbl.mem dirty_set f)) now in
     {

@@ -23,8 +23,8 @@
     what makes the counter delta exact; different sessions run freely in
     parallel. *)
 
-module Ir = Vrp_ir.Ir
 module Summary_cache = Vrp_cache.Summary_cache
+module Digest_key = Vrp_cache.Digest_key
 
 type t
 (** The session table; safe for concurrent use from connection threads. *)
@@ -75,6 +75,7 @@ type plan = {
   reused : string list;  (** the rest — expected warm-cache hits, sorted *)
 }
 
-(** Diff [program] against the session's previous submission under [name]
-    and record the new digests. Call under {!with_lock}. *)
-val plan : session -> name:string -> Ir.program -> plan
+(** Diff a program, given by its {!Digest_key.fn_keys} table, against the
+    session's previous submission under [name] and record the new digests.
+    Call under {!with_lock}. *)
+val plan : session -> name:string -> (string, Digest_key.fn_key) Hashtbl.t -> plan

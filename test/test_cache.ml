@@ -95,6 +95,139 @@ let task_key_depends_on_inputs () =
     (key ~params:[ v1 ] ~returns:[ ("f", v2) ])
     (key ~params:[ v1 ] ~returns:[ ("f", v2) ])
 
+let callees_include_self_calls () =
+  let src =
+    {|
+int fact(int n) { if (n < 2) { return 1; } return n * fact(n - 1); }
+int main(int n, int s) { return fact(n); }
+|}
+  in
+  let keys = Digest_key.fn_keys (Helpers.compile src).Pipeline.ssa in
+  let callees f = (Hashtbl.find keys f).Digest_key.callees in
+  Alcotest.(check (list string)) "fact calls itself" [ "fact" ] (callees "fact");
+  Alcotest.(check (list string)) "main calls fact" [ "fact" ] (callees "main")
+
+(* --- IR layout tripwire ---
+
+   Marshal writes a constructor as its position in its type, so reordering
+   one in [Ir] or in [Ast.ty], [relop] or [binop] would let an old disk
+   entry match a different IR. [layout_src] uses every such constructor
+   (checked against the exhaustive matches below, which stop compiling when
+   one is added) and its digests are pinned. *)
+
+let layout_src =
+  {|
+int g;
+void note(int x) { g = x; return; }
+float scale(float x) { float w[2]; w[0] = x * 1.5; return w[0] - 0.25; }
+int mix(int a, int b) {
+  int t[4];
+  t[0] = a + b; t[1] = a - b; t[2] = a * b; t[3] = a / (b | 1);
+  int r = t[0] % 7 & t[1] ^ t[2] << 2 >> 1;
+  int c = a < b;
+  int d = -a + ~b + c;
+  if (a == b) { r = r + 1; }
+  if (a != 3) { r = r + 2; }
+  if (a <= b) { r = r + 3; }
+  if (a > 5) { r = r + 4; }
+  if (b >= 2) { r = r + d; }
+  note(r);
+  return r + t[3];
+}
+int main(int n, int s) {
+  int acc = 0;
+  for (int i = 0; i < n; i++) { acc = acc + mix(i, s); }
+  if (scale(1.0) < 2.0) { acc = acc + 1; }
+  return acc;
+}
+|}
+
+let ty_name : Vrp_lang.Ast.ty -> string = function
+  | Tint -> "int" | Tfloat -> "float" | Tvoid -> "void"
+
+let relop_name : Vrp_lang.Ast.relop -> string = function
+  | Eq -> "==" | Ne -> "!=" | Lt -> "<" | Le -> "<=" | Gt -> ">" | Ge -> ">="
+
+let binop_name : Vrp_lang.Ast.binop -> string = function
+  | Add -> "+" | Sub -> "-" | Mul -> "*" | Div -> "/" | Mod -> "%"
+  | Band -> "&" | Bor -> "|" | Bxor -> "^" | Shl -> "<<" | Shr -> ">>"
+
+(* Every constructor name [fns] use, [Ir]'s and the [Ast] ones inside it. *)
+let constructors (fns : Ir.fn list) =
+  let seen = Hashtbl.create 64 in
+  let add n = Hashtbl.replace seen n () in
+  let var (v : Vrp_ir.Var.t) = add (ty_name v.Vrp_ir.Var.ty) in
+  let operand = function
+    | Ir.Cint _ -> add "Cint"
+    | Ir.Cfloat _ -> add "Cfloat"
+    | Ir.Ovar v -> add "Ovar"; var v
+  in
+  let rhs = function
+    | Ir.Op a -> add "Op"; operand a
+    | Ir.Binop (op, a, b) -> add "Binop"; add (binop_name op); operand a; operand b
+    | Ir.Unop (u, a) -> add (match u with Ir.Neg -> "Neg" | Ir.Bnot -> "Bnot"); operand a
+    | Ir.Cmp (r, a, b) -> add "Cmp"; add (relop_name r); operand a; operand b
+    | Ir.Load (_, i) -> add "Load"; operand i
+    | Ir.Call (_, args) -> add "Call"; List.iter operand args
+    | Ir.Phi args -> add "Phi"; List.iter (fun (_, a) -> operand a) args
+    | Ir.Assertion { parent; arel; abound } ->
+      add "Assertion"; var parent; add (relop_name arel); operand abound
+  in
+  let block (b : Ir.block) =
+    List.iter
+      (function
+        | Ir.Def (v, r) -> add "Def"; var v; rhs r
+        | Ir.Store (_, i, v) -> add "Store"; operand i; operand v)
+      b.Ir.instrs;
+    match b.Ir.term with
+    | Ir.Jump _ -> add "Jump"
+    | Ir.Br { rel; ba; bb; _ } -> add "Br"; add (relop_name rel); operand ba; operand bb
+    | Ir.Ret None -> add "Ret None"
+    | Ir.Ret (Some a) -> add "Ret Some"; operand a
+  in
+  List.iter
+    (fun (fn : Ir.fn) ->
+      add (ty_name fn.Ir.ret_ty);
+      List.iter var fn.Ir.params;
+      List.iter (fun (a : Ir.array_info) -> add (ty_name a.Ir.elem_ty)) fn.Ir.local_arrays;
+      Ir.iter_blocks fn block)
+    fns;
+  seen
+
+(* The compiler these digests were taken under: the digest folds it in. *)
+let layout_ocaml = "5.1.1"
+
+let layout_digests =
+  [
+    ("main", "9b45d849196e55814591a63bd2a1e648");
+    ("mix", "660d19003dc158c20c9b98a0f3f03d1e");
+    ("note", "559eba79cd4bb7e26c98eb0a83473cb3");
+    ("scale", "59326521d78966f7f648cbe49734a22d");
+  ]
+
+let ir_layout_tripwire () =
+  let fns = (Helpers.compile layout_src).Pipeline.ssa.Ir.fns in
+  let seen = constructors fns in
+  let all =
+    [ "Cint"; "Cfloat"; "Ovar"; "Op"; "Binop"; "Neg"; "Bnot"; "Cmp"; "Load"; "Call"; "Phi";
+      "Assertion"; "Def"; "Store"; "Jump"; "Br"; "Ret None"; "Ret Some"; "int"; "float";
+      "void"; "=="; "!="; "<"; "<="; ">"; ">="; "+"; "-"; "*"; "/"; "%"; "&"; "|"; "^";
+      "<<"; ">>" ]
+  in
+  List.iter
+    (fun n -> if not (Hashtbl.mem seen n) then Alcotest.failf "layout_src no longer uses %s" n)
+    all;
+  let got =
+    List.sort compare (List.map (fun (fn : Ir.fn) -> (fn.Ir.fname, Digest_key.fn_digest fn)) fns)
+  in
+  if got <> layout_digests then
+    Alcotest.failf "%s\n  got: %s"
+      (if Sys.ocaml_version <> layout_ocaml then
+         Printf.sprintf "digests pinned under OCaml %s, running %s: update this list"
+           layout_ocaml Sys.ocaml_version
+       else "IR layout changed: bump Digest_key.format_version and update this list")
+      (String.concat "; " (List.map (fun (f, d) -> Printf.sprintf "(%S, %S)" f d) got))
+
 (* --- Store behaviour --- *)
 
 let some_summary = lazy (Helpers.analyze_main "int main(int n, int s) { return n; }")
@@ -416,6 +549,8 @@ let suite =
       tc "digest: sensitive to IR edits" `Quick digest_changes_on_ir_edit;
       tc "digest: config knobs all keyed" `Quick config_digest_covers_every_knob;
       tc "digest: task key covers analysis inputs" `Quick task_key_depends_on_inputs;
+      tc "digest: callees include self-calls" `Quick callees_include_self_calls;
+      tc "digest: IR layout tripwire" `Quick ir_layout_tripwire;
       tc "store: miss, hit, invalidation" `Quick miss_hit_and_invalidation;
       tc "store: LRU evicts the oldest" `Quick lru_evicts_oldest;
       tc "store: disk tier round-trips" `Quick disk_tier_survives_processes;

@@ -288,6 +288,45 @@ let static_property =
     QCheck2.Gen.(int_bound 1_000_000)
     static_agrees_with_definitions
 
+(* The digest table of one fuzzer program per profile: two compiles give
+   the same table, and an edit of one function moves its digest only. *)
+let digests_are_per_function seed =
+  let module Gen = Vrp_fuzz.Gen in
+  let module Ast = Vrp_lang.Ast in
+  let module Digest_key = Vrp_cache.Digest_key in
+  let table (ast : Ast.program) =
+    let keys =
+      Digest_key.fn_keys
+        (Helpers.compile (Vrp_lang.Pretty.program_to_string ast)).Vrp_core.Pipeline.ssa
+    in
+    Hashtbl.fold
+      (fun f (k : Digest_key.fn_key) acc -> (f, k.Digest_key.digest, k.Digest_key.callees) :: acc)
+      keys []
+    |> List.sort compare
+  in
+  List.for_all
+    (fun (p : Gen.profile) ->
+      let rng = Vrp_util.Prng.create (Vrp_fuzz.Runner.mix_seed seed p.Gen.pname 0) in
+      let ast = Gen.program rng ~weights:p.Gen.weights in
+      let before = table ast in
+      let k = seed mod List.length ast.Ast.funcs in
+      let probe = Ast.Sdecl (Ast.Tint, "edit_probe", Ast.Iscalar (Some (Ast.Int 1))) in
+      let edit i (f : Ast.func) =
+        if i = k then { f with Ast.body = { Ast.sline = 0; sdesc = probe } :: f.Ast.body } else f
+      in
+      let edited = { ast with Ast.funcs = List.mapi edit ast.Ast.funcs } in
+      let target = (List.nth ast.Ast.funcs k).Ast.fname in
+      table ast = before
+      && List.for_all2
+           (fun (f, d, _) (f', d', _) -> String.equal f f' && (d <> d') = String.equal f target)
+           before (table edited))
+    Gen.profiles
+
+let digest_property =
+  Helpers.qtest ~count:30 "digest: deterministic and per-function"
+    QCheck2.Gen.(int_bound 1_000_000)
+    digests_are_per_function
+
 (* --- SSA --- *)
 
 let ssa_of src =
@@ -392,6 +431,7 @@ let suite =
       tc "loops: back edges vs headers" `Quick back_edges_vs_headers;
       tc "loops: exit edges" `Quick loop_exit_edges;
       static_property;
+      digest_property;
       tc "ssa: checker passes on the suite" `Quick ssa_checker_passes_suite;
       tc "ssa: assertions on both edges" `Quick ssa_assertions_on_both_edges;
       tc "ssa: assertions on both operands" `Quick ssa_assertions_on_both_operands;

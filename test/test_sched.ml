@@ -1,5 +1,5 @@
 (** Scheduler-subsystem tests: the domain pool (ordering, crash
-    containment), the static call graph, and the headline determinism
+    containment) and the headline determinism
     guarantee — wavefront-parallel and batch-parallel analysis must be
     byte-identical to the sequential reference, including under injected
     per-function faults and malformed input files. *)
@@ -9,7 +9,6 @@ module Engine = Vrp_core.Engine
 module Interproc = Vrp_core.Interproc
 module Diag = Vrp_diag.Diag
 module Pool = Vrp_sched.Pool
-module Callgraph = Vrp_sched.Callgraph
 module Batch = Vrp_sched.Batch
 module Suite = Vrp_suite.Suite
 
@@ -63,25 +62,13 @@ let pool_contains_crashes () =
 let pool_clamps_jobs () =
   Pool.with_pool ~jobs:(-3) (fun pool -> Alcotest.(check int) "clamped" 1 (Pool.jobs pool))
 
-(* --- Call graph --- *)
-
+(* A three-function call chain for the batch tests. *)
 let chain_src =
   {|
 int leaf(int n) { if (n > 3) { return n; } return 3; }
 int mid(int n) { if (n > 1) { return leaf(n); } return leaf(n + 1); }
 int main(int n, int s) { if (n > 0) { return mid(n); } return mid(s); }
 |}
-
-let self_recursion () =
-  let src =
-    {|
-int fact(int n) { if (n < 2) { return 1; } return n * fact(n - 1); }
-int main(int n, int s) { return fact(n); }
-|}
-  in
-  let c = Helpers.compile src in
-  let cg = Callgraph.build c.Vrp_core.Pipeline.ssa in
-  Alcotest.(check (list string)) "fact calls itself" [ "fact" ] (Callgraph.callees cg "fact")
 
 (* --- Wavefront determinism --- *)
 
@@ -170,7 +157,6 @@ let suite =
       tc "pool: results in task order" `Quick pool_preserves_task_order;
       tc "pool: crash containment" `Quick pool_contains_crashes;
       tc "pool: jobs clamped to 1" `Quick pool_clamps_jobs;
-      tc "callgraph: self-recursion" `Quick self_recursion;
       tc "wavefront: parallel == sequential on the suite" `Slow wavefront_matches_sequential;
       tc "batch: jobs=1 vs jobs=N byte-identical" `Slow batch_is_deterministic;
       tc "batch: malformed file contained" `Quick batch_contains_bad_files;

@@ -74,13 +74,44 @@ let fn_digest (fn : Ir.fn) =
 
 type fn_key = { digest : string; callees : string list }
 
+let fn_key fn = { digest = fn_digest fn; callees = static_callees fn }
+
 let fn_keys (program : Ir.program) =
   let keys = Hashtbl.create 16 in
-  List.iter
-    (fun (fn : Ir.fn) ->
-      Hashtbl.replace keys fn.Ir.fname { digest = fn_digest fn; callees = static_callees fn })
-    program.Ir.fns;
+  List.iter (fun (fn : Ir.fn) -> Hashtbl.replace keys fn.Ir.fname (fn_key fn)) program.Ir.fns;
   keys
+
+(* --- Compile memo keys ---
+
+   Lowering reads a function's AST, every function's return type and the
+   global tables, and no IR carries a source line: lines are erased, so an
+   edit that only shifts a function down the file keeps its key. The keys
+   name memory-only entries, so they need no format version. *)
+
+module Ast = Vrp_lang.Ast
+
+let rec erase_stmt (s : Ast.stmt) = { Ast.sline = 0; sdesc = erase_desc s.Ast.sdesc }
+
+and erase_desc = function
+  | Ast.Sif (c, t, e) -> Ast.Sif (c, erase_block t, Option.map erase_block e)
+  | Ast.Swhile (c, b) -> Ast.Swhile (c, erase_block b)
+  | Ast.Sfor (init, c, step, b) ->
+    Ast.Sfor (Option.map erase_stmt init, c, Option.map erase_stmt step, erase_block b)
+  | (Ast.Sdecl _ | Ast.Sassign _ | Ast.Sreturn _ | Ast.Sbreak | Ast.Scontinue | Ast.Sexpr _)
+    as d -> d
+
+and erase_block b = List.map erase_stmt b
+
+let marshal_digest v = Digest.string (Marshal.to_string v [ Marshal.No_sharing ])
+
+let compile_env (p : Ast.program) =
+  marshal_digest
+    ( List.map (fun (f : Ast.func) -> (f.Ast.fname, f.Ast.fty)) p.Ast.funcs,
+      List.map (fun (g : Ast.global) -> (g.Ast.gty, g.Ast.gname, g.Ast.gsize)) p.Ast.globals )
+
+let compile_key ~env (f : Ast.func) =
+  "compile-"
+  ^ Digest.to_hex (marshal_digest (env, { f with Ast.fline = 0; body = erase_block f.Ast.body }))
 
 (* --- Configuration serialization ---
 

@@ -37,10 +37,24 @@ val fn_digest : Ir.fn -> string
     about. *)
 type fn_key = { digest : string; callees : string list }
 
+val fn_key : Ir.fn -> fn_key
+
 (** Every function's {!fn_key}, by name. Build it once per compiled
     program and share it: the summary cache and the session planner read
     the same table. *)
 val fn_keys : Ir.program -> (string, fn_key) Hashtbl.t
+
+(** Digest of what lowering reads of a program besides the function
+    itself: every function's name and return type, and every global's
+    name, type and size. Compute it once per program for {!compile_key}. *)
+val compile_env : Vrp_lang.Ast.program -> string
+
+(** Key of one function's compile memo entry: an MD5 over [env] (the
+    program's {!compile_env}) and the function's AST with every source line
+    erased. Lowering reads nothing else and no IR carries a line, so equal
+    keys compile to equal SSA, and inserting a line above a function keeps
+    its key. Distinct from every {!task_key} and {!reply_key}. *)
+val compile_key : env:string -> Vrp_lang.Ast.func -> string
 
 (** Digest (hex) of an engine configuration, including the global
     {!Vrp_ranges.Config.max_ranges} budget and {!format_version}. *)

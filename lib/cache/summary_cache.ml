@@ -4,6 +4,7 @@ module Ir = Vrp_ir.Ir
 module Diag = Vrp_diag.Diag
 module Engine = Vrp_core.Engine
 module Interproc = Vrp_core.Interproc
+module Pipeline = Vrp_core.Pipeline
 
 type counters = {
   mutable hits : int;
@@ -13,17 +14,26 @@ type counters = {
   mutable invalidations : int;
   mutable quarantined : int;
   mutable file_hits : int;
+  mutable compile_hits : int;
+  mutable compile_misses : int;
 }
 
 let zero_counters () =
   { hits = 0; disk_hits = 0; misses = 0; stores = 0; invalidations = 0;
-    quarantined = 0; file_hits = 0 }
+    quarantined = 0; file_hits = 0; compile_hits = 0; compile_misses = 0 }
 
 type reply = { out : string; err : string; code : int }
 
-(* One memory-tier table holds both tiers, so they share one capacity and
-   one eviction path. *)
-type value = Summary of Engine.t | Reply of reply
+type evicted = { results : int; compiled : int }
+
+(* One memory-tier table holds every kind of entry, so they share one
+   capacity and one eviction path. A [Compiled] entry is a function's
+   checked SSA with its digest and callees, and the slot it was stored
+   under. *)
+type value =
+  | Summary of Engine.t
+  | Reply of reply
+  | Compiled of { fn : Ir.fn; fn_key : Digest_key.fn_key; slot : string }
 type entry = { value : value; mutable last_use : int }
 
 (* A slot's latest (IR, config) stamp and the memory-tier keys stored under
@@ -34,6 +44,8 @@ type t = {
   capacity : int;
   mem : (string, entry) Hashtbl.t;
   seen : (string, slot) Hashtbl.t;
+  compiled_at : (string, string) Hashtbl.t;
+      (* slot -> key of its latest compiled entry, the one a newer drops *)
   disk_dir : string option;
   lock : Mutex.t;
   c : counters;
@@ -143,6 +155,7 @@ let create ?(memory_capacity = 4096) ?disk_dir ?max_disk_mb ?fault () =
     capacity = max 1 memory_capacity;
     mem = Hashtbl.create 256;
     seen = Hashtbl.create 64;
+    compiled_at = Hashtbl.create 64;
     disk_dir;
     lock = Mutex.create ();
     c = zero_counters ();
@@ -167,6 +180,8 @@ let counters t =
         invalidations = t.c.invalidations;
         quarantined = t.c.quarantined;
         file_hits = t.c.file_hits;
+        compile_hits = t.c.compile_hits;
+        compile_misses = t.c.compile_misses;
       })
 
 let obs_evictions =
@@ -182,6 +197,8 @@ let map2 f a b =
     invalidations = f a.invalidations b.invalidations;
     quarantined = f a.quarantined b.quarantined;
     file_hits = f a.file_hits b.file_hits;
+    compile_hits = f a.compile_hits b.compile_hits;
+    compile_misses = f a.compile_misses b.compile_misses;
   }
 
 let delta ~before after = map2 ( - ) after before
@@ -201,15 +218,25 @@ let samples c =
       c.quarantined;
     counter ~help:"Replies served whole from the file-level tier" "vrp_cache_file_hits_total"
       c.file_hits;
+    counter ~help:"Functions whose checked SSA was served by the compile memo"
+      "vrp_cache_compile_hits_total" c.compile_hits;
+    counter ~help:"Functions compiled because the compile memo missed"
+      "vrp_cache_compile_misses_total" c.compile_misses;
   ]
 
 let evict_memory t =
   locked t (fun () ->
+      let compiled =
+        Hashtbl.fold
+          (fun _ e n -> match e.value with Compiled _ -> n + 1 | Summary _ | Reply _ -> n)
+          t.mem 0
+      in
       let n = Hashtbl.length t.mem in
       Hashtbl.reset t.mem;
       Hashtbl.reset t.seen;
+      Hashtbl.reset t.compiled_at;
       Vrp_obs.Metrics.inc ~by:n obs_evictions;
-      n)
+      { results = n - compiled; compiled })
 
 let holds_maintenance_lock t = t.maintenance
 
@@ -235,19 +262,36 @@ let counters_line c =
 
 (* --- Memory tier --- *)
 
+(* Call under the lock. An evicted compiled entry takes its slot's binding
+   along, so [compiled_at] holds at most one binding per live entry. *)
+let remove_locked t key =
+  (match Hashtbl.find_opt t.mem key with
+  | Some { value = Compiled { slot; _ }; _ }
+    when Hashtbl.find_opt t.compiled_at slot = Some key ->
+    Hashtbl.remove t.compiled_at slot
+  | Some _ | None -> ());
+  Hashtbl.remove t.mem key
+
 (* Call under the lock. Evicts down to 3/4 capacity by last use, so
-   eviction cost is amortized over at least capacity/4 insertions. *)
+   eviction cost is amortized over at least capacity/4 insertions. [stores]
+   counts summaries and replies; compiled entries count on their own. *)
 let insert_locked t key value =
   t.tick <- t.tick + 1;
   Hashtbl.replace t.mem key { value; last_use = t.tick };
-  t.c.stores <- t.c.stores + 1;
+  (match value with
+  | Summary _ | Reply _ -> t.c.stores <- t.c.stores + 1
+  | Compiled _ -> ());
   if Hashtbl.length t.mem > t.capacity then begin
     let entries = Hashtbl.fold (fun k e acc -> (e.last_use, k) :: acc) t.mem [] in
     let by_age = List.sort compare entries in
     let excess = Hashtbl.length t.mem - (t.capacity * 3 / 4) in
-    List.iteri (fun i (_, k) -> if i < excess then Hashtbl.remove t.mem k) by_age;
+    List.iteri (fun i (_, k) -> if i < excess then remove_locked t k) by_age;
     Vrp_obs.Metrics.inc ~by:excess obs_evictions
   end
+
+let touch_locked t e =
+  t.tick <- t.tick + 1;
+  e.last_use <- t.tick
 
 (* --- Disk tier ---
 
@@ -370,11 +414,10 @@ let find_or_compute t ~slot ~stamp ~key compute =
         let s = restamp_locked t ~slot ~stamp in
         match Hashtbl.find_opt t.mem key with
         | Some ({ value = Summary res; _ } as e) ->
-          t.tick <- t.tick + 1;
-          e.last_use <- t.tick;
+          touch_locked t e;
           t.c.hits <- t.c.hits + 1;
           (s, Some res)
-        | Some { value = Reply _; _ } | None -> (s, None))
+        | Some { value = Reply _ | Compiled _; _ } | None -> (s, None))
   in
   match cached with
   | Some res -> res
@@ -406,13 +449,55 @@ let find_reply t ~key =
   locked t (fun () ->
       match Hashtbl.find_opt t.mem key with
       | Some ({ value = Reply r; _ } as e) ->
-        t.tick <- t.tick + 1;
-        e.last_use <- t.tick;
+        touch_locked t e;
         t.c.file_hits <- t.c.file_hits + 1;
         Some r
-      | Some { value = Summary _; _ } | None -> None)
+      | Some { value = Summary _ | Compiled _; _ } | None -> None)
 
 let store_reply t ~key r = locked t (fun () -> insert_locked t key (Reply r))
+
+(* --- Compile memo --- *)
+
+(* Under the lock. A slot keeps one compiled entry: storing a new one drops
+   the entry its previous version was stored under. *)
+let store_compiled_locked t ~slot key fn fn_key =
+  (match Hashtbl.find_opt t.compiled_at slot with
+  | Some old when not (String.equal old key) -> Hashtbl.remove t.mem old
+  | Some _ | None -> ());
+  Hashtbl.replace t.compiled_at slot key;
+  insert_locked t key (Compiled { fn; fn_key; slot })
+
+let compile ?(slot_prefix = "") t source =
+  let keys = Hashtbl.create 16 in
+  let memo ast =
+    let env = Digest_key.compile_env ast in
+    fun (f : Vrp_lang.Ast.func) build ->
+      let fname = f.Vrp_lang.Ast.fname in
+      let key = Digest_key.compile_key ~env f in
+      let cached =
+        locked t (fun () ->
+            match Hashtbl.find_opt t.mem key with
+            | Some ({ value = Compiled { fn; fn_key; _ }; _ } as e) ->
+              touch_locked t e;
+              t.c.compile_hits <- t.c.compile_hits + 1;
+              Some (fn, fn_key)
+            | Some { value = Summary _ | Reply _; _ } | None ->
+              t.c.compile_misses <- t.c.compile_misses + 1;
+              None)
+      in
+      let fn, fn_key =
+        match cached with
+        | Some entry -> entry
+        | None ->
+          let fn = build () in
+          let fn_key = Digest_key.fn_key fn in
+          locked t (fun () -> store_compiled_locked t ~slot:(slot_prefix ^ fname) key fn fn_key);
+          (fn, fn_key)
+      in
+      Hashtbl.replace keys fname fn_key;
+      fn
+  in
+  Result.map (fun c -> (c, keys)) (Pipeline.compile_result ~memo source)
 
 (* --- The memoizing analyze_fn --- *)
 

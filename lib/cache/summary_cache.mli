@@ -7,12 +7,16 @@
 
     The memory map also holds a file-level tier: whole rendered replies
     under {!Digest_key.reply_key}, which the server serves without
-    compiling. Both kinds of entry share the one capacity and eviction.
+    compiling; and a compile memo: each function's checked SSA under its
+    {!Digest_key.compile_key}, so a one-function edit recompiles one
+    function ({!compile}). Compiled entries are never written to disk.
+    Every kind of entry shares the one capacity and eviction.
 
     Each slot (a file-qualified function) keeps in memory only the
     summaries stored under its latest stamp: a lookup under a new stamp
     drops the slot's older entries, so repeated edits of one function
-    cannot grow the memory tier.
+    cannot grow the memory tier. Likewise a slot keeps only its latest
+    compiled entry.
 
     Disk-tier integrity: every entry is one {!Vrp_util.Frame} (magic
     [vrpsum2]), whose payload checksum is verified on read. A torn,
@@ -53,6 +57,8 @@ type counters = {
       (** disk entries that failed checksum or frame verification and were
           moved aside as [KEY.sum.bad]; always a subset of [invalidations] *)
   mutable file_hits : int;  (** replies served from the file-level tier *)
+  mutable compile_hits : int;  (** functions whose checked SSA {!compile} reused *)
+  mutable compile_misses : int;  (** functions {!compile} had to build *)
 }
 
 (** A rendered reply: stdout bytes, stderr bytes and exit code. *)
@@ -101,13 +107,17 @@ val sum : counters -> counters -> counters
 (** The counters as the [vrp_cache_*_total] series, read at scrape time. *)
 val samples : counters -> Vrp_obs.Metrics.sample list
 
-(** Drop every memory-tier entry (summaries and replies) and the
-    slot-stamp table, returning how many entries were evicted. The disk
-    tier (if any) is untouched, so the next lookup round-trips through it;
-    counters keep accumulating. This is the server's [evict] operation for
-    a long-running daemon whose memory tier must be reclaimable without a
-    restart. *)
-val evict_memory : t -> int
+(** What {!evict_memory} dropped: [results] summaries and replies, and
+    [compiled] compile memo entries. *)
+type evicted = { results : int; compiled : int }
+
+(** Drop every memory-tier entry (summaries, replies and compiled
+    functions) and the slot tables, returning how many entries of each
+    kind were evicted. The disk tier (if any) is untouched, so the next
+    lookup round-trips through it; counters keep accumulating. This is the
+    server's [evict] operation for a long-running daemon whose memory tier
+    must be reclaimable without a restart. *)
+val evict_memory : t -> evicted
 
 (** Render counters as a one-line summary, e.g. for a batch report. *)
 val counters_line : counters -> string
@@ -128,6 +138,24 @@ val find_reply : t -> key:string -> reply option
 (** Store a reply in the file-level tier (memory only). The caller keys it
     by everything the reply depends on and stores only complete replies. *)
 val store_reply : t -> key:string -> reply -> unit
+
+(** {!Vrp_core.Pipeline.compile_result} through the compile memo, with the
+    program's {!Digest_key.fn_keys} table. Each function is looked up
+    under its {!Digest_key.compile_key}: a hit reuses the stored checked
+    SSA and reads the stored {!Digest_key.fn_key}, so no digest is
+    recomputed; a miss compiles the function, digests it and stores both
+    under the slot [slot_prefix ^ fname] (counted in [compile_hits] and
+    [compile_misses], never in [hits], [misses] or [stores]). A slot keeps
+    one compiled entry, so editing a function drops its previous version.
+    Served functions are shared with every later request: no consumer may
+    write to them. A summary computed from one holds that same [Ir.fn]. *)
+val compile :
+  ?slot_prefix:string ->
+  t ->
+  string ->
+  ( Vrp_core.Pipeline.compiled * (string, Digest_key.fn_key) Hashtbl.t,
+    Diag.diag )
+  result
 
 (** A memoizing {!Interproc.analyze_fn} for the functions of the program
     whose {!Digest_key.fn_keys} table is [keys]. Each per-function task is

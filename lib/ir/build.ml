@@ -19,6 +19,15 @@ type blk = { mutable rinstrs : Ir.instr list; mutable bterm : Ir.term option }
 
 type fsig = { fret : ty }
 
+(* What lowering one function reads of its program: every callable
+   function's return type (builtins included) and the global tables. *)
+type env = {
+  env_fsigs : (string, fsig) Hashtbl.t;
+  env_scalars : (string, ty) Hashtbl.t;
+  env_arrays : (string, Ir.array_info) Hashtbl.t;
+  globals : Ir.array_info list;  (* declaration order; scalars as size-1 arrays *)
+}
+
 type builder = {
   blocks : (int, blk) Hashtbl.t;
   mutable nblocks : int;
@@ -344,7 +353,7 @@ let rec collect_arrays stmts (arrays : (string * ty * int) list ref) =
       | Sassign _ | Sreturn _ | Sbreak | Scontinue | Sexpr _ -> ())
     stmts
 
-let lower_fn ~fsigs ~global_scalars ~global_arrays (f : func) : Ir.fn =
+let lower_fn env (f : func) : Ir.fn =
   let array_decls = ref [] in
   collect_arrays f.body array_decls;
   let fn_rec =
@@ -368,9 +377,9 @@ let lower_fn ~fsigs ~global_scalars ~global_arrays (f : func) : Ir.fn =
       fn_rec;
       scopes = [ Hashtbl.create 32 ];
       local_arrays = Hashtbl.create 8;
-      global_scalars;
-      global_arrays;
-      fsigs;
+      global_scalars = env.env_scalars;
+      global_arrays = env.env_arrays;
+      fsigs = env.env_fsigs;
       break_targets = [];
       continue_targets = [];
     }
@@ -502,9 +511,7 @@ let split_critical_edges (fn : Ir.fn) : Ir.fn =
   Ir.recompute_preds fn;
   fn
 
-(** Lower a type-checked program to a canonical CFG program (cleaned, with
-    critical edges split). SSA conversion is a separate pass ({!Ssa}). *)
-let program (p : Vrp_lang.Ast.program) : Ir.program =
+let env (p : Vrp_lang.Ast.program) : env =
   let fsigs = Hashtbl.create 16 in
   List.iter
     (fun (name, (s : Vrp_lang.Typecheck.fsig)) ->
@@ -513,7 +520,7 @@ let program (p : Vrp_lang.Ast.program) : Ir.program =
   List.iter (fun f -> Hashtbl.replace fsigs f.fname { fret = f.fty }) p.funcs;
   let global_scalars = Hashtbl.create 8 in
   let global_arrays = Hashtbl.create 8 in
-  let global_infos =
+  let globals =
     List.map
       (fun g ->
         match g.gsize with
@@ -526,11 +533,6 @@ let program (p : Vrp_lang.Ast.program) : Ir.program =
           info)
       p.globals
   in
-  let fns =
-    List.map
-      (fun f ->
-        let fn = lower_fn ~fsigs ~global_scalars ~global_arrays f in
-        split_critical_edges (cleanup fn))
-      p.funcs
-  in
-  { Ir.fns; global_arrays = global_infos }
+  { env_fsigs = fsigs; env_scalars = global_scalars; env_arrays = global_arrays; globals }
+
+let globals env = env.globals

@@ -105,5 +105,3 @@ let check_ssa_fn (fn : Ir.fn) =
                 b.Ir.bid)
           [ tdst; fdst ]
       | Ir.Jump _ | Ir.Ret _ -> ())
-
-let check_ssa_program (p : Ir.program) = List.iter check_ssa_fn p.fns

@@ -10,5 +10,3 @@ val check_structure : Ir.fn -> unit
 (** Full SSA validation.
     @raise Violation describing the first broken invariant. *)
 val check_ssa_fn : Ir.fn -> unit
-
-val check_ssa_program : Ir.program -> unit

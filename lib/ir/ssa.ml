@@ -221,7 +221,3 @@ let transform (fn : Ir.fn) : Ir.fn =
   (* Rename first: it mints fresh variables, bumping [fn.nvars]. *)
   let params = rename fn dom in
   { fn with Ir.params = params }
-
-(** Convert every function of [p]. *)
-let transform_program (p : Ir.program) : Ir.program =
-  { p with Ir.fns = List.map transform p.fns }

@@ -8,6 +8,3 @@
 (** Convert one function in place; returns it with the re-versioned
     parameter list. *)
 val transform : Ir.fn -> Ir.fn
-
-(** Convert every function. *)
-val transform_program : Ir.program -> Ir.program

@@ -171,19 +171,24 @@ let analyze_sources ?(config = Engine.default_config) ?cache ?supervisor
           (Array.to_list outcomes))
   in
   Option.iter Journal.close writer;
-  (* Merge journalled and fresh results back into input order. *)
-  let fresh_by_name = Hashtbl.create 16 in
-  List.iter (fun r -> Hashtbl.replace fresh_by_name r.name r) fresh_results;
+  (* Merge journalled and fresh results back into input order. [fresh] is
+     the inputs not in [completed], in order, so fresh results are taken by
+     position: two inputs with one name keep their own results. *)
+  let pending = ref fresh_results in
   List.map
     (fun (name, _, digest) ->
-      match Hashtbl.find_opt fresh_by_name name with
-      | Some r -> r
-      | None ->
-        let payload = Hashtbl.find completed (name, digest) in
+      match Hashtbl.find_opt completed (name, digest) with
+      | Some payload ->
         let r : file_result = Marshal.from_string payload 0 in
         Diag.add r.report Diag.Info Diag.Journal_event
           "result replayed from checkpoint journal (inputs unchanged)";
-        { r with resumed = true })
+        { r with resumed = true }
+      | None -> (
+        match !pending with
+        | r :: rest ->
+          pending := rest;
+          r
+        | [] -> assert false))
     keyed
 
 let aggregate results =

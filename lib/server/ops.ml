@@ -66,11 +66,8 @@ let config_of opts =
   let base = if opts.numeric then Engine.numeric_only_config else Engine.default_config in
   { base with Engine.fault = opts.fault; cancel = opts.cancel }
 
-let compile_outcome source =
-  match Pipeline.compile_result source with
-  | Ok compiled -> Ok compiled
-  | Error d ->
-    Error { out = ""; err = "vrpc: " ^ d.Diag.message ^ "\n"; code = 1 }
+let front_end_failure d = { out = ""; err = "vrpc: " ^ d.Diag.message ^ "\n"; code = 1 }
+let compile_outcome source = Result.map_error front_end_failure (Pipeline.compile_result source)
 
 (* Post-analysis bookkeeping shared by every analysis op: diagnostics
    rendering under --diagnostics and the --strict exit code. *)

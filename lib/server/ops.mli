@@ -55,8 +55,11 @@ type outcome = Vrp_cache.Summary_cache.reply = {
 (** The engine configuration an [opts] denotes (numeric/fault/cancel). *)
 val config_of : opts -> Engine.config
 
-(** Compile, mapping front-end failure to the CLI's exit-1 outcome
-    ([vrpc: MESSAGE] on stderr). *)
+(** The CLI's exit-1 outcome for a front-end failure ([vrpc: MESSAGE] on
+    stderr). *)
+val front_end_failure : Diag.diag -> outcome
+
+(** Compile, mapping front-end failure to {!front_end_failure}. *)
 val compile_outcome : string -> (Pipeline.compiled, outcome) result
 
 (** [vrpc predict]: the three-predictor branch-probability table with

@@ -2,7 +2,6 @@
     the interface). *)
 
 module Diag = Vrp_diag.Diag
-module Pipeline = Vrp_core.Pipeline
 module Pool = Vrp_sched.Pool
 module Supervisor = Vrp_sched.Supervisor
 module Summary_cache = Vrp_cache.Summary_cache
@@ -148,6 +147,11 @@ let reply_key t opts ~source_md5 =
          ~diagnostics:opts.Ops.diagnostics ~strict:opts.Ops.strict
          ~model_digest:t.model_digest)
 
+(* Compile through [cache]'s per-function memo: only the functions whose
+   AST changed since [name] was last compiled are rebuilt. *)
+let compile_cached cache ~name source =
+  Result.map_error Ops.front_end_failure (Summary_cache.compile ~slot_prefix:name cache source)
+
 let handle_predict t ~budget_ms { Protocol.params = p; _ } =
   let source = req_string p "source" in
   let source_md5 = Digest.to_hex (Digest.string source) in
@@ -163,17 +167,14 @@ let handle_predict t ~budget_ms { Protocol.params = p; _ } =
     supervised t ~label:("predict " ^ name) ?budget_ms (fun cancel ->
         let opts = { opts with Ops.cancel } in
         let o =
-          match Ops.compile_outcome source with
-          | Error o -> o
-          | Ok c ->
-            let analyze_fn =
-              Option.map
-                (fun _ ->
-                  Summary_cache.memoized ~slot_prefix:name t.cache
-                    (Digest_key.fn_keys c.Pipeline.ssa))
-                key
-            in
-            Ops.predict_compiled ~pool:t.pool ?analyze_fn ~opts c
+          match key with
+          | None -> Ops.predict ~pool:t.pool ~opts ~source ()
+          | Some _ -> (
+            match compile_cached t.cache ~name source with
+            | Error o -> o
+            | Ok (c, keys) ->
+              let analyze_fn = Summary_cache.memoized ~slot_prefix:name t.cache keys in
+              Ops.predict_compiled ~pool:t.pool ~analyze_fn ~opts c)
         in
         (* A fired token may have cut the reply short, and a deadline cut
            is not a function of the key: never store it. *)
@@ -203,6 +204,8 @@ let cache_counters_json (c : Summary_cache.counters) =
       ("invalidations", Json.Int c.Summary_cache.invalidations);
       ("quarantined", Json.Int c.Summary_cache.quarantined);
       ("file_hits", Json.Int c.Summary_cache.file_hits);
+      ("compile_hits", Json.Int c.Summary_cache.compile_hits);
+      ("compile_misses", Json.Int c.Summary_cache.compile_misses);
     ]
 
 let handle_analyze t ~budget_ms { Protocol.params = p; _ } =
@@ -214,11 +217,12 @@ let handle_analyze t ~budget_ms { Protocol.params = p; _ } =
   let s = Session.find_or_create t.sessions sid in
   (* Serializing per session is what makes the counter delta below exact
      request-scoped accounting on the session's private cache. *)
+  let cache = Session.cache s in
   Session.with_lock s (fun () ->
-      match Ops.compile_outcome source with
+      let before = Summary_cache.counters cache in
+      match compile_cached cache ~name source with
       | Error o -> Accept.reply o
-      | Ok c ->
-        let keys = Digest_key.fn_keys c.Pipeline.ssa in
+      | Ok (c, keys) ->
         let plan = Session.plan s ~name keys in
         Vrp_obs.Metrics.observe obs_session_changed
           (float_of_int (List.length plan.Session.changed));
@@ -226,8 +230,6 @@ let handle_analyze t ~budget_ms { Protocol.params = p; _ } =
           (float_of_int (List.length plan.Session.dirty));
         Vrp_obs.Metrics.observe obs_session_reused
           (float_of_int (List.length plan.Session.reused));
-        let cache = Session.cache s in
-        let before = Summary_cache.counters cache in
         let o =
           supervised t ~label:(Printf.sprintf "analyze %s %s" sid name) ?budget_ms
             (fun cancel ->
@@ -307,6 +309,9 @@ let handle_status t ~budget_ms:_ _ =
     (Printf.sprintf "sessions: %d%s\n" (List.length sessions)
        (if sessions = [] then "" else " (" ^ String.concat ", " sessions ^ ")"));
   Buffer.add_string buf (Summary_cache.counters_line cache ^ "\n");
+  Buffer.add_string buf
+    (Printf.sprintf "compile cache: %d hits, %d misses\n" cache.Summary_cache.compile_hits
+       cache.Summary_cache.compile_misses);
   Buffer.add_string buf (Supervisor.counters_line t.sup ^ "\n");
   let a = Admit.counters t.admit in
   Accept.reply
@@ -334,10 +339,15 @@ let handle_status t ~budget_ms:_ _ =
       | None -> [])
 
 let handle_evict t ~budget_ms:_ _ =
-  let n = Summary_cache.evict_memory t.cache + Session.evict_all t.sessions in
+  let server = Summary_cache.evict_memory t.cache and sessions = Session.evict_all t.sessions in
+  let n = server.Summary_cache.results + sessions.Summary_cache.results in
   Accept.reply
     { Ops.out = Printf.sprintf "evicted %d cached entries\n" n; err = ""; code = 0 }
-    ~data:[ ("evicted", Json.Int n) ]
+    ~data:
+      [
+        ("evicted", Json.Int n);
+        ("evicted_compiled", Json.Int (server.Summary_cache.compiled + sessions.Summary_cache.compiled));
+      ]
 
 (* The daemon's records as scrape-time series; the table adds the per-op
    series, uptime and admission. *)

@@ -103,7 +103,12 @@ let evict_all t =
     locked t.table_lock (fun () ->
         Hashtbl.fold (fun _ s acc -> s :: acc) t.table [])
   in
-  List.fold_left (fun n s -> n + Summary_cache.evict_memory s.cache) 0 sessions
+  List.fold_left
+    (fun (acc : Summary_cache.evicted) s ->
+      let e = Summary_cache.evict_memory s.cache in
+      { results = acc.results + e.results; compiled = acc.compiled + e.compiled })
+    { Summary_cache.results = 0; compiled = 0 }
+    sessions
 
 let cache_totals t =
   locked t.table_lock (fun () ->

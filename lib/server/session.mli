@@ -50,7 +50,7 @@ val count : t -> int
 val ids : t -> string list
 
 (** Evict every session's cache memory tier; total entries dropped. *)
-val evict_all : t -> int
+val evict_all : t -> Summary_cache.evicted
 
 (** Cache counters summed over every session ever admitted: live sessions'
     caches plus those of sessions dropped or evicted, so the total never

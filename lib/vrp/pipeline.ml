@@ -14,30 +14,44 @@ type compiled = {
   ssa : Ir.program;  (** the canonical SSA program all consumers share *)
 }
 
-(** Parse, check, lower, clean, split, convert to SSA and validate.
+type memo = Vrp_lang.Ast.program -> Vrp_lang.Ast.func -> (unit -> Ir.fn) -> Ir.fn
+
+(* One function's chain. Each function's SSA depends only on its own AST
+   and [env] (variable ids are per function), so functions compile apart. *)
+let compile_fn env f () =
+  let cfg =
+    Vrp_obs.Trace.with_span "build-cfg" (fun () ->
+        Vrp_ir.Build.split_critical_edges
+          (Vrp_ir.Build.cleanup (Vrp_ir.Build.lower_fn env f)))
+  in
+  let ssa = Vrp_obs.Trace.with_span "ssa" (fun () -> Vrp_ir.Ssa.transform cfg) in
+  Vrp_obs.Trace.with_span "check-ssa" (fun () -> Vrp_ir.Check.check_ssa_fn ssa);
+  ssa
+
+(** Parse, check, then lower, clean, split, convert to SSA and validate each
+    function, through [memo] when given.
     @raise Vrp_lang front-end errors or {!Vrp_ir.Check.Violation}. *)
-let compile (source : string) : compiled =
+let compile ?memo (source : string) : compiled =
   Vrp_obs.Trace.with_span "compile" (fun () ->
       let ast =
         Vrp_obs.Trace.with_span "parse+check" (fun () ->
             Vrp_lang.Front.parse_and_check source)
       in
-      let cfg =
-        Vrp_obs.Trace.with_span "build-cfg" (fun () -> Vrp_ir.Build.program ast)
+      let env = Vrp_ir.Build.env ast in
+      let fns =
+        match memo with
+        | None -> List.map (fun f -> compile_fn env f ()) ast.funcs
+        | Some memo ->
+          let find = memo ast in
+          List.map (fun f -> find f (compile_fn env f)) ast.funcs
       in
-      let ssa =
-        Vrp_obs.Trace.with_span "ssa" (fun () ->
-            Vrp_ir.Ssa.transform_program cfg)
-      in
-      Vrp_obs.Trace.with_span "check-ssa" (fun () ->
-          Vrp_ir.Check.check_ssa_program ssa);
-      { source; ast; ssa })
+      { source; ast; ssa = { Ir.fns; global_arrays = Vrp_ir.Build.globals env } })
 
 (** Total variant of {!compile} for consumers that must not see exceptions:
     any front-end error, IR-check violation or internal crash becomes a
     structured [Front_end_error] diagnostic. *)
-let compile_result (source : string) : (compiled, Diag.diag) result =
-  match compile source with
+let compile_result ?memo (source : string) : (compiled, Diag.diag) result =
+  match compile ?memo source with
   | c -> Ok c
   | exception e ->
     let message =

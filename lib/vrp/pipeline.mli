@@ -1,5 +1,11 @@
 (** End-to-end convenience pipeline shared by the CLI, examples, harness and
-    tests: MiniC source → canonical SSA CFG → predictions. *)
+    tests: MiniC source → canonical SSA CFG → predictions.
+
+    {!compile} is the one compile path: it compiles each function on its
+    own, because VRP analyses each function's SSA form separately and
+    passes ranges between functions only at call sites. A one-function edit
+    therefore makes only that function's SSA stale, and a {!memo} keyed on
+    the function's AST can serve every other function unchanged. *)
 
 module Ir = Vrp_ir.Ir
 module Predictor = Vrp_predict.Predictor
@@ -11,14 +17,25 @@ type compiled = {
   ssa : Ir.program;  (** the canonical SSA program all consumers share *)
 }
 
-(** Parse, check, lower, clean, split, convert to SSA and validate.
+(** A per-function compile memo. [memo ast] is applied once per program;
+    the function it returns is given each function of [ast] with its
+    builder (lower, clean, split critical edges, SSA, {!Vrp_ir.Check}) and
+    returns that function's checked SSA, built now or reused.
+    {!Vrp_cache.Summary_cache.compile} is the one implementation. *)
+type memo = Vrp_lang.Ast.program -> Vrp_lang.Ast.func -> (unit -> Ir.fn) -> Ir.fn
+
+(** Parse and type-check, then run one chain per function: lower, clean,
+    split critical edges, convert to SSA and validate (trace spans
+    [build-cfg], [ssa], [check-ssa]). With [memo], each chain runs only
+    when the memo misses; functions it serves are shared, and no consumer
+    may write to them.
     @raise front-end errors or {!Vrp_ir.Check.Violation}. *)
-val compile : string -> compiled
+val compile : ?memo:memo -> string -> compiled
 
 (** Total variant of {!compile}: any front-end error, IR-check violation or
     internal crash becomes a structured [Front_end_error] diagnostic instead
     of an exception. *)
-val compile_result : string -> (compiled, Diag.diag) result
+val compile_result : ?memo:memo -> string -> (compiled, Diag.diag) result
 
 (** What predicts the branches VRP cannot (⊥ ranges, fuel-starved,
     demoted or unreachable functions). [res] is the function's engine

@@ -542,6 +542,93 @@ let cached_equals_fresh_prop =
       && List.equal String.equal (diags fresh) (diags warm)
       && (Summary_cache.counters cache).Summary_cache.hits > 0)
 
+(* --- Compile memo --- *)
+
+(* The memo's table and a cold compile's, by function: digest and callees. *)
+let key_list keys =
+  Hashtbl.fold
+    (fun f (k : Digest_key.fn_key) acc -> (f, k.Digest_key.digest, k.Digest_key.callees) :: acc)
+    keys []
+  |> List.sort compare
+
+let memo_compile ?slot_prefix cache source =
+  match Summary_cache.compile ?slot_prefix cache source with
+  | Ok r -> r
+  | Error d -> Alcotest.failf "memo compile failed: %s" d.Diag.message
+
+(* Blank lines at the start of line [k] (mod the line count): tokens never
+   change, but every later function moves down. *)
+let insert_lines source ~at ~count =
+  let lines = String.split_on_char '\n' source in
+  let at = at mod List.length lines in
+  String.concat "\n"
+    (List.concat (List.mapi (fun i l -> if i = at then List.init count (fun _ -> "") @ [ l ] else [ l ]) lines))
+
+(* After random one-function edits, some of which also insert lines, the
+   memo serves a program with the same digest table as a cold compile, and
+   builds only the edited function. *)
+let memo_matches_cold seed =
+  let module Gen = Vrp_fuzz.Gen in
+  let module Ast = Vrp_lang.Ast in
+  List.for_all
+    (fun (p : Gen.profile) ->
+      let rng = Vrp_util.Prng.create (Vrp_fuzz.Runner.mix_seed seed p.Gen.pname 0) in
+      let cache = Summary_cache.create () in
+      let agrees source =
+        let before = (Summary_cache.counters cache).Summary_cache.compile_misses in
+        let c, keys = memo_compile ~slot_prefix:"prop:" cache source in
+        let cold = Digest_key.fn_keys (Pipeline.compile source).Pipeline.ssa in
+        ( key_list keys = key_list cold && key_list (Digest_key.fn_keys c.Pipeline.ssa) = key_list cold,
+          (Summary_cache.counters cache).Summary_cache.compile_misses - before )
+      in
+      let rec steps ast n =
+        n = 0
+        ||
+        let k = Vrp_util.Prng.int rng (List.length ast.Ast.funcs) in
+        let probe = Ast.Sdecl (Ast.Tint, Printf.sprintf "edit_probe%d" n, Ast.Iscalar (Some (Ast.Int seed))) in
+        let edit i (f : Ast.func) =
+          if i = k then { f with Ast.body = { Ast.sline = 0; sdesc = probe } :: f.Ast.body } else f
+        in
+        let edited = { ast with Ast.funcs = List.mapi edit ast.Ast.funcs } in
+        let source = Vrp_lang.Pretty.program_to_string edited in
+        let lines = Vrp_util.Prng.int rng 3 in
+        let source = insert_lines source ~at:(Vrp_util.Prng.int rng 1000) ~count:lines in
+        let same, built = agrees source in
+        (* Lines alone rebuild nothing. *)
+        let shifted, rebuilt =
+          agrees (insert_lines source ~at:(Vrp_util.Prng.int rng 1000) ~count:1)
+        in
+        same && built = 1 && shifted && rebuilt = 0 && steps edited (n - 1)
+      in
+      let ast = Gen.program rng ~weights:p.Gen.weights in
+      let first, _ = agrees (Vrp_lang.Pretty.program_to_string ast) in
+      first && steps ast 3)
+    Gen.profiles
+
+let memo_property =
+  Helpers.qtest ~count:20 "compile memo: edits serve the cold digests"
+    QCheck2.Gen.(int_bound 1_000_000)
+    memo_matches_cold
+
+(* [evict_memory] drops compiled entries: the next compile builds every
+   function again. *)
+let evict_drops_compiled () =
+  let cache = Summary_cache.create () in
+  let misses () = (Summary_cache.counters cache).Summary_cache.compile_misses in
+  let hits () = (Summary_cache.counters cache).Summary_cache.compile_hits in
+  ignore (memo_compile cache src);
+  Alcotest.(check (pair int int)) "cold: both functions built" (0, 2) (hits (), misses ());
+  ignore (memo_compile cache src);
+  Alcotest.(check (pair int int)) "warm: both served" (2, 2) (hits (), misses ());
+  let e = Summary_cache.evict_memory cache in
+  Alcotest.(check (pair int int)) "evicted: no results, two compiled" (0, 2)
+    (e.Summary_cache.results, e.Summary_cache.compiled);
+  ignore (memo_compile cache src);
+  Alcotest.(check (pair int int)) "after evict: both built again" (2, 4) (hits (), misses ());
+  let c = Summary_cache.counters cache in
+  Alcotest.(check (list int)) "summary counters untouched" [ 0; 0; 0 ]
+    [ c.Summary_cache.hits; c.Summary_cache.misses; c.Summary_cache.stores ]
+
 let suite =
   ( "cache",
     [
@@ -566,4 +653,6 @@ let suite =
       tc "batch: config change invalidates" `Quick config_change_invalidates;
       tc "batch: strict verdict ignores the cache" `Quick strict_verdict_ignores_the_cache;
       cached_equals_fresh_prop;
+      tc "compile memo: evict drops compiled entries" `Quick evict_drops_compiled;
+      memo_property;
     ] )

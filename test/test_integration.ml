@@ -24,7 +24,7 @@ let all_benchmarks_compile_run_analyze () =
     (fun (b : Vrp_suite.Suite.benchmark) ->
       let c = Helpers.compile b.source in
       let ssa = c.Vrp_core.Pipeline.ssa in
-      Vrp_ir.Check.check_ssa_program ssa;
+      List.iter Vrp_ir.Check.check_ssa_fn ssa.Ir.fns;
       (* both inputs execute without trapping *)
       let train = Interp.run ssa ~args:b.train_args in
       let ref_ = Interp.run ssa ~args:b.ref_args in
@@ -43,7 +43,7 @@ let synth_programs_compile_run_analyze () =
     (fun units ->
       let src = Vrp_suite.Synth.generate ~units ~seed:(units * 13) () in
       let c = Helpers.compile src in
-      Vrp_ir.Check.check_ssa_program c.Vrp_core.Pipeline.ssa;
+      List.iter Vrp_ir.Check.check_ssa_fn c.Vrp_core.Pipeline.ssa.Ir.fns;
       let r = Interp.run c.Vrp_core.Pipeline.ssa ~args:[ 10; 3 ] in
       ignore (Helpers.ret_int r);
       List.iter

@@ -8,9 +8,12 @@ module Static = Vrp_ir.Static
 
 let tc = Alcotest.test_case
 
+(* The canonical CFG before SSA: each function lowered, cleaned and split. *)
 let build src =
   let ast = Vrp_lang.Front.parse_and_check src in
-  Vrp_ir.Build.program ast
+  let lowering = Vrp_ir.Build.env ast in
+  let cfg f = Vrp_ir.Build.(split_critical_edges (cleanup (lower_fn lowering f))) in
+  { Ir.fns = List.map cfg ast.Vrp_lang.Ast.funcs; global_arrays = Vrp_ir.Build.globals lowering }
 
 let build_main src =
   match Ir.find_fn (build src) "main" with
@@ -331,14 +334,13 @@ let digest_property =
 
 let ssa_of src =
   let p = build src in
-  let ssa = Vrp_ir.Ssa.transform_program p in
-  ssa
+  { p with Ir.fns = List.map Vrp_ir.Ssa.transform p.Ir.fns }
 
 let ssa_checker_passes_suite () =
   List.iter
     (fun (b : Vrp_suite.Suite.benchmark) ->
       let ssa = ssa_of b.source in
-      try Vrp_ir.Check.check_ssa_program ssa
+      try List.iter Vrp_ir.Check.check_ssa_fn ssa.Ir.fns
       with Vrp_ir.Check.Violation msg -> Alcotest.failf "%s: %s" b.name msg)
     Vrp_suite.Suite.benchmarks
 

@@ -151,6 +151,29 @@ let batch_deterministic_under_faults () =
         (List.exists (fun (fn, _) -> fn = "mid") r.Batch.demoted))
     results
 
+(* Two inputs may share a name (vrpd's [batch] op takes client-chosen
+   names): each keeps its own result, in input order. *)
+let batch_duplicate_names_keep_own_results () =
+  let loop_src = "int main(int n, int s) { int i = 0; while (i < 10) { i = i + 1; } return i; }" in
+  let if_src = "int main(int n, int s) { if (n > 3) { return 1; } return 0; }" in
+  let predictions source =
+    match Batch.analyze_sources ~jobs:1 [ ("a.mc", source) ] with
+    | [ r ] -> r.Batch.predictions
+    | _ -> Alcotest.fail "expected one result"
+  in
+  let want = [ predictions loop_src; predictions if_src ] in
+  Alcotest.(check bool) "the two programs predict differently" true
+    (List.nth want 0 <> List.nth want 1);
+  List.iter
+    (fun jobs ->
+      let got =
+        List.map
+          (fun (r : Batch.file_result) -> r.Batch.predictions)
+          (Batch.analyze_sources ~jobs [ ("a.mc", loop_src); ("a.mc", if_src) ])
+      in
+      Alcotest.(check bool) (Printf.sprintf "jobs=%d: each input its own result" jobs) true (got = want))
+    [ 1; Helpers.test_jobs ]
+
 let suite =
   ( "sched",
     [
@@ -161,4 +184,5 @@ let suite =
       tc "batch: jobs=1 vs jobs=N byte-identical" `Slow batch_is_deterministic;
       tc "batch: malformed file contained" `Quick batch_contains_bad_files;
       tc "batch: deterministic under injected faults" `Quick batch_deterministic_under_faults;
+      tc "batch: duplicate names keep their own results" `Quick batch_duplicate_names_keep_own_results;
     ] )

@@ -1443,6 +1443,12 @@ let cache_totals_agree () =
              quarantined, %d file hits"
             (fun h _ m i _ f -> (h, m, i, f))
         in
+        let compile_hits, compile_misses =
+          List.find
+            (fun l -> Astring.String.is_prefix ~affix:"compile cache:" l)
+            (String.split_on_char '\n' st.Protocol.out)
+          |> fun l -> Scanf.sscanf l "compile cache: %d hits, %d misses" (fun h m -> (h, m))
+        in
         let json = Option.get (List.assoc_opt "cache" st.Protocol.data) in
         let scrape = (local_op handle "metrics").Protocol.out in
         List.iter
@@ -1454,6 +1460,8 @@ let cache_totals_agree () =
             ("misses", "vrp_cache_misses_total", misses);
             ("invalidations", "vrp_cache_invalidations_total", inval);
             ("file_hits", "vrp_cache_file_hits_total", file_hits);
+            ("compile_hits", "vrp_cache_compile_hits_total", compile_hits);
+            ("compile_misses", "vrp_cache_compile_misses_total", compile_misses);
           ];
         (hits, misses, file_hits)
       in
@@ -1716,6 +1724,91 @@ let nameless_predicts_own_slots () =
   let named = traffic ~named:true and nameless = traffic ~named:false in
   Alcotest.(check (pair (option int) (option int))) "hits, misses" named nameless
 
+(* --- Compile memo --- *)
+
+(* A session edit of one function of a 48-unit program rebuilds that
+   function alone, although the edit inserts a line above it (and so moves
+   every later function down), and the reply keeps the one-shot bytes. *)
+let session_edit_rebuilds_one_function () =
+  let source = Vrp_suite.Synth.generate ~units:48 ~seed:7 () in
+  let header = "int unit20(int a, int b) {\n" in
+  let at = Option.get (Astring.String.find_sub ~sub:header source) in
+  let edited =
+    String.sub source 0 at ^ "\n" ^ header ^ "  a = a + 3;\n"
+    ^ String.sub source (at + String.length header) (String.length source - at - String.length header)
+  in
+  with_server (fun server ->
+      let call src = Server.handle server (analyze_req ~session:"ed" ~name:"big.mc" src) in
+      let r1 = call source in
+      let functions = cint (get_plan r1) "functions" in
+      let d1 = get_cache_delta r1 in
+      Alcotest.(check (pair int int)) "cold: every function built" (0, functions)
+        (cint d1 "compile_hits", cint d1 "compile_misses");
+      let r2 = call edited in
+      let d2 = get_cache_delta r2 in
+      Alcotest.(check (list string)) "changed" [ "unit20" ] (names (get_plan r2) "changed");
+      Alcotest.(check (pair int int)) "edit: one function built" (functions - 1, 1)
+        (cint d2 "compile_hits", cint d2 "compile_misses");
+      check_outcome "edit" (Ops.predict ~opts:Ops.default_opts ~source:edited ()) r2)
+
+(* Served functions are shared with every later request, so predict and
+   analyze must leave each memoised function exactly as the memo stored
+   it: its digest and every block, [preds] included. *)
+let memoised_fns_read_only () =
+  let module Summary_cache = Vrp_cache.Summary_cache in
+  let module Digest_key = Vrp_cache.Digest_key in
+  let cache = Summary_cache.create () and sessions = Session.create () in
+  let digests keys =
+    List.sort compare (Hashtbl.fold (fun f (k : Digest_key.fn_key) acc -> (f, k.Digest_key.digest) :: acc) keys [])
+  in
+  let snapshot (c : Pipeline.compiled) =
+    List.map (fun fn -> Marshal.to_string fn [ Marshal.No_sharing ]) c.Pipeline.ssa.Vrp_ir.Ir.fns
+  in
+  List.iter
+    (fun (b : Suite.benchmark) ->
+      let compile () =
+        match Summary_cache.compile ~slot_prefix:b.Suite.name cache b.Suite.source with
+        | Ok r -> r
+        | Error d -> Alcotest.failf "%s: %s" b.Suite.name d.Diag.message
+      in
+      let c, keys = compile () in
+      let before = snapshot c in
+      let analyze_fn () = Summary_cache.memoized ~slot_prefix:b.Suite.name cache keys in
+      (* predict, with the learned tier and the diagnostics rendering *)
+      ignore
+        (Ops.predict_compiled ~analyze_fn:(analyze_fn ())
+           ~opts:{ Ops.default_opts with Ops.diagnostics = true; model = Ops.Default_model }
+           c);
+      (* analyze: a session plan, then the memoised analysis *)
+      ignore (Session.plan (Session.find_or_create sessions "ro") ~name:b.Suite.name keys);
+      ignore (Ops.predict_compiled ~analyze_fn:(analyze_fn ()) ~opts:Ops.default_opts c);
+      let c', _ = compile () in
+      Alcotest.(check bool) (b.Suite.name ^ ": served the stored functions") true
+        (List.for_all2 ( == ) c.Pipeline.ssa.Vrp_ir.Ir.fns c'.Pipeline.ssa.Vrp_ir.Ir.fns);
+      Alcotest.(check (list (pair string string))) (b.Suite.name ^ ": digests") (digests keys)
+        (digests (Digest_key.fn_keys c'.Pipeline.ssa));
+      Alcotest.(check bool) (b.Suite.name ^ ": functions untouched") true (before = snapshot c'))
+    Suite.benchmarks
+
+(* Compiled entries share the memory tier's capacity (4096 by default):
+   10 000 distinct nameless predicts leave it at or under capacity. *)
+let memo_bounded_under_nameless_predicts () =
+  with_server (fun server ->
+      let handle = Server.handle server in
+      for k = 1 to 10_000 do
+        let source = Printf.sprintf "int main(int n, int s) { if (n > %d) { return 1; } return 0; }" k in
+        let r = handle (predict_req source) in
+        if not r.Protocol.ok then Alcotest.failf "predict %d failed" k
+      done;
+      let e = local_op handle "evict" in
+      match (data_int e "evicted", data_int e "evicted_compiled") with
+      | Some results, Some compiled ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%d results + %d compiled <= 4096" results compiled)
+          true
+          (compiled > 0 && results + compiled <= 4096)
+      | _ -> Alcotest.fail "no evicted counts")
+
 (* The families CI and the benchmark read, by name and type. *)
 let exposition_families_pinned () =
   let check_types scrape families =
@@ -1822,4 +1915,7 @@ let suite =
       tc "deadline-cut reply not stored" `Quick deadline_cut_reply_not_stored;
       tc "session cache bounded under edits" `Quick session_cache_bounded_under_edits;
       tc "nameless predicts own slots" `Quick nameless_predicts_own_slots;
+      tc "compile memo: session edit rebuilds one function" `Quick session_edit_rebuilds_one_function;
+      tc "compile memo: consumers leave served IR untouched" `Quick memoised_fns_read_only;
+      tc "compile memo: bounded under nameless predicts" `Quick memo_bounded_under_nameless_predicts;
     ] )

@@ -24,16 +24,23 @@ let zero_counters () =
 
 type reply = { out : string; err : string; code : int }
 
-type evicted = { results : int; compiled : int }
+type evicted = { results : int; compiled : int; slots : int }
 
 (* One memory-tier table holds every kind of entry, so they share one
    capacity and one eviction path. A [Compiled] entry is a function's
-   checked SSA with its digest and callees, and the slot it was stored
-   under. *)
+   checked SSA with its baseline columns, its digest and callees, and the
+   slot it was stored under. The columns are a few floats per branch; the
+   [Static.t] they were read from is not kept (about 4 MB of live data for
+   the benchmark corpus). *)
 type value =
   | Summary of Engine.t
   | Reply of reply
-  | Compiled of { fn : Ir.fn; fn_key : Digest_key.fn_key; slot : string }
+  | Compiled of {
+      fn : Ir.fn;
+      baselines : Vrp_predict.Predictor.baselines;
+      fn_key : Digest_key.fn_key;
+      slot : string;
+    }
 type entry = { value : value; mutable last_use : int }
 
 (* A slot's latest (IR, config) stamp and the memory-tier keys stored under
@@ -231,12 +238,12 @@ let evict_memory t =
           (fun _ e n -> match e.value with Compiled _ -> n + 1 | Summary _ | Reply _ -> n)
           t.mem 0
       in
-      let n = Hashtbl.length t.mem in
+      let n = Hashtbl.length t.mem and slots = Hashtbl.length t.seen in
       Hashtbl.reset t.mem;
       Hashtbl.reset t.seen;
       Hashtbl.reset t.compiled_at;
       Vrp_obs.Metrics.inc ~by:n obs_evictions;
-      { results = n - compiled; compiled })
+      { results = n - compiled; compiled; slots })
 
 let holds_maintenance_lock t = t.maintenance
 
@@ -272,6 +279,19 @@ let remove_locked t key =
   | Some _ | None -> ());
   Hashtbl.remove t.mem key
 
+(* Call under the lock, after an eviction: each slot forgets its evicted
+   keys, and a slot left with none is dropped, so the slot table stays as
+   bounded as the memory tier. A dropped slot's next lookup finds no
+   previous stamp and so counts no invalidation. A slot whose summary is
+   still being computed has no key yet either; its result then goes
+   unstored, as if a concurrent lookup had restamped it. *)
+let prune_slots_locked t =
+  Hashtbl.filter_map_inplace
+    (fun _ s ->
+      s.keys <- List.filter (Hashtbl.mem t.mem) s.keys;
+      if s.keys = [] then None else Some s)
+    t.seen
+
 (* Call under the lock. Evicts down to 3/4 capacity by last use, so
    eviction cost is amortized over at least capacity/4 insertions. [stores]
    counts summaries and replies; compiled entries count on their own. *)
@@ -286,6 +306,7 @@ let insert_locked t key value =
     let by_age = List.sort compare entries in
     let excess = Hashtbl.length t.mem - (t.capacity * 3 / 4) in
     List.iteri (fun i (_, k) -> if i < excess then remove_locked t k) by_age;
+    prune_slots_locked t;
     Vrp_obs.Metrics.inc ~by:excess obs_evictions
   end
 
@@ -460,12 +481,12 @@ let store_reply t ~key r = locked t (fun () -> insert_locked t key (Reply r))
 
 (* Under the lock. A slot keeps one compiled entry: storing a new one drops
    the entry its previous version was stored under. *)
-let store_compiled_locked t ~slot key fn fn_key =
+let store_compiled_locked t ~slot key fn baselines fn_key =
   (match Hashtbl.find_opt t.compiled_at slot with
   | Some old when not (String.equal old key) -> Hashtbl.remove t.mem old
   | Some _ | None -> ());
   Hashtbl.replace t.compiled_at slot key;
-  insert_locked t key (Compiled { fn; fn_key; slot })
+  insert_locked t key (Compiled { fn; baselines; fn_key; slot })
 
 let compile ?(slot_prefix = "") t source =
   let keys = Hashtbl.create 16 in
@@ -477,25 +498,26 @@ let compile ?(slot_prefix = "") t source =
       let cached =
         locked t (fun () ->
             match Hashtbl.find_opt t.mem key with
-            | Some ({ value = Compiled { fn; fn_key; _ }; _ } as e) ->
+            | Some ({ value = Compiled { fn; baselines; fn_key; _ }; _ } as e) ->
               touch_locked t e;
               t.c.compile_hits <- t.c.compile_hits + 1;
-              Some (fn, fn_key)
+              Some (fn, baselines, fn_key)
             | Some { value = Summary _ | Reply _; _ } | None ->
               t.c.compile_misses <- t.c.compile_misses + 1;
               None)
       in
-      let fn, fn_key =
+      let fn, baselines, fn_key =
         match cached with
         | Some entry -> entry
         | None ->
-          let fn = build () in
+          let fn, baselines = build () in
           let fn_key = Digest_key.fn_key fn in
-          locked t (fun () -> store_compiled_locked t ~slot:(slot_prefix ^ fname) key fn fn_key);
-          (fn, fn_key)
+          locked t (fun () ->
+              store_compiled_locked t ~slot:(slot_prefix ^ fname) key fn baselines fn_key);
+          (fn, baselines, fn_key)
       in
       Hashtbl.replace keys fname fn_key;
-      fn
+      (fn, baselines)
   in
   Result.map (fun c -> (c, keys)) (Pipeline.compile_result ~memo source)
 

@@ -7,16 +7,18 @@
 
     The memory map also holds a file-level tier: whole rendered replies
     under {!Digest_key.reply_key}, which the server serves without
-    compiling; and a compile memo: each function's checked SSA under its
-    {!Digest_key.compile_key}, so a one-function edit recompiles one
-    function ({!compile}). Compiled entries are never written to disk.
+    compiling; and a compile memo: each function's checked SSA and
+    baseline columns under its {!Digest_key.compile_key}, so a
+    one-function edit recompiles one function ({!compile}). Compiled entries are never written to disk.
     Every kind of entry shares the one capacity and eviction.
 
     Each slot (a file-qualified function) keeps in memory only the
     summaries stored under its latest stamp: a lookup under a new stamp
     drops the slot's older entries, so repeated edits of one function
     cannot grow the memory tier. Likewise a slot keeps only its latest
-    compiled entry.
+    compiled entry. After an LRU eviction, a slot with no summary left in
+    memory is forgotten, so the slot table is as bounded as the memory
+    tier; the slot's next lookup then counts no invalidation.
 
     Disk-tier integrity: every entry is one {!Vrp_util.Frame} (magic
     [vrpsum2]), whose payload checksum is verified on read. A torn,
@@ -107,9 +109,10 @@ val sum : counters -> counters -> counters
 (** The counters as the [vrp_cache_*_total] series, read at scrape time. *)
 val samples : counters -> Vrp_obs.Metrics.sample list
 
-(** What {!evict_memory} dropped: [results] summaries and replies, and
-    [compiled] compile memo entries. *)
-type evicted = { results : int; compiled : int }
+(** What {!evict_memory} dropped: [results] summaries and replies,
+    [compiled] compile memo entries, and [slots] slot bindings (slots with
+    a summary stamp). *)
+type evicted = { results : int; compiled : int; slots : int }
 
 (** Drop every memory-tier entry (summaries, replies and compiled
     functions) and the slot tables, returning how many entries of each
@@ -142,9 +145,10 @@ val store_reply : t -> key:string -> reply -> unit
 (** {!Vrp_core.Pipeline.compile_result} through the compile memo, with the
     program's {!Digest_key.fn_keys} table. Each function is looked up
     under its {!Digest_key.compile_key}: a hit reuses the stored checked
-    SSA and reads the stored {!Digest_key.fn_key}, so no digest is
-    recomputed; a miss compiles the function, digests it and stores both
-    under the slot [slot_prefix ^ fname] (counted in [compile_hits] and
+    SSA and baseline columns ({!Vrp_predict.Predictor.baselines}) and
+    reads the stored {!Digest_key.fn_key}, so nothing is recomputed; a
+    miss compiles the function and its columns, digests it and stores all
+    three under the slot [slot_prefix ^ fname] (counted in [compile_hits] and
     [compile_misses], never in [hits], [misses] or [stores]). A slot keeps
     one compiled entry, so editing a function drops its previous version.
     Served functions are shared with every later request: no consumer may

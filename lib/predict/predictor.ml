@@ -11,30 +11,49 @@ type branch_key = string * int
 
 type prediction = (branch_key, float) Hashtbl.t
 
+(** The conditional branches of one function, [(block id, branch)] in block
+    order: the order of its {!baselines} columns. *)
+let fn_branches (fn : Ir.fn) : (int * Ir.branch) list =
+  Array.fold_right
+    (fun (b : Ir.block) acc ->
+      match b.term with Ir.Br br -> (b.bid, br) :: acc | Ir.Jump _ | Ir.Ret _ -> acc)
+    fn.blocks []
+
 (** All conditional branches of a program. *)
 let branches (program : Ir.program) : (branch_key * Ir.branch) list =
   List.concat_map
-    (fun (fn : Ir.fn) ->
-      Array.to_list fn.blocks
-      |> List.filter_map (fun (b : Ir.block) ->
-             match b.term with
-             | Ir.Br br -> Some (((fn.fname, b.bid) : branch_key), br)
-             | Ir.Jump _ | Ir.Ret _ -> None))
+    (fun (fn : Ir.fn) -> List.map (fun (bid, br) -> ((fn.fname, bid), br)) (fn_branches fn))
     program.fns
 
-let of_fun (program : Ir.program)
-    (f : Vrp_ir.Static.t -> src:int -> Ir.branch -> float) : prediction =
+(* One heuristic's probability for each branch of [brs], read from the
+   function's [Static] record. *)
+let column (static : Vrp_ir.Static.t) brs
+    (h : Vrp_ir.Static.t -> src:int -> Ir.branch -> float) : float array =
+  Array.of_list (List.map (fun (src, br) -> h static ~src br) brs)
+
+type baselines = { ball_larus : float array; ninety_fifty : float array }
+
+let baselines (fn : Ir.fn) : baselines =
+  match fn_branches fn with
+  | [] -> { ball_larus = [||]; ninety_fifty = [||] }
+  | brs ->
+    let static = Vrp_ir.Static.of_fn fn in
+    {
+      ball_larus = column static brs Heuristics.ball_larus;
+      ninety_fifty = column static brs Heuristics.ninety_fifty;
+    }
+
+(* Add one function's column to a prediction. *)
+let add_column out (fn : Ir.fn) brs col =
+  List.iteri (fun i (bid, _) -> Hashtbl.replace out (fn.fname, bid) col.(i)) brs
+
+let of_fun (program : Ir.program) h : prediction =
   let out = Hashtbl.create 64 in
   List.iter
     (fun (fn : Ir.fn) ->
-      let static = lazy (Vrp_ir.Static.of_fn fn) in
-      Array.iter
-        (fun (b : Ir.block) ->
-          match b.term with
-          | Ir.Br br ->
-            Hashtbl.replace out (fn.fname, b.bid) (f (Lazy.force static) ~src:b.bid br)
-          | Ir.Jump _ | Ir.Ret _ -> ())
-        fn.blocks)
+      match fn_branches fn with
+      | [] -> ()
+      | brs -> add_column out fn brs (column (Vrp_ir.Static.of_fn fn) brs h))
     program.fns;
   out
 
@@ -43,6 +62,16 @@ let ninety_fifty program : prediction = of_fun program Heuristics.ninety_fifty
 
 (** Ball–Larus heuristics, Dempster–Shafer combined (Wu–Larus). *)
 let ball_larus program : prediction = of_fun program Heuristics.ball_larus
+
+let baseline_predictions (program : Ir.program) : prediction * prediction =
+  let bl = Hashtbl.create 64 and nf = Hashtbl.create 64 in
+  List.iter
+    (fun (fn : Ir.fn) ->
+      let brs = fn_branches fn and b = baselines fn in
+      add_column bl fn brs b.ball_larus;
+      add_column nf fn brs b.ninety_fifty)
+    program.fns;
+  (bl, nf)
 
 (** Random predictions — the floor of the paper's figures. Deterministic in
     the branch key so every run reproduces identical numbers. *)

@@ -9,6 +9,7 @@ module Ir = Vrp_ir.Ir
 module Diag = Vrp_diag.Diag
 module Engine = Vrp_core.Engine
 module Pipeline = Vrp_core.Pipeline
+module Predictor = Vrp_predict.Predictor
 module Interproc = Vrp_core.Interproc
 module Interp = Vrp_profile.Interp
 module Pool = Vrp_sched.Pool
@@ -92,23 +93,33 @@ let predict_compiled ?pool ?analyze_fn ~opts (c : Pipeline.compiled) =
     | Some pool -> run pool
     | None -> Pool.with_pool ~jobs:opts.jobs run
   in
-  let bl = Vrp_predict.Predictor.ball_larus c.Pipeline.ssa in
-  let nf = Vrp_predict.Predictor.ninety_fifty c.Pipeline.ssa in
+  (* The baseline columns, one function at a time: served with the
+     function by the compile memo, else read from one [Static] each. *)
+  let baselines =
+    match c.Pipeline.baselines with
+    | Some b -> b
+    | None -> List.map Predictor.baselines c.Pipeline.ssa.Ir.fns
+  in
   let fb = Pipeline.fallback_branches report in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
     (Printf.sprintf "%-28s %9s %12s %8s\n" "branch" "vrp" "ball-larus" "90/50");
-  List.iter
-    (fun (((fname, bid) as key), (br : Ir.branch)) ->
-      let get tbl = Option.value ~default:Float.nan (Hashtbl.find_opt tbl key) in
-      Buffer.add_string buf
-        (Printf.sprintf "%-28s %7.1f%%%-1s %11.1f%% %7.1f%%\n"
-           (Printf.sprintf "%s.B%d (%s %s %s)" fname bid (Ir.operand_to_string br.ba)
-              (Vrp_lang.Ast.relop_to_string br.rel)
-              (Ir.operand_to_string br.bb))
-           (100.0 *. get vrp) (Pipeline.fallback_marker fb key) (100.0 *. get bl)
-           (100.0 *. get nf)))
-    (Vrp_predict.Predictor.branches c.Pipeline.ssa);
+  List.iter2
+    (fun (fn : Ir.fn) (b : Predictor.baselines) ->
+      List.iteri
+        (fun i (bid, (br : Ir.branch)) ->
+          let key = (fn.Ir.fname, bid) in
+          let p = Option.value ~default:Float.nan (Hashtbl.find_opt vrp key) in
+          Buffer.add_string buf
+            (Printf.sprintf "%-28s %7.1f%%%-1s %11.1f%% %7.1f%%\n"
+               (Printf.sprintf "%s.B%d (%s %s %s)" fn.Ir.fname bid (Ir.operand_to_string br.ba)
+                  (Vrp_lang.Ast.relop_to_string br.rel)
+                  (Ir.operand_to_string br.bb))
+               (100.0 *. p) (Pipeline.fallback_marker fb key)
+               (100.0 *. b.ball_larus.(i))
+               (100.0 *. b.ninety_fifty.(i))))
+        (Predictor.fn_branches fn))
+    c.Pipeline.ssa.Ir.fns baselines;
   if Hashtbl.length fb > 0 then
     Buffer.add_string buf
       (if model <> None then

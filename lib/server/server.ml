@@ -347,6 +347,7 @@ let handle_evict t ~budget_ms:_ _ =
       [
         ("evicted", Json.Int n);
         ("evicted_compiled", Json.Int (server.Summary_cache.compiled + sessions.Summary_cache.compiled));
+        ("evicted_slots", Json.Int (server.Summary_cache.slots + sessions.Summary_cache.slots));
       ]
 
 (* The daemon's records as scrape-time series; the table adds the per-op

@@ -106,8 +106,12 @@ let evict_all t =
   List.fold_left
     (fun (acc : Summary_cache.evicted) s ->
       let e = Summary_cache.evict_memory s.cache in
-      { results = acc.results + e.results; compiled = acc.compiled + e.compiled })
-    { Summary_cache.results = 0; compiled = 0 }
+      {
+        results = acc.results + e.results;
+        compiled = acc.compiled + e.compiled;
+        slots = acc.slots + e.slots;
+      })
+    { Summary_cache.results = 0; compiled = 0; slots = 0 }
     sessions
 
 let cache_totals t =

@@ -12,9 +12,14 @@ type compiled = {
   source : string;
   ast : Vrp_lang.Ast.program;
   ssa : Ir.program;  (** the canonical SSA program all consumers share *)
+  baselines : Predictor.baselines list option;
 }
 
-type memo = Vrp_lang.Ast.program -> Vrp_lang.Ast.func -> (unit -> Ir.fn) -> Ir.fn
+type memo =
+  Vrp_lang.Ast.program ->
+  Vrp_lang.Ast.func ->
+  (unit -> Ir.fn * Predictor.baselines) ->
+  Ir.fn * Predictor.baselines
 
 (* One function's chain. Each function's SSA depends only on its own AST
    and [env] (variable ids are per function), so functions compile apart. *)
@@ -29,7 +34,8 @@ let compile_fn env f () =
   ssa
 
 (** Parse, check, then lower, clean, split, convert to SSA and validate each
-    function, through [memo] when given.
+    function, through [memo] when given; a memo miss also computes the
+    function's baseline columns, which the memo keeps with its SSA.
     @raise Vrp_lang front-end errors or {!Vrp_ir.Check.Violation}. *)
 let compile ?memo (source : string) : compiled =
   Vrp_obs.Trace.with_span "compile" (fun () ->
@@ -38,14 +44,19 @@ let compile ?memo (source : string) : compiled =
             Vrp_lang.Front.parse_and_check source)
       in
       let env = Vrp_ir.Build.env ast in
-      let fns =
+      let fns, baselines =
         match memo with
-        | None -> List.map (fun f -> compile_fn env f ()) ast.funcs
+        | None -> (List.map (fun f -> compile_fn env f ()) ast.funcs, None)
         | Some memo ->
           let find = memo ast in
-          List.map (fun f -> find f (compile_fn env f)) ast.funcs
+          let build f () =
+            let fn = compile_fn env f () in
+            (fn, Predictor.baselines fn)
+          in
+          let products = List.map (fun f -> find f (build f)) ast.funcs in
+          (List.map fst products, Some (List.map snd products))
       in
-      { source; ast; ssa = { Ir.fns; global_arrays = Vrp_ir.Build.globals env } })
+      { source; ast; ssa = { Ir.fns; global_arrays = Vrp_ir.Build.globals env }; baselines })
 
 (** Total variant of {!compile} for consumers that must not see exceptions:
     any front-end error, IR-check violation or internal crash becomes a
@@ -236,6 +247,7 @@ let all_predictors ?report ?(config = Engine.default_config) ?fallback
     ~(train : Vrp_profile.Interp.profile) (ssa : Ir.program) :
     (string * Predictor.prediction) list =
   let vrp_full, _ = vrp_predictions ~config ?report ssa in
+  let ball_larus, ninety_fifty = Predictor.baseline_predictions ssa in
   let vrp_numeric, _ = vrp_predictions ~config:Engine.numeric_only_config ssa in
   (* Symbolic-v1 ablation: full symbolic ranges but no sum-of-products
      algebra, isolating the v2 contribution in the §5 comparison. *)
@@ -254,13 +266,13 @@ let all_predictors ?report ?(config = Engine.default_config) ?fallback
   in
   [
     ("profiling", Predictor.profiling train ssa);
-    ("ball-larus", Predictor.ball_larus ssa);
+    ("ball-larus", ball_larus);
     ("vrp", vrp_full);
   ]
   @ learned
   @ [
       ("vrp-sym1", vrp_sym1);
       ("vrp-numeric", vrp_numeric);
-      ("90/50", Predictor.ninety_fifty ssa);
+      ("90/50", ninety_fifty);
       ("random", Predictor.random ssa);
     ]

@@ -15,20 +15,31 @@ type compiled = {
   source : string;
   ast : Vrp_lang.Ast.program;
   ssa : Ir.program;  (** the canonical SSA program all consumers share *)
+  baselines : Predictor.baselines list option;
+      (** with a memo, each function's {!Predictor.baselines} in [ssa.fns]
+          order, computed with the function or served with it; [None]
+          without a memo, where a consumer that renders the columns
+          computes them itself *)
 }
 
 (** A per-function compile memo. [memo ast] is applied once per program;
     the function it returns is given each function of [ast] with its
-    builder (lower, clean, split critical edges, SSA, {!Vrp_ir.Check}) and
-    returns that function's checked SSA, built now or reused.
+    builder (lower, clean, split critical edges, SSA, {!Vrp_ir.Check},
+    then {!Predictor.baselines}) and returns that function's checked SSA
+    and baseline columns, built now or reused.
     {!Vrp_cache.Summary_cache.compile} is the one implementation. *)
-type memo = Vrp_lang.Ast.program -> Vrp_lang.Ast.func -> (unit -> Ir.fn) -> Ir.fn
+type memo =
+  Vrp_lang.Ast.program ->
+  Vrp_lang.Ast.func ->
+  (unit -> Ir.fn * Predictor.baselines) ->
+  Ir.fn * Predictor.baselines
 
 (** Parse and type-check, then run one chain per function: lower, clean,
     split critical edges, convert to SSA and validate (trace spans
     [build-cfg], [ssa], [check-ssa]). With [memo], each chain runs only
-    when the memo misses; functions it serves are shared, and no consumer
-    may write to them.
+    when the memo misses, and also computes the function's baseline
+    columns; functions it serves are shared, and no consumer may write to
+    them (nor to their columns).
     @raise front-end errors or {!Vrp_ir.Check.Violation}. *)
 val compile : ?memo:memo -> string -> compiled
 

@@ -7,6 +7,7 @@ module Ir = Vrp_ir.Ir
 module Engine = Vrp_core.Engine
 module Diag = Vrp_diag.Diag
 module Pipeline = Vrp_core.Pipeline
+module Predictor = Vrp_predict.Predictor
 module Digest_key = Vrp_cache.Digest_key
 module Summary_cache = Vrp_cache.Summary_cache
 module Batch = Vrp_sched.Batch
@@ -564,9 +565,27 @@ let insert_lines source ~at ~count =
   String.concat "\n"
     (List.concat (List.mapi (fun i l -> if i = at then List.init count (fun _ -> "") @ [ l ] else [ l ]) lines))
 
+(* A program's baseline columns as a sorted [(branch, probability)] list. *)
+let column_list (p : Predictor.prediction) = List.sort compare (List.of_seq (Hashtbl.to_seq p))
+
+(* The columns a compile carries, as {!column_list}s: Ball–Larus, 90/50. *)
+let served_columns (c : Pipeline.compiled) =
+  let bl = Hashtbl.create 16 and nf = Hashtbl.create 16 in
+  List.iter2
+    (fun (fn : Ir.fn) (b : Predictor.baselines) ->
+      List.iteri
+        (fun i (bid, _) ->
+          Hashtbl.replace bl (fn.Ir.fname, bid) b.Predictor.ball_larus.(i);
+          Hashtbl.replace nf (fn.Ir.fname, bid) b.Predictor.ninety_fifty.(i))
+        (Predictor.fn_branches fn))
+    c.Pipeline.ssa.Ir.fns
+    (Option.get c.Pipeline.baselines);
+  (column_list bl, column_list nf)
+
 (* After random one-function edits, some of which also insert lines, the
-   memo serves a program with the same digest table as a cold compile, and
-   builds only the edited function. *)
+   memo serves a program with the same digest table and the same baseline
+   columns as a cold compile, and builds only the edited function. A
+   line-only shift builds nothing and serves the stored columns. *)
 let memo_matches_cold seed =
   let module Gen = Vrp_fuzz.Gen in
   let module Ast = Vrp_lang.Ast in
@@ -577,9 +596,17 @@ let memo_matches_cold seed =
       let agrees source =
         let before = (Summary_cache.counters cache).Summary_cache.compile_misses in
         let c, keys = memo_compile ~slot_prefix:"prop:" cache source in
-        let cold = Digest_key.fn_keys (Pipeline.compile source).Pipeline.ssa in
-        ( key_list keys = key_list cold && key_list (Digest_key.fn_keys c.Pipeline.ssa) = key_list cold,
-          (Summary_cache.counters cache).Summary_cache.compile_misses - before )
+        let cold_ssa = (Pipeline.compile source).Pipeline.ssa in
+        let cold = Digest_key.fn_keys cold_ssa in
+        let columns =
+          served_columns c
+          = (column_list (Predictor.ball_larus cold_ssa), column_list (Predictor.ninety_fifty cold_ssa))
+        in
+        ( key_list keys = key_list cold
+          && key_list (Digest_key.fn_keys c.Pipeline.ssa) = key_list cold
+          && columns,
+          (Summary_cache.counters cache).Summary_cache.compile_misses - before,
+          Option.get c.Pipeline.baselines )
       in
       let rec steps ast n =
         n = 0
@@ -593,15 +620,17 @@ let memo_matches_cold seed =
         let source = Vrp_lang.Pretty.program_to_string edited in
         let lines = Vrp_util.Prng.int rng 3 in
         let source = insert_lines source ~at:(Vrp_util.Prng.int rng 1000) ~count:lines in
-        let same, built = agrees source in
-        (* Lines alone rebuild nothing. *)
-        let shifted, rebuilt =
+        let same, built, columns = agrees source in
+        (* Lines alone rebuild nothing, columns included. *)
+        let shifted, rebuilt, columns' =
           agrees (insert_lines source ~at:(Vrp_util.Prng.int rng 1000) ~count:1)
         in
-        same && built = 1 && shifted && rebuilt = 0 && steps edited (n - 1)
+        same && built = 1 && shifted && rebuilt = 0
+        && List.for_all2 ( == ) columns columns'
+        && steps edited (n - 1)
       in
       let ast = Gen.program rng ~weights:p.Gen.weights in
-      let first, _ = agrees (Vrp_lang.Pretty.program_to_string ast) in
+      let first, _, _ = agrees (Vrp_lang.Pretty.program_to_string ast) in
       first && steps ast 3)
     Gen.profiles
 

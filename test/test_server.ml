@@ -1753,7 +1753,8 @@ let session_edit_rebuilds_one_function () =
 
 (* Served functions are shared with every later request, so predict and
    analyze must leave each memoised function exactly as the memo stored
-   it: its digest and every block, [preds] included. *)
+   it: its digest, every block, [preds] included, and its baseline
+   columns. *)
 let memoised_fns_read_only () =
   let module Summary_cache = Vrp_cache.Summary_cache in
   let module Digest_key = Vrp_cache.Digest_key in
@@ -1762,7 +1763,8 @@ let memoised_fns_read_only () =
     List.sort compare (Hashtbl.fold (fun f (k : Digest_key.fn_key) acc -> (f, k.Digest_key.digest) :: acc) keys [])
   in
   let snapshot (c : Pipeline.compiled) =
-    List.map (fun fn -> Marshal.to_string fn [ Marshal.No_sharing ]) c.Pipeline.ssa.Vrp_ir.Ir.fns
+    Marshal.to_string c.Pipeline.baselines [ Marshal.No_sharing ]
+    :: List.map (fun fn -> Marshal.to_string fn [ Marshal.No_sharing ]) c.Pipeline.ssa.Vrp_ir.Ir.fns
   in
   List.iter
     (fun (b : Suite.benchmark) ->
@@ -1784,14 +1786,17 @@ let memoised_fns_read_only () =
       ignore (Ops.predict_compiled ~analyze_fn:(analyze_fn ()) ~opts:Ops.default_opts c);
       let c', _ = compile () in
       Alcotest.(check bool) (b.Suite.name ^ ": served the stored functions") true
-        (List.for_all2 ( == ) c.Pipeline.ssa.Vrp_ir.Ir.fns c'.Pipeline.ssa.Vrp_ir.Ir.fns);
+        (List.for_all2 ( == ) c.Pipeline.ssa.Vrp_ir.Ir.fns c'.Pipeline.ssa.Vrp_ir.Ir.fns
+        && List.for_all2 ( == ) (Option.get c.Pipeline.baselines) (Option.get c'.Pipeline.baselines));
       Alcotest.(check (list (pair string string))) (b.Suite.name ^ ": digests") (digests keys)
         (digests (Digest_key.fn_keys c'.Pipeline.ssa));
       Alcotest.(check bool) (b.Suite.name ^ ": functions untouched") true (before = snapshot c'))
     Suite.benchmarks
 
 (* Compiled entries share the memory tier's capacity (4096 by default):
-   10 000 distinct nameless predicts leave it at or under capacity. *)
+   10 000 distinct nameless predicts leave it at or under capacity. Each
+   source is its own slot; an evicted slot's binding goes with its last
+   entry, so the slot table stays under capacity too. *)
 let memo_bounded_under_nameless_predicts () =
   with_server (fun server ->
       let handle = Server.handle server in
@@ -1801,12 +1806,14 @@ let memo_bounded_under_nameless_predicts () =
         if not r.Protocol.ok then Alcotest.failf "predict %d failed" k
       done;
       let e = local_op handle "evict" in
-      match (data_int e "evicted", data_int e "evicted_compiled") with
-      | Some results, Some compiled ->
+      match (data_int e "evicted", data_int e "evicted_compiled", data_int e "evicted_slots") with
+      | Some results, Some compiled, Some slots ->
         Alcotest.(check bool)
           (Printf.sprintf "%d results + %d compiled <= 4096" results compiled)
           true
-          (compiled > 0 && results + compiled <= 4096)
+          (compiled > 0 && results + compiled <= 4096);
+        Alcotest.(check bool) (Printf.sprintf "0 < %d slots <= 4096" slots) true
+          (slots > 0 && slots <= 4096)
       | _ -> Alcotest.fail "no evicted counts")
 
 (* The families CI and the benchmark read, by name and type. *)

@@ -29,7 +29,7 @@ type env = {
 }
 
 type builder = {
-  blocks : (int, blk) Hashtbl.t;
+  mutable blocks : blk array;  (** by block id; slots from [nblocks] on are spare *)
   mutable nblocks : int;
   mutable cur : int;
   fn_rec : Ir.fn;  (** under construction: used for fresh variables *)
@@ -48,11 +48,16 @@ exception Lower_error of string
 
 let new_block bld =
   let id = bld.nblocks in
-  bld.nblocks <- bld.nblocks + 1;
-  Hashtbl.add bld.blocks id { rinstrs = []; bterm = None };
+  if id = Array.length bld.blocks then begin
+    let grown = Array.make (2 * id) bld.blocks.(0) in
+    Array.blit bld.blocks 0 grown 0 id;
+    bld.blocks <- grown
+  end;
+  bld.blocks.(id) <- { rinstrs = []; bterm = None };
+  bld.nblocks <- id + 1;
   id
 
-let cur_blk bld = Hashtbl.find bld.blocks bld.cur
+let cur_blk bld = bld.blocks.(bld.cur)
 
 let emit bld instr =
   let blk = cur_blk bld in
@@ -75,7 +80,7 @@ let seal bld term =
 
 (* Temporaries get distinct base names so SSA dumps stay unambiguous. *)
 let fresh_temp bld ty =
-  let base = Printf.sprintf "%%t%d" bld.fn_rec.Ir.nvars in
+  let base = "%t" ^ string_of_int bld.fn_rec.Ir.nvars in
   Ir.fresh_var bld.fn_rec ~base ~version:(-1) ~ty
 
 let lookup_scalar bld name =
@@ -371,7 +376,7 @@ let lower_fn env (f : func) : Ir.fn =
   in
   let bld =
     {
-      blocks = Hashtbl.create 32;
+      blocks = Array.make 32 { rinstrs = []; bterm = None };
       nblocks = 0;
       cur = 0;
       fn_rec;
@@ -411,7 +416,7 @@ let lower_fn env (f : func) : Ir.fn =
   (* Materialise blocks; unsealed blocks are unreachable leftovers. *)
   let blocks =
     Array.init bld.nblocks (fun bid ->
-        let blk = Hashtbl.find bld.blocks bid in
+        let blk = bld.blocks.(bid) in
         let term = match blk.bterm with Some t -> t | None -> Ir.Ret None in
         { Ir.bid; instrs = List.rev blk.rinstrs; term; preds = [] })
   in
@@ -500,13 +505,13 @@ let split_critical_edges (fn : Ir.fn) : Ir.fn =
         in
         if tdst <> br.tdst || fdst <> br.fdst then b.term <- Ir.Br { br with tdst; fdst }
       | Ir.Jump _ | Ir.Ret _ -> ());
+  (* The split blocks, numbered on from the last block, in id order. *)
   let extra_blocks =
     List.rev_map
       (fun (bid, dst) -> { Ir.bid; instrs = []; term = Ir.Jump dst; preds = [] })
       !extra
   in
-  let blocks = Array.append fn.blocks (Array.of_list (List.rev extra_blocks)) in
-  Array.sort (fun (a : Ir.block) b -> Int.compare a.bid b.bid) blocks;
+  let blocks = Array.append fn.blocks (Array.of_list extra_blocks) in
   let fn = { fn with Ir.blocks } in
   Ir.recompute_preds fn;
   fn

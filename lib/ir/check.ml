@@ -5,6 +5,7 @@
 
     - block ids are dense and terminator targets are in range;
     - predecessor caches match the successor relation;
+    - every variable id lies in [\[0, nvars)];
     - every SSA variable has exactly one definition;
     - φ-functions have exactly one argument per predecessor, in
       correspondence with the predecessor list;
@@ -35,39 +36,45 @@ let check_structure (fn : Ir.fn) =
   Ir.iter_blocks fn (fun b ->
       let want = List.sort Int.compare expected.(b.Ir.bid) in
       let got = List.sort Int.compare b.Ir.preds in
-      if want <> got then failf "%s: B%d has stale predecessor cache" fn.fname b.Ir.bid)
+      if not (List.equal Int.equal want got) then
+        failf "%s: B%d has stale predecessor cache" fn.fname b.Ir.bid)
 
 let check_ssa_fn (fn : Ir.fn) =
   check_structure fn;
   let dom = Dom.compute fn in
-  (* Definition points: var id -> (block, index within block; -1 for params). *)
-  let defs : (int, int * int) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (v : Var.t) ->
-      if Hashtbl.mem defs v.Var.id then failf "%s: parameter %s defined twice" fn.fname v.base;
-      Hashtbl.replace defs v.Var.id (Ir.entry_bid, -1))
-    fn.params;
+  (* Definition points by variable id: block ([-1] while undefined) and
+     index within the block ([-1] for parameters). *)
+  let def_block = Array.make fn.nvars (-1) and def_idx = Array.make fn.nvars (-1) in
+  let in_range what (v : Var.t) =
+    if v.Var.id < 0 || v.Var.id >= fn.nvars then
+      failf "%s: %s %s has id %d outside [0, %d)" fn.fname what (Var.to_string v) v.Var.id
+        fn.nvars
+  in
+  let define what (v : Var.t) bid idx =
+    in_range what v;
+    if def_block.(v.Var.id) >= 0 then
+      failf "%s: %s %s has multiple definitions" fn.fname what (Var.to_string v);
+    def_block.(v.Var.id) <- bid;
+    def_idx.(v.Var.id) <- idx
+  in
+  List.iter (fun v -> define "parameter" v Ir.entry_bid (-1)) fn.params;
   Ir.iter_blocks fn (fun b ->
       List.iteri
         (fun idx i ->
-          match Ir.instr_def i with
-          | Some v ->
-            if Hashtbl.mem defs v.Var.id then
-              failf "%s: variable %s has multiple definitions" fn.fname (Var.to_string v);
-            Hashtbl.replace defs v.Var.id (b.Ir.bid, idx)
-          | None -> ())
+          match Ir.instr_def i with Some v -> define "variable" v b.Ir.bid idx | None -> ())
         b.Ir.instrs);
   let check_use ~user_bid ~user_idx (v : Var.t) =
-    match Hashtbl.find_opt defs v.Var.id with
-    | None -> failf "%s: use of undefined variable %s in B%d" fn.fname (Var.to_string v) user_bid
-    | Some (def_bid, def_idx) ->
-      let ok =
-        if def_bid = user_bid then def_idx < user_idx
-        else Dom.strictly_dominates dom def_bid user_bid
-      in
-      if not ok then
-        failf "%s: use of %s in B%d not dominated by its definition in B%d" fn.fname
-          (Var.to_string v) user_bid def_bid
+    in_range "variable" v;
+    let def_bid = def_block.(v.Var.id) in
+    if def_bid < 0 then
+      failf "%s: use of undefined variable %s in B%d" fn.fname (Var.to_string v) user_bid;
+    let ok =
+      if def_bid = user_bid then def_idx.(v.Var.id) < user_idx
+      else Dom.strictly_dominates dom def_bid user_bid
+    in
+    if not ok then
+      failf "%s: use of %s in B%d not dominated by its definition in B%d" fn.fname
+        (Var.to_string v) user_bid def_bid
   in
   Ir.iter_blocks fn (fun b ->
       List.iteri
@@ -76,7 +83,7 @@ let check_ssa_fn (fn : Ir.fn) =
           | Ir.Def (_, Ir.Phi args) ->
             let arg_preds = List.sort Int.compare (List.map fst args) in
             let preds = List.sort Int.compare b.Ir.preds in
-            if arg_preds <> preds then
+            if not (List.equal Int.equal arg_preds preds) then
               failf "%s: phi in B%d has arguments %s but predecessors %s" fn.fname b.Ir.bid
                 (String.concat "," (List.map string_of_int arg_preds))
                 (String.concat "," (List.map string_of_int preds));

@@ -1,6 +1,6 @@
-(** IR well-formedness and SSA invariant checking (single assignment,
-    φ-arity = predecessors, uses dominated by definitions, branch targets
-    single-predecessor). *)
+(** IR well-formedness and SSA invariant checking (variable ids in
+    [\[0, nvars)], single assignment, φ-arity = predecessors, uses dominated
+    by definitions, branch targets single-predecessor). *)
 
 exception Violation of string
 

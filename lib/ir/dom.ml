@@ -10,6 +10,8 @@ type t = {
   rpo_index : int array;  (** position in reverse postorder; [-1] if unreachable *)
   children : int list array;  (** dominator-tree children *)
   root : int;
+  pre : int array;  (** preorder number in the dominator forest *)
+  last : int array;  (** largest preorder number in the node's subtree *)
 }
 
 (** Reverse postorder of the reachable nodes from [root]: the order of a
@@ -37,6 +39,37 @@ let reverse_postorder ~nblocks ~succs ~root =
   done;
   Array.of_list !order
 
+(* Preorder numbers of the dominator forest rooted at every node without an
+   immediate dominator (the root, and each unreachable node on its own).
+   A node's subtree is then the interval [pre, last] of its number. *)
+let number_tree ~nblocks ~idom ~children =
+  let pre = Array.make nblocks 0 and last = Array.make nblocks 0 in
+  let node_at = Array.make nblocks 0 and rest_at = Array.make nblocks [] in
+  let depth = ref 0 and next = ref 0 in
+  let enter node =
+    pre.(node) <- !next;
+    incr next;
+    node_at.(!depth) <- node;
+    rest_at.(!depth) <- children.(node);
+    incr depth
+  in
+  for node = 0 to nblocks - 1 do
+    if idom.(node) < 0 then begin
+      enter node;
+      while !depth > 0 do
+        let top = !depth - 1 in
+        match rest_at.(top) with
+        | [] ->
+          depth := top;
+          last.(node_at.(top)) <- !next - 1
+        | child :: later ->
+          rest_at.(top) <- later;
+          enter child
+      done
+    end
+  done;
+  (pre, last)
+
 let compute_generic ~nblocks ~succs ~preds ~root : t =
   let rpo = reverse_postorder ~nblocks ~succs ~root in
   let rpo_index = Array.make nblocks (-1) in
@@ -48,34 +81,35 @@ let compute_generic ~nblocks ~succs ~preds ~root : t =
     else if rpo_index.(a) > rpo_index.(b) then intersect idom.(a) b
     else intersect a idom.(b)
   in
+  (* The meet of the processed predecessors; [-1] when there is none. *)
+  let rec meet acc = function
+    | [] -> acc
+    | p :: rest ->
+      if rpo_index.(p) < 0 || idom.(p) < 0 then meet acc rest
+      else meet (if acc < 0 then p else intersect acc p) rest
+  in
   let changed = ref true in
   while !changed do
     changed := false;
     Array.iter
       (fun node ->
         if node <> root then begin
-          let processed_preds =
-            List.filter (fun p -> rpo_index.(p) >= 0 && idom.(p) >= 0) (preds node)
-          in
-          match processed_preds with
-          | [] -> ()
-          | first :: rest ->
-            let new_idom = List.fold_left (fun acc p -> intersect acc p) first rest in
-            if idom.(node) <> new_idom then begin
-              idom.(node) <- new_idom;
-              changed := true
-            end
+          let new_idom = meet (-1) (preds node) in
+          if new_idom >= 0 && idom.(node) <> new_idom then begin
+            idom.(node) <- new_idom;
+            changed := true
+          end
         end)
       rpo
   done;
   idom.(root) <- -1;
   let children = Array.make nblocks [] in
-  for node = 0 to nblocks - 1 do
+  for node = nblocks - 1 downto 0 do
     let d = idom.(node) in
     if d >= 0 then children.(d) <- node :: children.(d)
   done;
-  Array.iteri (fun i cs -> children.(i) <- List.rev cs) children;
-  { idom; rpo_index; children; root }
+  let pre, last = number_tree ~nblocks ~idom ~children in
+  { idom; rpo_index; children; root; pre; last }
 
 (** Dominator tree of [fn] (root = entry block). *)
 let compute (fn : Ir.fn) : t =
@@ -84,10 +118,11 @@ let compute (fn : Ir.fn) : t =
     ~preds:(fun bid -> (Ir.block fn bid).preds)
     ~root:Ir.entry_bid
 
-(** [dominates t a b] — does [a] dominate [b] (reflexively)? *)
+(** [dominates t a b] — does [a] dominate [b] (reflexively)? A reachable
+    [b] is dominated by exactly its ancestors in the dominator tree, the
+    nodes whose preorder interval holds [b]'s number. *)
 let dominates t a b =
-  let rec walk node = node = a || (t.idom.(node) >= 0 && walk t.idom.(node)) in
-  a = b || (t.rpo_index.(b) >= 0 && walk b)
+  a = b || (t.rpo_index.(b) >= 0 && t.pre.(a) <= t.pre.(b) && t.pre.(b) <= t.last.(a))
 
 let strictly_dominates t a b = a <> b && dominates t a b
 

@@ -6,6 +6,10 @@ type t = {
   rpo_index : int array;  (** reverse-postorder position; [-1] if unreachable *)
   children : int list array;  (** dominator-tree children *)
   root : int;
+  pre : int array;
+      (** preorder number in the dominator forest (the tree of [root] plus
+          one single-node tree per unreachable node) *)
+  last : int array;  (** largest preorder number in the node's subtree *)
 }
 
 (** Reverse postorder of the nodes reachable from [root]. *)
@@ -18,7 +22,8 @@ val compute_generic :
 (** Dominator tree of a function (root = entry block). *)
 val compute : Ir.fn -> t
 
-(** Reflexive dominance. *)
+(** Reflexive dominance, in O(1): [a] dominates a reachable [b] when [b]'s
+    preorder number lies in [a]'s subtree interval [\[pre, last\]]. *)
 val dominates : t -> int -> int -> bool
 
 val strictly_dominates : t -> int -> int -> bool

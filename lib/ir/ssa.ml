@@ -54,84 +54,92 @@ let insert_assertions (fn : Ir.fn) =
 
 let place_phis (fn : Ir.fn) (dom : Dom.t) =
   let df = Dom.frontiers fn dom in
-  (* Definition sites per pre-SSA variable. *)
-  let defsites : (int, int list) Hashtbl.t = Hashtbl.create 64 in
-  let vars : (int, Var.t) Hashtbl.t = Hashtbl.create 64 in
+  (* Definition sites and the variable, per pre-SSA variable id. *)
+  let defsites = Array.make fn.nvars [] in
+  let vars = Array.make fn.nvars None in
+  (* The φs of a join block come out in the order variables are placed, so
+     that order is part of the IR. It stays the iteration order of this
+     table of variable ids, filled in first-definition order: placing by
+     ascending id instead would reorder φs. *)
+  let order : (int, unit) Hashtbl.t = Hashtbl.create 64 in
+  let add_site (v : Var.t) bid =
+    let vid = v.Var.id in
+    (match defsites.(vid) with [] -> Hashtbl.replace order vid () | _ :: _ -> ());
+    vars.(vid) <- Some v;
+    defsites.(vid) <- bid :: defsites.(vid)
+  in
   Ir.iter_blocks fn (fun b ->
       List.iter
-        (fun i ->
-          match Ir.instr_def i with
-          | Some v ->
-            Hashtbl.replace vars v.Var.id v;
-            let sites = Option.value ~default:[] (Hashtbl.find_opt defsites v.Var.id) in
-            Hashtbl.replace defsites v.Var.id (b.bid :: sites)
-          | None -> ())
+        (fun i -> match Ir.instr_def i with Some v -> add_site v b.bid | None -> ())
         b.instrs);
-  List.iter
-    (fun (v : Var.t) ->
-      Hashtbl.replace vars v.Var.id v;
-      let sites = Option.value ~default:[] (Hashtbl.find_opt defsites v.Var.id) in
-      Hashtbl.replace defsites v.Var.id (Ir.entry_bid :: sites))
-    fn.params;
-  Hashtbl.iter
-    (fun vid sites ->
-      let v = Hashtbl.find vars vid in
-      let has_phi = Hashtbl.create 8 in
-      let worklist = Queue.create () in
-      List.iter (fun s -> Queue.add s worklist) sites;
-      while not (Queue.is_empty worklist) do
-        let site = Queue.pop worklist in
-        List.iter
-          (fun join ->
-            if not (Hashtbl.mem has_phi join) then begin
-              Hashtbl.replace has_phi join ();
-              let jblk = Ir.block fn join in
-              let args = List.map (fun pred -> (pred, Ir.Ovar v)) jblk.preds in
-              jblk.instrs <- Ir.Def (v, Ir.Phi args) :: jblk.instrs;
-              Queue.add join worklist
-            end)
-          df.(site)
-      done)
-    defsites
+  List.iter (fun v -> add_site v Ir.entry_bid) fn.params;
+  (* [has_phi.(join) = vid]: [join] already holds a φ for variable [vid]. *)
+  let has_phi = Array.make (Ir.num_blocks fn) (-1) in
+  let worklist = Queue.create () in
+  let place vid () =
+    let v = Option.get vars.(vid) in
+    List.iter (fun s -> Queue.add s worklist) defsites.(vid);
+    while not (Queue.is_empty worklist) do
+      let site = Queue.pop worklist in
+      List.iter
+        (fun join ->
+          if has_phi.(join) <> vid then begin
+            has_phi.(join) <- vid;
+            let jblk = Ir.block fn join in
+            let args = List.map (fun pred -> (pred, Ir.Ovar v)) jblk.preds in
+            jblk.instrs <- Ir.Def (v, Ir.Phi args) :: jblk.instrs;
+            Queue.add join worklist
+          end)
+        df.(site)
+    done
+  in
+  Hashtbl.iter place order
 
 (* --- Step 3: renaming --- *)
 
+(* How many variables renaming mints: one per definition, parameters
+   included. *)
+let count_defs (fn : Ir.fn) =
+  Array.fold_left
+    (fun n (b : Ir.block) ->
+      List.fold_left (fun n i -> match i with Ir.Def _ -> n + 1 | Ir.Store _ -> n) n b.instrs)
+    (List.length fn.params) fn.blocks
+
 let rename (fn : Ir.fn) (dom : Dom.t) =
-  (* SSA variable id -> pre-SSA variable *)
-  let orig_of : (int, Var.t) Hashtbl.t = Hashtbl.create 64 in
-  let stacks : (int, Var.t list ref) Hashtbl.t = Hashtbl.create 64 in
-  let versions : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let stack_of (v : Var.t) =
-    match Hashtbl.find_opt stacks v.Var.id with
-    | Some s -> s
-    | None ->
-      let s = ref [] in
-      Hashtbl.replace stacks v.Var.id s;
-      s
+  (* Pre-SSA variables have ids below [first]; renaming mints the ids from
+     [first] on. *)
+  let first = fn.nvars in
+  (* SSA variable id - [first] -> pre-SSA variable *)
+  let orig_of = Array.make (count_defs fn) None in
+  (* Per pre-SSA variable id: its renaming stack and next version. *)
+  let stacks = Array.make first [] in
+  let versions = Array.make first 0 in
+  let orig (v : Var.t) =
+    if v.Var.id >= first then Option.get orig_of.(v.Var.id - first) else v
   in
   let zero_operand (v : Var.t) =
     match v.Var.ty with Tfloat -> Ir.Cfloat 0.0 | Tint | Tvoid -> Ir.Cint 0
   in
   let current_operand (v : Var.t) =
-    match !(stack_of v) with
+    match stacks.(v.Var.id) with
     | top :: _ -> Ir.Ovar top
     | [] -> zero_operand v  (* never-assigned path: reads as zero *)
   in
   let current_var_exn (v : Var.t) =
-    match !(stack_of v) with top :: _ -> top | [] -> v
+    match stacks.(v.Var.id) with top :: _ -> top | [] -> v
   in
   let rewrite_operand = function
     | Ir.Ovar v -> current_operand v
     | (Ir.Cint _ | Ir.Cfloat _) as c -> c
   in
+  (* [v] is a pre-SSA variable: every definition renaming visits still
+     names its source variable. *)
   let new_version (v : Var.t) =
-    let orig = match Hashtbl.find_opt orig_of v.Var.id with Some o -> o | None -> v in
-    let n = Option.value ~default:0 (Hashtbl.find_opt versions orig.Var.id) in
-    Hashtbl.replace versions orig.Var.id (n + 1);
-    let nv = Ir.fresh_var fn ~base:orig.Var.base ~version:n ~ty:orig.Var.ty in
-    Hashtbl.replace orig_of nv.Var.id orig;
-    let s = stack_of orig in
-    s := nv :: !s;
+    let n = versions.(v.Var.id) in
+    versions.(v.Var.id) <- n + 1;
+    let nv = Ir.fresh_var fn ~base:v.Var.base ~version:n ~ty:v.Var.ty in
+    orig_of.(nv.Var.id - first) <- Some v;
+    stacks.(v.Var.id) <- nv :: stacks.(v.Var.id);
     nv
   in
   (* Parameters are versioned at entry. *)
@@ -139,20 +147,20 @@ let rename (fn : Ir.fn) (dom : Dom.t) =
   let rec walk bid =
     let blk = Ir.block fn bid in
     let pushed = ref [] in
+    let define v =
+      pushed := v :: !pushed;
+      new_version v
+    in
     let instrs =
       List.map
         (fun instr ->
           match instr with
           | Ir.Def (v, Ir.Phi args) ->
-            let nv = new_version v in
-            pushed := Hashtbl.find orig_of nv.Var.id :: !pushed;
-            Ir.Def (nv, Ir.Phi args)  (* args are filled in from predecessors *)
+            Ir.Def (define v, Ir.Phi args)  (* args are filled in from predecessors *)
           | Ir.Def (v, Ir.Assertion { parent; arel; abound }) ->
             let nparent = current_var_exn parent in
             let nabound = rewrite_operand abound in
-            let nv = new_version v in
-            pushed := Hashtbl.find orig_of nv.Var.id :: !pushed;
-            Ir.Def (nv, Ir.Assertion { parent = nparent; arel; abound = nabound })
+            Ir.Def (define v, Ir.Assertion { parent = nparent; arel; abound = nabound })
           | Ir.Def (v, rhs) ->
             let rhs =
               match rhs with
@@ -164,9 +172,7 @@ let rename (fn : Ir.fn) (dom : Dom.t) =
               | Ir.Call (name, args) -> Ir.Call (name, List.map rewrite_operand args)
               | Ir.Phi _ | Ir.Assertion _ -> assert false
             in
-            let nv = new_version v in
-            pushed := Hashtbl.find orig_of nv.Var.id :: !pushed;
-            Ir.Def (nv, rhs)
+            Ir.Def (define v, rhs)
           | Ir.Store (arr, idx, v) ->
             Ir.Store (arr, rewrite_operand idx, rewrite_operand v))
         blk.instrs
@@ -178,35 +184,36 @@ let rename (fn : Ir.fn) (dom : Dom.t) =
        | Ir.Br br -> Ir.Br { br with ba = rewrite_operand br.ba; bb = rewrite_operand br.bb }
        | Ir.Ret None -> Ir.Ret None
        | Ir.Ret (Some op) -> Ir.Ret (Some (rewrite_operand op))));
-    (* Fill φ arguments in successors for the edge [bid -> succ]. *)
+    (* Fill φ arguments in successors for the edge [bid -> succ]. The
+       instructions after the last φ are shared, not copied. *)
+    let rec fill_phis instrs =
+      match instrs with
+      | [] -> instrs
+      | Ir.Def (pv, Ir.Phi args) :: rest ->
+        let orig = orig pv in
+        let args =
+          List.map
+            (fun ((pred, _) as arg) -> if pred = bid then (pred, current_operand orig) else arg)
+            args
+        in
+        Ir.Def (pv, Ir.Phi args) :: fill_phis rest
+      | instr :: rest ->
+        let filled = fill_phis rest in
+        if filled == rest then instrs else instr :: filled
+    in
     List.iter
       (fun succ ->
         let sblk = Ir.block fn succ in
-        sblk.instrs <-
-          List.map
-            (fun instr ->
-              match instr with
-              | Ir.Def (pv, Ir.Phi args) ->
-                let orig =
-                  match Hashtbl.find_opt orig_of pv.Var.id with Some o -> o | None -> pv
-                in
-                let args =
-                  List.map
-                    (fun (pred, arg) ->
-                      if pred = bid then (pred, current_operand orig) else (pred, arg))
-                    args
-                in
-                Ir.Def (pv, Ir.Phi args)
-              | instr -> instr)
-            sblk.instrs)
+        sblk.instrs <- fill_phis sblk.instrs)
       (Ir.successors blk.term);
     (* Recurse into dominator-tree children. *)
     List.iter walk dom.Dom.children.(bid);
     (* Pop what this block pushed. *)
     List.iter
-      (fun (orig : Var.t) ->
-        let s = stack_of orig in
-        match !s with _ :: rest -> s := rest | [] -> assert false)
+      (fun (v : Var.t) ->
+        match stacks.(v.Var.id) with
+        | _ :: rest -> stacks.(v.Var.id) <- rest
+        | [] -> assert false)
       !pushed
   in
   walk Ir.entry_bid;

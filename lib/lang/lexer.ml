@@ -121,22 +121,28 @@ let token_to_string = function
   | SEMI -> ";"
   | EOF -> "<eof>"
 
+(* Filler for the unused tail of [tokenize]'s buffer. *)
+let no_token = { tok = EOF; line = 0; col = 0 }
+
 let is_digit c = c >= '0' && c <= '9'
 let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_ident_char c = is_ident_start c || is_digit c
 
-(** [tokenize src] turns [src] into a token list ending with [EOF].
+(** [tokenize src] turns [src] into a token array ending with [EOF].
     Supports [//] line comments and [/* */] block comments.
     @raise Error on malformed input. *)
-let tokenize (src : string) : lexed list =
+let tokenize (src : string) : lexed array =
   let n = String.length src in
   let pos = ref 0 in
   let line = ref 1 in
   let bol = ref 0 in
-  let out = ref [] in
+  (* A growing buffer, sized so that it rarely grows: the benchmark
+     corpus's sources run from 2.6 to 4.3 bytes a token. *)
+  let out = ref (Array.make ((n / 2) + 16) no_token) in
+  let count = ref 0 in
   let col () = !pos - !bol + 1 in
   let fail msg = raise (Error (msg, !line, col ())) in
-  let peek off = if !pos + off < n then Some src.[!pos + off] else None in
+  let next_is c = !pos + 1 < n && src.[!pos + 1] = c in
   let advance () =
     (if src.[!pos] = '\n' then begin
        incr line;
@@ -144,19 +150,37 @@ let tokenize (src : string) : lexed list =
      end);
     incr pos
   in
-  let emit tok ~line ~col = out := { tok; line; col } :: !out in
+  let emit tok ~line ~col =
+    if !count = Array.length !out then begin
+      let grown = Array.make (2 * !count) no_token in
+      Array.blit !out 0 grown 0 !count;
+      out := grown
+    end;
+    !out.(!count) <- { tok; line; col };
+    incr count
+  in
+  (* Operator tokens of one and two characters, starting at [!pos]. *)
+  let emit1 tok =
+    let line = !line and col = col () in
+    advance ();
+    emit tok ~line ~col
+  in
+  let emit2 tok =
+    let line = !line and col = col () in
+    advance ();
+    advance ();
+    emit tok ~line ~col
+  in
   while !pos < n do
     let c = src.[!pos] in
     let tok_line = !line and tok_col = col () in
-    let emit1 tok = advance (); emit tok ~line:tok_line ~col:tok_col in
-    let emit2 tok = advance (); advance (); emit tok ~line:tok_line ~col:tok_col in
     match c with
     | ' ' | '\t' | '\r' | '\n' -> advance ()
-    | '/' when peek 1 = Some '/' ->
+    | '/' when next_is '/' ->
       while !pos < n && src.[!pos] <> '\n' do
         advance ()
       done
-    | '/' when peek 1 = Some '*' ->
+    | '/' when next_is '*' ->
       advance ();
       advance ();
       let rec skip () =
@@ -204,29 +228,29 @@ let tokenize (src : string) : lexed list =
       in
       emit tok ~line:tok_line ~col:tok_col
     | '+' ->
-      if peek 1 = Some '+' then emit2 PLUSPLUS
-      else if peek 1 = Some '=' then emit2 PLUSEQ
+      if next_is '+' then emit2 PLUSPLUS
+      else if next_is '=' then emit2 PLUSEQ
       else emit1 PLUS
     | '-' ->
-      if peek 1 = Some '-' then emit2 MINUSMINUS
-      else if peek 1 = Some '=' then emit2 MINUSEQ
+      if next_is '-' then emit2 MINUSMINUS
+      else if next_is '=' then emit2 MINUSEQ
       else emit1 MINUS
-    | '*' -> if peek 1 = Some '=' then emit2 STAREQ else emit1 STAR
-    | '/' -> if peek 1 = Some '=' then emit2 SLASHEQ else emit1 SLASH
-    | '%' -> if peek 1 = Some '=' then emit2 PERCENTEQ else emit1 PERCENT
-    | '&' -> if peek 1 = Some '&' then emit2 ANDAND else emit1 AMP
-    | '|' -> if peek 1 = Some '|' then emit2 OROR else emit1 PIPE
+    | '*' -> if next_is '=' then emit2 STAREQ else emit1 STAR
+    | '/' -> if next_is '=' then emit2 SLASHEQ else emit1 SLASH
+    | '%' -> if next_is '=' then emit2 PERCENTEQ else emit1 PERCENT
+    | '&' -> if next_is '&' then emit2 ANDAND else emit1 AMP
+    | '|' -> if next_is '|' then emit2 OROR else emit1 PIPE
     | '^' -> emit1 CARET
     | '~' -> emit1 TILDE
-    | '!' -> if peek 1 = Some '=' then emit2 NEQ else emit1 BANG
-    | '=' -> if peek 1 = Some '=' then emit2 EQEQ else emit1 EQ
+    | '!' -> if next_is '=' then emit2 NEQ else emit1 BANG
+    | '=' -> if next_is '=' then emit2 EQEQ else emit1 EQ
     | '<' ->
-      if peek 1 = Some '<' then emit2 SHL
-      else if peek 1 = Some '=' then emit2 LE
+      if next_is '<' then emit2 SHL
+      else if next_is '=' then emit2 LE
       else emit1 LT
     | '>' ->
-      if peek 1 = Some '>' then emit2 SHR
-      else if peek 1 = Some '=' then emit2 GE
+      if next_is '>' then emit2 SHR
+      else if next_is '=' then emit2 GE
       else emit1 GT
     | '(' -> emit1 LPAREN
     | ')' -> emit1 RPAREN
@@ -239,4 +263,4 @@ let tokenize (src : string) : lexed list =
     | c -> fail (Printf.sprintf "unexpected character %C" c)
   done;
   emit EOF ~line:!line ~col:(col ());
-  List.rev !out
+  Array.sub !out 0 !count

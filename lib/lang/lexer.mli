@@ -63,4 +63,4 @@ val token_to_string : token -> string
 (** Tokenise a whole source (supports [//] and [/* */] comments); the result
     ends with [EOF].
     @raise Error on malformed input. *)
-val tokenize : string -> lexed list
+val tokenize : string -> lexed array

@@ -39,8 +39,11 @@ let fail st msg =
   let l = peek st in
   raise (Error (msg, l.line, l.col))
 
+(* Tokens without an argument are immediates: [==] compares them exactly,
+   without a call into polymorphic comparison. [expect] takes only such
+   tokens. *)
 let expect st tok =
-  if peek_tok st = tok then advance st
+  if peek_tok st == tok then advance st
   else
     fail st
       (Printf.sprintf "expected '%s' but found '%s'"
@@ -73,7 +76,7 @@ let rec parse_expr st = parse_or st
 
 and parse_or st =
   let lhs = ref (parse_and st) in
-  while peek_tok st = Lexer.OROR do
+  while peek_tok st == Lexer.OROR do
     advance st;
     lhs := Or (!lhs, parse_and st)
   done;
@@ -81,7 +84,7 @@ and parse_or st =
 
 and parse_and st =
   let lhs = ref (parse_bitor st) in
-  while peek_tok st = Lexer.ANDAND do
+  while peek_tok st == Lexer.ANDAND do
     advance st;
     lhs := And (!lhs, parse_bitor st)
   done;
@@ -89,7 +92,7 @@ and parse_and st =
 
 and parse_bitor st =
   let lhs = ref (parse_bitxor st) in
-  while peek_tok st = Lexer.PIPE do
+  while peek_tok st == Lexer.PIPE do
     advance st;
     lhs := Binop (Bor, !lhs, parse_bitxor st)
   done;
@@ -97,7 +100,7 @@ and parse_bitor st =
 
 and parse_bitxor st =
   let lhs = ref (parse_bitand st) in
-  while peek_tok st = Lexer.CARET do
+  while peek_tok st == Lexer.CARET do
     advance st;
     lhs := Binop (Bxor, !lhs, parse_bitand st)
   done;
@@ -105,7 +108,7 @@ and parse_bitxor st =
 
 and parse_bitand st =
   let lhs = ref (parse_equality st) in
-  while peek_tok st = Lexer.AMP do
+  while peek_tok st == Lexer.AMP do
     advance st;
     lhs := Binop (Band, !lhs, parse_equality st)
   done;
@@ -242,11 +245,11 @@ and parse_postfix st =
   | tok -> fail st (Printf.sprintf "expected expression, found '%s'" (Lexer.token_to_string tok))
 
 and parse_args st =
-  if peek_tok st = Lexer.RPAREN then []
+  if peek_tok st == Lexer.RPAREN then []
   else begin
     let rec loop acc =
       let e = parse_expr st in
-      if peek_tok st = Lexer.COMMA then begin
+      if peek_tok st == Lexer.COMMA then begin
         advance st;
         loop (e :: acc)
       end
@@ -315,7 +318,7 @@ let rec parse_stmt st : stmt list =
     expect st Lexer.RPAREN;
     let then_blk = parse_stmt_as_block st in
     let else_blk =
-      if peek_tok st = Lexer.KW_ELSE then begin
+      if peek_tok st == Lexer.KW_ELSE then begin
         advance st;
         Some (parse_stmt_as_block st)
       end
@@ -333,7 +336,7 @@ let rec parse_stmt st : stmt list =
     advance st;
     expect st Lexer.LPAREN;
     let init =
-      if peek_tok st = Lexer.SEMI then None
+      if peek_tok st == Lexer.SEMI then None
       else begin
         (* Allow a declaration in the for header: for (int i = 0; ...). *)
         match parse_type_opt st with
@@ -346,15 +349,15 @@ let rec parse_stmt st : stmt list =
       end
     in
     expect st Lexer.SEMI;
-    let cond = if peek_tok st = Lexer.SEMI then None else Some (parse_expr st) in
+    let cond = if peek_tok st == Lexer.SEMI then None else Some (parse_expr st) in
     expect st Lexer.SEMI;
-    let step = if peek_tok st = Lexer.RPAREN then None else Some (parse_simple st) in
+    let step = if peek_tok st == Lexer.RPAREN then None else Some (parse_simple st) in
     expect st Lexer.RPAREN;
     let body = parse_stmt_as_block st in
     [ mk (Sfor (init, cond, step, body)) ]
   | Lexer.KW_RETURN ->
     advance st;
-    let e = if peek_tok st = Lexer.SEMI then None else Some (parse_expr st) in
+    let e = if peek_tok st == Lexer.SEMI then None else Some (parse_expr st) in
     expect st Lexer.SEMI;
     [ mk (Sreturn e) ]
   | Lexer.KW_BREAK ->
@@ -399,7 +402,7 @@ and parse_decl_list st ty ~line =
         { sline = line; sdesc = Sdecl (ty, name, Iscalar (Some e)) }
       | _ -> { sline = line; sdesc = Sdecl (ty, name, Iscalar None) }
     in
-    if peek_tok st = Lexer.COMMA then begin
+    if peek_tok st == Lexer.COMMA then begin
       advance st;
       loop (decl :: acc)
     end
@@ -410,7 +413,7 @@ and parse_decl_list st ty ~line =
 and parse_block st : block =
   expect st Lexer.LBRACE;
   let rec loop acc =
-    if peek_tok st = Lexer.RBRACE then begin
+    if peek_tok st == Lexer.RBRACE then begin
       advance st;
       List.rev acc
     end
@@ -422,18 +425,18 @@ and parse_block st : block =
   loop []
 
 and parse_stmt_as_block st : block =
-  if peek_tok st = Lexer.LBRACE then parse_block st else parse_stmt st
+  if peek_tok st == Lexer.LBRACE then parse_block st else parse_stmt st
 
 (* --- Top level --- *)
 
 let parse_params st =
-  if peek_tok st = Lexer.RPAREN then []
+  if peek_tok st == Lexer.RPAREN then []
   else begin
     let rec loop acc =
       let pty = parse_type st in
       let pname = expect_ident st in
       let p = { pty; pname } in
-      if peek_tok st = Lexer.COMMA then begin
+      if peek_tok st == Lexer.COMMA then begin
         advance st;
         loop (p :: acc)
       end
@@ -443,11 +446,11 @@ let parse_params st =
   end
 
 let parse_program (src : string) : program =
-  let toks = Array.of_list (Lexer.tokenize src) in
+  let toks = Lexer.tokenize src in
   let st = { toks; pos = 0 } in
   let globals = ref [] in
   let funcs = ref [] in
-  while peek_tok st <> Lexer.EOF do
+  while peek_tok st != Lexer.EOF do
     let line = (peek st).line in
     let ty = parse_type st in
     let name = expect_ident st in

@@ -111,7 +111,9 @@ let take_slot_locked t =
    queue drains at request (not deadline) granularity. *)
 let admit t ?deadline () =
   let now = Unix.gettimeofday () in
-  let expired_at now = match deadline with Some d -> now > d | None -> false in
+  (* At the instant itself the budget is spent: a 0 ms budget is expired
+     on arrival even when the clock has not ticked since. *)
+  let expired_at now = match deadline with Some d -> now >= d | None -> false in
   if expired_at now then
     locked t (fun () ->
         t.c.expired <- t.c.expired + 1;

@@ -83,7 +83,7 @@ type admission =
 
 (** [admit t ?deadline ()] takes an in-flight slot, waiting in the bounded
     queue if needed. [deadline] is an absolute [Unix.gettimeofday] instant:
-    the wait never outlives it, and a request already past it is shed as
+    the wait never outlives it, and a request already at or past it is shed as
     [Expired] without waiting. *)
 val admit : t -> ?deadline:float -> unit -> admission
 

@@ -11,7 +11,7 @@ type session = {
   cache : Summary_cache.t;
   (* source name -> (function, SSA digest) of the last submission *)
   digests : (string, (string * string) list) Hashtbl.t;
-  mutable last_used : float;  (* LRU clock for the table bound *)
+  mutable last_used : int;  (* [t.clock] at the last lookup: the LRU order *)
   mutable folded : Summary_cache.counters option;
       (* once removed from the table: the counters already in [retired] *)
 }
@@ -20,12 +20,14 @@ and t = {
   table : (string, session) Hashtbl.t;
   table_lock : Mutex.t;
   max_sessions : int;
+  mutable clock : int;
+      (* counts lookups; a wall clock can read the same time twice in a row *)
   mutable retired : Summary_cache.counters;  (* caches of sessions gone *)
 }
 
 let create ?(max_sessions = 512) () =
   if max_sessions < 1 then invalid_arg "Session.create: max_sessions must be >= 1";
-  { table = Hashtbl.create 8; table_lock = Mutex.create (); max_sessions;
+  { table = Hashtbl.create 8; table_lock = Mutex.create (); max_sessions; clock = 0;
     retired = Summary_cache.zero_counters () }
 
 let locked m f =
@@ -64,9 +66,10 @@ let evict_lru_locked t =
 
 let find_or_create t sid =
   locked t.table_lock (fun () ->
+      t.clock <- t.clock + 1;
       match Hashtbl.find_opt t.table sid with
       | Some s ->
-        s.last_used <- Unix.gettimeofday ();
+        s.last_used <- t.clock;
         s
       | None ->
         if Hashtbl.length t.table >= t.max_sessions then evict_lru_locked t;
@@ -77,7 +80,7 @@ let find_or_create t sid =
             lock = Mutex.create ();
             cache = Summary_cache.create ();
             digests = Hashtbl.create 4;
-            last_used = Unix.gettimeofday ();
+            last_used = t.clock;
             folded = None;
           }
         in

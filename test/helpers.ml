@@ -120,5 +120,5 @@ let analyze_on_pool ?analyze_fn ~jobs program =
         ~run_tasks:(Vrp_sched.Wavefront.runner pool) program)
 
 (* QCheck plumbing *)
-let qtest ?(count = 200) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+let qtest ?(count = 200) ?print name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ?print ~name gen prop)

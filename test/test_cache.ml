@@ -229,6 +229,35 @@ let ir_layout_tripwire () =
        else "IR layout changed: bump Digest_key.format_version and update this list")
       (String.concat "; " (List.map (fun (f, d) -> Printf.sprintf "(%S, %S)" f d) got))
 
+(* --- Suite IR golden ---
+
+   [golden/ir-digests.txt] holds the {!Digest_key.fn_digest} of every
+   function of every suite program, in [vrpc list] order, behind a header
+   naming the compiler (the digest folds it in). Any change to φ order,
+   variable numbering, block order or instruction order anywhere in the
+   suite fails this test; a change meant only to make compiling faster must
+   leave the file as it is. *)
+
+let suite_ir_digests () =
+  Printf.sprintf "# OCaml %s" Sys.ocaml_version
+  :: List.concat_map
+       (fun (b : Suite.benchmark) ->
+         List.map
+           (fun (fn : Ir.fn) ->
+             Printf.sprintf "%s %s %s" b.Suite.name fn.Ir.fname (Digest_key.fn_digest fn))
+           (Helpers.compile b.Suite.source).Pipeline.ssa.Ir.fns)
+       Suite.benchmarks
+
+let suite_ir_golden () =
+  let golden = String.split_on_char '\n' (String.trim (Helpers.read_file "golden/ir-digests.txt")) in
+  let got = suite_ir_digests () in
+  if got <> golden then begin
+    let missing = List.filter (fun l -> not (List.mem l got)) golden in
+    let extra = List.filter (fun l -> not (List.mem l golden)) got in
+    Alcotest.failf "suite IR differs from golden/ir-digests.txt\n  golden only: %s\n  now only: %s"
+      (String.concat "; " missing) (String.concat "; " extra)
+  end
+
 (* --- Store behaviour --- *)
 
 let some_summary = lazy (Helpers.analyze_main "int main(int n, int s) { return n; }")
@@ -667,6 +696,7 @@ let suite =
       tc "digest: task key covers analysis inputs" `Quick task_key_depends_on_inputs;
       tc "digest: callees include self-calls" `Quick callees_include_self_calls;
       tc "digest: IR layout tripwire" `Quick ir_layout_tripwire;
+      tc "digest: suite IR matches its golden" `Quick suite_ir_golden;
       tc "store: miss, hit, invalidation" `Quick miss_hit_and_invalidation;
       tc "store: LRU evicts the oldest" `Quick lru_evicts_oldest;
       tc "store: disk tier round-trips" `Quick disk_tier_survives_processes;

@@ -8,7 +8,7 @@ let tc = Alcotest.test_case
 (* --- Lexer --- *)
 
 let tokens src =
-  List.map (fun (l : Lexer.lexed) -> l.Lexer.tok) (Lexer.tokenize src)
+  List.map (fun (l : Lexer.lexed) -> l.Lexer.tok) (Array.to_list (Lexer.tokenize src))
 
 let lex_ints () =
   Alcotest.(check bool)
@@ -34,7 +34,7 @@ let lex_comments () =
 
 let lex_positions () =
   match Lexer.tokenize "x\n  y" with
-  | [ a; b; _eof ] ->
+  | [| a; b; _eof |] ->
     Alcotest.(check (pair int int)) "x at 1:1" (1, 1) (a.Lexer.line, a.Lexer.col);
     Alcotest.(check (pair int int)) "y at 2:3" (2, 3) (b.Lexer.line, b.Lexer.col)
   | _ -> Alcotest.fail "expected two tokens"
@@ -49,6 +49,184 @@ let lex_unterminated_comment () =
   match Lexer.tokenize "a /* never closed" with
   | exception Lexer.Error _ -> ()
   | _ -> Alcotest.fail "expected lexical error"
+
+(* --- Lexer oracle ---
+
+   [tokenize] fills a growing array. The list-building lexer it replaced
+   stays here, verbatim, as the reference: on every suite source, and on
+   fuzz programs with random byte mutations, both must yield the same
+   tokens at the same line and column, or the same [Error] (message, line,
+   column). *)
+
+module Reference = struct
+  open Lexer
+
+  let is_digit c = c >= '0' && c <= '9'
+  let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
+  let is_ident_char c = is_ident_start c || is_digit c
+
+  let tokenize (src : string) : lexed list =
+    let n = String.length src in
+    let pos = ref 0 in
+    let line = ref 1 in
+    let bol = ref 0 in
+    let out = ref [] in
+    let col () = !pos - !bol + 1 in
+    let fail msg = raise (Error (msg, !line, col ())) in
+    let peek off = if !pos + off < n then Some src.[!pos + off] else None in
+    let advance () =
+      (if src.[!pos] = '\n' then begin
+         incr line;
+         bol := !pos + 1
+       end);
+      incr pos
+    in
+    let emit tok ~line ~col = out := { tok; line; col } :: !out in
+    while !pos < n do
+      let c = src.[!pos] in
+      let tok_line = !line and tok_col = col () in
+      let emit1 tok = advance (); emit tok ~line:tok_line ~col:tok_col in
+      let emit2 tok = advance (); advance (); emit tok ~line:tok_line ~col:tok_col in
+      match c with
+      | ' ' | '\t' | '\r' | '\n' -> advance ()
+      | '/' when peek 1 = Some '/' ->
+        while !pos < n && src.[!pos] <> '\n' do
+          advance ()
+        done
+      | '/' when peek 1 = Some '*' ->
+        advance ();
+        advance ();
+        let rec skip () =
+          if !pos + 1 >= n then fail "unterminated block comment"
+          else if src.[!pos] = '*' && src.[!pos + 1] = '/' then begin
+            advance ();
+            advance ()
+          end
+          else begin
+            advance ();
+            skip ()
+          end
+        in
+        skip ()
+      | '0' .. '9' ->
+        let start = !pos in
+        while !pos < n && is_digit src.[!pos] do
+          advance ()
+        done;
+        let is_float =
+          !pos < n && src.[!pos] = '.' && !pos + 1 < n && is_digit src.[!pos + 1]
+        in
+        if is_float then begin
+          advance ();
+          while !pos < n && is_digit src.[!pos] do
+            advance ()
+          done;
+          let text = String.sub src start (!pos - start) in
+          emit (FLOAT (float_of_string text)) ~line:tok_line ~col:tok_col
+        end
+        else begin
+          let text = String.sub src start (!pos - start) in
+          match int_of_string_opt text with
+          | Some v -> emit (INT v) ~line:tok_line ~col:tok_col
+          | None -> fail (Printf.sprintf "integer literal too large: %s" text)
+        end
+      | c when is_ident_start c ->
+        let start = !pos in
+        while !pos < n && is_ident_char src.[!pos] do
+          advance ()
+        done;
+        let text = String.sub src start (!pos - start) in
+        let tok =
+          match keyword_of_string text with Some kw -> kw | None -> IDENT text
+        in
+        emit tok ~line:tok_line ~col:tok_col
+      | '+' ->
+        if peek 1 = Some '+' then emit2 PLUSPLUS
+        else if peek 1 = Some '=' then emit2 PLUSEQ
+        else emit1 PLUS
+      | '-' ->
+        if peek 1 = Some '-' then emit2 MINUSMINUS
+        else if peek 1 = Some '=' then emit2 MINUSEQ
+        else emit1 MINUS
+      | '*' -> if peek 1 = Some '=' then emit2 STAREQ else emit1 STAR
+      | '/' -> if peek 1 = Some '=' then emit2 SLASHEQ else emit1 SLASH
+      | '%' -> if peek 1 = Some '=' then emit2 PERCENTEQ else emit1 PERCENT
+      | '&' -> if peek 1 = Some '&' then emit2 ANDAND else emit1 AMP
+      | '|' -> if peek 1 = Some '|' then emit2 OROR else emit1 PIPE
+      | '^' -> emit1 CARET
+      | '~' -> emit1 TILDE
+      | '!' -> if peek 1 = Some '=' then emit2 NEQ else emit1 BANG
+      | '=' -> if peek 1 = Some '=' then emit2 EQEQ else emit1 EQ
+      | '<' ->
+        if peek 1 = Some '<' then emit2 SHL
+        else if peek 1 = Some '=' then emit2 LE
+        else emit1 LT
+      | '>' ->
+        if peek 1 = Some '>' then emit2 SHR
+        else if peek 1 = Some '=' then emit2 GE
+        else emit1 GT
+      | '(' -> emit1 LPAREN
+      | ')' -> emit1 RPAREN
+      | '{' -> emit1 LBRACE
+      | '}' -> emit1 RBRACE
+      | '[' -> emit1 LBRACKET
+      | ']' -> emit1 RBRACKET
+      | ',' -> emit1 COMMA
+      | ';' -> emit1 SEMI
+      | c -> fail (Printf.sprintf "unexpected character %C" c)
+    done;
+    emit EOF ~line:!line ~col:(col ());
+    List.rev !out
+end
+
+let lex_outcome lex src =
+  match lex src with
+  | toks -> Ok (List.map (fun (l : Lexer.lexed) -> (l.tok, l.line, l.col)) toks)
+  | exception Lexer.Error (msg, line, col) -> Error (msg, line, col)
+
+let lexers_agree src =
+  lex_outcome (fun s -> Array.to_list (Lexer.tokenize s)) src
+  = lex_outcome Reference.tokenize src
+
+let lex_oracle_suite () =
+  List.iter
+    (fun (b : Vrp_suite.Suite.benchmark) ->
+      if not (lexers_agree b.Vrp_suite.Suite.source) then
+        Alcotest.failf "%s: lexers disagree" b.Vrp_suite.Suite.name)
+    Vrp_suite.Suite.benchmarks
+
+(* Bytes a mutation writes: the lexer's every branch, comment openers and
+   closers, newlines, and characters it rejects. *)
+let mutation_bytes = "/*\n \t019.aZ_+-<>=!&|^~%(){}[],;$#@\"'\\"
+
+let gen_mutated_program =
+  let open QCheck2.Gen in
+  let* seed = int_bound 1_000_000 in
+  let* edits =
+    list_size (int_range 0 6)
+      (triple (int_bound 2) (float_bound_exclusive 1.0) (int_bound (String.length mutation_bytes - 1)))
+  in
+  let profiles = Vrp_fuzz.Gen.profiles in
+  let p = List.nth profiles (seed mod List.length profiles) in
+  let src =
+    Pretty.program_to_string
+      (Vrp_fuzz.Gen.program (Vrp_util.Prng.create seed) ~weights:p.Vrp_fuzz.Gen.weights)
+  in
+  let mutate src (kind, at, byte) =
+    let i = int_of_float (at *. float_of_int (String.length src)) in
+    let b = String.make 1 mutation_bytes.[byte] in
+    let before = String.sub src 0 i and after = String.sub src i (String.length src - i) in
+    match kind with
+    | 0 -> before ^ b ^ after  (* insert *)
+    | 1 when after <> "" -> before ^ b ^ String.sub after 1 (String.length after - 1)  (* replace *)
+    | _ when after <> "" -> before ^ String.sub after 1 (String.length after - 1)  (* delete *)
+    | _ -> src
+  in
+  return (List.fold_left mutate src edits)
+
+let lex_oracle_mutations =
+  Helpers.qtest ~count:300 "lex: array lexer agrees with the list reference" gen_mutated_program
+    lexers_agree
 
 (* --- Parser --- *)
 
@@ -226,6 +404,8 @@ let suite =
       tc "lex: positions" `Quick lex_positions;
       tc "lex: bad character" `Quick lex_error_char;
       tc "lex: unterminated comment" `Quick lex_unterminated_comment;
+      tc "lex: suite agrees with the list reference" `Quick lex_oracle_suite;
+      lex_oracle_mutations;
       tc "parse: precedence" `Quick parse_precedence;
       tc "parse: associativity" `Quick parse_associativity;
       tc "parse: unary minus folds" `Quick parse_unary_minus_folds;

@@ -195,6 +195,205 @@ let postdominators_sane () =
         Alcotest.failf "branch arm B%d must not postdominate entry" s)
     entry_succs
 
+(* --- Dominance oracle ---
+
+   [Dom.compute_generic] folds predecessors without filtering a list and
+   answers [dominates] in O(1) from preorder intervals of the dominator
+   tree. The fixpoint and the idom-chain walk they replaced stay here,
+   verbatim, as the reference (with [frontiers] and [compute_post] over
+   it): on random CFGs and on fuzz programs both must agree on every
+   [idom], [rpo_index], child list and frontier, and on [dominates] and
+   [postdominates] for every pair of nodes. *)
+
+module Reference_dom = struct
+  type t = { idom : int array; rpo_index : int array; children : int list array; root : int }
+
+  let compute_generic ~nblocks ~succs ~preds ~root : t =
+    let rpo = Dom.reverse_postorder ~nblocks ~succs ~root in
+    let rpo_index = Array.make nblocks (-1) in
+    Array.iteri (fun i node -> rpo_index.(node) <- i) rpo;
+    let idom = Array.make nblocks (-1) in
+    idom.(root) <- root;
+    let rec intersect a b =
+      if a = b then a
+      else if rpo_index.(a) > rpo_index.(b) then intersect idom.(a) b
+      else intersect a idom.(b)
+    in
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      Array.iter
+        (fun node ->
+          if node <> root then begin
+            let processed_preds =
+              List.filter (fun p -> rpo_index.(p) >= 0 && idom.(p) >= 0) (preds node)
+            in
+            match processed_preds with
+            | [] -> ()
+            | first :: rest ->
+              let new_idom = List.fold_left (fun acc p -> intersect acc p) first rest in
+              if idom.(node) <> new_idom then begin
+                idom.(node) <- new_idom;
+                changed := true
+              end
+          end)
+        rpo
+    done;
+    idom.(root) <- -1;
+    let children = Array.make nblocks [] in
+    for node = 0 to nblocks - 1 do
+      let d = idom.(node) in
+      if d >= 0 then children.(d) <- node :: children.(d)
+    done;
+    Array.iteri (fun i cs -> children.(i) <- List.rev cs) children;
+    { idom; rpo_index; children; root }
+
+  let compute (fn : Ir.fn) : t =
+    compute_generic ~nblocks:(Ir.num_blocks fn)
+      ~succs:(fun bid -> Ir.successors (Ir.block fn bid).term)
+      ~preds:(fun bid -> (Ir.block fn bid).preds)
+      ~root:Ir.entry_bid
+
+  let dominates t a b =
+    let rec walk node = node = a || (t.idom.(node) >= 0 && walk t.idom.(node)) in
+    a = b || (t.rpo_index.(b) >= 0 && walk b)
+
+  let frontiers (fn : Ir.fn) (t : t) : int list array =
+    let n = Ir.num_blocks fn in
+    let df = Array.make n [] in
+    let add bid node = if not (List.mem node df.(bid)) then df.(bid) <- node :: df.(bid) in
+    Ir.iter_blocks fn (fun b ->
+        if List.length b.preds >= 2 then
+          List.iter
+            (fun pred ->
+              if t.rpo_index.(pred) >= 0 then begin
+                let runner = ref pred in
+                while !runner <> t.idom.(b.bid) && !runner >= 0 do
+                  add !runner b.bid;
+                  runner := t.idom.(!runner)
+                done
+              end)
+            b.preds);
+    df
+
+  let compute_post (fn : Ir.fn) : t =
+    let n = Ir.num_blocks fn in
+    let virtual_exit = n in
+    let exits =
+      Array.to_list fn.blocks
+      |> List.filter_map (fun (b : Ir.block) ->
+             match b.term with Ir.Ret _ -> Some b.bid | Ir.Jump _ | Ir.Br _ -> None)
+    in
+    let rsuccs bid = if bid = virtual_exit then exits else (Ir.block fn bid).preds in
+    let rpreds bid =
+      if bid = virtual_exit then []
+      else begin
+        let s = Ir.successors (Ir.block fn bid).term in
+        if s = [] then [ virtual_exit ] else s
+      end
+    in
+    compute_generic ~nblocks:(n + 1) ~succs:rsuccs ~preds:rpreds ~root:virtual_exit
+end
+
+(* Where the fast and reference trees of [fn] first disagree, if anywhere. *)
+let dom_disagreement (fn : Ir.fn) =
+  let same_tree what (fast : Dom.t) (slow : Reference_dom.t) =
+    if fast.Dom.idom <> slow.Reference_dom.idom then Some (what ^ " idom")
+    else if fast.Dom.rpo_index <> slow.Reference_dom.rpo_index then Some (what ^ " rpo_index")
+    else if fast.Dom.children <> slow.Reference_dom.children then Some (what ^ " children")
+    else if fast.Dom.root <> slow.Reference_dom.root then Some (what ^ " root")
+    else None
+  in
+  let pairs n f =
+    let found = ref None in
+    for a = 0 to n - 1 do
+      for b = 0 to n - 1 do
+        if !found = None then found := f a b
+      done
+    done;
+    !found
+  in
+  let n = Ir.num_blocks fn in
+  let dom = Dom.compute fn and rdom = Reference_dom.compute fn in
+  let post = Dom.compute_post fn and rpost = Reference_dom.compute_post fn in
+  match same_tree "dom" dom rdom with
+  | Some d -> Some d
+  | None -> (
+    match same_tree "postdom" post rpost with
+    | Some d -> Some d
+    | None ->
+      if Dom.frontiers fn dom <> Reference_dom.frontiers fn rdom then Some "frontiers"
+      else
+        pairs n (fun a b ->
+            if Dom.dominates dom a b <> Reference_dom.dominates rdom a b then
+              Some (Printf.sprintf "dominates B%d B%d" a b)
+            else None)
+        |> function
+        | Some d -> Some d
+        | None ->
+          pairs (n + 1) (fun a b ->
+              if Dom.postdominates post a b <> Reference_dom.dominates rpost a b then
+                Some (Printf.sprintf "postdominates %d %d" a b)
+              else None))
+
+(* A random CFG of up to 14 blocks: any block may jump or branch anywhere,
+   itself included, so unreachable blocks, self-loops, duplicate branch
+   targets, infinite loops and irreducible loops all occur. *)
+let gen_cfg =
+  let open QCheck2.Gen in
+  let* n = int_range 1 14 in
+  let term =
+    let target = int_bound (n - 1) in
+    frequency
+      [
+        (1, return (Ir.Ret None));
+        (3, map (fun d -> Ir.Jump d) target);
+        ( 4,
+          map2
+            (fun tdst fdst -> Ir.Br { rel = Vrp_lang.Ast.Lt; ba = Ir.Cint 0; bb = Ir.Cint 1; tdst; fdst })
+            target target );
+      ]
+  in
+  let+ terms = list_repeat n term in
+  let fn =
+    {
+      Ir.fname = "cfg";
+      ret_ty = Vrp_lang.Ast.Tvoid;
+      params = [];
+      blocks = Array.of_list (List.mapi (fun bid term -> { Ir.bid; instrs = []; term; preds = [] }) terms);
+      nvars = 0;
+      local_arrays = [];
+    }
+  in
+  Ir.recompute_preds fn;
+  fn
+
+let dom_oracle_random_cfgs =
+  Helpers.qtest ~count:500 "dom: random CFGs agree with the reference" gen_cfg
+    ~print:(fun fn -> Ir.fn_to_string fn)
+    (fun fn ->
+      match dom_disagreement fn with
+      | None -> true
+      | Some what -> QCheck2.Test.fail_reportf "%s" what)
+
+let dom_oracle_fuzz_programs =
+  Helpers.qtest ~count:30 "dom: fuzz functions agree with the reference"
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      List.for_all
+        (fun (p : Vrp_fuzz.Gen.profile) ->
+          let rng = Vrp_util.Prng.create (Vrp_fuzz.Runner.mix_seed seed p.Vrp_fuzz.Gen.pname 0) in
+          let src =
+            Vrp_lang.Pretty.program_to_string (Vrp_fuzz.Gen.program rng ~weights:p.Vrp_fuzz.Gen.weights)
+          in
+          List.for_all
+            (fun (fn : Ir.fn) ->
+              match dom_disagreement fn with
+              | None -> true
+              | Some what -> QCheck2.Test.fail_reportf "%s/%s: %s" p.Vrp_fuzz.Gen.pname fn.Ir.fname what)
+            (Helpers.compile src).Vrp_core.Pipeline.ssa.Ir.fns)
+        Vrp_fuzz.Gen.profiles)
+
 (* --- Loops --- *)
 
 let loop_detection () =
@@ -344,6 +543,40 @@ let ssa_checker_passes_suite () =
       with Vrp_ir.Check.Violation msg -> Alcotest.failf "%s: %s" b.name msg)
     Vrp_suite.Suite.benchmarks
 
+(* Variable ids index every per-variable array downstream ([Static],
+   [Engine]), so an id outside [0, nvars) must be a [Violation], not an
+   [Invalid_argument] later. Lowering [nvars] by 2 leaves the last two
+   minted variables, defined and used, out of range; a negative id is out
+   of range too. *)
+let ssa_checker_rejects_ids_past_nvars () =
+  let ssa =
+    ssa_of "int main(int n, int s) { int x = 0; if (n < 3) { x = 1; } if (s > 4) { x = x + 2; } return x; }"
+  in
+  let fn = Option.get (Ir.find_fn ssa "main") in
+  Vrp_ir.Check.check_ssa_fn fn;
+  let rejects what (fn : Ir.fn) =
+    match Vrp_ir.Check.check_ssa_fn fn with
+    | () -> Alcotest.failf "%s: accepted" what
+    | exception Vrp_ir.Check.Violation msg ->
+      if not (Astring.String.is_infix ~affix:"outside [0, " msg) then
+        Alcotest.failf "%s: unexpected message %s" what msg
+  in
+  rejects "nvars - 2" { fn with Ir.nvars = fn.Ir.nvars - 2 };
+  let neg = { Vrp_ir.Var.id = -1; base = "neg"; version = 0; ty = Vrp_lang.Ast.Tint } in
+  let use_neg =
+    {
+      fn with
+      Ir.blocks =
+        Array.map
+          (fun (b : Ir.block) ->
+            match b.Ir.term with
+            | Ir.Ret (Some _) -> { b with Ir.term = Ir.Ret (Some (Ir.Ovar neg)) }
+            | _ -> b)
+          fn.Ir.blocks;
+    }
+  in
+  rejects "negative id in a use" use_neg
+
 let ssa_assertions_on_both_edges () =
   let ssa = ssa_of "int main(int n, int s) { if (n < 10) { return 1; } return 0; }" in
   let fn = Option.get (Ir.find_fn ssa "main") in
@@ -429,12 +662,15 @@ let suite =
       tc "dom: idom strictness" `Quick idom_is_strict_dominator;
       tc "dom: postdominators" `Quick postdominators_sane;
       tc "dom: iterative rpo matches recursive" `Quick rpo_matches_recursive;
+      dom_oracle_random_cfgs;
+      dom_oracle_fuzz_programs;
       tc "loops: detection and nesting" `Quick loop_detection;
       tc "loops: back edges vs headers" `Quick back_edges_vs_headers;
       tc "loops: exit edges" `Quick loop_exit_edges;
       static_property;
       digest_property;
       tc "ssa: checker passes on the suite" `Quick ssa_checker_passes_suite;
+      tc "ssa: checker rejects ids outside nvars" `Quick ssa_checker_rejects_ids_past_nvars;
       tc "ssa: assertions on both edges" `Quick ssa_assertions_on_both_edges;
       tc "ssa: assertions on both operands" `Quick ssa_assertions_on_both_operands;
       tc "ssa: phi at join" `Quick ssa_phi_for_merged_variable;

@@ -135,9 +135,13 @@ let conn_loop t ~handle c =
       Admit.note_idle_closed t.admit
     | exception Unix.Unix_error _ -> ()
   in
-  loop ();
-  close_conn t c;
-  Admit.conn_closed t.admit
+  (* Whatever [decode_request] or [handle] raises, the socket and its
+     connection slot are released, so the peer reads EOF at once. *)
+  Fun.protect
+    ~finally:(fun () ->
+      close_conn t c;
+      Admit.conn_closed t.admit)
+    loop
 
 (* Arm the kernel-side stall guards. SO_RCVTIMEO bounds each blocking read
    (so a frame must keep arriving) and SO_SNDTIMEO each blocking write (so

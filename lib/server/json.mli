@@ -8,8 +8,15 @@
     (they never occur in vrpd traffic, which is byte-oriented).
 
     Numbers: a token with a fraction or exponent parses as [Float], any
-    other as [Int]. The printer never emits NaN/infinity (callers must
-    sanitize); [Float] values print with [%.17g] so they round-trip. *)
+    other as [Int]; a number that overflows to infinity is an error. The
+    printer never emits NaN/infinity (callers must sanitize); [Float]
+    values print with [%.17g] so they round-trip.
+
+    The parser rejects, with a [byte N: ...] error, containers nested more
+    than 512 deep and a [\u] escape not followed by exactly four hex
+    digits. Both directions cost one pass over the bytes: the printer
+    copies each run of bytes that need no escape with one blit, and the
+    parser returns an escape-free string as one [String.sub]. *)
 
 type t =
   | Null
@@ -22,7 +29,8 @@ type t =
 
 val to_string : t -> string
 
-(** Parse one JSON document; trailing non-whitespace bytes are an error. *)
+(** Parse one JSON document; trailing non-whitespace bytes are an error.
+    Never raises: every malformed input is an [Error]. *)
 val parse : string -> (t, string) result
 
 (** {2 Accessors} — shallow, total helpers for decoding requests. *)

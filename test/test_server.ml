@@ -60,6 +60,428 @@ let json_parse_errors () =
       | Ok _ -> Alcotest.failf "accepted invalid document %S" doc)
     [ ""; "{"; "[1,"; "\"unterminated"; "tru"; "{\"k\" 1}"; "1 2"; "{\"k\":}" ]
 
+let json_nesting_bounded () =
+  let nested n = String.make n '[' ^ String.make n ']' in
+  (match Json.parse (nested 512) with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "512 levels rejected: %s" msg);
+  Alcotest.(check (result reject string))
+    "513 levels" (Error "byte 512: nesting deeper than 512")
+    (Json.parse (nested 513));
+  (match Json.parse (String.concat "" (List.init 513 (fun _ -> "{\"k\":"))) with
+  | Error msg ->
+    Alcotest.(check bool) "objects count too" true (Astring.String.is_infix ~affix:"nesting" msg)
+  | Ok _ -> Alcotest.fail "513 nested objects accepted");
+  (* A frame of '[' under the 64 MiB cap must not hold the parser: the
+     old unbounded descent took 3 s on 4 MB, growing faster than
+     linearly. *)
+  let doc = String.make (30 * 1024 * 1024) '[' in
+  let t0 = Unix.gettimeofday () in
+  let r = Json.parse doc in
+  let dt = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool) "30 MB of '[' rejected" true (Result.is_error r);
+  if dt > 0.5 then Alcotest.failf "30 MB of '[' took %.2f s to reject" dt
+
+let json_unicode_escapes () =
+  let parses doc = match Json.parse doc with Ok (Json.String s) -> Some s | _ -> None in
+  Alcotest.(check (option string)) "\\u0041" (Some "A") (parses {|"\u0041"|});
+  Alcotest.(check (option string)) "mixed-case hex" (Some "\xff") (parses {|"\u00fF"|});
+  Alcotest.(check (option string)) "3-byte UTF-8" (Some "\xe2\x82\xac") (parses {|"\u20AC"|});
+  List.iter
+    (fun doc ->
+      match Json.parse doc with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "accepted bad \\u escape %S" doc)
+    [ {|"\u0_41"|}; {|"\u_041"|}; {|"\u+041"|}; {|"\u-041"|}; {|"\u 041"|}; {|"\u004"|};
+      {|"\u00g1"|}; {|"\u00|} ]
+
+let json_rejects_non_finite () =
+  List.iter
+    (fun doc ->
+      match Json.parse doc with
+      | Error msg ->
+        Alcotest.(check bool) (doc ^ ": bad number") true
+          (Astring.String.is_infix ~affix:"bad number" msg)
+      | Ok _ -> Alcotest.failf "accepted non-finite %S" doc)
+    [ "1e400"; "-1e400"; "[1.5e309]"; "{\"x\":2E999}" ];
+  Alcotest.(check bool) "largest double" true
+    (Json.parse "1.7976931348623157e308" = Ok (Json.Float Float.max_float));
+  Alcotest.(check bool) "underflow is finite" true (Json.parse "1e-400" = Ok (Json.Float 0.))
+
+(* --- Codec oracle ---
+
+   The printer copies runs of plain bytes whole and the parser scans by
+   index. The byte-at-a-time codec they replaced stays here, verbatim, as
+   the reference: the printers must agree byte for byte on every value,
+   and the parsers on every document, except where the new parser rejects
+   what the old one accepted by mistake (nesting past the depth bound, a
+   [\u] escape whose digits hold '_', a number that overflows to
+   infinity). *)
+
+module Reference = struct
+  type t = Json.t =
+    | Null
+    | Bool of bool
+    | Int of int
+    | Float of float
+    | String of string
+    | List of t list
+    | Obj of (string * t) list
+
+  (* --- Printing --- *)
+
+  let escape_string buf s =
+    Buffer.add_char buf '"';
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | '\b' -> Buffer.add_string buf "\\b"
+        | '\012' -> Buffer.add_string buf "\\f"
+        | c when Char.code c < 0x20 || Char.code c >= 0x7f ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.add_char buf '"'
+
+  let rec write buf = function
+    | Null -> Buffer.add_string buf "null"
+    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+    | Int n -> Buffer.add_string buf (string_of_int n)
+    | Float f ->
+      (* %.17g round-trips every finite double; integral floats keep a ".0"
+         marker so they re-parse as Float. *)
+      if Float.is_integer f && Float.abs f < 1e15 then
+        Buffer.add_string buf (Printf.sprintf "%.1f" f)
+      else Buffer.add_string buf (Printf.sprintf "%.17g" f)
+    | String s -> escape_string buf s
+    | List xs ->
+      Buffer.add_char buf '[';
+      List.iteri
+        (fun i x ->
+          if i > 0 then Buffer.add_char buf ',';
+          write buf x)
+        xs;
+      Buffer.add_char buf ']'
+    | Obj fields ->
+      Buffer.add_char buf '{';
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_char buf ',';
+          escape_string buf k;
+          Buffer.add_char buf ':';
+          write buf v)
+        fields;
+      Buffer.add_char buf '}'
+
+  let to_string v =
+    let buf = Buffer.create 256 in
+    write buf v;
+    Buffer.contents buf
+
+  (* --- Parsing: plain recursive descent over the byte string --- *)
+
+  exception Bad of string
+
+  type state = { s : string; mutable pos : int }
+
+  let error st msg = raise (Bad (Printf.sprintf "byte %d: %s" st.pos msg))
+
+  let peek st = if st.pos < String.length st.s then Some st.s.[st.pos] else None
+
+  let advance st = st.pos <- st.pos + 1
+
+  let rec skip_ws st =
+    match peek st with
+    | Some (' ' | '\t' | '\n' | '\r') ->
+      advance st;
+      skip_ws st
+    | _ -> ()
+
+  let expect st c =
+    match peek st with
+    | Some c' when c' = c -> advance st
+    | Some c' -> error st (Printf.sprintf "expected %C, got %C" c c')
+    | None -> error st (Printf.sprintf "expected %C, got end of input" c)
+
+  let literal st word value =
+    if
+      st.pos + String.length word <= String.length st.s
+      && String.sub st.s st.pos (String.length word) = word
+    then begin
+      st.pos <- st.pos + String.length word;
+      value
+    end
+    else error st (Printf.sprintf "expected %s" word)
+
+  let hex4 st =
+    if st.pos + 4 > String.length st.s then error st "truncated \\u escape";
+    let h = String.sub st.s st.pos 4 in
+    st.pos <- st.pos + 4;
+    match int_of_string_opt ("0x" ^ h) with
+    | Some n -> n
+    | None -> error st "bad \\u escape"
+
+  (* Codepoints < 256 decode to the raw byte (the printer's inverse); larger
+     ones are emitted as UTF-8 so nothing is silently dropped. *)
+  let add_codepoint buf n =
+    if n < 0x100 then Buffer.add_char buf (Char.chr n)
+    else if n < 0x800 then begin
+      Buffer.add_char buf (Char.chr (0xc0 lor (n lsr 6)));
+      Buffer.add_char buf (Char.chr (0x80 lor (n land 0x3f)))
+    end
+    else begin
+      Buffer.add_char buf (Char.chr (0xe0 lor (n lsr 12)));
+      Buffer.add_char buf (Char.chr (0x80 lor ((n lsr 6) land 0x3f)));
+      Buffer.add_char buf (Char.chr (0x80 lor (n land 0x3f)))
+    end
+
+  let parse_string st =
+    expect st '"';
+    let buf = Buffer.create 16 in
+    let rec loop () =
+      match peek st with
+      | None -> error st "unterminated string"
+      | Some '"' -> advance st
+      | Some '\\' -> (
+        advance st;
+        match peek st with
+        | None -> error st "unterminated escape"
+        | Some c ->
+          advance st;
+          (match c with
+          | '"' -> Buffer.add_char buf '"'
+          | '\\' -> Buffer.add_char buf '\\'
+          | '/' -> Buffer.add_char buf '/'
+          | 'n' -> Buffer.add_char buf '\n'
+          | 'r' -> Buffer.add_char buf '\r'
+          | 't' -> Buffer.add_char buf '\t'
+          | 'b' -> Buffer.add_char buf '\b'
+          | 'f' -> Buffer.add_char buf '\012'
+          | 'u' -> add_codepoint buf (hex4 st)
+          | c -> error st (Printf.sprintf "bad escape \\%C" c));
+          loop ())
+      | Some c ->
+        advance st;
+        Buffer.add_char buf c;
+        loop ()
+    in
+    loop ();
+    Buffer.contents buf
+
+  let parse_number st =
+    let start = st.pos in
+    let is_num_char = function
+      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+      | _ -> false
+    in
+    while
+      match peek st with
+      | Some c when is_num_char c -> true
+      | _ -> false
+    do
+      advance st
+    done;
+    let tok = String.sub st.s start (st.pos - start) in
+    let is_float = String.exists (function '.' | 'e' | 'E' -> true | _ -> false) tok in
+    if is_float then
+      match float_of_string_opt tok with
+      | Some f -> Float f
+      | None -> error st (Printf.sprintf "bad number %S" tok)
+    else
+      match int_of_string_opt tok with
+      | Some n -> Int n
+      | None -> error st (Printf.sprintf "bad number %S" tok)
+
+  let rec parse_value st =
+    skip_ws st;
+    match peek st with
+    | None -> error st "unexpected end of input"
+    | Some 'n' -> literal st "null" Null
+    | Some 't' -> literal st "true" (Bool true)
+    | Some 'f' -> literal st "false" (Bool false)
+    | Some '"' -> String (parse_string st)
+    | Some '[' ->
+      advance st;
+      skip_ws st;
+      if peek st = Some ']' then begin
+        advance st;
+        List []
+      end
+      else begin
+        let items = ref [ parse_value st ] in
+        skip_ws st;
+        while peek st = Some ',' do
+          advance st;
+          items := parse_value st :: !items;
+          skip_ws st
+        done;
+        expect st ']';
+        List (List.rev !items)
+      end
+    | Some '{' ->
+      advance st;
+      skip_ws st;
+      if peek st = Some '}' then begin
+        advance st;
+        Obj []
+      end
+      else begin
+        let field () =
+          skip_ws st;
+          let k = parse_string st in
+          skip_ws st;
+          expect st ':';
+          let v = parse_value st in
+          (k, v)
+        in
+        let fields = ref [ field () ] in
+        skip_ws st;
+        while peek st = Some ',' do
+          advance st;
+          fields := field () :: !fields;
+          skip_ws st
+        done;
+        expect st '}';
+        Obj (List.rev !fields)
+      end
+    | Some ('-' | '0' .. '9') -> parse_number st
+    | Some c -> error st (Printf.sprintf "unexpected %C" c)
+
+  let parse s =
+    let st = { s; pos = 0 } in
+    match parse_value st with
+    | v ->
+      skip_ws st;
+      if st.pos <> String.length s then
+        Error (Printf.sprintf "byte %d: trailing bytes after document" st.pos)
+      else Ok v
+    | exception Bad msg -> Error msg
+end
+
+(* Strings over all 256 byte values, weighted towards the bytes the codec
+   treats specially and towards long plain runs. *)
+let gen_json_string =
+  let open QCheck2.Gen in
+  let special = "\"\\/\n\r\t\b\012\000\031\127\128\255u" in
+  string_size (int_range 0 40)
+    ~gen:
+      (frequency
+         [ (4, map Char.chr (int_range 0x20 0x7e)); (2, map Char.chr (int_bound 255));
+           (1, map (String.get special) (int_bound (String.length special - 1))) ])
+
+let gen_json ~finite =
+  let open QCheck2.Gen in
+  let scalar =
+    oneof
+      [ return Json.Null; map (fun b -> Json.Bool b) bool; map (fun n -> Json.Int n) int;
+        map (fun n -> Json.Int n) (int_range (-1000) 1000);
+        map (fun f -> Json.Float f) (if finite then float_range (-1e300) 1e300 else float);
+        map (fun n -> Json.Float (float_of_int n)) (int_range (-100) 100);
+        map (fun s -> Json.String s) gen_json_string ]
+  in
+  sized_size (int_bound 4)
+  @@ fix (fun self depth ->
+         if depth = 0 then scalar
+         else
+           frequency
+             [ (2, scalar);
+               (1, map (fun xs -> Json.List xs) (list_size (int_bound 5) (self (depth - 1))));
+               ( 1,
+                 map (fun fs -> Json.Obj fs)
+                   (list_size (int_bound 5) (pair gen_json_string (self (depth - 1)))) ) ])
+
+(* Bytes a mutation writes: every structural byte, escape letters, hex and
+   non-hex digits, number characters, whitespace and raw high bytes. *)
+let json_mutation_bytes = "[]{},:\"\\/ubfnrtx0123456789aAfFgG_-+.eE \n\t\r\000\127\255"
+
+(* A printed random value, then byte inserts, replacements and deletions,
+   then maybe a truncation. *)
+let gen_json_doc =
+  let open QCheck2.Gen in
+  let* doc = map Json.to_string (gen_json ~finite:false) in
+  let* edits =
+    list_size (int_range 0 4)
+      (triple (int_bound 2) (float_bound_exclusive 1.0)
+         (int_bound (String.length json_mutation_bytes - 1)))
+  in
+  let* cut = option (float_bound_exclusive 1.0) in
+  let mutate doc (kind, at, byte) =
+    let i = int_of_float (at *. float_of_int (String.length doc)) in
+    let b = String.make 1 json_mutation_bytes.[byte] in
+    let before = String.sub doc 0 i and after = String.sub doc i (String.length doc - i) in
+    let rest = if after = "" then "" else String.sub after 1 (String.length after - 1) in
+    match kind with 0 -> before ^ b ^ after | 1 -> before ^ b ^ rest | _ -> before ^ rest
+  in
+  let doc = List.fold_left mutate doc edits in
+  return
+    (match cut with
+    | Some at -> String.sub doc 0 (int_of_float (at *. float_of_int (String.length doc)))
+    | None -> doc)
+
+let rec json_depth = function
+  | Json.List xs -> 1 + List.fold_left (fun d x -> max d (json_depth x)) 0 xs
+  | Json.Obj fs -> 1 + List.fold_left (fun d (_, x) -> max d (json_depth x)) 0 fs
+  | _ -> 0
+
+let rec json_finite = function
+  | Json.Float f -> Float.is_finite f
+  | Json.List xs -> List.for_all json_finite xs
+  | Json.Obj fs -> List.for_all (fun (_, x) -> json_finite x) fs
+  | _ -> true
+
+(* The new parser's [Error msg] on a document the reference accepted as
+   [v] is one of the three intended rejections. *)
+let intended_rejection doc msg v =
+  json_depth v > 512
+  || (not (json_finite v))
+  ||
+  match Scanf.sscanf_opt msg "byte %d: %s@\n" (fun at rest -> (at, rest)) with
+  | Some (at, "bad \\u escape") ->
+    at + 4 <= String.length doc && String.contains (String.sub doc at 4) '_'
+  | _ -> false
+
+let json_printer_matches_reference =
+  Helpers.qtest ~count:500 ~print:(fun v -> Reference.to_string v)
+    "json: printer byte-identical to the reference" (gen_json ~finite:false) (fun v ->
+      Json.to_string v = Reference.to_string v)
+
+let json_parser_matches_reference =
+  Helpers.qtest ~count:1000 ~print:(Printf.sprintf "%S")
+    "json: parser agrees with the reference" gen_json_doc (fun doc ->
+      match (Json.parse doc, Reference.parse doc) with
+      | Ok v, Ok v' -> v = v'
+      | Error _, Error _ -> true
+      | Ok _, Error _ -> false
+      | Error msg, Ok v -> intended_rejection doc msg v)
+
+let json_round_trip_prop =
+  Helpers.qtest ~count:500 ~print:(fun v -> Json.to_string v)
+    "json: parse (to_string v) = Ok v" (gen_json ~finite:true) (fun v ->
+      Json.parse (Json.to_string v) = Ok v)
+
+(* Random documents, their mutations, and raw byte strings, also as
+   request frames: the codec answers [Ok] or [Error], never raises. *)
+let json_only_errors_escape =
+  let gen =
+    QCheck2.Gen.(
+      oneof
+        [ gen_json_doc; string_size (int_range 0 64);
+          map
+            (fun params ->
+              Protocol.encode_request { Protocol.id = 1; op = "predict"; params })
+            (gen_json ~finite:false) ])
+  in
+  Helpers.qtest ~count:1000 ~print:(Printf.sprintf "%S")
+    "json: only Error escapes parse and decode_request" gen (fun doc ->
+      ignore (Json.parse doc);
+      ignore (Protocol.decode_request doc);
+      true)
+
 (* --- Wire protocol --- *)
 
 let with_socketpair f =
@@ -1228,6 +1650,50 @@ let idle_sweeper_closes_stalled () =
       Alcotest.(check bool) "stall counted" true
         ((Admit.counters (Server.admit server)).Admit.idle_closed >= 1))
 
+(* A handler that raises still releases its connection: each client reads
+   EOF at once (not its own read timeout) and the connection count returns
+   to 0. *)
+let raising_handler_releases_conn () =
+  let module Accept = Vrp_server.Accept in
+  let admit = Admit.create () in
+  let acc = Accept.create ~family:"raising" ~ops:[] ~samples:(fun () -> []) admit in
+  let sock = overload_sock "raising" in
+  (try Sys.remove sock with _ -> ());
+  let listen_fd = Server.listen_unix sock in
+  let th =
+    Thread.create
+      (fun () -> Accept.serve acc ~handle:(fun _ -> failwith "handler bug") listen_fd)
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Accept.stop acc;
+      Thread.join th;
+      Accept.close acc;
+      (try Unix.close listen_fd with _ -> ());
+      try Sys.remove sock with _ -> ())
+    (fun () ->
+      let fds = List.init 5 (fun _ -> Client.connect_fd sock) in
+      Fun.protect
+        ~finally:(fun () -> List.iter (fun fd -> try Unix.close fd with _ -> ()) fds)
+        (fun () ->
+          List.iter
+            (fun fd ->
+              Protocol.write_frame fd
+                (Protocol.encode_request { Protocol.id = 1; op = "ping"; params = Json.Null }))
+            fds;
+          List.iter
+            (fun fd ->
+              match Unix.select [ fd ] [] [] 5.0 with
+              | [], _, _ -> Alcotest.fail "client got no EOF from a raising handler"
+              | _ -> Alcotest.(check (option string)) "EOF" None (Protocol.read_frame fd))
+            fds);
+      let deadline = Unix.gettimeofday () +. 5.0 in
+      while Admit.conns admit > 0 && Unix.gettimeofday () < deadline do
+        Thread.delay 0.01
+      done;
+      Alcotest.(check int) "connections released" 0 (Admit.conns admit))
+
 (* The acceptance scenario: a daemon capped at 2 in-flight requests, 16
    concurrent remote clients. Shed clients honor retry_after_ms and every
    one of them ends with the byte-identical one-shot answer. *)
@@ -1925,4 +2391,12 @@ let suite =
       tc "compile memo: session edit rebuilds one function" `Quick session_edit_rebuilds_one_function;
       tc "compile memo: consumers leave served IR untouched" `Quick memoised_fns_read_only;
       tc "compile memo: bounded under nameless predicts" `Quick memo_bounded_under_nameless_predicts;
+      tc "raising handler releases its connection" `Quick raising_handler_releases_conn;
+      tc "json nesting bounded" `Quick json_nesting_bounded;
+      tc "json \\u takes four hex digits" `Quick json_unicode_escapes;
+      tc "json rejects non-finite numbers" `Quick json_rejects_non_finite;
+      json_printer_matches_reference;
+      json_parser_matches_reference;
+      json_round_trip_prop;
+      json_only_errors_escape;
     ] )

@@ -1,9 +1,8 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation, runs the ablation sweeps DESIGN.md calls out, and times the
-   core phases with Bechamel.
+   evaluation and runs the ablation sweeps DESIGN.md calls out.
 
    Usage:
-     bench/main.exe                 run everything (figures + ablations + perf)
+     bench/main.exe                 run everything (figures + ablations)
      bench/main.exe fig4            the worked example (paper Figure 4)
      bench/main.exe fig5            expression evaluations vs program size
      bench/main.exe fig6            evaluation sub-operations vs program size
@@ -14,7 +13,6 @@
      bench/main.exe ablate-assert   with/without branch assertions
      bench/main.exe ablate-derive   with/without loop derivation
      bench/main.exe ablate-trip     trip-count prior sweep
-     bench/main.exe perf            Bechamel micro/macro timings
 
    End-to-end speed is measured by perfbench/ (see perfbench/README.md). *)
 
@@ -170,70 +168,6 @@ let ablate_trip_prior () =
       Printf.printf "  %8.1f %18.2f\n%!" trip_prior err)
     [ 1.0; 4.0; 10.0; 25.0; 100.0 ]
 
-(* --- Bechamel timings --- *)
-
-let perf () =
-  header "Performance (Bechamel; one Test.make per phase)";
-  let open Bechamel in
-  let open Toolkit in
-  (* Pre-compiled inputs so the benchmarks time only the phase of interest. *)
-  let qsort = Option.get (Suite.find "qsort") in
-  let compiled = Pipeline.compile qsort.Suite.source in
-  let main_fn = Option.get (Vrp_ir.Ir.find_fn compiled.Pipeline.ssa "main") in
-  let r1 =
-    Vrp_ranges.Value.of_ranges
-      [
-        Vrp_ranges.Srange.numeric ~p:0.7 (Vrp_ranges.Progression.make 32 256 1);
-        Vrp_ranges.Srange.numeric ~p:0.3 (Vrp_ranges.Progression.make 3 21 3);
-      ]
-  in
-  let r2 =
-    Vrp_ranges.Value.of_ranges
-      [
-        Vrp_ranges.Srange.numeric ~p:0.6 (Vrp_ranges.Progression.make 16 100 4);
-        Vrp_ranges.Srange.numeric ~p:0.4 (Vrp_ranges.Progression.make 8 8 0);
-      ]
-  in
-  let tests =
-    [
-      Test.make ~name:"range-add"
-        (Staged.stage (fun () -> Vrp_ranges.Value.binop Vrp_lang.Ast.Add r1 r2));
-      Test.make ~name:"range-cmp-prob"
-        (Staged.stage (fun () -> Vrp_ranges.Value.cmp_prob Vrp_lang.Ast.Lt r1 r2));
-      Test.make ~name:"front-end-qsort"
-        (Staged.stage (fun () -> Pipeline.compile qsort.Suite.source));
-      Test.make ~name:"sccp-qsort-main"
-        (Staged.stage (fun () -> Vrp_core.Sccp.analyze main_fn));
-      Test.make ~name:"vrp-qsort-main"
-        (Staged.stage (fun () -> Engine.analyze main_fn));
-      Test.make ~name:"vrp-numeric-qsort-main"
-        (Staged.stage (fun () -> Engine.analyze ~config:Engine.numeric_only_config main_fn));
-      Test.make ~name:"ball-larus-qsort"
-        (Staged.stage (fun () -> Vrp_predict.Predictor.ball_larus compiled.Pipeline.ssa));
-      Test.make ~name:"interproc-vrp-qsort"
-        (Staged.stage (fun () -> Vrp_core.Interproc.analyze compiled.Pipeline.ssa));
-    ]
-  in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:(Some 1000) () in
-  let results =
-    List.map
-      (fun test ->
-        let raw = Benchmark.all cfg instances test in
-        Analyze.all ols Instance.monotonic_clock raw)
-      (List.map (fun t -> Test.make_grouped ~name:"vrp" ~fmt:"%s/%s" [ t ]) tests)
-  in
-  List.iter
-    (fun tbl ->
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ est ] -> Printf.printf "  %-34s %14.1f ns/run\n%!" name est
-          | Some _ | None -> Printf.printf "  %-34s (no estimate)\n%!" name)
-        tbl)
-    results
-
 let all () =
   fig4 ();
   fig5 ();
@@ -244,8 +178,7 @@ let all () =
   ablate_worklist ();
   ablate_assert ();
   ablate_derive ();
-  ablate_trip_prior ();
-  perf ()
+  ablate_trip_prior ()
 
 let () =
   match Array.to_list Sys.argv with
@@ -260,8 +193,7 @@ let () =
   | [ _; "ablate-assert" ] -> ablate_assert ()
   | [ _; "ablate-derive" ] -> ablate_derive ()
   | [ _; "ablate-trip" ] -> ablate_trip_prior ()
-  | [ _; "perf" ] -> perf ()
   | _ ->
     prerr_endline
-      "usage: main.exe [all|fig4|fig5|fig6|fig7|fig8|ablate-r|ablate-worklist|ablate-assert|ablate-derive|ablate-trip|perf]";
+      "usage: main.exe [all|fig4|fig5|fig6|fig7|fig8|ablate-r|ablate-worklist|ablate-assert|ablate-derive|ablate-trip]";
     exit 2

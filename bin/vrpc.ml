@@ -603,20 +603,6 @@ let write_file path contents =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc contents)
 
-(* lib/learn/default_model.ml is generated: the model bytes as an OCaml
-   string literal, so the default model is compiled into every consumer. *)
-let emit_ml_module bytes =
-  String.concat "\n"
-    [
-      "(* The committed default model, embedded as a string. Regenerated by";
-      "   [vrpc train --emit-ml] from the pinned seed — do not edit by hand; CI's";
-      "   train-smoke job diffs this module against a fresh training run and";
-      "   against models/default.vrpmodel. *)";
-      "";
-      Printf.sprintf "let data = \"%s\"" (String.escaped bytes);
-      "";
-    ]
-
 let resolve_profile name =
   match Vrp_fuzz.Gen.profile_named name with
   | Some p -> p
@@ -629,7 +615,7 @@ let resolve_profile name =
                Vrp_fuzz.Gen.profiles)));
     exit 2
 
-let train seed count profile depth min_leaf jobs out emit_ml =
+let train seed count profile depth min_leaf jobs out =
   let module Dataset = Vrp_learn.Dataset in
   let module Tree = Vrp_learn.Tree in
   let profile =
@@ -647,15 +633,9 @@ let train seed count profile depth min_leaf jobs out emit_ml =
     (Tree.node_depth model.Tree.root) min_leaf
     (Tree.node_count model.Tree.root);
   Printf.printf "model digest: %s\n" (Tree.digest model);
-  let bytes = Tree.to_string model in
-  (match out with
+  match out with
   | Some path ->
-    write_file path bytes;
-    Printf.printf "wrote %s\n" path
-  | None -> ());
-  match emit_ml with
-  | Some path ->
-    write_file path (emit_ml_module bytes);
+    write_file path (Tree.to_string model);
     Printf.printf "wrote %s\n" path
   | None -> ()
 
@@ -694,15 +674,6 @@ let train_out_arg =
     value
     & opt (some string) None
     & info [ "out" ] ~docv:"FILE" ~doc:"Write the trained .vrpmodel to $(docv).")
-
-let train_emit_ml_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "emit-ml" ] ~docv:"FILE"
-        ~doc:
-          "Also write the model as the generated OCaml module embedding the \
-           default model (lib/learn/default_model.ml).")
 
 (* --- fuzz: property-based soundness campaign --- *)
 
@@ -908,8 +879,7 @@ let train_cmd =
      parameters reproduce the model byte-for-byte."
     Term.(
       const train $ train_seed_arg $ train_count_arg $ train_profile_arg
-      $ train_depth_arg $ train_min_leaf_arg $ jobs_arg $ train_out_arg
-      $ train_emit_ml_arg)
+      $ train_depth_arg $ train_min_leaf_arg $ jobs_arg $ train_out_arg)
 
 let fuzz_cmd =
   cmd_of "fuzz"

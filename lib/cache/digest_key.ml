@@ -1,15 +1,13 @@
 (** Content-addressed keys for function summaries (see the interface).
 
-    A function's IR, the parameter values and the oracle answers are
-    digested through [Marshal] with sharing disabled: they are acyclic
+    Every key is an MD5 over [Marshal] with sharing disabled: the IR, the
+    configuration, the parameter values and the oracle answers are acyclic
     trees, so the bytes are a function of structure alone. Marshal writes a
     constructor as its position in the type, so reordering a
     constructor of [Ir] or of [Ast.ty], [relop] or [binop] gives old bytes
-    a new meaning; the IR digest therefore folds in [format_version] and
-    [Sys.ocaml_version], and a cache test pins the digests of a program
-    that uses every such constructor. The configuration and reply keys
-    keep an explicit serializer: ints in decimal, floats by IEEE-754 bit
-    pattern, strings length-prefixed, one-byte tags. *)
+    a new meaning; the IR and configuration digests therefore fold in
+    [format_version] and [Sys.ocaml_version], and a cache test pins the
+    digests of a program that uses every such constructor. *)
 
 module Ir = Vrp_ir.Ir
 module Value = Vrp_ranges.Value
@@ -17,31 +15,7 @@ module Engine = Vrp_core.Engine
 
 let format_version = 4
 
-(* --- Primitive serializers --- *)
-
-let add_tag buf c = Buffer.add_char buf c
-
-let add_int buf n =
-  Buffer.add_string buf (string_of_int n);
-  Buffer.add_char buf ';'
-
-let add_float buf f =
-  Buffer.add_string buf (Printf.sprintf "%Lx" (Int64.bits_of_float f));
-  Buffer.add_char buf ';'
-
-let add_string buf s =
-  add_int buf (String.length s);
-  Buffer.add_string buf s
-
-let add_list buf add xs =
-  add_int buf (List.length xs);
-  List.iter (add buf) xs
-
-let add_option buf add = function
-  | None -> add_tag buf 'N'
-  | Some x ->
-    add_tag buf 'S';
-    add buf x
+let marshal_digest v = Digest.string (Marshal.to_string v [ Marshal.No_sharing ])
 
 (* --- IR digest --- *)
 
@@ -70,7 +44,7 @@ let fn_digest (fn : Ir.fn) =
       fn.Ir.nvars,
       blocks )
   in
-  Digest.to_hex (Digest.string (Marshal.to_string projection [ Marshal.No_sharing ]))
+  Digest.to_hex (marshal_digest projection)
 
 type fn_key = { digest : string; callees : string list }
 
@@ -102,8 +76,6 @@ and erase_desc = function
 
 and erase_block b = List.map erase_stmt b
 
-let marshal_digest v = Digest.string (Marshal.to_string v [ Marshal.No_sharing ])
-
 let compile_env (p : Ast.program) =
   marshal_digest
     ( List.map (fun (f : Ast.func) -> (f.Ast.fname, f.Ast.fty)) p.Ast.funcs,
@@ -113,58 +85,31 @@ let compile_key ~env (f : Ast.func) =
   "compile-"
   ^ Digest.to_hex (marshal_digest (env, { f with Ast.fline = 0; body = erase_block f.Ast.body }))
 
-(* --- Configuration serialization ---
+(* --- Configuration ---
 
-   Every field of [Engine.config] is written out explicitly: adding a field
-   to the record breaks this match-free construction loudly only if you
-   remember it here, so keep the list in sync (the cache tests flip each
-   analysis-relevant flag and assert the digest moves). *)
+   The whole record is digested, so a new [Engine.config] field is keyed
+   without further edits (the cache tests flip each analysis-relevant flag
+   and assert the digest moves). [cancel] is the one exception: a
+   supervision token is non-semantic (it can only abort an analysis, never
+   change its result), and keying on it would make every retry attempt a
+   spurious miss. [max_ranges] is a global tunable the engine reads outside
+   its config record. *)
 
 let config_digest (c : Engine.config) =
-  let buf = Buffer.create 128 in
-  add_int buf format_version;
-  add_tag buf (if c.Engine.symbolic then 't' else 'f');
-  add_tag buf (if c.Engine.use_assertions then 't' else 'f');
-  add_tag buf (if c.Engine.use_derivation then 't' else 'f');
-  add_tag buf (if c.Engine.algebra then 't' else 'f');
-  add_int buf c.Engine.eval_quota;
-  add_float buf c.Engine.trip_prior;
-  add_tag buf (if c.Engine.flow_first then 't' else 'f');
-  add_int buf c.Engine.max_growth;
-  add_option buf (fun buf fault -> add_string buf (Vrp_diag.Diag.Fault.to_string fault))
-    c.Engine.fault;
-  (* [c.Engine.cancel] is deliberately NOT digested: a supervision token is
-     non-semantic (it can only abort an analysis, never change its result),
-     and keying on it would make every retry attempt a spurious miss. *)
-  (* Global tunables the engine reads outside its config record. *)
-  add_int buf !Vrp_ranges.Config.max_ranges;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+  Digest.to_hex
+    (marshal_digest
+       (format_version, Sys.ocaml_version, { c with Engine.cancel = None },
+        !Vrp_ranges.Config.max_ranges))
 
 (* --- Analysis inputs --- *)
 
-let add_value buf (v : Value.t) =
-  (* Values are acyclic immutable trees built deterministically by the
-     range algebra; [No_sharing] makes the bytes a function of structure. *)
-  add_string buf (Marshal.to_string v [ Marshal.No_sharing ])
-
 let task_key ~fn_digest ~config_digest ~param_values ~callee_returns =
-  let buf = Buffer.create 256 in
-  add_list buf add_value param_values;
-  add_list buf
-    (fun buf (name, v) ->
-      add_string buf name;
-      add_value buf v)
-    callee_returns;
   Printf.sprintf "%s-%s-%s" fn_digest config_digest
-    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+    (Digest.to_hex (marshal_digest (param_values, callee_returns)))
 
 (* --- Whole replies --- *)
 
 let reply_key ~source_md5 ~config_digest ~diagnostics ~strict ~model_digest =
-  let buf = Buffer.create 128 in
-  add_string buf source_md5;
-  add_string buf config_digest;
-  add_tag buf (if diagnostics then 't' else 'f');
-  add_tag buf (if strict then 't' else 'f');
-  add_option buf add_string model_digest;
-  "reply-" ^ Digest.to_hex (Digest.string (Buffer.contents buf))
+  "reply-"
+  ^ Digest.to_hex
+      (marshal_digest (source_md5, config_digest, diagnostics, strict, model_digest))

@@ -9,20 +9,21 @@
     - a digest of the analysis inputs: the parameter ranges and the return
       ranges the call oracle would answer for the function's static callees.
 
-    Digests are MD5 over byte encodings that are injective on structure:
-    the IR and the values through [Marshal] with sharing disabled, the
-    configuration through an explicit serialization (ints exact, floats by
-    IEEE bit pattern). Equal keys mean structurally identical inputs, so
-    the memoized summary can be reused soundly. *)
+    Digests are MD5 over [Marshal] with sharing disabled, which is
+    injective on structure (ints exact, floats by IEEE bit pattern). Equal
+    keys mean structurally identical inputs, so the memoized summary can be
+    reused soundly. *)
 
 module Ir = Vrp_ir.Ir
 module Value = Vrp_ranges.Value
 module Engine = Vrp_core.Engine
 
-(** Bump when the serialization or the summary format changes, and when a
-    constructor of [Ir], [Ast.ty], [Ast.relop] or [Ast.binop] is added,
-    removed or reordered: Marshal encodes constructors by their position
-    in the type. Bumping invalidates every existing on-disk cache entry. *)
+(** Bump when the serialization or the summary format changes, when a
+    constructor of [Ir], [Ast.ty], [Ast.relop], [Ast.binop] or
+    [Diag.Fault.t] is added, removed or reordered, and when fields of
+    [Engine.config] are reordered: Marshal encodes constructors and fields
+    by their position in the type. Bumping invalidates every existing
+    on-disk cache entry. *)
 val format_version : int
 
 (** Structural digest (hex) of one function's SSA IR: MD5 over the
@@ -56,8 +57,10 @@ val compile_env : Vrp_lang.Ast.program -> string
     its key. Distinct from every {!task_key} and {!reply_key}. *)
 val compile_key : env:string -> Vrp_lang.Ast.func -> string
 
-(** Digest (hex) of an engine configuration, including the global
-    {!Vrp_ranges.Config.max_ranges} budget and {!format_version}. *)
+(** Digest (hex) of an engine configuration: MD5 over the marshalled
+    [(format_version, Sys.ocaml_version, config, max_ranges)], with the
+    non-semantic [cancel] token cleared and the global
+    {!Vrp_ranges.Config.max_ranges} budget read at call time. *)
 val config_digest : Engine.config -> string
 
 (** Full memo key for one analysis task. [callee_returns] must cover the

@@ -14,7 +14,7 @@ val of_string : ?what:string -> string -> (Tree.t, Diag.diag) result
 val load : string -> (Tree.t, Diag.diag) result
 
 (** The committed default model, embedded at build time
-    ([models/default.vrpmodel] holds the same bytes).
+    (a dune rule generates it from [models/default.vrpmodel]).
     @raise Failure if the embedded bytes are corrupt — a build error, not a
     runtime condition. *)
 val default : Tree.t Lazy.t

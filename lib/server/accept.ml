@@ -108,6 +108,10 @@ let conn_loop t ~handle c =
   let answer resp =
     try Protocol.write_frame fd (Protocol.encode_response resp) with _ -> ()
   in
+  let contain ~rid ~kind msg =
+    locked t (fun () -> t.counters.contained <- t.counters.contained + 1);
+    answer (Protocol.error_response ~rid ~kind msg)
+  in
   let read_one () =
     c.read_started <- Unix.gettimeofday ();
     Fun.protect ~finally:(fun () -> c.read_started <- 0.) (fun () ->
@@ -118,11 +122,14 @@ let conn_loop t ~handle c =
     | None -> ()
     | Some payload ->
       (match Protocol.decode_request payload with
-      | Error msg ->
-        locked t (fun () -> t.counters.contained <- t.counters.contained + 1);
-        answer (Protocol.error_response ~rid:0 ~kind:"bad-request" msg)
+      | Error msg -> contain ~rid:0 ~kind:"bad-request" msg
       | Ok req ->
-        answer (handle req);
+        (* [handle] contains every exception of its own; one that still
+           escapes is a handler bug, answered and counted like a bad frame
+           so the connection keeps serving. *)
+        (match handle req with
+        | resp -> answer resp
+        | exception e -> contain ~rid:req.Protocol.id ~kind:"internal" (Printexc.to_string e));
         (* A shutdown request stops the daemon only after its response is
            on the wire, so the requesting client gets its acknowledgment. *)
         if t.stop_requested then stop t);
@@ -135,8 +142,8 @@ let conn_loop t ~handle c =
       Admit.note_idle_closed t.admit
     | exception Unix.Unix_error _ -> ()
   in
-  (* Whatever [decode_request] or [handle] raises, the socket and its
-     connection slot are released, so the peer reads EOF at once. *)
+  (* However the loop ends, the socket and its connection slot are
+     released, so the peer reads EOF at once. *)
   Fun.protect
     ~finally:(fun () ->
       close_conn t c;

@@ -88,7 +88,9 @@ val handle : 'd t -> 'd -> Protocol.request -> Protocol.response
 (** Accept connections on [listen_fd] until {!stop} (or a [shutdown]
     request, once its response is on the wire), spawning one handler thread per connection
     that answers each decoded request with [handle] (the daemon's wrapper
-    around {!handle}); on exit, wakes every in-flight connection and joins
+    around {!handle}). Should [handle] raise, the request is answered with
+    an [internal] {!Protocol.error_response}, counted [contained], and the
+    connection keeps serving. On exit, wakes every in-flight connection and joins
     its thread, then rearms so a later [serve] on the same [t] starts
     clean. Does not close [listen_fd]. *)
 val serve : 'd t -> handle:(Protocol.request -> Protocol.response) -> Unix.file_descr -> unit

@@ -1650,9 +1650,10 @@ let idle_sweeper_closes_stalled () =
       Alcotest.(check bool) "stall counted" true
         ((Admit.counters (Server.admit server)).Admit.idle_closed >= 1))
 
-(* A handler that raises still releases its connection: each client reads
-   EOF at once (not its own read timeout) and the connection count returns
-   to 0. *)
+(* A handler that raises is contained by the accept loop: each client reads
+   one [internal] error frame for its request at once (not its own read
+   timeout), every such request is counted contained, and the connection
+   count returns to 0 once the clients close. *)
 let raising_handler_releases_conn () =
   let module Accept = Vrp_server.Accept in
   let admit = Admit.create () in
@@ -1685,9 +1686,19 @@ let raising_handler_releases_conn () =
           List.iter
             (fun fd ->
               match Unix.select [ fd ] [] [] 5.0 with
-              | [], _, _ -> Alcotest.fail "client got no EOF from a raising handler"
-              | _ -> Alcotest.(check (option string)) "EOF" None (Protocol.read_frame fd))
+              | [], _, _ -> Alcotest.fail "client got no answer from a raising handler"
+              | _ -> (
+                match Option.map Protocol.decode_response (Protocol.read_frame fd) with
+                | Some (Ok r) ->
+                  Alcotest.(check bool) "not ok" false r.Protocol.ok;
+                  Alcotest.(check int) "request id echoed" 1 r.Protocol.rid;
+                  Alcotest.(check (option string)) "kind" (Some "internal")
+                    (Option.bind (List.assoc_opt "diagnostic" r.Protocol.data)
+                       (Json.mem_string "kind"))
+                | Some (Error msg) -> Alcotest.failf "undecodable answer: %s" msg
+                | None -> Alcotest.fail "EOF instead of an internal error"))
             fds);
+      Alcotest.(check int) "contained" 5 (Accept.counters acc).Accept.contained;
       let deadline = Unix.gettimeofday () +. 5.0 in
       while Admit.conns admit > 0 && Unix.gettimeofday () < deadline do
         Thread.delay 0.01

@@ -64,18 +64,6 @@ let fn_keys (program : Ir.program) =
 
 module Ast = Vrp_lang.Ast
 
-let rec erase_stmt (s : Ast.stmt) = { Ast.sline = 0; sdesc = erase_desc s.Ast.sdesc }
-
-and erase_desc = function
-  | Ast.Sif (c, t, e) -> Ast.Sif (c, erase_block t, Option.map erase_block e)
-  | Ast.Swhile (c, b) -> Ast.Swhile (c, erase_block b)
-  | Ast.Sfor (init, c, step, b) ->
-    Ast.Sfor (Option.map erase_stmt init, c, Option.map erase_stmt step, erase_block b)
-  | (Ast.Sdecl _ | Ast.Sassign _ | Ast.Sreturn _ | Ast.Sbreak | Ast.Scontinue | Ast.Sexpr _)
-    as d -> d
-
-and erase_block b = List.map erase_stmt b
-
 let compile_env (p : Ast.program) =
   marshal_digest
     ( List.map (fun (f : Ast.func) -> (f.Ast.fname, f.Ast.fty)) p.Ast.funcs,
@@ -83,7 +71,7 @@ let compile_env (p : Ast.program) =
 
 let compile_key ~env (f : Ast.func) =
   "compile-"
-  ^ Digest.to_hex (marshal_digest (env, { f with Ast.fline = 0; body = erase_block f.Ast.body }))
+  ^ Digest.to_hex (marshal_digest (env, Ast.map_func_lines (fun _ -> 0) f))
 
 (* --- Configuration ---
 

@@ -488,13 +488,13 @@ let store_compiled_locked t ~slot key fn baselines fn_key =
   Hashtbl.replace t.compiled_at slot key;
   insert_locked t key (Compiled { fn; baselines; fn_key; slot })
 
-let compile ?(slot_prefix = "") t source =
+let compile ?(slot_prefix = "") ?parse_group ?(compile_key = Digest_key.compile_key) t source =
   let keys = Hashtbl.create 16 in
   let memo ast =
     let env = Digest_key.compile_env ast in
     fun (f : Vrp_lang.Ast.func) build ->
       let fname = f.Vrp_lang.Ast.fname in
-      let key = Digest_key.compile_key ~env f in
+      let key = compile_key ~env f in
       let cached =
         locked t (fun () ->
             match Hashtbl.find_opt t.mem key with
@@ -519,7 +519,7 @@ let compile ?(slot_prefix = "") t source =
       Hashtbl.replace keys fname fn_key;
       (fn, baselines)
   in
-  Result.map (fun c -> (c, keys)) (Pipeline.compile_result ~memo source)
+  Result.map (fun c -> (c, keys)) (Pipeline.compile_result ?parse_group ~memo source)
 
 (* --- The memoizing analyze_fn --- *)
 

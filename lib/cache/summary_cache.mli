@@ -152,9 +152,15 @@ val store_reply : t -> key:string -> reply -> unit
     [compile_misses], never in [hits], [misses] or [stores]). A slot keeps
     one compiled entry, so editing a function drops its previous version.
     Served functions are shared with every later request: no consumer may
-    write to them. A summary computed from one holds that same [Ir.fn]. *)
+    write to them. A summary computed from one holds that same [Ir.fn].
+    [parse_group] is {!Vrp_core.Pipeline.compile}'s; [compile_key]
+    (default {!Digest_key.compile_key}) must return what that function
+    does, and lets a caller that remembers an unchanged function's key
+    skip hashing it again. *)
 val compile :
   ?slot_prefix:string ->
+  ?parse_group:(Vrp_lang.Front.group -> Vrp_lang.Ast.program) ->
+  ?compile_key:(env:string -> Vrp_lang.Ast.func -> string) ->
   t ->
   string ->
   ( Vrp_core.Pipeline.compiled * (string, Digest_key.fn_key) Hashtbl.t,

@@ -128,13 +128,14 @@ let is_digit c = c >= '0' && c <= '9'
 let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_ident_char c = is_ident_start c || is_digit c
 
-(** [tokenize src] turns [src] into a token array ending with [EOF].
-    Supports [//] line comments and [/* */] block comments.
+(** [tokenize ~line src] turns [src], whose first character sits at column
+    1 of source line [line] (default 1), into a token array ending with
+    [EOF]. Supports [//] line comments and [/* */] block comments.
     @raise Error on malformed input. *)
-let tokenize (src : string) : lexed array =
+let tokenize ?(line = 1) (src : string) : lexed array =
   let n = String.length src in
   let pos = ref 0 in
-  let line = ref 1 in
+  let line = ref line in
   let bol = ref 0 in
   (* A growing buffer, sized so that it rarely grows: the benchmark
      corpus's sources run from 2.6 to 4.3 bytes a token. *)

@@ -60,7 +60,8 @@ type lexed = { tok : token; line : int; col : int }
 val keyword_of_string : string -> token option
 val token_to_string : token -> string
 
-(** Tokenise a whole source (supports [//] and [/* */] comments); the result
-    ends with [EOF].
+(** Tokenise a source (supports [//] and [/* */] comments) whose first
+    character sits at column 1 of line [line] (default 1); the result ends
+    with [EOF].
     @raise Error on malformed input. *)
-val tokenize : string -> lexed array
+val tokenize : ?line:int -> string -> lexed array

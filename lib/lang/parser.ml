@@ -445,8 +445,8 @@ let parse_params st =
     loop []
   end
 
-let parse_program (src : string) : program =
-  let toks = Lexer.tokenize src in
+let parse_program ?line (src : string) : program =
+  let toks = Lexer.tokenize ?line src in
   let st = { toks; pos = 0 } in
   let globals = ref [] in
   let funcs = ref [] in

@@ -31,16 +31,35 @@ let column (static : Vrp_ir.Static.t) brs
     (h : Vrp_ir.Static.t -> src:int -> Ir.branch -> float) : float array =
   Array.of_list (List.map (fun (src, br) -> h static ~src br) brs)
 
-type baselines = { ball_larus : float array; ninety_fifty : float array }
+type baselines = {
+  ball_larus : float array;
+  ninety_fifty : float array;
+  labels : string array;
+  cells : string array;
+}
+
+(* The [vrpc predict] row around its VRP cell: the label, and the two
+   baseline cells with the line end. *)
+let label (fn : Ir.fn) (bid, (br : Ir.branch)) =
+  Printf.sprintf "%-28s"
+    (Printf.sprintf "%s.B%d (%s %s %s)" fn.Ir.fname bid (Ir.operand_to_string br.ba)
+       (Vrp_lang.Ast.relop_to_string br.rel)
+       (Ir.operand_to_string br.bb))
+
+let cells bl nf = Printf.sprintf " %11.1f%% %7.1f%%\n" (100.0 *. bl) (100.0 *. nf)
 
 let baselines (fn : Ir.fn) : baselines =
   match fn_branches fn with
-  | [] -> { ball_larus = [||]; ninety_fifty = [||] }
+  | [] -> { ball_larus = [||]; ninety_fifty = [||]; labels = [||]; cells = [||] }
   | brs ->
     let static = Vrp_ir.Static.of_fn fn in
+    let ball_larus = column static brs Heuristics.ball_larus
+    and ninety_fifty = column static brs Heuristics.ninety_fifty in
     {
-      ball_larus = column static brs Heuristics.ball_larus;
-      ninety_fifty = column static brs Heuristics.ninety_fifty;
+      ball_larus;
+      ninety_fifty;
+      labels = Array.of_list (List.map (label fn) brs);
+      cells = Array.map2 cells ball_larus ninety_fifty;
     }
 
 (* Add one function's column to a prediction. *)

@@ -17,12 +17,21 @@ val fn_branches : Ir.fn -> (int * Ir.branch) list
 
 (** One function's baseline columns: the Ball–Larus and the 90/50
     probability of each of its conditional branches, in {!fn_branches}
-    order. Unboxed float arrays, small enough to keep with the function's
-    compiled SSA. *)
-type baselines = { ball_larus : float array; ninety_fifty : float array }
+    order, and the text of each branch's [vrpc predict] row that does not
+    depend on the VRP run. Small enough to keep with the function's
+    compiled SSA, so a reply formats only its VRP cells. *)
+type baselines = {
+  ball_larus : float array;
+  ninety_fifty : float array;
+  labels : string array;
+      (** the row label [fn.Bk (a rel b)], padded as [%-28s] *)
+  cells : string array;
+      (** the two baseline cells and the line end,
+          [" %11.1f%% %7.1f%%\n"] of the percentages *)
+}
 
 (** Both columns of one function, read from one {!Vrp_ir.Static} record
-    (none is built for a function without branches). *)
+    (none is built for a function without branches), and its row text. *)
 val baselines : Ir.fn -> baselines
 
 (** The 90/50 rule. *)

@@ -7,11 +7,15 @@ type fact = {
 }
 
 type t = {
-  direct : fact list;  (* in insertion order *)
+  rev_direct : fact list;  (* newest first *)
+  ndirect : int;
   derived : fact list;  (* refine results, insertion order, capped *)
+  paired : int;  (* the direct prefix whose pairs a refine has combined *)
 }
 
-let empty = { direct = []; derived = [] }
+let empty = { rev_direct = []; ndirect = 0; derived = []; paired = 0 }
+
+let direct env = List.rev env.rev_direct
 
 let coeff_cap = 1 lsl 20
 let fact_cap = 128
@@ -35,12 +39,12 @@ let tame (p : Sop.t) =
 let add_fact env f =
   if
     Sop.is_const f.poly
-    || List.length env.direct >= fact_cap
+    || env.ndirect >= fact_cap
     || List.exists
          (fun g -> Sop.equal g.poly f.poly && g.scopes = f.scopes)
-         env.direct
+         env.rev_direct
   then env
-  else { env with direct = env.direct @ [ f ] }
+  else { env with rev_direct = f :: env.rev_direct; ndirect = env.ndirect + 1 }
 
 let scoped = function None -> [] | Some b -> [ b ]
 let add_nonneg ?scope env s = add_fact env { poly = s; scopes = scoped scope }
@@ -79,7 +83,7 @@ let admitted admit f =
 let prover ?admit env =
   let facts =
     List.filter (fun f -> admitted admit f && tame f.poly)
-      (env.direct @ env.derived)
+      (direct env @ env.derived)
   in
   let index = Hashtbl.create 64 in
   List.iter
@@ -118,24 +122,34 @@ let prove_nonneg ?admit env goal = prover ?admit env goal
 (* Bounded pairwise closure. Crucially monotone: direct facts are never
    evicted, existing derived facts are kept, and pair enumeration follows
    insertion order, so adding a direct fact only appends new combinations
-   after the previously derived prefix. *)
+   after the previously derived prefix.
+
+   Only pairs that share a monomial can combine, so each fact meets its
+   partners through a monomial -> fact-index table, in the (i, j) order of
+   a full enumeration. A pair of the prefix an earlier refine of this
+   environment already paired adds nothing (its results are all in
+   [seen]), so only pairs with a newer fact are combined, and none once
+   [derived_cap] is reached. *)
 let refine env =
-  let derived = ref (List.rev env.derived) in
+  let n = env.ndirect in
   let count = ref (List.length env.derived) in
-  (* Hash-set dedup: [Sop.t] normal form makes structural equality semantic
-     equality, so polymorphic hashing agrees with [Sop.equal]. *)
-  let seen = Hashtbl.create 64 in
-  List.iter (fun f -> Hashtbl.replace seen (f.poly, f.scopes) ()) env.direct;
-  List.iter (fun f -> Hashtbl.replace seen (f.poly, f.scopes) ()) !derived;
-  let add_derived poly scopes =
-    if !count < derived_cap && not (Hashtbl.mem seen (poly, scopes)) then begin
-      Hashtbl.replace seen (poly, scopes) ();
-      derived := { poly; scopes } :: !derived;
-      incr count
-    end
-  in
-  let combine f1 f2 =
-    if tame f1.poly && tame f2.poly then
+  if n = env.paired || !count >= derived_cap then { env with paired = n }
+  else begin
+    let direct = Array.of_list (direct env) in
+    let derived = ref (List.rev env.derived) in
+    (* Hash-set dedup: [Sop.t] normal form makes structural equality
+       semantic equality, so polymorphic hashing agrees with [Sop.equal]. *)
+    let seen = Hashtbl.create 64 in
+    Array.iter (fun f -> Hashtbl.replace seen (f.poly, f.scopes) ()) direct;
+    List.iter (fun f -> Hashtbl.replace seen (f.poly, f.scopes) ()) !derived;
+    let add_derived poly scopes =
+      if !count < derived_cap && not (Hashtbl.mem seen (poly, scopes)) then begin
+        Hashtbl.replace seen (poly, scopes) ();
+        derived := { poly; scopes } :: !derived;
+        incr count
+      end
+    in
+    let combine f1 f2 =
       (* For each monomial where the two facts carry opposite-sign
          coefficients, the positive combination lam2*f1 + lam1*f2 >= 0
          eliminates it. *)
@@ -155,15 +169,31 @@ let refine env =
                 (List.sort_uniq Int.compare (f1.scopes @ f2.scopes))
           end)
         (Sop.terms f1.poly)
-  in
-  let rec pairs = function
-    | [] -> ()
-    | f1 :: rest ->
-      List.iter (combine f1) rest;
-      pairs rest
-  in
-  pairs env.direct;
-  { env with derived = List.rev !derived }
+    in
+    (* monomial -> indices of the tame facts carrying it, ascending *)
+    let index = Hashtbl.create 64 in
+    for j = n - 1 downto 0 do
+      if tame direct.(j).poly then
+        List.iter
+          (fun (m, _) ->
+            Hashtbl.replace index m (j :: Option.value ~default:[] (Hashtbl.find_opt index m)))
+          (Sop.terms direct.(j).poly)
+    done;
+    let i = ref 0 in
+    while !i < n && !count < derived_cap do
+      let f1 = direct.(!i) in
+      if tame f1.poly then begin
+        let lo = max (!i + 1) env.paired in
+        List.concat_map
+          (fun (m, _) -> List.filter (fun j -> j >= lo) (Hashtbl.find index m))
+          (Sop.terms f1.poly)
+        |> List.sort_uniq Int.compare
+        |> List.iter (fun j -> if !count < derived_cap then combine f1 direct.(j))
+      end;
+      incr i
+    done;
+    { env with derived = List.rev !derived; paired = n }
+  end
 
 let decide ?admit env (rel : Vrp_lang.Ast.relop) a b =
   let d = Sop.sub b a in
@@ -195,4 +225,4 @@ let to_string env =
     | [] -> s
     | bs -> Printf.sprintf "%s @[%s]" s (String.concat "," (List.map string_of_int bs))
   in
-  String.concat "; " (List.map fact (env.direct @ env.derived))
+  String.concat "; " (List.map fact (direct env @ env.derived))

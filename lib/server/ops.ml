@@ -93,8 +93,9 @@ let predict_compiled ?pool ?analyze_fn ~opts (c : Pipeline.compiled) =
     | Some pool -> run pool
     | None -> Pool.with_pool ~jobs:opts.jobs run
   in
-  (* The baseline columns, one function at a time: served with the
-     function by the compile memo, else read from one [Static] each. *)
+  (* The baseline columns and the row text around the VRP cell, one
+     function at a time: served with the function by the compile memo, else
+     read from one [Static] each. *)
   let baselines =
     match c.Pipeline.baselines with
     | Some b -> b
@@ -107,17 +108,13 @@ let predict_compiled ?pool ?analyze_fn ~opts (c : Pipeline.compiled) =
   List.iter2
     (fun (fn : Ir.fn) (b : Predictor.baselines) ->
       List.iteri
-        (fun i (bid, (br : Ir.branch)) ->
+        (fun i (bid, _) ->
           let key = (fn.Ir.fname, bid) in
           let p = Option.value ~default:Float.nan (Hashtbl.find_opt vrp key) in
+          Buffer.add_string buf b.Predictor.labels.(i);
           Buffer.add_string buf
-            (Printf.sprintf "%-28s %7.1f%%%-1s %11.1f%% %7.1f%%\n"
-               (Printf.sprintf "%s.B%d (%s %s %s)" fn.Ir.fname bid (Ir.operand_to_string br.ba)
-                  (Vrp_lang.Ast.relop_to_string br.rel)
-                  (Ir.operand_to_string br.bb))
-               (100.0 *. p) (Pipeline.fallback_marker fb key)
-               (100.0 *. b.ball_larus.(i))
-               (100.0 *. b.ninety_fifty.(i))))
+            (Printf.sprintf " %7.1f%%%-1s" (100.0 *. p) (Pipeline.fallback_marker fb key));
+          Buffer.add_string buf b.Predictor.cells.(i))
         (Predictor.fn_branches fn))
     c.Pipeline.ssa.Ir.fns baselines;
   if Hashtbl.length fb > 0 then

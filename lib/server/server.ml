@@ -220,8 +220,8 @@ let handle_analyze t ~budget_ms { Protocol.params = p; _ } =
   let cache = Session.cache s in
   Session.with_lock s (fun () ->
       let before = Summary_cache.counters cache in
-      match compile_cached cache ~name source with
-      | Error o -> Accept.reply o
+      match Session.compile s ~name source with
+      | Error d -> Accept.reply (Ops.front_end_failure d)
       | Ok (c, keys) ->
         let plan = Session.plan s ~name keys in
         Vrp_obs.Metrics.observe obs_session_changed
@@ -339,7 +339,8 @@ let handle_status t ~budget_ms:_ _ =
       | None -> [])
 
 let handle_evict t ~budget_ms:_ _ =
-  let server = Summary_cache.evict_memory t.cache and sessions = Session.evict_all t.sessions in
+  let server = Summary_cache.evict_memory t.cache
+  and { Session.entries = sessions; parsed } = Session.evict_all t.sessions in
   let n = server.Summary_cache.results + sessions.Summary_cache.results in
   Accept.reply
     { Ops.out = Printf.sprintf "evicted %d cached entries\n" n; err = ""; code = 0 }
@@ -348,6 +349,7 @@ let handle_evict t ~budget_ms:_ _ =
         ("evicted", Json.Int n);
         ("evicted_compiled", Json.Int (server.Summary_cache.compiled + sessions.Summary_cache.compiled));
         ("evicted_slots", Json.Int (server.Summary_cache.slots + sessions.Summary_cache.slots));
+        ("evicted_parsed", Json.Int parsed);
       ]
 
 (* The daemon's records as scrape-time series; the table adds the per-op

@@ -3,6 +3,16 @@
 
 module Summary_cache = Vrp_cache.Summary_cache
 module Digest_key = Vrp_cache.Digest_key
+module Ast = Vrp_lang.Ast
+module Front = Vrp_lang.Front
+
+(* One item group of a file's last parse. [keys] are the compile keys of
+   [items.funcs] under one compile environment, once a compile asked. *)
+type parsed = {
+  at : int;  (* the group's first line, which [items]' lines start from *)
+  items : Ast.program;
+  mutable keys : (string * (string * string) list) option;  (* env, [(fname, key)] *)
+}
 
 type session = {
   sid : string;
@@ -11,6 +21,9 @@ type session = {
   cache : Summary_cache.t;
   (* source name -> (function, SSA digest) of the last submission *)
   digests : (string, (string * string) list) Hashtbl.t;
+  (* source name -> text digest -> that group of the last parse *)
+  parses : (string, (Digest.t, parsed) Hashtbl.t) Hashtbl.t;
+  parse_lock : Mutex.t;  (* [parses] is also emptied by [evict_all] *)
   mutable last_used : int;  (* [t.clock] at the last lookup: the LRU order *)
   mutable folded : Summary_cache.counters option;
       (* once removed from the table: the counters already in [retired] *)
@@ -80,6 +93,8 @@ let find_or_create t sid =
             lock = Mutex.create ();
             cache = Summary_cache.create ();
             digests = Hashtbl.create 4;
+            parses = Hashtbl.create 4;
+            parse_lock = Mutex.create ();
             last_used = t.clock;
             folded = None;
           }
@@ -101,20 +116,32 @@ let ids t =
   locked t.table_lock (fun () ->
       Hashtbl.fold (fun sid _ acc -> sid :: acc) t.table [] |> List.sort compare)
 
+type evicted = { entries : Summary_cache.evicted; parsed : int }
+
 let evict_all t =
   let sessions =
     locked t.table_lock (fun () ->
         Hashtbl.fold (fun _ s acc -> s :: acc) t.table [])
   in
   List.fold_left
-    (fun (acc : Summary_cache.evicted) s ->
+    (fun acc s ->
       let e = Summary_cache.evict_memory s.cache in
+      let parsed =
+        locked s.parse_lock (fun () ->
+            let n = Hashtbl.fold (fun _ groups n -> n + Hashtbl.length groups) s.parses 0 in
+            Hashtbl.reset s.parses;
+            n)
+      in
       {
-        results = acc.results + e.results;
-        compiled = acc.compiled + e.compiled;
-        slots = acc.slots + e.slots;
+        entries =
+          {
+            results = acc.entries.results + e.results;
+            compiled = acc.entries.compiled + e.compiled;
+            slots = acc.entries.slots + e.slots;
+          };
+        parsed = acc.parsed + parsed;
       })
-    { Summary_cache.results = 0; compiled = 0; slots = 0 }
+    { entries = { Summary_cache.results = 0; compiled = 0; slots = 0 }; parsed = 0 }
     sessions
 
 let cache_totals t =
@@ -130,6 +157,50 @@ let with_lock s f =
       Fun.protect f ~finally:(fun () ->
           locked s.owner.table_lock (fun () ->
               if Option.is_some s.folded then fold_locked s.owner s)))
+
+(* The last parse of [name] serves every group whose text is unchanged,
+   moved to the group's new first line, and the compile keys of its
+   functions while the compile environment is unchanged. The new parse
+   replaces the old one once the source compiles, so [name] keeps at most
+   one entry per group of its last good submission. *)
+let compile s ~name source =
+  let prev = locked s.parse_lock (fun () -> Hashtbl.find_opt s.parses name) in
+  let next = Hashtbl.create 64 and owner = Hashtbl.create 64 in
+  let parse_group (g : Front.group) =
+    let d = Digest.string g.Front.text in
+    let p =
+      match Option.bind prev (fun prev -> Hashtbl.find_opt prev d) with
+      | Some p when p.at = g.Front.line -> p
+      | Some p -> { p with at = g.Front.line; items = Front.shift (g.Front.line - p.at) p.items }
+      | None -> { at = g.Front.line; items = Front.parse_group g; keys = None }
+    in
+    Hashtbl.replace next d p;
+    List.iter (fun (f : Ast.func) -> Hashtbl.replace owner f.Ast.fname p) p.items.Ast.funcs;
+    p.items
+  in
+  (* Function names are unique once the program type-checks, which it has
+     by the time a compile key is asked for. *)
+  let compile_key ~env (f : Ast.func) =
+    match Hashtbl.find_opt owner f.Ast.fname with
+    | None -> Digest_key.compile_key ~env f
+    | Some p ->
+      let keys =
+        match p.keys with
+        | Some (e, keys) when String.equal e env -> keys
+        | Some _ | None ->
+          let keys =
+            List.map
+              (fun (g : Ast.func) -> (g.Ast.fname, Digest_key.compile_key ~env g))
+              p.items.Ast.funcs
+          in
+          p.keys <- Some (env, keys);
+          keys
+      in
+      List.assoc f.Ast.fname keys
+  in
+  let r = Summary_cache.compile ~slot_prefix:name ~parse_group ~compile_key s.cache source in
+  if Result.is_ok r then locked s.parse_lock (fun () -> Hashtbl.replace s.parses name next);
+  r
 
 type plan = {
   fresh : bool;

@@ -49,8 +49,13 @@ val count : t -> int
 (** Session ids, sorted. *)
 val ids : t -> string list
 
-(** Evict every session's cache memory tier; total entries dropped. *)
-val evict_all : t -> Summary_cache.evicted
+(** What {!evict_all} dropped: the caches' [entries], and [parsed] parse
+    memo entries (one per item group of each file's last parse). *)
+type evicted = { entries : Summary_cache.evicted; parsed : int }
+
+(** Evict every session's cache memory tier and parse memo; total entries
+    dropped. *)
+val evict_all : t -> evicted
 
 (** Cache counters summed over every session ever admitted: live sessions'
     caches plus those of sessions dropped or evicted, so the total never
@@ -66,6 +71,24 @@ val cache : session -> Summary_cache.t
 (** Serialize a request against this session (analyses and counter
     accounting run inside). *)
 val with_lock : session -> (unit -> 'a) -> 'a
+
+(** {!Summary_cache.compile} of [source], submitted under [name], through
+    the session's cache and its parse memo. The memo keeps, per file name,
+    each item group ({!Vrp_lang.Front.split}) of the last parse that
+    compiled: its text digest, its parsed items and, once asked for, its
+    functions' {!Digest_key.compile_key}s. A group whose text is unchanged
+    is not lexed or parsed again: its items are reused with their lines
+    moved to where the group now starts, and its functions keep their
+    compile keys while the program's {!Digest_key.compile_env} is
+    unchanged. The result equals a cold {!Vrp_core.Pipeline.compile} of
+    [source], lines included. Call under {!with_lock}. *)
+val compile :
+  session ->
+  name:string ->
+  string ->
+  ( Vrp_core.Pipeline.compiled * (string, Digest_key.fn_key) Hashtbl.t,
+    Vrp_diag.Diag.diag )
+  result
 
 type plan = {
   fresh : bool;  (** first submission under this source name *)

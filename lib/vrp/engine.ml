@@ -537,6 +537,16 @@ let build_uses ({ Static.fn; instrs; _ } : Static.t) =
    never enough to finish a function with a loop. *)
 let starvation_fuel = 4
 
+(* The algebra post-pass's reach: fallback branches it was handed, and
+   those it decided. *)
+let algebra_attempts =
+  Vrp_obs.Metrics.counter ~help:"Fallback branches handed to the algebra post-pass"
+    "vrp_algebra_attempts_total"
+
+let algebra_proofs =
+  Vrp_obs.Metrics.counter ~help:"Fallback branches the algebra post-pass decided"
+    "vrp_algebra_proofs_total"
+
 (** Analyse one function. [param_values] are the ranges of the formal
     parameters (⊥ by default, i.e. unknown input); [call_oracle] supplies
     return-value ranges for calls (⊥ by default — the intraprocedural
@@ -717,8 +727,10 @@ let analyze_body ?(config = default_config)
            | Ir.Br { rel; ba; bb; _ }
              when Option.value ~default:false
                     (Hashtbl.find_opt st.bfallback b.Ir.bid) -> (
+             Vrp_obs.Metrics.inc algebra_attempts;
              match Alg.decide_branch (the_alg ()) ~bid:b.Ir.bid rel ba bb with
              | Some taken ->
+               Vrp_obs.Metrics.inc algebra_proofs;
                diag st ~block:b.Ir.bid Diag.Info Diag.Note
                  (Printf.sprintf "branch proved %s-way by algebraic facts"
                     (if taken then "true" else "false"));

@@ -33,15 +33,16 @@ let compile_fn env f () =
   Vrp_obs.Trace.with_span "check-ssa" (fun () -> Vrp_ir.Check.check_ssa_fn ssa);
   ssa
 
-(** Parse, check, then lower, clean, split, convert to SSA and validate each
-    function, through [memo] when given; a memo miss also computes the
-    function's baseline columns, which the memo keeps with its SSA.
+(** Parse (group by group, through [parse_group] when given), check, then
+    lower, clean, split, convert to SSA and validate each function, through
+    [memo] when given; a memo miss also computes the function's baseline
+    columns, which the memo keeps with its SSA.
     @raise Vrp_lang front-end errors or {!Vrp_ir.Check.Violation}. *)
-let compile ?memo (source : string) : compiled =
+let compile ?parse_group ?memo (source : string) : compiled =
   Vrp_obs.Trace.with_span "compile" (fun () ->
       let ast =
         Vrp_obs.Trace.with_span "parse+check" (fun () ->
-            Vrp_lang.Front.parse_and_check source)
+            Vrp_lang.Front.parse_and_check ?parse_group source)
       in
       let env = Vrp_ir.Build.env ast in
       let fns, baselines =
@@ -61,8 +62,8 @@ let compile ?memo (source : string) : compiled =
 (** Total variant of {!compile} for consumers that must not see exceptions:
     any front-end error, IR-check violation or internal crash becomes a
     structured [Front_end_error] diagnostic. *)
-let compile_result ?memo (source : string) : (compiled, Diag.diag) result =
-  match compile ?memo source with
+let compile_result ?parse_group ?memo (source : string) : (compiled, Diag.diag) result =
+  match compile ?parse_group ?memo source with
   | c -> Ok c
   | exception e ->
     let message =

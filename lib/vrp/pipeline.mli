@@ -34,19 +34,25 @@ type memo =
   (unit -> Ir.fn * Predictor.baselines) ->
   Ir.fn * Predictor.baselines
 
-(** Parse and type-check, then run one chain per function: lower, clean,
-    split critical edges, convert to SSA and validate (trace spans
-    [build-cfg], [ssa], [check-ssa]). With [memo], each chain runs only
-    when the memo misses, and also computes the function's baseline
-    columns; functions it serves are shared, and no consumer may write to
-    them (nor to their columns).
+(** Parse ({!Vrp_lang.Front.parse}, one item group at a time, each through
+    [parse_group] when given) and type-check, then run one chain per
+    function: lower, clean, split critical edges, convert to SSA and
+    validate (trace spans [build-cfg], [ssa], [check-ssa]). With [memo],
+    each chain runs only when the memo misses, and also computes the
+    function's baseline columns; functions it serves are shared, and no
+    consumer may write to them (nor to their columns).
     @raise front-end errors or {!Vrp_ir.Check.Violation}. *)
-val compile : ?memo:memo -> string -> compiled
+val compile :
+  ?parse_group:(Vrp_lang.Front.group -> Vrp_lang.Ast.program) -> ?memo:memo -> string -> compiled
 
 (** Total variant of {!compile}: any front-end error, IR-check violation or
     internal crash becomes a structured [Front_end_error] diagnostic instead
     of an exception. *)
-val compile_result : ?memo:memo -> string -> (compiled, Diag.diag) result
+val compile_result :
+  ?parse_group:(Vrp_lang.Front.group -> Vrp_lang.Ast.program) ->
+  ?memo:memo ->
+  string ->
+  (compiled, Diag.diag) result
 
 (** What predicts the branches VRP cannot (⊥ ranges, fuel-starved,
     demoted or unreachable functions). [res] is the function's engine

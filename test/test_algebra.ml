@@ -141,6 +141,22 @@ let v2_identical_analysis () =
         r1 r2)
     Suite.benchmarks
 
+(* Pinned registry counts over one interprocedural run of each suite
+   program with the algebra on: fallback branches handed to the algebra
+   post-pass, and those it decided. *)
+let suite_attempts = 285
+let suite_proofs = 2
+
+let attempts_and_proofs_counted () =
+  let cells = List.map Vrp_obs.Metrics.counter [ "vrp_algebra_attempts_total"; "vrp_algebra_proofs_total" ] in
+  let before = List.map Vrp_obs.Metrics.value cells in
+  List.iter
+    (fun (b : Suite.benchmark) -> ignore (analyses true (Pipeline.compile b.Suite.source).Pipeline.ssa))
+    Suite.benchmarks;
+  let after = List.map Vrp_obs.Metrics.value cells in
+  Alcotest.(check (list int)) "attempts, proofs" [ suite_attempts; suite_proofs ]
+    (List.map2 ( - ) after before)
+
 let suite =
   ( "algebra",
     [
@@ -148,4 +164,5 @@ let suite =
         v2_strictly_improves;
       Alcotest.test_case "v2 leaves the fixpoint byte-identical" `Quick
         v2_identical_analysis;
+      Alcotest.test_case "attempts and proofs counted" `Quick attempts_and_proofs_counted;
     ] )

@@ -394,6 +394,78 @@ let ty_errors () =
   rejects ~fragment:"duplicate function" "int f() { return 0; } int f() { return 1; } int main(int n, int s) { return 0; }";
   rejects ~fragment:"condition" "void p() {} int main(int n, int s) { if (p()) { return 1; } return 0; }"
 
+(* --- Item-wise parse --- *)
+
+let front_outcome parse src =
+  match parse src with
+  | p -> Ok p
+  | exception e -> Error (Option.value ~default:(Printexc.to_string e) (Front.describe_error e))
+
+(* The groups concatenate to the source, each starting at its own line,
+   and their parse is the whole-file parse, lines included, or fails with
+   the whole-file parse's error text. *)
+let itemwise_agrees src =
+  let groups = Front.split src in
+  let starts_right =
+    fst
+      (List.fold_left
+         (fun (ok, line) (g : Front.group) ->
+           ( ok && g.Front.line = line,
+             line + List.length (String.split_on_char '\n' g.Front.text) - 1 ))
+         (true, 1) groups)
+  in
+  String.concat "" (List.map (fun (g : Front.group) -> g.Front.text) groups) = src
+  && starts_right
+  && front_outcome Front.parse src = front_outcome (fun s -> Parser.parse_program s) src
+
+(* What an editor adds between items and inside them: blank lines, and
+   comments holding the characters that cut groups. *)
+let itemwise_snippets =
+  [| "\n"; "\n\n"; "// { ; }\n"; "/* } ; { */"; "/* {\n;\n} */\n"; "  // }\n"; "/* ; */\n" |]
+
+let gen_itemwise_source =
+  let open QCheck2.Gen in
+  let* pick = int_bound 99 in
+  let* seed = int_bound 1_000_000 in
+  let* edits =
+    list_size (int_range 0 6)
+      (triple (int_bound 2) (float_bound_exclusive 1.0) (int_bound 1000))
+  in
+  let benchmarks = Vrp_suite.Suite.benchmarks in
+  let src =
+    if pick < 50 then (List.nth benchmarks (pick mod List.length benchmarks)).Vrp_suite.Suite.source
+    else Vrp_suite.Synth.generate ~units:(1 + (pick mod 6)) ~seed ()
+  in
+  let edit src (kind, at, k) =
+    let i = int_of_float (at *. float_of_int (String.length src)) in
+    let insert j text = String.sub src 0 j ^ text ^ String.sub src j (String.length src - j) in
+    match kind with
+    | 0 ->
+      (* a snippet at the start of the line holding [i] *)
+      let j = if i = 0 then 0 else Option.fold ~none:0 ~some:succ (String.rindex_from_opt src (i - 1) '\n') in
+      insert j itemwise_snippets.(k mod Array.length itemwise_snippets)
+    | 1 -> insert i itemwise_snippets.(k mod Array.length itemwise_snippets)
+    | _ ->
+      (* a single-byte corruption *)
+      let b = String.make 1 mutation_bytes.[k mod String.length mutation_bytes] in
+      if i < String.length src && k mod 2 = 0 then
+        String.sub src 0 i ^ b ^ String.sub src (i + 1) (String.length src - i - 1)
+      else insert i b
+  in
+  return (List.fold_left edit src edits)
+
+let itemwise_parse_prop =
+  Helpers.qtest ~count:300 "parse: item-wise parse equals the whole-file parse" gen_itemwise_source
+    itemwise_agrees
+
+(* Every item of a generated program is a group of its own. *)
+let split_cuts_between_items () =
+  let src = Vrp_suite.Synth.generate ~units:12 ~seed:3 () in
+  let p = Parser.parse_program src in
+  Alcotest.(check int) "one group per item"
+    (List.length p.Ast.globals + List.length p.Ast.funcs)
+    (List.length (Front.split src))
+
 let suite =
   ( "front",
     [
@@ -419,4 +491,6 @@ let suite =
       tc "types: accepted programs" `Quick ty_good;
       tc "types: lexical scoping" `Quick ty_scoping;
       tc "types: rejected programs" `Quick ty_errors;
+      itemwise_parse_prop;
+      tc "parse: split cuts between items" `Quick split_cuts_between_items;
     ] )

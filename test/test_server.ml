@@ -2173,12 +2173,15 @@ let session_cache_bounded_under_edits () =
         let r = handle (analyze_req ~id:k ~session:"long" ~name:"fan.mc" (fan_src (100 + k))) in
         Alcotest.(check bool) "edit ok" true r.Protocol.ok
       done;
-      match data_int (local_op handle "evict") "evicted" with
-      | Some n ->
+      let e = local_op handle "evict" in
+      match (data_int e "evicted", data_int e "evicted_parsed") with
+      | Some n, Some parsed ->
         Alcotest.(check bool)
           (Printf.sprintf "%d entries for 13 functions after 100 edits" n)
-          true (n <= 13 + 2)
-      | None -> Alcotest.fail "no evicted count")
+          true (n <= 13 + 2);
+        (* one parse entry per item group of the last submission *)
+        Alcotest.(check int) "parse entries" 13 parsed
+      | _ -> Alcotest.fail "no evicted counts")
 
 (* Nameless predicts are slotted by their source digest: alternating edits
    of two nameless programs hit exactly as often as two named ones. *)
@@ -2227,6 +2230,52 @@ let session_edit_rebuilds_one_function () =
       Alcotest.(check (pair int int)) "edit: one function built" (functions - 1, 1)
         (cint d2 "compile_hits", cint d2 "compile_misses");
       check_outcome "edit" (Ops.predict ~opts:Ops.default_opts ~source:edited ()) r2)
+
+(* Random one-function edits of a session's file, each with a line
+   inserted somewhere (so later groups move), some of them reverts to an
+   earlier version, and now and then a source whose type error sits in an
+   unchanged group: the parse memo serves the unchanged groups, and every
+   reply carries the one-shot bytes of the same source. *)
+let session_edits_match_one_shot () =
+  let base = Vrp_suite.Synth.generate ~units:12 ~seed:11 () in
+  let rng = Vrp_util.Prng.create 27 in
+  let insert src at text =
+    String.sub src 0 at ^ text ^ String.sub src at (String.length src - at)
+  in
+  let line_starts src =
+    0 :: List.filter_map (fun i -> if src.[i] = '\n' && i + 1 < String.length src then Some (i + 1) else None)
+           (List.init (String.length src) Fun.id)
+  in
+  let edit src k =
+    let unit = Vrp_util.Prng.int rng 12 in
+    let header = Printf.sprintf "int unit%d(int a, int b) {\n" unit in
+    let at = Option.get (Astring.String.find_sub ~sub:header src) + String.length header in
+    let src = insert src at (Printf.sprintf "  a = a + %d;\n" k) in
+    let starts = Array.of_list (line_starts src) in
+    let filler = [| "\n"; "// { ; }\n"; "/* } */\n" |] in
+    insert src starts.(Vrp_util.Prng.int rng (Array.length starts)) filler.(k mod 3)
+  in
+  with_server (fun server ->
+      let history = ref [ base ] in
+      let current = ref base in
+      for k = 1 to 100 do
+        let src =
+          if k mod 4 = 0 then List.nth !history (Vrp_util.Prng.int rng (List.length !history))
+          else edit !current k
+        in
+        current := src;
+        history := src :: !history;
+        let r = Server.handle server (analyze_req ~id:k ~session:"ed" ~name:"walk.mc" src) in
+        check_outcome (Printf.sprintf "edit %d" k) (Ops.predict ~opts:Ops.default_opts ~source:src ()) r;
+        if k mod 10 = 0 then begin
+          (* A type error inside a reused group, which moved down a line:
+             the error names the line where it now is. *)
+          let at = Option.get (Astring.String.find_sub ~sub:"int rng;" src) in
+          let broken = "\n" ^ insert src (at + 7) "x" in
+          let r = Server.handle server (analyze_req ~id:k ~session:"ed" ~name:"walk.mc" broken) in
+          check_outcome (Printf.sprintf "broken %d" k) (Ops.predict ~opts:Ops.default_opts ~source:broken ()) r
+        end
+      done)
 
 (* Served functions are shared with every later request, so predict and
    analyze must leave each memoised function exactly as the memo stored
@@ -2410,4 +2459,5 @@ let suite =
       json_parser_matches_reference;
       json_round_trip_prop;
       json_only_errors_escape;
+      tc "session edits match one-shot" `Quick session_edits_match_one_shot;
     ] )

@@ -92,8 +92,8 @@ let config_digest (c : Engine.config) =
 (* --- Analysis inputs --- *)
 
 let task_key ~fn_digest ~config_digest ~param_values ~callee_returns =
-  Printf.sprintf "%s-%s-%s" fn_digest config_digest
-    (Digest.to_hex (marshal_digest (param_values, callee_returns)))
+  String.concat "-"
+    [ fn_digest; config_digest; Digest.to_hex (marshal_digest (param_values, callee_returns)) ]
 
 (* --- Whole replies --- *)
 

@@ -488,7 +488,7 @@ let store_compiled_locked t ~slot key fn baselines fn_key =
   Hashtbl.replace t.compiled_at slot key;
   insert_locked t key (Compiled { fn; baselines; fn_key; slot })
 
-let compile ?(slot_prefix = "") ?parse_group ?(compile_key = Digest_key.compile_key) t source =
+let compile ?(slot_prefix = "") ?front ?(compile_key = Digest_key.compile_key) t source =
   let keys = Hashtbl.create 16 in
   let memo ast =
     let env = Digest_key.compile_env ast in
@@ -519,7 +519,7 @@ let compile ?(slot_prefix = "") ?parse_group ?(compile_key = Digest_key.compile_
       Hashtbl.replace keys fname fn_key;
       (fn, baselines)
   in
-  Result.map (fun c -> (c, keys)) (Pipeline.compile_result ?parse_group ~memo source)
+  Result.map (fun c -> (c, keys)) (Pipeline.compile_result ?front ~memo source)
 
 (* --- The memoizing analyze_fn --- *)
 

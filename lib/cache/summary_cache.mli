@@ -153,13 +153,13 @@ val store_reply : t -> key:string -> reply -> unit
     one compiled entry, so editing a function drops its previous version.
     Served functions are shared with every later request: no consumer may
     write to them. A summary computed from one holds that same [Ir.fn].
-    [parse_group] is {!Vrp_core.Pipeline.compile}'s; [compile_key]
+    [front] is {!Vrp_core.Pipeline.compile}'s; [compile_key]
     (default {!Digest_key.compile_key}) must return what that function
     does, and lets a caller that remembers an unchanged function's key
     skip hashing it again. *)
 val compile :
   ?slot_prefix:string ->
-  ?parse_group:(Vrp_lang.Front.group -> Vrp_lang.Ast.program) ->
+  ?front:Vrp_lang.Front.memo ->
   ?compile_key:(env:string -> Vrp_lang.Ast.func -> string) ->
   t ->
   string ->

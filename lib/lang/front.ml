@@ -71,9 +71,14 @@ let parse ?(parse_group = parse_group) (src : string) : Ast.program =
     }
   | exception (Lexer.Error _ | Parser.Error _) -> Parser.parse_program src
 
-let parse_and_check ?parse_group (src : string) : Ast.program =
-  let program = parse ?parse_group src in
-  Typecheck.check_program program;
+type memo = {
+  parse_group : group -> Ast.program;
+  since : (Typecheck.tables * (Ast.func -> bool)) option;
+}
+
+let parse_and_check ?memo (src : string) : Ast.program =
+  let program = parse ?parse_group:(Option.map (fun m -> m.parse_group) memo) src in
+  Typecheck.check_program ?since:(Option.bind memo (fun m -> m.since)) program;
   program
 
 let describe_error = function

@@ -8,7 +8,8 @@
     crosses a line end outside a comment, and the parser's item loop keeps
     no state between items. That lets a caller that keeps the previous
     parse of an edited source re-parse only the groups whose text changed
-    ({!parse}'s [parse_group]). *)
+    ({!parse}'s [parse_group]), and skip type-checking the bodies of the
+    functions in the unchanged groups ({!memo}). *)
 
 (** A run of whole top-level items: [text] starts at column 1 of source
     line [line] and ends with the line end after its last item (the last
@@ -35,9 +36,19 @@ val shift : int -> Ast.program -> Ast.program
     @raise Lexer.Error or Parser.Error on bad input. *)
 val parse : ?parse_group:(group -> Ast.program) -> string -> Ast.program
 
-(** {!parse}, then type-check the whole program.
+(** What a caller remembers of a source's last good compile. *)
+type memo = {
+  parse_group : group -> Ast.program;  (** {!parse}'s [parse_group] *)
+  since : (Typecheck.tables * (Ast.func -> bool)) option;
+      (** {!Typecheck.check_program}'s [since]: the tables of the last good
+          compile, and whether a function comes from a group whose text is
+          unchanged since then (asked once every group is parsed) *)
+}
+
+(** {!parse}, then type-check the program, through [memo] when given; the
+    error raised is the first one of the whole program.
     @raise Lexer.Error, Parser.Error or Typecheck.Error on bad input. *)
-val parse_and_check : ?parse_group:(group -> Ast.program) -> string -> Ast.program
+val parse_and_check : ?memo:memo -> string -> Ast.program
 
 (** Human-readable rendering of front-end exceptions; [None] for other
     exceptions. *)

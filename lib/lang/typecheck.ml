@@ -23,8 +23,11 @@ type fsig = { ret : ty; args : ty list }
 type env = {
   globals : (string, sym) Hashtbl.t;
   funcs : (string, fsig) Hashtbl.t;
-  mutable scopes : (string, sym) Hashtbl.t list;
-      (** innermost scope first; a new scope opens per block *)
+  locals : (string, (int * sym) list) Hashtbl.t;
+      (** per name, its visible local declarations, innermost first, each
+          with the depth of the block that declared it *)
+  mutable depth : int;  (** of the innermost open block; the body is depth 0 *)
+  mutable declared : string list;  (** names the innermost block declared *)
   arrays_declared : (string, unit) Hashtbl.t;
       (** arrays are hoisted to function scope in the IR, so array names
           must be unique per function even across blocks *)
@@ -39,23 +42,35 @@ let builtins : (string * fsig) list =
 let fail line fmt = Printf.ksprintf (fun msg -> raise (Error (msg, line))) fmt
 
 let lookup env name =
-  let rec in_scopes = function
-    | [] -> Hashtbl.find_opt env.globals name
-    | scope :: rest -> (
-      match Hashtbl.find_opt scope name with Some sym -> Some sym | None -> in_scopes rest)
-  in
-  in_scopes env.scopes
+  match Hashtbl.find_opt env.locals name with
+  | Some ((_, sym) :: _) -> Some sym
+  | Some [] | None -> Hashtbl.find_opt env.globals name
 
 let declare env line name sym =
-  match env.scopes with
-  | scope :: _ ->
-    if Hashtbl.mem scope name then fail line "duplicate declaration of '%s' in this scope" name;
-    Hashtbl.add scope name sym
-  | [] -> assert false
+  let visible = Option.value ~default:[] (Hashtbl.find_opt env.locals name) in
+  (match visible with
+  | (depth, _) :: _ when depth = env.depth ->
+    fail line "duplicate declaration of '%s' in this scope" name
+  | _ -> ());
+  Hashtbl.replace env.locals name ((env.depth, sym) :: visible);
+  env.declared <- name :: env.declared
 
+(* A block's declarations are undone when it closes. An error abandons the
+   whole check, so nothing is undone on the way out. *)
 let in_new_scope env f =
-  env.scopes <- Hashtbl.create 8 :: env.scopes;
-  Fun.protect ~finally:(fun () -> env.scopes <- List.tl env.scopes) f
+  let outer = env.declared in
+  env.depth <- env.depth + 1;
+  env.declared <- [];
+  f ();
+  List.iter
+    (fun name ->
+      match Hashtbl.find env.locals name with
+      | [ _ ] -> Hashtbl.remove env.locals name
+      | _ :: visible -> Hashtbl.replace env.locals name visible
+      | [] -> assert false)
+    env.declared;
+  env.depth <- env.depth - 1;
+  env.declared <- outer
 
 let is_numeric = function Tint | Tfloat -> true | Tvoid -> false
 
@@ -213,9 +228,44 @@ let rec check_stmt env ~ret ~in_loop (s : stmt) =
   | Scontinue -> if not in_loop then fail line "'continue' outside of a loop"
   | Sexpr e -> ignore (type_of_expr env line e)
 
-(** Check a whole program.
+type tables = {
+  global_syms : (string * ty * int option) list;
+  signatures : (string * ty * ty list) list;
+}
+
+let tables (p : program) =
+  {
+    global_syms = List.map (fun g -> (g.gname, g.gty, g.gsize)) p.globals;
+    signatures = List.map (fun f -> (f.fname, f.fty, List.map (fun p -> p.pty) f.params)) p.funcs;
+  }
+
+let check_fn globals funcs f =
+  let env =
+    {
+      globals;
+      funcs;
+      locals = Hashtbl.create 16;
+      depth = 0;
+      declared = [];
+      arrays_declared = Hashtbl.create 8;
+    }
+  in
+  List.iter
+    (fun prm ->
+      if prm.pty = Tvoid then fail f.fline "parameter '%s' of '%s' cannot be void" prm.pname f.fname;
+      if Hashtbl.mem env.locals prm.pname then
+        fail f.fline "duplicate parameter '%s' in '%s'" prm.pname f.fname;
+      declare env f.fline prm.pname (Scalar prm.pty))
+    f.params;
+  List.iter (check_stmt env ~ret:f.fty ~in_loop:false) f.body
+
+(** Check a whole program: the global tables, then every function body, in
+    order. With [since = (t, unchanged)], where [t] are the {!tables} of a
+    program that checked, and this program's tables equal [t], the bodies
+    of the functions for which [unchanged] holds are not checked again: a
+    body reads nothing else, so it passes as it did then.
     @raise Error on the first type error found. *)
-let check_program (p : program) : unit =
+let check_program ?since (p : program) : unit =
   let globals = Hashtbl.create 16 in
   let funcs = Hashtbl.create 16 in
   List.iter (fun (name, fsig) -> Hashtbl.add funcs name fsig) builtins;
@@ -234,19 +284,9 @@ let check_program (p : program) : unit =
       if Hashtbl.mem funcs f.fname then fail f.fline "duplicate function '%s'" f.fname;
       Hashtbl.add funcs f.fname { ret = f.fty; args = List.map (fun p -> p.pty) f.params })
     p.funcs;
-  List.iter
-    (fun f ->
-      let top_scope = Hashtbl.create 16 in
-      List.iter
-        (fun prm ->
-          if prm.pty = Tvoid then
-            fail f.fline "parameter '%s' of '%s' cannot be void" prm.pname f.fname;
-          if Hashtbl.mem top_scope prm.pname then
-            fail f.fline "duplicate parameter '%s' in '%s'" prm.pname f.fname;
-          Hashtbl.add top_scope prm.pname (Scalar prm.pty))
-        f.params;
-      let env =
-        { globals; funcs; scopes = [ top_scope ]; arrays_declared = Hashtbl.create 8 }
-      in
-      List.iter (check_stmt env ~ret:f.fty ~in_loop:false) f.body)
-    p.funcs
+  let unchanged =
+    match since with
+    | Some (t, unchanged) when tables p = t -> unchanged
+    | Some _ | None -> fun _ -> false
+  in
+  List.iter (fun f -> if not (unchanged f) then check_fn globals funcs f) p.funcs

@@ -68,8 +68,8 @@ let analyze_one ?cache ?supervisor ~config (name, source) =
       | Some s -> Supervisor.wrap_analyze_fn s analyze_fn
       | None -> analyze_fn
     in
-    let vrp, ipa = Pipeline.vrp_predictions ~config ~report ~analyze_fn ssa in
-    let markers = Pipeline.fallback_branches report in
+    let markers = Hashtbl.create 16 in
+    let vrp, ipa = Pipeline.vrp_predictions ~config ~report ~markers ~analyze_fn ssa in
     let predictions =
       Hashtbl.fold
         (fun key p acc -> (key, p, Pipeline.fallback_marker markers key) :: acc)

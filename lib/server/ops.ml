@@ -84,8 +84,9 @@ let predict_compiled ?pool ?analyze_fn ~opts (c : Pipeline.compiled) =
   let config = config_of opts in
   let model = resolve_model ~report opts.model in
   let fallback = Option.map Infer.fallback model in
+  let markers = Hashtbl.create 16 in
   let run pool =
-    Pipeline.vrp_predictions ~config ~report ~run_tasks:(Wavefront.runner pool)
+    Pipeline.vrp_predictions ~config ~report ~markers ~run_tasks:(Wavefront.runner pool)
       ?analyze_fn ?fallback c.Pipeline.ssa
   in
   let vrp, _ =
@@ -101,7 +102,6 @@ let predict_compiled ?pool ?analyze_fn ~opts (c : Pipeline.compiled) =
     | Some b -> b
     | None -> List.map Predictor.baselines c.Pipeline.ssa.Ir.fns
   in
-  let fb = Pipeline.fallback_branches report in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
     (Printf.sprintf "%-28s %9s %12s %8s\n" "branch" "vrp" "ball-larus" "90/50");
@@ -113,11 +113,11 @@ let predict_compiled ?pool ?analyze_fn ~opts (c : Pipeline.compiled) =
           let p = Option.value ~default:Float.nan (Hashtbl.find_opt vrp key) in
           Buffer.add_string buf b.Predictor.labels.(i);
           Buffer.add_string buf
-            (Printf.sprintf " %7.1f%%%-1s" (100.0 *. p) (Pipeline.fallback_marker fb key));
+            (Printf.sprintf " %7.1f%%%-1s" (100.0 *. p) (Pipeline.fallback_marker markers key));
           Buffer.add_string buf b.Predictor.cells.(i))
         (Predictor.fn_branches fn))
     c.Pipeline.ssa.Ir.fns baselines;
-  if Hashtbl.length fb > 0 then
+  if Hashtbl.length markers > 0 then
     Buffer.add_string buf
       (if model <> None then
          "(* = learned-model fallback on ⊥ range, ! = degraded: crashed, \
@@ -153,10 +153,10 @@ let compare_predictors ~opts ~train ~ref_args ~source () =
         (match opts.model with No_model -> Default_model | m -> m)
     in
     let fallback = Option.map Infer.fallback model in
+    let markers = Hashtbl.create 16 in
     let predictors =
-      Pipeline.all_predictors ~report ~config ?fallback ~train c.Pipeline.ssa
+      Pipeline.all_predictors ~report ~markers ~config ?fallback ~train c.Pipeline.ssa
     in
-    let fb = Pipeline.fallback_branches report in
     let buf = Buffer.create 1024 in
     Buffer.add_string buf (Printf.sprintf "%-24s %8s" "branch" "actual");
     List.iter (fun (name, _) -> Buffer.add_string buf (Printf.sprintf " %12s" name)) predictors;
@@ -173,7 +173,7 @@ let compare_predictors ~opts ~train ~ref_args ~source () =
         let actual = float_of_int st.Interp.taken /. float_of_int st.Interp.total in
         Buffer.add_string buf
           (Printf.sprintf "%-24s %7.1f%%"
-             (Printf.sprintf "%s.B%d%s" fname bid (Pipeline.fallback_marker fb key))
+             (Printf.sprintf "%s.B%d%s" fname bid (Pipeline.fallback_marker markers key))
              (100.0 *. actual));
         List.iter
           (fun (_, p) ->
@@ -190,7 +190,7 @@ let compare_predictors ~opts ~train ~ref_args ~source () =
              (Vrp_evaluation.Error_analysis.mean_error ~weighted:false errs)
              (Vrp_evaluation.Error_analysis.mean_error ~weighted:true errs)))
       predictors;
-    if Hashtbl.length fb > 0 then
+    if Hashtbl.length markers > 0 then
       Buffer.add_string buf "(* = vrp used Ball–Larus fallback, ! = degraded analysis)\n";
     finish ~opts ~report (Buffer.contents buf)
 

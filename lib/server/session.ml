@@ -14,15 +14,19 @@ type parsed = {
   mutable keys : (string * (string * string) list) option;  (* env, [(fname, key)] *)
 }
 
+(* A file's last good compile: its item groups by text digest, and the
+   global tables its function bodies were type-checked against. *)
+type last = { groups : (Digest.t, parsed) Hashtbl.t; tables : Vrp_lang.Typecheck.tables }
+
 type session = {
   sid : string;
   owner : t;
   lock : Mutex.t;
   cache : Summary_cache.t;
-  (* source name -> (function, SSA digest) of the last submission *)
-  digests : (string, (string * string) list) Hashtbl.t;
-  (* source name -> text digest -> that group of the last parse *)
-  parses : (string, (Digest.t, parsed) Hashtbl.t) Hashtbl.t;
+  (* source name -> function -> SSA digest, of the last submission *)
+  digests : (string, (string, string) Hashtbl.t) Hashtbl.t;
+  (* source name -> its last good compile *)
+  parses : (string, last) Hashtbl.t;
   parse_lock : Mutex.t;  (* [parses] is also emptied by [evict_all] *)
   mutable last_used : int;  (* [t.clock] at the last lookup: the LRU order *)
   mutable folded : Summary_cache.counters option;
@@ -128,7 +132,7 @@ let evict_all t =
       let e = Summary_cache.evict_memory s.cache in
       let parsed =
         locked s.parse_lock (fun () ->
-            let n = Hashtbl.fold (fun _ groups n -> n + Hashtbl.length groups) s.parses 0 in
+            let n = Hashtbl.fold (fun _ last n -> n + Hashtbl.length last.groups) s.parses 0 in
             Hashtbl.reset s.parses;
             n)
       in
@@ -158,25 +162,40 @@ let with_lock s f =
           locked s.owner.table_lock (fun () ->
               if Option.is_some s.folded then fold_locked s.owner s)))
 
-(* The last parse of [name] serves every group whose text is unchanged,
-   moved to the group's new first line, and the compile keys of its
-   functions while the compile environment is unchanged. The new parse
-   replaces the old one once the source compiles, so [name] keeps at most
-   one entry per group of its last good submission. *)
+(* The last good compile of [name] serves every group whose text is
+   unchanged, moved to the group's new first line; its functions' bodies
+   need no type check while the global tables are unchanged, and they keep
+   their compile keys while the compile environment is unchanged. The new
+   parse replaces the old one once the source compiles, so [name] keeps at
+   most one entry per group of its last good submission. *)
 let compile s ~name source =
   let prev = locked s.parse_lock (fun () -> Hashtbl.find_opt s.parses name) in
-  let next = Hashtbl.create 64 and owner = Hashtbl.create 64 in
+  let next = Hashtbl.create 64 and owner = Hashtbl.create 64 and unchanged = Hashtbl.create 64 in
   let parse_group (g : Front.group) =
     let d = Digest.string g.Front.text in
+    let reused = Option.bind prev (fun prev -> Hashtbl.find_opt prev.groups d) in
     let p =
-      match Option.bind prev (fun prev -> Hashtbl.find_opt prev d) with
+      match reused with
       | Some p when p.at = g.Front.line -> p
       | Some p -> { p with at = g.Front.line; items = Front.shift (g.Front.line - p.at) p.items }
       | None -> { at = g.Front.line; items = Front.parse_group g; keys = None }
     in
     Hashtbl.replace next d p;
-    List.iter (fun (f : Ast.func) -> Hashtbl.replace owner f.Ast.fname p) p.items.Ast.funcs;
+    List.iter
+      (fun (f : Ast.func) ->
+        Hashtbl.replace owner f.Ast.fname p;
+        if Option.is_some reused then Hashtbl.replace unchanged f.Ast.fname ())
+      p.items.Ast.funcs;
     p.items
+  in
+  let front =
+    {
+      Front.parse_group;
+      since =
+        Option.map
+          (fun prev -> (prev.tables, fun (f : Ast.func) -> Hashtbl.mem unchanged f.Ast.fname))
+          prev;
+    }
   in
   (* Function names are unique once the program type-checks, which it has
      by the time a compile key is asked for. *)
@@ -198,8 +217,12 @@ let compile s ~name source =
       in
       List.assoc f.Ast.fname keys
   in
-  let r = Summary_cache.compile ~slot_prefix:name ~parse_group ~compile_key s.cache source in
-  if Result.is_ok r then locked s.parse_lock (fun () -> Hashtbl.replace s.parses name next);
+  let r = Summary_cache.compile ~slot_prefix:name ~front ~compile_key s.cache source in
+  Result.iter
+    (fun ((c : Vrp_core.Pipeline.compiled), _) ->
+      let last = { groups = next; tables = Vrp_lang.Typecheck.tables c.Vrp_core.Pipeline.ast } in
+      locked s.parse_lock (fun () -> Hashtbl.replace s.parses name last))
+    r;
   r
 
 type plan = {
@@ -231,7 +254,9 @@ let plan s ~name keys =
     |> List.sort compare
   in
   let prev = Hashtbl.find_opt s.digests name in
-  Hashtbl.replace s.digests name now;
+  let table = Hashtbl.create 64 in
+  List.iter (fun (f, digest) -> Hashtbl.replace table f digest) now;
+  Hashtbl.replace s.digests name table;
   match prev with
   | None ->
     {
@@ -245,7 +270,7 @@ let plan s ~name keys =
     let changed =
       List.filter_map
         (fun (fname, digest) ->
-          match List.assoc_opt fname prev with
+          match Hashtbl.find_opt prev fname with
           | Some d when String.equal d digest -> None
           | _ -> Some fname)
         now

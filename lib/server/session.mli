@@ -80,8 +80,11 @@ val with_lock : session -> (unit -> 'a) -> 'a
     is not lexed or parsed again: its items are reused with their lines
     moved to where the group now starts, and its functions keep their
     compile keys while the program's {!Digest_key.compile_env} is
-    unchanged. The result equals a cold {!Vrp_core.Pipeline.compile} of
-    [source], lines included. Call under {!with_lock}. *)
+    unchanged. The memo also keeps the compile's
+    {!Vrp_lang.Typecheck.tables}: while they are unchanged, the bodies of
+    the functions in unchanged groups are not type-checked again. The
+    result (or the first error) equals a cold {!Vrp_core.Pipeline.compile}
+    of [source], lines included. Call under {!with_lock}. *)
 val compile :
   session ->
   name:string ->

@@ -21,9 +21,12 @@
     [main], each level in first-discovery order. Every function in a wave
     reads only the {e previous} round's environments, so the functions of
     one wave are independent: each is one task, and the [run_tasks] seam
-    lets [Vrp_sched] execute a wave's tasks on a domain pool. Results,
-    recorded call sites and diagnostics are merged in task order, so a
-    parallel run is byte-identical to the sequential default.
+    lets [Vrp_sched] execute a wave's tasks on a domain pool; a wave of
+    one task runs inline. Results, recorded call sites and diagnostics are
+    merged in task order, so a parallel run is byte-identical to the
+    sequential default. Functions are found through an index built once per
+    run, which also holds each function's environment entries and results,
+    so a round's bookkeeping is a constant per function and per call site.
 
     Reuse: like the SCCP/VRP propagation it extends, the driver re-evaluates
     a function only when one of its inputs changed. Each round's result
@@ -35,6 +38,8 @@
     value), and its diagnostics are replayed, instead of going back through
     [analyze_fn]. This is exact because the engine is a pure function of
     (function, configuration, parameter values, oracle answers read).
+    Likewise a callee whose call sites recorded physically the same
+    arguments as at its last merge keeps that merged parameter value.
     A task's diagnostics are the seam's notes (a supervisor's retries)
     then the result's [Engine.t.diags], appended once [analyze_fn]
     returns: an attempt that raises adds none of its partial ones. *)
@@ -126,21 +131,42 @@ let default_analyze_fn : analyze_fn =
  fun ~config ~report:_ ~call_oracle ~param_values fn ->
   Engine.analyze ~config ~call_oracle ~param_values fn
 
-let env_equal (a : (string, Value.t list) Hashtbl.t) (b : (string, Value.t list) Hashtbl.t) =
-  Hashtbl.length a = Hashtbl.length b
-  && Hashtbl.fold
-       (fun name vs acc ->
-         acc
-         &&
-         match Hashtbl.find_opt b name with
-         | Some vs' -> List.length vs = List.length vs' && List.for_all2 Value.equal vs vs'
-         | None -> false)
-       a true
+(* One function of the program in the run's index: its entries in the
+   parameter and return environments, its results of this round and the
+   previous one, and the call-site arguments recorded for it this round. *)
+type slot = {
+  fn : Ir.fn;
+  bottoms : Value.t list;  (** ⊥ for every parameter *)
+  mutable params : Value.t list option;  (** parameter environment entry *)
+  mutable ret : Value.t option;  (** return environment entry *)
+  mutable prev : (Engine.t * inputs * Diag.report) option;
+      (** the previous round's result, what it was computed from, and the
+          diagnostics its run emitted *)
+  mutable cur : (Engine.t * inputs * Diag.report) option;  (** this round's *)
+  mutable failed : bool;
+  mutable scheduled : int;  (** the last round that put it in a wave *)
+  mutable calls : Value.t list list;  (** this round's jump functions, latest first *)
+  mutable merged : (Value.t list list * Value.t list) option;
+      (** the last jump functions merged into [params], and the merge *)
+}
 
-(* Sorted key list of a string-keyed table: environment rebuilds iterate in
-   canonical order so runs are reproducible whatever the hash layout. *)
-let sorted_keys tbl =
-  List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) tbl [])
+(* A callee's parameter values: per parameter, the weighted merge of one
+   unit-weight entry per recorded call site, latest first. *)
+let merge_calls = function
+  | [] -> []
+  | first :: _ as calls ->
+    List.mapi
+      (fun i _ -> Value.union_weighted (List.map (fun args -> (1.0, List.nth args i)) calls))
+      first
+
+let values_equal a b = List.length a = List.length b && List.for_all2 Value.equal a b
+
+(* Whether an environment entry is unchanged: [next] against [now]. *)
+let entry_equal equal next now =
+  match (next, now) with
+  | None, None -> true
+  | Some a, Some b -> equal a b
+  | Some _, None | None, Some _ -> false
 
 (** Whole-program analysis, entered at [main]. Per-function fault
     containment: a function whose analysis raises (divergence guard,
@@ -153,149 +179,162 @@ let analyze ?(config = Engine.default_config) ?report
     ?(max_rounds = default_max_rounds) ?(run_tasks = sequential_runner)
     ?(analyze_fn = default_analyze_fn)
     (program : Ir.program) : t =
-  let param_env : (string, Value.t list) Hashtbl.t = Hashtbl.create 16 in
-  let return_env : (string, Value.t) Hashtbl.t = Hashtbl.create 16 in
+  (* The index: one slot per function name, the first definition winning. *)
+  let index : (string, slot) Hashtbl.t = Hashtbl.create 64 in
+  let slots =
+    List.filter_map
+      (fun (fn : Ir.fn) ->
+        if Hashtbl.mem index fn.Ir.fname then None
+        else
+          let s =
+            {
+              fn;
+              bottoms = List.map (fun _ -> Value.bottom) fn.Ir.params;
+              params = None;
+              ret = None;
+              prev = None;
+              cur = None;
+              failed = false;
+              scheduled = 0;
+              calls = [];
+              merged = None;
+            }
+          in
+          Hashtbl.replace index fn.Ir.fname s;
+          Some s)
+      program.Ir.fns
+  in
+  let main =
+    match Hashtbl.find_opt index "main" with
+    | Some main -> main
+    | None -> invalid_arg "Interproc.analyze: program has no main"
+  in
+  main.params <- Some main.bottoms;
   let failed : (string, string) Hashtbl.t = Hashtbl.create 4 in
-  (match Ir.find_fn program "main" with
-  | Some main ->
-    Hashtbl.replace param_env "main" (List.map (fun _ -> Value.bottom) main.Ir.params)
-  | None -> invalid_arg "Interproc.analyze: program has no main");
-  let results = ref (Hashtbl.create 16) in
-  (* What each of [!results] was computed from, with the diagnostics its
-     run emitted: the previous round only. *)
-  let inputs : (string, inputs * Diag.report) Hashtbl.t ref = ref (Hashtbl.create 16) in
   (* Most runs emit no diagnostics: they share this report, read-only,
      instead of each keeping an empty one alive for a round. *)
   let no_diags = Diag.create () in
+  (* The previous round's return environment, read-only during a round, so
+     wave tasks may safely share it across domains. *)
+  let call_oracle callee _args =
+    match Hashtbl.find_opt index callee with
+    | Some { ret = Some v; _ } -> v
+    | Some { ret = None; _ } | None -> Value.bottom
+  in
+  let check_cancel name =
+    (* Beat the cancellation token between functions too, so a deadline can
+       fire while a wave is between engine runs — not only inside a
+       worklist. A token cancelled here demotes this function exactly as an
+       in-engine cancellation would. *)
+    Option.iter
+      (fun tok ->
+        Diag.Cancel.beat tok;
+        Diag.Cancel.check tok ~name)
+      config.Engine.cancel
+  in
+  (* A scheduled function's parameter values, when it is analysable this
+     round, with the previous round's result and its record when nothing
+     that run read has changed since. The record is kept as it was, so a
+     chain of reuses compares against the inputs the result was actually
+     computed from. *)
+  let plan s =
+    match s.params with
+    | Some param_values when not s.failed ->
+      let reuse =
+        match s.prev with
+        | Some ((_, prev, _) as memo)
+          when List.equal Value.equal prev.params param_values
+               && List.for_all
+                    (fun (callee, v) -> Value.equal (call_oracle callee []) v)
+                    prev.answers ->
+          Some memo
+        | _ -> None
+      in
+      Some (param_values, reuse)
+    | _ -> None
+  in
+  let run_task s () =
+    let name = s.fn.Ir.fname in
+    Vrp_obs.Metrics.inc tasks_total;
+    (* The reuse decision reads only the frozen environments, so it is taken
+       before the span opens and the span can carry it. *)
+    let step = plan s in
+    Vrp_obs.Metrics.time task_seconds @@ fun () ->
+    Vrp_obs.Trace.with_span "task"
+      ~args:
+        (if Vrp_obs.Trace.enabled () then
+           [ ("fn", name); ("reused", match step with Some (_, Some _) -> "1" | _ -> "0") ]
+         else [])
+    @@ fun () ->
+    match step with
+    | None -> (Skipped, no_diags)
+    | Some (param_values, reuse) -> (
+      let local = match reuse with Some _ -> no_diags | None -> Diag.create () in
+      match
+        check_cancel name;
+        match reuse with
+        | Some (res, prev, diags) ->
+          Vrp_obs.Metrics.inc reused_total;
+          (Analyzed (res, prev), diags)
+        | None ->
+          let read = ref [] in
+          let call_oracle callee args =
+            let v = call_oracle callee args in
+            if not (List.mem_assoc callee !read) then read := (callee, v) :: !read;
+            v
+          in
+          let res = analyze_fn ~config ~report:(Some local) ~call_oracle ~param_values s.fn in
+          Diag.append local res.Engine.diags;
+          (Analyzed (res, { params = param_values; answers = !read }), local)
+      with
+      | r -> r
+      | exception e ->
+        let why =
+          match e with
+          | Diag.Fault.Injected msg -> msg
+          (* Deterministic reason — no wall-clock numbers — so a deadline
+             demotion renders identically at any parallelism. *)
+          | Diag.Cancel.Cancelled _ -> "deadline exceeded"
+          | e -> Printexc.to_string e
+        in
+        (Crashed why, local))
+  in
+  (* A wave of one task runs inline; wider waves go through the seam. *)
+  let run_wave = function
+    | [| s |] -> [| run_task s () |]
+    | wave -> run_tasks (Array.map (fun s -> { fn = s.fn.Ir.fname; run = run_task s }) wave)
+  in
   let rounds = ref 0 in
   let continue = ref true in
+  (* The functions the latest round analysed, in task order. *)
+  let analysed = ref [] in
   while !continue && !rounds < max_rounds do
     incr rounds;
+    let round = !rounds in
     Vrp_obs.Metrics.inc rounds_total;
-    let round_results = Hashtbl.create 16 in
-    let round_inputs = Hashtbl.create 16 in
-    (* Executable (callee, args) records of this round, in deterministic
-       discovery order — the jump functions for the next round. *)
-    let recorded : (string * Value.t list) list ref = ref [] in
-    (* Functions already scheduled into some wave this round. *)
-    let done_fns : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-    (* Previous-round environments are read-only for the whole round, so
-       wave tasks may safely share them across domains. *)
-    let call_oracle callee _args =
-      match Hashtbl.find_opt return_env callee with
-      | Some v -> v
-      | None -> Value.bottom
-    in
-    (* A scheduled function's IR and parameter values, when it is
-       analysable this round, with the previous round's result and its
-       record when nothing that run read has changed since. The record is
-       kept as it was, so a chain of reuses compares against the inputs the
-       result was actually computed from. *)
-    let plan name =
-      match (Ir.find_fn program name, Hashtbl.find_opt param_env name) with
-      | Some fn, Some param_values when not (Hashtbl.mem failed name) ->
-        let reuse =
-          match (Hashtbl.find_opt !inputs name, Hashtbl.find_opt !results name) with
-          | Some ((prev, _) as memo), Some (res : Engine.t)
-            when List.equal Value.equal prev.params param_values
-                 && List.for_all
-                      (fun (callee, v) -> Value.equal (call_oracle callee []) v)
-                      prev.answers ->
-            Some (res, memo)
-          | _ -> None
-        in
-        Some (fn, param_values, reuse)
-      | _ -> None
-    in
-    let make_task name =
-      {
-        fn = name;
-        run =
-          (fun () ->
-            Vrp_obs.Metrics.inc tasks_total;
-            (* The reuse decision reads only the frozen tables, so it is
-               taken before the span opens and the span can carry it. *)
-            let step = plan name in
-            let reused = match step with Some (_, _, Some _) -> 1 | _ -> 0 in
-            Vrp_obs.Metrics.time task_seconds @@ fun () ->
-            Vrp_obs.Trace.with_span "task"
-              ~args:[ ("fn", name); ("reused", string_of_int reused) ]
-            @@ fun () ->
-            let local = Diag.create () in
-            match step with
-            | Some (fn, param_values, reuse) -> (
-              match
-                (* Beat the cancellation token between functions too, so a
-                   deadline can fire while a wave is between engine runs —
-                   not only inside a worklist. A token cancelled here
-                   demotes this function exactly as an in-engine
-                   cancellation would. *)
-                let () =
-                  Option.iter
-                    (fun tok ->
-                      Diag.Cancel.beat tok;
-                      Diag.Cancel.check tok ~name)
-                    config.Engine.cancel
-                in
-                match reuse with
-                | Some (res, (prev, diags)) ->
-                  Vrp_obs.Metrics.inc reused_total;
-                  Diag.merge ~into:local diags;
-                  (res, prev)
-                | None ->
-                  let read = ref [] in
-                  let call_oracle callee args =
-                    let v = call_oracle callee args in
-                    if not (List.mem_assoc callee !read) then read := (callee, v) :: !read;
-                    v
-                  in
-                  let res =
-                    analyze_fn ~config ~report:(Some local) ~call_oracle ~param_values fn
-                  in
-                  Diag.append local res.Engine.diags;
-                  (res, { params = param_values; answers = !read })
-              with
-              | res, used -> (Analyzed (res, used), local)
-              | exception e ->
-                let why =
-                  match e with
-                  | Diag.Fault.Injected msg -> msg
-                  (* Deterministic reason — no wall-clock numbers — so a
-                     deadline demotion renders identically at any
-                     parallelism. *)
-                  | Diag.Cancel.Cancelled _ -> "deadline exceeded"
-                  | e -> Printexc.to_string e
-                in
-                (Crashed why, local))
-            | None -> (Skipped, local));
-      }
-    in
+    analysed := [];
     (* Wave 0 is main alone; each subsequent wave is the not-yet-scheduled
        functions called by an executable call site of the preceding waves,
        in first-discovery order. *)
-    let wave = ref [ "main" ] in
-    Hashtbl.replace done_fns "main" ();
-    while !wave <> [] do
+    let wave = ref [| main |] in
+    main.scheduled <- round;
+    while Array.length !wave > 0 do
       Vrp_obs.Metrics.inc waves_total;
-      let tasks = Array.of_list (List.map make_task !wave) in
-      let task_results =
+      let results =
         Vrp_obs.Trace.with_span "wave"
           ~args:
-            [
-              ("round", string_of_int !rounds);
-              ("tasks", string_of_int (Array.length tasks));
-            ]
-          (fun () -> run_tasks tasks)
+            (if Vrp_obs.Trace.enabled () then
+               [ ("round", string_of_int round); ("tasks", string_of_int (Array.length !wave)) ]
+             else [])
+          (fun () -> run_wave !wave)
       in
       (* Merge in task order: results, failures, diagnostics, call records
          and the next frontier are all deterministic. *)
       let frontier = ref [] (* reversed first-discovery order *) in
       Array.iteri
         (fun i (outcome, local) ->
-          let name = tasks.(i).fn in
-          (match report with
-          | Some r -> Diag.merge ~into:r local
-          | None -> ());
+          let s = !wave.(i) in
+          Option.iter (fun r -> Diag.merge ~into:r local) report;
           match outcome with
           | Skipped -> ()
           | Crashed why ->
@@ -303,98 +342,73 @@ let analyze ?(config = Engine.default_config) ?report
                function stays demoted for the remaining rounds — a crash is
                deterministic for given inputs, and retrying would only
                duplicate the diagnostic. *)
-            Hashtbl.replace failed name why;
-            (match report with
-            | Some r ->
-              Diag.add r ~fn:name Diag.Error Diag.Analysis_crashed
-                (Printf.sprintf "analysis raised (%s); function demoted to heuristics" why)
-            | None -> ())
+            s.failed <- true;
+            Hashtbl.replace failed s.fn.Ir.fname why;
+            Option.iter
+              (fun r ->
+                Diag.add r ~fn:s.fn.Ir.fname Diag.Error Diag.Analysis_crashed
+                  (Printf.sprintf "analysis raised (%s); function demoted to heuristics" why))
+              report
           | Analyzed (res, used) ->
-            Hashtbl.replace round_results name res;
-            Hashtbl.replace round_inputs name
-              (used, if Diag.count local = 0 then no_diags else local);
+            s.cur <- Some (res, used, if Diag.count local = 0 then no_diags else local);
+            analysed := s :: !analysed;
             List.iter
               (fun (_site, (callee, args)) ->
-                match Ir.find_fn program callee with
+                match Hashtbl.find_opt index callee with
                 | None -> () (* builtin *)
-                | Some cfn ->
-                  if List.length args = List.length cfn.Ir.params then
-                    recorded := (callee, args) :: !recorded;
-                  if not (Hashtbl.mem param_env callee) then
-                    (* make the callee analysable this round if it only
-                       just became reachable *)
-                    Hashtbl.replace param_env callee
-                      (List.map (fun _ -> Value.bottom) cfn.Ir.params);
-                  if not (Hashtbl.mem done_fns callee) then begin
-                    Hashtbl.replace done_fns callee ();
-                    frontier := callee :: !frontier
+                | Some c ->
+                  if List.length args = List.length c.bottoms then c.calls <- args :: c.calls;
+                  (* make the callee analysable this round if it only just
+                     became reachable *)
+                  if Option.is_none c.params then c.params <- Some c.bottoms;
+                  if c.scheduled <> round then begin
+                    c.scheduled <- round;
+                    frontier := c :: !frontier
                   end)
               res.Engine.calls_seen)
-        task_results;
-      wave := List.rev !frontier
+        results;
+      wave := Array.of_list (List.rev !frontier)
     done;
-    (* Build next round's environments from the recorded jump functions.
-       Contributions are accumulated per parameter in record order (one
-       weighted entry per executable call site). *)
-    let next_params : (string, (float * Value.t) list array) Hashtbl.t =
-      Hashtbl.create 16
-    in
+    (* Next round's environments: main's parameters stay ⊥, every other
+       function called this round gets its merged jump functions, and every
+       function analysed this round its return value. A callee whose call
+       sites recorded physically the same arguments as at its last merge
+       keeps that merge. *)
+    let unchanged = ref true in
     List.iter
-      (fun (callee, args) ->
-        let arr =
-          match Hashtbl.find_opt next_params callee with
-          | Some arr -> arr
-          | None ->
-            let arr = Array.make (List.length args) [] in
-            Hashtbl.replace next_params callee arr;
-            arr
+      (fun s ->
+        let params =
+          if s == main then Some main.bottoms
+          else
+            match s.calls with
+            | [] -> None
+            | calls -> (
+              match s.merged with
+              | Some (from, merged) when List.equal ( == ) from calls -> Some merged
+              | Some _ | None ->
+                let merged = merge_calls calls in
+                s.merged <- Some (calls, merged);
+                Some merged)
         in
-        List.iteri (fun i v -> arr.(i) <- (1.0, v) :: arr.(i)) args)
-      (List.rev !recorded);
-    let new_param_env = Hashtbl.create 16 in
-    (match Ir.find_fn program "main" with
-    | Some main ->
-      Hashtbl.replace new_param_env "main"
-        (List.map (fun _ -> Value.bottom) main.Ir.params)
-    | None -> ());
-    List.iter
-      (fun callee ->
-        if callee <> "main" then
-          let arr = Hashtbl.find next_params callee in
-          Hashtbl.replace new_param_env callee
-            (Array.to_list (Array.map Value.union_weighted arr)))
-      (sorted_keys next_params);
-    let new_return_env = Hashtbl.create 16 in
-    List.iter
-      (fun name ->
-        let res : Engine.t = Hashtbl.find round_results name in
-        Hashtbl.replace new_return_env name res.Engine.return_value)
-      (sorted_keys round_results);
-    let ret_equal =
-      Hashtbl.length new_return_env = Hashtbl.length return_env
-      && Hashtbl.fold
-           (fun name v acc ->
-             acc
-             &&
-             match Hashtbl.find_opt return_env name with
-             | Some v' -> Value.equal v v'
-             | None -> false)
-           new_return_env true
-    in
-    let params_equal = env_equal new_param_env param_env in
-    results := round_results;
-    inputs := round_inputs;
-    Hashtbl.reset param_env;
-    Hashtbl.iter (Hashtbl.replace param_env) new_param_env;
-    Hashtbl.reset return_env;
-    Hashtbl.iter (Hashtbl.replace return_env) new_return_env;
-    if params_equal && ret_equal then continue := false
+        let ret = Option.map (fun ((res : Engine.t), _, _) -> res.Engine.return_value) s.cur in
+        if not (entry_equal values_equal params s.params && entry_equal Value.equal ret s.ret)
+        then unchanged := false;
+        s.params <- params;
+        s.ret <- ret;
+        s.prev <- s.cur;
+        s.cur <- None;
+        s.calls <- [])
+      slots;
+    if !unchanged then continue := false
   done;
-  {
-    results = !results;
-    failed;
-    param_env;
-    return_env;
-    rounds = !rounds;
-    converged = not !continue;
-  }
+  let results = Hashtbl.create 16 in
+  List.iter
+    (fun s -> Option.iter (fun (res, _, _) -> Hashtbl.replace results s.fn.Ir.fname res) s.prev)
+    (List.rev !analysed);
+  let param_env = Hashtbl.create 16 and return_env = Hashtbl.create 16 in
+  List.iter
+    (fun s ->
+      Option.iter (Hashtbl.replace param_env s.fn.Ir.fname) s.params;
+      Option.iter (Hashtbl.replace return_env s.fn.Ir.fname) s.ret)
+    slots;
+  { results; failed; param_env; return_env; rounds = !rounds; converged = not !continue }

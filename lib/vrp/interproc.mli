@@ -5,7 +5,7 @@
     the breadth-first levels of the executable call graph from [main], in
     first-discovery order — one task per function; the tasks of a wave are
     independent, which is the scheduling seam the [Vrp_sched] domain pool
-    plugs into. A function
+    plugs into (a wave of one task runs inline). A function
     whose parameter values and the callee return values its last run read
     are unchanged since the previous round keeps that round's result (and
     replays its diagnostics) instead of being re-analysed. *)

@@ -33,16 +33,16 @@ let compile_fn env f () =
   Vrp_obs.Trace.with_span "check-ssa" (fun () -> Vrp_ir.Check.check_ssa_fn ssa);
   ssa
 
-(** Parse (group by group, through [parse_group] when given), check, then
+(** Parse (group by group) and check, through [front] when given, then
     lower, clean, split, convert to SSA and validate each function, through
     [memo] when given; a memo miss also computes the function's baseline
     columns, which the memo keeps with its SSA.
     @raise Vrp_lang front-end errors or {!Vrp_ir.Check.Violation}. *)
-let compile ?parse_group ?memo (source : string) : compiled =
+let compile ?front ?memo (source : string) : compiled =
   Vrp_obs.Trace.with_span "compile" (fun () ->
       let ast =
         Vrp_obs.Trace.with_span "parse+check" (fun () ->
-            Vrp_lang.Front.parse_and_check ?parse_group source)
+            Vrp_lang.Front.parse_and_check ?memo:front source)
       in
       let env = Vrp_ir.Build.env ast in
       let fns, baselines =
@@ -62,8 +62,8 @@ let compile ?parse_group ?memo (source : string) : compiled =
 (** Total variant of {!compile} for consumers that must not see exceptions:
     any front-end error, IR-check violation or internal crash becomes a
     structured [Front_end_error] diagnostic. *)
-let compile_result ?parse_group ?memo (source : string) : (compiled, Diag.diag) result =
-  match compile ?parse_group ?memo source with
+let compile_result ?front ?memo (source : string) : (compiled, Diag.diag) result =
+  match compile ?front ?memo source with
   | c -> Ok c
   | exception e ->
     let message =
@@ -95,15 +95,14 @@ let compile_result ?parse_group ?memo (source : string) : (compiled, Diag.diag) 
 type fallback_predictor =
   static:Vrp_ir.Static.t -> res:Engine.t option -> src:int -> Ir.branch -> float
 
-let vrp_predictions ?(config = Engine.default_config) ?report ?run_tasks
+(* The branches the fallback tier predicted: (fn, block) -> whether for a
+   degradation (crash, fuel, deadline) rather than an ordinary ⊥ range. *)
+type markers = (string * int, bool) Hashtbl.t
+
+let vrp_predictions ?(config = Engine.default_config) ?report ?markers ?run_tasks
     ?analyze_fn ?fallback (ssa : Ir.program) :
     Predictor.prediction * Interproc.t option =
   let out = Hashtbl.create 64 in
-  let record ?fn ?block severity kind message =
-    match report with
-    | Some r -> Diag.add r ?fn ?block severity kind message
-    | None -> ()
-  in
   (* What fills the gaps VRP leaves: Ball–Larus, or the learned tier when a
      [fallback] hook is given (the ladder VRP → learned → B&L lives in the
      hook's own implementation). The name reaches the diagnostics, whose
@@ -113,14 +112,40 @@ let vrp_predictions ?(config = Engine.default_config) ?report ?run_tasks
     | None -> "Ball–Larus heuristics"
     | Some _ -> "the learned fallback model"
   in
+  let bottom_range = Printf.sprintf "branch predicted by %s (range is ⊥)" tier_name in
+  let not_reached =
+    Printf.sprintf "branch not reached by the (governor-limited) analysis; using %s" tier_name
+  in
+  let unreachable = Printf.sprintf "branch unreachable for the analysis; using %s" tier_name in
+  let fn_unreachable =
+    Printf.sprintf "function unreachable from main; branch predicted by %s" tier_name
+  in
+  let record ~fn ~block severity message =
+    Option.iter
+      (fun m ->
+        let degraded = severity <> Diag.Info in
+        let prev = Option.value ~default:false (Hashtbl.find_opt m (fn, block)) in
+        Hashtbl.replace m (fn, block) (degraded || prev))
+      markers;
+    Option.iter (fun r -> Diag.add r ~fn ~block severity Diag.Fallback_heuristic message) report
+  in
   (* [demoted] explains why a function has no engine result (crash text),
      [None] meaning it is simply unreachable from main. *)
   let fill (fn : Ir.fn) (res : Engine.t option) ~(demoted : string option) =
     let static = lazy (Vrp_ir.Static.of_fn fn) in
+    let fn_missing =
+      lazy
+        (match demoted with
+        | Some why ->
+          ( Diag.Warning,
+            Printf.sprintf "function demoted (%s); branch predicted by %s" why tier_name )
+        | None -> (Diag.Info, fn_unreachable))
+    in
     Array.iter
       (fun (b : Ir.block) ->
         match b.Ir.term with
         | Ir.Br br ->
+          let record = record ~fn:fn.Ir.fname ~block:b.Ir.bid in
           let fb () =
             match fallback with
             | Some f -> f ~static:(Lazy.force static) ~res ~src:b.Ir.bid br
@@ -132,43 +157,19 @@ let vrp_predictions ?(config = Engine.default_config) ?report ?run_tasks
               match Engine.branch_prob eres b.Ir.bid with
               | Some p ->
                 if Engine.used_fallback eres b.Ir.bid then begin
-                  record ~fn:fn.Ir.fname ~block:b.Ir.bid Diag.Info
-                    Diag.Fallback_heuristic
-                    (Printf.sprintf "branch predicted by %s (range is ⊥)"
-                       tier_name);
+                  record Diag.Info bottom_range;
                   (* The engine's own fallback value is Ball–Larus; the
                      hook replaces it on the prediction surface. *)
                   match fallback with Some _ -> fb () | None -> p
                 end
                 else p
               | None ->
-                if eres.Engine.fuel_exhausted then
-                  record ~fn:fn.Ir.fname ~block:b.Ir.bid Diag.Warning
-                    Diag.Fallback_heuristic
-                    (Printf.sprintf
-                       "branch not reached by the (governor-limited) \
-                        analysis; using %s"
-                       tier_name)
-                else
-                  record ~fn:fn.Ir.fname ~block:b.Ir.bid Diag.Info
-                    Diag.Fallback_heuristic
-                    (Printf.sprintf
-                       "branch unreachable for the analysis; using %s"
-                       tier_name);
+                if eres.Engine.fuel_exhausted then record Diag.Warning not_reached
+                else record Diag.Info unreachable;
                 fb ())
             | None ->
-              (match demoted with
-              | Some why ->
-                record ~fn:fn.Ir.fname ~block:b.Ir.bid Diag.Warning
-                  Diag.Fallback_heuristic
-                  (Printf.sprintf "function demoted (%s); branch predicted by %s"
-                     why tier_name)
-              | None ->
-                record ~fn:fn.Ir.fname ~block:b.Ir.bid Diag.Info
-                  Diag.Fallback_heuristic
-                  (Printf.sprintf
-                     "function unreachable from main; branch predicted by %s"
-                     tier_name));
+              let severity, message = Lazy.force fn_missing in
+              record severity message;
               fb ()
           in
           Hashtbl.replace out (fn.Ir.fname, b.Ir.bid) p
@@ -191,9 +192,11 @@ let vrp_predictions ?(config = Engine.default_config) ?report ?run_tasks
             | Diag.Fault.Injected msg -> msg
             | e -> Printexc.to_string e
           in
-          record ~fn:fn.Ir.fname Diag.Error Diag.Analysis_crashed
-            (Printf.sprintf "analysis raised (%s); function demoted to \
-                             heuristics" why);
+          Option.iter
+            (fun r ->
+              Diag.add r ~fn:fn.Ir.fname Diag.Error Diag.Analysis_crashed
+                (Printf.sprintf "analysis raised (%s); function demoted to heuristics" why))
+            report;
           fill fn None ~demoted:(Some why))
       ssa.Ir.fns
   in
@@ -210,26 +213,15 @@ let vrp_predictions ?(config = Engine.default_config) ?report ?run_tasks
       ssa.Ir.fns;
     (out, Some ipa)
   | exception e ->
-    record Diag.Error Diag.Analysis_crashed
-      (Printf.sprintf
-         "interprocedural driver raised (%s); falling back to \
-          per-function analysis"
-         (Printexc.to_string e));
+    Option.iter
+      (fun r ->
+        Diag.add r Diag.Error Diag.Analysis_crashed
+          (Printf.sprintf
+             "interprocedural driver raised (%s); falling back to per-function analysis"
+             (Printexc.to_string e)))
+      report;
     intraprocedural_contained ();
     (out, None)
-
-let fallback_branches report =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (d : Diag.diag) ->
-      match (d.Diag.kind, d.Diag.loc.Diag.fn, d.Diag.loc.Diag.block) with
-      | Diag.Fallback_heuristic, Some fn, Some bid ->
-        let degraded = d.Diag.severity <> Diag.Info in
-        let prev = Option.value ~default:false (Hashtbl.find_opt tbl (fn, bid)) in
-        Hashtbl.replace tbl (fn, bid) (degraded || prev)
-      | _ -> ())
-    (Diag.to_list report);
-  tbl
 
 let fallback_marker fb key =
   match Hashtbl.find_opt fb key with
@@ -244,10 +236,10 @@ let fallback_marker fb key =
     injection, reach it — while "vrp-sym1" (symbolic without the v2
     sum-of-products algebra) and "vrp-numeric" stay the fixed ablations of
     the numeric-vs-symbolic-v1-vs-v2 comparison. *)
-let all_predictors ?report ?(config = Engine.default_config) ?fallback
+let all_predictors ?report ?markers ?(config = Engine.default_config) ?fallback
     ~(train : Vrp_profile.Interp.profile) (ssa : Ir.program) :
     (string * Predictor.prediction) list =
-  let vrp_full, _ = vrp_predictions ~config ?report ssa in
+  let vrp_full, _ = vrp_predictions ~config ?report ?markers ssa in
   let ball_larus, ninety_fifty = Predictor.baseline_predictions ssa in
   let vrp_numeric, _ = vrp_predictions ~config:Engine.numeric_only_config ssa in
   (* Symbolic-v1 ablation: full symbolic ranges but no sum-of-products

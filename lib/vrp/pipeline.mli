@@ -34,8 +34,9 @@ type memo =
   (unit -> Ir.fn * Predictor.baselines) ->
   Ir.fn * Predictor.baselines
 
-(** Parse ({!Vrp_lang.Front.parse}, one item group at a time, each through
-    [parse_group] when given) and type-check, then run one chain per
+(** Parse ({!Vrp_lang.Front.parse}, one item group at a time) and
+    type-check, through the front-end memo [front] when given
+    ({!Vrp_lang.Front.parse_and_check}), then run one chain per
     function: lower, clean, split critical edges, convert to SSA and
     validate (trace spans [build-cfg], [ssa], [check-ssa]). With [memo],
     each chain runs only when the memo misses, and also computes the
@@ -43,13 +44,13 @@ type memo =
     consumer may write to them (nor to their columns).
     @raise front-end errors or {!Vrp_ir.Check.Violation}. *)
 val compile :
-  ?parse_group:(Vrp_lang.Front.group -> Vrp_lang.Ast.program) -> ?memo:memo -> string -> compiled
+  ?front:Vrp_lang.Front.memo -> ?memo:memo -> string -> compiled
 
 (** Total variant of {!compile}: any front-end error, IR-check violation or
     internal crash becomes a structured [Front_end_error] diagnostic instead
     of an exception. *)
 val compile_result :
-  ?parse_group:(Vrp_lang.Front.group -> Vrp_lang.Ast.program) ->
+  ?front:Vrp_lang.Front.memo ->
   ?memo:memo ->
   string ->
   (compiled, Diag.diag) result
@@ -67,6 +68,11 @@ type fallback_predictor =
   Ir.branch ->
   float
 
+(** The branches the fallback tier predicted: [(fn, block)] -> whether
+    the fallback was caused by degradation (a warning: crash, fuel,
+    supervisor deadline) rather than an ordinary ⊥ range. *)
+type markers = (string * int, bool) Hashtbl.t
+
 (** Branch predictions from interprocedural VRP.
 
     Totality guarantee: the map has an entry for every conditional branch of
@@ -74,7 +80,8 @@ type fallback_predictor =
     functions fall back to the fallback tier, and a per-function crash or
     fuel exhaustion demotes only that function. With [report], every fallback
     is recorded as a [Fallback_heuristic] diagnostic (warning severity when
-    caused by infrastructure degradation).
+    caused by infrastructure degradation), and with [markers], in that
+    table.
 
     [fallback] replaces the Ball–Larus fallback tier (default) on every
     gap VRP leaves — ordinary ⊥-range fallbacks included.
@@ -90,25 +97,20 @@ type fallback_predictor =
 val vrp_predictions :
   ?config:Engine.config ->
   ?report:Diag.report ->
+  ?markers:markers ->
   ?run_tasks:Interproc.runner ->
   ?analyze_fn:Interproc.analyze_fn ->
   ?fallback:fallback_predictor ->
   Ir.program ->
   Predictor.prediction * Interproc.t option
 
-(** The branches [report] attributes to the fallback tier (its
-    [Fallback_heuristic] diagnostics): [(fn, block)] -> whether the
-    fallback was caused by degradation (a warning or error: crash, fuel,
-    supervisor deadline) rather than an ordinary ⊥ range. *)
-val fallback_branches : Diag.report -> (string * int, bool) Hashtbl.t
-
 (** A branch's marker in rendered predictions: ["!"] degraded, ["*"]
     ordinary ⊥-range fallback, [""] predicted by VRP. *)
-val fallback_marker : (string * int, bool) Hashtbl.t -> string * int -> string
+val fallback_marker : markers -> string * int -> string
 
 (** The predictors of the paper's Figures 7/8, keyed by legend name.
-    [train] is the profiling predictor's training profile; [report] collects
-    diagnostics from the full-VRP run, and [config] (default
+    [train] is the profiling predictor's training profile; [report] and
+    [markers] collect diagnostics and fallbacks from the full-VRP run, and [config] (default
     {!Engine.default_config}) applies to that run only — "vrp-sym1"
     (symbolic ranges without the v2 sum-of-products algebra) and
     "vrp-numeric" stay the fixed ablations of the paper-§5
@@ -117,6 +119,7 @@ val fallback_marker : (string * int, bool) Hashtbl.t -> string * int -> string
     appears right after "vrp". *)
 val all_predictors :
   ?report:Diag.report ->
+  ?markers:markers ->
   ?config:Engine.config ->
   ?fallback:fallback_predictor ->
   train:Vrp_profile.Interp.profile ->

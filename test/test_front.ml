@@ -466,6 +466,29 @@ let split_cuts_between_items () =
     (List.length p.Ast.globals + List.length p.Ast.funcs)
     (List.length (Front.split src))
 
+(* Scopes cost what their declarations cost: a 20 000-deep nest of blocks
+   (each declaring a variable that shadows the one outside, and reading
+   the outermost parameter through every level) checks in well under a
+   second, where a table per block and a lookup through every enclosing
+   block took seconds. *)
+let deep_nest_checks_in_linear_time () =
+  let n = 20_000 in
+  let b = Buffer.create (n * 32) in
+  Buffer.add_string b "int main(int x, int s) {\n";
+  for _ = 1 to n do
+    Buffer.add_string b "if (x < 1) {\nint y = s;\n"
+  done;
+  Buffer.add_string b "x = x + y;\n";
+  for _ = 1 to n do
+    Buffer.add_string b "}\n"
+  done;
+  Buffer.add_string b "return x;\n}\n";
+  let t0 = Unix.gettimeofday () in
+  let p = Front.parse_and_check (Buffer.contents b) in
+  let dt = Unix.gettimeofday () -. t0 in
+  Alcotest.(check int) "one function" 1 (List.length p.Ast.funcs);
+  if dt >= 1.0 then Alcotest.failf "20 000-deep nest took %.2f s" dt
+
 let suite =
   ( "front",
     [
@@ -493,4 +516,5 @@ let suite =
       tc "types: rejected programs" `Quick ty_errors;
       itemwise_parse_prop;
       tc "parse: split cuts between items" `Quick split_cuts_between_items;
+      tc "types: a 20 000-deep nest checks in linear time" `Quick deep_nest_checks_in_linear_time;
     ] )

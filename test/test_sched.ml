@@ -107,6 +107,42 @@ let wavefront_matches_sequential () =
         Alcotest.failf "%s: parallel wavefront diverged from sequential" b.Suite.name)
     Suite.benchmarks
 
+(* Everything an interprocedural result holds, in a canonical order: per
+   function its values, branch probabilities and return range; the
+   parameter and return environments; demotions; rounds and convergence. *)
+let ipa_whole (ipa : Interproc.t) =
+  let sorted tbl f = List.sort compare (Hashtbl.fold (fun k v acc -> (k, f v) :: acc) tbl []) in
+  let value = Vrp_ranges.Value.to_string in
+  ( sorted ipa.Interproc.results (fun (res : Engine.t) ->
+        ( Array.to_list (Array.map value res.Engine.values),
+          sorted res.Engine.branch_probs Fun.id,
+          value res.Engine.return_value )),
+    sorted ipa.Interproc.param_env (List.map value),
+    sorted ipa.Interproc.return_env value,
+    sorted ipa.Interproc.failed Fun.id,
+    (ipa.Interproc.rounds, ipa.Interproc.converged) )
+
+(* The edit workload's shape: calls-mix programs of 12 and 48 units, whose
+   waves hold one task or many. The sequential runner and a two-domain
+   pool give the same whole result and the same diagnostics, in order. *)
+let wavefront_matches_sequential_synth () =
+  let weights = { Vrp_suite.Synth.default_weights with Vrp_suite.Synth.calls = 1; affine = 1 } in
+  List.iter
+    (fun (units, seed) ->
+      let ssa =
+        (Helpers.compile (Vrp_suite.Synth.generate ~weights ~units ~seed ())).Vrp_core.Pipeline.ssa
+      in
+      let run ?run_tasks () =
+        let report = Diag.create () in
+        let ipa = Interproc.analyze ~report ?run_tasks ssa in
+        (ipa_whole ipa, Diag.to_list report)
+      in
+      let seq = run () in
+      let par = Pool.with_pool ~jobs:2 (fun pool -> run ~run_tasks:(Vrp_sched.Wavefront.runner pool) ()) in
+      if fst par <> fst seq then Alcotest.failf "%d units: pooled result diverged" units;
+      if snd par <> snd seq then Alcotest.failf "%d units: pooled diagnostics diverged" units)
+    [ (12, 3); (12, 8); (48, 3); (48, 1995) ]
+
 (* --- Batch determinism (the --jobs 1 vs --jobs N regression test) --- *)
 
 let batch_render ?config ~jobs sources = Batch.render (Batch.analyze_sources ?config ~jobs sources)
@@ -185,4 +221,5 @@ let suite =
       tc "batch: malformed file contained" `Quick batch_contains_bad_files;
       tc "batch: deterministic under injected faults" `Quick batch_deterministic_under_faults;
       tc "batch: duplicate names keep their own results" `Quick batch_duplicate_names_keep_own_results;
+      tc "wavefront: parallel == sequential on calls-mix programs" `Quick wavefront_matches_sequential_synth;
     ] )

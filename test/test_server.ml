@@ -2395,6 +2395,133 @@ let exposition_families_pinned () =
           ("vrpd_admission_idle_closed_total", "counter");
         ])
 
+(* Perfbench-shaped session edits of a 48-unit calls-mix program: each
+   puts [a = a + k;] at the top of a random unit of the original, so one or
+   two functions change from the previous submission and every later line
+   moves. Every reply equals one-shot [Ops.predict] of the same bytes, and
+   its cache delta (hits/misses/stores) is pinned, and so are the driver's
+   waves, tasks, rounds and reused results: the interprocedural driver
+   schedules and looks up exactly what it always has. *)
+let edits_48_cache_deltas =
+  "0/53/53 51/2/2 51/2/2 51/2/2 51/2/2 51/2/2 51/2/2 51/2/2 51/2/2 51/2/2 \
+   51/2/2 51/2/2 51/2/2 51/2/2 51/2/2 51/2/2 51/2/2 50/3/3 50/3/3 51/2/2 \
+   51/2/2 51/2/2 50/3/3 50/3/3 51/2/2 51/2/2 51/2/2 51/2/2 51/2/2 51/2/2 \
+   51/2/2 51/2/2 51/2/2 51/2/2 51/2/2 51/2/2 51/2/2 51/2/2 51/2/2 51/2/2 \
+   51/2/2 51/2/2 51/2/2 51/2/2 51/2/2 51/2/2 51/2/2 51/2/2 51/2/2 51/2/2"
+
+let session_edits_48_units () =
+  let weights = { Vrp_suite.Synth.default_weights with Vrp_suite.Synth.calls = 1; affine = 1 } in
+  let base = Vrp_suite.Synth.generate ~weights ~units:48 ~seed:4242 () in
+  let rng = Vrp_util.Prng.create 48 in
+  let edit k =
+    let header = Printf.sprintf "int unit%d(int a, int b) {\n" (Vrp_util.Prng.int rng 48) in
+    let at = Option.get (Astring.String.find_sub ~sub:header base) + String.length header in
+    String.sub base 0 at ^ Printf.sprintf "  a = a + %d;\n" k ^ String.sub base at (String.length base - at)
+  in
+  let counters =
+    List.map Vrp_obs.Metrics.counter
+      [ "vrp_sched_waves_total"; "vrp_sched_tasks_total"; "vrp_interproc_rounds_total";
+        "vrp_interproc_reused_total" ]
+  in
+  let work = ref [] in
+  let deltas =
+    with_server (fun server ->
+        List.init 50 (fun k ->
+            let src = edit (k + 1) in
+            let before = List.map Vrp_obs.Metrics.value counters in
+            let r = Server.handle server (analyze_req ~id:k ~session:"e48" ~name:"u48.mc" src) in
+            work := List.map2 (fun c b -> Vrp_obs.Metrics.value c - b) counters before :: !work;
+            check_outcome (Printf.sprintf "edit %d" k) (Ops.predict ~opts:Ops.default_opts ~source:src ()) r;
+            let c = Option.get (List.assoc_opt "cache" r.Protocol.data) in
+            let n key = Option.get (Json.mem_int key c) in
+            Printf.sprintf "%d/%d/%d" (n "hits") (n "misses") (n "stores")))
+  in
+  Alcotest.(check string) "cache deltas" edits_48_cache_deltas (String.concat " " deltas);
+  (* waves, tasks, rounds and reused results of the 50 requests: 98, 102,
+     2 and 49 each *)
+  Alcotest.(check (list int)) "driver counts" [ 4900; 5100; 100; 2450 ]
+    (List.fold_left (List.map2 ( + )) [ 0; 0; 0; 0 ] !work)
+
+(* Random edit sequences under one session, each reply checked against
+   one-shot [Ops.predict] of the same bytes: the session skips the type
+   check of unchanged function bodies only while the global tables are
+   unchanged, and raises the error a whole-program check raises. A source
+   is a base program plus a float-parameter callee and its caller in their
+   own groups, and a global. An edit toggles one of: an undeclared
+   assignment at the top of one base function (an error in a changed
+   group), the callee's parameter type int/float (float is what the
+   unchanged caller passes, so int makes the caller fail), a duplicate of
+   the callee, a duplicate of the global, a blank line above a function;
+   or it reverts to an earlier state. *)
+type tc_state = { bad : int option; callee_int : bool; dup_fn : bool; dup_global : bool; blank : int option }
+
+let tc_render base st =
+  let lines = String.split_on_char '\n' base in
+  let headers = ref 0 in
+  let body =
+    List.concat_map
+      (fun line ->
+        let is_header =
+          String.length line > 0
+          && (String.starts_with ~prefix:"int " line || String.starts_with ~prefix:"void " line
+             || String.starts_with ~prefix:"float " line)
+          && String.contains line '(' && String.ends_with ~suffix:"{" line
+        in
+        if not is_header then [ line ]
+        else begin
+          let i = !headers in
+          incr headers;
+          (if st.blank = Some i then [ "" ] else [])
+          @ [ line ]
+          @ if st.bad = Some i then [ "  zq_undeclared = 1;" ] else []
+        end)
+      lines
+  in
+  String.concat "\n" body
+  ^ Printf.sprintf "\nint zq_callee(%s v) {\n  return 1;\n}\n" (if st.callee_int then "int" else "float")
+  ^ "int zq_caller(float w) {\n  return zq_callee(w);\n}\nint zq_g;\n"
+  ^ (if st.dup_fn then "int zq_callee(float v) {\n  return 2;\n}\n" else "")
+  ^ if st.dup_global then "int zq_g;\n" else ""
+
+let gen_tc_walk =
+  let open QCheck2.Gen in
+  let bases =
+    Vrp_suite.Synth.generate ~units:12 ~seed:5 ()
+    :: List.map
+         (fun n -> (Option.get (Suite.find n)).Suite.source)
+         [ "qsort"; "proto"; "calc" ]
+  in
+  pair (oneofl bases) (list_size (int_range 4 10) (pair (int_range 0 5) (int_range 0 11)))
+
+let session_typecheck_memo_matches_one_shot =
+  Helpers.qtest ~count:25 "session type-check memo: replies equal one-shot"
+    ~print:(fun (_, ops) -> String.concat " " (List.map (fun (a, b) -> Printf.sprintf "%d:%d" a b) ops))
+    gen_tc_walk
+    (fun (base, ops) ->
+      let start = { bad = None; callee_int = false; dup_fn = false; dup_global = false; blank = None } in
+      with_server (fun server ->
+          let history = ref [ start ] in
+          List.for_all
+            (fun (op, arg) ->
+              let st = List.hd !history in
+              let toggle cur = if cur = Some arg then None else Some arg in
+              let st =
+                match op with
+                | 0 -> { st with bad = toggle st.bad }
+                | 1 -> { st with callee_int = not st.callee_int }
+                | 2 -> { st with dup_fn = not st.dup_fn }
+                | 3 -> { st with dup_global = not st.dup_global }
+                | 4 -> { st with blank = toggle st.blank }
+                | _ -> List.nth !history (arg mod List.length !history)
+              in
+              history := st :: !history;
+              let src = tc_render base st in
+              let want = Ops.predict ~opts:Ops.default_opts ~source:src () in
+              let r = Server.handle server (analyze_req ~session:"tc" ~name:"tc.mc" src) in
+              r.Protocol.ok && r.Protocol.out = want.Ops.out && r.Protocol.err = want.Ops.err
+              && r.Protocol.code = want.Ops.code)
+            ops))
+
 let suite =
   ( "server",
     [
@@ -2460,4 +2587,6 @@ let suite =
       json_round_trip_prop;
       json_only_errors_escape;
       tc "session edits match one-shot" `Quick session_edits_match_one_shot;
+      tc "session edits of 48 units: one-shot output, pinned cache deltas" `Quick session_edits_48_units;
+      session_typecheck_memo_matches_one_shot;
     ] )

@@ -1,5 +1,5 @@
-(** Tests for the utility library: the deterministic PRNG and the
-    statistics helpers. *)
+(** Tests for the utility library: the deterministic PRNG, the
+    statistics helpers and the checksummed frames. *)
 
 module Prng = Vrp_util.Prng
 module Stats = Vrp_util.Stats
@@ -85,6 +85,71 @@ let frame_codec () =
     (read_all ("vrpt1ffffffff" ^ String.make 32 '0' ^ "first"));
   Sys.remove path
 
+(* QCheck properties of the frame reader, over random bodies and every
+   byte of their frames. Each reads one frame from a file holding exactly
+   the bytes given; a raise fails the property. *)
+let frame_magic = "vrpq1"
+
+let read_one bytes =
+  let path = Filename.temp_file "vrp-frame" ".bin" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
+      In_channel.with_open_bin path (fun ic -> Frame.read ~magic:frame_magic ic))
+
+let gen_body = QCheck2.Gen.(string_size ~gen:char (int_range 0 96))
+let print_body = Printf.sprintf "%S"
+
+let frame_round_trip =
+  Helpers.qtest ~count:300 ~print:print_body "frame: random bodies round-trip" gen_body
+    (fun body -> read_one (Frame.encode ~magic:frame_magic body) = Some body)
+
+let frame_byte_changes =
+  Helpers.qtest ~count:40 ~print:print_body "frame: a changed byte reads None or the body"
+    QCheck2.Gen.(string_size ~gen:char (int_range 0 24))
+    (fun body ->
+      let frame = Frame.encode ~magic:frame_magic body in
+      List.for_all
+        (fun i ->
+          List.for_all
+            (fun delta ->
+              let b = Bytes.of_string frame in
+              Bytes.set b i (Char.chr ((Char.code frame.[i] + delta) land 0xff));
+              match read_one (Bytes.to_string b) with
+              | None -> true
+              | Some read -> String.equal read body)
+            [ 1; 32; 128; 255 ])
+        (List.init (String.length frame) Fun.id))
+
+let frame_prefixes =
+  Helpers.qtest ~count:40 ~print:print_body "frame: every proper prefix reads None"
+    QCheck2.Gen.(string_size ~gen:char (int_range 0 24))
+    (fun body ->
+      let frame = Frame.encode ~magic:frame_magic body in
+      List.for_all
+        (fun n -> read_one (String.sub frame 0 n) = None)
+        (List.init (String.length frame) Fun.id))
+
+(* The length field is read before the body: one past the end of the file
+   must be refused before a buffer of that size is allocated. *)
+let frame_length_past_end =
+  Helpers.qtest ~count:100 ~print:print_body "frame: a length past the end reads None unallocated"
+    gen_body
+    (fun body ->
+      let framed = Frame.encode ~magic:frame_magic body in
+      let header = String.length frame_magic in
+      List.for_all
+        (fun len ->
+          let bytes =
+            String.sub framed 0 header ^ Printf.sprintf "%08x" len
+            ^ String.sub framed (header + 8) (String.length framed - header - 8)
+          in
+          let before = Gc.allocated_bytes () in
+          let read = read_one bytes in
+          read = None && Gc.allocated_bytes () -. before < 1e6)
+        [ String.length body + 1; 0x100000; 0x7fffffff; 0xffffffff ])
+
 let suite =
   ( "util",
     [
@@ -96,4 +161,8 @@ let suite =
       tc "stats: least squares" `Quick stats_least_squares_noise;
       tc "stats: degenerate fits" `Quick stats_degenerate;
       tc "frame: codec" `Quick frame_codec;
+      frame_round_trip;
+      frame_byte_changes;
+      frame_prefixes;
+      frame_length_past_end;
     ] )

@@ -47,20 +47,24 @@ let load_source file bench =
   | Some _, Some _ -> Error "give either FILE or -b NAME, not both"
   | None, None -> Error "no input: give a FILE or -b NAME"
 
-(* Compilation is total at this boundary: front-end errors, IR-check
-   violations and internal crashes all become a one-line message and exit 1
-   instead of an uncaught backtrace. *)
-let with_source file bench k =
+(* Resolve the input source, mapping selection errors to exit 2. *)
+let with_loaded file bench k =
   match load_source file bench with
   | Error msg ->
     prerr_endline ("vrpc: " ^ msg);
     exit 2
-  | Ok source -> (
-    match Pipeline.compile_result source with
-    | Ok compiled -> k compiled
-    | Error d ->
-      prerr_endline ("vrpc: " ^ d.Diag.message);
-      exit 1)
+  | Ok source -> k source
+
+(* Compilation is total at this boundary: front-end errors, IR-check
+   violations and internal crashes all become a one-line message and exit 1
+   instead of an uncaught backtrace. *)
+let with_source file bench k =
+  with_loaded file bench (fun source ->
+      match Pipeline.compile_result source with
+      | Ok compiled -> k compiled
+      | Error d ->
+        prerr_endline ("vrpc: " ^ d.Diag.message);
+        exit 1)
 
 (* --- Common arguments --- *)
 
@@ -167,8 +171,13 @@ let select_fns (p : Ir.program) = function
 (* --- Subcommands --- *)
 
 let dump_ast file bench =
-  with_source file bench (fun c ->
-      print_string (Vrp_lang.Pretty.program_to_string c.Pipeline.ast))
+  with_loaded file bench (fun source ->
+      match Vrp_lang.Front.parse_and_check source with
+      | ast -> print_string (Vrp_lang.Pretty.program_to_string ast)
+      | exception e ->
+        let internal = "internal error: " ^ Printexc.to_string e in
+        prerr_endline ("vrpc: " ^ Option.value (Vrp_lang.Front.describe_error e) ~default:internal);
+        exit 1)
 
 let dump_ir file bench fn_filter =
   with_source file bench (fun c ->
@@ -212,14 +221,6 @@ let opts_of ?(jobs = 1) ?model numeric (diagnostics, strict, fault) =
     match model with Some path -> Ops.Model_file path | None -> Ops.No_model
   in
   { Ops.default_opts with Ops.numeric; jobs; diagnostics; strict; fault; model }
-
-(* Resolve the input source, mapping selection errors to exit 2. *)
-let with_loaded file bench k =
-  match load_source file bench with
-  | Error msg ->
-    prerr_endline ("vrpc: " ^ msg);
-    exit 2
-  | Ok source -> k source
 
 (* --trace-out: record per-phase spans (compile, interproc waves, engine
    runs, algebra) around the analysis and write them as Chrome trace_event

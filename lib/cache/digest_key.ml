@@ -69,9 +69,19 @@ let compile_env (p : Ast.program) =
     ( List.map (fun (f : Ast.func) -> (f.Ast.fname, f.Ast.fty)) p.Ast.funcs,
       List.map (fun (g : Ast.global) -> (g.Ast.gty, g.Ast.gname, g.Ast.gsize)) p.Ast.globals )
 
+(* [f] with every line it carries, its own and its statements', set to 0. *)
+let erase_lines (f : Ast.func) : Ast.func =
+  let rec stmt (s : Ast.stmt) : Ast.stmt = { sline = 0; sdesc = desc s.sdesc }
+  and desc : Ast.stmt_desc -> Ast.stmt_desc = function
+    | Sif (c, t, e) -> Sif (c, block t, Option.map block e)
+    | Swhile (c, b) -> Swhile (c, block b)
+    | Sfor (init, c, step, b) -> Sfor (Option.map stmt init, c, Option.map stmt step, block b)
+    | (Sdecl _ | Sassign _ | Sreturn _ | Sbreak | Scontinue | Sexpr _) as d -> d
+  and block b = List.map stmt b in
+  { f with fline = 0; body = block f.body }
+
 let compile_key ~env (f : Ast.func) =
-  "compile-"
-  ^ Digest.to_hex (marshal_digest (env, Ast.map_func_lines (fun _ -> 0) f))
+  "compile-" ^ Digest.to_hex (marshal_digest (env, erase_lines f))
 
 (* --- Configuration ---
 

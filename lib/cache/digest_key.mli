@@ -20,10 +20,14 @@ module Engine = Vrp_core.Engine
 
 (** Bump when the serialization or the summary format changes, when a
     constructor of [Ir], [Ast.ty], [Ast.relop], [Ast.binop] or
-    [Diag.Fault.t] is added, removed or reordered, and when fields of
-    [Engine.config] are reordered: Marshal encodes constructors and fields
-    by their position in the type. Bumping invalidates every existing
-    on-disk cache entry. *)
+    [Diag.Fault.t] is added, removed or reordered, when fields of
+    [Engine.config] are reordered, and when a field or constructor of a
+    type read back from disk changes: [Engine.t] (a [vrpsum2] body),
+    [Batch.file_result] and [Journal.record] (a [--resume] journal), and
+    the [Value.t], [Srange.t], [Sym.t], [Var.t] and [Diag.diag] in them.
+    Marshal encodes constructors and fields by their position in the type;
+    the cache tests "IR layout tripwire" and "persisted layout tripwire"
+    pin them. Bumping invalidates every on-disk cache entry and journal. *)
 val format_version : int
 
 (** Structural digest (hex) of one function's SSA IR: MD5 over the

@@ -39,7 +39,7 @@ type value =
       fn : Ir.fn;
       baselines : Vrp_predict.Predictor.baselines;
       fn_key : Digest_key.fn_key;
-      slot : string;
+      slot : string * string;
     }
 type entry = { value : value; mutable last_use : int }
 
@@ -50,8 +50,8 @@ type slot = { stamp : string; mutable keys : string list }
 type t = {
   capacity : int;
   mem : (string, entry) Hashtbl.t;
-  seen : (string, slot) Hashtbl.t;
-  compiled_at : (string, string) Hashtbl.t;
+  seen : (string * string, slot) Hashtbl.t;  (* by (file, function) *)
+  compiled_at : (string * string, string) Hashtbl.t;
       (* slot -> key of its latest compiled entry, the one a newer drops *)
   disk_dir : string option;
   lock : Mutex.t;
@@ -488,7 +488,7 @@ let store_compiled_locked t ~slot key fn baselines fn_key =
   Hashtbl.replace t.compiled_at slot key;
   insert_locked t key (Compiled { fn; baselines; fn_key; slot })
 
-let compile ?(slot_prefix = "") ?front ?(compile_key = Digest_key.compile_key) t source =
+let compile ~file ?front ?(compile_key = Digest_key.compile_key) t source =
   let keys = Hashtbl.create 16 in
   let memo ast =
     let env = Digest_key.compile_env ast in
@@ -513,7 +513,7 @@ let compile ?(slot_prefix = "") ?front ?(compile_key = Digest_key.compile_key) t
           let fn, baselines = build () in
           let fn_key = Digest_key.fn_key fn in
           locked t (fun () ->
-              store_compiled_locked t ~slot:(slot_prefix ^ fname) key fn baselines fn_key);
+              store_compiled_locked t ~slot:(file, fname) key fn baselines fn_key);
           (fn, baselines, fn_key)
       in
       Hashtbl.replace keys fname fn_key;
@@ -523,7 +523,7 @@ let compile ?(slot_prefix = "") ?front ?(compile_key = Digest_key.compile_key) t
 
 (* --- The memoizing analyze_fn --- *)
 
-let memoized ?(slot_prefix = "") t (keys : (string, Digest_key.fn_key) Hashtbl.t) :
+let memoized ~file t (keys : (string, Digest_key.fn_key) Hashtbl.t) :
     Interproc.analyze_fn =
   (* One configuration digest per distinct configuration: every task of a
      run passes the same one, up to the cancel token a supervisor sets per
@@ -547,7 +547,7 @@ let memoized ?(slot_prefix = "") t (keys : (string, Digest_key.fn_key) Hashtbl.t
         ~callee_returns:(List.map (fun c -> (c, call_oracle c [])) callees)
     in
     find_or_compute t
-      ~slot:(slot_prefix ^ fname)
+      ~slot:(file, fname)
       ~stamp:(digest ^ config_digest)
       ~key
       (fun () -> Engine.analyze ~config ~call_oracle ~param_values fn)

@@ -127,12 +127,12 @@ val counters_line : counters -> string
 
 (** [find_or_compute t ~slot ~stamp ~key compute] returns the summary for
     [key], computing and storing it on a miss. [slot] names the cached
-    entity (pass a file-qualified function name) and [stamp] is its
+    entity, a [(file, function)] pair, and [stamp] is its
     (IR digest, config digest) identity: a lookup for a known slot under a
     new stamp counts as an invalidation and drops from the memory tier the
     entries the slot stored under its older stamp. *)
 val find_or_compute :
-  t -> slot:string -> stamp:string -> key:string -> (unit -> Engine.t) -> Engine.t
+  t -> slot:string * string -> stamp:string -> key:string -> (unit -> Engine.t) -> Engine.t
 
 (** The reply stored under [key] in the file-level tier, counted as a
     [file_hits] when found. *)
@@ -148,17 +148,18 @@ val store_reply : t -> key:string -> reply -> unit
     SSA and baseline columns ({!Vrp_predict.Predictor.baselines}) and
     reads the stored {!Digest_key.fn_key}, so nothing is recomputed; a
     miss compiles the function and its columns, digests it and stores all
-    three under the slot [slot_prefix ^ fname] (counted in [compile_hits] and
-    [compile_misses], never in [hits], [misses] or [stores]). A slot keeps
-    one compiled entry, so editing a function drops its previous version.
-    Served functions are shared with every later request: no consumer may
-    write to them. A summary computed from one holds that same [Ir.fn].
-    [front] is {!Vrp_core.Pipeline.compile}'s; [compile_key]
-    (default {!Digest_key.compile_key}) must return what that function
-    does, and lets a caller that remembers an unchanged function's key
-    skip hashing it again. *)
+    three under the slot [(file, fname)], [file] naming the source
+    (counted in [compile_hits] and [compile_misses], never in [hits],
+    [misses] or [stores]). A slot keeps one compiled entry, so editing a
+    function drops its previous version. Served functions are shared with
+    every later request: no consumer may write to them. A summary computed
+    from one holds that same [Ir.fn]. [front] is
+    {!Vrp_core.Pipeline.compile}'s, under which a function's AST may carry
+    stale lines; [compile_key] (default {!Digest_key.compile_key}, which
+    erases them) must return what that function does, and lets a caller
+    that remembers an unchanged function's key skip hashing it again. *)
 val compile :
-  ?slot_prefix:string ->
+  file:string ->
   ?front:Vrp_lang.Front.memo ->
   ?compile_key:(env:string -> Vrp_lang.Ast.func -> string) ->
   t ->
@@ -172,7 +173,8 @@ val compile :
     served from the cache when its full key matches. A summary carries
     its run's diagnostics ([Engine.t.diags]), which {!Interproc} appends
     whether it was computed or served, so a warm run's report equals the
-    cold run's. [slot_prefix] qualifies function names for invalidation
-    accounting (pass the source path in batch mode). *)
+    cold run's. [file] names the source the functions come from: a task's
+    slot is [(file, fname)], so two files' functions never share a slot
+    and neither invalidates the other's summaries. *)
 val memoized :
-  ?slot_prefix:string -> t -> (string, Digest_key.fn_key) Hashtbl.t -> Interproc.analyze_fn
+  file:string -> t -> (string, Digest_key.fn_key) Hashtbl.t -> Interproc.analyze_fn

@@ -82,18 +82,6 @@ type global = {
 
 type program = { globals : global list; funcs : func list }
 
-(** [map_func_lines f fn] is [fn] with each source line [l] it carries (its
-    own and its statements') replaced by [f l]. *)
-let map_func_lines f (fn : func) =
-  let rec stmt s = { sline = f s.sline; sdesc = desc s.sdesc }
-  and desc = function
-    | Sif (c, t, e) -> Sif (c, block t, Option.map block e)
-    | Swhile (c, b) -> Swhile (c, block b)
-    | Sfor (init, c, step, b) -> Sfor (Option.map stmt init, c, Option.map stmt step, block b)
-    | (Sdecl _ | Sassign _ | Sreturn _ | Sbreak | Scontinue | Sexpr _) as d -> d
-  and block b = List.map stmt b in
-  { fn with fline = f fn.fline; body = block fn.body }
-
 let ty_to_string = function Tint -> "int" | Tfloat -> "float" | Tvoid -> "void"
 
 let binop_to_string = function
@@ -135,6 +123,3 @@ let relop_swap = function
   | Le -> Ge
   | Gt -> Lt
   | Ge -> Le
-
-let find_func program name =
-  List.find_opt (fun f -> String.equal f.fname name) program.funcs

@@ -49,15 +49,6 @@ let split (src : string) : group list =
 
 let parse_group (g : group) = Parser.parse_program ~line:g.line g.text
 
-let shift d (p : Ast.program) =
-  if d = 0 then p
-  else
-    let moved l = l + d in
-    {
-      Ast.globals = List.map (fun (g : Ast.global) -> { g with Ast.gline = g.Ast.gline + d }) p.Ast.globals;
-      funcs = List.map (Ast.map_func_lines moved) p.Ast.funcs;
-    }
-
 (* Any group that fails sends the whole source through the one-piece
    parse, which raises the error the source has always raised: the first
    lexical error of the file before any parse error. *)
@@ -76,10 +67,14 @@ type memo = {
   since : (Typecheck.tables * (Ast.func -> bool)) option;
 }
 
-let parse_and_check ?memo (src : string) : Ast.program =
+(* A memo may serve a group parsed where it stood before an edit, so the
+   warm program's lines may be stale: a type error raised on it is raised
+   again by the cold parse and check, which alone carries positions. *)
+let rec parse_and_check ?memo (src : string) : Ast.program =
   let program = parse ?parse_group:(Option.map (fun m -> m.parse_group) memo) src in
-  Typecheck.check_program ?since:(Option.bind memo (fun m -> m.since)) program;
-  program
+  match Typecheck.check_program ?since:(Option.bind memo (fun m -> m.since)) program with
+  | () -> program
+  | exception Typecheck.Error _ when Option.is_some memo -> parse_and_check src
 
 let describe_error = function
   | Lexer.Error (msg, line, col) ->

@@ -9,7 +9,9 @@
     no state between items. That lets a caller that keeps the previous
     parse of an edited source re-parse only the groups whose text changed
     ({!parse}'s [parse_group]), and skip type-checking the bodies of the
-    functions in the unchanged groups ({!memo}). *)
+    functions in the unchanged groups ({!memo}). No IR carries a line, so
+    a line matters only in an error, and every error comes from the cold
+    path: a memo may serve a group parsed where it stood before. *)
 
 (** A run of whole top-level items: [text] starts at column 1 of source
     line [line] and ends with the line end after its last item (the last
@@ -24,10 +26,6 @@ val split : string -> group list
     @raise Lexer.Error or Parser.Error on bad input. *)
 val parse_group : group -> Ast.program
 
-(** [shift d p] is [p] with every source line moved by [d]: the parse of a
-    group whose unchanged text now starts [d] lines further down. *)
-val shift : int -> Ast.program -> Ast.program
-
 (** Parse a source group by group through [parse_group] (default
     {!parse_group}) and concatenate the parts. If any group fails to lex or
     parse, the whole source is parsed in one piece, so the error (text,
@@ -38,15 +36,16 @@ val parse : ?parse_group:(group -> Ast.program) -> string -> Ast.program
 
 (** What a caller remembers of a source's last good compile. *)
 type memo = {
-  parse_group : group -> Ast.program;  (** {!parse}'s [parse_group] *)
+  parse_group : group -> Ast.program;  (** {!parse}'s; lines may be stale *)
   since : (Typecheck.tables * (Ast.func -> bool)) option;
       (** {!Typecheck.check_program}'s [since]: the tables of the last good
           compile, and whether a function comes from a group whose text is
           unchanged since then (asked once every group is parsed) *)
 }
 
-(** {!parse}, then type-check the program, through [memo] when given; the
-    error raised is the first one of the whole program.
+(** {!parse}, then type-check the program, through [memo] when given; a
+    type error under [memo] is raised again by a cold parse and check, so
+    every error (text and line) is a whole-file parse and check's.
     @raise Lexer.Error, Parser.Error or Typecheck.Error on bad input. *)
 val parse_and_check : ?memo:memo -> string -> Ast.program
 

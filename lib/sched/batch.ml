@@ -58,7 +58,7 @@ let analyze_one ?cache ?supervisor ~config (name, source) =
     let ssa = compiled.Pipeline.ssa in
     let analyze_fn =
       match cache with
-      | Some c -> Summary_cache.memoized ~slot_prefix:(name ^ ":") c (Digest_key.fn_keys ssa)
+      | Some c -> Summary_cache.memoized ~file:name c (Digest_key.fn_keys ssa)
       | None -> Interproc.default_analyze_fn
     in
     (* Supervision wraps outside the cache: a cache hit is served without

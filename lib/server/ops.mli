@@ -59,9 +59,6 @@ val config_of : opts -> Engine.config
     stderr). *)
 val front_end_failure : Diag.diag -> outcome
 
-(** Compile, mapping front-end failure to {!front_end_failure}. *)
-val compile_outcome : string -> (Pipeline.compiled, outcome) result
-
 (** [vrpc predict]: the three-predictor branch-probability table with
     fallback markers. [pool] reuses a resident domain pool (the server's);
     otherwise a transient pool of [opts.jobs] is used. [analyze_fn] is the

@@ -150,7 +150,7 @@ let reply_key t opts ~source_md5 =
 (* Compile through [cache]'s per-function memo: only the functions whose
    AST changed since [name] was last compiled are rebuilt. *)
 let compile_cached cache ~name source =
-  Result.map_error Ops.front_end_failure (Summary_cache.compile ~slot_prefix:name cache source)
+  Result.map_error Ops.front_end_failure (Summary_cache.compile ~file:name cache source)
 
 let handle_predict t ~budget_ms { Protocol.params = p; _ } =
   let source = req_string p "source" in
@@ -173,7 +173,7 @@ let handle_predict t ~budget_ms { Protocol.params = p; _ } =
             match compile_cached t.cache ~name source with
             | Error o -> o
             | Ok (c, keys) ->
-              let analyze_fn = Summary_cache.memoized ~slot_prefix:name t.cache keys in
+              let analyze_fn = Summary_cache.memoized ~file:name t.cache keys in
               Ops.predict_compiled ~pool:t.pool ~analyze_fn ~opts c)
         in
         (* A fired token may have cut the reply short, and a deadline cut
@@ -234,7 +234,7 @@ let handle_analyze t ~budget_ms { Protocol.params = p; _ } =
           supervised t ~label:(Printf.sprintf "analyze %s %s" sid name) ?budget_ms
             (fun cancel ->
               let opts = { opts with Ops.cancel } in
-              let analyze_fn = Summary_cache.memoized ~slot_prefix:name cache keys in
+              let analyze_fn = Summary_cache.memoized ~file:name cache keys in
               Ops.predict_compiled ~pool:t.pool ~analyze_fn ~opts c)
         in
         let delta = Summary_cache.delta ~before (Summary_cache.counters cache) in

@@ -6,10 +6,9 @@ module Digest_key = Vrp_cache.Digest_key
 module Ast = Vrp_lang.Ast
 module Front = Vrp_lang.Front
 
-(* One item group of a file's last parse. [keys] are the compile keys of
-   [items.funcs] under one compile environment, once a compile asked. *)
+(* One item group of a file's last parse, as first parsed. [keys] are the
+   compile keys of [items.funcs] under one environment, once asked for. *)
 type parsed = {
-  at : int;  (* the group's first line, which [items]' lines start from *)
   items : Ast.program;
   mutable keys : (string * (string * string) list) option;  (* env, [(fname, key)] *)
 }
@@ -163,23 +162,18 @@ let with_lock s f =
               if Option.is_some s.folded then fold_locked s.owner s)))
 
 (* The last good compile of [name] serves every group whose text is
-   unchanged, moved to the group's new first line; its functions' bodies
-   need no type check while the global tables are unchanged, and they keep
-   their compile keys while the compile environment is unchanged. The new
-   parse replaces the old one once the source compiles, so [name] keeps at
-   most one entry per group of its last good submission. *)
+   unchanged, lines unmoved (errors come from a cold parse); its functions'
+   bodies need no type check while the global tables are unchanged, and
+   they keep their compile keys while the compile environment is unchanged.
+   The new parse replaces the old one once the source compiles, so [name]
+   keeps at most one entry per group of its last good submission. *)
 let compile s ~name source =
   let prev = locked s.parse_lock (fun () -> Hashtbl.find_opt s.parses name) in
   let next = Hashtbl.create 64 and owner = Hashtbl.create 64 and unchanged = Hashtbl.create 64 in
   let parse_group (g : Front.group) =
     let d = Digest.string g.Front.text in
     let reused = Option.bind prev (fun prev -> Hashtbl.find_opt prev.groups d) in
-    let p =
-      match reused with
-      | Some p when p.at = g.Front.line -> p
-      | Some p -> { p with at = g.Front.line; items = Front.shift (g.Front.line - p.at) p.items }
-      | None -> { at = g.Front.line; items = Front.parse_group g; keys = None }
-    in
+    let p = match reused with Some p -> p | None -> { items = Front.parse_group g; keys = None } in
     Hashtbl.replace next d p;
     List.iter
       (fun (f : Ast.func) ->
@@ -217,10 +211,10 @@ let compile s ~name source =
       in
       List.assoc f.Ast.fname keys
   in
-  let r = Summary_cache.compile ~slot_prefix:name ~front ~compile_key s.cache source in
+  let r = Summary_cache.compile ~file:name ~front ~compile_key s.cache source in
   Result.iter
     (fun ((c : Vrp_core.Pipeline.compiled), _) ->
-      let last = { groups = next; tables = Vrp_lang.Typecheck.tables c.Vrp_core.Pipeline.ast } in
+      let last = { groups = next; tables = c.Vrp_core.Pipeline.tables } in
       locked s.parse_lock (fun () -> Hashtbl.replace s.parses name last))
     r;
   r

@@ -77,14 +77,15 @@ val with_lock : session -> (unit -> 'a) -> 'a
     each item group ({!Vrp_lang.Front.split}) of the last parse that
     compiled: its text digest, its parsed items and, once asked for, its
     functions' {!Digest_key.compile_key}s. A group whose text is unchanged
-    is not lexed or parsed again: its items are reused with their lines
-    moved to where the group now starts, and its functions keep their
-    compile keys while the program's {!Digest_key.compile_env} is
-    unchanged. The memo also keeps the compile's
-    {!Vrp_lang.Typecheck.tables}: while they are unchanged, the bodies of
-    the functions in unchanged groups are not type-checked again. The
-    result (or the first error) equals a cold {!Vrp_core.Pipeline.compile}
-    of [source], lines included. Call under {!with_lock}. *)
+    is not lexed or parsed again: its items are reused as first parsed,
+    wherever the group now starts, and its functions keep their compile
+    keys while the program's {!Digest_key.compile_env} is unchanged. The
+    memo also keeps the compile's {!Vrp_lang.Typecheck.tables}: while they
+    are unchanged, the bodies of the functions in unchanged groups are not
+    type-checked again. The result equals a cold
+    {!Vrp_core.Pipeline.compile} of [source], and an error is the one a
+    cold compile reports, line included
+    ({!Vrp_lang.Front.parse_and_check}). Call under {!with_lock}. *)
 val compile :
   session ->
   name:string ->

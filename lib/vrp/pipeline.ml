@@ -9,10 +9,9 @@ module Heuristics = Vrp_predict.Heuristics
 module Diag = Vrp_diag.Diag
 
 type compiled = {
-  source : string;
-  ast : Vrp_lang.Ast.program;
   ssa : Ir.program;  (** the canonical SSA program all consumers share *)
   baselines : Predictor.baselines list option;
+  tables : Vrp_lang.Typecheck.tables;
 }
 
 type memo =
@@ -57,7 +56,11 @@ let compile ?front ?memo (source : string) : compiled =
           let products = List.map (fun f -> find f (build f)) ast.funcs in
           (List.map fst products, Some (List.map snd products))
       in
-      { source; ast; ssa = { Ir.fns; global_arrays = Vrp_ir.Build.globals env }; baselines })
+      {
+        ssa = { Ir.fns; global_arrays = Vrp_ir.Build.globals env };
+        baselines;
+        tables = Vrp_lang.Typecheck.tables ast;
+      })
 
 (** Total variant of {!compile} for consumers that must not see exceptions:
     any front-end error, IR-check violation or internal crash becomes a

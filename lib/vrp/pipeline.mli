@@ -11,22 +11,22 @@ module Ir = Vrp_ir.Ir
 module Predictor = Vrp_predict.Predictor
 module Diag = Vrp_diag.Diag
 
+(** No AST leaves {!compile}: under a front-end memo its lines may be stale. *)
 type compiled = {
-  source : string;
-  ast : Vrp_lang.Ast.program;
   ssa : Ir.program;  (** the canonical SSA program all consumers share *)
   baselines : Predictor.baselines list option;
       (** with a memo, each function's {!Predictor.baselines} in [ssa.fns]
           order, computed with the function or served with it; [None]
           without a memo, where a consumer that renders the columns
           computes them itself *)
+  tables : Vrp_lang.Typecheck.tables;  (** for a later {!Vrp_lang.Front.memo} *)
 }
 
 (** A per-function compile memo. [memo ast] is applied once per program;
     the function it returns is given each function of [ast] with its
     builder (lower, clean, split critical edges, SSA, {!Vrp_ir.Check},
     then {!Predictor.baselines}) and returns that function's checked SSA
-    and baseline columns, built now or reused.
+    and baseline columns, built now or reused; a key must not read lines.
     {!Vrp_cache.Summary_cache.compile} is the one implementation. *)
 type memo =
   Vrp_lang.Ast.program ->

@@ -270,7 +270,7 @@ let counters_check what (c : Summary_cache.counters) ~hits ~misses ~invalidation
 let miss_hit_and_invalidation () =
   let t = Summary_cache.create () in
   let res = Lazy.force some_summary in
-  let get ~stamp ~key = Summary_cache.find_or_compute t ~slot:"f" ~stamp ~key (fun () -> res) in
+  let get ~stamp ~key = Summary_cache.find_or_compute t ~slot:("t", "f") ~stamp ~key (fun () -> res) in
   ignore (get ~stamp:"s1" ~key:"k1");
   counters_check "first lookup" (Summary_cache.counters t) ~hits:0 ~misses:1 ~invalidations:0;
   ignore (get ~stamp:"s1" ~key:"k1");
@@ -282,7 +282,7 @@ let miss_hit_and_invalidation () =
 let lru_evicts_oldest () =
   let t = Summary_cache.create ~memory_capacity:4 () in
   let res = Lazy.force some_summary in
-  let get key = ignore (Summary_cache.find_or_compute t ~slot:key ~stamp:"s" ~key (fun () -> res)) in
+  let get key = ignore (Summary_cache.find_or_compute t ~slot:("t", key) ~stamp:"s" ~key (fun () -> res)) in
   List.iter get [ "k1"; "k2"; "k3"; "k4"; "k5" ];
   (* exceeding capacity 4 evicts down to 3 entries: k1 and k2 are gone *)
   get "k5";
@@ -301,11 +301,11 @@ let disk_tier_survives_processes () =
   let dir = temp_dir () in
   let res = Lazy.force some_summary in
   let writer = Summary_cache.create ~disk_dir:dir () in
-  ignore (Summary_cache.find_or_compute writer ~slot:"f" ~stamp:"s" ~key:"k1" (fun () -> res));
+  ignore (Summary_cache.find_or_compute writer ~slot:("t", "f") ~stamp:"s" ~key:"k1" (fun () -> res));
   (* a fresh store over the same directory models a new process *)
   let reader = Summary_cache.create ~disk_dir:dir () in
   let loaded =
-    Summary_cache.find_or_compute reader ~slot:"f" ~stamp:"s" ~key:"k1" (fun () ->
+    Summary_cache.find_or_compute reader ~slot:("t", "f") ~stamp:"s" ~key:"k1" (fun () ->
         Alcotest.fail "disk hit expected, compute ran")
   in
   Alcotest.(check string) "same function came back"
@@ -321,7 +321,7 @@ let disk_tier_survives_processes () =
   close_out oc;
   let computed = ref false in
   ignore
-    (Summary_cache.find_or_compute reader ~slot:"g" ~stamp:"s" ~key:"k2" (fun () ->
+    (Summary_cache.find_or_compute reader ~slot:("t", "g") ~stamp:"s" ~key:"k2" (fun () ->
          computed := true;
          res));
   Alcotest.(check bool) "corrupt file fell back to compute" true !computed
@@ -337,12 +337,12 @@ let corruption_case what ~mangle ~quarantined_delta () =
   let dir = temp_dir () in
   let res = Lazy.force some_summary in
   let writer = Summary_cache.create ~disk_dir:dir () in
-  ignore (Summary_cache.find_or_compute writer ~slot:"f" ~stamp:"s" ~key:"k1" (fun () -> res));
+  ignore (Summary_cache.find_or_compute writer ~slot:("t", "f") ~stamp:"s" ~key:"k1" (fun () -> res));
   mangle (entry_path dir "k1");
   let reader = Summary_cache.create ~disk_dir:dir () in
   let computed = ref false in
   ignore
-    (Summary_cache.find_or_compute reader ~slot:"f" ~stamp:"s" ~key:"k1" (fun () ->
+    (Summary_cache.find_or_compute reader ~slot:("t", "f") ~stamp:"s" ~key:"k1" (fun () ->
          computed := true;
          res));
   Alcotest.(check bool) (what ^ ": fell back to compute") true !computed;
@@ -355,7 +355,7 @@ let corruption_case what ~mangle ~quarantined_delta () =
   (* the recomputed entry was rewritten; a third store serves it again *)
   let again = Summary_cache.create ~disk_dir:dir () in
   ignore
-    (Summary_cache.find_or_compute again ~slot:"f" ~stamp:"s" ~key:"k1" (fun () ->
+    (Summary_cache.find_or_compute again ~slot:("t", "f") ~stamp:"s" ~key:"k1" (fun () ->
          Alcotest.fail (what ^ ": repaired entry should hit")));
   Alcotest.(check int)
     (what ^ ": repaired entry served from disk")
@@ -395,10 +395,10 @@ let quarantine_moves_entry_aside () =
   let dir = temp_dir () in
   let res = Lazy.force some_summary in
   let writer = Summary_cache.create ~disk_dir:dir () in
-  ignore (Summary_cache.find_or_compute writer ~slot:"f" ~stamp:"s" ~key:"k1" (fun () -> res));
+  ignore (Summary_cache.find_or_compute writer ~slot:("t", "f") ~stamp:"s" ~key:"k1" (fun () -> res));
   write_file (entry_path dir "k1") "garbage";
   let reader = Summary_cache.create ~disk_dir:dir () in
-  ignore (Summary_cache.find_or_compute reader ~slot:"f" ~stamp:"s" ~key:"k1" (fun () -> res));
+  ignore (Summary_cache.find_or_compute reader ~slot:("t", "f") ~stamp:"s" ~key:"k1" (fun () -> res));
   Alcotest.(check bool) "corrupt bytes moved to .bad" true
     (Sys.file_exists (entry_path dir "k1" ^ ".bad"))
 
@@ -432,7 +432,7 @@ let maintenance_sweeps_debris_and_evicts () =
   List.iteri
     (fun i key ->
       ignore
-        (Summary_cache.find_or_compute writer ~slot:key ~stamp:"s" ~key (fun () -> res));
+        (Summary_cache.find_or_compute writer ~slot:("t", key) ~stamp:"s" ~key (fun () -> res));
       (* age entries deterministically: mtime drives eviction order *)
       let age = float_of_int (1_000_000 + i) in
       Unix.utimes (entry_path dir key) age age)
@@ -465,7 +465,7 @@ let eviction_is_oldest_first () =
   List.iteri
     (fun i key ->
       ignore
-        (Summary_cache.find_or_compute writer ~slot:key ~stamp:"s" ~key (fun () -> res));
+        (Summary_cache.find_or_compute writer ~slot:("t", key) ~stamp:"s" ~key (fun () -> res));
       let age = float_of_int (1_000_000 + i) in
       Unix.utimes (entry_path dir key) age age)
     [ "k1"; "k2"; "k3"; "k4" ];
@@ -490,9 +490,9 @@ let concurrent_stores_share_a_directory () =
     (Summary_cache.holds_maintenance_lock first);
   Alcotest.(check bool) "second store is denied maintenance" false
     (Summary_cache.holds_maintenance_lock second);
-  ignore (Summary_cache.find_or_compute first ~slot:"f" ~stamp:"s" ~key:"k1" (fun () -> res));
+  ignore (Summary_cache.find_or_compute first ~slot:("t", "f") ~stamp:"s" ~key:"k1" (fun () -> res));
   ignore
-    (Summary_cache.find_or_compute second ~slot:"f" ~stamp:"s" ~key:"k1" (fun () ->
+    (Summary_cache.find_or_compute second ~slot:("t", "f") ~stamp:"s" ~key:"k1" (fun () ->
          Alcotest.fail "second store should read the first store's entry"));
   Alcotest.(check int) "entry flowed across stores" 1
     (Summary_cache.counters second).Summary_cache.disk_hits;
@@ -581,8 +581,8 @@ let key_list keys =
     keys []
   |> List.sort compare
 
-let memo_compile ?slot_prefix cache source =
-  match Summary_cache.compile ?slot_prefix cache source with
+let memo_compile ?(file = "t.mc") cache source =
+  match Summary_cache.compile ~file cache source with
   | Ok r -> r
   | Error d -> Alcotest.failf "memo compile failed: %s" d.Diag.message
 
@@ -624,7 +624,7 @@ let memo_matches_cold seed =
       let cache = Summary_cache.create () in
       let agrees source =
         let before = (Summary_cache.counters cache).Summary_cache.compile_misses in
-        let c, keys = memo_compile ~slot_prefix:"prop:" cache source in
+        let c, keys = memo_compile ~file:"prop" cache source in
         let cold_ssa = (Pipeline.compile source).Pipeline.ssa in
         let cold = Digest_key.fn_keys cold_ssa in
         let columns =
@@ -687,6 +687,120 @@ let evict_drops_compiled () =
   Alcotest.(check (list int)) "summary counters untouched" [ 0; 0; 0 ]
     [ c.Summary_cache.hits; c.Summary_cache.misses; c.Summary_cache.stores ]
 
+(* --- Persisted layout tripwire ---
+
+   A warm [--cache] reads a [vrpsum2] body back as [(int * Engine.t)], and
+   [--resume] reads a journal record and its payload back as a
+   [Journal.record] and a [Batch.file_result]. Marshal reads whatever
+   layout the bytes were written under, so a field or constructor added,
+   removed or reordered in any of these types, or in [Value.t], [Srange.t],
+   [Sym.t], [Var.t] or [Diag.diag] inside them, needs a bump of
+   [Digest_key.format_version], which every persisted key folds in. The
+   values below are record literals (a field added or removed stops them
+   compiling) that use every [Value] and [Diag] constructor (the exhaustive
+   matches stop compiling when one is added), and their digests are
+   pinned. *)
+
+let value_name : Vrp_ranges.Value.t -> string = function
+  | Top -> "Top" | Ranges _ -> "Ranges" | Bottom -> "Bottom"
+
+let severity_name : Diag.severity -> string = function
+  | Info -> "Info" | Warning -> "Warning" | Error -> "Error"
+
+let kind_name : Diag.kind -> string = function
+  | Budget_exhausted -> "Budget_exhausted" | Widened -> "Widened"
+  | Analysis_crashed -> "Analysis_crashed" | Fallback_heuristic -> "Fallback_heuristic"
+  | Front_end_error -> "Front_end_error" | Fault_injected -> "Fault_injected"
+  | Deadline_exceeded -> "Deadline_exceeded" | Task_retry -> "Task_retry"
+  | Journal_event -> "Journal_event" | Model_error -> "Model_error" | Note -> "Note"
+
+let persisted_values () =
+  let module Value = Vrp_ranges.Value in
+  let var = { Vrp_ir.Var.id = 0; base = "n"; version = 1; ty = Vrp_lang.Ast.Tint } in
+  let srange =
+    { Vrp_ranges.Srange.p = 0.5;
+      lo = { Vrp_ranges.Sym.base = Some var; off = 1 };
+      hi = { Vrp_ranges.Sym.base = None; off = 9 };
+      stride = 2 }
+  in
+  let values = [ Value.Top; Value.Ranges [ srange ]; Value.Bottom ] in
+  let severities = [ Diag.Info; Diag.Warning; Diag.Error ] in
+  let kinds =
+    [ Diag.Budget_exhausted; Widened; Analysis_crashed; Fallback_heuristic; Front_end_error;
+      Fault_injected; Deadline_exceeded; Task_retry; Journal_event; Model_error; Note ]
+  in
+  let diags =
+    List.mapi
+      (fun i kind ->
+        { Diag.severity = List.nth severities (i mod 3);
+          kind;
+          loc = { Diag.fn = (if i = 0 then None else Some "main"); block = Some i };
+          message = kind_name kind })
+      kinds
+  in
+  let fn =
+    { Ir.fname = "main";
+      ret_ty = Vrp_lang.Ast.Tint;
+      params = [ var ];
+      blocks = [| { Ir.bid = 0; instrs = []; term = Ir.Ret (Some (Ir.Ovar var)); preds = [] } |];
+      nvars = 1;
+      local_arrays = [] }
+  in
+  let branch_probs = Hashtbl.create ~random:false 1 and branch_fallback = Hashtbl.create ~random:false 1 in
+  Hashtbl.replace branch_probs 0 0.75;
+  Hashtbl.replace branch_fallback 0 true;
+  let summary : Engine.t =
+    { fn;
+      values = Array.of_list values;
+      branch_probs;
+      branch_fallback;
+      visited = [| true |];
+      evaluations = 3;
+      calls_seen = [ ((0, 1), ("f", values)) ];
+      return_value = Value.Ranges [ srange ];
+      fuel_limit = 100;
+      fuel_spent = 7;
+      fuel_exhausted = false;
+      diags }
+  in
+  let report = Diag.create () in
+  Diag.append report diags;
+  let result : Batch.file_result =
+    { name = "f.mc";
+      error = Some "e";
+      functions = 1;
+      predictions = [ (("main", 0), 0.75, "*") ];
+      demoted = [ ("main", "why") ];
+      report;
+      evaluations = 3;
+      resumed = false }
+  in
+  let record : Vrp_sched.Journal.record = { name = "f.mc"; input_digest = "d"; payload = "p" } in
+  ( List.map value_name values @ List.map severity_name severities @ List.map kind_name kinds,
+    [ ("engine", Digest.string (Marshal.to_string summary [ Marshal.No_sharing ]));
+      ("file_result", Digest.string (Marshal.to_string result [ Marshal.No_sharing ]));
+      ("journal", Digest.string (Marshal.to_string record [ Marshal.No_sharing ])) ] )
+
+let persisted_digests =
+  [
+    ("engine", "bfa90a59f9a8f2cbffcfe157a1959ae8");
+    ("file_result", "bd9dbdac0d4a1b2136781c4165ae1ec1");
+    ("journal", "be14df8a1051fb214c0590a61112b5c9");
+  ]
+
+let persisted_layout_tripwire () =
+  let names, digests = persisted_values () in
+  Alcotest.(check int) "every Value and Diag constructor used" (3 + 3 + 11)
+    (List.length (List.sort_uniq compare names));
+  let got = List.map (fun (what, d) -> (what, Digest.to_hex d)) digests in
+  if got <> persisted_digests then
+    Alcotest.failf "%s\n  got: %s"
+      (if Sys.ocaml_version <> layout_ocaml then
+         Printf.sprintf "digests pinned under OCaml %s, running %s: update this list"
+           layout_ocaml Sys.ocaml_version
+       else "a persisted layout changed: bump Digest_key.format_version and update this list")
+      (String.concat "; " (List.map (fun (f, d) -> Printf.sprintf "(%S, %S)" f d) got))
+
 let suite =
   ( "cache",
     [
@@ -714,4 +828,5 @@ let suite =
       cached_equals_fresh_prop;
       tc "compile memo: evict drops compiled entries" `Quick evict_drops_compiled;
       memo_property;
+      tc "digest: persisted layout tripwire" `Quick persisted_layout_tripwire;
     ] )

@@ -489,6 +489,25 @@ let deep_nest_checks_in_linear_time () =
   Alcotest.(check int) "one function" 1 (List.length p.Ast.funcs);
   if dt >= 1.0 then Alcotest.failf "20 000-deep nest took %.2f s" dt
 
+(* A memo may serve a group parsed where it stood before an edit. A type
+   error in that group's body must still be the cold parse and check's,
+   text and line: checking the stale parse itself reports another line. *)
+let memo_type_error_is_the_cold_one () =
+  let src =
+    "int main(int n, int s) {\n  return f(n);\n}\n\nint f(int x) {\n  x = 1;\n  return y;\n}\n"
+  in
+  (* [f]'s group, served as if parsed seven lines lower *)
+  let stale (g : Front.group) =
+    Front.parse_group (if g.Front.line = 1 then g else { g with Front.line = g.Front.line + 7 })
+  in
+  let error f = match f () with _ -> None | exception Typecheck.Error (msg, line) -> Some (msg, line) in
+  let cold = error (fun () -> Front.parse_and_check src) in
+  Alcotest.(check bool) "the source has a type error" true (Option.is_some cold);
+  Alcotest.(check bool) "the stale parse reports another line" true
+    (error (fun () -> Typecheck.check_program (Front.parse ~parse_group:stale src)) <> cold);
+  Alcotest.(check (option (pair string int))) "warm error = cold error" cold
+    (error (fun () -> Front.parse_and_check ~memo:{ Front.parse_group = stale; since = None } src))
+
 let suite =
   ( "front",
     [
@@ -517,4 +536,5 @@ let suite =
       itemwise_parse_prop;
       tc "parse: split cuts between items" `Quick split_cuts_between_items;
       tc "types: a 20 000-deep nest checks in linear time" `Quick deep_nest_checks_in_linear_time;
+      tc "types: an error under a memo is the cold one" `Quick memo_type_error_is_the_cold_one;
     ] )

@@ -1956,7 +1956,7 @@ let session_cache_totals_survive_eviction () =
   let _, fn = Helpers.compile_main "int main(int n, int s) { if (n > 3) { return 1; } return 0; }" in
   let lookup s key =
     ignore
-      (Vrp_cache.Summary_cache.find_or_compute (Session.cache s) ~slot:"main" ~stamp:"s" ~key
+      (Vrp_cache.Summary_cache.find_or_compute (Session.cache s) ~slot:("s.mc", "main") ~stamp:"s" ~key
          (fun () -> Engine.analyze fn))
   in
   let touch sid key = lookup (Session.find_or_create t sid) key in
@@ -2295,13 +2295,13 @@ let memoised_fns_read_only () =
   List.iter
     (fun (b : Suite.benchmark) ->
       let compile () =
-        match Summary_cache.compile ~slot_prefix:b.Suite.name cache b.Suite.source with
+        match Summary_cache.compile ~file:b.Suite.name cache b.Suite.source with
         | Ok r -> r
         | Error d -> Alcotest.failf "%s: %s" b.Suite.name d.Diag.message
       in
       let c, keys = compile () in
       let before = snapshot c in
-      let analyze_fn () = Summary_cache.memoized ~slot_prefix:b.Suite.name cache keys in
+      let analyze_fn () = Summary_cache.memoized ~file:b.Suite.name cache keys in
       (* predict, with the learned tier and the diagnostics rendering *)
       ignore
         (Ops.predict_compiled ~analyze_fn:(analyze_fn ())
@@ -2491,7 +2491,15 @@ let gen_tc_walk =
          (fun n -> (Option.get (Suite.find n)).Suite.source)
          [ "qsort"; "proto"; "calc" ]
   in
-  pair (oneofl bases) (list_size (int_range 4 10) (pair (int_range 0 5) (int_range 0 11)))
+  (* First, a fixed walk: a blank line above the first function, removed
+     again (the unchanged [zq_caller] is now served from the parse where it
+     stood a line lower), then the callee's parameter turned [int], a type
+     error in that unchanged caller, whose line only a cold check gets
+     right. *)
+  graft_corners
+    (pair (oneofl bases) (list_size (int_range 4 10) (pair (int_range 0 5) (int_range 0 11))))
+    [ (List.hd bases, [ (4, 0); (4, 0); (1, 0) ]) ]
+    ()
 
 let session_typecheck_memo_matches_one_shot =
   Helpers.qtest ~count:25 "session type-check memo: replies equal one-shot"
@@ -2521,6 +2529,24 @@ let session_typecheck_memo_matches_one_shot =
               r.Protocol.ok && r.Protocol.out = want.Ops.out && r.Protocol.err = want.Ops.err
               && r.Protocol.code = want.Ops.code)
             ops))
+
+(* Slots are keyed by (file, function): file "ab" with [main] and file
+   "a" with [bmain] never share one, so analysing "a" neither invalidates
+   "ab"'s summaries nor drops its compiled [main]. *)
+let slots_keyed_by_file () =
+  let ab = "int main(int n, int s) {\n  if (n > 3) { return 1; }\n  return 0;\n}\n" in
+  let a =
+    "int bmain(int x) {\n  if (x > 2) { return 1; }\n  return 0;\n}\n"
+    ^ "int main(int n, int s) {\n  return bmain(n);\n}\n"
+  in
+  with_server (fun server ->
+      let call name source = Server.handle server (analyze_req ~session:"slots" ~name source) in
+      ignore (call "ab" ab);
+      let r = call "a" a in
+      Alcotest.(check bool) "a ok" true r.Protocol.ok;
+      Alcotest.(check int) "analysing a invalidates nothing" 0 (cint (get_cache_delta r) "invalidations");
+      let r = call "ab" ab in
+      Alcotest.(check int) "ab's compiled main kept" 0 (cint (get_cache_delta r) "compile_misses"))
 
 let suite =
   ( "server",
@@ -2589,4 +2615,5 @@ let suite =
       tc "session edits match one-shot" `Quick session_edits_match_one_shot;
       tc "session edits of 48 units: one-shot output, pinned cache deltas" `Quick session_edits_48_units;
       session_typecheck_memo_matches_one_shot;
+      tc "slots keyed by file and function" `Quick slots_keyed_by_file;
     ] )

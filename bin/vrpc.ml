@@ -216,11 +216,8 @@ let print_outcome (o : Ops.outcome) =
   prerr_string o.Ops.err;
   if o.Ops.code <> 0 then exit o.Ops.code
 
-let opts_of ?(jobs = 1) ?model numeric (diagnostics, strict, fault) =
-  let model =
-    match model with Some path -> Ops.Model_file path | None -> Ops.No_model
-  in
-  { Ops.default_opts with Ops.numeric; jobs; diagnostics; strict; fault; model }
+let opts_of ?(jobs = 1) numeric (diagnostics, strict, fault) =
+  { Ops.default_opts with Ops.numeric; jobs; diagnostics; strict; fault }
 
 (* --trace-out: record per-phase spans (compile, interproc waves, engine
    runs, algebra) around the analysis and write them as Chrome trace_event
@@ -242,11 +239,11 @@ let with_trace trace_out k =
           path)
       k
 
-let predict file bench numeric jobs model trace_out dopts =
+let predict file bench numeric jobs trace_out dopts =
   with_loaded file bench (fun source ->
       let o =
         with_trace trace_out (fun () ->
-            Ops.predict ~opts:(opts_of ~jobs ?model numeric dopts) ~source ())
+            Ops.predict ~opts:(opts_of ~jobs numeric dopts) ~source ())
       in
       print_outcome o)
 
@@ -265,10 +262,10 @@ let run file bench args =
         Printf.printf "trap: %s\n" msg;
         exit 1)
 
-let compare file bench train_args ref_args model dopts =
+let compare file bench train_args ref_args dopts =
   with_loaded file bench (fun source ->
       print_outcome
-        (Ops.compare_predictors ~opts:(opts_of ?model false dopts) ~train:train_args
+        (Ops.compare_predictors ~opts:(opts_of false dopts) ~train:train_args
            ~ref_args ~source ()))
 
 let optimize file bench numeric dopts =
@@ -574,20 +571,6 @@ let list_benchmarks () =
 let args_pair ~names ~doc ~default =
   Arg.(value & opt (pair ~sep:',' int int) default & info names ~docv:"N,SEED" ~doc)
 
-(* --- train / predict --model: the learned fallback predictor --- *)
-
-let model_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "model" ] ~docv:"FILE"
-        ~doc:
-          "Learned fallback model (.vrpmodel): branches whose range the \
-           analysis cannot decide are predicted by it instead of the \
-           Ball–Larus heuristics. A file that fails to load or verify is a \
-           $(b,model-error) diagnostic and the run degrades back to \
-           Ball–Larus.")
-
 let trace_out_arg =
   Arg.(
     value
@@ -597,84 +580,6 @@ let trace_out_arg =
           "Record per-phase analysis spans and write them to $(docv) as \
            Chrome trace_event JSON (open in chrome://tracing or Perfetto \
            for a flamegraph). Tracing does not change analysis output.")
-
-let write_file path contents =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc contents)
-
-let resolve_profile name =
-  match Vrp_fuzz.Gen.profile_named name with
-  | Some p -> p
-  | None ->
-    prerr_endline
-      (Printf.sprintf "vrpc: unknown fuzz profile %S; available: %s" name
-         (String.concat ", "
-            (List.map
-               (fun (p : Vrp_fuzz.Gen.profile) -> p.Vrp_fuzz.Gen.pname)
-               Vrp_fuzz.Gen.profiles)));
-    exit 2
-
-let train seed count profile depth min_leaf jobs out =
-  let module Dataset = Vrp_learn.Dataset in
-  let module Tree = Vrp_learn.Tree in
-  let profile =
-    match profile with
-    | None -> Dataset.default_profile
-    | Some name -> resolve_profile name
-  in
-  let ds = Dataset.build ~jobs ~profile ~seed ~count () in
-  let model = Tree.train ~depth ~min_leaf ds in
-  Printf.printf "corpus: seed %d, profile %s, %d program(s) (%d compiled), %d sample(s)\n"
-    ds.Dataset.seed ds.Dataset.profile ds.Dataset.count ds.Dataset.programs
-    (Array.length ds.Dataset.samples);
-  Printf.printf "corpus digest: %s\n" ds.Dataset.digest;
-  Printf.printf "model: depth %d (fitted %d), min-leaf %d, %d node(s)\n" depth
-    (Tree.node_depth model.Tree.root) min_leaf
-    (Tree.node_count model.Tree.root);
-  Printf.printf "model digest: %s\n" (Tree.digest model);
-  match out with
-  | Some path ->
-    write_file path (Tree.to_string model);
-    Printf.printf "wrote %s\n" path
-  | None -> ()
-
-let train_seed_arg =
-  Arg.(
-    value & opt int 42
-    & info [ "seed" ] ~docv:"N"
-        ~doc:
-          "Corpus seed; fixes every generated program, hence (with --count \
-           and --profile) the corpus digest and the model bytes.")
-
-let train_count_arg =
-  Arg.(
-    value & opt int 300
-    & info [ "count" ] ~docv:"N" ~doc:"Programs to generate for the corpus.")
-
-let train_profile_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "profile" ] ~docv:"NAME"
-        ~doc:"Corpus generation profile. Default: $(b,features).")
-
-let train_depth_arg =
-  Arg.(
-    value & opt int 7
-    & info [ "depth" ] ~docv:"N" ~doc:"Maximum tree depth.")
-
-let train_min_leaf_arg =
-  Arg.(
-    value & opt int 10
-    & info [ "min-leaf" ] ~docv:"N" ~doc:"Minimum training samples per leaf.")
-
-let train_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "out" ] ~docv:"FILE" ~doc:"Write the trained .vrpmodel to $(docv).")
 
 (* --- fuzz: property-based soundness campaign --- *)
 
@@ -768,8 +673,8 @@ let ranges_cmd =
 let predict_cmd =
   cmd_of "predict" "Print branch probabilities from VRP and the heuristic baselines."
     Term.(
-      const predict $ file_arg $ bench_arg $ numeric_arg $ jobs_arg $ model_arg
-      $ trace_out_arg $ diag_args)
+      const predict $ file_arg $ bench_arg $ numeric_arg $ jobs_arg $ trace_out_arg
+      $ diag_args)
 
 let batch_cmd =
   let dir_arg =
@@ -837,11 +742,9 @@ let run_cmd =
 let compare_cmd =
   let train = args_pair ~names:[ "train" ] ~doc:"Training input." ~default:(100, 1) in
   let ref_ = args_pair ~names:[ "reference" ] ~doc:"Reference input." ~default:(1000, 2) in
-  let wrap f b (tn, ts) (rn, rs) model dopts =
-    compare f b [ tn; ts ] [ rn; rs ] model dopts
-  in
+  let wrap f b (tn, ts) (rn, rs) dopts = compare f b [ tn; ts ] [ rn; rs ] dopts in
   cmd_of "compare" "Compare every predictor against observed branch behaviour."
-    Term.(const wrap $ file_arg $ bench_arg $ train $ ref_ $ model_arg $ diag_args)
+    Term.(const wrap $ file_arg $ bench_arg $ train $ ref_ $ diag_args)
 
 let optimize_cmd =
   cmd_of "optimize" "Report and apply constant/copy subsumption and unreachable code."
@@ -871,16 +774,6 @@ let dot_cmd =
 
 let list_cmd =
   cmd_of "list" "List the built-in benchmark suite." Term.(const list_benchmarks $ const ())
-
-let train_cmd =
-  cmd_of "train"
-    "Train the learned fallback predictor: generate a labeled corpus \
-     (fuzzer programs, interpreter ground truth) and fit the decision-tree \
-     model. Fully deterministic: the same seed, count, profile and \
-     parameters reproduce the model byte-for-byte."
-    Term.(
-      const train $ train_seed_arg $ train_count_arg $ train_profile_arg
-      $ train_depth_arg $ train_min_leaf_arg $ jobs_arg $ train_out_arg)
 
 let fuzz_cmd =
   cmd_of "fuzz"
@@ -1014,7 +907,6 @@ let main_cmd =
       dot_cmd;
       list_cmd;
       fuzz_cmd;
-      train_cmd;
       remote_cmd;
     ]
 

@@ -24,7 +24,7 @@ module Diag = Vrp_diag.Diag
 (* Each fleet worker is this same binary in plain single-daemon mode; a
    stale socket left by a SIGKILLed predecessor is reclaimed by the
    child's own listen_unix connect-probe. *)
-let process_spawner ~jobs ~deadline_ms ~cache_dir ~model_path ~worker_fault
+let process_spawner ~jobs ~deadline_ms ~cache_dir ~worker_fault
     ~(limits : Vrp_server.Admit.limits) : Fleet.spawner =
  fun ~wid:_ ~incarnation:_ ~sock ->
   let args =
@@ -33,7 +33,6 @@ let process_spawner ~jobs ~deadline_ms ~cache_dir ~model_path ~worker_fault
       | Some ms -> [ "--deadline-ms"; string_of_int ms ]
       | None -> [])
     @ (match cache_dir with Some d -> [ "--cache"; d ] | None -> [])
-    @ (match model_path with Some m -> [ "--model"; m ] | None -> [])
     @ [
         "--max-conns"; string_of_int limits.Vrp_server.Admit.max_conns;
         "--max-inflight"; string_of_int limits.Vrp_server.Admit.max_inflight;
@@ -92,15 +91,9 @@ let install_signals stop =
   (* A client vanishing mid-response must not kill the daemon. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore
 
-let run_single ~socket ~listen ~jobs ~deadline_ms ~fault ~cache_dir ~model_path
-    ~limits =
-  let settings = { Server.jobs; deadline_ms; fault; cache_dir; model_path; limits } in
+let run_single ~socket ~listen ~jobs ~deadline_ms ~fault ~cache_dir ~limits =
   let server =
-    match Server.create ~settings () with
-    | server -> server
-    | exception Failure msg ->
-      prerr_endline ("vrpd: " ^ msg);
-      exit 1
+    Server.create ~settings:{ Server.jobs; deadline_ms; fault; cache_dir; limits } ()
   in
   let listen_fd, where, cleanup = bind_listener ~socket ~listen in
   install_signals (fun () -> Server.stop server);
@@ -118,8 +111,8 @@ let run_single ~socket ~listen ~jobs ~deadline_ms ~fault ~cache_dir ~model_path
     (fun () -> Server.serve server listen_fd);
   prerr_endline "vrpd: stopped"
 
-let run_fleet ~socket ~listen ~jobs ~deadline_ms ~fault ~cache_dir ~model_path
-    ~limits ~size ~fleet_dir ~strict =
+let run_fleet ~socket ~listen ~jobs ~deadline_ms ~fault ~cache_dir ~limits ~size
+    ~fleet_dir ~strict =
   (* kill-worker is the front door's chaos fault; every other spec (an
      analysis fault, slow-worker) belongs daemon-wide in the workers. *)
   let fleet_fault, worker_fault =
@@ -143,8 +136,7 @@ let run_fleet ~socket ~listen ~jobs ~deadline_ms ~fault ~cache_dir ~model_path
   let fleet =
     Fleet.create ~settings
       ~spawner:
-        (process_spawner ~jobs ~deadline_ms ~cache_dir ~model_path ~worker_fault
-           ~limits)
+        (process_spawner ~jobs ~deadline_ms ~cache_dir ~worker_fault ~limits)
       ()
   in
   let listen_fd, where, cleanup = bind_listener ~socket ~listen in
@@ -163,8 +155,8 @@ let run_fleet ~socket ~listen ~jobs ~deadline_ms ~fault ~cache_dir ~model_path
   end;
   prerr_endline "vrpd: stopped"
 
-let run socket listen jobs deadline_ms fault cache_dir model_path max_conns
-    max_inflight idle_timeout_ms fleet fleet_dir strict =
+let run socket listen jobs deadline_ms fault cache_dir max_conns max_inflight
+    idle_timeout_ms fleet fleet_dir strict =
   if max_conns < 1 || max_inflight < 1 || idle_timeout_ms < 0 then begin
     prerr_endline
       "vrpd: --max-conns and --max-inflight want >= 1, --idle-timeout-ms >= 0";
@@ -180,15 +172,14 @@ let run socket listen jobs deadline_ms fault cache_dir model_path max_conns
   in
   match fleet with
   | None ->
-    run_single ~socket ~listen ~jobs ~deadline_ms ~fault ~cache_dir ~model_path
-      ~limits
+    run_single ~socket ~listen ~jobs ~deadline_ms ~fault ~cache_dir ~limits
   | Some size ->
     if size < 1 then begin
       prerr_endline "vrpd: --fleet wants at least 1 worker";
       exit 1
     end;
-    run_fleet ~socket ~listen ~jobs ~deadline_ms ~fault ~cache_dir ~model_path
-      ~limits ~size ~fleet_dir ~strict
+    run_fleet ~socket ~listen ~jobs ~deadline_ms ~fault ~cache_dir ~limits ~size
+      ~fleet_dir ~strict
 
 let socket_arg =
   Arg.(
@@ -233,18 +224,6 @@ let cache_arg =
         ~doc:
           "Disk tier for the summary cache. Under --fleet every worker \
            points at the same directory and shares it (advisory locks).")
-
-let model_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "model" ] ~docv:"FILE"
-        ~doc:
-          "Learned fallback model (.vrpmodel) loaded once at startup and \
-           served warm by every request; predictions for branches VRP \
-           cannot decide then come from it instead of Ball\xe2\x80\x93Larus. A bad \
-           file fails startup. Under --fleet the path is passed to every \
-           worker.")
 
 let max_conns_arg =
   Arg.(
@@ -336,7 +315,7 @@ let cmd =
          ])
     Term.(
       const run $ socket_arg $ listen_arg $ jobs_arg $ deadline_arg $ fault_arg
-      $ cache_arg $ model_arg $ max_conns_arg $ max_inflight_arg
-      $ idle_timeout_arg $ fleet_arg $ fleet_dir_arg $ strict_arg)
+      $ cache_arg $ max_conns_arg $ max_inflight_arg $ idle_timeout_arg
+      $ fleet_arg $ fleet_dir_arg $ strict_arg)
 
 let () = exit (Cmd.eval cmd)

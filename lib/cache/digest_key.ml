@@ -13,7 +13,7 @@ module Ir = Vrp_ir.Ir
 module Value = Vrp_ranges.Value
 module Engine = Vrp_core.Engine
 
-let format_version = 4
+let format_version = 5
 
 let marshal_digest v = Digest.string (Marshal.to_string v [ Marshal.No_sharing ])
 
@@ -107,7 +107,5 @@ let task_key ~fn_digest ~config_digest ~param_values ~callee_returns =
 
 (* --- Whole replies --- *)
 
-let reply_key ~source_md5 ~config_digest ~diagnostics ~strict ~model_digest =
-  "reply-"
-  ^ Digest.to_hex
-      (marshal_digest (source_md5, config_digest, diagnostics, strict, model_digest))
+let reply_key ~source_md5 ~config_digest ~diagnostics ~strict =
+  "reply-" ^ Digest.to_hex (marshal_digest (source_md5, config_digest, diagnostics, strict))

@@ -77,13 +77,8 @@ val task_key :
   string
 
 (** Key of a whole [predict] reply in the file-level tier: the source's MD5
-    (hex), the engine configuration digest, the two flags that change the
-    rendering ([diagnostics], [strict]) and the learned fallback model's
-    digest, if one is loaded. Distinct from every {!task_key}. *)
+    (hex), the engine configuration digest and the two flags that change
+    the rendering ([diagnostics], [strict]). Distinct from every
+    {!task_key}. *)
 val reply_key :
-  source_md5:string ->
-  config_digest:string ->
-  diagnostics:bool ->
-  strict:bool ->
-  model_digest:string option ->
-  string
+  source_md5:string -> config_digest:string -> diagnostics:bool -> strict:bool -> string

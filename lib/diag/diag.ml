@@ -29,7 +29,6 @@ type kind =
   | Deadline_exceeded  (** a supervised task overran its wall-clock deadline *)
   | Task_retry  (** a supervised task failed and was retried *)
   | Journal_event  (** batch journal traffic: checkpoints, resumes *)
-  | Model_error  (** a learned-predictor model failed to load or verify *)
   | Note  (** free-form informational event *)
 
 type location = { fn : string option; block : int option }
@@ -93,7 +92,6 @@ let kind_to_string = function
   | Deadline_exceeded -> "deadline-exceeded"
   | Task_retry -> "task-retry"
   | Journal_event -> "journal-event"
-  | Model_error -> "model-error"
   | Note -> "note"
 
 let location_to_string loc =

@@ -18,7 +18,6 @@ type kind =
   | Deadline_exceeded  (** a supervised task overran its wall-clock deadline *)
   | Task_retry  (** a supervised task failed and was retried *)
   | Journal_event  (** batch journal traffic: checkpoints, resumes *)
-  | Model_error  (** a learned-predictor model failed to load or verify *)
   | Note  (** free-form informational event *)
 
 type location = { fn : string option; block : int option }

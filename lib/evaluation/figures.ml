@@ -145,8 +145,7 @@ let accuracy ?(category : Suite.category option) () : accuracy_result list =
         let c = Pipeline.compile b.Suite.source in
         let train = (Interp.run c.Pipeline.ssa ~args:b.Suite.train_args).Interp.profile in
         let observed = (Interp.run c.Pipeline.ssa ~args:b.Suite.ref_args).Interp.profile in
-        let fallback = Vrp_learn.Infer.fallback (Lazy.force Vrp_learn.Infer.default) in
-        let predictors = Pipeline.all_predictors ~fallback ~train c.Pipeline.ssa in
+        let predictors = Pipeline.all_predictors ~train c.Pipeline.ssa in
         ( b,
           List.map
             (fun (name, prediction) ->

@@ -38,9 +38,7 @@ type accuracy_result = {
 }
 
 (** Figures 7/8 data: per-suite, unweighted and weighted. Omitting
-    [category] measures both suites. The predictor set includes the
-    "vrp+learned" column — VRP with the embedded default learned model as
-    its fallback tier ({!Vrp_learn.Infer.default}). *)
+    [category] measures both suites. *)
 val accuracy : ?category:Suite.category -> unit -> accuracy_result list
 
 val render_fig4 : fig4 -> string

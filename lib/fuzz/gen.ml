@@ -54,9 +54,9 @@ let profiles =
       weights =
         { Synth.counted_loops = 1; nested_arrays = 1; data_loops = 1; branchy = 1; calls = 5; affine = 0 };
     };
-    (* Branch-shape diversity for learned-predictor corpora: heavy on
-       conditionals, with enough loops and array traffic that the loop- and
-       range-sensitive features all get exercised. *)
+    (* Branch-shape diversity: heavy on conditionals, with enough loops and
+       array traffic that loop-position and range-sensitive branch shapes
+       all turn up. *)
     {
       pname = "features";
       weights =

@@ -17,8 +17,8 @@ module Ast = Vrp_lang.Ast
 type profile = { pname : string; weights : Vrp_suite.Synth.weights }
 
 (** The fuzzing profiles of the CLI and CI: [mixed], [loops], [branches],
-    [arrays], [calls], [features] (branch-shape diversity for
-    learned-predictor training corpora), plus [affine] — guarded affine
+    [arrays], [calls], [features] (branch-shape diversity: many
+    conditionals among loops and array traffic), plus [affine] — guarded affine
     index patterns ([2*i+1], [size-1-i], [x+c]) only the sum-of-products
     algebra can discharge. *)
 val profiles : profile list

@@ -37,8 +37,8 @@ type summary = {
 
 (** The campaign-coordinate contract: program [index] of profile [pname]
     under [seed] is generated from [Prng.create (mix_seed seed pname
-    index)], forever. Exposed so other corpus producers (e.g. the learned
-    predictor's training sets) share the same coordinates. *)
+    index)], forever. Exposed so tests can regenerate a campaign's
+    programs. *)
 val mix_seed : int -> string -> int -> int
 
 val run :

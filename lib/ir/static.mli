@@ -1,9 +1,9 @@
 (** Every static CFG fact of one function, computed once.
 
-    The engine, the derivation step, the algebraic fact context, the
-    heuristic predictors and the learned predictor's features all read
-    this record; none of them builds its own dominator tree, loop nest or
-    definition table. The record is immutable once built. *)
+    The engine, the derivation step, the algebraic fact context and the
+    heuristic predictors all read this record; none of them builds its own
+    dominator tree, loop nest or definition table. The record is immutable
+    once built. *)
 
 type t = {
   fn : Ir.fn;

@@ -8,16 +8,6 @@
 module Ir = Vrp_ir.Ir
 module Static = Vrp_ir.Static
 
-(** Block-shape predicates shared with the learned predictor's feature
-    extractor, so both tiers read the same structural signals. *)
-val block_has_call : Static.t -> int -> bool
-
-val block_has_store : Static.t -> int -> bool
-val block_returns : Static.t -> int -> bool
-
-(** [postdominates st a b]: does block [a] postdominate block [b]? *)
-val postdominates : Static.t -> int -> int -> bool
-
 (** Wu–Larus hit rates. *)
 val lbh_prob : float
 

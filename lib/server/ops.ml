@@ -17,13 +17,6 @@ module Wavefront = Vrp_sched.Wavefront
 module Batch = Vrp_sched.Batch
 module Supervisor = Vrp_sched.Supervisor
 module Summary_cache = Vrp_cache.Summary_cache
-module Infer = Vrp_learn.Infer
-
-type model_spec =
-  | No_model
-  | Default_model
-  | Model_file of string
-  | Loaded_model of Vrp_learn.Tree.t
 
 type opts = {
   numeric : bool;
@@ -32,7 +25,6 @@ type opts = {
   strict : bool;
   fault : Diag.Fault.t option;
   cancel : Diag.Cancel.token option;
-  model : model_spec;
 }
 
 let default_opts =
@@ -43,23 +35,7 @@ let default_opts =
     strict = false;
     fault = None;
     cancel = None;
-    model = No_model;
   }
-
-(* Turn a model spec into a loaded tree. A file that fails to load becomes
-   a [Model_error] diagnostic on the report (so [--strict] exits 3 and
-   [--diagnostics] shows why) and the run degrades cleanly to Ball–Larus. *)
-let resolve_model ~report = function
-  | No_model -> None
-  | Default_model -> Some (Lazy.force Infer.default)
-  | Loaded_model m -> Some m
-  | Model_file path -> (
-    match Infer.load path with
-    | Ok m -> Some m
-    | Error d ->
-      Diag.add report d.Diag.severity d.Diag.kind
-        (d.Diag.message ^ "; degrading to Ball–Larus");
-      None)
 
 type outcome = Summary_cache.reply = { out : string; err : string; code : int }
 
@@ -82,12 +58,10 @@ let finish ~opts ~report out =
 let predict_compiled ?pool ?analyze_fn ~opts (c : Pipeline.compiled) =
   let report = Diag.create () in
   let config = config_of opts in
-  let model = resolve_model ~report opts.model in
-  let fallback = Option.map Infer.fallback model in
   let markers = Hashtbl.create 16 in
   let run pool =
     Pipeline.vrp_predictions ~config ~report ~markers ~run_tasks:(Wavefront.runner pool)
-      ?analyze_fn ?fallback c.Pipeline.ssa
+      ?analyze_fn c.Pipeline.ssa
   in
   let vrp, _ =
     match pool with
@@ -119,12 +93,8 @@ let predict_compiled ?pool ?analyze_fn ~opts (c : Pipeline.compiled) =
     c.Pipeline.ssa.Ir.fns baselines;
   if Hashtbl.length markers > 0 then
     Buffer.add_string buf
-      (if model <> None then
-         "(* = learned-model fallback on ⊥ range, ! = degraded: crashed, \
-          fuel-starved or timed-out analysis)\n"
-       else
-         "(* = Ball–Larus fallback on ⊥ range, ! = degraded: crashed, \
-          fuel-starved or timed-out analysis)\n");
+      "(* = Ball–Larus fallback on ⊥ range, ! = degraded: crashed, \
+       fuel-starved or timed-out analysis)\n";
   finish ~opts ~report (Buffer.contents buf)
 
 let predict ?pool ?analyze_fn ~opts ~source () =
@@ -146,16 +116,9 @@ let compare_predictors ~opts ~train ~ref_args ~source () =
     in
     let train = (Interp.run c.Pipeline.ssa ~args:train).Interp.profile in
     let observed = (Interp.run c.Pipeline.ssa ~args:ref_args).Interp.profile in
-    (* The comparison always shows the learned ladder: without an explicit
-       model the embedded default supplies the "vrp+learned" column. *)
-    let model =
-      resolve_model ~report
-        (match opts.model with No_model -> Default_model | m -> m)
-    in
-    let fallback = Option.map Infer.fallback model in
     let markers = Hashtbl.create 16 in
     let predictors =
-      Pipeline.all_predictors ~report ~markers ~config ?fallback ~train c.Pipeline.ssa
+      Pipeline.all_predictors ~report ~markers ~config ~train c.Pipeline.ssa
     in
     let buf = Buffer.create 1024 in
     Buffer.add_string buf (Printf.sprintf "%-24s %8s" "branch" "actual");

@@ -18,19 +18,6 @@ module Engine = Vrp_core.Engine
 module Pipeline = Vrp_core.Pipeline
 module Interproc = Vrp_core.Interproc
 
-(** Which learned fallback model (if any) an operation uses for the ⊥
-    branches VRP cannot predict. [predict]/[batch] default to [No_model]
-    (pure Ball–Larus fallback, the historical output surface);
-    [compare_predictors] promotes [No_model] to [Default_model] so the
-    "vrp+learned" column always appears. A [Model_file] that fails to load
-    becomes a [Model_error] diagnostic and the run degrades to Ball–Larus;
-    [Loaded_model] is the server's warm-loaded handle. *)
-type model_spec =
-  | No_model
-  | Default_model
-  | Model_file of string
-  | Loaded_model of Vrp_learn.Tree.t
-
 type opts = {
   numeric : bool;  (** the paper's numeric-only configuration *)
   jobs : int;  (** analysis parallelism (byte-identical at any width) *)
@@ -40,7 +27,6 @@ type opts = {
   cancel : Diag.Cancel.token option;
       (** request-scoped cancellation: the engine worklist and the
           interprocedural wave driver both beat and poll it *)
-  model : model_spec;  (** learned fallback tier for ⊥ branches *)
 }
 
 (** [jobs = 1], everything else off. *)

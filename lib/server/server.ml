@@ -13,7 +13,6 @@ type settings = {
   deadline_ms : int option;
   fault : Diag.Fault.t option;
   cache_dir : string option;
-  model_path : string option;
   limits : Admit.limits;
 }
 
@@ -23,7 +22,6 @@ let default_settings =
     deadline_ms = None;
     fault = None;
     cache_dir = None;
-    model_path = None;
     limits = Admit.default_limits;
   }
 
@@ -50,8 +48,6 @@ type counters = Accept.counters = {
 
 type t = {
   settings : settings;
-  model : Vrp_learn.Tree.t option;  (* warm-loaded once at startup *)
-  model_digest : string option;  (* its digest, for reply keys *)
   pool : Pool.t;
   sup : Supervisor.t;
   cache : Summary_cache.t;  (* server-wide, shared by predict/batch *)
@@ -99,10 +95,6 @@ let opts_of t p =
     diagnostics = opt_bool p "diagnostics";
     strict = opt_bool p "strict";
     fault = fault_of t p;
-    model =
-      (match t.model with
-      | Some m -> Ops.Loaded_model m
-      | None -> Ops.No_model);
   }
 
 (* --- Handlers ---
@@ -138,14 +130,13 @@ let supervised t ~label ?budget_ms f =
 (* The file-level tier's key for a predict of [source_md5] under [opts].
    Requests carrying a fault bypass the tier, as they bypass the summary
    cache: their degradations must replay exactly as one-shot. *)
-let reply_key t opts ~source_md5 =
+let reply_key opts ~source_md5 =
   if opts.Ops.fault <> None then None
   else
     Some
       (Digest_key.reply_key ~source_md5
          ~config_digest:(Digest_key.config_digest (Ops.config_of opts))
-         ~diagnostics:opts.Ops.diagnostics ~strict:opts.Ops.strict
-         ~model_digest:t.model_digest)
+         ~diagnostics:opts.Ops.diagnostics ~strict:opts.Ops.strict)
 
 (* Compile through [cache]'s per-function memo: only the functions whose
    AST changed since [name] was last compiled are rebuilt. *)
@@ -160,7 +151,7 @@ let handle_predict t ~budget_ms { Protocol.params = p; _ } =
   let name = Option.value ~default:source_md5 (opt_string p "name") in
   let opts = opts_of t p in
   check_crash_file ~fault:opts.Ops.fault name;
-  let key = reply_key t opts ~source_md5 in
+  let key = reply_key opts ~source_md5 in
   match Option.bind key (fun key -> Summary_cache.find_reply t.cache ~key) with
   | Some o -> Accept.reply o
   | None ->
@@ -263,12 +254,14 @@ let handle_batch t ~budget_ms:_ { Protocol.params = p; _ } =
           | _ -> failwith "each batch file needs string \"name\" and \"source\"")
         xs
   in
-  let opts = opts_of t p in
-  let opts =
+  (* A client may ask for fewer jobs than the daemon has, never more:
+     each job is a domain, and the runtime's domain limit is a hard one. *)
+  let jobs =
     match Json.mem_int "jobs" p with
-    | Some jobs -> { opts with Ops.jobs }
-    | None -> { opts with Ops.jobs = t.settings.jobs }
+    | Some jobs -> max 1 (min jobs t.settings.jobs)
+    | None -> t.settings.jobs
   in
+  let opts = { (opts_of t p) with Ops.jobs } in
   (* Batch runs on its own transient pool (pooled tasks must not submit to
      the pool they run on); the server-wide cache still serves it warm. *)
   Accept.reply (Ops.batch ~cache:t.cache ~supervisor:t.sup ~opts ~sources:files ())
@@ -290,12 +283,6 @@ let handle_status t ~budget_ms:_ _ =
        (match t.settings.deadline_ms with
        | Some ms -> Printf.sprintf "%dms" ms
        | None -> "none"));
-  (match t.settings.model_path with
-  | Some path ->
-    Buffer.add_string buf
-      (Printf.sprintf "model %s (digest %s)\n" path
-         (Option.value ~default:"unloaded" t.model_digest))
-  | None -> ());
   Buffer.add_string buf
     (Printf.sprintf "requests: %d served, %d contained, %d cancelled\n" c.served
        c.contained c.cancelled);
@@ -332,11 +319,7 @@ let handle_status t ~budget_ms:_ _ =
           ("expired", Json.Int a.Admit.expired);
           ("idle_closed", Json.Int a.Admit.idle_closed);
           ("cache", cache_counters_json cache);
-        ]
-      @
-      match t.settings.model_path with
-      | Some path -> [ ("model", Json.String path) ]
-      | None -> [])
+        ])
 
 let handle_evict t ~budget_ms:_ _ =
   let server = Summary_cache.evict_memory t.cache
@@ -369,22 +352,9 @@ let samples t =
   @ Supervisor.samples t.sup
 
 let create ?(settings = default_settings) () =
-  (* Load the learned model once, before accepting: every request then
-     serves it warm, and a bad path fails the daemon fast at startup
-     instead of degrading every request. *)
-  let model =
-    match settings.model_path with
-    | None -> None
-    | Some path -> (
-      match Vrp_learn.Infer.load path with
-      | Ok m -> Some m
-      | Error d -> failwith d.Diag.message)
-  in
   let admit = Admit.create ~limits:settings.limits () in
   {
     settings;
-    model;
-    model_digest = Option.map Vrp_learn.Tree.digest model;
     pool = Pool.create ~jobs:settings.jobs ();
     sup =
       Supervisor.create

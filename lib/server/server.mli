@@ -38,7 +38,9 @@
 module Diag = Vrp_diag.Diag
 
 type settings = {
-  jobs : int;  (** resident pool width *)
+  jobs : int;
+      (** resident pool width, and the most a [batch] request's [jobs]
+          may ask for (it is clamped to [[1, jobs]]) *)
   deadline_ms : int option;  (** per-request analysis deadline *)
   fault : Diag.Fault.t option;
       (** daemon-wide injected fault, same specs as [--inject-fault]; a
@@ -47,16 +49,13 @@ type settings = {
   cache_dir : string option;
       (** disk tier for the server-wide summary cache; fleet workers point
           at the same directory and share it via its advisory locks *)
-  model_path : string option;
-      (** learned fallback model ([.vrpmodel]) loaded once at {!create} and
-          served warm by every request; a bad path fails [create] fast *)
   limits : Admit.limits;
       (** overload limits: connection bound (accept-then-shed), in-flight
           bound (queue then shed with [busy] + [retry_after_ms]), idle
           sweeper timeout. See {!Admit}. *)
 }
 
-(** [jobs = 1], no deadline, no fault, memory-only cache, no model,
+(** [jobs = 1], no deadline, no fault, memory-only cache,
     {!Admit.default_limits}. *)
 val default_settings : settings
 

@@ -85,6 +85,10 @@ let compile_result ?front ?memo (source : string) : (compiled, Diag.diag) result
         message;
       }
 
+(* The branches Ball–Larus predicted: (fn, block) -> whether for a
+   degradation (crash, fuel, deadline) rather than an ordinary ⊥ range. *)
+type markers = (string * int, bool) Hashtbl.t
+
 (** Branch predictions from (interprocedural) value range propagation.
 
     Totality guarantee: the returned map has an entry for {e every}
@@ -95,34 +99,9 @@ let compile_result ?front ?memo (source : string) : (compiled, Diag.diag) result
     [Fallback_heuristic] diagnostic (warning severity when caused by
     infrastructure degradation, info when it is the paper's ordinary
     ⊥-range fallback). *)
-type fallback_predictor =
-  static:Vrp_ir.Static.t -> res:Engine.t option -> src:int -> Ir.branch -> float
-
-(* The branches the fallback tier predicted: (fn, block) -> whether for a
-   degradation (crash, fuel, deadline) rather than an ordinary ⊥ range. *)
-type markers = (string * int, bool) Hashtbl.t
-
 let vrp_predictions ?(config = Engine.default_config) ?report ?markers ?run_tasks
-    ?analyze_fn ?fallback (ssa : Ir.program) :
-    Predictor.prediction * Interproc.t option =
+    ?analyze_fn (ssa : Ir.program) : Predictor.prediction * Interproc.t option =
   let out = Hashtbl.create 64 in
-  (* What fills the gaps VRP leaves: Ball–Larus, or the learned tier when a
-     [fallback] hook is given (the ladder VRP → learned → B&L lives in the
-     hook's own implementation). The name reaches the diagnostics, whose
-     default wording is pinned by tests — keep it byte-identical. *)
-  let tier_name =
-    match fallback with
-    | None -> "Ball–Larus heuristics"
-    | Some _ -> "the learned fallback model"
-  in
-  let bottom_range = Printf.sprintf "branch predicted by %s (range is ⊥)" tier_name in
-  let not_reached =
-    Printf.sprintf "branch not reached by the (governor-limited) analysis; using %s" tier_name
-  in
-  let unreachable = Printf.sprintf "branch unreachable for the analysis; using %s" tier_name in
-  let fn_unreachable =
-    Printf.sprintf "function unreachable from main; branch predicted by %s" tier_name
-  in
   let record ~fn ~block severity message =
     Option.iter
       (fun m ->
@@ -141,34 +120,34 @@ let vrp_predictions ?(config = Engine.default_config) ?report ?markers ?run_task
         (match demoted with
         | Some why ->
           ( Diag.Warning,
-            Printf.sprintf "function demoted (%s); branch predicted by %s" why tier_name )
-        | None -> (Diag.Info, fn_unreachable))
+            Printf.sprintf
+              "function demoted (%s); branch predicted by Ball–Larus heuristics" why )
+        | None ->
+          (Diag.Info, "function unreachable from main; branch predicted by Ball–Larus heuristics"))
     in
     Array.iter
       (fun (b : Ir.block) ->
         match b.Ir.term with
         | Ir.Br br ->
           let record = record ~fn:fn.Ir.fname ~block:b.Ir.bid in
-          let fb () =
-            match fallback with
-            | Some f -> f ~static:(Lazy.force static) ~res ~src:b.Ir.bid br
-            | None -> Heuristics.ball_larus (Lazy.force static) ~src:b.Ir.bid br
-          in
+          let fb () = Heuristics.ball_larus (Lazy.force static) ~src:b.Ir.bid br in
           let p =
             match res with
             | Some eres -> (
               match Engine.branch_prob eres b.Ir.bid with
               | Some p ->
-                if Engine.used_fallback eres b.Ir.bid then begin
-                  record Diag.Info bottom_range;
-                  (* The engine's own fallback value is Ball–Larus; the
-                     hook replaces it on the prediction surface. *)
-                  match fallback with Some _ -> fb () | None -> p
-                end
-                else p
+                (* The engine's own fallback value is Ball–Larus already. *)
+                if Engine.used_fallback eres b.Ir.bid then
+                  record Diag.Info "branch predicted by Ball–Larus heuristics (range is ⊥)";
+                p
               | None ->
-                if eres.Engine.fuel_exhausted then record Diag.Warning not_reached
-                else record Diag.Info unreachable;
+                if eres.Engine.fuel_exhausted then
+                  record Diag.Warning
+                    "branch not reached by the (governor-limited) analysis; using \
+                     Ball–Larus heuristics"
+                else
+                  record Diag.Info
+                    "branch unreachable for the analysis; using Ball–Larus heuristics";
                 fb ())
             | None ->
               let severity, message = Lazy.force fn_missing in
@@ -239,7 +218,7 @@ let fallback_marker fb key =
     injection, reach it — while "vrp-sym1" (symbolic without the v2
     sum-of-products algebra) and "vrp-numeric" stay the fixed ablations of
     the numeric-vs-symbolic-v1-vs-v2 comparison. *)
-let all_predictors ?report ?markers ?(config = Engine.default_config) ?fallback
+let all_predictors ?report ?markers ?(config = Engine.default_config)
     ~(train : Vrp_profile.Interp.profile) (ssa : Ir.program) :
     (string * Predictor.prediction) list =
   let vrp_full, _ = vrp_predictions ~config ?report ?markers ssa in
@@ -250,25 +229,12 @@ let all_predictors ?report ?markers ?(config = Engine.default_config) ?fallback
   let vrp_sym1, _ =
     vrp_predictions ~config:{ config with Engine.algebra = false } ssa
   in
-  (* The learned tier rides on the same full-VRP configuration; only the ⊥
-     gaps differ from the "vrp" column, so the delta isolates the fallback
-     ladder's contribution. *)
-  let learned =
-    match fallback with
-    | None -> []
-    | Some fallback ->
-      let vrp_learned, _ = vrp_predictions ~config ~fallback ssa in
-      [ ("vrp+learned", vrp_learned) ]
-  in
   [
     ("profiling", Predictor.profiling train ssa);
     ("ball-larus", ball_larus);
     ("vrp", vrp_full);
+    ("vrp-sym1", vrp_sym1);
+    ("vrp-numeric", vrp_numeric);
+    ("90/50", ninety_fifty);
+    ("random", Predictor.random ssa);
   ]
-  @ learned
-  @ [
-      ("vrp-sym1", vrp_sym1);
-      ("vrp-numeric", vrp_numeric);
-      ("90/50", ninety_fifty);
-      ("random", Predictor.random ssa);
-    ]

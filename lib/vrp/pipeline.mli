@@ -55,20 +55,7 @@ val compile_result :
   string ->
   (compiled, Diag.diag) result
 
-(** What predicts the branches VRP cannot (⊥ ranges, fuel-starved,
-    demoted or unreachable functions). [res] is the function's engine
-    result when one exists — the hook may mine it for hints (e.g. "range
-    known on one side"). The default tier is {!Vrp_predict.Heuristics}'
-    Ball–Larus combination; {!Vrp_learn.Infer.fallback} builds the learned
-    tier of the ladder VRP → learned → Ball–Larus. *)
-type fallback_predictor =
-  static:Vrp_ir.Static.t ->
-  res:Engine.t option ->
-  src:int ->
-  Ir.branch ->
-  float
-
-(** The branches the fallback tier predicted: [(fn, block)] -> whether
+(** The branches Ball–Larus predicted: [(fn, block)] -> whether
     the fallback was caused by degradation (a warning: crash, fuel,
     supervisor deadline) rather than an ordinary ⊥ range. *)
 type markers = (string * int, bool) Hashtbl.t
@@ -77,14 +64,11 @@ type markers = (string * int, bool) Hashtbl.t
 
     Totality guarantee: the map has an entry for every conditional branch of
     the program, whatever happens during analysis — unreachable or demoted
-    functions fall back to the fallback tier, and a per-function crash or
+    functions fall back to the Ball–Larus heuristics, and a per-function crash or
     fuel exhaustion demotes only that function. With [report], every fallback
     is recorded as a [Fallback_heuristic] diagnostic (warning severity when
     caused by infrastructure degradation), and with [markers], in that
     table.
-
-    [fallback] replaces the Ball–Larus fallback tier (default) on every
-    gap VRP leaves — ordinary ⊥-range fallbacks included.
 
     If the interprocedural driver itself raises (e.g. the program has no
     [main]), every function is analysed intraprocedurally instead, each
@@ -100,7 +84,6 @@ val vrp_predictions :
   ?markers:markers ->
   ?run_tasks:Interproc.runner ->
   ?analyze_fn:Interproc.analyze_fn ->
-  ?fallback:fallback_predictor ->
   Ir.program ->
   Predictor.prediction * Interproc.t option
 
@@ -114,14 +97,11 @@ val fallback_marker : markers -> string * int -> string
     {!Engine.default_config}) applies to that run only — "vrp-sym1"
     (symbolic ranges without the v2 sum-of-products algebra) and
     "vrp-numeric" stay the fixed ablations of the paper-§5
-    numeric-vs-symbolic-v1-vs-v2 comparison. With [fallback], a
-    "vrp+learned" column (the full-VRP run with the learned fallback tier)
-    appears right after "vrp". *)
+    numeric-vs-symbolic-v1-vs-v2 comparison. *)
 val all_predictors :
   ?report:Diag.report ->
   ?markers:markers ->
   ?config:Engine.config ->
-  ?fallback:fallback_predictor ->
   train:Vrp_profile.Interp.profile ->
   Ir.program ->
   (string * Predictor.prediction) list

@@ -59,7 +59,7 @@ let accuracy_render_has_all_predictors () =
     (fun name ->
       if not (Astring.String.is_infix ~affix:name s) then
         Alcotest.failf "predictor %s missing" name)
-    [ "profiling"; "ball-larus"; "vrp"; "vrp+learned"; "vrp-sym1"; "vrp-numeric"; "90/50"; "random" ]
+    [ "profiling"; "ball-larus"; "vrp"; "vrp-sym1"; "vrp-numeric"; "90/50"; "random" ]
 
 let synth_deterministic () =
   let a = Vrp_suite.Synth.generate ~units:7 ~seed:3 () in

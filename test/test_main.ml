@@ -1,3 +1,8 @@
+(* The suites open corpus/, golden/ and ledger-small.out by relative path,
+   and dune puts them beside this executable: run there from any directory,
+   as [dune runtest] does. *)
+let () = Sys.chdir (Filename.dirname Sys.executable_name)
+
 let () =
   Alcotest.run "vrp"
     [
@@ -23,7 +28,6 @@ let () =
       Test_integration.suite;
       Test_algebra.suite;
       Test_fuzz.suite;
-      Test_learn.suite;
       Test_server.suite;
       Test_obs.suite;
       Test_ledger.suite;

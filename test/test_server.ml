@@ -2107,14 +2107,12 @@ let warm_diagnostics_repeat_cold () =
         (true, misses)
         (cache_count handle "hits" > hits, cache_count handle "misses"))
 
-(* The key covers everything a reply depends on, the fallback model
-   included. *)
+(* The key covers everything a reply depends on. *)
 let reply_key_covers_inputs () =
   let key ?(source_md5 = "s") ?(config_digest = "c") ?(diagnostics = false) ?(strict = false)
-      ?model_digest () =
-    Vrp_cache.Digest_key.reply_key ~source_md5 ~config_digest ~diagnostics ~strict ~model_digest
+      () =
+    Vrp_cache.Digest_key.reply_key ~source_md5 ~config_digest ~diagnostics ~strict
   in
-  let model = Vrp_learn.Tree.digest (Lazy.force Vrp_learn.Infer.default) in
   let keys =
     [
       key ();
@@ -2122,13 +2120,11 @@ let reply_key_covers_inputs () =
       key ~config_digest:"d" ();
       key ~diagnostics:true ();
       key ~strict:true ();
-      key ~model_digest:model ();
-      key ~model_digest:(Digest.to_hex (Digest.string "another model")) ();
     ]
   in
   Alcotest.(check int) "all distinct" (List.length keys)
     (List.length (List.sort_uniq compare keys));
-  Alcotest.(check string) "deterministic" (key ~model_digest:model ()) (key ~model_digest:model ())
+  Alcotest.(check string) "deterministic" (key ()) (key ())
 
 let reply_tier_after_evict () =
   with_server (fun server ->
@@ -2302,10 +2298,10 @@ let memoised_fns_read_only () =
       let c, keys = compile () in
       let before = snapshot c in
       let analyze_fn () = Summary_cache.memoized ~file:b.Suite.name cache keys in
-      (* predict, with the learned tier and the diagnostics rendering *)
+      (* predict, with the diagnostics rendering *)
       ignore
         (Ops.predict_compiled ~analyze_fn:(analyze_fn ())
-           ~opts:{ Ops.default_opts with Ops.diagnostics = true; model = Ops.Default_model }
+           ~opts:{ Ops.default_opts with Ops.diagnostics = true }
            c);
       (* analyze: a session plan, then the memoised analysis *)
       ignore (Session.plan (Session.find_or_create sessions "ro") ~name:b.Suite.name keys);
@@ -2548,6 +2544,35 @@ let slots_keyed_by_file () =
       let r = call "ab" ab in
       Alcotest.(check int) "ab's compiled main kept" 0 (cint (get_cache_delta r) "compile_misses"))
 
+(* A batch request's [jobs] is clamped to [1, settings.jobs]: each job is
+   a domain of a transient pool, and a spawn past the runtime's domain
+   limit raises. The stderr line names the width the batch ran at. *)
+let batch_jobs_clamped () =
+  with_server ~settings:{ Server.default_settings with Server.jobs = 2 } (fun server ->
+      let file =
+        Json.Obj
+          [ ("name", Json.String "a.mc");
+            ("source", Json.String "int main(int n, int s) { if (n > 3) { return 1; } return 0; }") ]
+      in
+      let req jobs =
+        { Protocol.id = 1;
+          op = "batch";
+          params =
+            Json.Obj
+              (("files", Json.List [ file ])
+              :: Option.fold ~none:[] ~some:(fun j -> [ ("jobs", Json.Int j) ]) jobs) }
+      in
+      List.iter
+        (fun (jobs, want) ->
+          let r = Server.handle server (req jobs) in
+          Alcotest.(check bool) "batch ok" true r.Protocol.ok;
+          if not (Astring.String.is_infix ~affix:want r.Protocol.err) then
+            Alcotest.failf "jobs %s: stderr %S lacks %S"
+              (Option.fold ~none:"absent" ~some:string_of_int jobs)
+              r.Protocol.err want)
+        [ (Some 10_000, "with 2 jobs ("); (None, "with 2 jobs ("); (Some 1, "with 1 job (");
+          (Some 0, "with 1 job ("); (Some (-5), "with 1 job (") ])
+
 let suite =
   ( "server",
     [
@@ -2616,4 +2641,5 @@ let suite =
       tc "session edits of 48 units: one-shot output, pinned cache deltas" `Quick session_edits_48_units;
       session_typecheck_memo_matches_one_shot;
       tc "slots keyed by file and function" `Quick slots_keyed_by_file;
+      tc "batch jobs clamped to the daemon's" `Quick batch_jobs_clamped;
     ] )

@@ -100,6 +100,13 @@ let jobs_arg =
            wave for a single program, whole files in batch mode). Results \
            are byte-identical to --jobs 1.")
 
+(* A usage error (exit 2) when the pool would need more domains than the
+   runtime runs. *)
+let check_jobs ?beside jobs =
+  Result.iter_error
+    (fun msg -> prerr_endline ("vrpc: " ^ msg); exit 2)
+    (Vrp_sched.Pool.check_jobs ?beside jobs)
+
 let cache_arg =
   Arg.(
     value
@@ -240,6 +247,7 @@ let with_trace trace_out k =
       k
 
 let predict file bench numeric jobs trace_out dopts =
+  check_jobs jobs;
   with_loaded file bench (fun source ->
       let o =
         with_trace trace_out (fun () ->
@@ -318,8 +326,8 @@ let alias file bench =
 let freq file bench numeric top dopts =
   with_source file bench (fun c ->
       with_diag dopts (config_of_flags numeric) (fun ~report ~config ->
-      let ipa = Vrp_core.Interproc.analyze ~config ~report c.Pipeline.ssa in
-      let f = Vrp_core.Frequency.of_interproc c.Pipeline.ssa ipa in
+      let pred, _ = Pipeline.vrp_predictions ~config ~report c.Pipeline.ssa in
+      let f = Vrp_core.Frequency.of_prediction c.Pipeline.ssa pred in
       Printf.printf "function invocation frequencies (per run of main):\n";
       (* Sorted by name: hash-table order must never reach the report. *)
       Hashtbl.fold (fun name v acc -> (name, v) :: acc) f.Vrp_core.Frequency.call_freq []
@@ -331,23 +339,33 @@ let freq file bench numeric top dopts =
           if i < top then Printf.printf "  %-14s B%-4d %12.1f\n" fname bid v)
         (Vrp_core.Frequency.hottest_blocks f)))
 
+(* --annotate labels edges and blocks with the probabilities [predict]
+   prints and the per-invocation frequencies [freq] solves from them. *)
 let dot file bench fn_filter annotate =
   with_source file bench (fun c ->
+      let ssa = c.Pipeline.ssa in
+      let annotated =
+        if not annotate then None
+        else
+          let pred, _ = Pipeline.vrp_predictions ssa in
+          Some (pred, Vrp_core.Frequency.of_prediction ssa pred)
+      in
       List.iter
         (fun (fn : Ir.fn) ->
-          if annotate then begin
-            let res = Engine.analyze fn in
-            let ff = Vrp_core.Frequency.of_engine res in
+          match annotated with
+          | Some (pred, f) ->
+            let ff = Hashtbl.find_opt f.Vrp_core.Frequency.per_fn fn.Ir.fname in
             print_string
               (Vrp_ir.Dot.fn_to_dot
-                 ~branch_prob:(Engine.branch_prob res)
+                 ~branch_prob:(fun bid -> Hashtbl.find_opt pred (fn.Ir.fname, bid))
                  ~block_note:(fun bid ->
-                   Some
-                     (Printf.sprintf "freq %.2f" ff.Vrp_core.Frequency.block_freq.(bid)))
+                   Option.map
+                     (fun ff ->
+                       Printf.sprintf "freq %.2f" ff.Vrp_core.Frequency.block_freq.(bid))
+                     ff)
                  fn)
-          end
-          else print_string (Vrp_ir.Dot.fn_to_dot fn))
-        (select_fns c.Pipeline.ssa fn_filter))
+          | None -> print_string (Vrp_ir.Dot.fn_to_dot fn))
+        (select_fns ssa fn_filter))
 
 (* Batch mode: fan out over a directory of MiniC files on a domain pool,
    with an optional content-addressed summary cache, per-task supervision
@@ -367,6 +385,8 @@ let batch_paths dir =
 
 let batch dir jobs cache_dir cache_max_mb deadline_ms retries resume numeric
     trace_out ((_, _, fault) as dopts) =
+  (* a --deadline-ms supervisor runs a monitor domain *)
+  check_jobs ~beside:1 jobs;
   let module Supervisor = Vrp_sched.Supervisor in
   let module Summary_cache = Vrp_cache.Summary_cache in
   let sources = List.map (fun p -> (p, read_file p)) (batch_paths dir) in

@@ -157,6 +157,11 @@ let run_fleet ~socket ~listen ~jobs ~deadline_ms ~fault ~cache_dir ~limits ~size
 
 let run socket listen jobs deadline_ms fault cache_dir max_conns max_inflight
     idle_timeout_ms fleet fleet_dir strict =
+  (* Main, the supervisor's monitor, the request pool and the pool of the
+     one batch request that runs at a time: 2·jobs domains. *)
+  Result.iter_error
+    (fun msg -> prerr_endline ("vrpd: " ^ msg); exit 2)
+    (Vrp_sched.Pool.check_jobs ~beside:1 ~pools:2 jobs);
   if max_conns < 1 || max_inflight < 1 || idle_timeout_ms < 0 then begin
     prerr_endline
       "vrpd: --max-conns and --max-inflight want >= 1, --idle-timeout-ms >= 0";

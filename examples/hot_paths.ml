@@ -14,14 +14,16 @@
    Run with:  dune exec examples/hot_paths.exe [BENCHMARK] *)
 
 module Ir = Vrp_ir.Ir
-module Engine = Vrp_core.Engine
 module Frequency = Vrp_core.Frequency
 module Interp = Vrp_profile.Interp
 
 (* Greedy trace layout: start from the entry, repeatedly follow the hottest
-   not-yet-placed successor; start new traces at the hottest unplaced block. *)
+   not-yet-placed successor; start new traces at the hottest unplaced block.
+   Frequencies compare by [Frequency.rank], ties going to the first block or
+   successor. *)
 let layout (fn : Ir.fn) (ff : Frequency.fn_freq) : int list =
   let n = Ir.num_blocks fn in
+  let hot = Array.map Frequency.rank ff.Frequency.block_freq in
   let placed = Array.make n false in
   let order = ref [] in
   let hottest_unplaced () =
@@ -32,7 +34,7 @@ let layout (fn : Ir.fn) (ff : Frequency.fn_freq) : int list =
           match !best with
           | Some (_, bf) when bf >= f -> ()
           | _ -> best := Some (bid, f))
-      ff.Frequency.block_freq;
+      hot;
     Option.map fst !best
   in
   let rec follow bid =
@@ -45,8 +47,8 @@ let layout (fn : Ir.fn) (ff : Frequency.fn_freq) : int list =
           if placed.(s) then acc
           else begin
             let w =
-              Option.value ~default:0.0
-                (Hashtbl.find_opt ff.Frequency.edge_freq (bid, s))
+              Frequency.rank
+                (Option.value ~default:0.0 (Hashtbl.find_opt ff.Frequency.edge_freq (bid, s)))
             in
             match acc with Some (_, bw) when bw >= w -> acc | _ -> Some (s, w)
           end)
@@ -76,8 +78,7 @@ let () =
   in
   let compiled = Vrp_core.Pipeline.compile bench.Vrp_suite.Suite.source in
   let ssa = compiled.Vrp_core.Pipeline.ssa in
-  let ipa = Vrp_core.Interproc.analyze ssa in
-  let freqs = Frequency.of_interproc ssa ipa in
+  let freqs = Frequency.of_prediction ssa (fst (Vrp_core.Pipeline.vrp_predictions ssa)) in
   let observed =
     (Interp.run ssa ~args:bench.Vrp_suite.Suite.ref_args).Interp.profile
   in
@@ -118,7 +119,12 @@ let () =
       | Some predicted -> rows := (fname, bid, predicted, st.Interp.total) :: !rows
       | None -> ())
     observed.Interp.branches;
-  let sorted = List.sort (fun (_, _, a, _) (_, _, b, _) -> Float.compare b a) !rows in
+  let sorted =
+    List.sort
+      (fun (fa, ba, a, _) (fb, bb, b, _) ->
+        compare (-.Frequency.rank a, fa, ba) (-.Frequency.rank b, fb, bb))
+      !rows
+  in
   List.iteri
     (fun i (fname, bid, predicted, actual) ->
       if i < 8 then

@@ -10,6 +10,8 @@ module Interproc = Vrp_core.Interproc
 module Pipeline = Vrp_core.Pipeline
 module Sccp = Vrp_core.Sccp
 module Bounds_check = Vrp_core.Bounds_check
+module Frequency = Vrp_core.Frequency
+module Predictor = Vrp_predict.Predictor
 module Interp = Vrp_profile.Interp
 module Diag = Vrp_diag.Diag
 module Batch = Vrp_sched.Batch
@@ -23,6 +25,7 @@ type property =
   | Prediction_consistency
   | Determinism
   | Algebra_refinement
+  | Frequency_conservation
 
 let property_name = function
   | Well_formed -> "well-formed"
@@ -32,6 +35,7 @@ let property_name = function
   | Prediction_consistency -> "prediction-consistency"
   | Determinism -> "determinism"
   | Algebra_refinement -> "algebra-refinement"
+  | Frequency_conservation -> "frequency-conservation"
 
 type violation = { prop : property; vfn : string; detail : string }
 
@@ -89,6 +93,52 @@ let end_to_end_trusted (ssa : Ir.program) (ipa : Interproc.t) : bool =
          | Some r -> not r.Engine.fuel_exhausted
          | None -> true)
        ssa.Ir.fns
+
+let bump tbl key n =
+  Hashtbl.replace tbl key (n + Option.value ~default:0 (Hashtbl.find_opt tbl key))
+
+(* Frequency conservation: under the branch ratios a run observed, that
+   run's counts solve the frequency equations, so the solve must give them
+   back. A block's count is its in-edge traversals, plus its function's
+   invocations ([entered]) at the entry. *)
+let conservation (ssa : Ir.program) (profile : Interp.profile) entered =
+  let f = Frequency.of_prediction ssa (Predictor.profiling profile ssa) in
+  let count = Hashtbl.create 64 in
+  Hashtbl.iter (fun (fn, _, dst) n -> bump count (fn, dst) n) profile.Interp.edges;
+  Hashtbl.iter (fun fn n -> bump count (fn, Ir.entry_bid) n) entered;
+  let get tbl key = Option.value ~default:0 (Hashtbl.find_opt tbl key) in
+  let off what observed solved =
+    let o = float_of_int observed in
+    if Float.abs (solved -. o) <= 1e-9 *. o then None
+    else Some (Printf.sprintf "%s: solved %.17g, observed %d" what solved observed)
+  in
+  List.filter_map
+    (fun (fn : Ir.fn) ->
+      let fname = fn.Ir.fname in
+      let block (b : Ir.block) =
+        let bid = b.Ir.bid in
+        match get count (fname, bid) with
+        | 0 -> None
+        | n ->
+          off (Printf.sprintf "block %d" bid) n
+            (Option.value ~default:0.0 (Frequency.global_block_freq f ~fname ~bid))
+      in
+      let calls = Option.value ~default:0.0 (Hashtbl.find_opt f.Frequency.call_freq fname) in
+      Option.map
+        (fun detail -> { prop = Frequency_conservation; vfn = fname; detail })
+        (match off "calls" (get entered fname) calls with
+        | None -> Array.find_map block fn.Ir.blocks
+        | bad -> bad))
+    ssa.Ir.fns
+
+let count_entry entered = function
+  | Interp.Ev_enter { fn; _ } -> bump entered fn 1
+  | _ -> ()
+
+let check_conservation (ssa : Ir.program) ~(args : int list) : violation list =
+  let entered = Hashtbl.create 8 in
+  let r = Interp.run ~observe:(count_entry entered) ssa ~args in
+  conservation ssa r.Interp.profile entered
 
 let check ?(config = Engine.default_config)
     ?(args_list = Gen.main_args) (source : string) : outcome =
@@ -208,11 +258,19 @@ let check ?(config = Engine.default_config)
     let trapped = ref false in
     List.iter
       (fun args ->
+        let entered = Hashtbl.create 8 in
+        let observe ev =
+          count_entry entered ev;
+          observe ev
+        in
         match
           Interp.run ~max_steps:interp_max_steps ~capture_output:true ~observe
             ssa ~args:(adapt args)
         with
-        | _ -> ()
+        | r ->
+          List.iter
+            (fun v -> add v.prop ~vfn:v.vfn ~site:0 v.detail)
+            (conservation ssa r.Interp.profile entered)
         | exception Interp.Trap _ -> trapped := true
         | exception e ->
           add Well_formed ~vfn:"" ~site:0

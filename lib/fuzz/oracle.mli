@@ -1,4 +1,4 @@
-(** Soundness oracles: the five checkable properties relating static
+(** Soundness oracles: the six checkable properties relating static
     analysis claims to concrete interpreter behaviour.
 
     The interpreter is the ground truth. {!check} compiles one program,
@@ -18,6 +18,8 @@
     - {b Prediction consistency} — a branch VRP proves one-way
       (probability exactly 0.0 or 1.0, no fallback) never takes the
       other edge.
+    - {b Frequency conservation} ({!check_conservation}) — solved under
+      a run's own branch ratios, frequencies equal that run's counts.
     - {b Determinism} ({!check_determinism}) — parallel, cache-hit and
       journal-resumed batch runs render byte-identically to sequential.
 
@@ -27,10 +29,12 @@
     analysis exhausted fuel. Otherwise the documented
     contracts already waive the claims, so checking them would only
     produce false positives. The constant oracle is unconditional (SCCP is
-    intraprocedural and treats parameters and loads as ⊥).
+    intraprocedural and treats parameters and loads as ⊥), and so is
+    frequency conservation, which reads no VRP result.
 
     Runtime traps (division by zero, out-of-bounds access, step budget)
-    are benign: events observed before the trap are still checked. *)
+    are benign: events observed before the trap are still checked, but a
+    trapped run's counts are partial and conservation skips it. *)
 
 module Engine = Vrp_core.Engine
 
@@ -46,6 +50,11 @@ type property =
       (** the sum-of-products algebra weakened a claim the v1 analysis
           made: a range loosened, a one-way branch un-proved, or a
           bounds-check elimination lost (see {!check_algebra}) *)
+  | Frequency_conservation
+      (** {!Vrp_core.Frequency.of_prediction} under
+          {!Vrp_predict.Predictor.profiling} of a run's own profile missed
+          an executed block's count or a function's invocations by more
+          than 1e-9 relative; flow conservation makes the solve exact *)
 
 val property_name : property -> string
 
@@ -67,11 +76,16 @@ type outcome = {
           prediction oracles were armed *)
 }
 
-(** Check one program against the four execution oracles. [args_list]
+(** Check one program against the five execution oracles. [args_list]
     (default {!Gen.main_args}) are the [main] argument vectors, padded or
     truncated to [main]'s arity. *)
 val check :
   ?config:Engine.config -> ?args_list:int list list -> string -> outcome
+
+(** Frequency conservation on one run of [main] on [args], which {!check}
+    applies to each run that does not trap.
+    @raise Vrp_profile.Interp.Trap when the run traps. *)
+val check_conservation : Vrp_ir.Ir.program -> args:int list -> violation list
 
 (** Check the differential-determinism property for one [(name, source)]
     program: sequential vs [--jobs 4], cold vs warm vs reopened summary

@@ -30,6 +30,27 @@ let rec worker_loop t =
     worker_loop t
   end
 
+let shutdown t =
+  Mutex.lock t.lock;
+  t.closed <- true;
+  Condition.broadcast t.work_available;
+  Mutex.unlock t.lock;
+  List.iter Domain.join t.workers;
+  t.workers <- []
+
+(* [Max_domains] of OCaml 5.1's [caml/domain.h]. *)
+let max_domains = if Sys.word_size = 64 then 128 else 16
+
+let check_jobs ?(beside = 0) ?(pools = 1) jobs =
+  let limit = ((max_domains - 1 - beside) / pools) + 1 in
+  if jobs <= limit then Ok ()
+  else
+    Error
+      (Printf.sprintf "--jobs %d exceeds %d, the most this runtime's %d domains allow" jobs
+         limit max_domains)
+
+(* One domain at a time, so a spawn that fails (the runtime is out of
+   domains) joins the ones already running before it re-raises. *)
 let create ~jobs () =
   let jobs = max 1 jobs in
   let t =
@@ -42,8 +63,14 @@ let create ~jobs () =
       workers = [];
     }
   in
-  if jobs > 1 then
-    t.workers <- List.init (jobs - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t));
+  (try
+     for _ = 2 to jobs do
+       t.workers <- Domain.spawn (fun () -> worker_loop t) :: t.workers
+     done
+   with e ->
+     let bt = Printexc.get_raw_backtrace () in
+     shutdown t;
+     Printexc.raise_with_backtrace e bt);
   t
 
 let jobs t = t.jobs
@@ -92,14 +119,6 @@ let map (type a b) (t : t) (f : a -> b) (tasks : a array) : (b, exn) result arra
     Mutex.unlock batch_lock;
     results
   end
-
-let shutdown t =
-  Mutex.lock t.lock;
-  t.closed <- true;
-  Condition.broadcast t.work_available;
-  Mutex.unlock t.lock;
-  List.iter Domain.join t.workers;
-  t.workers <- []
 
 let with_pool ~jobs f =
   let t = create ~jobs () in

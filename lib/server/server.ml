@@ -54,6 +54,7 @@ type t = {
   sessions : Session.t;
   admit : Admit.t;  (* shared by the accept loop and the request gate *)
   acc : t Accept.t;
+  batch_lock : Mutex.t;  (* held by a batch request that runs a pool *)
   mutable shut : bool;
 }
 
@@ -263,8 +264,11 @@ let handle_batch t ~budget_ms:_ { Protocol.params = p; _ } =
   in
   let opts = { (opts_of t p) with Ops.jobs } in
   (* Batch runs on its own transient pool (pooled tasks must not submit to
-     the pool they run on); the server-wide cache still serves it warm. *)
-  Accept.reply (Ops.batch ~cache:t.cache ~supervisor:t.sup ~opts ~sources:files ())
+     the pool they run on); the server-wide cache still serves it warm.
+     Such pools take turns, so the daemon never holds more than the one
+     batch pool [vrpd --jobs] was checked against. *)
+  let run () = Accept.reply (Ops.batch ~cache:t.cache ~supervisor:t.sup ~opts ~sources:files ()) in
+  if jobs > 1 then Mutex.protect t.batch_lock run else run ()
 
 (* The cache counters of the whole daemon: the server-wide cache plus
    every session's, retired sessions included. *)
@@ -379,6 +383,7 @@ let create ?(settings = default_settings) () =
             ("status", handle_status);
             ("evict", handle_evict);
           ];
+    batch_lock = Mutex.create ();
     shut = false;
   }
 

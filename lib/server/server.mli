@@ -40,7 +40,8 @@ module Diag = Vrp_diag.Diag
 type settings = {
   jobs : int;
       (** resident pool width, and the most a [batch] request's [jobs]
-          may ask for (it is clamped to [[1, jobs]]) *)
+          may ask for (it is clamped to [[1, jobs]]); batch requests
+          that run a pool take turns, one pool at a time *)
   deadline_ms : int option;  (** per-request analysis deadline *)
   fault : Diag.Fault.t option;
       (** daemon-wide injected fault, same specs as [--inject-fault]; a

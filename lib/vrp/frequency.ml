@@ -1,23 +1,16 @@
-(** Block, edge and function execution-frequency estimation from branch
-    probabilities (paper §6).
+(** Block, edge and function execution frequencies from branch
+    probabilities (paper §6: "propagating frequencies around the control
+    flow graph until a fixed point is reached [WuLarus94]").
 
-    "In this case what we want to know is the execution frequencies of
-    functions and basic blocks, not the probabilities of branches. This
-    information can be obtained by ... propagating frequencies around the
-    control flow graph until a fixed point is reached [WuLarus94].
-    Optimizations can then be applied in descending order of execution
-    frequency."
-
-    Within a function: freq(entry) = 1 and freq(b) = Σ freq(p)·prob(p→b),
-    solved exactly by Gaussian elimination on (I − A), where A holds the
-    edge probabilities (a near-singular pivot, i.e. a nearly non-terminating
-    loop, is regularised, which caps the multiplier like Wu–Larus's
-    cyclic-probability cap). Across functions: freq(main) = 1 and each
-    callee receives the sum over executable call sites of caller-frequency ×
-    site-frequency, relaxed for at most [relaxation_passes] passes, which
-    caps recursion. *)
+    The probabilities make the CFG a Markov chain whose expected visits
+    solve freq = P·freq + e (Di Pierro and Wiklicky's linear equational
+    view), exactly, one cycle at a time: natural loops innermost first,
+    call-graph SCCs callers first. A cycle that comes back with
+    probability [cp] multiplies its entry flow by 1/(1 − cp). *)
 
 module Ir = Vrp_ir.Ir
+module Static = Vrp_ir.Static
+module Loops = Vrp_ir.Loops
 
 type fn_freq = {
   fn : Ir.fn;
@@ -30,125 +23,129 @@ type t = {
   call_freq : (string, float) Hashtbl.t;  (** invocations per run of main *)
 }
 
-(* Damping bounds: a loop whose cyclic probability reaches 1 would diverge;
-   Wu-Larus cap the cyclic probability, which bounds the multiplier. *)
+(* The one cap: a cycle's pivot 1 − cp, non-positive where it never ends,
+   stops at 1/max_block_freq (Wu–Larus cap the cyclic probability). *)
 let max_block_freq = 1e12
-let relaxation_passes = 128
-let convergence_eps = 1e-9
+let cap_pivot d = Float.max d (1.0 /. max_block_freq)
 
-(** Per-invocation block and edge frequencies of one analysed function. *)
-let of_engine (res : Engine.t) : fn_freq =
-  let fn = res.Engine.fn in
-  let n = Ir.num_blocks fn in
-  (* Edge probabilities from the analysis: conditional branches use the
-     predicted probability, jumps are certain. *)
-  let edge_prob (b : Ir.block) =
-    match b.Ir.term with
-    | Ir.Jump d -> [ (d, 1.0) ]
-    | Ir.Ret _ -> []
-    | Ir.Br { tdst; fdst; _ } -> (
-      match Engine.branch_prob res b.Ir.bid with
-      | Some p -> [ (tdst, p); (fdst, 1.0 -. p) ]
-      | None -> [ (tdst, 0.5); (fdst, 0.5) ])
+let add tbl key v =
+  Hashtbl.replace tbl key (v +. Option.value ~default:0.0 (Hashtbl.find_opt tbl key))
+
+(* Each loop, innermost first, pushes one unit from its header over forward
+   edges in RPO, inner headers scaled by their multipliers; what comes back
+   over its back edges is its [cp]. A last push from the entry gives the
+   frequencies. *)
+let fn_freq (pred : Vrp_predict.Predictor.prediction) (fn : Ir.fn) : fn_freq =
+  let st = Static.of_fn fn and n = Ir.num_blocks fn in
+  let prob b k =
+    match (Ir.block fn b).Ir.term with
+    | Ir.Br { tdst; fdst; _ } when tdst <> fdst ->
+      let p = Option.value ~default:0.5 (Hashtbl.find_opt pred (fn.Ir.fname, b)) in
+      if st.Static.succs.(b).(k) = tdst then p else 1.0 -. p
+    | _ -> 1.0
   in
-  (* Exact solution of the flow equations freq = A·freq + e (freq(entry)
-     gets the extra unit, every other block the probability-weighted sum of
-     its predecessors): Gaussian elimination on (I − A). Loops of any trip
-     count are exact — iterative relaxation would converge at the loop's
-     cyclic probability, hopelessly slowly for e.g. 4096-trip loops. A
-     near-singular pivot corresponds to a (nearly) non-terminating loop and
-     is regularised, which caps the multiplier like Wu–Larus's cyclic
-     probability cap. *)
-  let m = Array.make_matrix n (n + 1) 0.0 in
-  for b = 0 to n - 1 do
-    m.(b).(b) <- 1.0
-  done;
-  Ir.iter_blocks fn (fun pb ->
-      List.iter
-        (fun (dst, p) -> m.(dst).(pb.Ir.bid) <- m.(dst).(pb.Ir.bid) -. p)
-        (edge_prob pb));
-  m.(Ir.entry_bid).(n) <- 1.0;
-  (* elimination with partial pivoting *)
-  for col = 0 to n - 1 do
-    let pivot = ref col in
-    for r = col + 1 to n - 1 do
-      if Float.abs m.(r).(col) > Float.abs m.(!pivot).(col) then pivot := r
-    done;
-    if !pivot <> col then begin
-      let t = m.(col) in
-      m.(col) <- m.(!pivot);
-      m.(!pivot) <- t
-    end;
-    let d = m.(col).(col) in
-    let d = if Float.abs d < 1.0 /. max_block_freq then 1.0 /. max_block_freq else d in
-    m.(col).(col) <- d;
-    for r = col + 1 to n - 1 do
-      let factor = m.(r).(col) /. d in
-      if factor <> 0.0 then
-        for c = col to n do
-          m.(r).(c) <- m.(r).(c) -. (factor *. m.(col).(c))
-        done
-    done
-  done;
-  let freq = Array.make n 0.0 in
-  for row = n - 1 downto 0 do
-    let acc = ref m.(row).(n) in
-    for c = row + 1 to n - 1 do
-      acc := !acc -. (m.(row).(c) *. freq.(c))
-    done;
-    freq.(row) <- Vrp_util.Stats.clamp ~lo:0.0 ~hi:max_block_freq (!acc /. m.(row).(row))
-  done;
+  let pos = Array.make n (-1) and mult = Array.make n 1.0 and freq = Array.make n 0.0 in
+  Array.iteri (fun i b -> pos.(b) <- i) st.Static.rpo;
+  let push ~start ~inside blocks =
+    let back = ref 0.0 in
+    List.iter (fun b -> freq.(b) <- (if b = start then 1.0 else 0.0)) blocks;
+    List.iter
+      (fun b ->
+        freq.(b) <- freq.(b) *. mult.(b);
+        Array.iteri
+          (fun k s ->
+            let w = freq.(b) *. prob b k in
+            if st.Static.back.(b).(k) then (if s = start then back := !back +. w)
+            else if pos.(s) <= pos.(b) then
+              failwith
+                (Printf.sprintf "Frequency: irreducible edge B%d -> B%d in %s" b s fn.Ir.fname)
+            else if inside s then freq.(s) <- freq.(s) +. w)
+          st.Static.succs.(b))
+      blocks;
+    !back
+  in
+  Array.iter
+    (fun (l : Loops.loop) ->
+      let body = List.sort (fun a b -> compare pos.(a) pos.(b)) (Loops.IntSet.elements l.body) in
+      let cp = push ~start:l.header ~inside:(fun s -> Loops.IntSet.mem s l.body) body in
+      mult.(l.header) <- 1.0 /. cap_pivot (1.0 -. cp))
+    st.Static.loops.Loops.loops;
+  ignore (push ~start:Ir.entry_bid ~inside:(fun _ -> true) (Array.to_list st.Static.rpo));
   let edge_freq = Hashtbl.create 32 in
-  Ir.iter_blocks fn (fun b ->
-      List.iter
-        (fun (dst, p) -> Hashtbl.replace edge_freq (b.Ir.bid, dst) (freq.(b.Ir.bid) *. p))
-        (edge_prob b));
+  Array.iter
+    (fun b -> Array.iteri (fun k s -> add edge_freq (b, s) (freq.(b) *. prob b k)) st.succs.(b))
+    st.Static.rpo;
   { fn; block_freq = freq; edge_freq }
 
-(** Whole-program frequencies from an interprocedural analysis. *)
-let of_interproc (_program : Ir.program) (ipa : Interproc.t) : t =
-  let per_fn = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun name res -> Hashtbl.replace per_fn name (of_engine res))
-    ipa.Interproc.results;
-  (* Call-site frequencies: invocations of callee per invocation of caller. *)
-  let call_sites : (string * string * float) list =
-    Hashtbl.fold
-      (fun caller (res : Engine.t) acc ->
-        match Hashtbl.find_opt per_fn caller with
-        | None -> acc
-        | Some ff ->
-          List.fold_left
-            (fun acc ((bid, _idx), (callee, _args)) ->
-              (caller, callee, ff.block_freq.(bid)) :: acc)
-            acc res.Engine.calls_seen)
-      ipa.Interproc.results []
+(** A call site weighs its block's frequency. Each SCC of the call graph
+    reachable from [main], callers first, solves (I − C)·x = inflow by
+    elimination without pivoting; a non-positive pivot (the SCC's expected
+    call count diverges) gets the loop cap. *)
+let of_prediction (program : Ir.program) (pred : Vrp_predict.Predictor.prediction) : t =
+  let fns = Hashtbl.create 16 and per_fn = Hashtbl.create 16 and calls = Hashtbl.create 16 in
+  List.iter (fun (f : Ir.fn) -> Hashtbl.replace fns f.Ir.fname f) program.Ir.fns;
+  (* Tarjan's algorithm, solving each function it reaches; [sccs] ends
+     callers first. [calls] holds a function's [(callee, site weight)]s. *)
+  let index = Hashtbl.create 16 and stack = ref [] and sccs = ref [] in
+  let rec visit v =
+    let i = Hashtbl.length index in
+    Hashtbl.replace index v i;
+    stack := v :: !stack;
+    let ff = fn_freq pred (Hashtbl.find fns v) and sites = ref [] in
+    Hashtbl.replace per_fn v ff;
+    Ir.iter_blocks ff.fn (fun b ->
+        List.iter
+          (function
+            | Ir.Def (_, Ir.Call (g, _)) when Hashtbl.mem fns g ->
+              sites := (g, ff.block_freq.(b.Ir.bid)) :: !sites
+            | _ -> ())
+          b.Ir.instrs);
+    Hashtbl.replace calls v (List.rev !sites);
+    let low =
+      List.fold_left
+        (fun low (w, _) ->
+          if not (Hashtbl.mem index w) then min low (visit w)
+          else if List.mem w !stack then min low (Hashtbl.find index w)
+          else low)
+        i (Hashtbl.find calls v)
+    in
+    let rec pop acc = function
+      | w :: rest when w <> v -> pop (w :: acc) rest
+      | l -> stack := List.tl l; Array.of_list (v :: acc)
+    in
+    if low = i then sccs := pop [] !stack :: !sccs;
+    low
   in
   let call_freq = Hashtbl.create 16 in
-  Hashtbl.replace call_freq "main" 1.0;
-  (* Relax over the call graph; recursion is capped like loops. *)
-  let passes = ref 0 in
-  let continue = ref true in
-  while !continue && !passes < relaxation_passes do
-    incr passes;
-    let delta = ref 0.0 in
-    let next = Hashtbl.create 16 in
-    Hashtbl.replace next "main" 1.0;
-    List.iter
-      (fun (caller, callee, site_freq) ->
-        let caller_f = Option.value ~default:0.0 (Hashtbl.find_opt call_freq caller) in
-        let cur = Option.value ~default:0.0 (Hashtbl.find_opt next callee) in
-        Hashtbl.replace next callee
-          (Float.min max_block_freq (cur +. (caller_f *. site_freq))))
-      call_sites;
-    Hashtbl.iter
-      (fun name f ->
-        let old = Option.value ~default:0.0 (Hashtbl.find_opt call_freq name) in
-        delta := Float.max !delta (Float.abs (f -. old));
-        Hashtbl.replace call_freq name f)
-      next;
-    if !delta < convergence_eps then continue := false
-  done;
+  if Hashtbl.mem fns "main" then (ignore (visit "main"); Hashtbl.replace call_freq "main" 1.0);
+  List.iter
+    (fun comp ->
+      let k = Array.length comp in
+      let a =
+        Array.init k (fun r ->
+            Array.init k (fun c ->
+                List.fold_left (fun a (g, w) -> if g = comp.(r) then a -. w else a)
+                  (if r = c then 1.0 else 0.0) (Hashtbl.find calls comp.(c))))
+      in
+      let x = Array.map (fun f -> Option.value ~default:0.0 (Hashtbl.find_opt call_freq f)) comp in
+      (* Gauss–Jordan: the pivots are those of plain elimination. *)
+      for c = 0 to k - 1 do
+        a.(c).(c) <- cap_pivot a.(c).(c);
+        for r = 0 to k - 1 do
+          let m = if r = c then 0.0 else a.(r).(c) /. a.(c).(c) in
+          for j = c to k - 1 do a.(r).(j) <- a.(r).(j) -. (m *. a.(c).(j)) done;
+          x.(r) <- x.(r) -. (m *. x.(c))
+        done
+      done;
+      Array.iteri
+        (fun c f ->
+          x.(c) <- x.(c) /. a.(c).(c);
+          Hashtbl.replace call_freq f x.(c);
+          List.iter
+            (fun (g, w) -> if not (Array.mem g comp) then add call_freq g (x.(c) *. w))
+            (Hashtbl.find calls f))
+        comp)
+    !sccs;
   { per_fn; call_freq }
 
 (** Global frequency of a block: invocations of its function × executions
@@ -158,17 +155,18 @@ let global_block_freq (t : t) ~(fname : string) ~(bid : int) : float option =
   | Some ff, Some cf when bid < Array.length ff.block_freq -> Some (ff.block_freq.(bid) *. cf)
   | _ -> None
 
+(* To 12 significant digits, so that frequencies equal in exact arithmetic
+   tie however the solve's float operations were ordered. *)
+let rank f = float_of_string (Printf.sprintf "%.12g" f)
+
 (** Blocks of the whole program hottest-first — the order the paper suggests
-    applying resource-limited optimizations in. *)
+    applying resource-limited optimizations in; ties by (function, block). *)
 let hottest_blocks (t : t) : (string * int * float) list =
   Hashtbl.fold
     (fun fname ff acc ->
       let cf = Option.value ~default:0.0 (Hashtbl.find_opt t.call_freq fname) in
-      Array.to_list (Array.mapi (fun bid f -> (fname, bid, f *. cf)) ff.block_freq) @ acc)
+      Array.to_list (Array.mapi (fun bid f -> (-.rank (f *. cf), fname, bid, f *. cf)) ff.block_freq)
+      @ acc)
     t.per_fn []
-  |> List.sort (fun (fa, ba, a) (fb, bb, b) ->
-         (* Frequency-descending with a (function, block) tie-break: equal
-            frequencies must not surface hash-table order. *)
-         match Float.compare b a with
-         | 0 -> compare (fa, ba) (fb, bb)
-         | c -> c)
+  |> List.sort compare
+  |> List.map (fun (_, fname, bid, f) -> (fname, bid, f))

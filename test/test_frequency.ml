@@ -6,21 +6,23 @@ module Ir = Vrp_ir.Ir
 
 let tc = Alcotest.test_case
 
-let fn_freq src =
-  let _, fn = Helpers.compile_main src in
-  let res = Engine.analyze fn in
-  (Frequency.of_engine res, res)
+(* Whole-program frequencies under the predictions [vrpc predict] prints. *)
+let program_freq src =
+  let ssa = (Helpers.compile src).Vrp_core.Pipeline.ssa in
+  Frequency.of_prediction ssa (fst (Vrp_core.Pipeline.vrp_predictions ssa))
+
+let fn_freq src = Hashtbl.find (program_freq src).Frequency.per_fn "main"
 
 let straight_line_everything_once () =
-  let ff, _ = fn_freq "int main(int n, int s) { int x = n + 1; return x; }" in
+  let ff = fn_freq "int main(int n, int s) { int x = n + 1; return x; }" in
   Array.iter (fun f -> Helpers.check_prob "once" 1.0 f) ff.Frequency.block_freq
 
 let diamond_splits_and_rejoins () =
-  let ff, res =
+  let ff =
     fn_freq "int main(int n, int s) { int x = 0; if (n > 0) { x = 1; } else { x = 2; } return x; }"
   in
   (* entry and join execute once; the arms sum to 1 *)
-  let fn = res.Engine.fn in
+  let fn = ff.Frequency.fn in
   let arm_sum = ref 0.0 in
   Ir.iter_blocks fn (fun b ->
       match b.Ir.term with
@@ -30,14 +32,14 @@ let diamond_splits_and_rejoins () =
   Helpers.check_prob "entry once" 1.0 ff.Frequency.block_freq.(Ir.entry_bid)
 
 let counted_loop_frequency_matches_trip_count () =
-  let ff, res =
+  let ff =
     fn_freq
       "int main(int n, int s) { int acc = 0; for (int i = 0; i < 100; i++) { acc = acc + i; \
        } return acc; }"
   in
   (* the loop header executes 101 times per invocation: VRP predicts the
      branch at 100/101, so 1/(1-p·stay...) reconstructs ~101 *)
-  let fn = res.Engine.fn in
+  let fn = ff.Frequency.fn in
   let header_freq = ref 0.0 in
   Ir.iter_blocks fn (fun b ->
       match b.Ir.term with
@@ -47,7 +49,7 @@ let counted_loop_frequency_matches_trip_count () =
     Alcotest.failf "expected header frequency ~101, got %f" !header_freq
 
 let nonterminating_loop_is_capped () =
-  let ff, _ =
+  let ff =
     fn_freq "int main(int n, int s) { while (1 == 1) { n = n + 1; } return n; }"
   in
   Array.iter
@@ -67,9 +69,7 @@ int mid(int x) {
 int main(int n, int s) { return mid(1) + mid(2); }
 |}
   in
-  let c = Helpers.compile src in
-  let ipa = Vrp_core.Interproc.analyze c.Vrp_core.Pipeline.ssa in
-  let f = Frequency.of_interproc c.Vrp_core.Pipeline.ssa ipa in
+  let f = program_freq src in
   let get name = Option.value ~default:0.0 (Hashtbl.find_opt f.Frequency.call_freq name) in
   Helpers.check_prob "main once" 1.0 (get "main");
   Helpers.check_prob ~eps:0.01 "mid twice" 2.0 (get "mid");
@@ -84,18 +84,14 @@ int forever(int x) { return forever(x + 1); }
 int main(int n, int s) { return forever(0); }
 |}
   in
-  let c = Helpers.compile src in
-  let ipa = Vrp_core.Interproc.analyze c.Vrp_core.Pipeline.ssa in
-  let f = Frequency.of_interproc c.Vrp_core.Pipeline.ssa ipa in
+  let f = program_freq src in
   Hashtbl.iter
     (fun _ v -> if Float.is_nan v then Alcotest.fail "recursion produced NaN")
     f.Frequency.call_freq
 
 let hottest_blocks_sorted () =
   let b = Option.get (Vrp_suite.Suite.find "proto") in
-  let c = Helpers.compile b.source in
-  let ipa = Vrp_core.Interproc.analyze c.Vrp_core.Pipeline.ssa in
-  let f = Frequency.of_interproc c.Vrp_core.Pipeline.ssa ipa in
+  let f = program_freq b.source in
   let hot = Frequency.hottest_blocks f in
   let rec check = function
     | (_, _, a) :: ((_, _, b) :: _ as rest) ->
@@ -112,8 +108,7 @@ let frequencies_correlate_with_reality () =
   let c = Helpers.compile b.source in
   let ssa = c.Vrp_core.Pipeline.ssa in
   let observed = (Vrp_profile.Interp.run ssa ~args:b.ref_args).Vrp_profile.Interp.profile in
-  let ipa = Vrp_core.Interproc.analyze ssa in
-  let f = Frequency.of_interproc ssa ipa in
+  let f = Frequency.of_prediction ssa (fst (Vrp_core.Pipeline.vrp_predictions ssa)) in
   (* compare ordering: the hottest observed branch should rank in the top
      half of predicted frequencies *)
   let observed_branches =
@@ -130,6 +125,56 @@ let frequencies_correlate_with_reality () =
     in
     Alcotest.(check bool) "hottest observed branch predicted hot" true (predicted > 100.0)
   | [] -> Alcotest.fail "no branches"
+
+(* Under each program's own profile the solve is exact: flow conservation
+   makes every block and call count a solution of the equations. *)
+let suite_conserves_profile_counts () =
+  List.iter
+    (fun (b : Vrp_suite.Suite.benchmark) ->
+      let ssa = (Helpers.compile b.source).Vrp_core.Pipeline.ssa in
+      match Vrp_fuzz.Oracle.check_conservation ssa ~args:b.train_args with
+      | [] -> ()
+      | v :: _ -> Alcotest.failf "%s: %s" b.name (Vrp_fuzz.Oracle.violation_to_string v))
+    Vrp_suite.Suite.benchmarks
+
+(* 60 001 blocks: a dense solve would need about 29 GB. *)
+let twenty_thousand_ifs () =
+  let buf = Buffer.create (20_000 * 32) in
+  Buffer.add_string buf "int main(int n, int s) {\n  int y = 0;\n";
+  for i = 0 to 19_999 do
+    Buffer.add_string buf (Printf.sprintf "  if (n < %d) { y = y + %d; }\n" i i)
+  done;
+  Buffer.add_string buf "  return y;\n}\n";
+  let ssa = (Helpers.compile (Buffer.contents buf)).Vrp_core.Pipeline.ssa in
+  let f = Frequency.of_prediction ssa (Vrp_predict.Predictor.ball_larus ssa) in
+  let ff = Hashtbl.find f.Frequency.per_fn "main" in
+  Helpers.check_prob "entry once" 1.0 ff.Frequency.block_freq.(Ir.entry_bid);
+  Ir.iter_blocks ff.Frequency.fn (fun b ->
+      match b.Ir.term with
+      | Ir.Ret _ -> Helpers.check_prob "exit once" 1.0 ff.Frequency.block_freq.(b.Ir.bid)
+      | Ir.Jump _ | Ir.Br _ -> ())
+
+(* B0 branches into both B1 and B2, which jump to each other: a cycle with
+   two entries, which no natural loop covers. MiniC never builds one. *)
+let irreducible_cfg_fails_loudly () =
+  let block bid term = { Ir.bid; instrs = []; term; preds = [] } in
+  let br tdst fdst = Ir.Br { rel = Vrp_lang.Ast.Lt; ba = Ir.Cint 0; bb = Ir.Cint 1; tdst; fdst } in
+  let fn =
+    {
+      Ir.fname = "main";
+      ret_ty = Vrp_lang.Ast.Tint;
+      params = [];
+      blocks = [| block 0 (br 1 2); block 1 (br 2 3); block 2 (br 1 3); block 3 (Ir.Ret None) |];
+      nvars = 0;
+      local_arrays = [];
+    }
+  in
+  Ir.recompute_preds fn;
+  let program = { Ir.fns = [ fn ]; global_arrays = [] } in
+  match Frequency.of_prediction program (Hashtbl.create 1) with
+  | _ -> Alcotest.fail "an irreducible CFG was solved"
+  | exception Failure msg ->
+    Alcotest.(check bool) "names the edge" true (Astring.String.is_infix ~affix:"irreducible" msg)
 
 (* --- DOT --- *)
 
@@ -166,6 +211,9 @@ let suite =
       tc "recursion capped" `Quick recursion_capped;
       tc "hottest blocks sorted" `Quick hottest_blocks_sorted;
       tc "correlates with reality" `Quick frequencies_correlate_with_reality;
+      tc "suite conserves profile counts" `Quick suite_conserves_profile_counts;
+      tc "20 000 ifs" `Quick twenty_thousand_ifs;
+      tc "irreducible CFG fails loudly" `Quick irreducible_cfg_fails_loudly;
       tc "dot well-formed" `Quick dot_output_well_formed;
       tc "dot escapes" `Quick dot_escapes_quotes;
     ] )

@@ -113,8 +113,10 @@ let cache_arg =
     & opt (some string) None
     & info [ "cache" ] ~docv:"DIR"
         ~doc:
-          "Persist function summaries content-addressed under $(docv); warm \
-           runs skip re-analysing unchanged functions.")
+          "Persist function summaries and each completed file's result \
+           content-addressed under $(docv). A re-run on the same $(docv) \
+           re-analyses only changed functions and serves unchanged files \
+           whole, so an interrupted batch resumes where it stopped.")
 
 (* --- Diagnostics / resilience options --- *)
 
@@ -154,9 +156,8 @@ let diag_args =
       & info [ "inject-fault" ] ~docv:"SPEC" ~docs:"TESTING (HIDDEN)"
           ~doc:
             "Inject a deterministic fault: $(b,crash:FN), $(b,fuel:FN), \
-             $(b,steps:N), $(b,hang:FN), $(b,flaky:FN:K), \
-             $(b,crash-file:NAME), $(b,corrupt-cache:N), \
-             $(b,torn-journal:N) or $(b,skew:FN). Under $(b,remote), also \
+             $(b,steps:N), $(b,hang:FN), $(b,crash-file:NAME), \
+             $(b,corrupt-cache:N) or $(b,skew:FN). Under $(b,remote), also \
              the client-side transport chaos $(b,flood-conns:N) and \
              $(b,stall-frame:MS).")
   in
@@ -368,11 +369,12 @@ let dot file bench fn_filter annotate =
         (select_fns ssa fn_filter))
 
 (* Batch mode: fan out over a directory of MiniC files on a domain pool,
-   with an optional content-addressed summary cache, per-task supervision
-   (--deadline-ms / --retries) and checkpoint/resume (--resume JOURNAL).
-   Predictions go to stdout and are byte-identical for any --jobs and for
-   resumed runs; timing, cache traffic and supervision counters — which
-   legitimately vary — go to stderr. *)
+   with an optional content-addressed cache (--cache DIR, whose file
+   records make a re-run on the same DIR the resume of an interrupted one)
+   and per-function deadlines (--deadline-ms). Predictions go to stdout and
+   are byte-identical for any --jobs and for resumed runs; timing, cache
+   traffic and supervision counters — which legitimately vary — go to
+   stderr. *)
 let batch_paths dir =
   match Vrp_sched.Batch.list_dir dir with
   | [] ->
@@ -383,14 +385,14 @@ let batch_paths dir =
     prerr_endline ("vrpc: " ^ msg);
     exit 2
 
-let batch dir jobs cache_dir cache_max_mb deadline_ms retries resume numeric
-    trace_out ((_, _, fault) as dopts) =
+let batch dir jobs cache_dir cache_max_mb deadline_ms numeric trace_out
+    ((_, _, fault) as dopts) =
   (* a --deadline-ms supervisor runs a monitor domain *)
   check_jobs ~beside:1 jobs;
   let module Supervisor = Vrp_sched.Supervisor in
   let module Summary_cache = Vrp_cache.Summary_cache in
   let sources = List.map (fun p -> (p, read_file p)) (batch_paths dir) in
-  let cache_fault, journal_fault, _ = Ops.route_fault fault in
+  let cache_fault, _ = Ops.route_fault fault in
   let cache =
     Option.map
       (fun dir ->
@@ -398,21 +400,13 @@ let batch dir jobs cache_dir cache_max_mb deadline_ms retries resume numeric
           ?fault:cache_fault ())
       cache_dir
   in
-  let supervisor =
-    if deadline_ms <> None || retries > 0 then
-      Some
-        (Supervisor.create
-           ~policy:{ Supervisor.default_policy with deadline_ms; retries }
-           ())
-    else None
-  in
+  let supervisor = Option.map (fun ms -> Supervisor.create ~deadline_ms:ms ()) deadline_ms in
   let o =
     Fun.protect
       ~finally:(fun () -> Option.iter Supervisor.shutdown supervisor)
       (fun () ->
         with_trace trace_out (fun () ->
-            Ops.batch ?cache ?supervisor ?journal:resume ?journal_fault
-              ~opts:(opts_of ~jobs numeric dopts) ~sources ()))
+            Ops.batch ?cache ?supervisor ~opts:(opts_of ~jobs numeric dopts) ~sources ()))
   in
   print_string o.Ops.out;
   prerr_string o.Ops.err;
@@ -722,32 +716,12 @@ let batch_cmd =
              $(docv) milliseconds of wall clock; the function is demoted to \
              the Ball–Larus fallback instead of stalling the batch.")
   in
-  let retries_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "retries" ] ~docv:"N"
-          ~doc:
-            "Retry a failed or cancelled function analysis up to $(docv) \
-             times (with deterministic backoff) before demoting it.")
-  in
-  let resume_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "resume" ] ~docv:"JOURNAL"
-          ~doc:
-            "Checkpoint each completed file to $(docv) and, if it already \
-             holds records from an interrupted run, skip the files whose \
-             inputs are unchanged — the report stays byte-identical to an \
-             uninterrupted run.")
-  in
   cmd_of "batch"
-    "Analyse every MiniC file in a directory concurrently with summary \
-     caching, supervision and checkpoint/resume."
+    "Analyse every MiniC file in a directory concurrently, with summary \
+     caching and per-function deadlines."
     Term.(
       const batch $ dir_arg $ jobs_arg $ cache_arg $ cache_max_mb_arg
-      $ deadline_arg $ retries_arg $ resume_arg $ numeric_arg $ trace_out_arg
-      $ diag_args)
+      $ deadline_arg $ numeric_arg $ trace_out_arg $ diag_args)
 
 let run_cmd =
   let args =

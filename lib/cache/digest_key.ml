@@ -13,7 +13,7 @@ module Ir = Vrp_ir.Ir
 module Value = Vrp_ranges.Value
 module Engine = Vrp_core.Engine
 
-let format_version = 5
+let format_version = 6
 
 let marshal_digest v = Digest.string (Marshal.to_string v [ Marshal.No_sharing ])
 
@@ -89,7 +89,7 @@ let compile_key ~env (f : Ast.func) =
    without further edits (the cache tests flip each analysis-relevant flag
    and assert the digest moves). [cancel] is the one exception: a
    supervision token is non-semantic (it can only abort an analysis, never
-   change its result), and keying on it would make every retry attempt a
+   change its result), and keying on it would make every supervised call a
    spurious miss. [max_ranges] is a global tunable the engine reads outside
    its config record. *)
 
@@ -109,3 +109,8 @@ let task_key ~fn_digest ~config_digest ~param_values ~callee_returns =
 
 let reply_key ~source_md5 ~config_digest ~diagnostics ~strict =
   "reply-" ^ Digest.to_hex (marshal_digest (source_md5, config_digest, diagnostics, strict))
+
+(* --- Whole batch files --- *)
+
+let file_key ~source ~config_digest =
+  String.concat "-" [ "file"; Digest.to_hex (Digest.string source); config_digest ]

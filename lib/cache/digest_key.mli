@@ -23,11 +23,11 @@ module Engine = Vrp_core.Engine
     [Diag.Fault.t] is added, removed or reordered, when fields of
     [Engine.config] are reordered, and when a field or constructor of a
     type read back from disk changes: [Engine.t] (a [vrpsum2] body),
-    [Batch.file_result] and [Journal.record] (a [--resume] journal), and
-    the [Value.t], [Srange.t], [Sym.t], [Var.t] and [Diag.diag] in them.
-    Marshal encodes constructors and fields by their position in the type;
-    the cache tests "IR layout tripwire" and "persisted layout tripwire"
-    pin them. Bumping invalidates every on-disk cache entry and journal. *)
+    [Batch.file_result] (a [vrpfile1] file record), and the [Value.t],
+    [Srange.t], [Sym.t], [Var.t] and [Diag.diag] in them. Marshal encodes
+    constructors and fields by their position in the type; the cache tests
+    "IR layout tripwire" and "persisted layout tripwire" pin them. Bumping
+    invalidates every on-disk cache entry. *)
 val format_version : int
 
 (** Structural digest (hex) of one function's SSA IR: MD5 over the
@@ -82,3 +82,9 @@ val task_key :
     {!task_key}. *)
 val reply_key :
   source_md5:string -> config_digest:string -> diagnostics:bool -> strict:bool -> string
+
+(** Key of a batch file record in the disk tier: the source's MD5 (hex)
+    and the engine configuration digest. A file's batch result depends on
+    nothing else but its name, which the record does not keep. Distinct
+    from every {!task_key}, {!compile_key} and {!reply_key}. *)
+val file_key : source:string -> config_digest:string -> string

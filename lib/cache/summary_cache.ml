@@ -317,42 +317,46 @@ let touch_locked t e =
 (* --- Disk tier ---
 
    One file per key, written atomically (temp file + rename), framed for
-   end-to-end integrity verification as one {!Vrp_util.Frame} (magic
-   "vrpsum2", body Marshal (format_version, summary)). Reads classify every
-   entry as served / stale (clean frame, old format version — deleted and
-   recomputed) / corrupt (torn write, bit rot, foreign bytes — quarantined
-   aside as KEY.sum.bad so it is kept as evidence but never retried). Both
-   degradations are a counted miss plus an invalidation; neither can crash
-   or poison the run. *)
+   end-to-end integrity verification as one {!Vrp_util.Frame} whose body
+   is Marshal (format_version, value). Two entry kinds share the codec,
+   each under its own magic so neither can be read back as the other: a
+   function summary ("vrpsum2", an [Engine.t]) and a batch file record
+   ("vrpfile1", the batch driver's marshalled result). Reads classify
+   every entry as served / stale (clean frame, old format version —
+   deleted and recomputed) / corrupt (torn write, bit rot, foreign bytes,
+   another kind's magic — quarantined aside as KEY.sum.bad so it is kept
+   as evidence but never retried). Both degradations are counted as a
+   miss plus an invalidation; neither can crash or poison the run. *)
 
-let disk_magic = "vrpsum2"
+let summary_magic = "vrpsum2"
+let file_magic = "vrpfile1"
 
 let disk_path dir key = Filename.concat dir (key ^ ".sum")
 
-type disk_read = Served of Engine.t | Stale | Corrupt | Absent
+type 'a disk_read = Served of 'a | Stale | Corrupt | Absent
 
-let read_frame path =
+let read_frame ~magic path =
   try
     let ic = open_in_bin path in
     Fun.protect
       ~finally:(fun () -> close_in_noerr ic)
       (fun () ->
-        match Vrp_util.Frame.read ~magic:disk_magic ic with
+        match Vrp_util.Frame.read ~magic ic with
         | None -> Corrupt (* torn, truncated, bit-rotted or foreign *)
         | Some payload ->
-          let version, (res : Engine.t) = Marshal.from_string payload 0 in
-          if version <> Digest_key.format_version then Stale else Served res)
+          let version, v = Marshal.from_string payload 0 in
+          if version <> Digest_key.format_version then Stale else Served v)
   with _ -> Corrupt
 
-let disk_load t key =
+let disk_load t ~magic key =
   match t.disk_dir with
   | None -> Absent
   | Some dir ->
     let path = disk_path dir key in
     if not (Sys.file_exists path) then Absent
     else begin
-      match read_frame path with
-      | Served res -> Served res
+      match read_frame ~magic path with
+      | Served v -> Served v
       | Stale ->
         (* old format: no foul play, just drop it for rewrite *)
         (try Sys.remove path with Sys_error _ -> ());
@@ -365,7 +369,15 @@ let disk_load t key =
       | Absent -> Absent
     end
 
-let disk_store t key (res : Engine.t) =
+(* Under the lock: count a stale or corrupt disk entry. *)
+let count_verdict_locked t = function
+  | Stale -> t.c.invalidations <- t.c.invalidations + 1
+  | Corrupt ->
+    t.c.invalidations <- t.c.invalidations + 1;
+    t.c.quarantined <- t.c.quarantined + 1
+  | Served _ | Absent -> ()
+
+let disk_store t ~magic key v =
   match t.disk_dir with
   | None -> ()
   | Some dir -> (
@@ -374,8 +386,8 @@ let disk_store t key (res : Engine.t) =
       Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ())
         (Domain.self () :> int)
     in
-    let payload = Marshal.to_string (Digest_key.format_version, res) [] in
-    let frame = Vrp_util.Frame.encode ~magic:disk_magic payload in
+    let payload = Marshal.to_string (Digest_key.format_version, v) [] in
+    let frame = Vrp_util.Frame.encode ~magic payload in
     let frame =
       (* Fault injection: flip a payload bit *after* framing, so the stored
          checksum still describes the original bytes — exactly what on-disk
@@ -443,7 +455,7 @@ let find_or_compute t ~slot ~stamp ~key compute =
   match cached with
   | Some res -> res
   | None -> (
-    match disk_load t key with
+    match (disk_load t ~magic:summary_magic key : Engine.t disk_read) with
     | Served res ->
       locked t (fun () ->
           t.c.hits <- t.c.hits + 1;
@@ -453,15 +465,10 @@ let find_or_compute t ~slot ~stamp ~key compute =
     | (Stale | Corrupt | Absent) as verdict ->
       locked t (fun () ->
           t.c.misses <- t.c.misses + 1;
-          match verdict with
-          | Stale -> t.c.invalidations <- t.c.invalidations + 1
-          | Corrupt ->
-            t.c.invalidations <- t.c.invalidations + 1;
-            t.c.quarantined <- t.c.quarantined + 1
-          | Served _ | Absent -> ());
+          count_verdict_locked t verdict);
       let res = compute () in
       locked t (fun () -> store_summary_locked t s ~slot key res);
-      disk_store t key res;
+      disk_store t ~magic:summary_magic key res;
       res)
 
 (* --- File-level tier --- *)
@@ -476,6 +483,23 @@ let find_reply t ~key =
       | Some { value = Summary _ | Compiled _; _ } | None -> None)
 
 let store_reply t ~key r = locked t (fun () -> insert_locked t key (Reply r))
+
+let persistent t = Option.is_some t.disk_dir
+
+let find_file t ~key =
+  match (disk_load t ~magic:file_magic key : string disk_read) with
+  | Served payload ->
+    locked t (fun () -> t.c.file_hits <- t.c.file_hits + 1);
+    Some payload
+  | Absent -> None
+  | (Stale | Corrupt) as verdict ->
+    (* A damaged record costs a recompute, counted as a summary's would be. *)
+    locked t (fun () ->
+        t.c.misses <- t.c.misses + 1;
+        count_verdict_locked t verdict);
+    None
+
+let store_file t ~key payload = disk_store t ~magic:file_magic key payload
 
 (* --- Compile memo --- *)
 

@@ -3,7 +3,11 @@
     Two tiers: a bounded in-memory LRU map from {!Digest_key.task_key} to
     the full analysis result, and an optional on-disk tier (one checksummed
     file per key under [disk_dir]) that survives across processes — a warm
-    [vrpc batch --cache DIR] run re-analyzes zero unchanged functions.
+    [vrpc batch --cache DIR] run re-analyzes zero unchanged functions. The
+    disk tier also holds batch file records ({!find_file}): a whole file's
+    result under {!Digest_key.file_key}, so a re-run on the same directory
+    serves an unchanged file without compiling it. That is how a batch
+    resumes. File records live on disk only.
 
     The memory map also holds a file-level tier: whole rendered replies
     under {!Digest_key.reply_key}, which the server serves without
@@ -21,16 +25,17 @@
     tier; the slot's next lookup then counts no invalidation.
 
     Disk-tier integrity: every entry is one {!Vrp_util.Frame} (magic
-    [vrpsum2]), whose payload checksum is verified on read. A torn,
-    truncated, or bit-rotted entry is counted as a miss plus an
-    invalidation, quarantined aside as [KEY.sum.bad], and recomputed —
-    corruption can degrade performance but never crashes a run or poisons
-    a result. An entry written by an older format version is
-    silently dropped and rewritten. At open, the first process to take the
-    advisory lock file ([DIR/.lock]) becomes the directory's maintenance
-    process: it sweeps debris left by killed writers (stale [*.sum.tmp.*]
-    temp files, old quarantine files) and applies the optional disk budget
-    by evicting the oldest entries. Entry reads and writes themselves are
+    [vrpsum2] for a summary, [vrpfile1] for a file record), whose payload
+    checksum is verified on read. A torn, truncated, or bit-rotted entry,
+    or one of the other kind, is counted as a miss plus an invalidation,
+    quarantined aside as [KEY.sum.bad], and recomputed — corruption can
+    degrade performance but never crashes a run or poisons a result. An
+    entry written by an older format version is silently dropped and
+    rewritten. At open, the first process to take the advisory lock file
+    ([DIR/.lock]) becomes the directory's maintenance process: it sweeps
+    debris left by killed writers (stale [*.sum.tmp.*] temp files, old
+    quarantine files) and applies the optional disk budget by evicting the
+    oldest entries, of either kind. Entry reads and writes themselves are
     lock-free: they are content-addressed and atomically renamed, so the
     worst cross-process race is a harmless double write of identical bytes.
 
@@ -58,7 +63,9 @@ type counters = {
   mutable quarantined : int;
       (** disk entries that failed checksum or frame verification and were
           moved aside as [KEY.sum.bad]; always a subset of [invalidations] *)
-  mutable file_hits : int;  (** replies served from the file-level tier *)
+  mutable file_hits : int;
+      (** replies served from the file-level tier, and batch file records
+          served from the disk tier *)
   mutable compile_hits : int;  (** functions whose checked SSA {!compile} reused *)
   mutable compile_misses : int;  (** functions {!compile} had to build *)
 }
@@ -141,6 +148,21 @@ val find_reply : t -> key:string -> reply option
 (** Store a reply in the file-level tier (memory only). The caller keys it
     by everything the reply depends on and stores only complete replies. *)
 val store_reply : t -> key:string -> reply -> unit
+
+(** True when the store has a disk tier, the only home of file records. *)
+val persistent : t -> bool
+
+(** The batch file record stored under [key] (a {!Digest_key.file_key}) in
+    the disk tier, counted as a [file_hits] when found; [None] without a
+    disk tier. The payload is the producer's bytes. A stale or corrupt
+    record counts as a miss plus an invalidation, and a corrupt one is
+    quarantined, as a summary would be; an absent one counts nothing. *)
+val find_file : t -> key:string -> string option
+
+(** Store a file record in the disk tier (a no-op without one). The caller
+    keys it by everything the result depends on and stores only complete
+    results: never a crashed file, never one a deadline cut short. *)
+val store_file : t -> key:string -> string -> unit
 
 (** {!Vrp_core.Pipeline.compile_result} through the compile memo, with the
     program's {!Digest_key.fn_keys} table. Each function is looked up

@@ -27,8 +27,6 @@ type kind =
   | Front_end_error  (** parse / type / IR-check failure *)
   | Fault_injected  (** a deterministic test fault fired *)
   | Deadline_exceeded  (** a supervised task overran its wall-clock deadline *)
-  | Task_retry  (** a supervised task failed and was retried *)
-  | Journal_event  (** batch journal traffic: checkpoints, resumes *)
   | Note  (** free-form informational event *)
 
 type location = { fn : string option; block : int option }
@@ -90,8 +88,6 @@ let kind_to_string = function
   | Front_end_error -> "front-end-error"
   | Fault_injected -> "fault-injected"
   | Deadline_exceeded -> "deadline-exceeded"
-  | Task_retry -> "task-retry"
-  | Journal_event -> "journal-event"
   | Note -> "note"
 
 let location_to_string loc =
@@ -160,21 +156,18 @@ module Cancel = struct
     heartbeat : int Atomic.t;
         (* liveness counter: lets a monitor tell "hung" (beats stalled)
            from "slow but alive" when it reports a deadline hit *)
-    attempt : int;  (* 0-based retry attempt this token belongs to *)
   }
 
   exception Cancelled of string
   (** Raised by a worker that observed its cancellation flag; the argument
       names the task (function) that was cut short. *)
 
-  let make ?(attempt = 0) () =
-    { cancelled = Atomic.make false; heartbeat = Atomic.make 0; attempt }
+  let make () = { cancelled = Atomic.make false; heartbeat = Atomic.make 0 }
 
   let beat token = Atomic.incr token.heartbeat
   let beats token = Atomic.get token.heartbeat
   let cancel token = Atomic.set token.cancelled true
   let cancelled token = Atomic.get token.cancelled
-  let attempt token = token.attempt
 
   (** Raise {!Cancelled} if the token was cancelled; cheap enough for a
       per-worklist-step call. *)
@@ -195,20 +188,13 @@ module Fault = struct
     | Hang_fn of string
         (** wedge this function's analysis: it stops making progress and
             only a supervisor's cancellation (deadline) can break it out *)
-    | Flaky_fn of string * int
-        (** raise {!Injected} on the first N attempts at this function,
-            then succeed — exercises the retry path end to end *)
     | Crash_file of string
         (** raise {!Injected} in the batch task of any file whose name
             contains this substring — a worker crash outside per-function
             containment, demoting the whole file *)
     | Corrupt_cache of int
-        (** corrupt every Nth summary written to the cache's disk tier
+        (** corrupt every Nth entry written to the cache's disk tier
             (payload bit-flip under an unchanged checksum) *)
-    | Torn_journal of int
-        (** after N complete journal records, write a torn (truncated)
-            record and raise {!Injected} — the batch run dies mid-flight
-            exactly as a killed process would *)
     | Skew_range of string
         (** off-by-one the final ranges of this function (shrink every
             numeric upper bound by one stride) — a deliberately {e unsound}
@@ -238,10 +224,8 @@ module Fault = struct
     | Starve_fuel fn -> "fuel:" ^ fn
     | Trip_after n -> "steps:" ^ string_of_int n
     | Hang_fn fn -> "hang:" ^ fn
-    | Flaky_fn (fn, n) -> Printf.sprintf "flaky:%s:%d" fn n
     | Crash_file name -> "crash-file:" ^ name
     | Corrupt_cache n -> "corrupt-cache:" ^ string_of_int n
-    | Torn_journal n -> "torn-journal:" ^ string_of_int n
     | Skew_range fn -> "skew:" ^ fn
     | Kill_worker n -> "kill-worker:" ^ string_of_int n
     | Slow_worker ms -> "slow-worker:" ^ string_of_int ms
@@ -249,9 +233,9 @@ module Fault = struct
     | Stall_frame ms -> "stall-frame:" ^ string_of_int ms
 
   let spec_help =
-    "crash:FN, fuel:FN, steps:N, hang:FN, flaky:FN:K, \
-     crash-file:NAME, corrupt-cache:N, torn-journal:N, skew:FN, \
-     kill-worker:N, slow-worker:MS, flood-conns:N or stall-frame:MS"
+    "crash:FN, fuel:FN, steps:N, hang:FN, crash-file:NAME, \
+     corrupt-cache:N, skew:FN, kill-worker:N, slow-worker:MS, \
+     flood-conns:N or stall-frame:MS"
 
   (** Parse a CLI spec (see {!spec_help}). *)
   let parse spec =
@@ -276,23 +260,8 @@ module Fault = struct
       | "steps" -> count ~min_:0 (fun n -> Trip_after n)
       | "hang" -> Result.Ok (Hang_fn arg)
       | "skew" -> Result.Ok (Skew_range arg)
-      | "flaky" -> (
-        match String.rindex_opt arg ':' with
-        | None ->
-          Result.Error (Printf.sprintf "bad fault spec %S: want flaky:FN:K" spec)
-        | Some j -> (
-          let fn = String.sub arg 0 j in
-          let k = String.sub arg (j + 1) (String.length arg - j - 1) in
-          match (fn, int_of_string_opt k) with
-          | "", _ | _, None ->
-            Result.Error (Printf.sprintf "bad fault spec %S: want flaky:FN:K" spec)
-          | fn, Some k when k >= 1 -> Result.Ok (Flaky_fn (fn, k))
-          | _ ->
-            Result.Error
-              (Printf.sprintf "bad fault spec %S: flaky wants K >= 1 failures" spec)))
       | "crash-file" -> Result.Ok (Crash_file arg)
       | "corrupt-cache" -> count ~min_:1 (fun n -> Corrupt_cache n)
-      | "torn-journal" -> count ~min_:0 (fun n -> Torn_journal n)
       | "kill-worker" -> count ~min_:1 (fun n -> Kill_worker n)
       | "slow-worker" -> count ~min_:1 (fun ms -> Slow_worker ms)
       | "flood-conns" -> count ~min_:1 (fun n -> Flood_conns n)

@@ -16,8 +16,6 @@ type kind =
   | Front_end_error  (** parse / type / IR-check failure *)
   | Fault_injected  (** a deterministic test fault fired *)
   | Deadline_exceeded  (** a supervised task overran its wall-clock deadline *)
-  | Task_retry  (** a supervised task failed and was retried *)
-  | Journal_event  (** batch journal traffic: checkpoints, resumes *)
   | Note  (** free-form informational event *)
 
 type location = { fn : string option; block : int option }
@@ -70,9 +68,8 @@ module Cancel : sig
   (** Raised by a worker that observed its cancellation flag; the argument
       names the task that was cut short. *)
 
-  (** [make ~attempt ()] builds a fresh token; [attempt] is the 0-based
-      retry attempt it belongs to (fault injection keys off it). *)
-  val make : ?attempt:int -> unit -> token
+  (** A fresh, uncancelled token. *)
+  val make : unit -> token
 
   (** Publish liveness: one beat per unit of worker progress. *)
   val beat : token -> unit
@@ -80,7 +77,6 @@ module Cancel : sig
   val beats : token -> int
   val cancel : token -> unit
   val cancelled : token -> bool
-  val attempt : token -> int
 
   (** Raise {!Cancelled} carrying [name] if the token was cancelled. *)
   val check : token -> name:string -> unit
@@ -98,15 +94,11 @@ module Fault : sig
     | Hang_fn of string
         (** wedge this function's analysis until a supervisor's deadline
             cancellation breaks it out *)
-    | Flaky_fn of string * int
-        (** fail the first N attempts at this function, then succeed *)
     | Crash_file of string
         (** crash the batch task of any file whose name contains this
             substring (outside per-function containment) *)
     | Corrupt_cache of int
-        (** corrupt every Nth summary written to the cache's disk tier *)
-    | Torn_journal of int
-        (** tear the journal after N complete records and abort the task *)
+        (** corrupt every Nth entry written to the cache's disk tier *)
     | Skew_range of string
         (** off-by-one the final ranges of this function — a deliberately
             unsound result used to prove the fuzzing oracles catch one *)
@@ -133,8 +125,8 @@ module Fault : sig
   val spec_help : string
 
   (** Parse a CLI spec: [crash:FN], [fuel:FN], [steps:N],
-      [hang:FN], [flaky:FN:K], [crash-file:NAME], [corrupt-cache:N],
-      [torn-journal:N], [skew:FN], [kill-worker:N], [slow-worker:MS],
+      [hang:FN], [crash-file:NAME], [corrupt-cache:N], [skew:FN],
+      [kill-worker:N], [slow-worker:MS],
       [flood-conns:N] or [stall-frame:MS]. *)
   val parse : string -> (t, string) result
 end

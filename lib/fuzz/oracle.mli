@@ -21,7 +21,7 @@
     - {b Frequency conservation} ({!check_conservation}) — solved under
       a run's own branch ratios, frequencies equal that run's counts.
     - {b Determinism} ({!check_determinism}) — parallel, cache-hit and
-      journal-resumed batch runs render byte-identically to sequential.
+      file-record batch runs render byte-identically to sequential.
 
     Membership-style oracles (range / bounds / prediction) are only armed
     when the static results are trustworthy end to end: the
@@ -88,10 +88,10 @@ val check :
 val check_conservation : Vrp_ir.Ir.program -> args:int list -> violation list
 
 (** Check the differential-determinism property for one [(name, source)]
-    program: sequential vs [--jobs 4], cold vs warm vs reopened summary
-    cache, and fresh vs resumed checkpoint journal must all render
-    byte-identical batch reports. Uses temporary cache/journal paths,
-    removed before returning. *)
+    program: sequential vs [--jobs 4], cold vs warm memory cache, and a
+    disk cache before and after reopening (the reopened one serves the
+    file record) must all render byte-identical batch reports. Uses a
+    temporary cache directory, removed before returning. *)
 val check_determinism :
   ?config:Engine.config -> name:string -> string -> violation list
 

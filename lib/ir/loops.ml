@@ -13,8 +13,6 @@ type loop = {
   header : int;
   body : IntSet.t;  (** includes the header *)
   latches : int list;
-  mutable parent : int option;  (** index of enclosing loop in [loops] *)
-  mutable depth : int;
 }
 
 type t = {
@@ -57,41 +55,20 @@ let compute (fn : Ir.fn) (dom : Dom.t) : t =
   let loops =
     Hashtbl.fold
       (fun header (body, latches) acc ->
-        { header; body; latches; parent = None; depth = 1 } :: acc)
+        { header; body; latches } :: acc)
       by_header []
     (* Sort by body size so that inner (smaller) loops come first. *)
     |> List.sort (fun a b -> Int.compare (IntSet.cardinal a.body) (IntSet.cardinal b.body))
     |> Array.of_list
   in
-  (* Nesting: the parent of loop i is the smallest loop properly containing it. *)
-  Array.iteri
-    (fun i li ->
-      let rec find j =
-        if j >= Array.length loops then None
-        else if j <> i && IntSet.subset li.body loops.(j).body
-                && not (IntSet.equal li.body loops.(j).body) then Some j
-        else find (j + 1)
-      in
-      li.parent <- find (i + 1))
-    loops;
-  Array.iter
-    (fun l ->
-      let rec depth_of l =
-        match l.parent with None -> 1 | Some p -> 1 + depth_of loops.(p)
-      in
-      l.depth <- depth_of l)
-    loops;
   let loop_of_block = Array.make (Ir.num_blocks fn) None in
   (* Iterate outer->inner so the innermost loop wins. *)
   for i = Array.length loops - 1 downto 0 do
     IntSet.iter (fun bid -> loop_of_block.(bid) <- Some i) loops.(i).body
   done;
-  { loops = Array.of_list (Array.to_list loops); loop_of_block; back_edges }
+  { loops; loop_of_block; back_edges }
 
 let in_loop t bid = t.loop_of_block.(bid) <> None
-
-let loop_depth t bid =
-  match t.loop_of_block.(bid) with None -> 0 | Some i -> t.loops.(i).depth
 
 let is_loop_header t bid = Array.exists (fun l -> l.header = bid) t.loops
 

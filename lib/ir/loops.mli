@@ -1,6 +1,6 @@
-(** Natural-loop detection: back edges (edges to a dominator), loop bodies,
-    nesting. Feeds the Ball–Larus heuristics, the 90/50 rule and the VRP
-    derivation step. *)
+(** Natural-loop detection: back edges (edges to a dominator) and loop
+    bodies, innermost first. Feeds the Ball–Larus heuristics, the 90/50
+    rule and the VRP derivation step. *)
 
 module IntSet : Set.S with type elt = int
 
@@ -8,8 +8,6 @@ type loop = {
   header : int;
   body : IntSet.t;  (** includes the header *)
   latches : int list;
-  mutable parent : int option;  (** index of enclosing loop in [loops] *)
-  mutable depth : int;  (** 1 = outermost *)
 }
 
 type t = {
@@ -22,7 +20,6 @@ type t = {
 val compute : Ir.fn -> Dom.t -> t
 
 val in_loop : t -> int -> bool
-val loop_depth : t -> int -> int
 val is_loop_header : t -> int -> bool
 
 (** Does [src -> dst] leave the innermost loop containing [src]? *)

@@ -16,7 +16,6 @@ type file_result = {
   demoted : (string * string) list;
   report : Diag.report;
   evaluations : int;
-  resumed : bool;
 }
 
 type aggregate = {
@@ -26,7 +25,6 @@ type aggregate = {
   branches : int;
   fallbacks : int;
   demoted_fns : int;
-  resumed_files : int;
 }
 
 let failed_result name msg report =
@@ -38,7 +36,6 @@ let failed_result name msg report =
     demoted = [];
     report;
     evaluations = 0;
-    resumed = false;
   }
 
 let analyze_one ?cache ?supervisor ~config (name, source) =
@@ -62,7 +59,7 @@ let analyze_one ?cache ?supervisor ~config (name, source) =
       | None -> Interproc.default_analyze_fn
     in
     (* Supervision wraps outside the cache: a cache hit is served without
-       burning a deadline or a retry attempt. *)
+       spending a deadline. *)
     let analyze_fn =
       match supervisor with
       | Some s -> Supervisor.wrap_analyze_fn s analyze_fn
@@ -102,15 +99,7 @@ let analyze_one ?cache ?supervisor ~config (name, source) =
       demoted;
       report;
       evaluations;
-      resumed = false;
     }
-
-(* The checkpoint identity of one batch input: the source bytes plus every
-   configuration knob that can change its analysis. A resumed run replays a
-   journalled result only when both still match, so an edited file or a
-   different flag set is re-analyzed, never served stale. *)
-let input_digest ~config source =
-  Digest.to_hex (Digest.string source) ^ "-" ^ Digest_key.config_digest config
 
 let crash_result name e =
   (* Whole-file containment: even a driver bug costs one file. *)
@@ -124,72 +113,40 @@ let crash_result name e =
   Diag.add report Diag.Error Diag.Analysis_crashed msg;
   failed_result name msg report
 
-let analyze_sources ?(config = Engine.default_config) ?cache ?supervisor
-    ?journal ?journal_fault ~jobs sources =
-  (* Resume: trust every intact journal record whose input digest still
-     matches; last record wins if a file was journalled twice. *)
-  let completed : (string * string, string) Hashtbl.t = Hashtbl.create 16 in
-  (match journal with
-  | None -> ()
-  | Some path ->
-    List.iter
-      (fun (r : Journal.record) ->
-        Hashtbl.replace completed (r.Journal.name, r.Journal.input_digest)
-          r.Journal.payload)
-      (Journal.load path));
-  let keyed =
-    List.map (fun (name, source) -> (name, source, input_digest ~config source)) sources
+let analyze_sources ?(config = Engine.default_config) ?cache ?supervisor ~jobs sources =
+  (* A batch checkpoint is a file record in the cache's disk tier, keyed by
+     the source and the configuration: a re-run on the same directory
+     serves every unchanged file whole, which is how an interrupted batch
+     resumes. Without a disk tier no record is read or written, and no
+     source is digested. *)
+  let file_key =
+    match cache with
+    | Some c when Summary_cache.persistent c ->
+      let config_digest = Digest_key.config_digest config in
+      fun source -> Some (c, Digest_key.file_key ~source ~config_digest)
+    | Some _ | None -> fun _ -> None
   in
-  let fresh =
-    List.filter (fun (name, _, d) -> not (Hashtbl.mem completed (name, d))) keyed
+  let task (name, source) =
+    match file_key source with
+    | None -> analyze_one ?cache ?supervisor ~config (name, source)
+    | Some (c, key) -> (
+      match Summary_cache.find_file c ~key with
+      | Some payload -> { (Marshal.from_string payload 0 : file_result) with name }
+      | None ->
+        let r = analyze_one ?cache ?supervisor ~config (name, source) in
+        (* A deadline cut is not a function of the key: never record it.
+           A crashed task raises past this point and is never recorded. *)
+        if Diag.count_kind r.report Diag.Deadline_exceeded = 0 then
+          Summary_cache.store_file c ~key (Marshal.to_string r []);
+        r)
   in
-  let writer = Option.map (Journal.open_append ?fault:journal_fault) journal in
-  let fresh_results =
-    Pool.with_pool ~jobs (fun pool ->
-        let task (name, source, digest) =
-          let r = analyze_one ?cache ?supervisor ~config (name, source) in
-          (* Checkpoint after the result exists; a task that crashes (or is
-             torn mid-append) leaves no record, so resume re-analyzes it. *)
-          (match writer with
-          | None -> ()
-          | Some w ->
-            Journal.append w
-              {
-                Journal.name;
-                input_digest = digest;
-                payload = Marshal.to_string r [];
-              });
-          r
-        in
-        let outcomes = Pool.map pool task (Array.of_list fresh) in
-        List.map2
-          (fun (name, _, _) outcome ->
-            match outcome with
-            | Ok r -> r
-            | Error e -> crash_result name e)
-          fresh
-          (Array.to_list outcomes))
-  in
-  Option.iter Journal.close writer;
-  (* Merge journalled and fresh results back into input order. [fresh] is
-     the inputs not in [completed], in order, so fresh results are taken by
-     position: two inputs with one name keep their own results. *)
-  let pending = ref fresh_results in
-  List.map
-    (fun (name, _, digest) ->
-      match Hashtbl.find_opt completed (name, digest) with
-      | Some payload ->
-        let r : file_result = Marshal.from_string payload 0 in
-        Diag.add r.report Diag.Info Diag.Journal_event
-          "result replayed from checkpoint journal (inputs unchanged)";
-        { r with resumed = true }
-      | None -> (
-        match !pending with
-        | r :: rest ->
-          pending := rest;
-          r
-        | [] -> assert false))
-    keyed
+  let outcomes = Pool.with_pool ~jobs (fun pool -> Pool.map pool task (Array.of_list sources)) in
+  List.map2
+    (fun (name, _) outcome ->
+      match outcome with
+      | Ok r -> r
+      | Error e -> crash_result name e)
+    sources (Array.to_list outcomes)
 
 let aggregate results =
   List.fold_left
@@ -203,16 +160,13 @@ let aggregate results =
           acc.fallbacks
           + List.length (List.filter (fun (_, _, m) -> m <> "") r.predictions);
         demoted_fns = acc.demoted_fns + List.length r.demoted;
-        resumed_files = (acc.resumed_files + if r.resumed then 1 else 0);
       })
     { files = 0; failed_files = 0; functions = 0; branches = 0; fallbacks = 0;
-      demoted_fns = 0; resumed_files = 0 }
+      demoted_fns = 0 }
     results
 
 (* Exit-code policy shared by the CLI and pinned by the tests: failed files
-   dominate strictness (a 2 is a 2 even under [--strict]). The rendered
-   report deliberately excludes [resumed_files] so a resumed run stays
-   byte-identical to an uninterrupted one. *)
+   dominate strictness (a 2 is a 2 even under [--strict]). *)
 let exit_code ~strict results =
   let a = aggregate results in
   if a.failed_files > 0 then 2

@@ -25,7 +25,6 @@ type file_result = {
   demoted : (string * string) list;  (** (fn, crash reason), sorted *)
   report : Diag.report;  (** full structured diagnostics of this file *)
   evaluations : int;  (** engine expression evaluations (cost proxy) *)
-  resumed : bool;  (** replayed from a checkpoint journal, not re-analyzed *)
 }
 
 type aggregate = {
@@ -35,28 +34,28 @@ type aggregate = {
   branches : int;
   fallbacks : int;  (** branches predicted by heuristics, not VRP *)
   demoted_fns : int;
-  resumed_files : int;  (** served from the journal on a resumed run *)
 }
 
 (** Analyse [(name, source)] pairs, [jobs]-wide across files. Results come
     back in input order. A file that fails the front end or crashes the
     driver is contained: its [error] is set and the batch continues.
 
-    [supervisor] puts every per-function analysis under deadline/retry
-    supervision (see {!Supervisor}); escalation demotes a function, then a
-    file, never the run. [journal] checkpoints each completed file to that
-    path and, when the journal already exists, resumes from it: files whose
-    name and input digest match an intact record are replayed (marked
-    [resumed]) instead of re-analyzed, so an interrupted batch re-run with
-    the same journal produces a byte-identical report while skipping the
-    completed work. A crashed task is never journalled. [journal_fault]
-    threads [torn-journal:N] injection into the journal writer. *)
+    [supervisor] puts every per-function analysis under a deadline (see
+    {!Supervisor}): a function that overruns it is demoted, a file whose
+    task crashes fails alone, and the run goes on.
+
+    When [cache] has a disk tier, each input is first looked up as a file
+    record under {!Vrp_cache.Digest_key.file_key} (its source and
+    [config]): a hit is served whole, under the input's own [name],
+    without compiling it, and adds no diagnostic. A miss is analysed and
+    then recorded, unless its task crashed or a deadline cut it
+    ([Deadline_exceeded] in its report). A batch re-run on the same cache
+    directory is therefore the resume of an interrupted one, and its
+    report is byte-identical to an uninterrupted run. *)
 val analyze_sources :
   ?config:Engine.config ->
   ?cache:Vrp_cache.Summary_cache.t ->
   ?supervisor:Supervisor.t ->
-  ?journal:string ->
-  ?journal_fault:Diag.Fault.t ->
   jobs:int ->
   (string * string) list ->
   file_result list

@@ -1,21 +1,12 @@
-(** Task supervision: deadlines, retries, escalation (see the interface). *)
+(** Task supervision: deadlines (see the interface). *)
 
 module Diag = Vrp_diag.Diag
 module Engine = Vrp_core.Engine
 module Ir = Vrp_ir.Ir
 module Interproc = Vrp_core.Interproc
 
-type policy = {
-  deadline_ms : int option;
-  retries : int;
-  backoff_ms : int;
-}
-
-let default_policy = { deadline_ms = None; retries = 0; backoff_ms = 10 }
-
 type counters = {
   mutable deadline_hits : int;
-  mutable retry_count : int;
   mutable gave_up : int;
 }
 
@@ -26,7 +17,7 @@ type running = {
 }
 
 type t = {
-  policy : policy;
+  deadline_ms : int option;
   lock : Mutex.t;  (* guards registry, next_id and counters *)
   registry : (int, running) Hashtbl.t;
   mutable next_id : int;
@@ -56,27 +47,27 @@ let monitor_loop t () =
     Unix.sleepf 0.002
   done
 
-let create ?(policy = default_policy) () =
+let create ?deadline_ms () =
   let t =
     {
-      policy;
+      deadline_ms;
       lock = Mutex.create ();
       registry = Hashtbl.create 32;
       next_id = 0;
-      c = { deadline_hits = 0; retry_count = 0; gave_up = 0 };
+      c = { deadline_hits = 0; gave_up = 0 };
       stop = Atomic.make false;
       monitor = None;
     }
   in
   (* No deadline means nothing to watch: skip the monitor domain so a
-     retries-only supervisor costs nothing at idle. A per-call deadline
+     supervisor without one costs nothing at idle. A per-call deadline
      arriving later spawns it lazily (see [ensure_monitor]). *)
-  (match policy.deadline_ms with
+  (match deadline_ms with
   | None -> ()
   | Some _ -> t.monitor <- Some (Domain.spawn (monitor_loop t)));
   t
 
-(* Lazy monitor spawn for supervisors created without a policy deadline
+(* Lazy monitor spawn for supervisors created without a deadline
    whose first per-call deadline arrives mid-life. Under the lock so two
    racing registrations spawn one monitor; never after shutdown. *)
 let ensure_monitor t =
@@ -89,42 +80,33 @@ let shutdown t =
   Option.iter Domain.join t.monitor;
   t.monitor <- None
 
-let with_supervisor ?policy f =
-  let t = create ?policy () in
+let with_supervisor ?deadline_ms f =
+  let t = create ?deadline_ms () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
-
-let policy t = t.policy
 
 let counters t =
   locked t (fun () ->
-      {
-        deadline_hits = t.c.deadline_hits;
-        retry_count = t.c.retry_count;
-        gave_up = t.c.gave_up;
-      })
+      { deadline_hits = t.c.deadline_hits; gave_up = t.c.gave_up })
 
 let counters_line t =
   let c = counters t in
-  Printf.sprintf
-    "supervision: %d deadline hit(s), %d retry(ies), %d task(s) gave up"
-    c.deadline_hits c.retry_count c.gave_up
+  Printf.sprintf "supervision: %d deadline hit(s), %d task(s) gave up" c.deadline_hits
+    c.gave_up
 
 let samples t =
   let c = counters t and counter = Vrp_obs.Metrics.counter_sample in
   [
     counter ~help:"Supervised tasks cancelled by deadline" "vrp_sched_deadline_hits_total"
       c.deadline_hits;
-    counter ~help:"Supervised task retries" "vrp_sched_retries_total" c.retry_count;
-    counter ~help:"Supervised tasks that exhausted their retry budget"
-      "vrp_sched_gave_up_total" c.gave_up;
+    counter ~help:"Supervised tasks that failed" "vrp_sched_gave_up_total" c.gave_up;
   ]
 
 let register t ?deadline_ms token =
-  (* A per-call deadline overrides the policy's; callers that want the
+  (* A per-call deadline overrides the supervisor's; callers that want the
      tighter of the two (e.g. a propagated request budget under a server
      deadline) take the min before calling. *)
   let eff =
-    match deadline_ms with Some _ -> deadline_ms | None -> t.policy.deadline_ms
+    match deadline_ms with Some _ -> deadline_ms | None -> t.deadline_ms
   in
   (match eff with Some _ -> ensure_monitor t | None -> ());
   locked t (fun () ->
@@ -140,39 +122,20 @@ let register t ?deadline_ms token =
 let unregister t id = locked t (fun () -> Hashtbl.remove t.registry id)
 
 let supervise t ~name ?deadline_ms ?report f =
-  let emit severity kind message =
-    match report with
-    | None -> ()
-    | Some r -> Diag.add r ~fn:name severity kind message
-  in
-  let rec attempt n =
-    let token = Diag.Cancel.make ~attempt:n () in
-    let id = register t ?deadline_ms token in
-    match Fun.protect ~finally:(fun () -> unregister t id) (fun () -> f token) with
-    | v -> v
-    | exception e ->
-      (* Deterministic messages: never include wall-clock measurements, so
-         reports stay byte-identical across jobs counts and machine load. *)
-      (match e with
-      | Diag.Cancel.Cancelled _ ->
-        emit Diag.Warning Diag.Deadline_exceeded
-          (Printf.sprintf "deadline exceeded in %s; analysis cancelled" name)
-      | _ -> ());
-      if n < t.policy.retries then begin
-        locked t (fun () -> t.c.retry_count <- t.c.retry_count + 1);
-        emit Diag.Info Diag.Task_retry
-          (Printf.sprintf "retrying %s (attempt %d of %d)" name (n + 2)
-             (t.policy.retries + 1));
-        (* Linear deterministic backoff; bounded by policy, not by load. *)
-        Unix.sleepf (float_of_int (t.policy.backoff_ms * (n + 1)) /. 1000.);
-        attempt (n + 1)
-      end
-      else begin
-        locked t (fun () -> t.c.gave_up <- t.c.gave_up + 1);
-        raise e
-      end
-  in
-  attempt 0
+  let token = Diag.Cancel.make () in
+  let id = register t ?deadline_ms token in
+  match Fun.protect ~finally:(fun () -> unregister t id) (fun () -> f token) with
+  | v -> v
+  | exception e ->
+    (* Deterministic message: never include wall-clock measurements, so
+       reports stay byte-identical across jobs counts and machine load. *)
+    (match (e, report) with
+    | Diag.Cancel.Cancelled _, Some r ->
+      Diag.add r ~fn:name Diag.Warning Diag.Deadline_exceeded
+        (Printf.sprintf "deadline exceeded in %s; analysis cancelled" name)
+    | _ -> ());
+    locked t (fun () -> t.c.gave_up <- t.c.gave_up + 1);
+    raise e
 
 let wrap_analyze_fn t (inner : Interproc.analyze_fn) : Interproc.analyze_fn =
  fun ~config ~report ~call_oracle ~param_values fn ->

@@ -2,7 +2,6 @@
     the interface). *)
 
 module Diag = Vrp_diag.Diag
-module Supervisor = Vrp_sched.Supervisor
 
 type worker = {
   sock : string;
@@ -66,7 +65,6 @@ type t = {
   settings : settings;
   spawner : spawner;
   slots : slot array;
-  sup : Supervisor.t;  (* proxy retry ladder (no deadline monitor) *)
   lock : Mutex.t;  (* failovers + replaced + slot states + proxied count *)
   mutable failovers : int;
   mutable replaced : int;
@@ -311,7 +309,6 @@ let handle_fleet_status t ~budget_ms:_ _ =
            s.shed s.sock))
     t.slots;
   Buffer.add_string buf (Admit.counters_line t.admit ^ "\n");
-  Buffer.add_string buf (Supervisor.counters_line t.sup ^ "\n");
   let workers =
     Array.to_list
       (Array.map
@@ -368,10 +365,9 @@ let samples t =
   @ per_worker (fun ~labels s ->
         gauge ~help:"Per-worker in-flight load from its last ping" ~labels
           "vrpd_fleet_worker_inflight" (float_of_int s.inflight))
-  @ Supervisor.samples t.sup
 
 (* The Kill_worker chaos fault: every Nth proxied request force-kills its
-   routed worker just before forwarding — the proxy's retry ladder plus
+   routed worker just before forwarding — the proxy's failover loop plus
    the monitor's replacement must then serve it anyway. *)
 let maybe_kill_routed t (s : slot) =
   match t.settings.fault with
@@ -384,36 +380,41 @@ let maybe_kill_routed t (s : slot) =
     if fire then Option.iter (fun w -> w.kill ()) s.body
   | _ -> ()
 
-(* A busy response raised through the proxy's retry ladder: each retry
+(* A busy response raised through the proxy's failover loop: each replay
    re-routes, and the slot that shed was marked saturated, so the replay
    probes to a less-loaded worker. Carries the response so an exhausted
-   ladder still hands the client the busy + retry_after_ms contract. *)
+   loop still hands the client the busy + retry_after_ms contract. *)
 exception Worker_busy of Protocol.response
 
 let proxy t ~budget_ms:_ (req : Protocol.request) =
   let op = req.Protocol.op and params = req.Protocol.params in
+  let send () =
+    (* Re-route each attempt: the slot may have degraded (or saturated)
+       mid-retry. *)
+    let s = route t ~op ~params in
+    let resp = Client.with_connection s.sock (fun c -> Client.request c ~op ~params ()) in
+    match Protocol.retry_after_ms resp with
+    | Some _ ->
+      (* The worker shed this request: remember it as saturated until its
+         next ping so replays probe past it. *)
+      locked t (fun () -> s.inflight <- max s.inflight (max s.capacity 1));
+      raise (Worker_busy resp)
+    | None -> resp
+  in
+  (* A worker dying is the one transient failure here: replay the
+     idempotent request up to [retries] times, with linear backoff, each
+     replay a counted failover. *)
+  let rec attempt n =
+    match send () with
+    | resp -> resp
+    | exception _ when n < t.settings.retries ->
+      Unix.sleepf (float_of_int (t.settings.retry_backoff_ms * (n + 1)) /. 1000.);
+      locked t (fun () -> t.failovers <- t.failovers + 1);
+      attempt (n + 1)
+  in
   let forward () =
-    let first = route t ~op ~params in
-    maybe_kill_routed t first;
-    Supervisor.supervise t.sup
-      ~name:(Printf.sprintf "%s via worker-%d" op first.wid)
-      (fun token ->
-        if Diag.Cancel.attempt token > 0 then
-          locked t (fun () -> t.failovers <- t.failovers + 1);
-        (* Re-route each attempt: the slot may have degraded (or
-           saturated) mid-retry. *)
-        let s = route t ~op ~params in
-        let resp =
-          Client.with_connection s.sock (fun c -> Client.request c ~op ~params ())
-        in
-        match Protocol.retry_after_ms resp with
-        | Some _ ->
-          (* The worker shed this request: remember it as saturated until
-             its next ping so replays probe past it. *)
-          locked t (fun () ->
-              s.inflight <- max s.inflight (max s.capacity 1));
-          raise (Worker_busy resp)
-        | None -> resp)
+    maybe_kill_routed t (route t ~op ~params);
+    attempt 0
   in
   (* The worker's response passes through byte-identical (the table
      rewrites only the rid, to echo the client's request id), a busy one
@@ -448,15 +449,6 @@ let create ~settings ~spawner () =
       settings;
       spawner;
       slots;
-      sup =
-        Supervisor.create
-          ~policy:
-            {
-              Supervisor.deadline_ms = None;
-              retries = settings.retries;
-              backoff_ms = settings.retry_backoff_ms;
-            }
-          ();
       lock = Mutex.create ();
       failovers = 0;
       replaced = 0;
@@ -510,7 +502,6 @@ let shutdown t =
           s.body <- None
         | None -> ())
       t.slots;
-    Supervisor.shutdown t.sup;
     Accept.close t.acc
   end
 

@@ -6,13 +6,13 @@
     proxies the response back untouched — so a client of a fleet sees
     byte-identical responses to a client of one daemon. Workers listen on
     fixed per-slot Unix socket paths ([DIR/worker-N.sock]); a replacement
-    worker rebinds the {e same} path, which is what lets the proxy's retry
-    ladder ride out a crash without re-routing.
+    worker rebinds the {e same} path, which is what lets the proxy's
+    failover loop ride out a crash without re-routing.
 
-    Containment ladder for a failing worker (extending the supervisor's
-    task ladder): the proxy retries the idempotent request against the same
-    slot under {!Vrp_sched.Supervisor.supervise} (bounded linear backoff —
-    each retry is a recorded failover) → the monitor thread, which pings
+    Containment ladder for a failing worker: the proxy replays the
+    idempotent request, re-routing each attempt (at most [retries] times,
+    bounded linear backoff — each replay is a recorded failover; a worker
+    dying is the one transient failure here) → the monitor thread, which pings
     every worker, crash-replaces a dead or wedged one (bounded restart
     budget per slot) → a slot out of restarts is marked degraded and
     excluded from routing → under [strict], a degraded slot stops the
@@ -24,7 +24,7 @@
     the same way it probes past degraded ones, falling back to the sharded
     order when every worker is saturated. A worker that sheds a proxied
     request with a busy response is marked saturated until its next ping
-    and the proxy's retry ladder re-routes the replay; an exhausted ladder
+    and the proxy's failover loop re-routes the replay; an exhausted loop
     passes the busy response (with its [retry_after_ms]) through to the
     client, which backs off and retries. [fleet-status] shows the
     per-worker inflight/shed and the front door's own admission line.

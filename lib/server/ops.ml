@@ -159,21 +159,19 @@ let compare_predictors ~opts ~train ~ref_args ~source () =
 
 (* --- batch --- *)
 
-(* One fault spec, routed to the layer it exercises: the cache writer, the
-   journal writer, or the analysis engine. *)
+(* One fault spec, routed to the layer it exercises: the cache writer or
+   the analysis engine. *)
 let route_fault fault =
   match fault with
-  | Some (Diag.Fault.Corrupt_cache _) -> (fault, None, None)
-  | Some (Diag.Fault.Torn_journal _) -> (None, fault, None)
-  | _ -> (None, None, fault)
+  | Some (Diag.Fault.Corrupt_cache _) -> (fault, None)
+  | _ -> (None, fault)
 
-let batch ?cache ?supervisor ?journal ?journal_fault ~opts ~sources () =
-  let _, _, engine_fault = route_fault opts.fault in
+let batch ?cache ?supervisor ~opts ~sources () =
+  let _, engine_fault = route_fault opts.fault in
   let config = { (config_of opts) with Engine.fault = engine_fault } in
   let t0 = Unix.gettimeofday () in
   let results =
-    Batch.analyze_sources ~config ?cache ?supervisor ?journal ?journal_fault
-      ~jobs:opts.jobs sources
+    Batch.analyze_sources ~config ?cache ?supervisor ~jobs:opts.jobs sources
   in
   let elapsed = Unix.gettimeofday () -. t0 in
   let a = Batch.aggregate results in
@@ -184,10 +182,6 @@ let batch ?cache ?supervisor ?journal ?journal_fault ~opts ~sources () =
        a.Batch.files a.Batch.functions a.Batch.branches elapsed opts.jobs
        (if opts.jobs = 1 then "" else "s")
        (if elapsed > 0.0 then float_of_int a.Batch.functions /. elapsed else 0.0));
-  if journal <> None then
-    Buffer.add_string err
-      (Printf.sprintf "journal: %d of %d file(s) resumed from checkpoint\n"
-         a.Batch.resumed_files a.Batch.files);
   Option.iter
     (fun s -> Buffer.add_string err (Supervisor.counters_line s ^ "\n"))
     supervisor;

@@ -72,11 +72,9 @@ val predict_compiled :
 val compare_predictors :
   opts:opts -> train:int list -> ref_args:int list -> source:string -> unit -> outcome
 
-(** Split one fault spec into [(cache, journal, engine)] faults, routing it
-    to the layer it exercises — shared by the CLI and the server. *)
-val route_fault :
-  Diag.Fault.t option ->
-  Diag.Fault.t option * Diag.Fault.t option * Diag.Fault.t option
+(** Split one fault spec into [(cache, engine)] faults, routing it to the
+    layer it exercises — shared by the CLI and the server. *)
+val route_fault : Diag.Fault.t option -> Diag.Fault.t option * Diag.Fault.t option
 
 (** [vrpc batch] over in-memory [(name, source)] pairs: the deterministic
     report on [out], timing/cache/supervision counters on [err], exit code
@@ -86,8 +84,6 @@ val route_fault :
 val batch :
   ?cache:Vrp_cache.Summary_cache.t ->
   ?supervisor:Vrp_sched.Supervisor.t ->
-  ?journal:string ->
-  ?journal_fault:Diag.Fault.t ->
   opts:opts ->
   sources:(string * string) list ->
   unit ->

@@ -360,15 +360,7 @@ let create ?(settings = default_settings) () =
   {
     settings;
     pool = Pool.create ~jobs:settings.jobs ();
-    sup =
-      Supervisor.create
-        ~policy:
-          {
-            Supervisor.default_policy with
-            deadline_ms = settings.deadline_ms;
-            retries = 0;
-          }
-        ();
+    sup = Supervisor.create ?deadline_ms:settings.deadline_ms ();
     cache = Summary_cache.create ?disk_dir:settings.cache_dir ();
     sessions = Session.create ();
     admit;

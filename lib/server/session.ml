@@ -59,10 +59,6 @@ let fold_locked t s =
   t.retired <- Summary_cache.sum t.retired (Summary_cache.delta ~before now);
   s.folded <- Some now
 
-let remove_locked t s =
-  Hashtbl.remove t.table s.sid;
-  fold_locked t s
-
 (* The table is bounded so a client minting fresh session ids (or millions
    of clients each minting one) cannot grow daemon memory without bound:
    admitting a new session at capacity evicts the least-recently-used one.
@@ -78,7 +74,11 @@ let evict_lru_locked t =
         | _ -> Some s)
       t.table None
   in
-  Option.iter (remove_locked t) victim
+  Option.iter
+    (fun s ->
+      Hashtbl.remove t.table s.sid;
+      fold_locked t s)
+    victim
 
 let find_or_create t sid =
   locked t.table_lock (fun () ->
@@ -104,14 +104,6 @@ let find_or_create t sid =
         in
         Hashtbl.replace t.table sid s;
         s)
-
-let drop t sid =
-  locked t.table_lock (fun () ->
-      match Hashtbl.find_opt t.table sid with
-      | Some s ->
-        remove_locked t s;
-        true
-      | None -> false)
 
 let count t = locked t.table_lock (fun () -> Hashtbl.length t.table)
 

@@ -41,9 +41,6 @@ val create : ?max_sessions:int -> unit -> t
 (** Find [id]'s session, creating it on first use. *)
 val find_or_create : t -> string -> session
 
-(** Drop a session, releasing its cache. True when it existed. *)
-val drop : t -> string -> bool
-
 val count : t -> int
 
 (** Session ids, sorted. *)
@@ -58,9 +55,9 @@ type evicted = { entries : Summary_cache.evicted; parsed : int }
 val evict_all : t -> evicted
 
 (** Cache counters summed over every session ever admitted: live sessions'
-    caches plus those of sessions dropped or evicted, so the total never
-    decreases. A request that runs under {!with_lock} on a session dropped
-    or evicted meanwhile adds its traffic when it ends. *)
+    caches plus those of evicted sessions, so the total never decreases. A
+    request that runs under {!with_lock} on a session evicted meanwhile
+    adds its traffic when it ends. *)
 val cache_totals : t -> Summary_cache.counters
 
 val id : session -> string

@@ -1,5 +1,5 @@
-(** Checksummed frames for bytes at rest, the layout the batch journal
-    and the summary cache's disk tier share:
+(** Checksummed frames for bytes at rest, the layout of every entry of the
+    summary cache's disk tier (summaries and batch file records):
     [magic | body length (8 hex) | MD5(body) (32 hex) | body]. *)
 
 (** [encode ~magic body] is [body] framed under [magic]. *)

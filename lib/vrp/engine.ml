@@ -560,18 +560,6 @@ let analyze_body ?(config = default_config)
   (match config.fault with
   | Some (Diag.Fault.Crash_fn f) when String.equal f fname ->
     raise (Diag.Fault.Injected (Printf.sprintf "injected crash in %s" fname))
-  | Some (Diag.Fault.Flaky_fn (f, k)) when String.equal f fname ->
-    (* Transient failure: crash the first [k] attempts, succeed after.
-       The attempt number rides on the supervision token, so without a
-       retrying supervisor this behaves like a plain crash. *)
-    let attempt =
-      match config.cancel with Some t -> Diag.Cancel.attempt t | None -> 0
-    in
-    if attempt < k then
-      raise
-        (Diag.Fault.Injected
-           (Printf.sprintf "injected flaky failure in %s (attempt %d of %d)"
-              fname (attempt + 1) k))
   | Some (Diag.Fault.Hang_fn f) when String.equal f fname ->
     (* Simulated hang: the analysis stops making progress and only beats
        its heartbeat. A supervisor's deadline cancellation breaks it out;

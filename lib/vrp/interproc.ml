@@ -31,18 +31,18 @@
     Reuse: like the SCCP/VRP propagation it extends, the driver re-evaluates
     a function only when one of its inputs changed. Each round's result
     records what it was computed from — the parameter values and the
-    [(callee, return value)] answers the run read through the call oracle
-    — and the diagnostics it emitted. In the next round a function whose
-    parameters and recorded answers are all [Value.equal] to the current
-    environments keeps its previous {!Engine.t} (physically the same
-    value), and its diagnostics are replayed, instead of going back through
-    [analyze_fn]. This is exact because the engine is a pure function of
+    [(callee, return value)] answers the run read through the call oracle.
+    In the next round a function whose parameters and recorded answers are
+    all [Value.equal] to the current environments keeps its previous
+    {!Engine.t} (physically the same value), and replays its [diags],
+    instead of going back through [analyze_fn]. This is exact because the engine is a pure function of
     (function, configuration, parameter values, oracle answers read).
     Likewise a callee whose call sites recorded physically the same
     arguments as at its last merge keeps that merged parameter value.
-    A task's diagnostics are the seam's notes (a supervisor's retries)
-    then the result's [Engine.t.diags], appended once [analyze_fn]
-    returns: an attempt that raises adds none of its partial ones. *)
+    A successful task's diagnostics are exactly its result's
+    [Engine.t.diags], appended once [analyze_fn] returns; a task that
+    raises adds only the seam's own note (a supervisor's deadline) and none
+    of its partial ones. *)
 
 module Ir = Vrp_ir.Ir
 module Value = Vrp_ranges.Value
@@ -139,10 +139,9 @@ type slot = {
   bottoms : Value.t list;  (** ⊥ for every parameter *)
   mutable params : Value.t list option;  (** parameter environment entry *)
   mutable ret : Value.t option;  (** return environment entry *)
-  mutable prev : (Engine.t * inputs * Diag.report) option;
-      (** the previous round's result, what it was computed from, and the
-          diagnostics its run emitted *)
-  mutable cur : (Engine.t * inputs * Diag.report) option;  (** this round's *)
+  mutable prev : (Engine.t * inputs) option;
+      (** the previous round's result and what it was computed from *)
+  mutable cur : (Engine.t * inputs) option;  (** this round's *)
   mutable failed : bool;
   mutable scheduled : int;  (** the last round that put it in a wave *)
   mutable calls : Value.t list list;  (** this round's jump functions, latest first *)
@@ -211,9 +210,6 @@ let analyze ?(config = Engine.default_config) ?report
   in
   main.params <- Some main.bottoms;
   let failed : (string, string) Hashtbl.t = Hashtbl.create 4 in
-  (* Most runs emit no diagnostics: they share this report, read-only,
-     instead of each keeping an empty one alive for a round. *)
-  let no_diags = Diag.create () in
   (* The previous round's return environment, read-only during a round, so
      wave tasks may safely share it across domains. *)
   let call_oracle callee _args =
@@ -242,7 +238,7 @@ let analyze ?(config = Engine.default_config) ?report
     | Some param_values when not s.failed ->
       let reuse =
         match s.prev with
-        | Some ((_, prev, _) as memo)
+        | Some ((_, prev) as memo)
           when List.equal Value.equal prev.params param_values
                && List.for_all
                     (fun (callee, v) -> Value.equal (call_oracle callee []) v)
@@ -267,15 +263,16 @@ let analyze ?(config = Engine.default_config) ?report
          else [])
     @@ fun () ->
     match step with
-    | None -> (Skipped, no_diags)
+    | None -> (Skipped, Diag.create ())
     | Some (param_values, reuse) -> (
-      let local = match reuse with Some _ -> no_diags | None -> Diag.create () in
+      let local = Diag.create () in
       match
         check_cancel name;
         match reuse with
-        | Some (res, prev, diags) ->
+        | Some (res, prev) ->
           Vrp_obs.Metrics.inc reused_total;
-          (Analyzed (res, prev), diags)
+          Diag.append local res.Engine.diags;
+          (Analyzed (res, prev), local)
         | None ->
           let read = ref [] in
           let call_oracle callee args =
@@ -350,7 +347,7 @@ let analyze ?(config = Engine.default_config) ?report
                   (Printf.sprintf "analysis raised (%s); function demoted to heuristics" why))
               report
           | Analyzed (res, used) ->
-            s.cur <- Some (res, used, if Diag.count local = 0 then no_diags else local);
+            s.cur <- Some (res, used);
             analysed := s :: !analysed;
             List.iter
               (fun (_site, (callee, args)) ->
@@ -390,7 +387,7 @@ let analyze ?(config = Engine.default_config) ?report
                 s.merged <- Some (calls, merged);
                 Some merged)
         in
-        let ret = Option.map (fun ((res : Engine.t), _, _) -> res.Engine.return_value) s.cur in
+        let ret = Option.map (fun ((res : Engine.t), _) -> res.Engine.return_value) s.cur in
         if not (entry_equal values_equal params s.params && entry_equal Value.equal ret s.ret)
         then unchanged := false;
         s.params <- params;
@@ -403,7 +400,7 @@ let analyze ?(config = Engine.default_config) ?report
   done;
   let results = Hashtbl.create 16 in
   List.iter
-    (fun s -> Option.iter (fun (res, _, _) -> Hashtbl.replace results s.fn.Ir.fname res) s.prev)
+    (fun s -> Option.iter (fun (res, _) -> Hashtbl.replace results s.fn.Ir.fname res) s.prev)
     (List.rev !analysed);
   let param_env = Hashtbl.create 16 and return_env = Hashtbl.create 16 in
   List.iter

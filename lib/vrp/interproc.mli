@@ -56,8 +56,9 @@ val sequential_runner : runner
 
 (** The per-function analysis seam; [Vrp_cache] interposes a memoizing
     wrapper here. The default is {!Engine.analyze}. [report] takes the
-    seam's own notes (retries, deadlines); {!analyze} appends the result's
-    [diags] once the call returns, so a raising attempt adds none. *)
+    seam's own note when the call raises (a deadline); {!analyze} appends
+    the result's [diags] once the call returns, so a raising call adds
+    none of its partial ones. *)
 type analyze_fn =
   config:Engine.config ->
   report:Diag.report option ->

@@ -11,6 +11,7 @@ module Predictor = Vrp_predict.Predictor
 module Digest_key = Vrp_cache.Digest_key
 module Summary_cache = Vrp_cache.Summary_cache
 module Batch = Vrp_sched.Batch
+module Supervisor = Vrp_sched.Supervisor
 module Ops = Vrp_server.Ops
 module Suite = Vrp_suite.Suite
 
@@ -200,10 +201,10 @@ let layout_ocaml = "5.1.1"
 
 let layout_digests =
   [
-    ("main", "f30dc413d254d1ff5c87ce5e0f194df1");
-    ("mix", "989078fe3d9a9dcc74d1152edc1c07cc");
-    ("note", "61ab9617d6df5bfd7c9eee33929b7dc6");
-    ("scale", "d80ba542e659b98ea5921d4fe9e1bc20");
+    ("main", "014d7620abcd9e1f67e05c3992646e9e");
+    ("mix", "b60c60e5b69449f299845d2beaff932c");
+    ("note", "baf3e3698729d7d2c099b70a6387fccd");
+    ("scale", "c9515c0c47e5ec2a3a59c5c5f4c7bb9c");
   ]
 
 let ir_layout_tripwire () =
@@ -502,6 +503,83 @@ let concurrent_stores_share_a_directory () =
   Alcotest.(check bool) "released lock is re-acquirable" true
     (Summary_cache.holds_maintenance_lock third)
 
+(* --- Batch file records: a re-run on the same cache resumes --- *)
+
+let file_hits cache = (Summary_cache.counters cache).Summary_cache.file_hits
+
+(* An interrupted batch completed the first six corpus files; the re-run of
+   all ten on the reopened cache serves those six whole, without a summary
+   lookup (so without an engine run), and prints what a cold run prints. *)
+let interrupted_run_resumes () =
+  let sources = List.map (fun p -> (p, Helpers.read_file p)) (Batch.list_dir "corpus") in
+  let completed = List.filteri (fun i _ -> i < 6) sources
+  and rest = List.filteri (fun i _ -> i >= 6) sources in
+  let dir = temp_dir () in
+  let first = Summary_cache.create ~disk_dir:dir () in
+  ignore (Batch.analyze_sources ~cache:first ~jobs:1 completed);
+  Summary_cache.close first;
+  let reopened = Summary_cache.create ~disk_dir:dir () in
+  Alcotest.(check string) "resumed report == cold report"
+    (Batch.render (Batch.analyze_sources ~jobs:1 sources))
+    (Batch.render (Batch.analyze_sources ~cache:reopened ~jobs:Helpers.test_jobs sources));
+  Alcotest.(check int) "every completed file served whole" 6 (file_hits reopened);
+  let lookups c = c.Summary_cache.hits + c.Summary_cache.misses in
+  let alone = Summary_cache.create () in
+  ignore (Batch.analyze_sources ~cache:alone ~jobs:1 rest);
+  Alcotest.(check int) "summary lookups: the unfinished files' only"
+    (lookups (Summary_cache.counters alone))
+    (lookups (Summary_cache.counters reopened))
+
+(* A deadline cut is not a function of the record's key: the cut file is
+   never recorded, so the next run analyses it again and is cut again. *)
+let deadline_cut_file_never_recorded () =
+  let config = { Engine.default_config with Engine.fault = Some (Diag.Fault.Hang_fn "helper") } in
+  let dir = temp_dir () in
+  let run () =
+    let cache = Summary_cache.create ~disk_dir:dir () in
+    Supervisor.with_supervisor ~deadline_ms:100 (fun supervisor ->
+        ignore (Batch.analyze_sources ~config ~cache ~supervisor ~jobs:1 [ ("t.mc", src) ]);
+        (file_hits cache, (Supervisor.counters supervisor).Supervisor.deadline_hits))
+  in
+  Alcotest.(check (pair int int)) "first run: cut" (0, 1) (run ());
+  Alcotest.(check (pair int int)) "second run: no record, cut again" (0, 1) (run ())
+
+(* A record that fails its checksum, or a summary frame where a record
+   should be, is quarantined and the file recomputed and recorded anew. *)
+let corrupted_file_record_quarantined () =
+  let sources = [ ("t.mc", src) ] in
+  let fresh = Batch.render (Batch.analyze_sources ~jobs:1 sources) in
+  let dir = temp_dir () in
+  let key =
+    Digest_key.file_key ~source:src ~config_digest:(Digest_key.config_digest Engine.default_config)
+  in
+  let record = entry_path dir key in
+  let rerun what =
+    let reader = Summary_cache.create ~disk_dir:dir () in
+    Alcotest.(check string) (what ^ ": recomputed, same report") fresh
+      (Batch.render (Batch.analyze_sources ~cache:reader ~jobs:1 sources));
+    Summary_cache.counters reader
+  in
+  ignore (rerun "cold");
+  let frame = Helpers.read_file record in
+  let b = Bytes.of_string frame in
+  let i = Bytes.length b - 3 in
+  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x40));
+  write_file record (Bytes.to_string b);
+  let c = rerun "bit-flipped" in
+  Alcotest.(check (list int)) "bit-flipped: no file hit, one quarantined" [ 0; 1 ]
+    [ c.Summary_cache.file_hits; c.Summary_cache.quarantined ];
+  Alcotest.(check bool) "bit-flipped: evidence kept" true (Sys.file_exists (record ^ ".bad"));
+  let summary =
+    Array.to_list (Sys.readdir dir)
+    |> List.find (fun f -> Filename.check_suffix f ".sum" && f <> key ^ ".sum")
+  in
+  write_file record (Helpers.read_file (Filename.concat dir summary));
+  let c = rerun "summary frame" in
+  Alcotest.(check (list int)) "summary frame: no file hit, one quarantined" [ 0; 1 ]
+    [ c.Summary_cache.file_hits; c.Summary_cache.quarantined ];
+  Alcotest.(check int) "the rewritten record is served" 1 (rerun "repaired").Summary_cache.file_hits
+
 (* --- Cached == fresh, end to end --- *)
 
 let warm_run_computes_nothing () =
@@ -690,8 +768,7 @@ let evict_drops_compiled () =
 (* --- Persisted layout tripwire ---
 
    A warm [--cache] reads a [vrpsum2] body back as [(int * Engine.t)], and
-   [--resume] reads a journal record and its payload back as a
-   [Journal.record] and a [Batch.file_result]. Marshal reads whatever
+   a [vrpfile1] file record's payload as a [Batch.file_result]. Marshal reads whatever
    layout the bytes were written under, so a field or constructor added,
    removed or reordered in any of these types, or in [Value.t], [Srange.t],
    [Sym.t], [Var.t] or [Diag.diag] inside them, needs a bump of
@@ -711,8 +788,7 @@ let kind_name : Diag.kind -> string = function
   | Budget_exhausted -> "Budget_exhausted" | Widened -> "Widened"
   | Analysis_crashed -> "Analysis_crashed" | Fallback_heuristic -> "Fallback_heuristic"
   | Front_end_error -> "Front_end_error" | Fault_injected -> "Fault_injected"
-  | Deadline_exceeded -> "Deadline_exceeded" | Task_retry -> "Task_retry"
-  | Journal_event -> "Journal_event" | Note -> "Note"
+  | Deadline_exceeded -> "Deadline_exceeded" | Note -> "Note"
 
 let persisted_values () =
   let module Value = Vrp_ranges.Value in
@@ -727,7 +803,7 @@ let persisted_values () =
   let severities = [ Diag.Info; Diag.Warning; Diag.Error ] in
   let kinds =
     [ Diag.Budget_exhausted; Widened; Analysis_crashed; Fallback_heuristic; Front_end_error;
-      Fault_injected; Deadline_exceeded; Task_retry; Journal_event; Note ]
+      Fault_injected; Deadline_exceeded; Note ]
   in
   let diags =
     List.mapi
@@ -772,25 +848,21 @@ let persisted_values () =
       predictions = [ (("main", 0), 0.75, "*") ];
       demoted = [ ("main", "why") ];
       report;
-      evaluations = 3;
-      resumed = false }
+      evaluations = 3 }
   in
-  let record : Vrp_sched.Journal.record = { name = "f.mc"; input_digest = "d"; payload = "p" } in
   ( List.map value_name values @ List.map severity_name severities @ List.map kind_name kinds,
     [ ("engine", Digest.string (Marshal.to_string summary [ Marshal.No_sharing ]));
-      ("file_result", Digest.string (Marshal.to_string result [ Marshal.No_sharing ]));
-      ("journal", Digest.string (Marshal.to_string record [ Marshal.No_sharing ])) ] )
+      ("file_result", Digest.string (Marshal.to_string result [ Marshal.No_sharing ])) ] )
 
 let persisted_digests =
   [
-    ("engine", "5696c8956086710cabc99beaa1ff38b9");
-    ("file_result", "d15324b056a8865777c8d9455f4d8f63");
-    ("journal", "be14df8a1051fb214c0590a61112b5c9");
+    ("engine", "b3554a62cdf15d32a772cbfd2b271dcd");
+    ("file_result", "9bacd0ea38b7d7dfa0deb146381177c5");
   ]
 
 let persisted_layout_tripwire () =
   let names, digests = persisted_values () in
-  Alcotest.(check int) "every Value and Diag constructor used" (3 + 3 + 10)
+  Alcotest.(check int) "every Value and Diag constructor used" (3 + 3 + 8)
     (List.length (List.sort_uniq compare names));
   let got = List.map (fun (what, d) -> (what, Digest.to_hex d)) digests in
   if got <> persisted_digests then
@@ -825,6 +897,9 @@ let suite =
       tc "batch: warm run computes nothing" `Quick warm_run_computes_nothing;
       tc "batch: config change invalidates" `Quick config_change_invalidates;
       tc "batch: strict verdict ignores the cache" `Quick strict_verdict_ignores_the_cache;
+      tc "batch: an interrupted run resumes from its cache" `Quick interrupted_run_resumes;
+      tc "batch: a deadline-cut file is never recorded" `Quick deadline_cut_file_never_recorded;
+      tc "disk: corrupt file record recomputed" `Quick corrupted_file_record_quarantined;
       cached_equals_fresh_prop;
       tc "compile memo: evict drops compiled entries" `Quick evict_drops_compiled;
       memo_property;

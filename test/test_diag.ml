@@ -49,10 +49,10 @@ let fault_parse_roundtrip () =
   ok "fuel:helper" (Diag.Fault.Starve_fuel "helper");
   ok "steps:120" (Diag.Fault.Trip_after 120);
   ok "hang:f" (Diag.Fault.Hang_fn "f");
-  ok "flaky:f:3" (Diag.Fault.Flaky_fn ("f", 3));
   ok "crash-file:dir/x.mc" (Diag.Fault.Crash_file "dir/x.mc");
   ok "corrupt-cache:2" (Diag.Fault.Corrupt_cache 2);
-  ok "torn-journal:0" (Diag.Fault.Torn_journal 0)
+  ok "skew:main" (Diag.Fault.Skew_range "main");
+  ok "kill-worker:3" (Diag.Fault.Kill_worker 3)
 
 let fault_parse_rejects_garbage () =
   List.iter
@@ -64,8 +64,9 @@ let fault_parse_rejects_garbage () =
           (Astring.String.is_infix ~affix:spec msg))
     [
       "bogus"; "crash:"; "steps:banana"; "steps:-4"; "explode:f"; "hang:";
-      "flaky:f"; "flaky:f:0"; "flaky::2"; "corrupt-cache:0"; "torn-journal:-1";
-      "timeout:f";
+      "corrupt-cache:0"; "timeout:f";
+      (* retired specs: no retry ladder, no journal *)
+      "flaky:f:3"; "torn-journal:1";
     ]
 
 (* --- Scoped counter frames --- *)

@@ -6,7 +6,6 @@ module Engine = Vrp_core.Engine
 module Value = Vrp_ranges.Value
 module Ir = Vrp_ir.Ir
 module Diag = Vrp_diag.Diag
-module Supervisor = Vrp_sched.Supervisor
 
 let tc = Alcotest.test_case
 
@@ -258,25 +257,20 @@ let rounds_and_convergence_unchanged () =
         (t.Interproc.rounds, t.Interproc.converged))
     Vrp_suite.Suite.benchmarks
 
-(* A reused result replays its run's whole report, supervisor notes
-   included: the retry note of a flaky function appears once per round
-   although the supervisor only retried the real runs. *)
-let reuse_replays_retry_notes () =
-  let policy = { Supervisor.default_policy with Supervisor.retries = 1; backoff_ms = 0 } in
-  Supervisor.with_supervisor ~policy (fun sup ->
-      let analyze_fn, runs = counting Interproc.default_analyze_fn in
-      let config = { Engine.default_config with Engine.fault = Some (Diag.Fault.Flaky_fn ("leaf", 1)) } in
-      let report = Diag.create () in
-      let t =
-        Interproc.analyze ~config ~report
-          ~analyze_fn:(Supervisor.wrap_analyze_fn sup analyze_fn)
-          (Helpers.compile leaf_source).Vrp_core.Pipeline.ssa
-      in
-      Alcotest.(check int) "two real leaf runs" 2 (runs_of runs "leaf");
-      Alcotest.(check int) "retried only the real runs" 2
-        (Supervisor.counters sup).Supervisor.retry_count;
-      Alcotest.(check int) "one retry note per round" t.Interproc.rounds
-        (Diag.count_kind report Diag.Task_retry))
+(* A reused result replays its run's diagnostics: [leaf], whose every run
+   notes an injected fault, notes it once per round, although the engine
+   ran it in only two of them. *)
+let reuse_replays_diagnostics () =
+  let analyze_fn, runs = counting Interproc.default_analyze_fn in
+  let config = { Engine.default_config with Engine.fault = Some (Diag.Fault.Skew_range "leaf") } in
+  let report = Diag.create () in
+  let t =
+    Interproc.analyze ~config ~report ~analyze_fn
+      (Helpers.compile leaf_source).Vrp_core.Pipeline.ssa
+  in
+  Alcotest.(check int) "two real leaf runs" 2 (runs_of runs "leaf");
+  Alcotest.(check int) "one fault note per round" t.Interproc.rounds
+    (Diag.count_kind report Diag.Fault_injected)
 
 let reuse_counts_independent_of_jobs () =
   let sources =
@@ -393,7 +387,7 @@ let suite =
       tc "reuse: leaf skips round 3" `Quick leaf_skips_round_three;
       tc "reuse: result physically shared" `Quick reused_result_is_the_same_value;
       tc "reuse: rounds and convergence unchanged" `Quick rounds_and_convergence_unchanged;
-      tc "reuse: retry notes replayed" `Quick reuse_replays_retry_notes;
+      tc "reuse: diagnostics replayed" `Quick reuse_replays_diagnostics;
       tc "reuse: counts independent of jobs" `Quick reuse_counts_independent_of_jobs;
       tc "predict --diagnostics --strict golden" `Quick diagnostics_golden;
       tc "diagnostics in wave discovery order" `Quick diagnostics_in_discovery_order;

@@ -409,8 +409,16 @@ let loop_detection () =
   in
   let l = (Static.of_fn fn).Static.loops in
   Alcotest.(check int) "three natural loops" 3 (Array.length l.Loops.loops);
-  let max_depth = Array.fold_left (fun acc lo -> max acc lo.Loops.depth) 0 l.Loops.loops in
-  Alcotest.(check int) "nesting depth two" 2 max_depth
+  let nested =
+    List.filter
+      (fun (a, b) ->
+        Loops.IntSet.subset a.Loops.body b.Loops.body
+        && not (Loops.IntSet.equal a.Loops.body b.Loops.body))
+      (List.concat_map
+         (fun a -> List.map (fun b -> (a, b)) (Array.to_list l.Loops.loops))
+         (Array.to_list l.Loops.loops))
+  in
+  Alcotest.(check int) "one loop nested in another" 1 (List.length nested)
 
 let back_edges_vs_headers () =
   let fn = build_main (Option.get (Vrp_suite.Suite.find "kmp")).source in

@@ -132,14 +132,13 @@ let trip_after_still_total () =
   Alcotest.(check bool) "crash diagnostics" true
     (Diag.count_kind report Diag.Analysis_crashed > 0)
 
-(* A retried attempt that raises leaves none of its partial diagnostics:
-   [steps:800] trips [main] mid-run on all three attempts, and the report
-   holds the two retry notes and the demotion, not the widenings each
-   failed attempt got to before it tripped. *)
+(* An attempt that raises leaves none of its partial diagnostics:
+   [steps:800] trips [main] mid-run, and the report holds the demotion,
+   not the widenings the attempt got to before it tripped. There is one
+   attempt: a supervisor never retries. *)
 let retried_attempts_add_no_partial_diags () =
   let source = In_channel.with_open_bin "corpus/algebra_affine.mc" In_channel.input_all in
-  let policy = { Supervisor.default_policy with Supervisor.retries = 2; backoff_ms = 0 } in
-  Supervisor.with_supervisor ~policy (fun supervisor ->
+  Supervisor.with_supervisor (fun supervisor ->
       let config = with_fault (Diag.Fault.Trip_after 800) in
       match
         Batch.analyze_sources ~config ~supervisor ~jobs:1 [ ("algebra_affine.mc", source) ]
@@ -149,7 +148,8 @@ let retried_attempts_add_no_partial_diags () =
         Alcotest.(check (list (pair string string))) "main demoted"
           [ ("main", "injected trip after 800 steps in main") ]
           r.Batch.demoted;
-        Alcotest.(check int) "two retry notes" 2 (Diag.count_kind report Diag.Task_retry);
+        Alcotest.(check int) "one attempt gave up" 1
+          (Supervisor.counters supervisor).Supervisor.gave_up;
         Alcotest.(check int) "no partial widenings" 0 (Diag.count_kind report Diag.Widened)
       | _ -> Alcotest.fail "one file in, one result out")
 

@@ -1,14 +1,13 @@
-(** Supervision and checkpoint/resume tests: deadlines contain injected
-    hangs (demoting the function, not the batch), retries recover flaky
-    tasks, the journal survives torn writes, an interrupted batch resumed
-    from its journal is byte-identical to an uninterrupted run, and the
-    batch exit-code policy is pinned. *)
+(** Supervision and resume tests: deadlines contain injected hangs
+    (demoting the function, not the batch), an interrupted batch re-run on
+    the same disk cache resumes from its file records and is byte-identical
+    to an uninterrupted run, and the batch exit-code policy is pinned. *)
 
 module Diag = Vrp_diag.Diag
 module Engine = Vrp_core.Engine
 module Batch = Vrp_sched.Batch
-module Journal = Vrp_sched.Journal
 module Supervisor = Vrp_sched.Supervisor
+module Summary_cache = Vrp_cache.Summary_cache
 
 let tc = Alcotest.test_case
 
@@ -38,10 +37,15 @@ int main(int n, int s) { return h(n, s) + h(s, n); }
     );
   ]
 
-let temp_path suffix =
-  let path = Filename.temp_file "vrpsup" suffix in
+let temp_dir () =
+  let path = Filename.temp_file "vrpsup" "" in
   Sys.remove path;
   path
+
+(* A store over [dir], opened as a new process would open it. *)
+let reopen dir = Summary_cache.create ~disk_dir:dir ()
+
+let file_hits cache = (Summary_cache.counters cache).Summary_cache.file_hits
 
 let reference = lazy (Batch.render (Batch.analyze_sources ~jobs:1 srcs))
 
@@ -57,7 +61,7 @@ let deadline_contains_hang () =
       in
       let results =
         Supervisor.with_supervisor
-          ~policy:{ Supervisor.default_policy with deadline_ms = Some 150 }
+          ~deadline_ms:150
           (fun supervisor ->
             Batch.analyze_sources ~config ~supervisor ~jobs srcs)
       in
@@ -85,7 +89,7 @@ let hung_run_is_deterministic () =
   in
   let run jobs =
     Supervisor.with_supervisor
-      ~policy:{ Supervisor.default_policy with deadline_ms = Some 150 }
+      ~deadline_ms:150
       (fun supervisor ->
         Batch.render (Batch.analyze_sources ~config ~supervisor ~jobs srcs))
   in
@@ -96,141 +100,48 @@ let deadline_counters_move () =
     { Engine.default_config with Engine.fault = Some (Diag.Fault.Hang_fn "f") }
   in
   Supervisor.with_supervisor
-    ~policy:{ Supervisor.default_policy with deadline_ms = Some 150 }
+    ~deadline_ms:150
     (fun supervisor ->
       ignore (Batch.analyze_sources ~config ~supervisor ~jobs:1 srcs);
       let c = Supervisor.counters supervisor in
       Alcotest.(check int) "one deadline hit" 1 c.Supervisor.deadline_hits;
-      Alcotest.(check int) "task gave up (no retries)" 1 c.Supervisor.gave_up)
+      Alcotest.(check int) "the hung task gave up" 1 c.Supervisor.gave_up)
 
 let unsupervised_results_unaffected () =
   (* Supervision with a generous deadline is a no-op on results. *)
   let rendered =
     Supervisor.with_supervisor
-      ~policy:{ Supervisor.default_policy with deadline_ms = Some 60_000; retries = 2 }
+      ~deadline_ms:60_000
       (fun supervisor ->
         Batch.render (Batch.analyze_sources ~supervisor ~jobs:Helpers.test_jobs srcs))
   in
   Alcotest.(check string) "supervised == plain" (Lazy.force reference) rendered
 
-(* --- Retries --- *)
-
-let retry_recovers_flaky_task () =
-  (* Fails the first attempt at f, succeeds on the second: with one retry
-     the batch output must be exactly the healthy reference. *)
-  let config =
-    { Engine.default_config with Engine.fault = Some (Diag.Fault.Flaky_fn ("f", 1)) }
-  in
-  let rendered, counters =
-    Supervisor.with_supervisor
-      ~policy:{ Supervisor.default_policy with retries = 1; backoff_ms = 1 }
-      (fun supervisor ->
-        let r = Batch.analyze_sources ~config ~supervisor ~jobs:1 srcs in
-        (Batch.render r, Supervisor.counters supervisor))
-  in
-  Alcotest.(check string) "flaky task recovered" (Lazy.force reference) rendered;
-  Alcotest.(check bool) "at least one retry recorded" true
-    (counters.Supervisor.retry_count >= 1);
-  Alcotest.(check int) "nothing gave up" 0 counters.Supervisor.gave_up
-
-let exhausted_retries_demote () =
-  (* Needs two retries but only gets one: the function is demoted, and the
-     demotion reason is the injected failure, not a supervisor artifact. *)
-  let config =
-    { Engine.default_config with Engine.fault = Some (Diag.Fault.Flaky_fn ("f", 5)) }
-  in
-  let results, counters =
-    Supervisor.with_supervisor
-      ~policy:{ Supervisor.default_policy with retries = 1; backoff_ms = 1 }
-      (fun supervisor ->
-        let r = Batch.analyze_sources ~config ~supervisor ~jobs:1 srcs in
-        (r, Supervisor.counters supervisor))
-  in
-  let hit = List.find (fun (r : Batch.file_result) -> r.Batch.name = "one.mc") results in
-  (match hit.Batch.demoted with
-  | [ ("f", why) ] ->
-    Alcotest.(check bool) "reason names the injected fault" true
-      (Astring.String.is_infix ~affix:"flaky" why)
-  | d -> Alcotest.failf "expected one demotion of f, got %d" (List.length d));
-  Alcotest.(check bool) "gave up after the retry budget" true
-    (counters.Supervisor.gave_up >= 1)
-
-(* --- Journal --- *)
-
-let record name payload = { Journal.name; input_digest = "d-" ^ name; payload }
-
-let journal_round_trips () =
-  let path = temp_path ".journal" in
-  let w = Journal.open_append path in
-  Journal.append w (record "a" "payload-a");
-  Journal.append w (record "b" "payload-b");
-  Journal.close w;
-  (* append-only: reopening adds, never rewrites *)
-  let w2 = Journal.open_append path in
-  Journal.append w2 (record "c" "payload-c");
-  Journal.close w2;
-  let names = List.map (fun (r : Journal.record) -> r.Journal.name) (Journal.load path) in
-  Alcotest.(check (list string)) "all records, append order" [ "a"; "b"; "c" ] names;
-  Sys.remove path
-
-let torn_tail_is_ignored () =
-  let path = temp_path ".journal" in
-  let w = Journal.open_append path in
-  Journal.append w (record "a" "payload-a");
-  Journal.append w (record "b" "payload-b");
-  Journal.close w;
-  (* chop bytes off the end: the torn record must vanish, intact ones stay *)
-  let ic = open_in_bin path in
-  let whole = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  let oc = open_out_bin path in
-  output_string oc (String.sub whole 0 (String.length whole - 7));
-  close_out oc;
-  let names = List.map (fun (r : Journal.record) -> r.Journal.name) (Journal.load path) in
-  Alcotest.(check (list string)) "only the intact prefix" [ "a" ] names;
-  (* garbage after a tear must not resurrect anything *)
-  let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
-  output_string oc "trailing garbage bytes";
-  close_out oc;
-  Alcotest.(check int) "tear still ends the read" 1 (List.length (Journal.load path));
-  Sys.remove path
-
-let missing_journal_is_empty () =
-  Alcotest.(check int) "no file, no records" 0
-    (List.length (Journal.load (temp_path ".journal")))
-
-(* --- Checkpoint / resume --- *)
+(* --- Resume: file records in the disk cache --- *)
 
 let resume_skips_completed_files () =
-  let path = temp_path ".journal" in
-  (* interrupted run: the journal writer tears after one record, which also
-     kills that task — exactly a process dying mid-batch *)
-  let torn =
-    Batch.analyze_sources ~journal:path
-      ~journal_fault:(Diag.Fault.Torn_journal 1) ~jobs:1 srcs
-  in
-  Alcotest.(check bool) "the torn run lost work" true
-    (List.exists (fun (r : Batch.file_result) -> r.Batch.error <> None) torn);
-  let checkpointed = List.length (Journal.load path) in
-  Alcotest.(check int) "one intact checkpoint survived the tear" 1 checkpointed;
-  (* resumed run: replays the checkpoint, re-analyzes the rest *)
-  let resumed = Batch.analyze_sources ~journal:path ~jobs:1 srcs in
+  let dir = temp_dir () in
+  (* interrupted run: only the first file completed *)
+  let first = reopen dir in
+  ignore (Batch.analyze_sources ~cache:first ~jobs:1 [ List.hd srcs ]);
+  Summary_cache.close first;
+  (* resumed run: serves the completed file, analyses the rest *)
+  let resumed = reopen dir in
   Alcotest.(check string) "resumed == uninterrupted, byte for byte"
-    (Lazy.force reference) (Batch.render resumed);
-  Alcotest.(check int) "exactly the checkpointed files were skipped"
-    checkpointed
-    (Batch.aggregate resumed).Batch.resumed_files;
-  (* a second resume now replays everything *)
-  let again = Batch.analyze_sources ~journal:path ~jobs:Helpers.test_jobs srcs in
+    (Lazy.force reference)
+    (Batch.render (Batch.analyze_sources ~cache:resumed ~jobs:1 srcs));
+  Alcotest.(check int) "exactly the completed file was served" 1 (file_hits resumed);
+  Summary_cache.close resumed;
+  (* a second resume now serves everything *)
+  let again = reopen dir in
   Alcotest.(check string) "full resume still byte-identical"
-    (Lazy.force reference) (Batch.render again);
-  Alcotest.(check int) "every file came from the journal" (List.length srcs)
-    (Batch.aggregate again).Batch.resumed_files;
-  Sys.remove path
+    (Lazy.force reference)
+    (Batch.render (Batch.analyze_sources ~cache:again ~jobs:Helpers.test_jobs srcs));
+  Alcotest.(check int) "every file came from its record" (List.length srcs) (file_hits again)
 
 let changed_source_is_reanalyzed () =
-  let path = temp_path ".journal" in
-  ignore (Batch.analyze_sources ~journal:path ~jobs:1 srcs);
+  let dir = temp_dir () in
+  ignore (Batch.analyze_sources ~cache:(reopen dir) ~jobs:1 srcs);
   let edited =
     List.map
       (fun (name, src) ->
@@ -239,40 +150,120 @@ let changed_source_is_reanalyzed () =
         else (name, src))
       srcs
   in
-  let results = Batch.analyze_sources ~journal:path ~jobs:1 edited in
-  let by_name n = List.find (fun (r : Batch.file_result) -> r.Batch.name = n) results in
-  Alcotest.(check bool) "edited file re-analyzed" false (by_name "two.mc").Batch.resumed;
-  Alcotest.(check bool) "untouched file replayed" true (by_name "one.mc").Batch.resumed;
+  let cache = reopen dir in
+  let results = Batch.analyze_sources ~cache ~jobs:1 edited in
+  Alcotest.(check int) "only the untouched files were served" 2 (file_hits cache);
   Alcotest.(check string) "report matches a fresh run of the edited corpus"
     (Batch.render (Batch.analyze_sources ~jobs:1 edited))
-    (Batch.render results);
-  Sys.remove path
+    (Batch.render results)
 
 let config_change_is_reanalyzed () =
-  let path = temp_path ".journal" in
-  ignore (Batch.analyze_sources ~journal:path ~jobs:1 srcs);
-  let results =
-    Batch.analyze_sources ~config:Engine.numeric_only_config ~journal:path ~jobs:1 srcs
-  in
-  Alcotest.(check int) "different config replays nothing" 0
-    (Batch.aggregate results).Batch.resumed_files;
-  Sys.remove path
+  let dir = temp_dir () in
+  ignore (Batch.analyze_sources ~cache:(reopen dir) ~jobs:1 srcs);
+  let cache = reopen dir in
+  ignore (Batch.analyze_sources ~config:Engine.numeric_only_config ~cache ~jobs:1 srcs);
+  Alcotest.(check int) "different config serves nothing" 0 (file_hits cache)
 
 let crashed_task_is_not_checkpointed () =
-  let path = temp_path ".journal" in
+  let dir = temp_dir () in
   let config =
     { Engine.default_config with Engine.fault = Some (Diag.Fault.Crash_file "two") }
   in
-  let crashed = Batch.analyze_sources ~config ~journal:path ~jobs:1 srcs in
+  let crashed = Batch.analyze_sources ~config ~cache:(reopen dir) ~jobs:1 srcs in
   Alcotest.(check int) "the crash cost exactly one file" 1
     (Batch.aggregate crashed).Batch.failed_files;
-  Alcotest.(check int) "only clean completions were checkpointed" 2
-    (List.length (Journal.load path));
-  (* resume without the fault: the crashed file is re-analyzed, healed *)
-  let resumed = Batch.analyze_sources ~journal:path ~jobs:1 srcs in
-  Alcotest.(check string) "healed resume == healthy reference"
-    (Lazy.force reference) (Batch.render resumed);
-  Sys.remove path
+  (* the same run again: the clean files are served, the crash recurs *)
+  let cache = reopen dir in
+  let again = Batch.analyze_sources ~config ~cache ~jobs:1 srcs in
+  Alcotest.(check int) "only clean completions were recorded" 2 (file_hits cache);
+  Alcotest.(check string) "the crashed file was analysed again"
+    (Batch.render crashed) (Batch.render again)
+
+(* A record is keyed by source and configuration, not by file name: the
+   same source under another name is served, under the name asked for. *)
+let served_file_keeps_requested_name () =
+  let dir = temp_dir () in
+  ignore (Batch.analyze_sources ~cache:(reopen dir) ~jobs:1 [ List.hd srcs ]);
+  let copy = [ ("copy.mc", snd (List.hd srcs)) ] in
+  let cache = reopen dir in
+  let served = Batch.analyze_sources ~cache ~jobs:1 copy in
+  Alcotest.(check int) "the copy was served from the record" 1 (file_hits cache);
+  Alcotest.(check (list string)) "under the requested name" [ "copy.mc" ]
+    (List.map (fun (r : Batch.file_result) -> r.Batch.name) served);
+  Alcotest.(check string) "report == a cold run of the copy"
+    (Batch.render (Batch.analyze_sources ~jobs:1 copy))
+    (Batch.render served)
+
+(* File records live on disk only: a memory-only cache serves summaries on
+   a re-run, never whole files. *)
+let memory_cache_keeps_no_records () =
+  let cache = Summary_cache.create () in
+  ignore (Batch.analyze_sources ~cache ~jobs:1 srcs);
+  Alcotest.(check string) "warm memory run == reference" (Lazy.force reference)
+    (Batch.render (Batch.analyze_sources ~cache ~jobs:1 srcs));
+  let c = Summary_cache.counters cache in
+  Alcotest.(check int) "no file hits" 0 c.Summary_cache.file_hits;
+  Alcotest.(check bool) "the re-run hit summaries" true (c.Summary_cache.hits > 0)
+
+(* Under a deadline only the cut file goes unrecorded: its clean siblings
+   are served on the next run, and the cut file is analysed (and cut)
+   again, so the report repeats. *)
+let deadline_run_records_clean_files () =
+  let config =
+    { Engine.default_config with Engine.fault = Some (Diag.Fault.Hang_fn "f") }
+  in
+  let dir = temp_dir () in
+  let run () =
+    let cache = reopen dir in
+    Supervisor.with_supervisor ~deadline_ms:150 (fun supervisor ->
+        let rendered =
+          Batch.render (Batch.analyze_sources ~config ~cache ~supervisor ~jobs:1 srcs)
+        in
+        (rendered, file_hits cache, (Supervisor.counters supervisor).Supervisor.deadline_hits))
+  in
+  let first, first_hits, first_cuts = run () in
+  let again, hits, cuts = run () in
+  Alcotest.(check (pair int int)) "first run: nothing served, one cut" (0, 1)
+    (first_hits, first_cuts);
+  Alcotest.(check (pair int int)) "re-run: the two clean files served, one cut" (2, 1)
+    (hits, cuts);
+  Alcotest.(check string) "the re-run repeats the report" first again
+
+(* A demotion that is not a deadline cut is a deterministic result, so it
+   is recorded: the served file keeps its demotion and the strict verdict. *)
+let served_degraded_file_keeps_verdict () =
+  let config =
+    { Engine.default_config with Engine.fault = Some (Diag.Fault.Crash_fn "f") }
+  in
+  let dir = temp_dir () in
+  let computed = Batch.analyze_sources ~config ~cache:(reopen dir) ~jobs:1 srcs in
+  let cache = reopen dir in
+  let served = Batch.analyze_sources ~config ~cache ~jobs:1 srcs in
+  Alcotest.(check int) "every file served" (List.length srcs) (file_hits cache);
+  Alcotest.(check string) "served == computed" (Batch.render computed) (Batch.render served);
+  Alcotest.(check int) "the demotion survives" 1 (Batch.aggregate served).Batch.demoted_fns;
+  Alcotest.(check int) "strict verdict unchanged" 3 (Batch.exit_code ~strict:true served)
+
+(* The record holds the file's whole report, and serving it adds nothing:
+   a served file's diagnostics are exactly the computed file's. *)
+let served_file_adds_no_diagnostic () =
+  let config =
+    { Engine.default_config with Engine.fault = Some (Diag.Fault.Crash_fn "g") }
+  in
+  let reports results =
+    List.map
+      (fun (r : Batch.file_result) -> (r.Batch.name, Diag.render r.Batch.report))
+      results
+  in
+  let dir = temp_dir () in
+  let computed = Batch.analyze_sources ~config ~cache:(reopen dir) ~jobs:1 srcs in
+  let cache = reopen dir in
+  let served = Batch.analyze_sources ~config ~cache ~jobs:1 srcs in
+  Alcotest.(check int) "every file served" (List.length srcs) (file_hits cache);
+  Alcotest.(check bool) "the crash left a diagnostic" true
+    (List.exists (fun (r : Batch.file_result) -> Diag.count r.Batch.report > 0) computed);
+  Alcotest.(check (list (pair string string))) "served reports == computed reports"
+    (reports computed) (reports served)
 
 (* --- Exit codes --- *)
 
@@ -304,14 +295,14 @@ let suite =
       tc "deadline: hung run byte-identical across jobs" `Quick hung_run_is_deterministic;
       tc "deadline: counters record the hit" `Quick deadline_counters_move;
       tc "supervision: no-op on healthy runs" `Quick unsupervised_results_unaffected;
-      tc "retry: flaky task recovered" `Quick retry_recovers_flaky_task;
-      tc "retry: exhausted budget demotes" `Quick exhausted_retries_demote;
-      tc "journal: records round-trip" `Quick journal_round_trips;
-      tc "journal: torn tail ignored" `Quick torn_tail_is_ignored;
-      tc "journal: missing file is empty" `Quick missing_journal_is_empty;
       tc "resume: skips completed, byte-identical" `Quick resume_skips_completed_files;
       tc "resume: edited source re-analyzed" `Quick changed_source_is_reanalyzed;
       tc "resume: config change re-analyzed" `Quick config_change_is_reanalyzed;
       tc "resume: crashes are never checkpointed" `Quick crashed_task_is_not_checkpointed;
+      tc "resume: a served file keeps the requested name" `Quick served_file_keeps_requested_name;
+      tc "resume: a memory-only cache keeps no file records" `Quick memory_cache_keeps_no_records;
+      tc "resume: a deadline run records its clean files" `Quick deadline_run_records_clean_files;
+      tc "resume: a served degraded file keeps its verdict" `Quick served_degraded_file_keeps_verdict;
+      tc "resume: a served file adds no diagnostic" `Quick served_file_adds_no_diagnostic;
       tc "exit codes: 0 / 2 / 3 pinned" `Quick exit_codes_pinned;
     ] )

@@ -102,10 +102,10 @@ let jobs_arg =
 
 (* A usage error (exit 2) when the pool would need more domains than the
    runtime runs. *)
-let check_jobs ?beside jobs =
+let check_jobs jobs =
   Result.iter_error
     (fun msg -> prerr_endline ("vrpc: " ^ msg); exit 2)
-    (Vrp_sched.Pool.check_jobs ?beside jobs)
+    (Vrp_sched.Pool.check_jobs jobs)
 
 let cache_arg =
   Arg.(
@@ -387,9 +387,7 @@ let batch_paths dir =
 
 let batch dir jobs cache_dir cache_max_mb deadline_ms numeric trace_out
     ((_, _, fault) as dopts) =
-  (* a --deadline-ms supervisor runs a monitor domain *)
-  check_jobs ~beside:1 jobs;
-  let module Supervisor = Vrp_sched.Supervisor in
+  check_jobs jobs;
   let module Summary_cache = Vrp_cache.Summary_cache in
   let sources = List.map (fun p -> (p, read_file p)) (batch_paths dir) in
   let cache_fault, _ = Ops.route_fault fault in
@@ -400,13 +398,9 @@ let batch dir jobs cache_dir cache_max_mb deadline_ms numeric trace_out
           ?fault:cache_fault ())
       cache_dir
   in
-  let supervisor = Option.map (fun ms -> Supervisor.create ~deadline_ms:ms ()) deadline_ms in
   let o =
-    Fun.protect
-      ~finally:(fun () -> Option.iter Supervisor.shutdown supervisor)
-      (fun () ->
-        with_trace trace_out (fun () ->
-            Ops.batch ?cache ?supervisor ~opts:(opts_of ~jobs numeric dopts) ~sources ()))
+    with_trace trace_out (fun () ->
+        Ops.batch ?cache ?within_ms:deadline_ms ~opts:(opts_of ~jobs numeric dopts) ~sources ())
   in
   print_string o.Ops.out;
   prerr_string o.Ops.err;

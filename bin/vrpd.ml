@@ -157,11 +157,12 @@ let run_fleet ~socket ~listen ~jobs ~deadline_ms ~fault ~cache_dir ~limits ~size
 
 let run socket listen jobs deadline_ms fault cache_dir max_conns max_inflight
     idle_timeout_ms fleet fleet_dir strict =
-  (* Main, the supervisor's monitor, the request pool and the pool of the
-     one batch request that runs at a time: 2·jobs domains. *)
+  (* Main, the request pool and the pool of the one batch request that
+     runs at a time: 2·jobs - 1 domains. Deadlines need none: the analysis
+     checks its own. *)
   Result.iter_error
     (fun msg -> prerr_endline ("vrpd: " ^ msg); exit 2)
-    (Vrp_sched.Pool.check_jobs ~beside:1 ~pools:2 jobs);
+    (Vrp_sched.Pool.check_jobs ~pools:2 jobs);
   if max_conns < 1 || max_inflight < 1 || idle_timeout_ms < 0 then begin
     prerr_endline
       "vrpd: --max-conns and --max-inflight want >= 1, --idle-timeout-ms >= 0";
@@ -217,9 +218,11 @@ let deadline_arg =
     & opt (some int) None
     & info [ "deadline-ms" ] ~docv:"MS"
         ~doc:
-          "Per-request analysis deadline: a request running longer has its \
-           remaining functions demoted to the Ball–Larus fallback and \
-           completes with the degradation in its diagnostics.")
+          "Analysis deadline: a predict, analyze or compare request running \
+           longer than $(docv) milliseconds, or a function of a batch request \
+           running longer, has its remaining functions demoted to the \
+           Ball–Larus fallback and completes with the degradation in its \
+           diagnostics. A request's own deadline_ms tightens it.")
 
 let cache_arg =
   Arg.(

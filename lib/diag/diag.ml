@@ -11,8 +11,8 @@
     A run's prediction map is always total; the report is the honest account
     of which parts of it are exact VRP and which are degraded, and why.
 
-    The module is dependency-free so every layer (ranges, engine, pipeline,
-    CLI) can use it. *)
+    The module depends on nothing but [unix] (for {!Cancel}'s clock), so
+    every layer (ranges, engine, pipeline, CLI) can use it. *)
 
 type severity = Info | Warning | Error
 
@@ -143,35 +143,32 @@ let render report =
        (if degraded report then "; run degraded" else ""));
   Buffer.contents buf
 
-(** Cooperative cancellation for supervised tasks. The token is shared
-    domain-safe state: the worker running a task beats the heartbeat and
-    polls [cancelled] at its safe points (one atomic load per worklist
-    step), while a monitor in another domain watches the wall clock and
-    flips the flag when the task's deadline passes. Cancellation is how a
-    hung or overrunning analysis is broken out of — OCaml domains cannot be
-    killed, so the engine must volunteer. *)
+(** Cooperative cancellation by deadline. A token is an absolute
+    wall-clock instant plus a flag: the worker running a task calls [check]
+    at its safe points (each worklist step, and between the functions of a
+    wave), which reads the clock and, once the instant has passed, sets the
+    flag and raises. OCaml domains cannot be killed, so the engine must
+    volunteer; nothing else watches the clock. The flag stays set, so a
+    token shared by the functions of one request cuts every one that checks
+    it after the first, and [cancelled] tells afterwards whether any run
+    was cut short. *)
 module Cancel = struct
-  type token = {
-    cancelled : bool Atomic.t;
-    heartbeat : int Atomic.t;
-        (* liveness counter: lets a monitor tell "hung" (beats stalled)
-           from "slow but alive" when it reports a deadline hit *)
-  }
+  type token = { deadline : float; fired : bool Atomic.t }
 
   exception Cancelled of string
-  (** Raised by a worker that observed its cancellation flag; the argument
-      names the task (function) that was cut short. *)
+  (** Raised by a worker whose deadline passed; the argument names the task
+      (function) that was cut short. *)
 
-  let make () = { cancelled = Atomic.make false; heartbeat = Atomic.make 0 }
+  let make ~deadline = { deadline; fired = Atomic.make false }
+  let cancelled token = Atomic.get token.fired
 
-  let beat token = Atomic.incr token.heartbeat
-  let beats token = Atomic.get token.heartbeat
-  let cancel token = Atomic.set token.cancelled true
-  let cancelled token = Atomic.get token.cancelled
-
-  (** Raise {!Cancelled} if the token was cancelled; cheap enough for a
-      per-worklist-step call. *)
-  let check token ~name = if cancelled token then raise (Cancelled name)
+  (** Raise {!Cancelled} once the deadline has passed; one clock read per
+      call, cheap enough for a per-worklist-step call. *)
+  let check token ~name =
+    if Atomic.get token.fired || Unix.gettimeofday () >= token.deadline then begin
+      Atomic.set token.fired true;
+      raise (Cancelled name)
+    end
 end
 
 (** Deterministic fault injection, used by the tests and a hidden CLI flag
@@ -187,7 +184,7 @@ module Fault = struct
         (** raise {!Injected} after N engine steps in any function *)
     | Hang_fn of string
         (** wedge this function's analysis: it stops making progress and
-            only a supervisor's cancellation (deadline) can break it out *)
+            only its deadline can break it out *)
     | Crash_file of string
         (** raise {!Injected} in the batch task of any file whose name
             contains this substring — a worker crash outside per-function

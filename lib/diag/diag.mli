@@ -57,28 +57,27 @@ val diag_to_string : diag -> string
 (** One line per diagnostic plus a summary line. *)
 val render : report -> string
 
-(** Cooperative cancellation for supervised tasks: a domain-safe token the
-    worker beats and polls while a monitor domain watches the wall clock.
-    Workers raise {!Cancel.Cancelled} at their next safe point after the
-    monitor cancels them — this is how a hung analysis is broken out of. *)
+(** Cooperative cancellation by deadline: a domain-safe token carrying an
+    absolute wall-clock instant. A worker calls {!Cancel.check} at its safe
+    points and raises {!Cancel.Cancelled} once the instant has passed —
+    this is how a hung analysis is broken out of. No other domain or thread
+    watches the clock. *)
 module Cancel : sig
   type token
 
   exception Cancelled of string
-  (** Raised by a worker that observed its cancellation flag; the argument
-      names the task that was cut short. *)
+  (** Raised by a worker whose deadline passed; the argument names the task
+      that was cut short. *)
 
-  (** A fresh, uncancelled token. *)
-  val make : unit -> token
+  (** A token that fires at [deadline], a [Unix.gettimeofday] instant. *)
+  val make : deadline:float -> token
 
-  (** Publish liveness: one beat per unit of worker progress. *)
-  val beat : token -> unit
-
-  val beats : token -> int
-  val cancel : token -> unit
+  (** True once some {!check} has seen the deadline pass: the run holding
+      the token was cut short. *)
   val cancelled : token -> bool
 
-  (** Raise {!Cancelled} carrying [name] if the token was cancelled. *)
+  (** Raise {!Cancelled} carrying [name] if the deadline has passed,
+      marking the token cancelled. *)
   val check : token -> name:string -> unit
 end
 
@@ -92,8 +91,8 @@ module Fault : sig
     | Trip_after of int
         (** raise {!Injected} after N engine steps in any function *)
     | Hang_fn of string
-        (** wedge this function's analysis until a supervisor's deadline
-            cancellation breaks it out *)
+        (** wedge this function's analysis until its deadline breaks it
+            out *)
     | Crash_file of string
         (** crash the batch task of any file whose name contains this
             substring (outside per-function containment) *)

@@ -38,7 +38,7 @@ let failed_result name msg report =
     evaluations = 0;
   }
 
-let analyze_one ?cache ?supervisor ~config (name, source) =
+let analyze_one ?cache ~supervise ~config (name, source) =
   (* The crash-file fault fires before any containment the file's own
      analysis sets up: it models a worker dying mid-wave, so only the
      pool's whole-file containment may catch it. *)
@@ -60,11 +60,7 @@ let analyze_one ?cache ?supervisor ~config (name, source) =
     in
     (* Supervision wraps outside the cache: a cache hit is served without
        spending a deadline. *)
-    let analyze_fn =
-      match supervisor with
-      | Some s -> Supervisor.wrap_analyze_fn s analyze_fn
-      | None -> analyze_fn
-    in
+    let analyze_fn = supervise analyze_fn in
     let markers = Hashtbl.create 16 in
     let vrp, ipa = Pipeline.vrp_predictions ~config ~report ~markers ~analyze_fn ssa in
     let predictions =
@@ -113,7 +109,8 @@ let crash_result name e =
   Diag.add report Diag.Error Diag.Analysis_crashed msg;
   failed_result name msg report
 
-let analyze_sources ?(config = Engine.default_config) ?cache ?supervisor ~jobs sources =
+let analyze_sources ?(config = Engine.default_config) ?cache ?within_ms ?deadline ~jobs sources =
+  let supervise = Supervisor.wrap_analyze_fn ?within_ms ?deadline in
   (* A batch checkpoint is a file record in the cache's disk tier, keyed by
      the source and the configuration: a re-run on the same directory
      serves every unchanged file whole, which is how an interrupted batch
@@ -128,12 +125,12 @@ let analyze_sources ?(config = Engine.default_config) ?cache ?supervisor ~jobs s
   in
   let task (name, source) =
     match file_key source with
-    | None -> analyze_one ?cache ?supervisor ~config (name, source)
+    | None -> analyze_one ?cache ~supervise ~config (name, source)
     | Some (c, key) -> (
       match Summary_cache.find_file c ~key with
       | Some payload -> { (Marshal.from_string payload 0 : file_result) with name }
       | None ->
-        let r = analyze_one ?cache ?supervisor ~config (name, source) in
+        let r = analyze_one ?cache ~supervise ~config (name, source) in
         (* A deadline cut is not a function of the key: never record it.
            A crashed task raises past this point and is never recorded. *)
         if Diag.count_kind r.report Diag.Deadline_exceeded = 0 then

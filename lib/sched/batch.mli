@@ -40,9 +40,11 @@ type aggregate = {
     back in input order. A file that fails the front end or crashes the
     driver is contained: its [error] is set and the batch continues.
 
-    [supervisor] puts every per-function analysis under a deadline (see
-    {!Supervisor}): a function that overruns it is demoted, a file whose
-    task crashes fails alone, and the run goes on.
+    Every per-function analysis runs under {!Supervisor.wrap_analyze_fn}:
+    its deadline is the tighter of [within_ms] milliseconds from its start
+    and [deadline] (an absolute [Unix.gettimeofday] instant), and with
+    neither it has none. A function that overruns its deadline is demoted,
+    a file whose task crashes fails alone, and the run goes on.
 
     When [cache] has a disk tier, each input is first looked up as a file
     record under {!Vrp_cache.Digest_key.file_key} (its source and
@@ -55,7 +57,8 @@ type aggregate = {
 val analyze_sources :
   ?config:Engine.config ->
   ?cache:Vrp_cache.Summary_cache.t ->
-  ?supervisor:Supervisor.t ->
+  ?within_ms:int ->
+  ?deadline:float ->
   jobs:int ->
   (string * string) list ->
   file_result list

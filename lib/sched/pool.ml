@@ -41,8 +41,8 @@ let shutdown t =
 (* [Max_domains] of OCaml 5.1's [caml/domain.h]. *)
 let max_domains = if Sys.word_size = 64 then 128 else 16
 
-let check_jobs ?(beside = 0) ?(pools = 1) jobs =
-  let limit = ((max_domains - 1 - beside) / pools) + 1 in
+let check_jobs ?(pools = 1) jobs =
+  let limit = ((max_domains - 1) / pools) + 1 in
   if jobs <= limit then Ok ()
   else
     Error

@@ -18,12 +18,11 @@
 
 type t
 
-(** [check_jobs ~beside ~pools jobs] is [Error] with a usage message when
-    the main domain, [beside] (default 0) more and [pools] (default 1)
-    pools of [jobs], each taking [jobs - 1], need more domains than the
-    runtime runs at once ([Max_domains] of OCaml 5.1: 128 on 64-bit
-    hosts). *)
-val check_jobs : ?beside:int -> ?pools:int -> int -> (unit, string) result
+(** [check_jobs ~pools jobs] is [Error] with a usage message when the
+    main domain and [pools] (default 1) pools of [jobs], each taking
+    [jobs - 1], need more domains than the runtime runs at once
+    ([Max_domains] of OCaml 5.1: 128 on 64-bit hosts). *)
+val check_jobs : ?pools:int -> int -> (unit, string) result
 
 (** [create ~jobs ()] clamps [jobs] to at least 1. If a spawn fails, the
     workers already spawned are joined and the exception is re-raised. *)

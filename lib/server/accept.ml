@@ -20,7 +20,7 @@ type counters = {
   mutable cancelled : int;
 }
 
-type 'd handler = 'd -> budget_ms:int option -> Protocol.request -> Protocol.response
+type 'd handler = 'd -> deadline:float option -> Protocol.request -> Protocol.response
 
 exception Unavailable of string
 
@@ -47,6 +47,9 @@ type 'd t = {
    follow them. The analysis ops are the gated admission class. *)
 let catalog =
   [ "predict"; "analyze"; "compare"; "batch"; "status"; "evict"; "ping"; "metrics"; "shutdown" ]
+
+let expired_response ~rid =
+  Protocol.error_response ~rid ~kind:"deadline-expired" "request deadline expired before dispatch"
 
 let gated_op = function "predict" | "analyze" | "compare" | "batch" -> true | _ -> false
 
@@ -247,7 +250,7 @@ let ping t =
 (* The control plane (ping, metrics, shutdown) is answered here for both
    daemons. The scrape renders the registry plus the daemon's records, so
    it reads the same store as the status text. *)
-let dispatch t d ~budget_ms (req : Protocol.request) =
+let dispatch t d ~deadline (req : Protocol.request) =
   match req.Protocol.op with
   | "ping" -> ping t
   | "metrics" ->
@@ -262,7 +265,7 @@ let dispatch t d ~budget_ms (req : Protocol.request) =
     reply ~data:[ ("stopping", Json.Bool true) ] { Ops.out = ""; err = ""; code = 0 }
   | op -> (
     match (List.assoc_opt op t.ops, t.fallback) with
-    | Some h, _ | None, Some h -> h d ~budget_ms req
+    | Some h, _ | None, Some h -> h d ~deadline req
     | None, None -> failwith (Printf.sprintf "unknown op %S" op))
 
 let handle t d (req : Protocol.request) =
@@ -273,11 +276,20 @@ let handle t d (req : Protocol.request) =
         if cancelled then t.counters.cancelled <- t.counters.cancelled + 1);
     Protocol.error_response ~rid ~kind msg
   in
-  let run ?budget_ms () =
+  (* The client's deadline_ms param is a relative budget stamped at send
+     time; it becomes an absolute instant once, on arrival, so the wait for
+     an in-flight slot is charged against it and a handler (or a proxy hop)
+     sees the time that remains, never a fresh budget. *)
+  let deadline =
+    match Json.mem_int "deadline_ms" req.Protocol.params with
+    | Some ms when ms >= 0 -> Some (Unix.gettimeofday () +. (float_of_int ms /. 1000.))
+    | _ -> None
+  in
+  let run () =
     Metrics.inc (requests t op);
     Metrics.time (request_seconds t op) @@ fun () ->
     Vrp_obs.Trace.with_span ("op:" ^ label t op) @@ fun () ->
-    match dispatch t d ~budget_ms req with
+    match dispatch t d ~deadline req with
     | resp ->
       locked t (fun () -> t.counters.served <- t.counters.served + 1);
       { resp with Protocol.rid }
@@ -290,20 +302,9 @@ let handle t d (req : Protocol.request) =
   in
   if not (t.gate && gated_op op) then run ()
   else begin
-    (* The client's deadline_ms param is a relative budget stamped at send
-       time; it becomes an absolute instant on arrival, so the wait for an
-       in-flight slot is charged against it — a request that would start
-       already-expired is shed, never dispatched. *)
-    let arrival = Unix.gettimeofday () in
-    let deadline =
-      match Json.mem_int "deadline_ms" req.Protocol.params with
-      | Some ms when ms >= 0 -> Some (arrival +. (float_of_int ms /. 1000.))
-      | _ -> None
-    in
-    let expired () =
-      Protocol.error_response ~rid ~kind:"deadline-expired"
-        "request deadline expired before dispatch"
-    in
+    (* A request that would start already-expired is shed, never
+       dispatched. *)
+    let expired () = expired_response ~rid in
     match Admit.admit t.admit ?deadline () with
     | Admit.Shed retry_after_ms ->
       Protocol.busy_response ~rid ~retry_after_ms
@@ -314,12 +315,9 @@ let handle t d (req : Protocol.request) =
       Fun.protect
         ~finally:(fun () -> Admit.release t.admit)
         (fun () ->
-          let budget_ms =
-            Option.map (fun d -> int_of_float ((d -. Unix.gettimeofday ()) *. 1000.)) deadline
-          in
-          match budget_ms with
-          | Some b when b <= 0 -> expired ()
-          | _ -> run ?budget_ms ())
+          match deadline with
+          | Some d when Unix.gettimeofday () >= d -> expired ()
+          | _ -> run ())
   end
 
 (* --- Serving --- *)

@@ -33,10 +33,11 @@ type counters = {
   mutable cancelled : int;  (** contained specifically by cancellation *)
 }
 
-(** An op handler: the daemon, the request's remaining wall-clock budget
-    (gated ops on a gated daemon; [None] otherwise), the request. The
-    table stamps the request id on the response. *)
-type 'd handler = 'd -> budget_ms:int option -> Protocol.request -> Protocol.response
+(** An op handler: the daemon, the request's deadline (the absolute
+    [Unix.gettimeofday] instant its [deadline_ms] param names, counted from
+    arrival; [None] without one), the request. The table stamps the
+    request id on the response. *)
+type 'd handler = 'd -> deadline:float option -> Protocol.request -> Protocol.response
 
 (** Raised by a handler whose backend could not answer; contained with
     kind [worker-unavailable]. *)
@@ -73,6 +74,10 @@ val counters : 'd t -> counters
 
 (** Unix time of {!create}. *)
 val started : 'd t -> float
+
+(** The [deadline-expired] error response: the request's deadline passed
+    before it was dispatched. *)
+val expired_response : rid:int -> Protocol.response
 
 (** A successful response carrying an outcome. *)
 val reply : ?data:(string * Json.t) list -> Ops.outcome -> Protocol.response

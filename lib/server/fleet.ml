@@ -283,7 +283,7 @@ let state_string = function
   | Replacing -> "replacing"
   | Degraded -> "degraded"
 
-let handle_fleet_status t ~budget_ms:_ _ =
+let handle_fleet_status t ~deadline:_ _ =
   let c = counters t in
   let healthy =
     Array.fold_left (fun n s -> if s.state = Healthy then n + 1 else n) 0 t.slots
@@ -386,9 +386,23 @@ let maybe_kill_routed t (s : slot) =
    loop still hands the client the busy + retry_after_ms contract. *)
 exception Worker_busy of Protocol.response
 
-let proxy t ~budget_ms:_ (req : Protocol.request) =
+(* Raised by a proxy attempt once the request's deadline is spent. *)
+exception Spent
+
+let proxy t ~deadline (req : Protocol.request) =
   let op = req.Protocol.op and params = req.Protocol.params in
   let send () =
+    (* Each attempt forwards the time that remains, so a replay never
+       restarts the client's budget at the worker. *)
+    let params =
+      match (deadline, params) with
+      | Some d, Json.Obj fields ->
+        let ms = int_of_float ((d -. Unix.gettimeofday ()) *. 1000.) in
+        if ms <= 0 then raise Spent;
+        Json.Obj
+          (List.map (fun (k, v) -> if k = "deadline_ms" then (k, Json.Int ms) else (k, v)) fields)
+      | _ -> params
+    in
     (* Re-route each attempt: the slot may have degraded (or saturated)
        mid-retry. *)
     let s = route t ~op ~params in
@@ -402,13 +416,18 @@ let proxy t ~budget_ms:_ (req : Protocol.request) =
     | None -> resp
   in
   (* A worker dying is the one transient failure here: replay the
-     idempotent request up to [retries] times, with linear backoff, each
-     replay a counted failover. *)
+     idempotent request up to [retries] times, with linear backoff that
+     never sleeps past the deadline, each replay a counted failover. *)
   let rec attempt n =
     match send () with
     | resp -> resp
+    | exception Spent -> raise Spent
     | exception _ when n < t.settings.retries ->
-      Unix.sleepf (float_of_int (t.settings.retry_backoff_ms * (n + 1)) /. 1000.);
+      let pause = float_of_int (t.settings.retry_backoff_ms * (n + 1)) /. 1000. in
+      Unix.sleepf
+        (match deadline with
+        | Some d -> Float.max 0. (Float.min pause (d -. Unix.gettimeofday ()))
+        | None -> pause);
       locked t (fun () -> t.failovers <- t.failovers + 1);
       attempt (n + 1)
   in
@@ -418,10 +437,11 @@ let proxy t ~budget_ms:_ (req : Protocol.request) =
   in
   (* The worker's response passes through byte-identical (the table
      rewrites only the rid, to echo the client's request id), a busy one
-     too once the ladder is exhausted. Any other failure means no worker
-     could answer. *)
+     too once the ladder is exhausted. A spent deadline is answered here;
+     any other failure means no worker could answer. *)
   match forward () with
   | resp -> resp
+  | exception Spent -> Accept.expired_response ~rid:req.Protocol.id
   | exception Worker_busy resp -> resp
   | exception e ->
     raise (Accept.Unavailable (match e with Failure m -> m | e -> Printexc.to_string e))

@@ -166,12 +166,12 @@ let route_fault fault =
   | Some (Diag.Fault.Corrupt_cache _) -> (fault, None)
   | _ -> (None, fault)
 
-let batch ?cache ?supervisor ~opts ~sources () =
+let batch ?cache ?within_ms ?deadline ~opts ~sources () =
   let _, engine_fault = route_fault opts.fault in
   let config = { (config_of opts) with Engine.fault = engine_fault } in
   let t0 = Unix.gettimeofday () in
   let results =
-    Batch.analyze_sources ~config ?cache ?supervisor ~jobs:opts.jobs sources
+    Batch.analyze_sources ~config ?cache ?within_ms ?deadline ~jobs:opts.jobs sources
   in
   let elapsed = Unix.gettimeofday () -. t0 in
   let a = Batch.aggregate results in
@@ -182,9 +182,8 @@ let batch ?cache ?supervisor ~opts ~sources () =
        a.Batch.files a.Batch.functions a.Batch.branches elapsed opts.jobs
        (if opts.jobs = 1 then "" else "s")
        (if elapsed > 0.0 then float_of_int a.Batch.functions /. elapsed else 0.0));
-  Option.iter
-    (fun s -> Buffer.add_string err (Supervisor.counters_line s ^ "\n"))
-    supervisor;
+  if within_ms <> None || deadline <> None then
+    Buffer.add_string err (Supervisor.counters_line () ^ "\n");
   Option.iter
     (fun c ->
       Buffer.add_string err (Summary_cache.counters_line (Summary_cache.counters c) ^ "\n"))

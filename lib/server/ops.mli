@@ -25,8 +25,8 @@ type opts = {
   strict : bool;  (** exit 3 when the analysis degraded *)
   fault : Diag.Fault.t option;  (** deterministic fault injection *)
   cancel : Diag.Cancel.token option;
-      (** request-scoped cancellation: the engine worklist and the
-          interprocedural wave driver both beat and poll it *)
+      (** the request's deadline, if it has one: the engine worklist and
+          the interprocedural wave driver both check it *)
 }
 
 (** [jobs = 1], everything else off. *)
@@ -77,13 +77,16 @@ val compare_predictors :
 val route_fault : Diag.Fault.t option -> Diag.Fault.t option * Diag.Fault.t option
 
 (** [vrpc batch] over in-memory [(name, source)] pairs: the deterministic
-    report on [out], timing/cache/supervision counters on [err], exit code
-    from {!Vrp_sched.Batch.exit_code}. The caller builds (and owns) the
-    optional cache and supervisor — the server shares its resident ones
-    across requests. *)
+    report on [out], timing and cache counters on [err] — and the
+    supervision counters when a deadline is set — exit code from
+    {!Vrp_sched.Batch.exit_code}. Each function's deadline is the tighter
+    of [within_ms] from its start and [deadline] (see
+    {!Vrp_sched.Batch.analyze_sources}). The caller builds (and owns) the
+    optional cache — the server shares its resident one across requests. *)
 val batch :
   ?cache:Vrp_cache.Summary_cache.t ->
-  ?supervisor:Vrp_sched.Supervisor.t ->
+  ?within_ms:int ->
+  ?deadline:float ->
   opts:opts ->
   sources:(string * string) list ->
   unit ->

@@ -49,7 +49,6 @@ type counters = Accept.counters = {
 type t = {
   settings : settings;
   pool : Pool.t;
-  sup : Supervisor.t;
   cache : Summary_cache.t;  (* server-wide, shared by predict/batch *)
   sessions : Session.t;
   admit : Admit.t;  (* shared by the accept loop and the request gate *)
@@ -112,21 +111,16 @@ let check_crash_file ~fault name =
     raise (Diag.Fault.Injected (Printf.sprintf "injected request crash in %s" name))
   | _ -> ()
 
-(* Run an analysis under the per-request deadline: the supervisor's
-   monitor cancels the token when the deadline passes, the engine and the
-   interprocedural wave driver observe it, and every not-yet-analyzed
-   function demotes to Ball–Larus — the request still completes, with the
-   degradation in its diagnostics. [budget_ms] is the request's own
-   propagated wall-clock budget (already net of queue wait); the tighter
-   of it and the daemon-wide deadline governs. *)
-let supervised t ~label ?budget_ms f =
-  let deadline_ms =
-    match (t.settings.deadline_ms, budget_ms) with
-    | Some a, Some b -> Some (min a b)
-    | (Some _ as a), None -> a
-    | None, b -> b
-  in
-  Supervisor.supervise t.sup ~name:label ?deadline_ms (fun token -> f (Some token))
+(* Run an analysis under its deadline: the tighter of the request's own
+   (counted from its arrival) and the daemon's --deadline-ms from now. The
+   engine and the interprocedural wave driver check the token, and once it
+   fires every not-yet-analyzed function demotes to Ball–Larus — the
+   request still completes, with the degradation in its diagnostics.
+   Without either deadline there is no token. *)
+let supervised t ~label ~deadline f =
+  Supervisor.supervise ~name:label
+    (Supervisor.tighter deadline (Option.map Supervisor.within_ms t.settings.deadline_ms))
+    f
 
 (* The file-level tier's key for a predict of [source_md5] under [opts].
    Requests carrying a fault bypass the tier, as they bypass the summary
@@ -144,7 +138,7 @@ let reply_key opts ~source_md5 =
 let compile_cached cache ~name source =
   Result.map_error Ops.front_end_failure (Summary_cache.compile ~file:name cache source)
 
-let handle_predict t ~budget_ms { Protocol.params = p; _ } =
+let handle_predict t ~deadline { Protocol.params = p; _ } =
   let source = req_string p "source" in
   let source_md5 = Digest.to_hex (Digest.string source) in
   (* A nameless source is its own file: unrelated nameless programs must
@@ -156,7 +150,7 @@ let handle_predict t ~budget_ms { Protocol.params = p; _ } =
   match Option.bind key (fun key -> Summary_cache.find_reply t.cache ~key) with
   | Some o -> Accept.reply o
   | None ->
-    supervised t ~label:("predict " ^ name) ?budget_ms (fun cancel ->
+    supervised t ~label:("predict " ^ name) ~deadline (fun cancel ->
         let opts = { opts with Ops.cancel } in
         let o =
           match key with
@@ -170,8 +164,8 @@ let handle_predict t ~budget_ms { Protocol.params = p; _ } =
         in
         (* A fired token may have cut the reply short, and a deadline cut
            is not a function of the key: never store it. *)
-        (match (key, cancel) with
-        | Some key, Some token when not (Diag.Cancel.cancelled token) ->
+        (match key with
+        | Some key when not (Option.fold ~none:false ~some:Diag.Cancel.cancelled cancel) ->
           Summary_cache.store_reply t.cache ~key o
         | _ -> ());
         Accept.reply o)
@@ -200,7 +194,7 @@ let cache_counters_json (c : Summary_cache.counters) =
       ("compile_misses", Json.Int c.Summary_cache.compile_misses);
     ]
 
-let handle_analyze t ~budget_ms { Protocol.params = p; _ } =
+let handle_analyze t ~deadline { Protocol.params = p; _ } =
   let sid = req_string p "session" in
   let source = req_string p "source" in
   let name = Option.value ~default:"<source>" (opt_string p "name") in
@@ -223,7 +217,7 @@ let handle_analyze t ~budget_ms { Protocol.params = p; _ } =
         Vrp_obs.Metrics.observe obs_session_reused
           (float_of_int (List.length plan.Session.reused));
         let o =
-          supervised t ~label:(Printf.sprintf "analyze %s %s" sid name) ?budget_ms
+          supervised t ~label:(Printf.sprintf "analyze %s %s" sid name) ~deadline
             (fun cancel ->
               let opts = { opts with Ops.cancel } in
               let analyze_fn = Summary_cache.memoized ~file:name cache keys in
@@ -232,18 +226,18 @@ let handle_analyze t ~budget_ms { Protocol.params = p; _ } =
         let delta = Summary_cache.delta ~before (Summary_cache.counters cache) in
         Accept.reply o ~data:[ ("plan", plan_json plan); ("cache", cache_counters_json delta) ])
 
-let handle_compare t ~budget_ms { Protocol.params = p; _ } =
+let handle_compare t ~deadline { Protocol.params = p; _ } =
   let source = req_string p "source" in
   let name = Option.value ~default:"<request>" (opt_string p "name") in
   let opts = opts_of t p in
   check_crash_file ~fault:opts.Ops.fault name;
   let train = Option.value ~default:[ 100; 1 ] (int_list p "train") in
   let ref_args = Option.value ~default:[ 1000; 2 ] (int_list p "reference") in
-  supervised t ~label:("compare " ^ name) ?budget_ms (fun cancel ->
+  supervised t ~label:("compare " ^ name) ~deadline (fun cancel ->
       let opts = { opts with Ops.cancel } in
       Accept.reply (Ops.compare_predictors ~opts ~train ~ref_args ~source ()))
 
-let handle_batch t ~budget_ms:_ { Protocol.params = p; _ } =
+let handle_batch t ~deadline { Protocol.params = p; _ } =
   let files =
     match Json.mem_list "files" p with
     | None -> failwith "missing required list param \"files\""
@@ -267,7 +261,12 @@ let handle_batch t ~budget_ms:_ { Protocol.params = p; _ } =
      the pool they run on); the server-wide cache still serves it warm.
      Such pools take turns, so the daemon never holds more than the one
      batch pool [vrpd --jobs] was checked against. *)
-  let run () = Accept.reply (Ops.batch ~cache:t.cache ~supervisor:t.sup ~opts ~sources:files ()) in
+  (* Each function gets the daemon's --deadline-ms, cut short by the
+     request's own deadline. *)
+  let run () =
+    Accept.reply
+      (Ops.batch ~cache:t.cache ?within_ms:t.settings.deadline_ms ?deadline ~opts ~sources:files ())
+  in
   if jobs > 1 then Mutex.protect t.batch_lock run else run ()
 
 (* The cache counters of the whole daemon: the server-wide cache plus
@@ -275,7 +274,7 @@ let handle_batch t ~budget_ms:_ { Protocol.params = p; _ } =
 let cache_totals t =
   Summary_cache.sum (Summary_cache.counters t.cache) (Session.cache_totals t.sessions)
 
-let handle_status t ~budget_ms:_ _ =
+let handle_status t ~deadline:_ _ =
   let c = Accept.counters t.acc in
   let sessions = Session.ids t.sessions in
   let cache = cache_totals t in
@@ -303,7 +302,7 @@ let handle_status t ~budget_ms:_ _ =
   Buffer.add_string buf
     (Printf.sprintf "compile cache: %d hits, %d misses\n" cache.Summary_cache.compile_hits
        cache.Summary_cache.compile_misses);
-  Buffer.add_string buf (Supervisor.counters_line t.sup ^ "\n");
+  Buffer.add_string buf (Supervisor.counters_line () ^ "\n");
   let a = Admit.counters t.admit in
   Accept.reply
     { Ops.out = Buffer.contents buf; err = ""; code = 0 }
@@ -325,7 +324,7 @@ let handle_status t ~budget_ms:_ _ =
           ("cache", cache_counters_json cache);
         ])
 
-let handle_evict t ~budget_ms:_ _ =
+let handle_evict t ~deadline:_ _ =
   let server = Summary_cache.evict_memory t.cache
   and { Session.entries = sessions; parsed } = Session.evict_all t.sessions in
   let n = server.Summary_cache.results + sessions.Summary_cache.results in
@@ -353,14 +352,12 @@ let samples t =
       "vrpd_start_time_seconds" (Accept.started t.acc);
   ]
   @ Summary_cache.samples (cache_totals t)
-  @ Supervisor.samples t.sup
 
 let create ?(settings = default_settings) () =
   let admit = Admit.create ~limits:settings.limits () in
   {
     settings;
     pool = Pool.create ~jobs:settings.jobs ();
-    sup = Supervisor.create ?deadline_ms:settings.deadline_ms ();
     cache = Summary_cache.create ?disk_dir:settings.cache_dir ();
     sessions = Session.create ();
     admit;
@@ -441,7 +438,6 @@ let shutdown t =
   if not t.shut then begin
     t.shut <- true;
     Pool.shutdown t.pool;
-    Supervisor.shutdown t.sup;
     Summary_cache.close t.cache;
     Accept.close t.acc
   end

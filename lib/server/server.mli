@@ -2,8 +2,9 @@
     the accept loop.
 
     One daemon holds a resident domain pool (analysis parallelism), a
-    server-wide always-warm summary cache, a supervisor enforcing the
-    per-request deadline, and the {!Session} table. Connection handling is
+    server-wide always-warm summary cache and the {!Session} table; an
+    analysis runs under the tighter of its request's deadline and the
+    daemon's [deadline_ms]. Connection handling is
     thread-per-connection (blocking I/O on system threads); analyses run on
     the shared pool, whose task queue is safe for concurrent callers.
 
@@ -42,7 +43,11 @@ type settings = {
       (** resident pool width, and the most a [batch] request's [jobs]
           may ask for (it is clamped to [[1, jobs]]); batch requests
           that run a pool take turns, one pool at a time *)
-  deadline_ms : int option;  (** per-request analysis deadline *)
+  deadline_ms : int option;
+      (** analysis deadline: a predict, analyze or compare request gets
+          this long from dispatch, each function of a batch request this
+          long from its start — in both cases cut short by the request's
+          own [deadline_ms] *)
   fault : Diag.Fault.t option;
       (** daemon-wide injected fault, same specs as [--inject-fault]; a
           per-request [fault] param overrides it. [Slow_worker ms] here
@@ -104,6 +109,6 @@ val stop : t -> unit
 (** True once a stop was requested. *)
 val stopping : t -> bool
 
-(** Release resident resources (pool domains, supervisor monitor). Call
+(** Release resident resources (pool domains, the cache's disk tier). Call
     after {!serve} returns. Idempotent. *)
 val shutdown : t -> unit

@@ -72,10 +72,10 @@ type config = {
   fault : Diag.Fault.t option;
       (** deterministic fault injection for tests and the hidden CLI flag *)
   cancel : Diag.Cancel.token option;
-      (** supervision hook: the engine beats the token once per worklist
-          step and raises {!Diag.Cancel.Cancelled} when it was cancelled
-          (a supervisor's deadline tripped). Non-semantic — deliberately
-          excluded from the cache's configuration digest *)
+      (** the run's deadline, if it has one: the engine checks it once per
+          worklist step and raises {!Diag.Cancel.Cancelled} once it has
+          passed. [None] (no deadline) costs nothing. Non-semantic —
+          deliberately excluded from the cache's configuration digest *)
 }
 
 let default_config =
@@ -561,16 +561,14 @@ let analyze_body ?(config = default_config)
   | Some (Diag.Fault.Crash_fn f) when String.equal f fname ->
     raise (Diag.Fault.Injected (Printf.sprintf "injected crash in %s" fname))
   | Some (Diag.Fault.Hang_fn f) when String.equal f fname ->
-    (* Simulated hang: the analysis stops making progress and only beats
-       its heartbeat. A supervisor's deadline cancellation breaks it out;
-       a CPU-time cap bounds the unsupervised case so a misconfigured test
-       degrades to a contained crash instead of wedging the run. *)
+    (* Simulated hang: the analysis stops making progress and only checks
+       its deadline, which breaks it out; a CPU-time cap bounds the case
+       without one so a misconfigured test degrades to a contained crash
+       instead of wedging the run. *)
     let cap = Sys.time () +. 5.0 in
     let rec wedge () =
       (match config.cancel with
-      | Some token ->
-        Diag.Cancel.beat token;
-        Diag.Cancel.check token ~name:fname
+      | Some token -> Diag.Cancel.check token ~name:fname
       | None -> ());
       if Sys.time () > cap then
         raise
@@ -657,12 +655,11 @@ let analyze_body ?(config = default_config)
   do
     if !fuel <= 0 then exhausted := true
     else begin
-      (* Supervision: publish liveness and honour a deadline cancellation
-         at every step — the cost is one atomic increment and one load. *)
+      (* The deadline's safe point: one clock read per step, and only for
+         a run that has a deadline. A match, not a closure: the step must
+         not allocate. *)
       (match config.cancel with
-      | Some token ->
-        Diag.Cancel.beat token;
-        Diag.Cancel.check token ~name:fname
+      | Some token -> Diag.Cancel.check token ~name:fname
       | None -> ());
       (match trip_after with
       | Some n when fuel_limit - !fuel >= n ->

@@ -26,9 +26,10 @@ type config = {
   max_growth : int;  (** per-variable range-set size cap before widening *)
   fault : Diag.Fault.t option;  (** deterministic fault injection *)
   cancel : Diag.Cancel.token option;
-      (** supervision hook: heartbeat per worklist step, cooperative
-          cancellation via {!Diag.Cancel.Cancelled}. Non-semantic (not in
-          the cache's configuration digest) *)
+      (** the run's deadline, if any: checked once per worklist step,
+          raising {!Diag.Cancel.Cancelled} once it has passed; [None] means
+          no deadline and no check. Non-semantic (not in the cache's
+          configuration digest) *)
 }
 
 val default_config : config

@@ -218,15 +218,10 @@ let analyze ?(config = Engine.default_config) ?report
     | Some { ret = None; _ } | None -> Value.bottom
   in
   let check_cancel name =
-    (* Beat the cancellation token between functions too, so a deadline can
-       fire while a wave is between engine runs — not only inside a
-       worklist. A token cancelled here demotes this function exactly as an
-       in-engine cancellation would. *)
-    Option.iter
-      (fun tok ->
-        Diag.Cancel.beat tok;
-        Diag.Cancel.check tok ~name)
-      config.Engine.cancel
+    (* Check the deadline between functions too, so it can fire while a
+       wave is between engine runs — not only inside a worklist. A deadline
+       seen here demotes this function exactly as an in-engine one would. *)
+    Option.iter (fun tok -> Diag.Cancel.check tok ~name) config.Engine.cancel
   in
   (* A scheduled function's parameter values, when it is analysable this
      round, with the previous round's result and its record when nothing

@@ -122,3 +122,70 @@ let analyze_on_pool ?analyze_fn ~jobs program =
 (* QCheck plumbing *)
 let qtest ?(count = 200) ?print name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ?print ~name gen prop)
+
+(* --- Source mutation generators (front-end byte boundaries) --- *)
+
+(* Bytes a mutation writes: the lexer's every branch, comment openers and
+   closers, newlines, and characters it rejects. *)
+let mutation_bytes = "/*\n \t019.aZ_+-<>=!&|^~%(){}[],;$#@\"'\\"
+
+let gen_mutated_program =
+  let open QCheck2.Gen in
+  let* seed = int_bound 1_000_000 in
+  let* edits =
+    list_size (int_range 0 6)
+      (triple (int_bound 2) (float_bound_exclusive 1.0) (int_bound (String.length mutation_bytes - 1)))
+  in
+  let profiles = Vrp_fuzz.Gen.profiles in
+  let p = List.nth profiles (seed mod List.length profiles) in
+  let src =
+    Vrp_lang.Pretty.program_to_string
+      (Vrp_fuzz.Gen.program (Vrp_util.Prng.create seed) ~weights:p.Vrp_fuzz.Gen.weights)
+  in
+  let mutate src (kind, at, byte) =
+    let i = int_of_float (at *. float_of_int (String.length src)) in
+    let b = String.make 1 mutation_bytes.[byte] in
+    let before = String.sub src 0 i and after = String.sub src i (String.length src - i) in
+    match kind with
+    | 0 -> before ^ b ^ after  (* insert *)
+    | 1 when after <> "" -> before ^ b ^ String.sub after 1 (String.length after - 1)  (* replace *)
+    | _ when after <> "" -> before ^ String.sub after 1 (String.length after - 1)  (* delete *)
+    | _ -> src
+  in
+  return (List.fold_left mutate src edits)
+
+(* What an editor adds between items and inside them: blank lines, and
+   comments holding the characters that cut groups. *)
+let itemwise_snippets =
+  [| "\n"; "\n\n"; "// { ; }\n"; "/* } ; { */"; "/* {\n;\n} */\n"; "  // }\n"; "/* ; */\n" |]
+
+let gen_itemwise_source =
+  let open QCheck2.Gen in
+  let* pick = int_bound 99 in
+  let* seed = int_bound 1_000_000 in
+  let* edits =
+    list_size (int_range 0 6)
+      (triple (int_bound 2) (float_bound_exclusive 1.0) (int_bound 1000))
+  in
+  let benchmarks = Vrp_suite.Suite.benchmarks in
+  let src =
+    if pick < 50 then (List.nth benchmarks (pick mod List.length benchmarks)).Vrp_suite.Suite.source
+    else Vrp_suite.Synth.generate ~units:(1 + (pick mod 6)) ~seed ()
+  in
+  let edit src (kind, at, k) =
+    let i = int_of_float (at *. float_of_int (String.length src)) in
+    let insert j text = String.sub src 0 j ^ text ^ String.sub src j (String.length src - j) in
+    match kind with
+    | 0 ->
+      (* a snippet at the start of the line holding [i] *)
+      let j = if i = 0 then 0 else Option.fold ~none:0 ~some:succ (String.rindex_from_opt src (i - 1) '\n') in
+      insert j itemwise_snippets.(k mod Array.length itemwise_snippets)
+    | 1 -> insert i itemwise_snippets.(k mod Array.length itemwise_snippets)
+    | _ ->
+      (* a single-byte corruption *)
+      let b = String.make 1 mutation_bytes.[k mod String.length mutation_bytes] in
+      if i < String.length src && k mod 2 = 0 then
+        String.sub src 0 i ^ b ^ String.sub src (i + 1) (String.length src - i - 1)
+      else insert i b
+  in
+  return (List.fold_left edit src edits)

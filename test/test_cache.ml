@@ -74,12 +74,12 @@ let config_digest_covers_every_knob () =
   Alcotest.(check bool) "max_ranges is in the digest" true
     (Vrp_ranges.Config.with_max_ranges 8 (fun () -> Digest_key.config_digest d)
     <> Digest_key.config_digest d);
-  (* a supervision token is non-semantic and must NOT move the digest,
-     or every retry attempt would be a spurious miss *)
+  (* a deadline token is non-semantic and must NOT move the digest, or
+     every run under a deadline would be a spurious miss *)
   Alcotest.(check string) "cancel token is not in the digest"
     (Digest_key.config_digest d)
     (Digest_key.config_digest
-       { d with Engine.cancel = Some (Vrp_diag.Diag.Cancel.make ()) })
+       { d with Engine.cancel = Some (Vrp_diag.Diag.Cancel.make ~deadline:0.) })
 
 let task_key_depends_on_inputs () =
   let fnd = List.assoc "helper" (fn_digests src) in
@@ -537,9 +537,10 @@ let deadline_cut_file_never_recorded () =
   let dir = temp_dir () in
   let run () =
     let cache = Summary_cache.create ~disk_dir:dir () in
-    Supervisor.with_supervisor ~deadline_ms:100 (fun supervisor ->
-        ignore (Batch.analyze_sources ~config ~cache ~supervisor ~jobs:1 [ ("t.mc", src) ]);
-        (file_hits cache, (Supervisor.counters supervisor).Supervisor.deadline_hits))
+    let hits () = (Supervisor.counters ()).Supervisor.deadline_hits in
+    let before = hits () in
+    ignore (Batch.analyze_sources ~config ~cache ~within_ms:100 ~jobs:1 [ ("t.mc", src) ]);
+    (file_hits cache, hits () - before)
   in
   Alcotest.(check (pair int int)) "first run: cut" (0, 1) (run ());
   Alcotest.(check (pair int int)) "second run: no record, cut again" (0, 1) (run ())

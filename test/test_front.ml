@@ -195,37 +195,8 @@ let lex_oracle_suite () =
         Alcotest.failf "%s: lexers disagree" b.Vrp_suite.Suite.name)
     Vrp_suite.Suite.benchmarks
 
-(* Bytes a mutation writes: the lexer's every branch, comment openers and
-   closers, newlines, and characters it rejects. *)
-let mutation_bytes = "/*\n \t019.aZ_+-<>=!&|^~%(){}[],;$#@\"'\\"
-
-let gen_mutated_program =
-  let open QCheck2.Gen in
-  let* seed = int_bound 1_000_000 in
-  let* edits =
-    list_size (int_range 0 6)
-      (triple (int_bound 2) (float_bound_exclusive 1.0) (int_bound (String.length mutation_bytes - 1)))
-  in
-  let profiles = Vrp_fuzz.Gen.profiles in
-  let p = List.nth profiles (seed mod List.length profiles) in
-  let src =
-    Pretty.program_to_string
-      (Vrp_fuzz.Gen.program (Vrp_util.Prng.create seed) ~weights:p.Vrp_fuzz.Gen.weights)
-  in
-  let mutate src (kind, at, byte) =
-    let i = int_of_float (at *. float_of_int (String.length src)) in
-    let b = String.make 1 mutation_bytes.[byte] in
-    let before = String.sub src 0 i and after = String.sub src i (String.length src - i) in
-    match kind with
-    | 0 -> before ^ b ^ after  (* insert *)
-    | 1 when after <> "" -> before ^ b ^ String.sub after 1 (String.length after - 1)  (* replace *)
-    | _ when after <> "" -> before ^ String.sub after 1 (String.length after - 1)  (* delete *)
-    | _ -> src
-  in
-  return (List.fold_left mutate src edits)
-
 let lex_oracle_mutations =
-  Helpers.qtest ~count:300 "lex: array lexer agrees with the list reference" gen_mutated_program
+  Helpers.qtest ~count:300 "lex: array lexer agrees with the list reference" Helpers.gen_mutated_program
     lexers_agree
 
 (* --- Parser --- *)
@@ -418,44 +389,9 @@ let itemwise_agrees src =
   && starts_right
   && front_outcome Front.parse src = front_outcome (fun s -> Parser.parse_program s) src
 
-(* What an editor adds between items and inside them: blank lines, and
-   comments holding the characters that cut groups. *)
-let itemwise_snippets =
-  [| "\n"; "\n\n"; "// { ; }\n"; "/* } ; { */"; "/* {\n;\n} */\n"; "  // }\n"; "/* ; */\n" |]
-
-let gen_itemwise_source =
-  let open QCheck2.Gen in
-  let* pick = int_bound 99 in
-  let* seed = int_bound 1_000_000 in
-  let* edits =
-    list_size (int_range 0 6)
-      (triple (int_bound 2) (float_bound_exclusive 1.0) (int_bound 1000))
-  in
-  let benchmarks = Vrp_suite.Suite.benchmarks in
-  let src =
-    if pick < 50 then (List.nth benchmarks (pick mod List.length benchmarks)).Vrp_suite.Suite.source
-    else Vrp_suite.Synth.generate ~units:(1 + (pick mod 6)) ~seed ()
-  in
-  let edit src (kind, at, k) =
-    let i = int_of_float (at *. float_of_int (String.length src)) in
-    let insert j text = String.sub src 0 j ^ text ^ String.sub src j (String.length src - j) in
-    match kind with
-    | 0 ->
-      (* a snippet at the start of the line holding [i] *)
-      let j = if i = 0 then 0 else Option.fold ~none:0 ~some:succ (String.rindex_from_opt src (i - 1) '\n') in
-      insert j itemwise_snippets.(k mod Array.length itemwise_snippets)
-    | 1 -> insert i itemwise_snippets.(k mod Array.length itemwise_snippets)
-    | _ ->
-      (* a single-byte corruption *)
-      let b = String.make 1 mutation_bytes.[k mod String.length mutation_bytes] in
-      if i < String.length src && k mod 2 = 0 then
-        String.sub src 0 i ^ b ^ String.sub src (i + 1) (String.length src - i - 1)
-      else insert i b
-  in
-  return (List.fold_left edit src edits)
-
 let itemwise_parse_prop =
-  Helpers.qtest ~count:300 "parse: item-wise parse equals the whole-file parse" gen_itemwise_source
+  Helpers.qtest ~count:300 "parse: item-wise parse equals the whole-file parse"
+    Helpers.gen_itemwise_source
     itemwise_agrees
 
 (* Every item of a generated program is a group of its own. *)
@@ -508,6 +444,30 @@ let memo_type_error_is_the_cold_one () =
   Alcotest.(check (option (pair string int))) "warm error = cold error" cold
     (error (fun () -> Front.parse_and_check ~memo:{ Front.parse_group = stale; since = None } src))
 
+(* --- Byte boundary of the whole front end ---
+
+   [Pipeline.compile_result] turns every exception into an [Error], so a
+   crash in the lexer, parser, type checker or IR builder would pass for a
+   front-end error. A mutated source must compile, or fail with a message
+   that names the input, not an internal fault. *)
+
+let compiles_or_rejects src =
+  match Vrp_core.Pipeline.compile_result src with
+  | Ok _ -> true
+  | Error d ->
+    let internal p = String.starts_with ~prefix:p d.Vrp_diag.Diag.message in
+    if internal "internal error:" || internal "internal IR invariant" then
+      QCheck2.Test.fail_reportf "%s" d.Vrp_diag.Diag.message
+    else true
+
+let front_end_mutations_prop =
+  Helpers.qtest ~count:1000 ~print:Fun.id "compile: a mutated source compiles or is rejected"
+    Helpers.gen_mutated_program compiles_or_rejects
+
+let front_end_itemwise_prop =
+  Helpers.qtest ~count:1000 ~print:Fun.id "compile: an edited suite source compiles or is rejected"
+    Helpers.gen_itemwise_source compiles_or_rejects
+
 let suite =
   ( "front",
     [
@@ -537,4 +497,6 @@ let suite =
       tc "parse: split cuts between items" `Quick split_cuts_between_items;
       tc "types: a 20 000-deep nest checks in linear time" `Quick deep_nest_checks_in_linear_time;
       tc "types: an error under a memo is the cold one" `Quick memo_type_error_is_the_cold_one;
+      front_end_mutations_prop;
+      front_end_itemwise_prop;
     ] )

@@ -138,20 +138,18 @@ let trip_after_still_total () =
    attempt: a supervisor never retries. *)
 let retried_attempts_add_no_partial_diags () =
   let source = In_channel.with_open_bin "corpus/algebra_affine.mc" In_channel.input_all in
-  Supervisor.with_supervisor (fun supervisor ->
-      let config = with_fault (Diag.Fault.Trip_after 800) in
-      match
-        Batch.analyze_sources ~config ~supervisor ~jobs:1 [ ("algebra_affine.mc", source) ]
-      with
-      | [ r ] ->
-        let report = r.Batch.report in
-        Alcotest.(check (list (pair string string))) "main demoted"
-          [ ("main", "injected trip after 800 steps in main") ]
-          r.Batch.demoted;
-        Alcotest.(check int) "one attempt gave up" 1
-          (Supervisor.counters supervisor).Supervisor.gave_up;
-        Alcotest.(check int) "no partial widenings" 0 (Diag.count_kind report Diag.Widened)
-      | _ -> Alcotest.fail "one file in, one result out")
+  let gave_up () = (Supervisor.counters ()).Supervisor.gave_up in
+  let before = gave_up () in
+  let config = with_fault (Diag.Fault.Trip_after 800) in
+  match Batch.analyze_sources ~config ~jobs:1 [ ("algebra_affine.mc", source) ] with
+  | [ r ] ->
+    let report = r.Batch.report in
+    Alcotest.(check (list (pair string string))) "main demoted"
+      [ ("main", "injected trip after 800 steps in main") ]
+      r.Batch.demoted;
+    Alcotest.(check int) "one attempt gave up" 1 (gave_up () - before);
+    Alcotest.(check int) "no partial widenings" 0 (Diag.count_kind report Diag.Widened)
+  | _ -> Alcotest.fail "one file in, one result out"
 
 (* --- Resource governors on the engine itself --- *)
 

@@ -18,6 +18,7 @@ module Server = Vrp_server.Server
 module Client = Vrp_server.Client
 module Fleet = Vrp_server.Fleet
 module Admit = Vrp_server.Admit
+module Accept = Vrp_server.Accept
 
 let tc = Alcotest.test_case
 
@@ -990,14 +991,13 @@ let session_incremental_edit () =
       let want = Ops.predict ~opts:Ops.default_opts ~source:(fan_src 9) () in
       Alcotest.(check string) "fan bytes identical" want.Ops.out r.Protocol.out)
 
-(* --- Interprocedural cancellation beat (deadline between functions) --- *)
+(* --- Interprocedural deadline check (between functions) --- *)
 
 let beat_demotes_between_functions () =
   let c = Pipeline.compile inc_v1 in
-  let tok = Diag.Cancel.make () in
-  Diag.Cancel.cancel tok;
-  (* The engine never runs: the wave driver's own beat must observe the
-     cancelled token before each function and demote it. *)
+  let tok = Diag.Cancel.make ~deadline:0. in
+  (* The engine never runs: the wave driver's own check must see the
+     passed deadline before each function and demote it. *)
   let poison ~config:_ ~report:_ ~call_oracle:_ ~param_values:_ _ =
     Alcotest.fail "analyze_fn ran despite a cancelled token"
   in
@@ -2203,8 +2203,8 @@ let deadline_cut_reply_not_stored () =
   let want = Ops.predict ~opts:Ops.default_opts ~source () in
   with_server (fun server ->
       let handle = Server.handle server in
-      (* A 2 ms deadline reaches the handler as a 1 ms budget; on a stalled
-         box it can expire before dispatch, so ask until one is dispatched. *)
+      (* A 2 ms deadline may pass before dispatch on a stalled box, so ask
+         until one is dispatched. *)
       let rec cut tries =
         let r = handle (predict_req ~name:"big.mc" ~params:[ ("deadline_ms", Json.Int 2) ] source) in
         if r.Protocol.ok || tries = 0 then r else cut (tries - 1)
@@ -2628,6 +2628,119 @@ let batch_jobs_clamped () =
         [ (Some 10_000, "with 2 jobs ("); (None, "with 2 jobs ("); (Some 1, "with 1 job (");
           (Some 0, "with 1 job ("); (Some (-5), "with 1 job (") ])
 
+(* A batch request's deadline_ms bounds every function of the batch, on a
+   daemon without --deadline-ms and under a looser one: the hung function
+   is cut at the request's deadline, not by the hang's 5 s safety cap. *)
+let batch_honours_request_deadline () =
+  let file =
+    Json.Obj
+      [ ("name", Json.String "h.mc");
+        ("source", Json.String "int f(int x) { return x + 1; }\nint main(int n, int s) { return f(n); }") ]
+  in
+  let req =
+    { Protocol.id = 1;
+      op = "batch";
+      params =
+        Json.Obj
+          [ ("files", Json.List [ file ]); ("fault", Json.String "hang:f");
+            ("deadline_ms", Json.Int 300) ] }
+  in
+  List.iter
+    (fun deadline_ms ->
+      with_server ~settings:{ Server.default_settings with Server.deadline_ms } (fun server ->
+          let t0 = Unix.gettimeofday () in
+          let r = Server.handle server req in
+          let elapsed = Unix.gettimeofday () -. t0 in
+          Alcotest.(check bool) "batch ok" true r.Protocol.ok;
+          if not (Astring.String.is_infix ~affix:"demoted: f (deadline exceeded)" r.Protocol.out)
+          then Alcotest.failf "f not cut by the request's deadline:\n%s" r.Protocol.out;
+          Alcotest.(check bool) (Printf.sprintf "answered in %.2fs, under 3s" elapsed) true
+            (elapsed < 3.0)))
+    [ None; Some 60_000 ]
+
+(* A fleet worker that answers every predict with nothing, recording the
+   deadline_ms each request carried; [tables] collects each worker's op
+   table. *)
+let recording_spawner seen tables : Fleet.spawner =
+ fun ~wid:_ ~incarnation:_ ~sock ->
+  let acc =
+    Accept.create ~family:"probe" ~samples:(fun () -> []) (Admit.create ())
+      ~ops:
+        [ ( "predict",
+            fun () ~deadline:_ (req : Protocol.request) ->
+              seen := Json.mem_int "deadline_ms" req.Protocol.params :: !seen;
+              Accept.reply { Ops.out = ""; err = ""; code = 0 } ) ]
+  in
+  tables := acc :: !tables;
+  let listen_fd = Server.listen_unix sock in
+  let dead = Atomic.make false in
+  ignore
+    (Thread.create
+       (fun () ->
+         (try Accept.serve acc ~handle:(Accept.handle acc ()) listen_fd with _ -> ());
+         (try Unix.close listen_fd with _ -> ());
+         (try Unix.unlink sock with _ -> ());
+         Accept.close acc;
+         Atomic.set dead true)
+       ());
+  { Fleet.sock; describe = "recording worker"; kill = (fun () -> Accept.stop acc);
+    alive = (fun () -> not (Atomic.get dead)) }
+
+let with_recording_fleet ~tag settings_of f =
+  let seen = ref [] and tables = ref [] in
+  let dir = fleet_dir tag in
+  let fleet =
+    Fleet.create ~settings:(settings_of (Fleet.default_settings ~dir))
+      ~spawner:(recording_spawner seen tables) ()
+  in
+  (* The monitor's first health check has pinged the worker: from here on
+     a killed worker stays dead until the next check. *)
+  let pinged () = List.for_all (fun acc -> (Accept.counters acc).Accept.served > 0) !tables in
+  let give_up = Unix.gettimeofday () +. 5.0 in
+  while (not (pinged ())) && Unix.gettimeofday () < give_up do
+    Thread.delay 0.005
+  done;
+  Fun.protect
+    ~finally:(fun () ->
+      Fleet.shutdown fleet;
+      try Unix.rmdir dir with _ -> ())
+    (fun () -> f fleet seen)
+
+(* The front door forwards the time that remains on every replay: the
+   killed worker's replacement gets the client's deadline net of the
+   failover backoff (at least 40 ms), never a fresh budget. *)
+let fleet_replay_forwards_remaining_deadline () =
+  with_recording_fleet ~tag:"remain"
+    (fun s ->
+      { s with Fleet.size = 1; ping_interval_ms = 50; fault = Some (Diag.Fault.Kill_worker 1) })
+    (fun fleet seen ->
+      let r = Fleet.handle fleet (predict_req ~params:[ ("deadline_ms", Json.Int 60_000) ] "x") in
+      Alcotest.(check bool) "served by the replacement" true r.Protocol.ok;
+      match !seen with
+      | [ Some ms ] ->
+        Alcotest.(check bool) (Printf.sprintf "forwarded %d ms, 0 < it <= 59960" ms) true
+          (ms > 0 && ms <= 59_960)
+      | _ -> Alcotest.fail "the replacement saw no single deadline_ms")
+
+(* Once a replayed request's deadline is spent the front door answers
+   deadline-expired, without backing off past it: no worker is replaced
+   in time (pings every minute), and the failover ladder alone would take
+   2.2 s. *)
+let fleet_spent_deadline_expires () =
+  with_recording_fleet ~tag:"spent"
+    (fun s ->
+      { s with Fleet.size = 1; ping_interval_ms = 60_000; fault = Some (Diag.Fault.Kill_worker 1) })
+    (fun fleet seen ->
+      let t0 = Unix.gettimeofday () in
+      let r = Fleet.handle fleet (predict_req ~params:[ ("deadline_ms", Json.Int 200) ] "x") in
+      let elapsed = Unix.gettimeofday () -. t0 in
+      Alcotest.(check bool) "refused" false r.Protocol.ok;
+      Alcotest.(check (option string)) "kind" (Some "deadline-expired")
+        (Option.bind (List.assoc_opt "diagnostic" r.Protocol.data) (Json.mem_string "kind"));
+      Alcotest.(check bool) (Printf.sprintf "answered in %.2fs, under 1s" elapsed) true
+        (elapsed < 1.0);
+      Alcotest.(check int) "no worker answered" 0 (List.length !seen))
+
 let suite =
   ( "server",
     [
@@ -2699,4 +2812,8 @@ let suite =
       tc "batch jobs clamped to the daemon's" `Quick batch_jobs_clamped;
       read_frame_only_fails;
       read_frame_inverts_write_frame;
+      tc "batch honours the request's deadline" `Quick batch_honours_request_deadline;
+      tc "fleet replay forwards the remaining deadline" `Quick
+        fleet_replay_forwards_remaining_deadline;
+      tc "fleet answers a spent deadline as expired" `Quick fleet_spent_deadline_expires;
     ] )

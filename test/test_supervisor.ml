@@ -52,19 +52,14 @@ let reference = lazy (Batch.render (Batch.analyze_sources ~jobs:1 srcs))
 (* --- Deadlines --- *)
 
 let deadline_contains_hang () =
-  (* An injected hang beats its heartbeat forever; the monitor must cancel
+  (* An injected hang checks its deadline forever; the deadline must cut
      it and the escalation ladder must demote exactly that function. *)
   List.iter
     (fun jobs ->
       let config =
         { Engine.default_config with Engine.fault = Some (Diag.Fault.Hang_fn "f") }
       in
-      let results =
-        Supervisor.with_supervisor
-          ~deadline_ms:150
-          (fun supervisor ->
-            Batch.analyze_sources ~config ~supervisor ~jobs srcs)
-      in
+      let results = Batch.analyze_sources ~config ~within_ms:150 ~jobs srcs in
       let hung = List.find (fun (r : Batch.file_result) -> r.Batch.name = "one.mc") results in
       Alcotest.(check (list (pair string string)))
         (Printf.sprintf "jobs=%d: f demoted with a deterministic reason" jobs)
@@ -87,33 +82,23 @@ let hung_run_is_deterministic () =
   let config =
     { Engine.default_config with Engine.fault = Some (Diag.Fault.Hang_fn "f") }
   in
-  let run jobs =
-    Supervisor.with_supervisor
-      ~deadline_ms:150
-      (fun supervisor ->
-        Batch.render (Batch.analyze_sources ~config ~supervisor ~jobs srcs))
-  in
+  let run jobs = Batch.render (Batch.analyze_sources ~config ~within_ms:150 ~jobs srcs) in
   Alcotest.(check string) "hung run: jobs=N == jobs=1" (run 1) (run Helpers.test_jobs)
 
 let deadline_counters_move () =
   let config =
     { Engine.default_config with Engine.fault = Some (Diag.Fault.Hang_fn "f") }
   in
-  Supervisor.with_supervisor
-    ~deadline_ms:150
-    (fun supervisor ->
-      ignore (Batch.analyze_sources ~config ~supervisor ~jobs:1 srcs);
-      let c = Supervisor.counters supervisor in
-      Alcotest.(check int) "one deadline hit" 1 c.Supervisor.deadline_hits;
-      Alcotest.(check int) "the hung task gave up" 1 c.Supervisor.gave_up)
+  let before = Supervisor.counters () in
+  ignore (Batch.analyze_sources ~config ~within_ms:150 ~jobs:1 srcs);
+  let c = Supervisor.counters () in
+  Alcotest.(check int) "one deadline hit" 1 (c.Supervisor.deadline_hits - before.Supervisor.deadline_hits);
+  Alcotest.(check int) "the hung task gave up" 1 (c.Supervisor.gave_up - before.Supervisor.gave_up)
 
 let unsupervised_results_unaffected () =
   (* Supervision with a generous deadline is a no-op on results. *)
   let rendered =
-    Supervisor.with_supervisor
-      ~deadline_ms:60_000
-      (fun supervisor ->
-        Batch.render (Batch.analyze_sources ~supervisor ~jobs:Helpers.test_jobs srcs))
+    Batch.render (Batch.analyze_sources ~within_ms:60_000 ~jobs:Helpers.test_jobs srcs)
   in
   Alcotest.(check string) "supervised == plain" (Lazy.force reference) rendered
 
@@ -215,11 +200,10 @@ let deadline_run_records_clean_files () =
   let dir = temp_dir () in
   let run () =
     let cache = reopen dir in
-    Supervisor.with_supervisor ~deadline_ms:150 (fun supervisor ->
-        let rendered =
-          Batch.render (Batch.analyze_sources ~config ~cache ~supervisor ~jobs:1 srcs)
-        in
-        (rendered, file_hits cache, (Supervisor.counters supervisor).Supervisor.deadline_hits))
+    let hits () = (Supervisor.counters ()).Supervisor.deadline_hits in
+    let before = hits () in
+    let rendered = Batch.render (Batch.analyze_sources ~config ~cache ~within_ms:150 ~jobs:1 srcs) in
+    (rendered, file_hits cache, hits () - before)
   in
   let first, first_hits, first_cuts = run () in
   let again, hits, cuts = run () in
